@@ -31,14 +31,8 @@ from .degree import (
 from .errors import ConfigError, DomainError, NetepiError, StabilityError
 from .mixing import (
     LinkProbabilities,
-    binomial_pmf,
-    closed_form_hazard,
     infection_hazard,
     infection_hazard_two,
-    infection_prob_single,
-    infection_prob_two,
-    link_count_pmf,
-    multinomial_pmf,
     normal_approx_pmf,
 )
 from .ode import (

@@ -59,7 +59,12 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
-def _abm_setup(spec: SimulationSpec, seed):
+def _abm_ensemble(spec: SimulationSpec, seed, replicas: int, threads: int):
+    """Run the configured agent-based ensemble on the config's time axis.
+
+    The simulator counts steps from 0; its times are shifted by t0 so rows
+    line up with the ODE trajectory of the same t_span.
+    """
     if spec.model not in ABM_MODELS:
         raise ConfigError("model", f"agent-based runs support {ABM_MODELS}, got {spec.model!r}")
     if spec.abm_n is None:
@@ -72,7 +77,13 @@ def _abm_setup(spec: SimulationSpec, seed):
         dist = from_weights(1, [1.0])
     else:
         dist = build_distribution(spec.distribution)
-    return dist, steps, spec.abm_seed if seed is None else seed
+    ens = run_ensemble(
+        dist, spec.abm_n, spec.params, steps, replicas=replicas,
+        base_seed=spec.abm_seed if seed is None else seed, rewire=spec.abm_rewire,
+        schedule=spec.treatment, n_jobs=threads,
+    )
+    ens.times = t0 + ens.times
+    return ens
 
 
 def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
@@ -119,12 +130,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                        f"final_size={traj.final_size():.6g}")
 
         elif command == "run-abm":
-            dist, steps, abm_seed = _abm_setup(spec, seed)
-            ens = run_ensemble(
-                dist, spec.abm_n, spec.params, steps, replicas=n_replicas,
-                base_seed=abm_seed, rewire=spec.abm_rewire, schedule=spec.treatment,
-                n_jobs=threads,
-            )
+            ens = _abm_ensemble(spec, seed, n_replicas, threads)
             rows = [
                 [t, ens.mean_prevalence[i], ens.se_prevalence[i],
                  ens.mean_incidence[i], ens.se_incidence[i], ens.replicas]
@@ -139,13 +145,8 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                        f"final_size={1.0 - ens.mean_susceptible[-1]:.6g}")
 
         elif command == "compare":
-            dist, steps, abm_seed = _abm_setup(spec, seed)
+            ens = _abm_ensemble(spec, seed, n_replicas, threads)
             ode = run_trajectory(spec, method="euler", dt=1.0)
-            ens = run_ensemble(
-                dist, spec.abm_n, spec.params, steps, replicas=n_replicas,
-                base_seed=abm_seed, rewire=spec.abm_rewire, schedule=spec.treatment,
-                n_jobs=threads,
-            )
             report = compare_ode_abm(ode, ens, spec.compare_band_sigmas)
             rows = [
                 [t, ode.prevalence[i], ens.mean_prevalence[i], ens.se_prevalence[i],
@@ -276,10 +277,25 @@ def _read_observed_csv(path):
 _EXIT_CODES = ((ConfigError, 1), (DomainError, 1), (StabilityError, 2), (OSError, 3))
 
 
-def _dispatch(command, config, seed, threads, out, plot, replicas=None):
-    if threads is None:
-        threads = int(os.environ.get("NETEPI_THREADS", "1"))
+def _thread_count(threads):
+    """--threads, else NETEPI_THREADS, else 1; anything but an integer >= 1
+    is a ConfigError naming where the value came from."""
+    if threads is not None:
+        source, raw = "--threads", threads
+    else:
+        source, raw = "NETEPI_THREADS", os.environ.get("NETEPI_THREADS", "1")
     try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(source, f"must be an integer >= 1, got {raw!r}")
+    return value
+
+
+def _dispatch(command, config, seed, threads, out, plot, replicas=None):
+    try:
+        threads = _thread_count(threads)
         spec = parse_config(config)
         summary, files = execute(spec, command, seed=seed, threads=threads,
                                  out_dir=out, plot=plot, replicas=replicas)

@@ -1,42 +1,33 @@
-"""Link-count distributions and per-step infection probabilities.
+"""Per-step infection hazards on a fully rewiring network.
 
 A susceptible node of degree k shares l of its links with infected nodes
 with probability L(k, l, p) = C(k,l) p^l (1-p)^(k-l), where p is the chance
 that a random link points at an infected node.  The per-step infection
 hazard averages the contact-infection function f(l, lambda) = 1 - (1-lambda)^l
-over that distribution:
+over that distribution.  The average is one minus the probability generating
+function of L evaluated at 1 - lambda, so it has the closed form
 
     hazard(k, p, lambda) = sum_{l=1..k} f(l, lambda) L(k, l, p)
+                         = 1 - (1 - lambda p)^k
 
 With two infected groups (different transmissibilities) L becomes a
-multinomial over (k1, k2) shared links and f gains a second exponent.  The
-closed form 1 - (1 - lambda p)^k of the binomial average is kept only as a
-verification oracle; the summation path is the production code so arbitrary
-contact functions keep working.
+multinomial over (k1, k2) shared links, f(k1, k2) = 1 - (1-lambda1)^k1
+(1-lambda2)^k2, and the same identity gives 1 - (1 - lambda1 p1 - lambda2 p2)^k
+(Newman, Phys. Rev. E 66, 016128, 2002).  The closed forms are the
+production kernels; the tests keep the explicit sums as independent oracles.
+A contact function other than this product form would enter as its own PGF.
 
-Everything here is a pure function; the coefficient caches are filled once
-per k_max and read-only afterwards.
+Everything here is a pure function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import DomainError
-
-# Largest N whose pmf is evaluated with exact integer coefficients and plain
-# powers; above this, log-space avoids factorial overflow.
-_EXACT_LIMIT = 30
-
-# Default N above which link_count_pmf switches to the normal approximation.
-# Calibrated so the approximation stays inside a 1e-3 absolute error budget
-# for 0.1 <= p <= 0.9.
-APPROX_THRESHOLD = 100
 
 
 @dataclass(frozen=True)
@@ -69,17 +60,6 @@ def _check_prob(name, value):
         raise DomainError(f"{name} must be in [0, 1], got {value}")
 
 
-def binomial_pmf(n: int, k: int, p: float) -> float:
-    """C(n,k) p^k (1-p)^(n-k), exact for n <= 30, log-space above."""
-    if not 0 <= k <= n:
-        raise DomainError(f"k={k} outside [0, {n}]")
-    _check_prob("p", p)
-    if n <= _EXACT_LIMIT:
-        return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-    logc = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    return float(np.exp(logc + xlogy(k, p) + xlogy(n - k, 1.0 - p)))
-
-
 def normal_approx_pmf(n: int, k: int, p: float) -> float:
     """de Moivre-Laplace estimate of the binomial pmf.
 
@@ -107,142 +87,31 @@ def normal_approx_pmf(n: int, k: int, p: float) -> float:
     return max(0.0, value)
 
 
-def link_count_pmf(n: int, k: int, p: float, threshold: int = APPROX_THRESHOLD) -> float:
-    """Binomial link-count mass, switching to the normal approximation for
-    n above ``threshold`` (and 0 < p < 1, where the approximation exists)."""
-    if not 0 <= k <= n:
-        raise DomainError(f"k={k} outside [0, {n}]")
-    _check_prob("p", p)
-    if n > threshold and 0.0 < p < 1.0:
-        return normal_approx_pmf(n, k, p)
-    return binomial_pmf(n, k, p)
+def _pgf_hazard(degrees, x: float) -> np.ndarray:
+    """1 - (1 - x)^k per degree for a per-link infection chance x.
 
-
-def multinomial_pmf(k: int, k1: int, k2: int, probs: LinkProbabilities) -> float:
-    """k!/(k1! k2! k3!) p1^k1 p2^k2 p3^k3 with k3 = k - k1 - k2.
-
-    Exact factorials for k <= 30, log-space above.
+    x is clipped to [0, 1]: LinkProbabilities admits p1 + p2 up to 1 + 1e-12,
+    and with lambda = 1 the base 1 - x would otherwise turn negative.
     """
-    if k1 < 0 or k2 < 0:
-        raise DomainError(f"k1={k1}, k2={k2} must be nonnegative")
-    if k1 + k2 > k:
-        raise DomainError(f"k1 + k2 = {k1 + k2} exceeds k = {k}")
-    k3 = k - k1 - k2
-    p1, p2, p3 = probs.p1, probs.p2, max(probs.p3, 0.0)
-    if k <= _EXACT_LIMIT:
-        coef = math.factorial(k) // (math.factorial(k1) * math.factorial(k2) * math.factorial(k3))
-        return coef * p1**k1 * p2**k2 * p3**k3
-    logc = gammaln(k + 1) - gammaln(k1 + 1) - gammaln(k2 + 1) - gammaln(k3 + 1)
-    return float(np.exp(logc + xlogy(k1, p1) + xlogy(k2, p2) + xlogy(k3, p3)))
-
-
-def infection_prob_single(l: int, lam: float) -> float:
-    """1 - (1-lambda)^l: chance of infection through l infected contacts."""
-    _check_prob("lambda", lam)
-    return 1.0 - (1.0 - lam) ** l
-
-
-def infection_prob_two(k1: int, k2: int, lam1: float, lam2: float) -> float:
-    """1 - (1-lambda1)^k1 (1-lambda2)^k2 for two infected-contact groups."""
-    _check_prob("lambda1", lam1)
-    _check_prob("lambda2", lam2)
-    return 1.0 - (1.0 - lam1) ** k1 * (1.0 - lam2) ** k2
-
-
-# --------------------------------------------------------------------------
-# cached coefficient tables
-# --------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _log_choose_table(k_max: int) -> np.ndarray:
-    """(k_max+1, k_max+1) table of log C(k, l), -inf where l > k."""
-    lgfact = gammaln(np.arange(k_max + 1, dtype=float) + 1.0)
-    diff = np.arange(k_max + 1)[:, None] - np.arange(k_max + 1)[None, :]
-    table = lgfact[:, None] - lgfact[None, :] - lgfact[np.maximum(diff, 0)]
-    table[diff < 0] = -np.inf
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=8)
-def multinomial_coefficients(k_max: int):
-    """Flattened triangular table of log k!/(k1! k2! k3!) for all
-    0 <= k1 + k2 <= k <= k_max.
-
-    Built once per k_max and reused by every model evaluation, since the
-    coefficients do not depend on the link probabilities.  Returns
-    (k1, k2, k3, log_coef, offsets) where offsets[k] indexes the first entry
-    of degree k for segment reductions.
-    """
-    lgfact = gammaln(np.arange(k_max + 1, dtype=float) + 1.0)
-    k1_parts, k2_parts, offsets = [], [], np.zeros(k_max + 2, dtype=np.int64)
-    for k in range(k_max + 1):
-        k1 = np.repeat(np.arange(k + 1), np.arange(k + 1, 0, -1))
-        k2 = np.concatenate([np.arange(k - a + 1) for a in range(k + 1)])
-        k1_parts.append(k1)
-        k2_parts.append(k2)
-        offsets[k + 1] = offsets[k] + k1.size
-    k1 = np.concatenate(k1_parts)
-    k2 = np.concatenate(k2_parts)
-    k = np.repeat(np.arange(k_max + 1), np.diff(offsets))
-    k3 = k - k1 - k2
-    log_coef = lgfact[k] - lgfact[k1] - lgfact[k2] - lgfact[k3]
-    for arr in (k1, k2, k3, log_coef, offsets):
-        arr.flags.writeable = False
-    return k1, k2, k3, log_coef, offsets
-
-
-def binomial_link_matrix(k_max: int, p: float) -> np.ndarray:
-    """L[k, l] = C(k,l) p^l (1-p)^(k-l) for all 0 <= l, k <= k_max.
-
-    Entries with l > k are zero.  Rows sum to 1.
-    """
-    _check_prob("p", p)
-    logc = _log_choose_table(k_max)
-    grid = np.arange(k_max + 1)
-    lp = xlogy(grid, p)
-    lq = xlogy(grid, 1.0 - p)
-    logmass = logc + lp[None, :] + lq[np.maximum(grid[:, None] - grid[None, :], 0)]
-    return np.exp(logmass)
+    x = min(max(x, 0.0), 1.0)
+    return 1.0 - (1.0 - x) ** np.asarray(degrees)
 
 
 def hazard_profile(degrees: np.ndarray, p: float, lam: float) -> np.ndarray:
-    """Per-degree infection hazard sum_{l=1..k} f(l, lambda) L(k, l, p)."""
-    degrees = np.asarray(degrees)
-    k_max = int(degrees.max())
-    link = binomial_link_matrix(k_max, p)
-    f = 1.0 - (1.0 - lam) ** np.arange(k_max + 1, dtype=float)
-    return (link @ f)[degrees]
+    """Per-degree infection hazard 1 - (1 - lambda p)^k."""
+    return _pgf_hazard(degrees, lam * p)
 
 
 def hazard_profile_two(
     degrees: np.ndarray, probs: LinkProbabilities, lam1: float, lam2: float
 ) -> np.ndarray:
-    """Per-degree hazard for two infected groups.
+    """Per-degree hazard for two infected groups, 1 - (1 - lambda1 p1 - lambda2 p2)^k.
 
-    sum over all (k1, k2) with 1 <= k1 + k2 <= k of
-    f(k1, k2, lambda1, lambda2) * L(k, k1, k2, p1, p2).  Terms where only one
-    group contributes (k1 >= 1, k2 = 0 and vice versa) are included; without
-    them single-group infection would be lost and the single-group reduction
-    p = p1 + p2 for lambda1 = lambda2 would not hold.
+    Equal to the multinomial average of f(k1, k2) over all (k1, k2) with
+    1 <= k1 + k2 <= k, including the terms where only one group contributes;
+    for lambda1 = lambda2 it reduces to the single-group hazard at p1 + p2.
     """
-    degrees = np.asarray(degrees)
-    k_max = int(degrees.max())
-    k1, k2, k3, log_coef, offsets = multinomial_coefficients(k_max)
-    p1, p2 = probs.p1, probs.p2
-    p3 = max(probs.p3, 0.0)
-    # per-exponent lookup tables keep the heavy transcendental work O(k_max)
-    grid = np.arange(k_max + 1, dtype=float)
-    lp1, lp2, lp3 = xlogy(grid, p1), xlogy(grid, p2), xlogy(grid, p3)
-    pw1, pw2 = (1.0 - lam1) ** grid, (1.0 - lam2) ** grid
-    logmass = log_coef + lp1[k1]
-    logmass += lp2[k2]
-    logmass += lp3[k3]
-    f_mass = 1.0 - pw1[k1] * pw2[k2]
-    f_mass *= np.exp(logmass)
-    per_k = np.add.reduceat(f_mass, offsets[:-1])
-    per_k[0] = 0.0  # degree 0: no links, no hazard
-    return per_k[degrees]
+    return _pgf_hazard(degrees, lam1 * probs.p1 + lam2 * probs.p2)
 
 
 def infection_hazard(k: int, p: float, lam: float) -> float:
@@ -261,11 +130,3 @@ def infection_hazard_two(k: int, probs: LinkProbabilities, lam1: float, lam2: fl
     _check_prob("lambda1", lam1)
     _check_prob("lambda2", lam2)
     return float(hazard_profile_two(np.array([k]), probs, lam1, lam2)[0])
-
-
-def closed_form_hazard(k: int, p: float, lam: float) -> float:
-    """1 - (1 - lambda p)^k: analytic value of the binomial hazard average.
-
-    Verification oracle only; the summation path is the production code.
-    """
-    return 1.0 - (1.0 - lam * p) ** k

@@ -5,7 +5,10 @@ degree.  The transmission term couples degree classes through the link
 probability p = <k_inf>/<k>, recomputed from the instantaneous state at
 every evaluation: the links of the network are assumed to be fully redrawn
 each time step, so only the degree distribution and the current compartment
-masses matter.
+masses matter.  A susceptible of degree k is then infected with the
+closed-form hazard 1 - (1 - lam p)^k (two groups: 1 - (1 - lam1 p1 -
+lam2 p2)^k), the link-count average computed once per population per RHS
+by ``mixing.hazard_profile`` / ``hazard_profile_two``.
 
 Model catalogue
 ---------------

@@ -141,16 +141,21 @@ def test_c03_multinomial_collapse():
 
 
 def test_c04_closed_form_hazard_identity():
+    # the production kernel is the closed form; the binomial average of
+    # f(l, lam) over the shared-link count l is summed here independently
     with budget(4, 1.0) as b:
         degrees = np.arange(1, 201)
+        links = np.arange(201)
         worst = 0.0
         for p in (0.0, 0.05, 0.37, 0.9, 1.0):
+            link_mass = stats.binom.pmf(links[None, :], degrees[:, None], p)  # zero for l > k
             for lam in (0.0, 0.05, 0.37, 0.9, 1.0):
-                summed = hazard_profile(degrees, p, lam)
-                closed = 1.0 - (1.0 - lam * p) ** degrees.astype(float)
+                summed = link_mass @ (1.0 - (1.0 - lam) ** links)
+                closed = hazard_profile(degrees, p, lam)
                 worst = max(worst, np.abs(summed - closed).max())
         assert worst <= 1e-10
-        b.message = f"hazard vs 1-(1-lam p)^k for k <= 200: max abs dev {worst:.3e} <= 1e-10"
+        b.message = (f"hazard vs binomial sum of f over links for k <= 200: "
+                     f"max abs dev {worst:.3e} <= 1e-10")
 
 
 def test_c05_ode_vs_abm_reference_setup():

@@ -337,6 +337,53 @@ class TestCliProcess:
                                env={"NETEPI_THREADS": "2"})
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-2"])
+    def test_bad_threads_env_names_the_variable(self, tmp_path, raw):
+        runner = CliRunner()
+        cfg = self.write(tmp_path, {**MINIMAL_CLASSIC, "t_span": [0, 10]})
+        result = runner.invoke(main, ["run-ode", "--config", cfg,
+                                      "--out", str(tmp_path / "o")],
+                               env={"NETEPI_THREADS": raw})
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "NETEPI_THREADS" in result.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_threads_flag_below_one_rejected(self, tmp_path, raw):
+        runner = CliRunner()
+        cfg = self.write(tmp_path, {**MINIMAL_CLASSIC, "t_span": [0, 10]})
+        result = runner.invoke(main, ["run-ode", "--config", cfg,
+                                      "--out", str(tmp_path / "o"), "--threads", raw],
+                               env={"NETEPI_THREADS": "2"})
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "--threads" in result.output
+
+    def test_abm_times_follow_t_span(self, tmp_path):
+        runner = CliRunner()
+        base = {
+            "model": "stratified", "lambda": 0.05, "mu": 0.05, "rho0": 0.05,
+            "distribution": {"type": "power_law", "gamma": 3, "k_min": 1, "k_max": 20},
+            "method": "euler", "dt": 1.0, "abm": {"n": 300, "replicas": 4, "seed": 3},
+        }
+        tables = {}
+        for t_span in ([0, 20], [5, 25]):
+            cfg = self.write(tmp_path, {**base, "t_span": t_span})
+            out = tmp_path / f"o{t_span[0]}"
+            for command in ("run-abm", "compare"):
+                result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+                assert result.exit_code == 0, result.output
+            tables[t_span[0]] = [line.split(",") for line in
+                                 (out / "ensemble.csv").read_text().splitlines()[1:]]
+            comparison = (out / "comparison.csv").read_text().splitlines()[1:]
+            assert [float(row.split(",")[0]) for row in comparison] == [
+                float(t) for t in range(t_span[0], t_span[1] + 1)]
+        assert float(tables[5][0][0]) == 5.0
+        # shifting t_span relabels the time column and changes nothing else
+        assert [row[1:] for row in tables[5]] == [row[1:] for row in tables[0]]
+        assert [float(row[0]) - 5.0 for row in tables[5]] == [float(row[0]) for row in tables[0]]
+
     def test_fit_reads_observed_csv(self, tmp_path):
         spec = parse_config_data({**MINIMAL_CLASSIC, "t_span": [0, 40],
                                   "method": "euler", "dt": 1.0})

@@ -3,26 +3,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netepi.errors import DomainError
 from netepi.mixing import (
     LinkProbabilities,
-    binomial_link_matrix,
-    binomial_pmf,
-    closed_form_hazard,
     hazard_profile,
+    hazard_profile_two,
     infection_hazard,
     infection_hazard_two,
-    infection_prob_single,
-    infection_prob_two,
-    link_count_pmf,
-    multinomial_pmf,
     normal_approx_pmf,
 )
 
+# the kernels are closed forms; these explicit sums over link counts are the
+# independent oracles they are checked against
 
 def brute_binomial(n, k, p):
-    """Exact rational-arithmetic oracle, independent of the log-space path."""
+    """Exact rational-arithmetic binomial pmf."""
     q = Fraction(p)
     return float(math.comb(n, k) * q ** k * (1 - q) ** (n - k))
 
@@ -36,48 +34,26 @@ def brute_hazard(k, p, lam):
 
 
 def brute_hazard_two(k, p1, p2, lam1, lam2):
-    """Full enumeration over every (k1, k2) pair with k1 + k2 <= k."""
-    p3 = 1 - p1 - p2
+    """Full enumeration over every (k1, k2) pair with k1 + k2 <= k.
+
+    A pair inside the slack LinkProbabilities admits above p1 + p2 = 1 is
+    renormalized first, so the multinomial masses sum to one.
+    """
+    total_p = p1 + p2
+    if total_p > 1:
+        p1, p2 = p1 / total_p, p2 / total_p
+    p3 = max(1 - p1 - p2, 0.0)
     total = 0.0
     for k1 in range(k + 1):
         for k2 in range(k - k1 + 1):
-            k3 = k - k1 - k2
-            coef = math.factorial(k) // (
-                math.factorial(k1) * math.factorial(k2) * math.factorial(k3))
+            coef = math.comb(k, k1) * math.comb(k - k1, k2)
             f = 1 - (1 - lam1) ** k1 * (1 - lam2) ** k2
-            total += f * coef * p1 ** k1 * p2 ** k2 * p3 ** k3
+            total += f * coef * p1 ** k1 * p2 ** k2 * p3 ** (k - k1 - k2)
     return total
 
 
-class TestBinomialPmf:
-    def test_zero_probability_edge(self):
-        assert binomial_pmf(5, 0, 0.0) == 1.0
-
-    def test_hand_values(self):
-        assert binomial_pmf(3, 1, 0.5) == pytest.approx(0.375, abs=1e-15)
-        assert binomial_pmf(2, 1, 0.3) == pytest.approx(0.42, abs=1e-15)
-
-    def test_log_space_path_matches_exact_oracle(self):
-        for n in (31, 100, 500):
-            for k in (0, 1, n // 3, n // 2, n):
-                for p in (0.01, 0.4, 0.97):
-                    assert binomial_pmf(n, k, p) == pytest.approx(
-                        brute_binomial(n, k, p), rel=1e-11, abs=1e-300)
-
-    def test_rejects_k_out_of_range(self):
-        with pytest.raises(DomainError):
-            binomial_pmf(5, 6, 0.5)
-        with pytest.raises(DomainError):
-            binomial_pmf(5, -1, 0.5)
-        with pytest.raises(DomainError):
-            binomial_pmf(5, 2, 1.5)
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(1)
-        for n in (10, 137, 500):
-            for p in rng.random(3):
-                total = sum(binomial_pmf(n, k, p) for k in range(n + 1))
-                assert total == pytest.approx(1.0, abs=1e-10)
+UNIT = st.floats(0.0, 1.0)
+PROPERTY = settings(max_examples=40, deadline=None)
 
 
 class TestNormalApproxPmf:
@@ -99,67 +75,6 @@ class TestNormalApproxPmf:
             normal_approx_pmf(100, 3, 0.0)
         with pytest.raises(DomainError):
             normal_approx_pmf(100, 3, 1.0)
-
-
-class TestLinkCountPmf:
-    def test_below_threshold_is_exact_path(self):
-        assert link_count_pmf(10, 3, 0.2, threshold=50) == binomial_pmf(10, 3, 0.2)
-
-    def test_above_threshold_within_budget(self):
-        exact = brute_binomial(200, 40, 0.2)
-        assert link_count_pmf(200, 40, 0.2, threshold=50) == pytest.approx(exact, abs=1e-3)
-
-    def test_degenerate_p_falls_back_to_exact(self):
-        assert link_count_pmf(200, 200, 1.0, threshold=50) == 1.0
-        assert link_count_pmf(200, 0, 0.0, threshold=50) == 1.0
-
-    def test_tiny_n_approximation_is_rough_but_sane(self):
-        # forced approximation path: N=1 > threshold=0 and 0 < p < 1
-        assert link_count_pmf(1, 1, 0.7, threshold=0) == pytest.approx(0.7, abs=0.2)
-
-
-class TestMultinomialPmf:
-    def test_hand_values(self):
-        assert multinomial_pmf(2, 1, 1, LinkProbabilities(0.3, 0.2)) == pytest.approx(0.12, abs=1e-15)
-        assert multinomial_pmf(3, 0, 0, LinkProbabilities(0.1, 0.1)) == pytest.approx(0.512, abs=1e-15)
-        assert multinomial_pmf(1, 1, 0, LinkProbabilities(1.0, 0.0)) == 1.0
-
-    def test_rejects_overfull_split(self):
-        with pytest.raises(DomainError):
-            multinomial_pmf(3, 2, 2, LinkProbabilities(0.3, 0.2))
-        with pytest.raises(DomainError):
-            multinomial_pmf(3, -1, 2, LinkProbabilities(0.3, 0.2))
-
-    def test_sums_to_one(self):
-        for k in (3, 31, 60):
-            for p1, p2 in ((0.25, 0.35), (0.0, 0.5), (0.9, 0.1)):
-                probs = LinkProbabilities(p1, p2)
-                total = sum(
-                    multinomial_pmf(k, k1, k2, probs)
-                    for k1 in range(k + 1) for k2 in range(k - k1 + 1))
-                assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_log_path_matches_exact_oracle(self):
-        probs = LinkProbabilities(0.22, 0.41)
-        k = 45
-        for k1, k2 in ((0, 0), (10, 20), (45, 0), (13, 7)):
-            coef = math.factorial(k) // (
-                math.factorial(k1) * math.factorial(k2) * math.factorial(k - k1 - k2))
-            exact = coef * 0.22 ** k1 * 0.41 ** k2 * 0.37 ** (k - k1 - k2)
-            assert multinomial_pmf(k, k1, k2, probs) == pytest.approx(exact, rel=1e-11)
-
-
-class TestInfectionFunctions:
-    def test_single(self):
-        assert infection_prob_single(0, 0.3) == 0.0
-        assert infection_prob_single(1, 0.3) == pytest.approx(0.3, abs=1e-15)
-        assert infection_prob_single(2, 0.5) == pytest.approx(0.75, abs=1e-15)
-
-    def test_two_group(self):
-        assert infection_prob_two(0, 0, 0.9, 0.1) == 0.0
-        assert infection_prob_two(1, 0, 0.4, 0.9) == pytest.approx(0.4, abs=1e-15)
-        assert infection_prob_two(1, 1, 0.5, 0.5) == pytest.approx(
-            infection_prob_single(2, 0.5), abs=1e-15)
 
 
 class TestInfectionHazard:
@@ -190,7 +105,24 @@ class TestInfectionHazard:
             for p in grid:
                 for lam in grid:
                     assert infection_hazard(k, p, lam) == pytest.approx(
-                        closed_form_hazard(k, p, lam), abs=1e-10)
+                        brute_hazard(k, p, lam), abs=1e-10)
+
+    def test_all_links_infected_is_contact_function(self):
+        # p = 1: every one of the k links is infected, so the hazard is f(k, lam)
+        assert infection_hazard(1, 1.0, 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert infection_hazard(2, 1.0, 0.5) == pytest.approx(0.75, abs=1e-15)
+        assert infection_hazard(5, 1.0, 1.0) == 1.0
+
+    def test_degree_zero_has_no_hazard(self):
+        assert np.all(hazard_profile(np.array([0, 0]), 0.7, 0.9) == 0.0)
+
+    def test_rejects_out_of_domain(self):
+        with pytest.raises(DomainError):
+            infection_hazard(0, 0.5, 0.5)
+        with pytest.raises(DomainError):
+            infection_hazard(5, 1.5, 0.5)
+        with pytest.raises(DomainError):
+            infection_hazard(5, 0.5, -0.1)
 
     def test_monotone_in_every_argument(self):
         ks = np.arange(1, 41)
@@ -236,15 +168,55 @@ class TestInfectionHazardTwo:
                     brute_hazard_two(k, p1, p2, l1, l2), abs=1e-12)
 
 
-class TestLinkMatrix:
-    def test_rows_sum_to_one(self):
-        for p in (0.0, 0.13, 0.5, 0.99, 1.0):
-            matrix = binomial_link_matrix(500, p)
-            np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-10)
+    def test_one_group_owns_every_link(self):
+        # p1 = 1 (or p2 = 1): the hazard is that group's f(k, lam)
+        assert infection_hazard_two(1, LinkProbabilities(1.0, 0.0), 0.4, 0.9) == pytest.approx(
+            0.4, abs=1e-15)
+        assert infection_hazard_two(2, LinkProbabilities(0.0, 1.0), 0.9, 0.5) == pytest.approx(
+            0.75, abs=1e-15)
 
-    def test_upper_triangle_is_zero(self):
-        matrix = binomial_link_matrix(10, 0.4)
-        assert np.all(matrix[np.triu_indices(11, k=1)] == 0.0)
+    def test_slack_above_one_stays_a_probability(self):
+        # p1 + p2 inside the 1e-12 slack with lam = 1 would put the base of
+        # the power below zero without the clip
+        probs = LinkProbabilities(0.7, 0.3 + 5e-13)
+        h = hazard_profile_two(np.arange(0, 251), probs, 1.0, 1.0)
+        assert h[0] == 0.0
+        assert np.all(h[1:] == 1.0)
+
+    def test_rejects_out_of_domain(self):
+        probs = LinkProbabilities(0.2, 0.3)
+        with pytest.raises(DomainError):
+            infection_hazard_two(0, probs, 0.5, 0.5)
+        with pytest.raises(DomainError):
+            infection_hazard_two(3, probs, 1.2, 0.5)
+        with pytest.raises(DomainError):
+            infection_hazard_two(3, probs, 0.5, -0.2)
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(k=st.integers(0, 250), p=UNIT, lam=UNIT)
+    @example(k=250, p=1.0, lam=1.0)
+    def test_single_group(self, k, p, lam):
+        h = hazard_profile(np.arange(k + 1), p, lam)
+        assert np.all((h >= 0.0) & (h <= 1.0))
+        assert np.all(np.diff(h) >= -1e-15)
+        assert h[k] == pytest.approx(brute_hazard(k, p, lam), abs=1e-10)
+
+    @PROPERTY
+    @given(k=st.integers(0, 250), p1=UNIT, share=UNIT,
+           excess=st.sampled_from([None, 0.0, 9e-13]), lam1=UNIT, lam2=UNIT)
+    @example(k=250, p1=0.6, share=0.0, excess=9e-13, lam1=1.0, lam2=1.0)
+    @example(k=120, p1=0.25, share=0.0, excess=9e-13, lam1=1.0, lam2=0.3)
+    def test_two_groups(self, k, p1, share, excess, lam1, lam2):
+        # excess=None spreads the remaining probability by share; otherwise
+        # p1 + p2 sits at 1 + excess, up to the 1e-12 slack
+        p2 = share * (1.0 - p1) if excess is None else 1.0 - p1 + excess
+        probs = LinkProbabilities(p1, p2)
+        h = hazard_profile_two(np.arange(k + 1), probs, lam1, lam2)
+        assert np.all((h >= 0.0) & (h <= 1.0))
+        assert np.all(np.diff(h) >= -1e-15)
+        assert h[k] == pytest.approx(brute_hazard_two(k, p1, p2, lam1, lam2), abs=1e-10)
 
 
 class TestLinkProbabilities:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netepi.degree import from_weights, truncated_power_law
 from netepi.errors import DomainError, StabilityError
-from netepi.mixing import closed_form_hazard
 from netepi.ode import (
     BipartiteSIR,
     ClassicSIR,
@@ -130,7 +131,7 @@ class TestStratified:
         view, dview = model.view(y), model.view(dy, clamp=False)
         p = current_link_probability(view, FIG1_DIST, "active").p1
         for i, k in enumerate(FIG1_DIST.degrees):
-            expected = -view.s[i] * closed_form_hazard(int(k), p, FIG1_PARAMS.lam)
+            expected = -view.s[i] * (1.0 - (1.0 - FIG1_PARAMS.lam * p) ** int(k))
             assert dview.s[i] == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
     def test_rejects_wrong_state_size(self):
@@ -240,7 +241,7 @@ class TestHivMsm:
         assert current_link_probability(view, FIG1_DIST, "active").p1 == 0.0
         dview = model.view(model.rhs(0.0, y), clamp=False)
         for i, k in enumerate(FIG1_DIST.degrees):
-            expected = -view.s[i] * closed_form_hazard(int(k), p2, 0.4 * 0.3)
+            expected = -view.s[i] * (1.0 - (1.0 - 0.4 * 0.3 * p2) ** int(k))
             assert dview.s[i] == pytest.approx(expected, rel=1e-9, abs=1e-16)
 
     def test_demography_removes_infected_into_r(self):
@@ -446,3 +447,32 @@ class TestBuildModel:
     def test_distribution_required(self):
         with pytest.raises(DomainError):
             build_model("stratified", EpidemicParams(lam=0.1))
+
+
+def _random_model(name, lam, lam2, mu, rho0, coverage, dist):
+    """One of the six models at the given rates; the HIV models take
+    coverage instead of mu removal."""
+    params = EpidemicParams(lam=lam, mu=mu, rho0=rho0, lam2=lam2)
+    hiv_params = EpidemicParams(lam=lam, rho0=rho0)
+    return {
+        "classic": lambda: ClassicSIR(params),
+        "stratified": lambda: StratifiedSIR(params, dist),
+        "two_type": lambda: TwoTypeSIR(params, dist, rho0_type2=coverage),
+        "bipartite": lambda: BipartiteSIR(params, (dist, dist)),
+        "hiv_msm": lambda: HivMsm(hiv_params, dist, coverage=coverage),
+        "hiv_hetero": lambda: HivHetero(hiv_params, (dist, dist), coverage=coverage),
+    }[name]()
+
+
+class TestConservationProperty:
+    @pytest.mark.parametrize(
+        "name", ["classic", "stratified", "two_type", "bipartite", "hiv_msm", "hiv_hetero"])
+    @settings(max_examples=10, deadline=None)
+    @given(lam=st.floats(0.0, 1.0), lam2=st.floats(0.0, 1.0), mu=st.floats(0.0, 1.0),
+           rho0=st.floats(1e-4, 0.5), coverage=st.floats(0.0, 1.0),
+           gamma=st.floats(1.5, 3.5), k_max=st.integers(1, 60))
+    def test_mass_is_conserved(self, name, lam, lam2, mu, rho0, coverage, gamma, k_max):
+        dist = truncated_power_law(gamma, 1, k_max)
+        model = _random_model(name, lam, lam2, mu, rho0, coverage, dist)
+        traj = integrate(model, (0, 5), 0.1, "rk4")
+        assert np.abs(total_mass(traj) - 1.0).max() <= 1e-8
