@@ -36,18 +36,12 @@ from .mixing import (
     normal_approx_pmf,
 )
 from .ode import (
-    BipartiteSIR,
-    ClassicSIR,
+    CompartmentModel,
     EpidemicParams,
-    HivHetero,
-    HivMsm,
-    StratifiedSIR,
     StratifiedState,
     Trajectory,
     TreatmentSchedule,
-    TwoTypeSIR,
     build_model,
-    classic_sir_rhs,
     current_link_probability,
     integrate,
 )

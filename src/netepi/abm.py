@@ -34,7 +34,7 @@ import numpy as np
 
 from .degree import DegreeDistribution, sample_degrees
 from .errors import DomainError
-from .ode import EpidemicParams, StratifiedState, Trajectory, TreatmentSchedule
+from .ode import EpidemicParams, Trajectory, TreatmentSchedule, build_model
 
 # node compartment codes
 SUSCEPTIBLE = 0
@@ -222,18 +222,10 @@ def simulate_epidemic(
 
         tally(step)
 
-    times = np.arange(steps + 1, dtype=float)
-    states = [
-        StratifiedState(
-            degrees=k_grid, s=s_k[i], rho=rho_k[i][None, :],
-            r=float(removed_k[i].sum()), removed_k=removed_k[i],
-        )
-        for i in range(steps + 1)
-    ]
+    # the stratified one-type, one-stage layout: s_k | rho_k | removed_k
     return Trajectory(
-        times=times, states=states, derivs=None,
-        susceptible=s_k.sum(axis=1), prevalence=rho_k.sum(axis=1),
-        removed=removed_k.sum(axis=1), incidence=incidence,
+        times=np.arange(steps + 1, dtype=float), Y=np.hstack([s_k, rho_k, removed_k]),
+        dY=None, incidence=incidence, model=build_model("stratified", params, dist),
     )
 
 

@@ -130,7 +130,7 @@ def phase_series(
     pairs the never-or-no-longer-infected fraction s + r per degree with its
     derivative.  Derivatives come from the recorded RHS evaluations.
     """
-    if traj.derivs is None:
+    if traj.dY is None:
         raise DomainError("trajectory has no recorded RHS evaluations (agent-based run?)")
     if variant not in ("infected", "healthy"):
         raise DomainError(f"variant must be 'infected' or 'healthy', got {variant!r}")
@@ -147,10 +147,10 @@ def phase_series(
             return float(state.rho[:, i].sum()), float(state.s[i] + state.removed_k[i])
         return float(state.rho2[:, i].sum()), float(state.s2[i] + state.removed_k2[i])
 
-    out = np.empty((len(traj.states), 2))
-    for row, (state, deriv) in enumerate(zip(traj.states, traj.derivs)):
-        rho_m, healthy_m = pick(state, m)
-        drho_n, dhealthy_n = pick(deriv, n)
+    out = np.empty((len(traj.times), 2))
+    for row in range(len(traj.times)):
+        rho_m, healthy_m = pick(traj.state(row), m)
+        drho_n, dhealthy_n = pick(traj.deriv(row), n)
         if variant == "infected":
             out[row] = (rho_m, drho_n)
         else:

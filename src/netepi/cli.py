@@ -97,6 +97,8 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
     """
     if replicas is not None and replicas < 2:
         raise ConfigError("abm.replicas", f"must be >= 2, got {replicas}")
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ConfigError("threads", f"must be an integer >= 1, got {threads!r}")
     n_replicas = spec.abm_replicas if replicas is None else replicas
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -120,7 +122,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                 row = [t, traj.susceptible[i], traj.prevalence[i], traj.removed[i],
                        traj.incidence[i]]
                 if spec.per_degree:
-                    row += model.state_columns(traj.states[i])
+                    row += model.state_columns(traj.state(i))
                 rows.append(row)
             _write_csv(target("trajectory.csv"), header, rows)
             if plot:

@@ -20,12 +20,14 @@ when present.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 
 from .degree import DegreeDistribution, from_weights, truncated_power_law
 from .errors import ConfigError, DomainError
 from .ode import (
+    MODEL_BUILDERS,
     MODEL_NAMES,
     EpidemicParams,
     TreatmentSchedule,
@@ -38,6 +40,8 @@ HIV_MODELS = ("hiv_msm", "hiv_hetero")
 
 # parameters the sensitivity and fit commands may vary
 TUNABLE = ("lambda", "mu", "rho0", "d", "lambda2", "treatment_efficacy", "gamma")
+# spec fields passed to the model builders that take them
+_MODEL_OPTIONS = ("split", "rho0_type2", "asymmetry", "side_fraction", "stage_rates")
 
 
 def _expect(mapping, path, known):
@@ -524,23 +528,10 @@ def build_spec_model(spec: SimulationSpec, overrides: dict | None = None):
 
     dist = build_distribution(dist_dict) if dist_dict else None
     dist2 = build_distribution(spec.distribution2) if spec.distribution2 else None
-    kwargs = {}
-    if spec.model == "two_type":
-        kwargs = {"split": spec.split, "rho0_type2": spec.rho0_type2,
-                  "stage_rates": spec.stage_rates}
-    elif spec.model == "stratified":
-        kwargs = {"stage_rates": spec.stage_rates}
-    elif spec.model == "bipartite":
-        kwargs = {"side_fraction": spec.side_fraction, "stage_rates": spec.stage_rates}
-    elif spec.model == "hiv_msm":
-        kwargs = {"stage_rates": spec.stage_rates}
-        if spec.treatment is not None:
-            kwargs["coverage"] = spec.treatment.initial_coverage
-    elif spec.model == "hiv_hetero":
-        kwargs = {"asymmetry": spec.asymmetry, "side_fraction": spec.side_fraction,
-                  "stage_rates": spec.stage_rates}
-        if spec.treatment is not None:
-            kwargs["coverage"] = spec.treatment.initial_coverage
+    accepted = inspect.signature(MODEL_BUILDERS[spec.model]).parameters
+    kwargs = {name: getattr(spec, name) for name in _MODEL_OPTIONS if name in accepted}
+    if spec.treatment is not None:
+        kwargs["coverage"] = spec.treatment.initial_coverage
     return build_model(spec.model, params, dist=dist, dist2=dist2,
                        link_mode=spec.link_mode, **kwargs)
 

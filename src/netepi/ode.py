@@ -1,4 +1,4 @@
-"""Right-hand sides and fixed-step integration for the network SIR models.
+"""Right-hand side and fixed-step integration for the network SIR models.
 
 All models track fractions of the initial population, stratified by node
 degree.  The transmission term couples degree classes through the link
@@ -10,24 +10,29 @@ closed-form hazard 1 - (1 - lam p)^k (two groups: 1 - (1 - lam1 p1 -
 lam2 p2)^k), the link-count average computed once per population per RHS
 by ``mixing.hazard_profile`` / ``hazard_profile_two``.
 
-Model catalogue
----------------
-classic      s' = -lam rho s,  rho' = -mu rho + lam rho s,  r' = mu rho
-stratified   per-degree s_k, rho_k with binomial link mixing
-two_type     two infected groups with transmissibilities lam, lam2 and
-             multinomial link mixing
-bipartite    two populations, infection only across sides
-hiv_msm      one population, treated/untreated infected, demographic
-             turnover, piecewise-constant treatment coverage
-hiv_hetero   men/women populations with asymmetric transmission and the
-             same treatment machinery
+Every model is one ``CompartmentModel``: populations x infected types x
+stages, each population laid out as s(nk) | I(types, stages, nk) |
+removed(nk), and configured by data: per population a degree distribution,
+weight and rho0; per target population the source population it is
+infected through and one transmissibility per type; the seed and routing
+shares of the types (routing may be "hazard": in proportion to each type's
+own one-type hazard); an infected exit rate; and whether a treatment
+coverage sets the shares.  The six named models are builders over it:
+
+classic      stratified at k = 1 with the fixed link denominator, which is
+             s' = -lam rho s,  rho' = lam rho s - mu rho,  r' = mu rho
+stratified   one population, one type at lam
+two_type     one population, types at lam and lam2
+bipartite    two populations infected across: side 2 at lam, side 1 at lam2
+hiv_msm      untreated/treated types at i and efficacy * i, exit at rate d
+hiv_hetero   men/women infected across: women at i, men at asymmetry * i
 
 The demographic term d(s_k(0) - s_k(t)) replenishes susceptibles toward
-their initial level; in the HIV models infected nodes additionally leave
-the network at rate d (counted in the removed aggregate).  Disease
-progression through multiple infected stages is available as a per-type
-rate chain whose final stage feeds the removed compartment; the default is
-a single stage at rate mu.
+their initial level in every model; in the HIV models infected nodes also
+leave the network at rate d, into a cumulative removed tally that may pass
+1.  Disease progression through multiple infected stages is a per-type rate
+chain whose final stage feeds the removed compartment; the default is a
+single stage at rate mu (the HIV models have no mu removal).
 
 Integrators are fixed-step euler and rk4 only: determinism and the exact
 step-for-step match between euler dt=1 and the agent-based process outrank
@@ -36,7 +41,8 @@ speed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -45,7 +51,7 @@ from .errors import DomainError, StabilityError
 from .mixing import LinkProbabilities, hazard_profile, hazard_profile_two
 
 STATE_FLOOR = -1e-6   # integration aborts below this
-STATE_CEIL = 1.0 + 1e-6
+STATE_CEIL = 1.0 + 1e-6   # ... or above this in an s or infected entry
 
 
 @dataclass(frozen=True)
@@ -102,27 +108,6 @@ class StratifiedState:
     rho2: np.ndarray | None = None
     removed_k2: np.ndarray | None = None
 
-    @property
-    def prevalence(self) -> float:
-        total = float(self.rho.sum())
-        if self.rho2 is not None:
-            total += float(self.rho2.sum())
-        return total
-
-    @property
-    def susceptible(self) -> float:
-        total = float(self.s.sum())
-        if self.s2 is not None:
-            total += float(self.s2.sum())
-        return total
-
-
-def classic_sir_rhs(state, params: EpidemicParams):
-    """Time derivative (ds, drho, dr) of the classic SIR triple."""
-    s, rho, r = state
-    infections = params.lam * rho * s
-    return (-infections, infections - params.mu * rho, params.mu * rho)
-
 
 def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
     """Link probabilities (one per infected type) from the current state.
@@ -177,53 +162,58 @@ def _stage_matrix(stage_rates, n_types, mu):
 
 
 class _Population:
-    """Per-population compartment block: s(nk) | I(types, stages, nk) | removed(nk)."""
+    """One population block: s(nk) | I(types, stages, nk) | removed(nk)."""
 
-    def __init__(self, dist: DegreeDistribution, n_types: int, stage_rates, mu: float, weight: float = 1.0):
+    def __init__(self, dist: DegreeDistribution, n_types: int, stage_rates, mu: float,
+                 rho0: float, weight: float = 1.0, name: str = ""):
         self.dist = dist
-        self.degrees = dist.degrees.astype(float)
+        self.k = dist.degrees   # integer grid; ``degrees`` is its float copy
+        self.k.flags.writeable = False
+        self.degrees = self.k.astype(float)
         self.nk = len(self.degrees)
-        self.n_types = n_types
         self.rates = _stage_matrix(stage_rates, n_types, mu)
-        self.n_stages = self.rates.shape[1]
-        self.weight = weight
-        self.size = self.nk * (1 + n_types * self.n_stages + 1)
+        self.n_types, self.n_stages = self.rates.shape
+        self.rho0, self.weight, self.name = rho0, weight, name
+        self.size = self.nk * (1 + self.n_types * self.n_stages + 1)
         self.fixed_edge_mass = weight * mean_degree(dist)
 
     def split(self, y, offset):
-        nk = self.nk
-        s = y[offset:offset + nk]
-        infected = y[offset + nk:offset + nk + self.n_types * self.n_stages * nk]
-        infected = infected.reshape(self.n_types, self.n_stages, nk)
-        removed = y[offset + nk + self.n_types * self.n_stages * nk:offset + self.size]
-        return s, infected, removed
-
-    def initial(self, rho0, type_fractions):
-        base = self.weight * self.dist.pmf
-        s = (1.0 - rho0) * base
-        infected = np.zeros((self.n_types, self.n_stages, self.nk))
-        for t, frac in enumerate(type_fractions):
-            infected[t, 0] = frac * rho0 * base
-        return np.concatenate([s, infected.ravel(), np.zeros(self.nk)])
+        a, b, end = offset + self.nk, offset + self.size - self.nk, offset + self.size
+        return y[offset:a], y[a:b].reshape(self.n_types, self.n_stages, self.nk), y[b:end]
 
 
-class _ModelBase:
-    """Shared plumbing: state layout, views, aggregates."""
+def _check_link_mode(link_mode):
+    if link_mode not in ("active", "fixed"):
+        raise DomainError(f"link_mode must be 'active' or 'fixed', got {link_mode!r}")
 
-    populations: list[_Population]
-    block_names: tuple[str, ...]
 
-    def __init__(self, params: EpidemicParams, link_mode: str = "active"):
-        if link_mode not in ("active", "fixed"):
-            raise DomainError(f"link_mode must be 'active' or 'fixed', got {link_mode!r}")
-        self.params = params
-        self.link_mode = link_mode
+class CompartmentModel:
+    """Populations x infected types x stages, configured by data (module
+    docstring).  ``d`` is the susceptible replenishment rate; ``bounded``
+    marks the s and infected entries, the ones STATE_CEIL applies to."""
 
-    def _finish_layout(self):
+    def __init__(self, populations, sources, rates, seed, routing, d=0.0, exit_rate=0.0,
+                 treatable=False, link_mode="active"):
+        _check_link_mode(link_mode)
+        self.populations = list(populations)
+        self.sources = tuple(sources)
+        self.rates = [tuple(r) for r in rates]
+        self.seed = tuple(seed)
+        self.routing = routing if isinstance(routing, str) else tuple(routing)
+        types = {p.n_types for p in self.populations} | {len(r) for r in self.rates}
+        types |= {len(self.seed), 2 if self.routing == "hazard" else len(self.routing)}
+        n = len(self.populations)
+        if (len(types) != 1 or types - {1, 2} or len(self.rates) != n
+                or len(self.sources) != n or any(not 0 <= i < n for i in self.sources)):
+            raise DomainError("populations, sources, rates and shares do not fit together")
+        self.d, self.exit_rate = d, exit_rate
+        self.treatable, self.link_mode = treatable, link_mode
         self.offsets = np.cumsum([0] + [p.size for p in self.populations])
         self.dim = int(self.offsets[-1])
-        self._s0 = [p.split(self.initial_state(), off)[0].copy()
-                    for p, off in zip(self.populations, self.offsets)]
+        self._s0 = [s.copy() for s, _, _ in self.blocks(self.initial_state())]
+        self.bounded = np.ones(self.dim, dtype=bool)
+        for _, _, removed in self.blocks(self.bounded):
+            removed[:] = False
 
     def blocks(self, y):
         if y.shape != (self.dim,):
@@ -231,43 +221,104 @@ class _ModelBase:
         return [p.split(y, off) for p, off in zip(self.populations, self.offsets)]
 
     def initial_state(self) -> np.ndarray:
-        raise NotImplementedError
+        parts = []
+        for pop in self.populations:
+            base = pop.weight * pop.dist.pmf
+            infected = np.zeros((pop.n_types, pop.n_stages, pop.nk))
+            for t, frac in enumerate(self.seed):
+                infected[t, 0] = frac * pop.rho0 * base
+            parts += [(1.0 - pop.rho0) * base, infected.ravel(), np.zeros(pop.nk)]
+        return np.concatenate(parts)
+
+    def set_coverage(self, coverage):
+        """Seed and route infections untreated : treated as 1 - c : c."""
+        if not self.treatable:
+            raise DomainError("treatment coverage requires an HIV model")
+        if not 0.0 <= coverage <= 1.0:
+            raise DomainError(f"treatment coverage must be in [0, 1], got {coverage}")
+        c = float(coverage)
+        self.seed = self.routing = (1.0 - c, c)
+
+    def repartition(self, y, coverage):
+        """Reassign the standing infected mass to match a new coverage."""
+        self.set_coverage(coverage)
+        y = y.copy()
+        for _, infected, _ in self.blocks(y):
+            infected[:] = np.multiply.outer(self.routing, infected.sum(axis=0))
+        return y
+
+    def _shares(self, pop, p, rates):
+        """Share of new infections entering each type, shaped (types, 1 or nk)."""
+        if self.routing != "hazard":
+            return np.array(self.routing)[:, None]
+        h1 = hazard_profile(pop.k, float(p[0]), rates[0])
+        h2 = hazard_profile(pop.k, float(p[1]), rates[1])
+        total = h1 + h2
+        w1 = np.divide(h1, total, out=np.full(len(h1), 0.5), where=total > 0)
+        return np.stack([w1, 1.0 - w1])
 
     def rhs_full(self, t, y):
         """(dy/dt, aggregate new-infection inflow rate)."""
-        raise NotImplementedError
+        blocks = self.blocks(y)
+        parts, total_inflow = [], 0.0
+        for pop, (s, infected, _), src, rates, s0 in zip(
+                self.populations, blocks, self.sources, self.rates, self._s0):
+            src_pop, (src_s, src_inf, _) = self.populations[src], blocks[src]
+            fixed = src_pop.fixed_edge_mass if self.link_mode == "fixed" else None
+            p, _ = _link_fractions(src_pop.degrees, src_s, src_inf.sum(axis=1), fixed)
+            if len(rates) == 1:
+                hazard = hazard_profile(pop.k, float(p[0]), rates[0])
+            else:
+                hazard = hazard_profile_two(pop.k, LinkProbabilities(float(p[0]), float(p[1])),
+                                            *rates)
+            inflow = s * hazard
+            ds = -inflow
+            if self.d > 0:
+                ds = ds + self.d * (s0 - s)
+            flow = pop.rates[:, :, None] * infected
+            d_inf = -flow
+            if pop.n_stages > 1:
+                d_inf[:, 1:] += flow[:, :-1]
+            d_inf[:, 0] += self._shares(pop, p, rates) * inflow
+            removal = flow[:, -1].sum(axis=0)
+            if self.exit_rate > 0:
+                d_inf -= self.exit_rate * infected
+                removal = removal + self.exit_rate * infected.sum(axis=(0, 1))
+            parts += [ds, d_inf.ravel(), removal]
+            total_inflow += float(inflow.sum())
+        return np.concatenate(parts), total_inflow
 
     def rhs(self, t, y):
         return self.rhs_full(t, y)[0]
 
-    def inflow_rate(self, y) -> float:
-        return self.rhs_full(0.0, y)[1]
+    def totals(self, Y):
+        """(susceptible, prevalence, removed) per row of a (rows, dim) state
+        array clamped at 0."""
+        Y = np.maximum(Y, 0.0)
+        parts = []
+        for pop, off in zip(self.populations, self.offsets):
+            edges = off + np.cumsum([0, pop.nk, pop.size - 2 * pop.nk, pop.nk])
+            parts.append([Y[:, a:b].sum(axis=1) for a, b in zip(edges, edges[1:])])
+        return tuple(reduce(np.add, column) for column in zip(*parts))
 
     def view(self, y, clamp: bool = True) -> StratifiedState:
         parts = []
         for pop, (s, infected, removed) in zip(self.populations, self.blocks(y)):
-            rho = infected.sum(axis=1)
-            if clamp:
-                s, rho, removed = np.maximum(s, 0.0), np.maximum(rho, 0.0), np.maximum(removed, 0.0)
-            else:
-                s, removed = s.copy(), removed.copy()
-            parts.append((pop.dist.degrees, s, rho, removed))
-        r = float(sum(part[3].sum() for part in parts))
-        first, second = parts[0], (parts[1] if len(parts) > 1 else None)
+            s, rho, removed = (np.maximum(a, 0.0) if clamp else a.copy()
+                               for a in (s, infected.sum(axis=1), removed))
+            parts.append((pop.k, s, rho, removed))
+        (k1, s1, rho1, removed1), *second = parts
+        k2, s2, rho2, removed2 = second[0] if second else (None,) * 4
         return StratifiedState(
-            degrees=first[0], s=first[1], rho=first[2], r=r, removed_k=first[3],
-            degrees2=None if second is None else second[0],
-            s2=None if second is None else second[1],
-            rho2=None if second is None else second[2],
-            removed_k2=None if second is None else second[3],
-        )
+            degrees=k1, s=s1, rho=rho1, r=float(sum(part[3].sum() for part in parts)),
+            removed_k=removed1, degrees2=k2, s2=s2, rho2=rho2, removed_k2=removed2)
 
     def state_labels(self) -> list[str]:
         labels = []
-        for pop, name in zip(self.populations, self.block_names):
-            prefix = f"{name}_" if name else ""
-            labels += [f"{prefix}s_k{k}" for k in pop.dist.degrees]
-            labels += [f"{prefix}i_k{k}" for k in pop.dist.degrees]
+        for pop in self.populations:
+            prefix = f"{pop.name}_" if pop.name else ""
+            labels += [f"{prefix}s_k{k}" for k in pop.k]
+            labels += [f"{prefix}i_k{k}" for k in pop.k]
         return labels
 
     def state_columns(self, state: StratifiedState) -> list[float]:
@@ -276,344 +327,44 @@ class _ModelBase:
             cols += list(state.s2) + list(state.rho2.sum(axis=0))
         return cols
 
-    def _stage_flow(self, pop: _Population, infected):
-        """(dI from stage transitions, per-degree removal outflow)."""
-        flow = pop.rates[:, :, None] * infected
-        d_inf = -flow
-        d_inf[:, 1:] += flow[:, :-1]
-        return d_inf, flow[:, -1].sum(axis=0)
-
-
-class ClassicSIR(_ModelBase):
-    """Homogeneous SIR: the degenerate network with one link per node."""
-
-    block_names = ("",)
-
-    def __init__(self, params: EpidemicParams, link_mode: str = "active"):
-        super().__init__(params, link_mode)
-        self.dim = 3
-        self.degrees = np.array([1])
-
-    def initial_state(self):
-        return np.array([1.0 - self.params.rho0, self.params.rho0, 0.0])
-
-    def rhs_full(self, t, y):
-        ds, drho, dr = classic_sir_rhs(y, self.params)
-        return np.array([ds, drho, dr]), self.params.lam * y[1] * y[0]
-
-    def view(self, y, clamp: bool = True):
-        s, rho, r = (max(v, 0.0) for v in y) if clamp else y
-        return StratifiedState(
-            degrees=np.array([1]), s=np.array([s]), rho=np.array([[rho]]),
-            r=float(r), removed_k=np.array([float(r)]),
-        )
-
-    def state_labels(self):
-        return ["s_k1", "i_k1"]
-
-
-class StratifiedSIR(_ModelBase):
-    """Degree-stratified SIR with binomial link mixing."""
-
-    block_names = ("",)
-
-    def __init__(self, params, dist, link_mode="active", stage_rates=None):
-        super().__init__(params, link_mode)
-        if stage_rates is not None and params.mu != 0.0:
-            raise DomainError("stage_rates replaces mu; set mu=0 when providing stages")
-        self.populations = [_Population(dist, 1, stage_rates, params.mu)]
-        self._finish_layout()
-
-    def initial_state(self):
-        return self.populations[0].initial(self.params.rho0, [1.0])
-
-    def rhs_full(self, t, y):
-        pop = self.populations[0]
-        s, infected, _ = self.blocks(y)[0]
-        rho = infected.sum(axis=1)
-        fixed = pop.fixed_edge_mass if self.link_mode == "fixed" else None
-        p, _ = _link_fractions(pop.degrees, s, rho, fixed)
-        hazard = hazard_profile(pop.dist.degrees, float(p[0]), self.params.lam)
-        inflow = s * hazard
-        ds = -inflow
-        if self.params.d > 0:
-            ds = ds + self.params.d * (self._s0[0] - s)
-        d_inf, removal = self._stage_flow(pop, infected)
-        d_inf[0, 0] += inflow
-        return np.concatenate([ds, d_inf.ravel(), removal]), float(inflow.sum())
-
-
-class TwoTypeSIR(_ModelBase):
-    """Two infected groups with transmissibilities lam and lam2.
-
-    New infections are split between the groups by ``split``: the default
-    "hazard" assigns proportionally to each group's marginal single-group
-    hazard; a float fixes the fraction routed to group 1.
-    """
-
-    block_names = ("",)
-
-    def __init__(self, params, dist, link_mode="active", split="hazard",
-                 rho0_type2=0.0, stage_rates=None):
-        super().__init__(params, link_mode)
-        if params.lam2 is None:
-            raise DomainError("two_type model requires lam2")
-        if stage_rates is not None and params.mu != 0.0:
-            raise DomainError("stage_rates replaces mu; set mu=0 when providing stages")
-        if split != "hazard" and not 0.0 <= float(split) <= 1.0:
-            raise DomainError(f"split must be 'hazard' or a fraction in [0, 1], got {split!r}")
-        if not 0.0 <= rho0_type2 <= 1.0:
-            raise DomainError(f"rho0_type2 must be in [0, 1], got {rho0_type2}")
-        self.split = split
-        self.rho0_type2 = rho0_type2
-        self.populations = [_Population(dist, 2, stage_rates, params.mu)]
-        self._finish_layout()
-
-    def initial_state(self):
-        return self.populations[0].initial(
-            self.params.rho0, [1.0 - self.rho0_type2, self.rho0_type2])
-
-    def _split_fractions(self, degrees, p1, p2):
-        if self.split != "hazard":
-            return float(self.split)
-        h1 = hazard_profile(degrees, p1, self.params.lam)
-        h2 = hazard_profile(degrees, p2, self.params.lam2)
-        total = h1 + h2
-        return np.divide(h1, total, out=np.full(len(h1), 0.5), where=total > 0)
-
-    def rhs_full(self, t, y):
-        pop = self.populations[0]
-        s, infected, _ = self.blocks(y)[0]
-        rho = infected.sum(axis=1)
-        fixed = pop.fixed_edge_mass if self.link_mode == "fixed" else None
-        p, _ = _link_fractions(pop.degrees, s, rho, fixed)
-        probs = LinkProbabilities(float(p[0]), float(p[1]))
-        hazard = hazard_profile_two(pop.dist.degrees, probs, self.params.lam, self.params.lam2)
-        inflow = s * hazard
-        ds = -inflow
-        if self.params.d > 0:
-            ds = ds + self.params.d * (self._s0[0] - s)
-        w1 = self._split_fractions(pop.dist.degrees, float(p[0]), float(p[1]))
-        d_inf, removal = self._stage_flow(pop, infected)
-        d_inf[0, 0] += w1 * inflow
-        d_inf[1, 0] += (1.0 - w1) * inflow
-        return np.concatenate([ds, d_inf.ravel(), removal]), float(inflow.sum())
-
-
-class BipartiteSIR(_ModelBase):
-    """Two populations where infection only crosses between sides.
-
-    lam is the side-1 -> side-2 transmission rate, lam2 the reverse.  Each
-    side is seeded with half the population (``side_fraction`` adjusts).
-    """
-
-    block_names = ("s1", "s2")
-
-    def __init__(self, params, dists, link_mode="active", side_fraction=0.5,
-                 stage_rates=None):
-        super().__init__(params, link_mode)
-        if params.lam2 is None:
-            raise DomainError("bipartite model requires lam2")
-        if stage_rates is not None and params.mu != 0.0:
-            raise DomainError("stage_rates replaces mu; set mu=0 when providing stages")
-        if not 0.0 < side_fraction < 1.0:
-            raise DomainError(f"side_fraction must be in (0, 1), got {side_fraction}")
-        self.populations = [
-            _Population(dists[0], 1, stage_rates, params.mu, weight=side_fraction),
-            _Population(dists[1], 1, stage_rates, params.mu, weight=1.0 - side_fraction),
-        ]
-        self._finish_layout()
-
-    def initial_state(self):
-        rho0_2 = self.params.rho0 if self.params.rho0_2 is None else self.params.rho0_2
-        return np.concatenate([
-            self.populations[0].initial(self.params.rho0, [1.0]),
-            self.populations[1].initial(rho0_2, [1.0]),
-        ])
-
-    def rhs_full(self, t, y):
-        (s1, inf1, _), (s2, inf2, _) = self.blocks(y)
-        pops = self.populations
-        parts, total_inflow = [], 0.0
-        sources = [(s2, inf2, pops[1]), (s1, inf1, pops[0])]
-        rates = [self.params.lam2, self.params.lam]   # into side 1, into side 2
-        for (s, infected, pop), (src_s, src_inf, src_pop), rate in zip(
-                [(s1, inf1, pops[0]), (s2, inf2, pops[1])], sources, rates):
-            fixed = src_pop.fixed_edge_mass if self.link_mode == "fixed" else None
-            p, _ = _link_fractions(src_pop.degrees, src_s, src_inf.sum(axis=1), fixed)
-            hazard = hazard_profile(pop.dist.degrees, float(p[0]), rate)
-            inflow = s * hazard
-            ds = -inflow
-            if self.params.d > 0:
-                ds = ds + self.params.d * (self._s0[len(parts)] - s)
-            d_inf, removal = self._stage_flow(pop, infected)
-            d_inf[0, 0] += inflow
-            parts.append(np.concatenate([ds, d_inf.ravel(), removal]))
-            total_inflow += float(inflow.sum())
-        return np.concatenate(parts), total_inflow
-
-
-class _TreatmentMixin:
-    """Piecewise-constant treatment coverage shared by the HIV models."""
-
-    @staticmethod
-    def _check_coverage(c):
-        if not 0.0 <= c <= 1.0:
-            raise DomainError(f"treatment coverage must be in [0, 1], got {c}")
-        return float(c)
-
-    def set_coverage(self, coverage):
-        self.coverage = self._check_coverage(coverage)
-
-    def repartition(self, y, coverage):
-        """Reassign the standing infected mass to match a new coverage."""
-        self.set_coverage(coverage)
-        y = y.copy()
-        for pop, off in zip(self.populations, self.offsets):
-            s, infected, _ = pop.split(y, off)
-            total = infected.sum(axis=0)
-            infected[0] = (1.0 - coverage) * total
-            infected[1] = coverage * total
-        return y
-
-
-class HivMsm(_TreatmentMixin, _ModelBase):
-    """HIV in one population with treated and untreated infected groups.
-
-    Susceptibles are infected at rate i by untreated contacts and
-    efficacy * i by treated ones.  There is no recovery; infected nodes
-    leave through demographic turnover d, susceptibles are replenished
-    toward their initial level.  ``coverage`` (set per treatment epoch) is
-    the fraction of infected classed as treated: it routes new infections
-    and repartitions the standing infected mass at each epoch switch.
-    """
-
-    block_names = ("",)
-
-    def __init__(self, params, dist, link_mode="active", coverage=0.0, stage_rates=None):
-        super().__init__(params, link_mode)
-        if params.mu != 0.0:
-            raise DomainError("hiv models have no mu removal; use d and/or stage_rates")
-        self.populations = [_Population(dist, 2, stage_rates, 0.0)]
-        self.coverage = self._check_coverage(coverage)
-        self._finish_layout()
-
-    def _lambdas(self):
-        i = self.params.lam
-        return i, self.params.treatment_efficacy * i
-
-    def rhs_full(self, t, y):
-        pop = self.populations[0]
-        s, infected, _ = self.blocks(y)[0]
-        rho = infected.sum(axis=1)
-        fixed = pop.fixed_edge_mass if self.link_mode == "fixed" else None
-        p, _ = _link_fractions(pop.degrees, s, rho, fixed)
-        lam1, lam2 = self._lambdas()
-        probs = LinkProbabilities(float(p[0]), float(p[1]))
-        hazard = hazard_profile_two(pop.dist.degrees, probs, lam1, lam2)
-        inflow = s * hazard
-        d = self.params.d
-        ds = -inflow + d * (self._s0[0] - s)
-        d_inf, removal = self._stage_flow(pop, infected)
-        d_inf[0, 0] += (1.0 - self.coverage) * inflow
-        d_inf[1, 0] += self.coverage * inflow
-        d_inf -= d * infected
-        removal = removal + d * rho.sum(axis=0)
-        return np.concatenate([ds, d_inf.ravel(), removal]), float(inflow.sum())
-
-    def initial_state(self):
-        return self.populations[0].initial(
-            self.params.rho0, [1.0 - self.coverage, self.coverage])
-
-
-class HivHetero(_TreatmentMixin, _ModelBase):
-    """HIV across men/women populations with treated/untreated groups.
-
-    Women are infected by men at rate i; men by women at asymmetry * i
-    (default 0.5: male-to-female transmission is twice as likely).  Treated
-    infectors transmit at efficacy * rate on either side.
-    """
-
-    block_names = ("m", "w")
-
-    def __init__(self, params, dists, link_mode="active", coverage=0.0,
-                 asymmetry=0.5, side_fraction=0.5, stage_rates=None):
-        super().__init__(params, link_mode)
-        if params.mu != 0.0:
-            raise DomainError("hiv models have no mu removal; use d and/or stage_rates")
-        if not 0.0 <= asymmetry <= 1.0:
-            raise DomainError(f"asymmetry must be in [0, 1], got {asymmetry}")
-        if not 0.0 < side_fraction < 1.0:
-            raise DomainError(f"side_fraction must be in (0, 1), got {side_fraction}")
-        self.asymmetry = asymmetry
-        self.populations = [
-            _Population(dists[0], 2, stage_rates, 0.0, weight=side_fraction),
-            _Population(dists[1], 2, stage_rates, 0.0, weight=1.0 - side_fraction),
-        ]
-        self.coverage = self._check_coverage(coverage)
-        self._finish_layout()
-
-    def initial_state(self):
-        rho0_2 = self.params.rho0 if self.params.rho0_2 is None else self.params.rho0_2
-        fractions = [1.0 - self.coverage, self.coverage]
-        return np.concatenate([
-            self.populations[0].initial(self.params.rho0, fractions),
-            self.populations[1].initial(rho0_2, fractions),
-        ])
-
-    def rhs_full(self, t, y):
-        (sm, inf_m, _), (sw, inf_w, _) = self.blocks(y)
-        pops = self.populations
-        i = self.params.lam
-        eff = self.params.treatment_efficacy
-        # men are infected by women at asymmetry * i; women by men at i
-        configs = [
-            ((sm, inf_m, pops[0]), (sw, inf_w, pops[1]), self.asymmetry * i),
-            ((sw, inf_w, pops[1]), (sm, inf_m, pops[0]), i),
-        ]
-        d = self.params.d
-        parts, total_inflow = [], 0.0
-        for idx, ((s, infected, pop), (src_s, src_inf, src_pop), rate) in enumerate(configs):
-            fixed = src_pop.fixed_edge_mass if self.link_mode == "fixed" else None
-            p, _ = _link_fractions(src_pop.degrees, src_s, src_inf.sum(axis=1), fixed)
-            probs = LinkProbabilities(float(p[0]), float(p[1]))
-            hazard = hazard_profile_two(pop.dist.degrees, probs, rate, eff * rate)
-            inflow = s * hazard
-            ds = -inflow + d * (self._s0[idx] - s)
-            d_inf, removal = self._stage_flow(pop, infected)
-            d_inf[0, 0] += (1.0 - self.coverage) * inflow
-            d_inf[1, 0] += self.coverage * inflow
-            d_inf -= d * infected
-            removal = removal + d * infected.sum(axis=(0, 1))
-            parts.append(np.concatenate([ds, d_inf.ravel(), removal]))
-            total_inflow += float(inflow.sum())
-        return np.concatenate(parts), total_inflow
-
 
 @dataclass
 class Trajectory:
-    """Time-indexed states plus derived aggregates.
+    """A recorded run, stored as arrays in ``model``'s state layout.
 
-    ``states[i]`` is the (output-clamped) compartment snapshot at
-    ``times[i]``; ``derivs[i]`` the right-hand side evaluated at the recorded
-    state (None for agent-based trajectories).  ``incidence[i]`` is the
-    new-infection inflow rate at the previous recorded state, the per-step
-    count of new infections when dt = 1.
+    ``Y[i]`` is the raw state vector at ``times[i]`` and ``dY[i]`` the
+    right-hand side evaluated there (None for agent-based runs).
+    ``incidence[i]`` is the new-infection inflow rate at the previous
+    recorded state, the per-step count of new infections when dt = 1.
+    ``susceptible``, ``prevalence`` and ``removed`` are totals over the
+    states clamped at 0; ``state(i)``/``deriv(i)`` give per-degree views.
     """
 
     times: np.ndarray
-    states: list
-    derivs: list | None
-    susceptible: np.ndarray
-    prevalence: np.ndarray
-    removed: np.ndarray
+    Y: np.ndarray
+    dY: np.ndarray | None
     incidence: np.ndarray
+    model: CompartmentModel
+    susceptible: np.ndarray = field(init=False)
+    prevalence: np.ndarray = field(init=False)
+    removed: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise DomainError("trajectory times must be strictly increasing")
-        if len(self.states) != len(self.times):
+        if self.Y.shape != (len(self.times), self.model.dim):
             raise DomainError("states and times must align 1:1")
+        self.susceptible, self.prevalence, self.removed = self.model.totals(self.Y)
+
+    def state(self, i) -> StratifiedState:
+        """Compartments at ``times[i]``, clamped at 0."""
+        return self.model.view(self.Y[i])
+
+    def deriv(self, i) -> StratifiedState:
+        """Right-hand side recorded at ``times[i]``."""
+        if self.dY is None:
+            raise DomainError("trajectory has no recorded RHS evaluations (agent-based run?)")
+        return self.model.view(self.dY[i], clamp=False)
 
     def peak(self):
         """(peak prevalence, time of peak)."""
@@ -649,7 +400,7 @@ def _check_grid(t0, t1, dt, what="t_span"):
     return n
 
 
-def integrate(model, t_span, dt: float, method: str = "rk4",
+def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
               schedule: TreatmentSchedule | None = None) -> Trajectory:
     """Fixed-step integration recording the state at every step.
 
@@ -667,9 +418,9 @@ def integrate(model, t_span, dt: float, method: str = "rk4",
         raise DomainError(f"method must be 'euler' or 'rk4', got {method!r}")
     _check_grid(t0, t1, dt)
 
-    segments = []   # (t_start, t_end, coverage or None)
+    segments = [(t0, t1, None)]   # (t_start, t_end, coverage or None)
     if schedule is not None and schedule.epochs:
-        if not hasattr(model, "repartition"):
+        if not model.treatable:
             raise DomainError("treatment schedule requires an HIV model")
         bounds = [t0, *schedule.epochs, t1]
         if any(not t0 < e < t1 for e in schedule.epochs):
@@ -679,29 +430,22 @@ def integrate(model, t_span, dt: float, method: str = "rk4",
         coverages = [schedule.initial_coverage, *schedule.coverages]
         segments = [(bounds[i], bounds[i + 1], coverages[i]) for i in range(len(coverages))]
         model.set_coverage(schedule.initial_coverage)
-    else:
-        segments = [(t0, t1, None)]
+    counts = [_check_grid(start, end, dt) for start, end, _ in segments]
 
-    y = model.initial_state()
-    times, states, derivs, inflows = [t0], [model.view(y)], [], []
-
-    def record_deriv(t, y):
-        dy, inflow = model.rhs_full(t, y)
-        derivs.append(model.view(dy, clamp=False))
-        inflows.append(inflow)
-        return dy
-
-    step_index = 0
-    for seg_start, seg_end, coverage in segments:
+    rows = sum(counts) + 1
+    Y, dY, inflow = np.empty((rows, model.dim)), np.empty((rows, model.dim)), np.empty(rows)
+    Y[0] = y = model.initial_state()
+    row = 0
+    for (seg_start, _, coverage), n in zip(segments, counts):
         if coverage is not None and seg_start > t0:
             # switch epoch: repartition the infected stock, re-record the
             # boundary state post-switch (aggregates are continuous there)
             y = model.repartition(y, coverage)
-            states[-1] = model.view(y)
-        n = _check_grid(seg_start, seg_end, dt)
+            Y[row] = y
         for i in range(n):
             t = seg_start + i * dt
-            k1 = record_deriv(t, y)
+            k1, inflow[row] = model.rhs_full(t, y)
+            dY[row] = k1
             if method == "euler":
                 y = y + dt * k1
             else:
@@ -709,45 +453,122 @@ def integrate(model, t_span, dt: float, method: str = "rk4",
                 k3 = model.rhs(t + dt / 2, y + (dt / 2) * k2)
                 k4 = model.rhs(t + dt, y + dt * k3)
                 y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            step_index += 1
-            if not np.isfinite(y).all() or y.min() < STATE_FLOOR or y.max() > STATE_CEIL:
-                raise StabilityError(
-                    f"state left [{STATE_FLOOR}, {STATE_CEIL}] at t={t + dt:g}; "
-                    "try a smaller dt"
-                )
-            times.append(t0 + step_index * dt)
-            states.append(model.view(y))
-    record_deriv(t1, y)
+            row += 1
+            if (not np.isfinite(y).all() or y.min() < STATE_FLOOR
+                    or y.max(initial=-np.inf, where=model.bounded) > STATE_CEIL):
+                raise StabilityError(f"state left [{STATE_FLOOR}, {STATE_CEIL}] at "
+                                     f"t={t + dt:g}; try a smaller dt")
+            Y[row] = y
+    dY[row], inflow[row] = model.rhs_full(t1, y)
 
-    prevalence = np.array([st.prevalence for st in states])
-    susceptible = np.array([st.susceptible for st in states])
-    removed = np.array([st.r for st in states])
-    incidence = np.array([inflows[0], *inflows[:-1]])
     return Trajectory(
-        times=np.array(times), states=states, derivs=derivs,
-        susceptible=susceptible, prevalence=prevalence, removed=removed,
-        incidence=incidence,
+        times=t0 + np.arange(rows) * dt, Y=Y, dY=dY,
+        incidence=np.concatenate([inflow[:1], inflow[:-1]]), model=model,
     )
 
 
-MODEL_NAMES = ("classic", "stratified", "two_type", "bipartite", "hiv_msm", "hiv_hetero")
+# the six named models: builders over CompartmentModel
+
+_SINGLE_DEGREE = DegreeDistribution(1, 1, np.array([1.0]))
+
+
+def _check_stage_rates(params, stage_rates):
+    if stage_rates is not None and params.mu != 0.0:
+        raise DomainError("stage_rates replaces mu; set mu=0 when providing stages")
+
+
+def _hiv_shares(params, coverage):
+    if params.mu != 0.0:
+        raise DomainError("hiv models have no mu removal; use d and/or stage_rates")
+    if not 0.0 <= coverage <= 1.0:
+        raise DomainError(f"treatment coverage must be in [0, 1], got {coverage}")
+    return (1.0 - float(coverage), float(coverage))
+
+
+def _side_fraction(side_fraction):
+    if not 0.0 < side_fraction < 1.0:
+        raise DomainError(f"side_fraction must be in (0, 1), got {side_fraction}")
+    return side_fraction, 1.0 - side_fraction
+
+
+def _classic(params, dist, dist2, link_mode):
+    """Homogeneous SIR: the degenerate network with one link per node."""
+    _check_link_mode(link_mode)
+    return _stratified(params, _SINGLE_DEGREE, None, "fixed")
+
+
+def _stratified(params, dist, dist2, link_mode, stage_rates=None):
+    _check_stage_rates(params, stage_rates)
+    pop = _Population(dist, 1, stage_rates, params.mu, params.rho0)
+    return CompartmentModel([pop], (0,), [(params.lam,)], (1.0,), (1.0,), d=params.d,
+                            link_mode=link_mode)
+
+
+def _two_type(params, dist, dist2, link_mode, split="hazard", rho0_type2=0.0,
+              stage_rates=None):
+    """Group 1 gets new infections by its share of the hazard, or a fixed ``split``."""
+    if params.lam2 is None:
+        raise DomainError("two_type model requires lam2")
+    _check_stage_rates(params, stage_rates)
+    if split != "hazard" and not 0.0 <= float(split) <= 1.0:
+        raise DomainError(f"split must be 'hazard' or a fraction in [0, 1], got {split!r}")
+    if not 0.0 <= rho0_type2 <= 1.0:
+        raise DomainError(f"rho0_type2 must be in [0, 1], got {rho0_type2}")
+    routing = split if split == "hazard" else (float(split), 1.0 - float(split))
+    pop = _Population(dist, 2, stage_rates, params.mu, params.rho0)
+    return CompartmentModel([pop], (0,), [(params.lam, params.lam2)],
+                            (1.0 - rho0_type2, rho0_type2), routing, d=params.d,
+                            link_mode=link_mode)
+
+
+def _bipartite(params, dist, dist2, link_mode, side_fraction=0.5, stage_rates=None):
+    """Side 2 is infected from side 1 at lam, side 1 from side 2 at lam2."""
+    if params.lam2 is None:
+        raise DomainError("bipartite model requires lam2")
+    _check_stage_rates(params, stage_rates)
+    w1, w2 = _side_fraction(side_fraction)
+    rho0_2 = params.rho0 if params.rho0_2 is None else params.rho0_2
+    pops = [_Population(dist, 1, stage_rates, params.mu, params.rho0, w1, "s1"),
+            _Population(dist2, 1, stage_rates, params.mu, rho0_2, w2, "s2")]
+    return CompartmentModel(pops, (1, 0), [(params.lam2,), (params.lam,)], (1.0,), (1.0,),
+                            d=params.d, link_mode=link_mode)
+
+
+def _hiv_msm(params, dist, dist2, link_mode, coverage=0.0, stage_rates=None):
+    shares = _hiv_shares(params, coverage)
+    i = params.lam
+    pop = _Population(dist, 2, stage_rates, 0.0, params.rho0)
+    return CompartmentModel([pop], (0,), [(i, params.treatment_efficacy * i)], shares, shares,
+                            d=params.d, exit_rate=params.d, treatable=True, link_mode=link_mode)
+
+
+def _hiv_hetero(params, dist, dist2, link_mode, coverage=0.0, asymmetry=0.5,
+                side_fraction=0.5, stage_rates=None):
+    """Men are infected by women at asymmetry * i (default 0.5: male-to-female
+    transmission is twice as likely), women by men at i."""
+    shares = _hiv_shares(params, coverage)
+    if not 0.0 <= asymmetry <= 1.0:
+        raise DomainError(f"asymmetry must be in [0, 1], got {asymmetry}")
+    w_men, w_women = _side_fraction(side_fraction)
+    i, eff = params.lam, params.treatment_efficacy
+    rho0_2 = params.rho0 if params.rho0_2 is None else params.rho0_2
+    pops = [_Population(dist, 2, stage_rates, 0.0, params.rho0, w_men, "m"),
+            _Population(dist2, 2, stage_rates, 0.0, rho0_2, w_women, "w")]
+    rates = [(asymmetry * i, eff * (asymmetry * i)), (i, eff * i)]
+    return CompartmentModel(pops, (1, 0), rates, shares, shares, d=params.d,
+                            exit_rate=params.d, treatable=True, link_mode=link_mode)
+
+
+MODEL_BUILDERS = {"classic": _classic, "stratified": _stratified, "two_type": _two_type,
+                  "bipartite": _bipartite, "hiv_msm": _hiv_msm, "hiv_hetero": _hiv_hetero}
+MODEL_NAMES = tuple(MODEL_BUILDERS)
 
 
 def build_model(name, params, dist=None, dist2=None, link_mode="active", **kwargs):
-    """Construct a model by name; dist2 defaults to dist for two-population
-    models."""
-    if name == "classic":
-        return ClassicSIR(params, link_mode)
-    if dist is None:
+    """Construct a named model; dist2 defaults to dist for two-population
+    models, and classic takes no distribution."""
+    if name not in MODEL_BUILDERS:
+        raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    if dist is None and name != "classic":
         raise DomainError(f"model {name!r} requires a degree distribution")
-    if name == "stratified":
-        return StratifiedSIR(params, dist, link_mode, **kwargs)
-    if name == "two_type":
-        return TwoTypeSIR(params, dist, link_mode, **kwargs)
-    if name == "bipartite":
-        return BipartiteSIR(params, (dist, dist2 or dist), link_mode, **kwargs)
-    if name == "hiv_msm":
-        return HivMsm(params, dist, link_mode, **kwargs)
-    if name == "hiv_hetero":
-        return HivHetero(params, (dist, dist2 or dist), link_mode, **kwargs)
-    raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    return MODEL_BUILDERS[name](params, dist, dist2 or dist, link_mode, **kwargs)

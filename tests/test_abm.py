@@ -12,7 +12,7 @@ from netepi.abm import (
 )
 from netepi.degree import from_weights, truncated_power_law
 from netepi.errors import DomainError
-from netepi.ode import EpidemicParams, StratifiedSIR, TreatmentSchedule, integrate
+from netepi.ode import EpidemicParams, TreatmentSchedule, build_model, integrate
 
 DIST30 = truncated_power_law(3, 1, 30)
 
@@ -106,10 +106,10 @@ class TestSimulateEpidemic:
     def test_one_step_matches_ode_within_4_sigma(self):
         params = EpidemicParams(lam=0.1, mu=0.05, rho0=0.05)
         n = 50000
-        ode = integrate(StratifiedSIR(params, DIST30), (0, 1), 1.0, "euler")
+        ode = integrate(build_model("stratified", params, DIST30), (0, 1), 1.0, "euler")
         abm = simulate_epidemic(DIST30, n, params, 1, rng=np.random.default_rng(8))
         # binomial bound: new infections + removals are sums of n Bernoullis
-        model = StratifiedSIR(params, DIST30)
+        model = build_model("stratified", params, DIST30)
         inflow = model.rhs_full(0, model.initial_state())[1]
         var = (inflow * (1 - inflow) + params.rho0 * params.mu * (1 - params.mu)) / n
         assert abs(abm.prevalence[1] - ode.prevalence[1]) <= 4 * np.sqrt(var)
@@ -173,7 +173,7 @@ class TestEnsemble:
         dist = truncated_power_law(3, 1, 30)
         params = EpidemicParams(lam=0.08, mu=0.05, rho0=0.05)
         ens = run_ensemble(dist, 20000, params, 25, replicas=30, base_seed=6)
-        ode = integrate(StratifiedSIR(params, dist), (0, 25), 1.0, "euler")
+        ode = integrate(build_model("stratified", params, dist), (0, 25), 1.0, "euler")
         dev = np.abs(ode.incidence[1:] - ens.mean_incidence[1:])
         assert np.all(dev <= 4 * ens.se_incidence[1:] + 1e-4)
 

@@ -15,7 +15,7 @@ from netepi.abm import run_ensemble
 from netepi.analysis import compare_ode_abm, fit_parameters, phase_series, sobol_first_order
 from netepi.cli import execute
 from netepi.config import parse_config_data
-from netepi.degree import from_weights, truncated_power_law
+from netepi.degree import truncated_power_law
 from netepi.mixing import (
     LinkProbabilities,
     hazard_profile,
@@ -23,17 +23,7 @@ from netepi.mixing import (
     infection_hazard_two,
     normal_approx_pmf,
 )
-from netepi.ode import (
-    BipartiteSIR,
-    ClassicSIR,
-    EpidemicParams,
-    HivHetero,
-    HivMsm,
-    StratifiedSIR,
-    TreatmentSchedule,
-    TwoTypeSIR,
-    integrate,
-)
+from netepi.ode import EpidemicParams, TreatmentSchedule, build_model, integrate
 
 
 class budget:
@@ -74,22 +64,42 @@ def linear_fit_r2(x, y):
     return 1.0 - residual @ residual / np.sum((y - y.mean()) ** 2)
 
 
+def classic_sir_rhs(y, params):
+    """Time derivative (ds, drho, dr) of the bilinear classic SIR triple."""
+    s, rho, r = y
+    infections = params.lam * rho * s
+    return np.array([-infections, infections - params.mu * rho, params.mu * rho])
+
+
+def rk4_oracle(rhs, y0, steps, dt):
+    """Plain fixed-step rk4; row i is the state after i steps."""
+    ys = [np.asarray(y0, dtype=float)]
+    for _ in range(steps):
+        y = ys[-1]
+        k1 = rhs(y)
+        k2 = rhs(y + (dt / 2) * k1)
+        k3 = rhs(y + (dt / 2) * k2)
+        k4 = rhs(y + dt * k3)
+        ys.append(y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(ys)
+
+
 def test_c01_homogeneous_reduction():
     # all degree mass at k=1; the fixed-denominator link probability
-    # p = rho/<k> reproduces the classic bilinear transmission term exactly
+    # p = rho/<k> reproduces the classic bilinear transmission term, here
+    # integrated independently of the model code
     with budget(1, 1.0) as b:
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01)
-        classic = integrate(ClassicSIR(params), (0, 200), 0.1, "rk4")
-        strat = integrate(
-            StratifiedSIR(params, from_weights(1, [1.0]), link_mode="fixed"),
-            (0, 200), 0.1, "rk4")
+        classic = integrate(build_model("classic", params), (0, 200), 0.1, "rk4")
+        oracle = rk4_oracle(lambda y: classic_sir_rhs(y, params), [0.99, 0.01, 0.0], 2000, 0.1)
         dev = max(
-            np.abs(classic.susceptible - strat.susceptible).max(),
-            np.abs(classic.prevalence - strat.prevalence).max(),
-            np.abs(classic.removed - strat.removed).max(),
+            np.abs(classic.susceptible - oracle[:, 0]).max(),
+            np.abs(classic.prevalence - oracle[:, 1]).max(),
+            np.abs(classic.removed - oracle[:, 2]).max(),
         )
         assert dev <= 1e-10
-        b.message = f"stratified k=1 vs classic SIR, max abs deviation {dev:.3e} <= 1e-10"
+        b.message = (f"classic (stratified k=1) vs bilinear SIR, "
+                     f"max abs deviation {dev:.3e} <= 1e-10")
 
 
 def test_c02_conservation_all_models():
@@ -97,15 +107,16 @@ def test_c02_conservation_all_models():
         dist = truncated_power_law(3, 1, 60)
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01)
         models = {
-            "classic": ClassicSIR(params),
-            "stratified": StratifiedSIR(params, dist),
-            "two_type": TwoTypeSIR(
-                EpidemicParams(lam=0.05, mu=0.05, rho0=0.01, lam2=0.02), dist,
+            "classic": build_model("classic", params),
+            "stratified": build_model("stratified", params, dist),
+            "two_type": build_model(
+                "two_type", EpidemicParams(lam=0.05, mu=0.05, rho0=0.01, lam2=0.02), dist,
                 rho0_type2=0.3),
-            "bipartite": BipartiteSIR(
-                EpidemicParams(lam=0.1, mu=0.05, rho0=0.01, lam2=0.2), (dist, dist)),
-            "hiv_msm": HivMsm(EpidemicParams(lam=0.3, rho0=0.005), dist),
-            "hiv_hetero": HivHetero(EpidemicParams(lam=0.28, rho0=0.002), (dist, dist)),
+            "bipartite": build_model(
+                "bipartite", EpidemicParams(lam=0.1, mu=0.05, rho0=0.01, lam2=0.2), dist, dist),
+            "hiv_msm": build_model("hiv_msm", EpidemicParams(lam=0.3, rho0=0.005), dist),
+            "hiv_hetero": build_model(
+                "hiv_hetero", EpidemicParams(lam=0.28, rho0=0.002), dist, dist),
         }
         worst = 0.0
         for name, model in models.items():
@@ -166,7 +177,7 @@ def test_c05_ode_vs_abm_reference_setup():
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
         steps = 200
         ens = run_ensemble(dist, 10 ** 4, params, steps, replicas=100, base_seed=20250810)
-        ode = integrate(StratifiedSIR(params, dist), (0, steps), 1.0, "euler")
+        ode = integrate(build_model("stratified", params, dist), (0, steps), 1.0, "euler")
         report = compare_ode_abm(ode, ens, band_sigmas=3.0)
         assert report.coverage >= 0.90
         assert report.peak_relative_deviation <= 0.10
@@ -181,7 +192,7 @@ def test_c06_ode_vs_abm_at_scale():
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
         steps = 150
         ens = run_ensemble(dist, 10 ** 5, params, steps, replicas=25, base_seed=20250810)
-        ode = integrate(StratifiedSIR(params, dist), (0, steps), 1.0, "euler")
+        ode = integrate(build_model("stratified", params, dist), (0, steps), 1.0, "euler")
         report = compare_ode_abm(ode, ens, band_sigmas=3.0)
         assert report.coverage >= 0.90
         assert report.peak_relative_deviation <= 0.10
@@ -210,7 +221,7 @@ def test_c08_sensitivity_qualitative():
             params = EpidemicParams(lam=overrides["lambda"], mu=0.05,
                                     rho0=overrides["rho0"])
             dist = truncated_power_law(overrides["gamma"], 1, 60)
-            return integrate(StratifiedSIR(params, dist), (0, 100), 1.0, "euler")
+            return integrate(build_model("stratified", params, dist), (0, 100), 1.0, "euler")
 
         ranges = {"gamma": (2.0, 3.0), "lambda": (0.05, 0.15), "rho0": (0.001, 0.01)}
         result = sobol_first_order(runner, ranges, n_base=512, seed=2025)
@@ -233,7 +244,7 @@ def test_c09_phase_plot_structure():
     with budget(9, 10.0) as b:
         dist = truncated_power_law(3, 1, 60)
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01)
-        traj = integrate(StratifiedSIR(params, dist), (0, 400), 0.1, "rk4")
+        traj = integrate(build_model("stratified", params, dist), (0, 400), 0.1, "rk4")
         areas, r2s = [], []
         for k in (1, 10, 30):
             infected = phase_series(traj, k, k)
@@ -258,7 +269,7 @@ def test_c10_fit_self_consistency():
 
         def runner(overrides):
             params = EpidemicParams(lam=overrides["lambda"], mu=0.05, rho0=0.01)
-            return integrate(StratifiedSIR(params, dist), (0, 100), 1.0, "euler")
+            return integrate(build_model("stratified", params, dist), (0, 100), 1.0, "euler")
 
         truth = runner({"lambda": 0.1})
         clean = fit_parameters(runner, truth.times, truth.incidence,
@@ -283,18 +294,18 @@ def test_c11_hiv_symmetry_and_treatment_response():
 
         # symmetry: remove the halved male rate, seed both sides identically
         sym_params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02)
-        sym = integrate(HivHetero(sym_params, (dist, dist), asymmetry=1.0),
+        sym = integrate(build_model("hiv_hetero", sym_params, dist, dist, asymmetry=1.0),
                         (0, 50), 0.25, "rk4")
         worst = max(
             max(np.abs(st.s - st.s2).max(), np.abs(st.rho - st.rho2).max())
-            for st in sym.states)
+            for st in map(sym.state, range(len(sym.times))))
         assert worst <= 1e-10
 
         # treatment epoch in the growth phase: normalized derivative
         # discontinuity grows with degree
         params = EpidemicParams(lam=0.28, rho0=0.002, d=0.05, treatment_efficacy=0.4)
         schedule = TreatmentSchedule(epochs=(4.0,), coverages=(0.7,))
-        traj = integrate(HivHetero(params, (dist, dist)), (0, 40), 0.25, "rk4",
+        traj = integrate(build_model("hiv_hetero", params, dist, dist), (0, 40), 0.25, "rk4",
                          schedule=schedule)
         epoch_index = int(np.flatnonzero(traj.times == 4.0)[0])
         jumps = []

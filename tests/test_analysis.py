@@ -11,10 +11,14 @@ from netepi.analysis import (
 from netepi.abm import run_ensemble, summarize_trajectories
 from netepi.degree import truncated_power_law
 from netepi.errors import DomainError
-from netepi.ode import EpidemicParams, StratifiedSIR, integrate
+from netepi.ode import EpidemicParams, build_model, integrate
 
 FIG1_DIST = truncated_power_law(3, 1, 60)
 FIG1_PARAMS = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01)
+
+
+def stratified(params, dist=FIG1_DIST):
+    return build_model("stratified", params, dist)
 
 
 def flat_output(y, times=2):
@@ -82,7 +86,7 @@ class TestSobol:
 
 class TestPhaseSeries:
     def test_starts_at_initial_state_and_rhs(self):
-        model = StratifiedSIR(FIG1_PARAMS, FIG1_DIST)
+        model = stratified(FIG1_PARAMS)
         traj = integrate(model, (0, 20), 0.5, "rk4")
         dy0 = model.rhs(0.0, model.initial_state())
         d0 = model.view(dy0, clamp=False)
@@ -94,43 +98,43 @@ class TestPhaseSeries:
 
     def test_decay_only_dynamics_has_nonpositive_derivative(self):
         params = EpidemicParams(lam=0.0, mu=0.1, rho0=0.1)
-        traj = integrate(StratifiedSIR(params, FIG1_DIST), (0, 50), 0.5, "rk4")
+        traj = integrate(stratified(params), (0, 50), 0.5, "rk4")
         ser = phase_series(traj, 5, 5)
         assert np.all(ser[:, 1] <= 0.0)
 
     def test_cross_degree_sign_changes(self):
-        traj = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 400), 0.2, "rk4")
+        traj = integrate(stratified(FIG1_PARAMS), (0, 400), 0.2, "rk4")
         ser = phase_series(traj, 30, 1)
         signs = np.sign(ser[:, 1])
         changes = np.sum(signs[:-1] * signs[1:] < 0)
         assert changes >= 2
 
     def test_healthy_variant_uses_s_plus_removed(self):
-        traj = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 20), 0.5, "rk4")
+        traj = integrate(stratified(FIG1_PARAMS), (0, 20), 0.5, "rk4")
         ser = phase_series(traj, 4, 4, variant="healthy")
-        st = traj.states[0]
+        st = traj.state(0)
         assert ser[0, 0] == st.s[3] + st.removed_k[3]
 
     def test_rejects_degree_outside_support(self):
-        traj = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 5), 1.0, "euler")
+        traj = integrate(stratified(FIG1_PARAMS), (0, 5), 1.0, "euler")
         with pytest.raises(DomainError):
             phase_series(traj, 61, 61)
 
     def test_rejects_trajectory_without_rhs_records(self):
-        traj = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 5), 1.0, "euler")
-        traj.derivs = None
+        traj = integrate(stratified(FIG1_PARAMS), (0, 5), 1.0, "euler")
+        traj.dY = None
         with pytest.raises(DomainError):
             phase_series(traj, 1, 1)
 
     def test_second_population_selector(self):
-        traj = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 5), 1.0, "euler")
+        traj = integrate(stratified(FIG1_PARAMS), (0, 5), 1.0, "euler")
         with pytest.raises(DomainError):
             phase_series(traj, 1, 1, population=2)
 
 
 class TestCompare:
     def test_self_comparison_has_full_coverage(self):
-        ode = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 30), 1.0, "euler")
+        ode = integrate(stratified(FIG1_PARAMS), (0, 30), 1.0, "euler")
         ens = summarize_trajectories([ode, ode])
         report = compare_ode_abm(ode, ens)
         assert report.coverage == 1.0
@@ -139,7 +143,7 @@ class TestCompare:
 
     def test_no_transmission_decay_matches(self):
         params = EpidemicParams(lam=0.0, mu=0.1, rho0=0.1)
-        ode = integrate(StratifiedSIR(params, truncated_power_law(3, 1, 30)), (0, 30), 1.0, "euler")
+        ode = integrate(stratified(params, truncated_power_law(3, 1, 30)), (0, 30), 1.0, "euler")
         ens = run_ensemble(truncated_power_law(3, 1, 30), 10000, params, 30,
                            replicas=30, base_seed=21)
         report = compare_ode_abm(ode, ens)
@@ -151,14 +155,14 @@ class TestCompare:
 
         trajs = [simulate_epidemic(truncated_power_law(3, 1, 30), 1000, params, 20,
                                    rng=replica_rng(2, r)) for r in range(6)]
-        ode = integrate(StratifiedSIR(params, truncated_power_law(3, 1, 30)), (0, 20), 1.0, "euler")
+        ode = integrate(stratified(params, truncated_power_law(3, 1, 30)), (0, 20), 1.0, "euler")
         a = compare_ode_abm(ode, summarize_trajectories(trajs))
         b = compare_ode_abm(ode, summarize_trajectories(trajs[::-1]))
         assert a.coverage == b.coverage
 
     def test_rejects_misaligned_grids(self):
-        ode = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 30), 1.0, "euler")
-        short = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 20), 1.0, "euler")
+        ode = integrate(stratified(FIG1_PARAMS), (0, 30), 1.0, "euler")
+        short = integrate(stratified(FIG1_PARAMS), (0, 20), 1.0, "euler")
         ens = summarize_trajectories([short, short])
         with pytest.raises(DomainError):
             compare_ode_abm(ode, ens)
@@ -168,7 +172,7 @@ class TestFit:
     @staticmethod
     def runner(p):
         params = EpidemicParams(lam=p["lambda"], mu=0.05, rho0=0.01)
-        return integrate(StratifiedSIR(params, FIG1_DIST), (0, 80), 1.0, "euler")
+        return integrate(stratified(params), (0, 80), 1.0, "euler")
 
     def test_fixed_point_converges_immediately(self):
         truth = self.runner({"lambda": 0.1})

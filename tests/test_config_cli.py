@@ -200,6 +200,19 @@ class TestExecute:
             execute(spec, "run-abm", out_dir=tmp_path)
         assert field_of(err) == "model"
 
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, "2", True])
+    def test_execute_rejects_bad_threads(self, tmp_path, threads):
+        spec = parse_config_data({
+            "model": "stratified", "lambda": 0.05, "mu": 0.05, "rho0": 0.05,
+            "distribution": {"type": "power_law", "gamma": 3, "k_min": 1, "k_max": 20},
+            "t_span": [0, 5], "method": "euler", "dt": 1.0,
+            "abm": {"n": 200, "replicas": 2, "seed": 1},
+        })
+        with pytest.raises(ConfigError) as err:
+            execute(spec, "run-abm", threads=threads, out_dir=tmp_path / "o")
+        assert field_of(err) == "threads"
+        assert not (tmp_path / "o").exists()
+
     def test_phase_closed_loop(self, tmp_path):
         spec = parse_config_data({
             **FIG1, "t_span": [0, 400], "dt": 0.2,
@@ -285,6 +298,21 @@ class TestCliProcess:
         result = runner.invoke(main, ["run-ode", "--config", cfg,
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+    def test_demography_run_completes(self, tmp_path):
+        # the cumulative removed tally of k = 1 passes 1 near t = 39; only
+        # s and infected entries are bounded above
+        runner = CliRunner()
+        cfg = self.write(tmp_path, {
+            "model": "hiv_msm", "lambda": 0.3, "rho0": 0.01, "d": 0.05,
+            "distribution": {"type": "power_law", "gamma": 2.7, "k_min": 1, "k_max": 60},
+            "t_span": [0, 400], "method": "rk4", "dt": 0.5,
+        })
+        result = runner.invoke(main, ["run-ode", "--config", cfg,
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 802 and rows[-1].startswith("400,")
 
     def test_io_error_exit_code(self, tmp_path):
         runner = CliRunner()

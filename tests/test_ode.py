@@ -6,18 +6,13 @@ from hypothesis import strategies as st
 from netepi.degree import from_weights, truncated_power_law
 from netepi.errors import DomainError, StabilityError
 from netepi.ode import (
-    BipartiteSIR,
-    ClassicSIR,
+    MODEL_BUILDERS,
+    MODEL_NAMES,
     EpidemicParams,
-    HivHetero,
-    HivMsm,
-    StratifiedSIR,
     StratifiedState,
     Trajectory,
     TreatmentSchedule,
-    TwoTypeSIR,
     build_model,
-    classic_sir_rhs,
     current_link_probability,
     integrate,
 )
@@ -28,6 +23,17 @@ FIG1_PARAMS = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01)
 
 def total_mass(traj):
     return traj.susceptible + traj.prevalence + traj.removed
+
+
+def states(traj):
+    return [traj.state(i) for i in range(len(traj.times))]
+
+
+def classic_sir_rhs(state, params: EpidemicParams):
+    """Independent oracle: (ds, drho, dr) of the bilinear classic SIR triple."""
+    s, rho, r = state
+    infections = params.lam * rho * s
+    return (-infections, infections - params.mu * rho, params.mu * rho)
 
 
 class TestParams:
@@ -43,16 +49,37 @@ class TestParams:
 
 
 class TestClassicRhs:
+    # classic is the stratified model at k = 1 with the fixed link
+    # denominator; its RHS must be the bilinear SIR term of the oracle
     def test_hand_value(self):
         ds, drho, dr = classic_sir_rhs((0.99, 0.01, 0.0), FIG1_PARAMS)
         assert ds == pytest.approx(-4.95e-4, abs=1e-18)
+        dy = build_model("classic", FIG1_PARAMS).rhs(0.0, np.array([0.99, 0.01, 0.0]))
+        # 1 - (1 - lam rho) equals lam rho up to rounding
+        np.testing.assert_allclose(dy, [ds, drho, dr], rtol=0, atol=1e-16)
 
     def test_no_transmission(self):
+        model = build_model("classic", EpidemicParams(lam=0.0, mu=0.1))
+        assert model.rhs(0.0, np.array([0.3, 0.5, 0.2]))[0] == 0.0
         ds, _, _ = classic_sir_rhs((0.3, 0.5, 0.2), EpidemicParams(lam=0.0, mu=0.1))
         assert ds == 0.0
 
     def test_disease_free_fixed_point(self):
+        dy = build_model("classic", FIG1_PARAMS).rhs(0.0, np.array([1.0, 0.0, 0.0]))
+        assert dy.tolist() == [0.0, 0.0, 0.0]
         assert classic_sir_rhs((1.0, 0.0, 0.0), FIG1_PARAMS) == (0.0, 0.0, 0.0)
+
+    def test_demography_matches_stratified_single_degree(self):
+        params = EpidemicParams(lam=0.3, mu=0.1, rho0=0.01, d=0.02)
+        classic = integrate(build_model("classic", params), (0, 30), 0.1, "rk4")
+        single = integrate(
+            build_model("stratified", params, from_weights(1, [1.0]), link_mode="fixed"),
+            (0, 30), 0.1, "rk4")
+        np.testing.assert_array_equal(classic.susceptible, single.susceptible)
+        np.testing.assert_array_equal(classic.prevalence, single.prevalence)
+        np.testing.assert_array_equal(classic.removed, single.removed)
+        # replenishment feeds the epidemic: larger than the d = 0 final size
+        assert classic.final_size() > 0.85
 
 
 class TestLinkProbability:
@@ -99,14 +126,16 @@ class TestStratified:
     def test_single_degree_rhs_matches_classic(self):
         # at r = 0 the active and fixed denominators agree with the classic
         # bilinear term
-        model = StratifiedSIR(FIG1_PARAMS, from_weights(1, [1.0]), link_mode="fixed")
+        model = build_model("stratified", FIG1_PARAMS, from_weights(1, [1.0]), link_mode="fixed")
         dy = model.rhs(0.0, model.initial_state())
         ds, drho, dr = classic_sir_rhs((0.99, 0.01, 0.0), FIG1_PARAMS)
         np.testing.assert_allclose(dy, [ds, drho, dr], atol=1e-14)
+        classic = build_model("classic", FIG1_PARAMS)
+        np.testing.assert_array_equal(classic.rhs(0.0, classic.initial_state()), dy)
 
     def test_no_transmission_is_pure_decay(self):
         params = EpidemicParams(lam=0.0, mu=0.07, rho0=0.2)
-        model = StratifiedSIR(params, FIG1_DIST)
+        model = build_model("stratified", params, FIG1_DIST)
         y0 = model.initial_state()
         dy = model.rhs(0.0, y0)
         view0, dview = model.view(y0), model.view(dy, clamp=False)
@@ -116,7 +145,7 @@ class TestStratified:
     def test_heterogeneity_amplifies_growth(self):
         # k=1 classic with these rates is subcritical, but the power-law
         # network grows at t=0 (frozen from a closed-form hand evaluation)
-        model = StratifiedSIR(FIG1_PARAMS, FIG1_DIST)
+        model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         dy, inflow = model.rhs_full(0.0, model.initial_state())
         growth = model.view(dy, clamp=False).rho.sum()
         assert growth == pytest.approx(1.7033073410991e-4, rel=1e-9)
@@ -125,7 +154,7 @@ class TestStratified:
         assert classic_growth < 0
 
     def test_rhs_against_closed_form_oracle(self):
-        model = StratifiedSIR(FIG1_PARAMS, FIG1_DIST)
+        model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         y = model.initial_state()
         dy = model.rhs(0.0, y)
         view, dview = model.view(y), model.view(dy, clamp=False)
@@ -135,31 +164,31 @@ class TestStratified:
             assert dview.s[i] == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
     def test_rejects_wrong_state_size(self):
-        model = StratifiedSIR(FIG1_PARAMS, FIG1_DIST)
+        model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         with pytest.raises(DomainError):
             model.rhs(0.0, np.zeros(7))
 
     def test_stage_chain_conserves_and_delays(self):
         params = EpidemicParams(lam=0.05, mu=0.0, rho0=0.05)
-        staged = StratifiedSIR(params, FIG1_DIST, stage_rates=[0.2, 0.2])
+        staged = build_model("stratified", params, FIG1_DIST, stage_rates=[0.2, 0.2])
         traj = integrate(staged, (0, 50), 0.1, "rk4")
         assert np.abs(total_mass(traj) - 1.0).max() < 1e-9
         assert traj.removed[-1] > 0.01
 
     def test_stage_rates_exclude_mu(self):
         with pytest.raises(DomainError):
-            StratifiedSIR(FIG1_PARAMS, FIG1_DIST, stage_rates=[0.1])
+            build_model("stratified", FIG1_PARAMS, FIG1_DIST, stage_rates=[0.1])
 
 
 class TestTwoType:
     def test_requires_lam2(self):
         with pytest.raises(DomainError):
-            TwoTypeSIR(FIG1_PARAMS, FIG1_DIST)
+            build_model("two_type", FIG1_PARAMS, FIG1_DIST)
 
     def test_empty_second_type_matches_stratified(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01, lam2=0.05)
-        two = TwoTypeSIR(params, FIG1_DIST, rho0_type2=0.0)
-        one = StratifiedSIR(FIG1_PARAMS, FIG1_DIST)
+        two = build_model("two_type", params, FIG1_DIST, rho0_type2=0.0)
+        one = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         y2, y1 = two.initial_state(), one.initial_state()
         d2 = two.view(two.rhs(0.0, y2), clamp=False)
         d1 = one.view(one.rhs(0.0, y1), clamp=False)
@@ -168,14 +197,15 @@ class TestTwoType:
 
     def test_equal_rates_aggregate_matches_merged_p(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01, lam2=0.05)
-        two = integrate(TwoTypeSIR(params, FIG1_DIST, rho0_type2=0.4), (0, 100), 0.5, "rk4")
-        one = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 100), 0.5, "rk4")
+        two = integrate(build_model("two_type", params, FIG1_DIST, rho0_type2=0.4),
+                        (0, 100), 0.5, "rk4")
+        one = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 100), 0.5, "rk4")
         assert np.abs(two.prevalence - one.prevalence).max() < 1e-8
         assert np.abs(two.susceptible - one.susceptible).max() < 1e-8
 
     def test_no_infected_links_freezes_susceptibles(self):
         params = EpidemicParams(lam=0.4, mu=0.0, rho0=0.01, lam2=0.2)
-        model = TwoTypeSIR(params, FIG1_DIST)
+        model = build_model("two_type", params, FIG1_DIST)
         y = model.initial_state()
         view = model.view(y)
         # kill all infected mass: p1 = p2 = 0
@@ -186,7 +216,7 @@ class TestTwoType:
 
     def test_fixed_split_fraction(self):
         params = EpidemicParams(lam=0.1, mu=0.0, rho0=0.01, lam2=0.1)
-        model = TwoTypeSIR(params, FIG1_DIST, split=0.25, rho0_type2=0.5)
+        model = build_model("two_type", params, FIG1_DIST, split=0.25, rho0_type2=0.5)
         dview = model.view(model.rhs(0.0, model.initial_state()), clamp=False)
         inflow_1 = dview.rho[0].sum()
         inflow_2 = dview.rho[1].sum()
@@ -196,15 +226,16 @@ class TestTwoType:
 class TestBipartite:
     def test_symmetric_configuration_stays_symmetric(self):
         params = EpidemicParams(lam=0.1, mu=0.05, rho0=0.01, lam2=0.1)
-        traj = integrate(BipartiteSIR(params, (FIG1_DIST, FIG1_DIST)), (0, 100), 0.5, "rk4")
+        traj = integrate(build_model("bipartite", params, FIG1_DIST, FIG1_DIST),
+                         (0, 100), 0.5, "rk4")
         worst = max(
             max(np.abs(st.s - st.s2).max(), np.abs(st.rho - st.rho2).max())
-            for st in traj.states)
+            for st in states(traj))
         assert worst <= 1e-10
 
     def test_uninfected_far_side_gives_zero_hazard(self):
         params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.01, lam2=0.3, rho0_2=0.0)
-        model = BipartiteSIR(params, (FIG1_DIST, FIG1_DIST))
+        model = build_model("bipartite", params, FIG1_DIST, FIG1_DIST)
         dview = model.view(model.rhs(0.0, model.initial_state()), clamp=False)
         np.testing.assert_allclose(dview.s, 0.0, atol=1e-18)   # side 1 sees no infection
         assert dview.rho2.sum() > 0                            # side 2 does
@@ -213,7 +244,7 @@ class TestBipartite:
         # d rho2/dt(0) = s2 * lam_{1->2} * p with p = rho1 / active degree mass
         single = from_weights(1, [1.0])
         params = EpidemicParams(lam=0.1, mu=0.0, rho0=0.01, lam2=0.2, rho0_2=0.0)
-        model = BipartiteSIR(params, (single, single))
+        model = build_model("bipartite", params, single, single)
         dview = model.view(model.rhs(0.0, model.initial_state()), clamp=False)
         assert dview.rho2[0, 0] == pytest.approx(0.5 * 0.1 * 0.01, rel=1e-12)
 
@@ -221,20 +252,20 @@ class TestBipartite:
 class TestHivMsm:
     def test_rejects_mu(self):
         with pytest.raises(DomainError):
-            HivMsm(EpidemicParams(lam=0.3, mu=0.1, rho0=0.01), FIG1_DIST)
+            build_model("hiv_msm", EpidemicParams(lam=0.3, mu=0.1, rho0=0.01), FIG1_DIST)
 
     def test_degenerate_parameters_reduce_to_stratified_without_removal(self):
         params = EpidemicParams(lam=0.1, rho0=0.01)
-        msm = integrate(HivMsm(params, FIG1_DIST), (0, 50), 0.5, "rk4")
+        msm = integrate(build_model("hiv_msm", params, FIG1_DIST), (0, 50), 0.5, "rk4")
         plain = integrate(
-            StratifiedSIR(EpidemicParams(lam=0.1, mu=0.0, rho0=0.01), FIG1_DIST),
+            build_model("stratified", EpidemicParams(lam=0.1, mu=0.0, rho0=0.01), FIG1_DIST),
             (0, 50), 0.5, "rk4")
         assert np.abs(msm.prevalence - plain.prevalence).max() < 1e-12
         assert np.abs(total_mass(msm) - 1.0).max() < 1e-10
 
     def test_full_coverage_uses_treated_rate_only(self):
         params = EpidemicParams(lam=0.3, rho0=0.01, treatment_efficacy=0.4)
-        model = HivMsm(params, FIG1_DIST, coverage=1.0)
+        model = build_model("hiv_msm", params, FIG1_DIST, coverage=1.0)
         y = model.initial_state()
         view = model.view(y)
         p2 = current_link_probability(view, FIG1_DIST, "active").p2
@@ -246,7 +277,7 @@ class TestHivMsm:
 
     def test_demography_removes_infected_into_r(self):
         params = EpidemicParams(lam=0.3, rho0=0.01, d=0.05)
-        traj = integrate(HivMsm(params, FIG1_DIST), (0, 30), 0.25, "rk4")
+        traj = integrate(build_model("hiv_msm", params, FIG1_DIST), (0, 30), 0.25, "rk4")
         assert traj.removed[-1] > 0
         assert np.all(np.diff(traj.removed) >= 0)
 
@@ -258,7 +289,7 @@ class TestHivMsm:
         dist = truncated_power_law(1.6, 1, 80)
         params = EpidemicParams(lam=0.1, rho0=0.0032, d=0.05)
         sched = TreatmentSchedule(epochs=(2.0, 8.0), coverages=(0.7, 0.9))
-        traj = integrate(HivMsm(params, dist), (0, 40), 0.25, "rk4", schedule=sched)
+        traj = integrate(build_model("hiv_msm", params, dist), (0, 40), 0.25, "rk4", schedule=sched)
         for epoch in (2.0, 8.0):
             e = int(np.flatnonzero(traj.times == epoch)[0])
             assert all(
@@ -275,30 +306,31 @@ class TestHivMsm:
 class TestHivHetero:
     def test_rejects_mu(self):
         with pytest.raises(DomainError):
-            HivHetero(EpidemicParams(lam=0.3, mu=0.1, rho0=0.01), (FIG1_DIST, FIG1_DIST))
+            build_model("hiv_hetero", EpidemicParams(lam=0.3, mu=0.1, rho0=0.01),
+                        FIG1_DIST, FIG1_DIST)
 
     def test_symmetry_restored_without_rate_asymmetry(self):
         params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02)
-        traj = integrate(HivHetero(params, (FIG1_DIST, FIG1_DIST), asymmetry=1.0),
+        traj = integrate(build_model("hiv_hetero", params, FIG1_DIST, FIG1_DIST, asymmetry=1.0),
                          (0, 50), 0.25, "rk4")
         worst = max(
             max(np.abs(st.s - st.s2).max(), np.abs(st.rho - st.rho2).max())
-            for st in traj.states)
+            for st in states(traj))
         assert worst <= 1e-10
 
     def test_halved_male_rate_breaks_symmetry(self):
         params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02)
-        traj = integrate(HivHetero(params, (FIG1_DIST, FIG1_DIST), asymmetry=0.5),
+        traj = integrate(build_model("hiv_hetero", params, FIG1_DIST, FIG1_DIST, asymmetry=0.5),
                          (0, 50), 0.25, "rk4")
-        men_inf = np.array([st.rho.sum() for st in traj.states])
-        women_inf = np.array([st.rho2.sum() for st in traj.states])
+        men_inf = np.array([st.rho.sum() for st in states(traj)])
+        women_inf = np.array([st.rho2.sum() for st in states(traj)])
         assert women_inf[-1] > men_inf[-1]
 
     def test_zero_rate_relaxes_toward_initial_susceptibles(self):
         # i = 0: no infections ever; s sits at its demographic attractor
         # s(0) while the infected drain away at rate d
         params = EpidemicParams(lam=0.0, rho0=0.1, d=0.1)
-        model = HivHetero(params, (FIG1_DIST, FIG1_DIST))
+        model = build_model("hiv_hetero", params, FIG1_DIST, FIG1_DIST)
         traj = integrate(model, (0, 100), 0.5, "rk4")
         assert traj.incidence.max() == 0.0
         assert traj.prevalence[-1] < 1e-4
@@ -314,7 +346,7 @@ class TestTreatmentSchedule:
 
     def test_repartition_preserves_infected_mass(self):
         params = EpidemicParams(lam=0.3, rho0=0.01, d=0.02)
-        model = HivMsm(params, FIG1_DIST)
+        model = build_model("hiv_msm", params, FIG1_DIST)
         y = model.initial_state()
         before = model.view(y).rho.sum(axis=0)
         y2 = model.repartition(y, 0.7)
@@ -324,14 +356,14 @@ class TestTreatmentSchedule:
 
     def test_epoch_must_sit_on_the_step_grid(self):
         params = EpidemicParams(lam=0.3, rho0=0.01, d=0.02)
-        model = HivMsm(params, FIG1_DIST)
+        model = build_model("hiv_msm", params, FIG1_DIST)
         sched = TreatmentSchedule(epochs=(10.05,), coverages=(0.5,))
         with pytest.raises(DomainError):
             integrate(model, (0, 20), 0.1, "rk4", schedule=sched)
 
     def test_epoch_outside_span_rejected(self):
         params = EpidemicParams(lam=0.3, rho0=0.01, d=0.02)
-        model = HivMsm(params, FIG1_DIST)
+        model = build_model("hiv_msm", params, FIG1_DIST)
         sched = TreatmentSchedule(epochs=(25.0,), coverages=(0.5,))
         with pytest.raises(DomainError):
             integrate(model, (0, 20), 0.1, "rk4", schedule=sched)
@@ -339,39 +371,40 @@ class TestTreatmentSchedule:
     def test_schedule_requires_hiv_model(self):
         sched = TreatmentSchedule(epochs=(5.0,), coverages=(0.5,))
         with pytest.raises(DomainError):
-            integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 10), 0.5, schedule=sched)
+            integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 10), 0.5,
+                      schedule=sched)
 
     def test_coverage_switch_reduces_growth(self):
         params = EpidemicParams(lam=0.3, rho0=0.005, d=0.05)
         sched = TreatmentSchedule(epochs=(10.0,), coverages=(0.9,))
-        model = HivMsm(params, FIG1_DIST)
+        model = build_model("hiv_msm", params, FIG1_DIST)
         traj = integrate(model, (0, 20), 0.5, "rk4", schedule=sched)
         e = int(np.flatnonzero(traj.times == 10.0)[0])
-        jump = traj.derivs[e].rho.sum() - traj.derivs[e - 1].rho.sum()
+        jump = traj.deriv(e).rho.sum() - traj.deriv(e - 1).rho.sum()
         assert jump < 0
 
 
 class TestIntegrate:
     def test_no_dynamics_without_transmission(self):
         params = EpidemicParams(lam=0.0, mu=0.1, rho0=0.05)
-        for model in (ClassicSIR(params), StratifiedSIR(params, FIG1_DIST)):
+        for model in (build_model("classic", params), build_model("stratified", params, FIG1_DIST)):
             traj = integrate(model, (0, 30), 0.5, "rk4")
-            s = np.array([st.s.sum() for st in traj.states])
+            s = np.array([st.s.sum() for st in states(traj)])
             assert np.abs(s - s[0]).max() <= 1e-12
 
     def test_subcritical_classic_prevalence_decreases(self):
-        traj = integrate(ClassicSIR(FIG1_PARAMS), (0, 100), 0.1, "rk4")
+        traj = integrate(build_model("classic", FIG1_PARAMS), (0, 100), 0.1, "rk4")
         assert np.all(np.diff(traj.prevalence) < 0)
 
     def test_step_halving_agreement(self):
-        coarse = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 100), 0.1, "rk4")
-        fine = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 100), 0.05, "rk4")
+        coarse = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 100), 0.1, "rk4")
+        fine = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 100), 0.05, "rk4")
         assert np.abs(coarse.prevalence - fine.prevalence[::2]).max() < 1e-6
 
     def test_rk4_order(self):
         # global error should fall ~16x per halving, measured against dt/8
         def run(dt):
-            return integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 40), dt, "rk4")
+            return integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 40), dt, "rk4")
 
         ref = run(0.1)
         err_coarse = np.abs(run(0.8).prevalence - ref.prevalence[::8]).max()
@@ -379,66 +412,103 @@ class TestIntegrate:
         assert 8.0 < err_coarse / err_fine < 32.0
 
     def test_monotone_susceptible_and_removed(self):
-        traj = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 200), 0.1, "rk4")
+        traj = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 200), 0.1, "rk4")
         assert np.all(np.diff(traj.susceptible) <= 1e-15)
         assert np.all(np.diff(traj.removed) >= -1e-15)
 
     def test_incidence_is_previous_state_inflow(self):
-        model = StratifiedSIR(FIG1_PARAMS, FIG1_DIST)
+        model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         traj = integrate(model, (0, 10), 1.0, "euler")
         # recompute the inflow at the recorded state preceding each step
         for i in (1, 4, 10):
-            y = np.concatenate([
-                traj.states[i - 1].s,
-                traj.states[i - 1].rho.ravel(),
-                traj.states[i - 1].removed_k,
-            ])
+            y = traj.Y[i - 1]
             assert traj.incidence[i] == pytest.approx(model.rhs_full(0, y)[1], rel=1e-12)
 
     def test_euler_dt1_matches_manual_stepping(self):
-        model = StratifiedSIR(FIG1_PARAMS, FIG1_DIST)
+        model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         traj = integrate(model, (0, 5), 1.0, "euler")
         y = model.initial_state()
         for i in range(5):
             y = y + model.rhs(0.0, y)
         np.testing.assert_allclose(
-            traj.states[5].s, np.maximum(y[:60], 0.0), atol=1e-15)
+            traj.state(5).s, np.maximum(y[:60], 0.0), atol=1e-15)
 
     def test_stability_error_on_blowup(self):
         params = EpidemicParams(lam=0.0, mu=1.0, rho0=0.5)
         with pytest.raises(StabilityError):
-            integrate(ClassicSIR(params), (0, 30), 5.0, "euler")
+            integrate(build_model("classic", params), (0, 30), 5.0, "euler")
+
+    def test_cumulative_removed_may_pass_one(self):
+        # replenished susceptibles are removed again: the per-degree removed
+        # tally is cumulative and passes 1 while s and i stay in range
+        params = EpidemicParams(lam=0.1, mu=0.05, d=0.05, rho0=0.01)
+        model = build_model("stratified", params, truncated_power_law(2.5, 1, 60))
+        traj = integrate(model, (0, 400), 0.5, "rk4")
+        assert traj.Y[:, ~model.bounded].max() > 1.0
+        assert traj.Y[:, model.bounded].max() <= 1.0
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
-            integrate(ClassicSIR(FIG1_PARAMS), (0, 1.05), 0.1)
+            integrate(build_model("classic", FIG1_PARAMS), (0, 1.05), 0.1)
         with pytest.raises(DomainError):
-            integrate(ClassicSIR(FIG1_PARAMS), (5, 5), 0.1)
+            integrate(build_model("classic", FIG1_PARAMS), (5, 5), 0.1)
         with pytest.raises(DomainError):
-            integrate(ClassicSIR(FIG1_PARAMS), (0, 10), -0.1)
+            integrate(build_model("classic", FIG1_PARAMS), (0, 10), -0.1)
         with pytest.raises(DomainError):
-            integrate(ClassicSIR(FIG1_PARAMS), (0, 10), 1.0, method="heun")
+            integrate(build_model("classic", FIG1_PARAMS), (0, 10), 1.0, method="heun")
 
     def test_trajectory_validation(self):
         with pytest.raises(DomainError):
             Trajectory(
-                times=np.array([0.0, 0.0]), states=[None, None], derivs=None,
-                susceptible=np.zeros(2), prevalence=np.zeros(2),
-                removed=np.zeros(2), incidence=np.zeros(2))
+                times=np.array([0.0, 0.0]), Y=np.zeros((2, 3)), dY=None,
+                incidence=np.zeros(2), model=build_model("classic", FIG1_PARAMS))
+        with pytest.raises(DomainError):
+            Trajectory(
+                times=np.array([0.0, 1.0]), Y=np.zeros((3, 3)), dY=None,
+                incidence=np.zeros(2), model=build_model("classic", FIG1_PARAMS))
 
     def test_per_degree_removed_sums_to_aggregate(self):
-        traj = integrate(StratifiedSIR(FIG1_PARAMS, FIG1_DIST), (0, 50), 0.5, "rk4")
-        for st in traj.states[::20]:
+        traj = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 50), 0.5, "rk4")
+        for st in states(traj)[::20]:
             assert st.removed_k.sum() == pytest.approx(st.r, abs=1e-14)
 
 
 class TestBuildModel:
     def test_dispatch(self):
         params = EpidemicParams(lam=0.1, mu=0.05, rho0=0.01, lam2=0.1)
-        assert isinstance(build_model("classic", params), ClassicSIR)
-        assert isinstance(build_model("stratified", params, dist=FIG1_DIST), StratifiedSIR)
-        assert isinstance(build_model("two_type", params, dist=FIG1_DIST), TwoTypeSIR)
-        assert isinstance(build_model("bipartite", params, dist=FIG1_DIST), BipartiteSIR)
+        hiv_params = EpidemicParams(lam=0.1, rho0=0.01)
+        assert MODEL_NAMES == tuple(MODEL_BUILDERS)
+        layouts = {}
+        for name in MODEL_NAMES:
+            model = build_model(name, hiv_params if name.startswith("hiv") else params,
+                                dist=FIG1_DIST)
+            pops = model.populations
+            layouts[name] = (len(pops), pops[0].n_types, pops[0].nk, model.sources,
+                             model.routing, model.treatable, model.link_mode)
+        assert layouts == {
+            "classic": (1, 1, 1, (0,), (1.0,), False, "fixed"),
+            "stratified": (1, 1, 60, (0,), (1.0,), False, "active"),
+            "two_type": (1, 2, 60, (0,), "hazard", False, "active"),
+            "bipartite": (2, 1, 60, (1, 0), (1.0,), False, "active"),
+            "hiv_msm": (1, 2, 60, (0,), (1.0, 0.0), True, "active"),
+            "hiv_hetero": (2, 2, 60, (1, 0), (1.0, 0.0), True, "active"),
+        }
+
+    def test_compartment_model_rejects_mismatched_data(self):
+        from netepi.ode import CompartmentModel, _Population
+
+        def model(n_types=1, sources=(0,), rates=((0.1,),), seed=(1.0,), routing=(1.0,)):
+            pop = _Population(FIG1_DIST, n_types, None, 0.05, 0.01)
+            return CompartmentModel([pop], sources, rates, seed, routing)
+
+        assert model().dim == 180
+        three_types = {"n_types": 3, "rates": ((0.1,) * 3,), "seed": (1, 0, 0),
+                       "routing": (1, 0, 0)}
+        for bad in ({"sources": (1,)}, {"sources": (0, 0)}, {"rates": ((0.1, 0.2),)},
+                    {"seed": (0.5, 0.5)}, {"routing": "hazard"},
+                    {"routing": np.array([1.0, 0.0])}, three_types):
+            with pytest.raises(DomainError):
+                model(**bad)
 
     def test_unknown_model(self):
         with pytest.raises(DomainError):
@@ -455,12 +525,13 @@ def _random_model(name, lam, lam2, mu, rho0, coverage, dist):
     params = EpidemicParams(lam=lam, mu=mu, rho0=rho0, lam2=lam2)
     hiv_params = EpidemicParams(lam=lam, rho0=rho0)
     return {
-        "classic": lambda: ClassicSIR(params),
-        "stratified": lambda: StratifiedSIR(params, dist),
-        "two_type": lambda: TwoTypeSIR(params, dist, rho0_type2=coverage),
-        "bipartite": lambda: BipartiteSIR(params, (dist, dist)),
-        "hiv_msm": lambda: HivMsm(hiv_params, dist, coverage=coverage),
-        "hiv_hetero": lambda: HivHetero(hiv_params, (dist, dist), coverage=coverage),
+        "classic": lambda: build_model("classic", params),
+        "stratified": lambda: build_model("stratified", params, dist),
+        "two_type": lambda: build_model("two_type", params, dist, rho0_type2=coverage),
+        "bipartite": lambda: build_model("bipartite", params, dist, dist),
+        "hiv_msm": lambda: build_model("hiv_msm", hiv_params, dist, coverage=coverage),
+        "hiv_hetero": lambda: build_model("hiv_hetero", hiv_params, dist, dist,
+                                          coverage=coverage),
     }[name]()
 
 
