@@ -23,6 +23,14 @@ Self-loops are dropped and multi-edges collapsed when pairing stubs
 ("erased" configuration model), so realized degrees approximate the targets
 from below; the distortion is o(1) at the population sizes used here and is
 measured by the tests rather than assumed away.
+
+The random stream is part of the output: the infection pass draws one
+number per live edge in edge-list order, then one treated-status number
+per new infection in node order.  The edge list is therefore kept sorted
+by (u, v) key (sort plus an adjacent-difference mask, not a hash set) and
+new infections are collected through a boolean mask, so they come out in
+ascending node order; ``tests/data/abm_stream_golden.json`` pins the
+resulting stream.
 """
 
 from __future__ import annotations
@@ -89,7 +97,9 @@ def _pair_stubs(node_ids: np.ndarray, degrees: np.ndarray, rng) -> tuple[np.ndar
     lo = np.minimum(u, v).astype(np.int64)
     hi = np.maximum(u, v).astype(np.int64)
     span = int(node_ids.max()) + 1 if node_ids.size else 1
-    key = np.unique(lo * span + hi)
+    key = np.sort(lo * span + hi)
+    if key.size:
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     return key // span, key % span
 
 
@@ -124,12 +134,14 @@ def simulate_epidemic(
     rng: np.random.Generator | None = None,
     schedule: TreatmentSchedule | None = None,
     initial_network: NetworkRealization | None = None,
+    t0: float = 0.0,
 ) -> Trajectory:
-    """Run one stochastic epidemic for ``steps`` time steps.
+    """Run one stochastic epidemic for ``steps`` time steps from time ``t0``.
 
     Fractions are reported relative to the initial population, so the output
     aligns point for point with an euler dt=1 integration of the matching
-    ODE model.  ``initial_network`` substitutes a custom starting graph
+    ODE model over [t0, t0 + steps]; treatment epochs are times on that
+    axis.  ``initial_network`` substitutes a custom starting graph
     (useful with rewire="none"); demographically added nodes join isolated
     until the next full rewiring.
     """
@@ -148,7 +160,7 @@ def simulate_epidemic(
 
     n_seed = int(round(params.rho0 * n))
     seed_nodes = rng.choice(n, size=n_seed, replace=False)
-    coverage = _coverage_at(schedule, 0.0)
+    coverage = _coverage_at(schedule, t0)
     treated = rng.random(n_seed) < coverage
     state[seed_nodes] = np.where(treated, INFECTED_TREATED, INFECTED)
 
@@ -161,17 +173,18 @@ def simulate_epidemic(
     incidence = np.zeros(steps + 1)
 
     def tally(row):
-        for code, out in ((SUSCEPTIBLE, s_k), (REMOVED, removed_k)):
-            counts = np.bincount(degrees[state == code] - dist.k_min, minlength=nk)
-            out[row] = counts / n
-        infected = (state == INFECTED) | (state == INFECTED_TREATED)
-        rho_k[row] = np.bincount(degrees[infected] - dist.k_min, minlength=nk) / n
+        # one bincount over (compartment code, degree) cells
+        counts = np.bincount(state.astype(np.intp) * nk + (degrees - dist.k_min),
+                             minlength=4 * nk).reshape(4, nk)
+        s_k[row] = counts[SUSCEPTIBLE] / n
+        rho_k[row] = (counts[INFECTED] + counts[INFECTED_TREATED]) / n
+        removed_k[row] = counts[REMOVED] / n
 
     tally(0)
 
     for step in range(1, steps + 1):
         prev_coverage = coverage
-        coverage = _coverage_at(schedule, step - 1)
+        coverage = _coverage_at(schedule, t0 + step - 1)
         if schedule is not None and coverage != prev_coverage:
             # epoch switch: re-draw treated status of the standing infected
             infected_idx = np.flatnonzero((state == INFECTED) | (state == INFECTED_TREATED))
@@ -181,16 +194,17 @@ def simulate_epidemic(
         is_inf = (state == INFECTED) | (state == INFECTED_TREATED)
         start_infected = np.flatnonzero(is_inf)
 
-        # (1) infections, one independent draw per susceptible-infected edge
-        new_infected = []
+        # (1) infections, one independent draw per susceptible-infected edge;
+        # a node hit through several edges is infected once
+        hit = np.zeros(state.size, dtype=bool)
         for src, dst in ((edges_v, edges_u), (edges_u, edges_v)):
             live = (state[dst] == SUSCEPTIBLE) & is_inf[src]
-            if not np.any(live):
+            n_live = np.count_nonzero(live)
+            if not n_live:
                 continue
-            lam_edge = np.where(state[src][live] == INFECTED_TREATED, eff * params.lam, params.lam)
-            hits = rng.random(live.sum()) < lam_edge
-            new_infected.append(dst[live][hits])
-        new_infected = np.unique(np.concatenate(new_infected)) if new_infected else np.array([], dtype=np.int64)
+            lam_edge = np.where(state[src[live]] == INFECTED_TREATED, eff * params.lam, params.lam)
+            hit[dst[live][rng.random(n_live) < lam_edge]] = True
+        new_infected = np.flatnonzero(hit)
 
         # (2) removal of start-of-step infected
         removed_now = start_infected[rng.random(start_infected.size) < params.mu]
@@ -224,7 +238,7 @@ def simulate_epidemic(
 
     # the stratified one-type, one-stage layout: s_k | rho_k | removed_k
     return Trajectory(
-        times=np.arange(steps + 1, dtype=float), Y=np.hstack([s_k, rho_k, removed_k]),
+        times=t0 + np.arange(steps + 1, dtype=float), Y=np.hstack([s_k, rho_k, removed_k]),
         dY=None, incidence=incidence, model=build_model("stratified", params, dist),
     )
 
@@ -278,10 +292,10 @@ def replica_rng(base_seed: int, replica: int) -> np.random.Generator:
 
 
 def _run_replica(args):
-    dist, n, params, steps, rewire, schedule, base_seed, replica = args
+    dist, n, params, steps, rewire, schedule, base_seed, replica, t0 = args
     return simulate_epidemic(
         dist, n, params, steps, rewire=rewire,
-        rng=replica_rng(base_seed, replica), schedule=schedule,
+        rng=replica_rng(base_seed, replica), schedule=schedule, t0=t0,
     )
 
 
@@ -295,6 +309,7 @@ def run_ensemble(
     rewire: str = "full",
     schedule: TreatmentSchedule | None = None,
     n_jobs: int = 1,
+    t0: float = 0.0,
 ) -> EnsembleSummary:
     """Run ``replicas`` independent simulations and summarize them.
 
@@ -303,7 +318,7 @@ def run_ensemble(
     """
     if replicas < 2:
         raise DomainError(f"replicas must be >= 2, got {replicas}")
-    jobs = [(dist, n, params, steps, rewire, schedule, base_seed, r) for r in range(replicas)]
+    jobs = [(dist, n, params, steps, rewire, schedule, base_seed, r, t0) for r in range(replicas)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             trajectories = list(pool.map(_run_replica, jobs, chunksize=max(1, replicas // (4 * n_jobs))))

@@ -45,26 +45,39 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
+def _write_replacing(path: Path, fill, newline=None):
+    """Write through ``<name>.tmp`` in the same directory, then rename it onto
+    ``path``, so an interrupted write never leaves a truncated file under the
+    real name (the old file, if any, stays as it was)."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            fill(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def fill(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    _write_replacing(path, fill, newline="")
 
 
 def _write_json(path: Path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
+    def fill(fh):
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    _write_replacing(path, fill)
 
 
 def _abm_ensemble(spec: SimulationSpec, seed, replicas: int, threads: int):
-    """Run the configured agent-based ensemble on the config's time axis.
-
-    The simulator counts steps from 0; its times are shifted by t0 so rows
-    line up with the ODE trajectory of the same t_span.
-    """
+    """Run the configured agent-based ensemble on the config's time axis, so
+    rows and treatment epochs line up with the ODE trajectory of the same
+    t_span."""
     if spec.model not in ABM_MODELS:
         raise ConfigError("model", f"agent-based runs support {ABM_MODELS}, got {spec.model!r}")
     if spec.abm_n is None:
@@ -77,13 +90,15 @@ def _abm_ensemble(spec: SimulationSpec, seed, replicas: int, threads: int):
         dist = from_weights(1, [1.0])
     else:
         dist = build_distribution(spec.distribution)
-    ens = run_ensemble(
+    return run_ensemble(
         dist, spec.abm_n, spec.params, steps, replicas=replicas,
         base_seed=spec.abm_seed if seed is None else seed, rewire=spec.abm_rewire,
-        schedule=spec.treatment, n_jobs=threads,
+        schedule=spec.treatment, n_jobs=threads, t0=t0,
     )
-    ens.times = t0 + ens.times
-    return ens
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
@@ -95,9 +110,9 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
     Raises ConfigError / DomainError / StabilityError / OSError; any
     partially written outputs are removed first.
     """
-    if replicas is not None and replicas < 2:
-        raise ConfigError("abm.replicas", f"must be >= 2, got {replicas}")
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+    if replicas is not None and not (_is_integer(replicas) and replicas >= 2):
+        raise ConfigError("abm.replicas", f"must be an integer >= 2, got {replicas!r}")
+    if not (_is_integer(threads) and threads >= 1):
         raise ConfigError("threads", f"must be an integer >= 1, got {threads!r}")
     n_replicas = spec.abm_replicas if replicas is None else replicas
     out = Path(out_dir if out_dir is not None else spec.out_dir)
@@ -431,7 +446,7 @@ plt.savefig("phase.png", dpi=150)
 
 
 def _emit_plot(path: Path, csv_name: str, body: str):
-    path.write_text(_PLOT_HEADER.format(csv=csv_name) + body, encoding="utf-8")
+    _write_replacing(path, lambda fh: fh.write(_PLOT_HEADER.format(csv=csv_name) + body))
 
 
 if __name__ == "__main__":

@@ -136,6 +136,25 @@ class TestSimulateEpidemic:
                                     schedule=sched)
         assert treated.prevalence.max() < base.prevalence.max()
 
+    def test_treatment_epochs_on_shifted_time_axis(self):
+        # epochs are times on the run's own axis: t0=1980 with an epoch at
+        # 1988 is the t0=0 run with an epoch at 8, shifted
+        params = EpidemicParams(lam=0.5, mu=0.05, rho0=0.02, treatment_efficacy=0.2)
+        shifted = simulate_epidemic(
+            DIST30, 2000, params, 20, rng=replica_rng(13, 0), t0=1980.0,
+            schedule=TreatmentSchedule(epochs=(1988.0,), coverages=(1.0,)))
+        local = simulate_epidemic(
+            DIST30, 2000, params, 20, rng=replica_rng(13, 0),
+            schedule=TreatmentSchedule(epochs=(8.0,), coverages=(1.0,)))
+        untreated = simulate_epidemic(DIST30, 2000, params, 20, rng=replica_rng(13, 0), t0=1980.0)
+        assert np.array_equal(shifted.times, 1980.0 + np.arange(21))
+        assert np.array_equal(shifted.Y, local.Y)
+        assert np.array_equal(shifted.incidence, local.incidence)
+        assert np.array_equal(shifted.Y[:9], untreated.Y[:9])
+        assert not np.array_equal(shifted.Y, untreated.Y)
+        ens = run_ensemble(DIST30, 300, params, 5, replicas=2, base_seed=1, t0=5.0)
+        assert np.array_equal(ens.times, 5.0 + np.arange(6))
+
     def test_input_validation(self):
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.01)
         with pytest.raises(DomainError):

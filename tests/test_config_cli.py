@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from netepi import cli
 from netepi.cli import execute, main
 from netepi.config import parse_config, parse_config_data, run_trajectory
 from netepi.errors import ConfigError
@@ -213,6 +214,19 @@ class TestExecute:
         assert field_of(err) == "threads"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("replicas", [2.5, "3", True, 1])
+    def test_execute_rejects_bad_replicas(self, tmp_path, replicas):
+        spec = parse_config_data({
+            "model": "stratified", "lambda": 0.05, "mu": 0.05, "rho0": 0.05,
+            "distribution": {"type": "power_law", "gamma": 3, "k_min": 1, "k_max": 20},
+            "t_span": [0, 5], "method": "euler", "dt": 1.0,
+            "abm": {"n": 200, "replicas": 2, "seed": 1},
+        })
+        with pytest.raises(ConfigError) as err:
+            execute(spec, "run-abm", replicas=replicas, out_dir=tmp_path / "o")
+        assert field_of(err) == "abm.replicas"
+        assert not (tmp_path / "o").exists()
+
     def test_phase_closed_loop(self, tmp_path):
         spec = parse_config_data({
             **FIG1, "t_span": [0, 400], "dt": 0.2,
@@ -274,6 +288,40 @@ class TestExecute:
         })
         with pytest.raises(Exception):
             execute(spec, "sensitivity", out_dir=tmp_path)
+
+
+class TestReplacingWrites:
+    def test_interrupted_csv_write_keeps_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "ensemble.csv"
+        target.write_text("old\n")
+        calls = []
+
+        def fmt_then_fail(value):
+            calls.append(value)
+            if len(calls) > 3:
+                raise RuntimeError("interrupted")
+            return str(value)
+
+        monkeypatch.setattr(cli, "_fmt", fmt_then_fail)
+        with pytest.raises(RuntimeError):
+            cli._write_csv(target, ["a", "b"], [[1, 2], [3, 4], [5, 6]])
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ensemble.csv"]
+
+    def test_interrupted_json_write_keeps_old_file(self, tmp_path):
+        target = tmp_path / "fit.json"
+        target.write_text("{}\n")
+        with pytest.raises(TypeError):
+            cli._write_json(target, {"a": list(range(100)), "b": object()})
+        assert target.read_text() == "{}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
+
+    def test_completed_write_replaces_target(self, tmp_path):
+        target = tmp_path / "ensemble.csv"
+        target.write_text("old\n")
+        cli._write_csv(target, ["a", "b"], [[1, 0.5]])
+        assert target.read_text() == "a,b\n1,0.5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ensemble.csv"]
 
 
 class TestCliProcess:
