@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degree import DegreeDistribution, sample_degrees
-from .errors import DomainError
+from .errors import DomainError, is_integer
 from .ode import EpidemicParams, Trajectory, TreatmentSchedule, build_model
 
 # node compartment codes
@@ -316,8 +316,10 @@ def run_ensemble(
     Replicas are embarrassingly parallel; results are merged in replica
     order so the summary is identical for any ``n_jobs``.
     """
-    if replicas < 2:
-        raise DomainError(f"replicas must be >= 2, got {replicas}")
+    if not (is_integer(replicas) and replicas >= 2):
+        raise DomainError(f"replicas must be an integer >= 2, got {replicas!r}")
+    if not (is_integer(n_jobs) and n_jobs >= 1):
+        raise DomainError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     jobs = [(dist, n, params, steps, rewire, schedule, base_seed, r, t0) for r in range(replicas)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:

@@ -135,27 +135,29 @@ def phase_series(
     if variant not in ("infected", "healthy"):
         raise DomainError(f"variant must be 'infected' or 'healthy', got {variant!r}")
 
-    def pick(state, degree):
-        degrees = state.degrees if population == 1 else state.degrees2
-        if degrees is None:
-            raise DomainError("trajectory has no second population")
+    model = traj.model
+    index = 0 if population == 1 else 1
+    if index >= len(model.populations):
+        raise DomainError("trajectory has no second population")
+    degrees = model.populations[index].k
+
+    def column(degree):
         idx = np.flatnonzero(degrees == degree)
         if idx.size == 0:
             raise DomainError(f"degree {degree} outside trajectory support")
-        i = int(idx[0])
-        if population == 1:
-            return float(state.rho[:, i].sum()), float(state.s[i] + state.removed_k[i])
-        return float(state.rho2[:, i].sum()), float(state.s2[i] + state.removed_k2[i])
+        return int(idx[0])
 
-    out = np.empty((len(traj.times), 2))
-    for row in range(len(traj.times)):
-        rho_m, healthy_m = pick(traj.state(row), m)
-        drho_n, dhealthy_n = pick(traj.deriv(row), n)
-        if variant == "infected":
-            out[row] = (rho_m, drho_n)
-        else:
-            out[row] = (healthy_m, dhealthy_n)
-    return out
+    i_m, i_n = column(m), column(n)
+    # the clamps and summation order of traj.state(i) / traj.deriv(i), all rows at once
+    s, infected, removed = model.blocks(traj.Y)[index]
+    ds, d_infected, d_removed = model.blocks(traj.dY)[index]
+    if variant == "infected":
+        x = np.maximum(infected.sum(axis=-2), 0.0)[..., i_m].sum(axis=-1)
+        y = d_infected.sum(axis=-2)[..., i_n].sum(axis=-1)
+    else:
+        x = np.maximum(s[:, i_m], 0.0) + np.maximum(removed[:, i_m], 0.0)
+        y = ds[:, i_n] + d_removed[:, i_n]
+    return np.stack([x, y], axis=1)
 
 
 @dataclass

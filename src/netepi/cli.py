@@ -31,18 +31,10 @@ from .config import (
     run_trajectory,
 )
 from .degree import from_weights
-from .errors import ConfigError, DomainError, NetepiError, StabilityError
+from .errors import ConfigError, DomainError, NetepiError, StabilityError, is_integer
 from .ode import integrate
 
 ABM_MODELS = ("classic", "stratified")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
 
 
 def _write_replacing(path: Path, fill, newline=None):
@@ -58,12 +50,18 @@ def _write_replacing(path: Path, fill, newline=None):
         tmp.unlink(missing_ok=True)
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, columns):
+    """One line per row of the equal-length 1-D ``columns``, through one
+    format string: %.12g for floats, plain digits for integers and bools.
+    Cells become Python numbers ~2**14 at a time, never a whole table."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%d" if c.dtype.kind in "biu" else "%.12g" for c in columns) + "\n"
+    step = max(1, 2 ** 14 // len(columns))
+
     def fill(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for a in range(0, len(columns[0]), step):
+            fh.writelines(line % row for row in zip(*(c[a:a + step].tolist() for c in columns)))
     _write_replacing(path, fill, newline="")
 
 
@@ -97,10 +95,6 @@ def _abm_ensemble(spec: SimulationSpec, seed, replicas: int, threads: int):
     )
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             out_dir=None, plot: bool = False, replicas=None):
     """Run one command against a validated spec.
@@ -110,10 +104,12 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
     Raises ConfigError / DomainError / StabilityError / OSError; any
     partially written outputs are removed first.
     """
-    if replicas is not None and not (_is_integer(replicas) and replicas >= 2):
+    if replicas is not None and not (is_integer(replicas) and replicas >= 2):
         raise ConfigError("abm.replicas", f"must be an integer >= 2, got {replicas!r}")
-    if not (_is_integer(threads) and threads >= 1):
+    if not (is_integer(threads) and threads >= 1):
         raise ConfigError("threads", f"must be an integer >= 1, got {threads!r}")
+    if seed is not None and not (is_integer(seed) and seed >= 0):
+        raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
     n_replicas = spec.abm_replicas if replicas is None else replicas
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -130,16 +126,12 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             traj = integrate(model, spec.t_span, spec.dt, spec.method,
                              schedule=spec.treatment)
             header = ["t", "s_total", "i_total", "r", "incidence"]
+            columns = [traj.times, traj.susceptible, traj.prevalence, traj.removed,
+                       traj.incidence]
             if spec.per_degree:
                 header += model.state_labels()
-            rows = []
-            for i, t in enumerate(traj.times):
-                row = [t, traj.susceptible[i], traj.prevalence[i], traj.removed[i],
-                       traj.incidence[i]]
-                if spec.per_degree:
-                    row += model.state_columns(traj.state(i))
-                rows.append(row)
-            _write_csv(target("trajectory.csv"), header, rows)
+                columns += list(model.degree_columns(traj.Y).T)
+            _write_csv(target("trajectory.csv"), header, columns)
             if plot:
                 _emit_plot(target("plot_trajectory.py"), "trajectory.csv", _PLOT_TRAJECTORY)
             peak, peak_t = traj.peak()
@@ -148,13 +140,10 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
 
         elif command == "run-abm":
             ens = _abm_ensemble(spec, seed, n_replicas, threads)
-            rows = [
-                [t, ens.mean_prevalence[i], ens.se_prevalence[i],
-                 ens.mean_incidence[i], ens.se_incidence[i], ens.replicas]
-                for i, t in enumerate(ens.times)
-            ]
             _write_csv(target("ensemble.csv"),
-                       ["t", "mean_prev", "se_prev", "mean_inc", "se_inc", "replicas"], rows)
+                       ["t", "mean_prev", "se_prev", "mean_inc", "se_inc", "replicas"],
+                       [ens.times, ens.mean_prevalence, ens.se_prevalence, ens.mean_incidence,
+                        ens.se_incidence, np.full(len(ens.times), ens.replicas)])
             if plot:
                 _emit_plot(target("plot_ensemble.py"), "ensemble.csv", _PLOT_ENSEMBLE)
             i = int(np.argmax(ens.mean_prevalence))
@@ -165,13 +154,10 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             ens = _abm_ensemble(spec, seed, n_replicas, threads)
             ode = run_trajectory(spec, method="euler", dt=1.0)
             report = compare_ode_abm(ode, ens, spec.compare_band_sigmas)
-            rows = [
-                [t, ode.prevalence[i], ens.mean_prevalence[i], ens.se_prevalence[i],
-                 report.covered[i]]
-                for i, t in enumerate(ens.times)
-            ]
             _write_csv(target("comparison.csv"),
-                       ["t", "ode_prev", "mean_prev", "se_prev", "covered"], rows)
+                       ["t", "ode_prev", "mean_prev", "se_prev", "covered"],
+                       [ens.times, ode.prevalence, ens.mean_prevalence, ens.se_prevalence,
+                        report.covered])
             _write_json(target("comparison.json"), {
                 "band_sigmas": report.band_sigmas,
                 "coverage": report.coverage,
@@ -202,9 +188,8 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                 seed=sen["seed"] if seed is None else seed,
                 output=sen["output"], n_jobs=threads,
             )
-            header = ["t"] + [f"S_{p}" for p in result.parameters]
-            rows = [[t, *result.indices[:, i]] for i, t in enumerate(result.times)]
-            _write_csv(target("sobol.csv"), header, rows)
+            _write_csv(target("sobol.csv"), ["t"] + [f"S_{p}" for p in result.parameters],
+                       [result.times, *result.indices])
             if plot:
                 _emit_plot(target("plot_sobol.py"), "sobol.csv", _PLOT_SOBOL)
             peak_j, peak_t = np.unravel_index(np.nanargmax(result.indices), result.indices.shape)
@@ -220,8 +205,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                                   variant=spec.phase["variant"],
                                   population=spec.phase["population"])
             prefix = "rho" if spec.phase["variant"] == "infected" else "healthy"
-            _write_csv(target("phase.csv"),
-                       [f"{prefix}_m", f"d{prefix}_n_dt"], series)
+            _write_csv(target("phase.csv"), [f"{prefix}_m", f"d{prefix}_n_dt"], series.T)
             if plot:
                 _emit_plot(target("plot_phase.py"), "phase.csv", _PLOT_PHASE)
             summary = (f"points={len(series)} m={spec.phase['m']} n={spec.phase['n']} "

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import sys
 from dataclasses import dataclass
 
 from .degree import DegreeDistribution, from_weights, truncated_power_law
@@ -50,6 +51,16 @@ def _expect(mapping, path, known):
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
+def _number(full, value) -> float:
+    """A JSON number as a float; bools, nan, inf and ints no float holds
+    are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(full, f"expected a number, got {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(full, f"expected a finite number, got {value}")
+    return float(value)
+
+
 def _get(mapping, path, key, kind, default=..., required=False):
     full = f"{path}.{key}" if path else key
     if key not in mapping:
@@ -57,10 +68,8 @@ def _get(mapping, path, key, kind, default=..., required=False):
             raise ConfigError(full, "missing required field")
         return default
     value = mapping[key]
-    if kind is float and isinstance(value, bool):
-        raise ConfigError(full, "expected a number")
-    if kind is float and isinstance(value, (int, float)):
-        return float(value)
+    if kind is float:
+        return _number(full, value)
     if kind is int and isinstance(value, bool):
         raise ConfigError(full, "expected an integer")
     if kind is int and isinstance(value, int):
@@ -91,19 +100,21 @@ def _parse_distribution(obj, path):
         if gamma <= 0:
             raise ConfigError(f"{path}.gamma", f"must be > 0, got {gamma}")
         if k_min < 1 or k_max < k_min:
-            raise ConfigError(f"{path}.k_min", f"invalid support [{k_min}, {k_max}]")
+            bad = "k_min" if k_min < 1 else "k_max"
+            raise ConfigError(f"{path}.{bad}", f"invalid support [{k_min}, {k_max}]")
         return {"type": "power_law", "gamma": gamma, "k_min": k_min, "k_max": k_max}
     if kind == "weights":
         _expect(obj, path, {"type", "k_min", "weights"})
         k_min = _get(obj, path, "k_min", int, default=1)
         weights = _get(obj, path, "weights", list, required=True)
-        if not weights or not all(isinstance(w, (int, float)) and not isinstance(w, bool) and w >= 0 for w in weights):
+        weights = [_number(f"{path}.weights", w) for w in weights]
+        if not weights or min(weights) < 0:
             raise ConfigError(f"{path}.weights", "expected nonnegative numbers")
         if sum(weights) <= 0:
             raise ConfigError(f"{path}.weights", "at least one weight must be positive")
         if k_min < 1:
             raise ConfigError(f"{path}.k_min", f"must be >= 1, got {k_min}")
-        return {"type": "weights", "k_min": k_min, "weights": [float(w) for w in weights]}
+        return {"type": "weights", "k_min": k_min, "weights": weights}
     raise ConfigError(f"{path}.type", f"expected 'power_law' or 'weights', got {kind!r}")
 
 
@@ -121,10 +132,9 @@ def _parse_bounds_map(obj, path):
         full = f"{path}.{name}"
         if name not in TUNABLE:
             raise ConfigError(full, f"unknown parameter; expected one of {TUNABLE}")
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(full, "expected [lower, upper]")
-        lo, hi = float(pair[0]), float(pair[1])
+        lo, hi = (_number(full, v) for v in pair)
         if hi <= lo:
             raise ConfigError(full, f"lower {lo} must be below upper {hi}")
         out[name] = (lo, hi)
@@ -275,10 +285,9 @@ def parse_config_data(data) -> SimulationSpec:
         raise ConfigError("mu", "hiv models remove through demography; mu must be 0")
 
     span = _get(data, "", "t_span", list, required=True)
-    if (not isinstance(span, list) or len(span) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in span)):
+    if len(span) != 2:
         raise ConfigError("t_span", "expected [t0, t1]")
-    t0, t1 = float(span[0]), float(span[1])
+    t0, t1 = (_number("t_span", v) for v in span)
     if t1 <= t0:
         raise ConfigError("t_span", f"end {t1} must exceed start {t0}")
 
@@ -336,10 +345,9 @@ def parse_config_data(data) -> SimulationSpec:
         if not isinstance(stage_rates, list) or not stage_rates:
             raise ConfigError("stage_rates", "expected per-stage rates in [0, 1]")
         rows = stage_rates if isinstance(stage_rates[0], list) else [stage_rates]
-        if (not all(isinstance(r, list) and r for r in rows)
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1
-                           for row in rows for v in row)):
-            raise ConfigError("stage_rates", "expected per-stage rates in [0, 1]")
+        if (not all(isinstance(r, list) and r for r in rows) or len({len(r) for r in rows}) > 1
+                or not all(0 <= _number("stage_rates", v) <= 1 for row in rows for v in row)):
+            raise ConfigError("stage_rates", "expected per-stage rates in [0, 1], as many per type")
         if model not in HIV_MODELS and mu != 0.0:
             raise ConfigError("stage_rates", "stage_rates replaces mu; set mu=0")
 
@@ -356,17 +364,12 @@ def parse_config_data(data) -> SimulationSpec:
         initial = _check_range(
             "treatment.initial_coverage",
             _get(tr, "treatment", "initial_coverage", float, default=0.0), 0, 1)
-        if not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in epochs):
-            raise ConfigError("treatment.epochs", "expected numbers")
-        if not all(isinstance(c, (int, float)) and not isinstance(c, bool) and 0 <= c <= 1
-                   for c in coverages):
+        epochs = tuple(_number("treatment.epochs", e) for e in epochs)
+        coverages = tuple(_number("treatment.coverages", c) for c in coverages)
+        if not all(0 <= c <= 1 for c in coverages):
             raise ConfigError("treatment.coverages", "expected fractions in [0, 1]")
         try:
-            treatment = TreatmentSchedule(
-                epochs=tuple(float(e) for e in epochs),
-                coverages=tuple(float(c) for c in coverages),
-                initial_coverage=initial,
-            )
+            treatment = TreatmentSchedule(epochs, coverages, initial_coverage=initial)
         except DomainError as exc:
             raise ConfigError("treatment", str(exc)) from exc
 
@@ -386,6 +389,8 @@ def parse_config_data(data) -> SimulationSpec:
         if abm_replicas < 2:
             raise ConfigError("abm.replicas", f"must be >= 2, got {abm_replicas}")
         abm_seed = _get(abm, "abm", "seed", int, default=0)
+        if abm_seed < 0:
+            raise ConfigError("abm.seed", f"must be >= 0, got {abm_seed}")
         abm_rewire = _get(abm, "abm", "rewire", str, default="full")
         if abm_rewire not in ("full", "none"):
             raise ConfigError("abm.rewire", f"expected 'full' or 'none', got {abm_rewire!r}")
@@ -414,11 +419,10 @@ def parse_config_data(data) -> SimulationSpec:
         output = _get(sen, "sensitivity", "output", str, default="incidence")
         if output not in ("incidence", "prevalence"):
             raise ConfigError("sensitivity.output", f"expected 'incidence' or 'prevalence', got {output!r}")
-        sensitivity = {
-            "ranges": ranges, "n_base": n_base,
-            "seed": _get(sen, "sensitivity", "seed", int, default=0),
-            "output": output,
-        }
+        sen_seed = _get(sen, "sensitivity", "seed", int, default=0)
+        if sen_seed < 0:
+            raise ConfigError("sensitivity.seed", f"must be >= 0, got {sen_seed}")
+        sensitivity = {"ranges": ranges, "n_base": n_base, "seed": sen_seed, "output": output}
 
     phase = None
     if "phase" in data:
@@ -446,14 +450,8 @@ def parse_config_data(data) -> SimulationSpec:
         _expect(ft, "fit", {"free", "initial", "observed", "observed_csv", "output"})
         free = _parse_bounds_map(_get(ft, "fit", "free", dict, required=True), "fit.free")
         initial_obj = _get(ft, "fit", "initial", dict, required=True)
-        initial = {}
-        for name in free:
-            if name not in initial_obj:
-                raise ConfigError(f"fit.initial.{name}", "missing initial guess")
-            v = initial_obj[name]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"fit.initial.{name}", "expected a number")
-            initial[name] = float(v)
+        initial = {name: _get(initial_obj, "fit.initial", name, float, required=True)
+                   for name in free}
         for name in initial_obj:
             if name not in free:
                 raise ConfigError(f"fit.initial.{name}", "no matching free parameter")
@@ -463,11 +461,9 @@ def parse_config_data(data) -> SimulationSpec:
             raise ConfigError("fit.observed", "provide exactly one of observed, observed_csv")
         if observed is not None:
             if (not isinstance(observed, list) or not observed
-                    or not all(isinstance(p, list) and len(p) == 2
-                               and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
-                               for p in observed)):
+                    or not all(isinstance(p, list) and len(p) == 2 for p in observed)):
                 raise ConfigError("fit.observed", "expected [[t, value], ...]")
-            observed = [[float(t), float(v)] for t, v in observed]
+            observed = [[_number("fit.observed", v) for v in p] for p in observed]
         output = _get(ft, "fit", "output", str, default="incidence")
         if output not in ("incidence", "prevalence"):
             raise ConfigError("fit.output", f"expected 'incidence' or 'prevalence', got {output!r}")

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+from numbers import Integral
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; bools are not counts."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class NetepiError(Exception):

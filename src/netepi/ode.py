@@ -178,8 +178,10 @@ class _Population:
         self.fixed_edge_mass = weight * mean_degree(dist)
 
     def split(self, y, offset):
+        """(s, I, removed) of one state vector, or of every row of a stack."""
         a, b, end = offset + self.nk, offset + self.size - self.nk, offset + self.size
-        return y[offset:a], y[a:b].reshape(self.n_types, self.n_stages, self.nk), y[b:end]
+        infected = y[..., a:b].reshape(*y.shape[:-1], self.n_types, self.n_stages, self.nk)
+        return y[..., offset:a], infected, y[..., b:end]
 
 
 def _check_link_mode(link_mode):
@@ -216,8 +218,8 @@ class CompartmentModel:
             removed[:] = False
 
     def blocks(self, y):
-        if y.shape != (self.dim,):
-            raise DomainError(f"state vector has shape {y.shape}, expected ({self.dim},)")
+        if y.shape[-1:] != (self.dim,):
+            raise DomainError(f"state array has shape {y.shape}, expected (..., {self.dim})")
         return [p.split(y, off) for p, off in zip(self.populations, self.offsets)]
 
     def initial_state(self) -> np.ndarray:
@@ -321,11 +323,14 @@ class CompartmentModel:
             labels += [f"{prefix}i_k{k}" for k in pop.k]
         return labels
 
-    def state_columns(self, state: StratifiedState) -> list[float]:
-        cols = list(state.s) + list(state.rho.sum(axis=0))
-        if state.s2 is not None:
-            cols += list(state.s2) + list(state.rho2.sum(axis=0))
-        return cols
+    def degree_columns(self, Y) -> np.ndarray:
+        """Per-degree table of a (rows, dim) state array in ``state_labels()``
+        order: per population s_k, then infected summed over stages, clamped
+        at 0 as in ``view``, then summed over types."""
+        cols = []
+        for s, infected, _ in self.blocks(Y):
+            cols += [np.maximum(s, 0.0), np.maximum(infected.sum(axis=-2), 0.0).sum(axis=-2)]
+        return np.concatenate(cols, axis=-1)
 
 
 @dataclass
@@ -372,7 +377,10 @@ class Trajectory:
         return float(self.prevalence[i]), float(self.times[i])
 
     def final_size(self) -> float:
-        return float(self.removed[-1] + self.prevalence[-1])
+        """1 - susceptible[-1], the fraction not susceptible at the end (the
+        agent-based definition).  With d = 0 it is removed + prevalence; with
+        d > 0 the removed tally counts exits and may pass 1, so it is not."""
+        return float(1.0 - self.susceptible[-1])
 
 
 @dataclass(frozen=True)

@@ -218,3 +218,15 @@ class TestEnsemble:
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
         with pytest.raises(DomainError):
             run_ensemble(DIST30, 500, params, 10, replicas=1)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"replicas": 2.5}, "replicas"), ({"replicas": "3"}, "replicas"),
+        ({"replicas": True}, "replicas"), ({"replicas": 2.0}, "replicas"),
+        ({"n_jobs": 0}, "n_jobs"), ({"n_jobs": -2}, "n_jobs"), ({"n_jobs": 1.5}, "n_jobs"),
+        ({"n_jobs": True}, "n_jobs"),
+    ])
+    def test_rejects_bad_counts(self, kwargs, name):
+        params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
+        kwargs = {"replicas": 2, **kwargs}
+        with pytest.raises(DomainError, match=name):
+            run_ensemble(DIST30, 200, params, 2, **kwargs)

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netepi import cli
 from netepi.cli import execute, main
@@ -227,6 +229,14 @@ class TestExecute:
         assert field_of(err) == "abm.replicas"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_execute_rejects_bad_seed(self, tmp_path, seed):
+        spec = parse_config_data({**FIG1, "abm": {"n": 200, "replicas": 2}})
+        with pytest.raises(ConfigError) as err:
+            execute(spec, "run-abm", seed=seed, out_dir=tmp_path / "o")
+        assert field_of(err) == "seed"
+        assert not (tmp_path / "o").exists()
+
     def test_phase_closed_loop(self, tmp_path):
         spec = parse_config_data({
             **FIG1, "t_span": [0, 400], "dt": 0.2,
@@ -291,20 +301,14 @@ class TestExecute:
 
 
 class TestReplacingWrites:
-    def test_interrupted_csv_write_keeps_old_file(self, tmp_path, monkeypatch):
+    def test_interrupted_csv_write_keeps_old_file(self, tmp_path):
         target = tmp_path / "ensemble.csv"
         target.write_text("old\n")
-        calls = []
-
-        def fmt_then_fail(value):
-            calls.append(value)
-            if len(calls) > 3:
-                raise RuntimeError("interrupted")
-            return str(value)
-
-        monkeypatch.setattr(cli, "_fmt", fmt_then_fail)
-        with pytest.raises(RuntimeError):
-            cli._write_csv(target, ["a", "b"], [[1, 2], [3, 4], [5, 6]])
+        # the last row cannot be formatted, after ~1 MB of rows went to disk
+        values = np.arange(100_000, dtype=float).astype(object)
+        values[-1] = "interrupted"
+        with pytest.raises(TypeError):
+            cli._write_csv(target, ["a", "b"], [np.arange(100_000), values])
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["ensemble.csv"]
 
@@ -319,7 +323,7 @@ class TestReplacingWrites:
     def test_completed_write_replaces_target(self, tmp_path):
         target = tmp_path / "ensemble.csv"
         target.write_text("old\n")
-        cli._write_csv(target, ["a", "b"], [[1, 0.5]])
+        cli._write_csv(target, ["a", "b"], [[1], [0.5]])
         assert target.read_text() == "a,b\n1,0.5\n"
         assert [p.name for p in tmp_path.iterdir()] == ["ensemble.csv"]
 
@@ -361,6 +365,19 @@ class TestCliProcess:
         assert result.exit_code == 0, result.output
         rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
         assert len(rows) == 802 and rows[-1].startswith("400,")
+
+    def test_readme_hiv_msm_final_size_is_a_fraction(self, tmp_path):
+        cfg = self.write(tmp_path, {
+            "model": "hiv_msm", "lambda": 0.44, "rho0": 0.0032, "d": 0.02,
+            "distribution": {"type": "power_law", "gamma": 1.6, "k_min": 1, "k_max": 250},
+            "t_span": [1980, 2005], "dt": 0.5,
+            "treatment": {"epochs": [1988, 1996], "coverages": [0.3, 0.7]},
+        })
+        result = CliRunner().invoke(main, ["run-ode", "--config", cfg,
+                                           "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        final_size = float(result.output.split("final_size=")[1].split()[0])
+        assert 0.0 < final_size <= 1.0
 
     def test_io_error_exit_code(self, tmp_path):
         runner = CliRunner()
@@ -478,3 +495,145 @@ class TestCliProcess:
         assert result.exit_code == 0
         report = json.loads((tmp_path / "o" / "fit.json").read_text())
         assert report["parameters"]["lambda"] == pytest.approx(0.05, abs=1e-3)
+
+
+# A valid config that exercises every section parse_config_data knows.
+FULL = {
+    "model": "hiv_hetero", "lambda": 0.3, "mu": 0.0, "rho0": 0.01, "d": 0.02,
+    "rho0_2": 0.005, "treatment_efficacy": 0.4, "asymmetry": 0.5, "side_fraction": 0.5,
+    "stage_rates": [0.2, 0.1], "t_span": [0, 20], "method": "rk4", "dt": 0.5,
+    "link_mode": "active", "per_degree": True, "out_dir": "out",
+    "distribution": {"type": "power_law", "gamma": 2.5, "k_min": 1, "k_max": 20},
+    "distribution2": {"type": "weights", "k_min": 2, "weights": [1, 2, 1]},
+    "treatment": {"initial_coverage": 0.1, "epochs": [5], "coverages": [0.5]},
+    "abm": {"n": 500, "replicas": 4, "seed": 3, "rewire": "full"},
+    "compare": {"band_sigmas": 3.0},
+    "sensitivity": {"ranges": {"lambda": [0.1, 0.4]}, "n_base": 64, "seed": 1,
+                    "output": "incidence"},
+    "phase": {"m": 2, "n": 3, "variant": "infected", "population": 1},
+    "fit": {"free": {"lambda": [0.1, 0.5]}, "initial": {"lambda": 0.3},
+            "observed": [[1, 0.01], [2, 0.02]], "output": "incidence"},
+}
+
+# field path -> (JSON kind it takes, values outside its range)
+FIELDS = {
+    "model": ("str", ["sir"]),
+    "lambda": ("number", [-0.1, 1.5]),
+    "mu": ("number", [-0.1, 0.5]),
+    "rho0": ("number", [0, 1, 1.5]),
+    "d": ("number", [-0.01, 2]),
+    "rho0_2": ("number", [-0.1, 1]),
+    "treatment_efficacy": ("number", [-1, 1.01]),
+    "asymmetry": ("number", [-0.5, 2]),
+    "side_fraction": ("number", [0, 1]),
+    "stage_rates": ("list", [[1.5], [-0.1, 0.2], [], [float("nan")], [[0.1], [0.2, 0.3]]]),
+    "t_span": ("list", [[5, 1], [0], [0, 1, 2], [0, float("inf")]]),
+    "method": ("str", ["midpoint"]),
+    "dt": ("number", [0, -0.5]),
+    "link_mode": ("str", ["passive"]),
+    "per_degree": ("bool", []),
+    "out_dir": ("str", []),
+    "distribution": ("object", []),
+    "distribution.type": ("str", ["normal"]),
+    "distribution.gamma": ("number", [0, -2]),
+    "distribution.k_min": ("int", [0, -1]),
+    "distribution.k_max": ("int", [0]),
+    "distribution2": ("object", []),
+    "distribution2.type": ("str", ["binomial"]),
+    "distribution2.k_min": ("int", [0]),
+    "distribution2.weights": ("list", [[], [-1, 2], [0, 0], [1, float("nan")]]),
+    "treatment": ("object", []),
+    "treatment.initial_coverage": ("number", [1.5, -0.1]),
+    "treatment.epochs": ("list", [[float("nan")]]),
+    "treatment.coverages": ("list", [[1.5]]),
+    "abm": ("object", []),
+    "abm.n": ("int", [1, 0]),
+    "abm.replicas": ("int", [1]),
+    "abm.seed": ("int", [-1]),
+    "abm.rewire": ("str", ["partial"]),
+    "compare": ("object", []),
+    "compare.band_sigmas": ("number", [0, -1]),
+    "sensitivity": ("object", []),
+    "sensitivity.ranges": ("object", [{}]),
+    "sensitivity.ranges.lambda": ("list", [[0.4, 0.1], [0.1], [0.1, float("nan")]]),
+    "sensitivity.n_base": ("int", [63]),
+    "sensitivity.seed": ("int", [-3]),
+    "sensitivity.output": ("str", ["peak"]),
+    "phase": ("object", []),
+    "phase.m": ("int", []),
+    "phase.n": ("int", []),
+    "phase.variant": ("str", ["sick"]),
+    "phase.population": ("int", [0, 3]),
+    "fit": ("object", []),
+    "fit.free": ("object", [{}]),
+    "fit.free.lambda": ("list", [[0.5, 0.1], [float("-inf"), 0.1]]),
+    "fit.initial": ("object", []),
+    "fit.initial.lambda": ("number", []),
+    "fit.observed": ("list", [[], [[1]], [[1, float("nan")]]]),
+    "fit.output": ("str", ["peak"]),
+}
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400]
+WRONG_TYPE = {
+    "number": ["0.1", None, True, [0.1], {"v": 0.1}],
+    "int": ["3", None, True, 2.5, [3], {}],
+    "str": [3, None, True, ["x"], {}],
+    "bool": [1, 0, "true", None, []],
+    "list": ["x", 3, None, True, {}],
+    "object": ["x", 3, None, True, []],
+}
+REQUIRED = ["model", "lambda", "rho0", "t_span", "distribution", "distribution.type",
+            "distribution.gamma", "distribution.k_max", "distribution2.type",
+            "distribution2.weights", "treatment.epochs", "treatment.coverages",
+            "sensitivity.ranges", "phase.m", "phase.n", "fit.free", "fit.initial",
+            "fit.observed", "fit.initial.lambda"]
+SECTIONS = ["", "distribution", "distribution2", "treatment", "abm", "compare", "sensitivity",
+            "sensitivity.ranges", "phase", "fit", "fit.free", "fit.initial"]
+# names no section accepts
+UNKNOWN = st.from_regex(r"x_[a-z0-9_]{0,10}", fullmatch=True)
+
+
+def mutated(path, action):
+    """A deep copy of FULL with ``action(parent, key)`` applied at ``path``."""
+    cfg = json.loads(json.dumps(FULL))
+    *parents, key = path.split(".")
+    node = cfg
+    for name in parents:
+        node = node[name]
+    action(node, key)
+    return cfg
+
+
+@st.composite
+def malformed(draw):
+    """(config, field path the diagnostic must name)."""
+    how = draw(st.sampled_from(["wrong_type", "out_of_range", "unknown_key", "missing"]))
+    if how == "missing":
+        path = draw(st.sampled_from(REQUIRED))
+        return mutated(path, lambda node, key: node.pop(key)), path
+    if how == "unknown_key":
+        section, key = draw(st.sampled_from(SECTIONS)), draw(UNKNOWN)
+        path = f"{section}.{key}" if section else key
+        return mutated(path, lambda node, k: node.__setitem__(k, 1)), path
+    path = draw(st.sampled_from(sorted(FIELDS)))
+    kind, out_of_range = FIELDS[path]
+    if how == "wrong_type":
+        values = WRONG_TYPE[kind]
+    else:
+        values = out_of_range + (NON_FINITE if kind == "number" else [])
+        if not values:
+            values = WRONG_TYPE[kind]
+    value = draw(st.sampled_from(values))
+    return mutated(path, lambda node, key: node.__setitem__(key, value)), path
+
+
+class TestMalformedConfigs:
+    def test_base_config_is_valid(self):
+        assert parse_config_data(FULL).model == "hiv_hetero"
+
+    @given(malformed())
+    @settings(max_examples=400, deadline=None)
+    def test_names_the_mutated_field(self, case):
+        cfg, path = case
+        with pytest.raises(ConfigError) as err:
+            parse_config_data(cfg)
+        assert field_of(err) == path, str(err.value)

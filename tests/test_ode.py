@@ -78,8 +78,9 @@ class TestClassicRhs:
         np.testing.assert_array_equal(classic.susceptible, single.susceptible)
         np.testing.assert_array_equal(classic.prevalence, single.prevalence)
         np.testing.assert_array_equal(classic.removed, single.removed)
-        # replenishment feeds the epidemic: larger than the d = 0 final size
-        assert classic.final_size() > 0.85
+        # replenishment feeds the epidemic: more exits plus standing infected
+        # than the d = 0 final size (final_size() is 1 - s, which d refills)
+        assert classic.removed[-1] + classic.prevalence[-1] > 0.85
 
 
 class TestLinkProbability:
@@ -471,6 +472,26 @@ class TestIntegrate:
         traj = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 50), 0.5, "rk4")
         for st in states(traj)[::20]:
             assert st.removed_k.sum() == pytest.approx(st.r, abs=1e-14)
+
+
+class TestFinalSize:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_is_removed_plus_prevalence_without_demography(self, name):
+        params = EpidemicParams(lam=0.3, mu=0.0 if name.startswith("hiv") else 0.1,
+                                rho0=0.01, lam2=0.1)
+        kwargs = {"stage_rates": [0.2, 0.1]} if name.startswith("hiv") else {}
+        traj = integrate(build_model(name, params, truncated_power_law(2.5, 1, 20), **kwargs),
+                         (0, 40), 0.5, "rk4")
+        assert traj.final_size() == 1.0 - traj.susceptible[-1]
+        assert traj.final_size() == pytest.approx(traj.removed[-1] + traj.prevalence[-1],
+                                                  abs=1e-12)
+
+    def test_demography_keeps_it_a_fraction(self):
+        params = EpidemicParams(lam=0.3, rho0=0.01, d=0.05)
+        traj = integrate(build_model("hiv_msm", params, truncated_power_law(2.7, 1, 60)),
+                         (0, 400), 0.5, "rk4")
+        assert traj.removed[-1] + traj.prevalence[-1] > 1.0
+        assert 0.0 <= traj.final_size() == 1.0 - traj.susceptible[-1] <= 1.0
 
 
 class TestBuildModel:
