@@ -11,7 +11,8 @@ stratified model approximates:
      probability mu,
   3. removed nodes are deleted from the network,
   4. optional demographic replenishment adds susceptibles back toward their
-     initial per-degree counts at rate d,
+     initial per-degree counts at rate d, the per-degree deficit taken from
+     the susceptible counts at the start of the step,
   5. with rewire="full" a fresh configuration-model pairing is drawn over
      the surviving nodes (their target degrees persist).
 
@@ -35,7 +36,6 @@ resulting stream.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,14 +173,16 @@ def simulate_epidemic(
     incidence = np.zeros(steps + 1)
 
     def tally(row):
-        # one bincount over (compartment code, degree) cells
+        # one bincount over (compartment code, degree) cells; returns the
+        # per-degree susceptible counts
         counts = np.bincount(state.astype(np.intp) * nk + (degrees - dist.k_min),
                              minlength=4 * nk).reshape(4, nk)
         s_k[row] = counts[SUSCEPTIBLE] / n
         rho_k[row] = (counts[INFECTED] + counts[INFECTED_TREATED]) / n
         removed_k[row] = counts[REMOVED] / n
+        return counts[SUSCEPTIBLE]
 
-    tally(0)
+    initial_susceptible = susceptible = tally(0)
 
     for step in range(1, steps + 1):
         prev_coverage = coverage
@@ -215,10 +217,10 @@ def simulate_epidemic(
         state[removed_now] = REMOVED
         incidence[step] = new_infected.size / n
 
-        # (4) demographic replenishment toward initial susceptible counts
+        # (4) demographic replenishment toward initial susceptible counts, with
+        # the deficit taken at the start of the step like the euler dt=1 ODE
         if params.d > 0:
-            current = np.bincount(degrees[state == SUSCEPTIBLE] - dist.k_min, minlength=nk)
-            deficit = np.maximum(np.round(s_k[0] * n).astype(np.int64) - current, 0)
+            deficit = np.maximum(initial_susceptible - susceptible, 0)
             additions = rng.binomial(deficit, params.d)
             total_add = int(additions.sum())
             if total_add:
@@ -234,7 +236,7 @@ def simulate_epidemic(
             keep = (state[edges_u] != REMOVED) & (state[edges_v] != REMOVED)
             edges_u, edges_v = edges_u[keep], edges_v[keep]
 
-        tally(step)
+        susceptible = tally(step)
 
     # the stratified one-type, one-stage layout: s_k | rho_k | removed_k
     return Trajectory(
@@ -320,8 +322,12 @@ def run_ensemble(
         raise DomainError(f"replicas must be an integer >= 2, got {replicas!r}")
     if not (is_integer(n_jobs) and n_jobs >= 1):
         raise DomainError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
+    if not (is_integer(base_seed) and base_seed >= 0):
+        raise DomainError(f"base_seed must be an integer >= 0, got {base_seed!r}")
     jobs = [(dist, n, params, steps, rewire, schedule, base_seed, r, t0) for r in range(replicas)]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             trajectories = list(pool.map(_run_replica, jobs, chunksize=max(1, replicas // (4 * n_jobs))))
     else:

@@ -14,14 +14,12 @@ during integration, never from differencing the outputs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .abm import EnsembleSummary
-from .errors import DomainError
+from .errors import DomainError, is_integer
 from .ode import Trajectory
 
 # relative variance below which an index is reported as undefined (NaN)
@@ -55,6 +53,8 @@ def _evaluate(runner, rows, parameters, output, n_jobs):
         return getattr(traj, output)
 
     if n_jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(one, rows))
     else:
@@ -79,6 +79,8 @@ def sobol_first_order(
     """
     if n_base < 64:
         raise DomainError(f"n_base must be >= 64, got {n_base}")
+    if not (is_integer(seed) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     if not ranges:
         raise DomainError("at least one parameter range is required")
     if output not in ("incidence", "prevalence"):
@@ -255,6 +257,8 @@ def fit_parameters(
         if grid_index is None:
             grid_index = _match_grid(traj.times, observed_times)
         return float(np.sum((series[grid_index] - observed) ** 2))
+
+    from scipy.optimize import minimize  # the only scipy user; loaded on the first fit
 
     r0 = residual(x0)
     result = minimize(

@@ -441,6 +441,15 @@ def parse_config_data(data) -> SimulationSpec:
             "n": _get(ph, "phase", "n", int, required=True),
             "variant": variant, "population": population,
         }
+        if population == 2 and model not in TWO_POP_MODELS:
+            raise ConfigError("phase.population", f"model {model!r} has one population")
+        # classic has no distribution: its one degree is 1
+        chosen = build_distribution(dist if population == 1 else dist2 or dist) if dist else None
+        lo, hi = (chosen.k_min, chosen.k_max) if chosen else (1, 1)
+        for key in ("m", "n"):
+            if not lo <= phase[key] <= hi:
+                raise ConfigError(f"phase.{key}", f"degree {phase[key]} outside the degree "
+                                  f"support [{lo}, {hi}] of population {population}")
 
     fit = None
     if "fit" in data:

@@ -10,6 +10,7 @@ from netepi.abm import (
     simulate_epidemic,
     summarize_trajectories,
 )
+from netepi.analysis import compare_ode_abm
 from netepi.degree import from_weights, truncated_power_law
 from netepi.errors import DomainError
 from netepi.ode import EpidemicParams, TreatmentSchedule, build_model, integrate
@@ -223,10 +224,26 @@ class TestEnsemble:
         ({"replicas": 2.5}, "replicas"), ({"replicas": "3"}, "replicas"),
         ({"replicas": True}, "replicas"), ({"replicas": 2.0}, "replicas"),
         ({"n_jobs": 0}, "n_jobs"), ({"n_jobs": -2}, "n_jobs"), ({"n_jobs": 1.5}, "n_jobs"),
-        ({"n_jobs": True}, "n_jobs"),
+        ({"n_jobs": True}, "n_jobs"), ({"base_seed": -1}, "base_seed"),
+        ({"base_seed": 2.0}, "base_seed"), ({"base_seed": "3"}, "base_seed"),
+        ({"base_seed": True}, "base_seed"), ({"base_seed": None}, "base_seed"),
     ])
     def test_rejects_bad_counts(self, kwargs, name):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
         kwargs = {"replicas": 2, **kwargs}
         with pytest.raises(DomainError, match=name):
             run_ensemble(DIST30, 200, params, 2, **kwargs)
+
+
+class TestDemographyAgreement:
+    def test_replenishment_matches_euler_ode(self):
+        # d > 0: the ABM replenishes the deficit counted at the start of the
+        # step, the same state the euler dt=1 ODE replenishes from; c05/c06's
+        # bounds (coverage >= 0.90, peak deviation <= 0.10)
+        dist = truncated_power_law(2.7, 1, 30)
+        params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.01, d=0.05)
+        ens = run_ensemble(dist, 20000, params, 60, replicas=20, base_seed=20250810)
+        ode = integrate(build_model("stratified", params, dist), (0, 60), 1.0, "euler")
+        report = compare_ode_abm(ode, ens, band_sigmas=3.0)
+        assert report.coverage >= 0.90
+        assert report.peak_relative_deviation <= 0.10

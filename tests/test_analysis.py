@@ -83,6 +83,14 @@ class TestSobol:
         with pytest.raises(DomainError):
             sobol_first_order(runner, {"x1": (0, 1)}, n_base=64, output="peak")
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, 1.5, "3", True, None])
+    def test_rejects_bad_seed(self, seed):
+        def runner(p):
+            return flat_output(p["x1"])
+
+        with pytest.raises(DomainError, match="seed"):
+            sobol_first_order(runner, {"x1": (0, 1)}, n_base=64, seed=seed)
+
 
 class TestPhaseSeries:
     def test_starts_at_initial_state_and_rhs(self):

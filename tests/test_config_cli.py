@@ -11,7 +11,7 @@ from netepi import cli
 from netepi.cli import execute, main
 from netepi.config import parse_config, parse_config_data, run_trajectory
 from netepi.errors import ConfigError
-from netepi.ode import integrate
+from netepi.ode import MODEL_NAMES, integrate
 from netepi.config import build_spec_model
 
 DATA = Path(__file__).parent / "data"
@@ -30,6 +30,20 @@ FIG1 = {
 
 def field_of(err):
     return err.value.field
+
+
+def phase_config(model, population, phase):
+    """A valid ``model`` config with a phase section for ``population``:
+    distribution k 1..20, distribution2 (two-population models) k 2..4."""
+    cfg = {"model": model, "lambda": 0.2, "rho0": 0.01, "t_span": [0, 5],
+           "phase": {**phase, "population": population}}
+    if model != "classic":
+        cfg["distribution"] = {"type": "power_law", "gamma": 2.5, "k_min": 1, "k_max": 20}
+    if model == "bipartite":
+        cfg["lambda2"] = 0.1
+    if model in ("bipartite", "hiv_hetero"):
+        cfg["distribution2"] = {"type": "weights", "k_min": 2, "weights": [1, 2, 1]}
+    return cfg
 
 
 class TestParseConfig:
@@ -114,6 +128,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config_data(cfg)
         assert field_of(err) == "treatment"
+
+    @pytest.mark.parametrize("model,population,phase,field", [
+        # classic is the single degree k = 1
+        ("classic", 1, {"m": 2, "n": 1}, "phase.m"),
+        # population 1: distribution k 1..20
+        ("hiv_hetero", 1, {"m": 20, "n": 21}, "phase.n"),
+        # population 2 of bipartite/hiv_hetero: distribution2 k 2..4
+        ("bipartite", 2, {"m": 1, "n": 3}, "phase.m"),
+        ("hiv_hetero", 2, {"m": 4, "n": 5}, "phase.n"),
+        ("hiv_hetero", 2, {"m": 20, "n": 2}, "phase.m"),
+        ("stratified", 2, {"m": 1, "n": 1}, "phase.population"),
+    ])
+    def test_phase_degrees_outside_support(self, model, population, phase, field):
+        with pytest.raises(ConfigError) as err:
+            parse_config_data(phase_config(model, population, phase))
+        assert field_of(err) == field
+
+    def test_phase_population_two_defaults_to_first_distribution(self):
+        cfg = phase_config("hiv_hetero", 2, {"m": 20, "n": 20})
+        del cfg["distribution2"]
+        assert parse_config_data(cfg).phase["m"] == 20
+        cfg["phase"]["m"] = 21
+        with pytest.raises(ConfigError) as err:
+            parse_config_data(cfg)
+        assert field_of(err) == "phase.m"
 
     def test_weights_distribution(self):
         cfg = {**FIG1, "distribution": {"type": "weights", "k_min": 2, "weights": [1, 0, 3]}}
@@ -341,6 +380,15 @@ class TestCliProcess:
         assert result.exit_code == 1
         assert "lambda" in result.output
 
+    def test_phase_degree_outside_support_exit_code(self, tmp_path):
+        cfg = self.write(tmp_path, {**FIG1, "distribution": {
+            "type": "power_law", "gamma": 3, "k_min": 1, "k_max": 10},
+            "phase": {"m": 40, "n": 1}})
+        result = CliRunner().invoke(main, ["phase", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "phase.m" in result.output
+        assert not (tmp_path / "phase.csv").exists()
+
     def test_stability_error_exit_code(self, tmp_path):
         runner = CliRunner()
         cfg = self.write(tmp_path, {
@@ -560,8 +608,8 @@ FIELDS = {
     "sensitivity.seed": ("int", [-3]),
     "sensitivity.output": ("str", ["peak"]),
     "phase": ("object", []),
-    "phase.m": ("int", []),
-    "phase.n": ("int", []),
+    "phase.m": ("int", [0, 21]),
+    "phase.n": ("int", [-1, 40]),
     "phase.variant": ("str", ["sick"]),
     "phase.population": ("int", [0, 3]),
     "fit": ("object", []),
@@ -624,6 +672,121 @@ def malformed(draw):
             values = WRONG_TYPE[kind]
     value = draw(st.sampled_from(values))
     return mutated(path, lambda node, key: node.__setitem__(key, value)), path
+
+
+FRACTION = st.floats(0, 1)
+OPEN_FRACTION = st.floats(0, 1, exclude_min=True, exclude_max=True)
+
+
+def optional(draw, cfg, key, strategy):
+    if draw(st.booleans()):
+        cfg[key] = draw(strategy)
+
+
+@st.composite
+def distributions(draw):
+    """(distribution section, its degree support)."""
+    k_min = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        k_max = draw(st.integers(k_min, 40))
+        return ({"type": "power_law", "gamma": draw(st.floats(0.5, 4)), "k_min": k_min,
+                 "k_max": k_max}, (k_min, k_max))
+    weights = draw(st.lists(st.integers(0, 5) | st.floats(0, 5), min_size=1, max_size=8)
+                   .filter(lambda w: sum(w) > 0))
+    return {"type": "weights", "k_min": k_min, "weights": weights}, (k_min, k_min + len(weights) - 1)
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid config for any of the six models, optional sections drawn in or out."""
+    model = draw(st.sampled_from(MODEL_NAMES))
+    two_pop = model in ("bipartite", "hiv_hetero")
+    hiv = model in ("hiv_msm", "hiv_hetero")
+    t0 = draw(st.integers(-10, 10) | st.floats(-10, 10))
+    cfg = {"model": model, "lambda": draw(FRACTION), "rho0": draw(OPEN_FRACTION),
+           "t_span": [t0, t0 + draw(st.floats(0.5, 100))]}
+    staged = model != "classic" and draw(st.booleans())
+    if not hiv and not staged:
+        optional(draw, cfg, "mu", FRACTION)
+    for key in ("d", "treatment_efficacy"):
+        optional(draw, cfg, key, FRACTION)
+    optional(draw, cfg, "method", st.sampled_from(["euler", "rk4"]))
+    optional(draw, cfg, "dt", st.floats(1e-3, 2))
+    optional(draw, cfg, "link_mode", st.sampled_from(["active", "fixed"]))
+    optional(draw, cfg, "per_degree", st.booleans())
+    optional(draw, cfg, "out_dir", st.text(max_size=8))
+    supports = [(1, 1)]
+    if model != "classic":
+        cfg["distribution"], support = draw(distributions())
+        supports = [support, support]
+    if model in ("two_type", "bipartite"):
+        cfg["lambda2"] = draw(FRACTION)
+    if two_pop:
+        optional(draw, cfg, "rho0_2", st.floats(0, 1, exclude_max=True))
+        optional(draw, cfg, "side_fraction", OPEN_FRACTION)
+        if draw(st.booleans()):
+            cfg["distribution2"], supports[1] = draw(distributions())
+    if model == "two_type":
+        optional(draw, cfg, "split", st.just("hazard") | FRACTION)
+        optional(draw, cfg, "rho0_type2", FRACTION)
+    if model == "hiv_hetero":
+        optional(draw, cfg, "asymmetry", FRACTION)
+    if staged:
+        types = 2 if model in ("two_type", "hiv_msm", "hiv_hetero") else 1
+        stages = draw(st.integers(1, 3))
+        rows = [draw(st.lists(FRACTION, min_size=stages, max_size=stages))
+                for _ in range(types)]
+        cfg["stage_rates"] = rows if types > 1 and draw(st.booleans()) else rows[0]
+    if hiv and draw(st.booleans()):
+        epochs = sorted(set(draw(st.lists(st.floats(-10, 110), max_size=3))))
+        cfg["treatment"] = {"epochs": epochs,
+                            "coverages": [draw(FRACTION) for _ in epochs]}
+        optional(draw, cfg["treatment"], "initial_coverage", FRACTION)
+    if draw(st.booleans()):
+        cfg["abm"] = {}
+        optional(draw, cfg["abm"], "n", st.integers(2, 10 ** 6))
+        optional(draw, cfg["abm"], "replicas", st.integers(2, 500))
+        optional(draw, cfg["abm"], "seed", st.integers(0, 2 ** 63))
+        optional(draw, cfg["abm"], "rewire", st.sampled_from(["full", "none"]))
+    if draw(st.booleans()):
+        cfg["compare"] = {}
+        optional(draw, cfg["compare"], "band_sigmas", st.floats(0.1, 10))
+    tunable = st.sampled_from(["lambda", "mu", "rho0", "d", "gamma"])
+    bounds = st.tuples(st.floats(-1, 1), st.floats(0.01, 1)).map(lambda p: [p[0], p[0] + p[1]])
+    if draw(st.booleans()):
+        ranges = draw(st.dictionaries(tunable, bounds, min_size=1, max_size=3))
+        cfg["sensitivity"] = {"ranges": ranges}
+        optional(draw, cfg["sensitivity"], "n_base", st.integers(64, 4096))
+        optional(draw, cfg["sensitivity"], "seed", st.integers(0, 2 ** 32))
+        optional(draw, cfg["sensitivity"], "output", st.sampled_from(["incidence", "prevalence"]))
+    if draw(st.booleans()):
+        population = draw(st.sampled_from([1, 2] if two_pop else [1]))
+        lo, hi = supports[population - 1]
+        cfg["phase"] = {"m": draw(st.integers(lo, hi)), "n": draw(st.integers(lo, hi))}
+        if population == 2 or draw(st.booleans()):
+            cfg["phase"]["population"] = population
+        optional(draw, cfg["phase"], "variant", st.sampled_from(["infected", "healthy"]))
+    if draw(st.booleans()):
+        free = draw(st.dictionaries(tunable, bounds, min_size=1, max_size=3))
+        cfg["fit"] = {"free": free, "initial": {k: draw(st.floats(-2, 2)) for k in free}}
+        if draw(st.booleans()):
+            cfg["fit"]["observed"] = draw(st.lists(
+                st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2), min_size=1, max_size=4))
+        else:
+            cfg["fit"]["observed_csv"] = draw(st.text(min_size=1, max_size=8))
+        optional(draw, cfg["fit"], "output", st.sampled_from(["incidence", "prevalence"]))
+    return cfg
+
+
+class TestRoundTripProperty:
+    @given(valid_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_dict_parses_back_to_equal_spec(self, cfg):
+        spec = parse_config_data(cfg)
+        canonical = spec.canonical_dict()
+        again = parse_config_data(json.loads(json.dumps(canonical)))
+        assert again == spec
+        assert again.canonical_dict() == canonical
 
 
 class TestMalformedConfigs:

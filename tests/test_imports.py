@@ -1,0 +1,80 @@
+"""Cold start: ``import netepi.cli`` loads only what every command needs.
+
+scipy is used only by ``fit_parameters`` (Nelder-Mead) and the executor
+pools only by ``n_jobs > 1`` runs, so each is imported inside the code path
+that uses it.  These checks run in fresh interpreters, because the test
+process itself has long since imported scipy.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# defines heavy(): the loaded modules that only fit and n_jobs > 1 runs need
+HEAVY = """
+import json, sys
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing")
+                  or m == "concurrent.futures.process")
+"""
+
+FIT = HEAVY + """
+from netepi.analysis import fit_parameters
+from netepi.config import parse_config_data, run_trajectory
+spec = parse_config_data({"model": "stratified", "lambda": 0.3, "mu": 0.1, "rho0": 0.01,
+    "distribution": {"type": "power_law", "gamma": 2.5, "k_min": 1, "k_max": 20},
+    "t_span": [0, 20], "method": "euler", "dt": 1.0})
+truth = run_trajectory(spec)
+before = heavy()
+res = fit_parameters(lambda p: run_trajectory(spec, p), truth.times[::4], truth.incidence[::4],
+                     free={"lambda": (0.05, 0.6), "mu": (0.01, 0.5)},
+                     initial={"lambda": 0.2, "mu": 0.2})
+print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
+                  "lambda": res.parameters["lambda"].hex(), "mu": res.parameters["mu"].hex(),
+                  "residual": res.residual.hex(), "iterations": res.iterations,
+                  "converged": res.converged}))
+"""
+
+# what FIT printed before scipy and the pools moved into their call sites
+PARENT_FIT = {"lambda": "0x1.33333318f415ap-2", "mu": "0x1.999998054aa7ap-4",
+              "converged": True}
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter on this checkout; return its JSON output."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("module", ["netepi", "netepi.cli"])
+def test_import_loads_no_scipy_or_process_pool(module):
+    assert run_fresh(HEAVY + f"import {module}\nprint(json.dumps(heavy()))") == []
+
+
+def test_fit_loads_scipy_on_first_call_with_the_parent_result():
+    fresh = run_fresh(FIT)
+    assert fresh.pop("before") == []
+    assert fresh.pop("after") is True
+    # scipy already loaded: the same code gives the same bits
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        exec(FIT, {})
+    in_process = json.loads(buffer.getvalue())
+    del in_process["before"], in_process["after"]
+    assert fresh == in_process
+    # the parent's bits; a CPU with other libm rounding may move the simplex
+    # path, so there the fitted point need only agree within the solver's xatol
+    assert fresh["converged"] is PARENT_FIT["converged"]
+    for key in ("lambda", "mu"):
+        assert float.fromhex(fresh[key]) == pytest.approx(
+            float.fromhex(PARENT_FIT[key]), abs=1e-7)
