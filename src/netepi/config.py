@@ -39,10 +39,21 @@ from .ode import (
 TWO_POP_MODELS = ("bipartite", "hiv_hetero")
 HIV_MODELS = ("hiv_msm", "hiv_hetero")
 
-# parameters the sensitivity and fit commands may vary
-TUNABLE = ("lambda", "mu", "rho0", "d", "lambda2", "treatment_efficacy", "gamma")
-# spec fields passed to the model builders that take them
-_MODEL_OPTIONS = ("split", "rho0_type2", "asymmetry", "side_fraction", "stage_rates")
+# parameters the sensitivity and fit commands may vary, each with its domain
+# (lower, upper, lower open, upper open)
+_DOMAINS = {
+    "lambda": (0, 1, False, False), "mu": (0, 1, False, False), "rho0": (0, 1, True, True),
+    "d": (0, 1, False, False), "lambda2": (0, 1, False, False),
+    "treatment_efficacy": (0, 1, False, False), "gamma": (0, float("inf"), True, True),
+}
+TUNABLE = tuple(_DOMAINS)
+# spec fields passed to the model builders that take them, per model
+_MODEL_OPTIONS = {
+    name: tuple(option for option in ("split", "rho0_type2", "asymmetry", "side_fraction",
+                                      "stage_rates")
+                if option in inspect.signature(builder).parameters)
+    for name, builder in MODEL_BUILDERS.items()
+}
 
 
 def _expect(mapping, path, known):
@@ -124,7 +135,9 @@ def build_distribution(spec_dict) -> DegreeDistribution:
     return from_weights(spec_dict["k_min"], spec_dict["weights"])
 
 
-def _parse_bounds_map(obj, path):
+def _parse_bounds_map(obj, path, model, dist, stage_rates):
+    """Parameter ranges inside each parameter's domain, for parameters the
+    model uses as configured."""
     if not isinstance(obj, dict) or not obj:
         raise ConfigError(path, "expected a nonempty object of parameter ranges")
     out = {}
@@ -137,6 +150,16 @@ def _parse_bounds_map(obj, path):
         lo, hi = (_number(full, v) for v in pair)
         if hi <= lo:
             raise ConfigError(full, f"lower {lo} must be below upper {hi}")
+        for bound in (lo, hi):
+            _check_range(full, bound, *_DOMAINS[name])
+        if name == "lambda2" and model not in ("two_type", "bipartite"):
+            raise ConfigError(full, f"not used by model {model!r}")
+        if name == "gamma" and (dist is None or dist["type"] != "power_law"):
+            raise ConfigError(full, "can only be varied on a power_law distribution")
+        if name == "mu" and model in HIV_MODELS:
+            raise ConfigError(full, "hiv models remove through demography; mu must be 0")
+        if name == "mu" and stage_rates is not None:
+            raise ConfigError(full, "stage_rates replaces mu; mu must stay 0")
         out[name] = (lo, hi)
     return out
 
@@ -412,7 +435,7 @@ def parse_config_data(data) -> SimulationSpec:
             raise ConfigError("sensitivity", "expected an object")
         _expect(sen, "sensitivity", {"ranges", "n_base", "seed", "output"})
         ranges = _parse_bounds_map(_get(sen, "sensitivity", "ranges", dict, required=True),
-                                   "sensitivity.ranges")
+                                   "sensitivity.ranges", model, dist, stage_rates)
         n_base = _get(sen, "sensitivity", "n_base", int, default=512)
         if n_base < 64:
             raise ConfigError("sensitivity.n_base", f"must be >= 64, got {n_base}")
@@ -457,7 +480,8 @@ def parse_config_data(data) -> SimulationSpec:
         if not isinstance(ft, dict):
             raise ConfigError("fit", "expected an object")
         _expect(ft, "fit", {"free", "initial", "observed", "observed_csv", "output"})
-        free = _parse_bounds_map(_get(ft, "fit", "free", dict, required=True), "fit.free")
+        free = _parse_bounds_map(_get(ft, "fit", "free", dict, required=True), "fit.free",
+                                 model, dist, stage_rates)
         initial_obj = _get(ft, "fit", "initial", dict, required=True)
         initial = {name: _get(initial_obj, "fit.initial", name, float, required=True)
                    for name in free}
@@ -533,8 +557,7 @@ def build_spec_model(spec: SimulationSpec, overrides: dict | None = None):
 
     dist = build_distribution(dist_dict) if dist_dict else None
     dist2 = build_distribution(spec.distribution2) if spec.distribution2 else None
-    accepted = inspect.signature(MODEL_BUILDERS[spec.model]).parameters
-    kwargs = {name: getattr(spec, name) for name in _MODEL_OPTIONS if name in accepted}
+    kwargs = {name: getattr(spec, name) for name in _MODEL_OPTIONS[spec.model]}
     if spec.treatment is not None:
         kwargs["coverage"] = spec.treatment.initial_coverage
     return build_model(spec.model, params, dist=dist, dist2=dist2,

@@ -110,21 +110,23 @@ class StratifiedState:
 
 
 def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
-    """Link probabilities (one per infected type) from the current state.
+    """Link probabilities (one Python float per infected type) from the
+    current state.
 
     Active-denominator mode divides infected edge mass by the edge mass of
     all still-present nodes (removed nodes leave the network); passing
     ``fixed_edge_mass`` divides by the static initial edge mass instead.
-    Returns (p_array, extinct).
+    ``rho_types`` holds one row of infected fractions per type.  Returns
+    (probabilities, extinct).
     """
-    infected_mass = rho_types @ degrees
+    infected_mass = (rho_types @ degrees).tolist()
     if fixed_edge_mass is None:
-        denom = float(degrees @ s) + float(infected_mass.sum())
+        denom = float(degrees @ s) + sum(infected_mass)
     else:
         denom = fixed_edge_mass
     if denom <= 0.0:
-        return np.zeros(len(rho_types)), True
-    return np.clip(infected_mass / denom, 0.0, 1.0), False
+        return [0.0] * len(infected_mass), True
+    return [min(max(m / denom, 0.0), 1.0) for m in infected_mass], False
 
 
 def current_link_probability(
@@ -143,8 +145,7 @@ def current_link_probability(
         raise DomainError("state degree support does not match the distribution")
     fixed = mean_degree(dist) if mode == "fixed" else None
     p, extinct = _link_fractions(state.degrees.astype(float), state.s, np.atleast_2d(state.rho), fixed)
-    p2 = float(p[1]) if len(p) > 1 else 0.0
-    return LinkProbabilities(float(p[0]), p2, extinct=extinct)
+    return LinkProbabilities(p[0], p[1] if len(p) > 1 else 0.0, extinct=extinct)
 
 
 def _stage_matrix(stage_rates, n_types, mu):
@@ -184,6 +185,22 @@ class _Population:
         return y[..., offset:a], infected, y[..., b:end]
 
 
+class _Block:
+    """What the RHS needs of one population, built once per model: its s,
+    infected and removed slices, infected shape, the plan index of its
+    source block, stage flow rates as a column, transmissibilities, initial
+    susceptibles and routing shares (None for "hazard" routing)."""
+
+    def __init__(self, pop, offset, source, rates, s0):
+        a, b = offset + pop.nk, offset + pop.size - pop.nk
+        self.pop, self.source, self.rates, self.s0 = pop, source, rates, s0
+        self.s, self.infected = slice(offset, a), slice(a, b)
+        self.removed = slice(b, offset + pop.size)
+        self.shape = (pop.n_types, pop.n_stages, pop.nk)
+        self.flow_rates = pop.rates[:, :, None]
+        self.shares = None
+
+
 def _check_link_mode(link_mode):
     if link_mode not in ("active", "fixed"):
         raise DomainError(f"link_mode must be 'active' or 'fixed', got {link_mode!r}")
@@ -212,10 +229,19 @@ class CompartmentModel:
         self.treatable, self.link_mode = treatable, link_mode
         self.offsets = np.cumsum([0] + [p.size for p in self.populations])
         self.dim = int(self.offsets[-1])
-        self._s0 = [s.copy() for s, _, _ in self.blocks(self.initial_state())]
         self.bounded = np.ones(self.dim, dtype=bool)
         for _, _, removed in self.blocks(self.bounded):
             removed[:] = False
+        s0 = [s.copy() for s, _, _ in self.blocks(self.initial_state())]
+        self._plan = [_Block(*args) for args in
+                      zip(self.populations, self.offsets, self.sources, self.rates, s0)]
+        self._route()
+
+    def _route(self):
+        """Set the plan's routing shares; called wherever routing changes."""
+        shares = None if self.routing == "hazard" else np.array(self.routing)[:, None]
+        for block in self._plan:
+            block.shares = shares
 
     def blocks(self, y):
         if y.shape[-1:] != (self.dim,):
@@ -240,6 +266,7 @@ class CompartmentModel:
             raise DomainError(f"treatment coverage must be in [0, 1], got {coverage}")
         c = float(coverage)
         self.seed = self.routing = (1.0 - c, c)
+        self._route()
 
     def repartition(self, y, coverage):
         """Reassign the standing infected mass to match a new coverage."""
@@ -249,46 +276,58 @@ class CompartmentModel:
             infected[:] = np.multiply.outer(self.routing, infected.sum(axis=0))
         return y
 
-    def _shares(self, pop, p, rates):
-        """Share of new infections entering each type, shaped (types, 1 or nk)."""
-        if self.routing != "hazard":
-            return np.array(self.routing)[:, None]
-        h1 = hazard_profile(pop.k, float(p[0]), rates[0])
-        h2 = hazard_profile(pop.k, float(p[1]), rates[1])
+    @staticmethod
+    def _hazard_shares(block, p):
+        """Share of new infections entering each type in proportion to each
+        type's own one-type hazard, shaped (types, nk)."""
+        h1 = hazard_profile(block.pop.degrees, p[0], block.rates[0])
+        h2 = hazard_profile(block.pop.degrees, p[1], block.rates[1])
         total = h1 + h2
         w1 = np.divide(h1, total, out=np.full(len(h1), 0.5), where=total > 0)
         return np.stack([w1, 1.0 - w1])
 
     def rhs_full(self, t, y):
         """(dy/dt, aggregate new-infection inflow rate)."""
-        blocks = self.blocks(y)
-        parts, total_inflow = [], 0.0
-        for pop, (s, infected, _), src, rates, s0 in zip(
-                self.populations, blocks, self.sources, self.rates, self._s0):
-            src_pop, (src_s, src_inf, _) = self.populations[src], blocks[src]
-            fixed = src_pop.fixed_edge_mass if self.link_mode == "fixed" else None
-            p, _ = _link_fractions(src_pop.degrees, src_s, src_inf.sum(axis=1), fixed)
+        if y.shape != (self.dim,):
+            raise DomainError(f"state array has shape {y.shape}, expected ({self.dim},)")
+        dy = np.empty(self.dim)
+        total_inflow = 0.0
+        fixed = self.link_mode == "fixed"
+        plan = self._plan
+        for block in plan:
+            pop, src, rates = block.pop, plan[block.source], block.rates
+            rho = y[src.infected].reshape(src.shape)
+            rho = rho[:, 0] if src.pop.n_stages == 1 else rho.sum(axis=1)
+            p, _ = _link_fractions(src.pop.degrees, y[src.s], rho,
+                                   src.pop.fixed_edge_mass if fixed else None)
             if len(rates) == 1:
-                hazard = hazard_profile(pop.k, float(p[0]), rates[0])
+                hazard = hazard_profile(pop.degrees, p[0], rates[0])
             else:
-                hazard = hazard_profile_two(pop.k, LinkProbabilities(float(p[0]), float(p[1])),
-                                            *rates)
+                hazard = hazard_profile_two(pop.degrees, LinkProbabilities(p[0], p[1]), *rates)
+            s = y[block.s]
+            infected = y[block.infected].reshape(block.shape)
             inflow = s * hazard
-            ds = -inflow
+            ds = dy[block.s]
+            np.negative(inflow, out=ds)
             if self.d > 0:
-                ds = ds + self.d * (s0 - s)
-            flow = pop.rates[:, :, None] * infected
-            d_inf = -flow
+                ds += self.d * (block.s0 - s)
+            flow = block.flow_rates * infected
+            d_inf = dy[block.infected].reshape(block.shape)
+            np.negative(flow, out=d_inf)
             if pop.n_stages > 1:
                 d_inf[:, 1:] += flow[:, :-1]
-            d_inf[:, 0] += self._shares(pop, p, rates) * inflow
-            removal = flow[:, -1].sum(axis=0)
+            shares = block.shares if block.shares is not None else self._hazard_shares(block, p)
+            d_inf[:, 0] += shares * inflow
+            removal = dy[block.removed]
+            if pop.n_types == 1:
+                removal[:] = flow[0, -1]
+            else:
+                np.add.reduce(flow[:, -1], axis=0, out=removal)
             if self.exit_rate > 0:
                 d_inf -= self.exit_rate * infected
-                removal = removal + self.exit_rate * infected.sum(axis=(0, 1))
-            parts += [ds, d_inf.ravel(), removal]
+                removal += self.exit_rate * infected.sum(axis=(0, 1))
             total_inflow += float(inflow.sum())
-        return np.concatenate(parts), total_inflow
+        return dy, total_inflow
 
     def rhs(self, t, y):
         return self.rhs_full(t, y)[0]
@@ -462,8 +501,12 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                 k4 = model.rhs(t + dt, y + dt * k3)
                 y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             row += 1
-            if (not np.isfinite(y).all() or y.min() < STATE_FLOOR
-                    or y.max(initial=-np.inf, where=model.bounded) > STATE_CEIL):
+            # NaN fails both comparisons, -inf the first, +inf in an s or
+            # infected entry the second.  A removed entry takes only infected
+            # flows, so it turns +inf only through an infected flow already out
+            # of range, which leaves its infected entry -inf or NaN.
+            if not (y.min() >= STATE_FLOOR
+                    and y.max(initial=-np.inf, where=model.bounded) <= STATE_CEIL):
                 raise StabilityError(f"state left [{STATE_FLOOR}, {STATE_CEIL}] at "
                                      f"t={t + dt:g}; try a smaller dt")
             Y[row] = y

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from netepi import cli
 from netepi.cli import execute, main
 from netepi.config import parse_config, parse_config_data, run_trajectory
-from netepi.errors import ConfigError
+from netepi.errors import ConfigError, DomainError
 from netepi.ode import MODEL_NAMES, integrate
 from netepi.config import build_spec_model
 
@@ -329,14 +329,18 @@ class TestExecute:
         assert report["parameters"]["mu"] == pytest.approx(0.06, abs=2e-3)
 
     def test_gamma_override_needs_power_law(self, tmp_path):
-        spec = parse_config_data({
+        cfg = {
             "model": "stratified", "lambda": 0.1, "mu": 0.05, "rho0": 0.005,
             "distribution": {"type": "weights", "k_min": 1, "weights": [1, 1]},
             "t_span": [0, 10], "method": "euler", "dt": 1.0,
-            "sensitivity": {"ranges": {"gamma": [2, 3]}, "n_base": 64, "seed": 3},
-        })
-        with pytest.raises(Exception):
-            execute(spec, "sensitivity", out_dir=tmp_path)
+        }
+        with pytest.raises(ConfigError) as err:
+            parse_config_data({**cfg, "sensitivity": {"ranges": {"gamma": [2, 3]},
+                                                      "n_base": 64, "seed": 3}})
+        assert field_of(err) == "sensitivity.ranges.gamma"
+        # the library entry keeps its own check
+        with pytest.raises(DomainError):
+            build_spec_model(parse_config_data(cfg), {"gamma": 2.5})
 
 
 class TestReplacingWrites:
@@ -388,6 +392,16 @@ class TestCliProcess:
         assert result.exit_code == 1
         assert "phase.m" in result.output
         assert not (tmp_path / "phase.csv").exists()
+
+    def test_sensitivity_range_outside_domain_exit_code(self, tmp_path):
+        cfg = self.write(tmp_path, {**FIG1, "t_span": [0, 10], "method": "euler", "dt": 1.0,
+                                    "sensitivity": {"ranges": {"lambda": [0.5, 1.5]},
+                                                    "n_base": 64}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["sensitivity", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "sensitivity.ranges.lambda" in result.output
+        assert not (out / "sobol.csv").exists()
 
     def test_stability_error_exit_code(self, tmp_path):
         runner = CliRunner()
@@ -603,7 +617,13 @@ FIELDS = {
     "compare.band_sigmas": ("number", [0, -1]),
     "sensitivity": ("object", []),
     "sensitivity.ranges": ("object", [{}]),
-    "sensitivity.ranges.lambda": ("list", [[0.4, 0.1], [0.1], [0.1, float("nan")]]),
+    "sensitivity.ranges.lambda": ("list", [[0.4, 0.1], [0.1], [0.1, float("nan")], [0.5, 1.5],
+                                           [-0.1, 0.5]]),
+    "sensitivity.ranges.rho0": ("list", [[0, 0.5], [0.5, 1]]),
+    "sensitivity.ranges.gamma": ("list", [[-1, 2], [0, 2]]),
+    # the base model is hiv_hetero: no lambda2, no mu
+    "sensitivity.ranges.lambda2": ("list", [[0.1, 0.2]]),
+    "sensitivity.ranges.mu": ("list", [[0, 0.1]]),
     "sensitivity.n_base": ("int", [63]),
     "sensitivity.seed": ("int", [-3]),
     "sensitivity.output": ("str", ["peak"]),
@@ -614,7 +634,8 @@ FIELDS = {
     "phase.population": ("int", [0, 3]),
     "fit": ("object", []),
     "fit.free": ("object", [{}]),
-    "fit.free.lambda": ("list", [[0.5, 0.1], [float("-inf"), 0.1]]),
+    "fit.free.lambda": ("list", [[0.5, 0.1], [float("-inf"), 0.1], [0.5, 1.5]]),
+    "fit.free.treatment_efficacy": ("list", [[0.5, 1.01]]),
     "fit.initial": ("object", []),
     "fit.initial.lambda": ("number", []),
     "fit.observed": ("list", [[], [[1]], [[1, float("nan")]]]),
@@ -751,10 +772,26 @@ def valid_configs(draw):
     if draw(st.booleans()):
         cfg["compare"] = {}
         optional(draw, cfg["compare"], "band_sigmas", st.floats(0.1, 10))
-    tunable = st.sampled_from(["lambda", "mu", "rho0", "d", "gamma"])
-    bounds = st.tuples(st.floats(-1, 1), st.floats(0.01, 1)).map(lambda p: [p[0], p[0] + p[1]])
+    names = ["lambda", "rho0", "d", "treatment_efficacy"]
+    names += ["mu"] if not hiv and not staged else []
+    names += ["lambda2"] if model in ("two_type", "bipartite") else []
+    names += ["gamma"] if cfg.get("distribution", {}).get("type") == "power_law" else []
+    tunable = st.sampled_from(names)
+
+    def bounds(name):
+        lower, width = {"rho0": (st.floats(1e-3, 0.5), st.floats(1e-3, 0.49)),
+                        "gamma": (st.floats(0.1, 4), st.floats(0.01, 2))}.get(
+            name, (st.floats(0, 0.5), st.floats(0.01, 0.5)))
+        return st.tuples(lower, width).map(lambda p: [p[0], p[0] + p[1]])
+
+    def ranges_of(keys):
+        return st.fixed_dictionaries({key: bounds(key) for key in keys})
+
+    def some_ranges():
+        return st.lists(tunable, min_size=1, max_size=3, unique=True).flatmap(ranges_of)
+
     if draw(st.booleans()):
-        ranges = draw(st.dictionaries(tunable, bounds, min_size=1, max_size=3))
+        ranges = draw(some_ranges())
         cfg["sensitivity"] = {"ranges": ranges}
         optional(draw, cfg["sensitivity"], "n_base", st.integers(64, 4096))
         optional(draw, cfg["sensitivity"], "seed", st.integers(0, 2 ** 32))
@@ -767,7 +804,7 @@ def valid_configs(draw):
             cfg["phase"]["population"] = population
         optional(draw, cfg["phase"], "variant", st.sampled_from(["infected", "healthy"]))
     if draw(st.booleans()):
-        free = draw(st.dictionaries(tunable, bounds, min_size=1, max_size=3))
+        free = draw(some_ranges())
         cfg["fit"] = {"free": free, "initial": {k: draw(st.floats(-2, 2)) for k in free}}
         if draw(st.booleans()):
             cfg["fit"]["observed"] = draw(st.lists(
@@ -789,9 +826,47 @@ class TestRoundTripProperty:
         assert again.canonical_dict() == canonical
 
 
+SOBOL_BASE = {
+    "model": "stratified", "lambda": 0.1, "mu": 0.05, "rho0": 0.005,
+    "distribution": {"type": "power_law", "gamma": 2.5, "k_min": 1, "k_max": 20},
+    "t_span": [0, 20], "method": "euler", "dt": 1.0,
+}
+
+
 class TestMalformedConfigs:
     def test_base_config_is_valid(self):
         assert parse_config_data(FULL).model == "hiv_hetero"
+
+    @pytest.mark.parametrize("section, name, pair, changes", [
+        ("sensitivity", "lambda", [0.5, 1.5], {}),
+        ("sensitivity", "gamma", [-1, 2], {}),
+        ("sensitivity", "rho0", [0.0, 0.1], {}),
+        ("sensitivity", "lambda2", [0.1, 0.2], {}),
+        ("sensitivity", "mu", [0.0, 0.1], {"mu": 0.0, "stage_rates": [0.1, 0.2]}),
+        ("sensitivity", "mu", [0.0, 0.1], {"model": "hiv_msm", "mu": 0.0}),
+        ("fit", "lambda", [0.5, 1.5], {}),
+        ("fit", "d", [-0.5, 0.5], {}),
+        ("fit", "gamma", [2, 3],
+         {"distribution": {"type": "weights", "k_min": 1, "weights": [1, 1]}}),
+        ("fit", "lambda2", [0.1, 0.2], {"model": "hiv_msm", "mu": 0.0}),
+    ])
+    def test_ranges_checked_against_domain_and_model(self, section, name, pair, changes):
+        cfg = {**SOBOL_BASE, **changes}
+        if section == "sensitivity":
+            cfg["sensitivity"] = {"ranges": {name: pair}, "n_base": 64}
+        else:
+            cfg["fit"] = {"free": {name: pair}, "initial": {name: pair[0]},
+                          "observed": [[1, 0.01]]}
+        with pytest.raises(ConfigError) as err:
+            parse_config_data(cfg)
+        key = "ranges" if section == "sensitivity" else "free"
+        assert field_of(err) == f"{section}.{key}.{name}", str(err.value)
+
+    def test_ranges_inside_domains_parse(self):
+        spec = parse_config_data({**SOBOL_BASE, "sensitivity": {"ranges": {
+            "lambda": [0, 1], "rho0": [1e-9, 0.999], "gamma": [0.01, 40], "d": [0, 1],
+            "mu": [0, 1], "treatment_efficacy": [0, 1]}, "n_base": 64}})
+        assert spec.sensitivity["ranges"]["gamma"] == (0.01, 40.0)
 
     @given(malformed())
     @settings(max_examples=400, deadline=None)

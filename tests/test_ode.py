@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from netepi.degree import from_weights, truncated_power_law
 from netepi.errors import DomainError, StabilityError
+from netepi.mixing import LinkProbabilities, hazard_profile, hazard_profile_two
 from netepi.ode import (
     MODEL_BUILDERS,
     MODEL_NAMES,
+    STATE_CEIL,
+    STATE_FLOOR,
     EpidemicParams,
     StratifiedState,
     Trajectory,
@@ -568,3 +571,207 @@ class TestConservationProperty:
         model = _random_model(name, lam, lam2, mu, rho0, coverage, dist)
         traj = integrate(model, (0, 5), 0.1, "rk4")
         assert np.abs(total_mass(traj) - 1.0).max() <= 1e-8
+
+
+# Reference RHS and step loop: the per-block formula (blocks(), a clipped
+# link-fraction array, one np.concatenate per evaluation) and the
+# four-reduction step check.  The production path must reproduce them bit
+# for bit.
+
+def _reference_link_fractions(degrees, s, rho_types, fixed_edge_mass):
+    infected_mass = rho_types @ degrees
+    if fixed_edge_mass is None:
+        denom = float(degrees @ s) + float(infected_mass.sum())
+    else:
+        denom = fixed_edge_mass
+    if denom <= 0.0:
+        return np.zeros(len(rho_types))
+    return np.clip(infected_mass / denom, 0.0, 1.0)
+
+
+def reference_rhs(model, y, s0):
+    blocks = model.blocks(y)
+    parts, total_inflow = [], 0.0
+    for pop, (s, infected, _), src, rates, s_init in zip(
+            model.populations, blocks, model.sources, model.rates, s0):
+        src_pop, (src_s, src_inf, _) = model.populations[src], blocks[src]
+        fixed = src_pop.fixed_edge_mass if model.link_mode == "fixed" else None
+        p = _reference_link_fractions(src_pop.degrees, src_s, src_inf.sum(axis=1), fixed)
+        if len(rates) == 1:
+            hazard = hazard_profile(pop.k, float(p[0]), rates[0])
+        else:
+            hazard = hazard_profile_two(pop.k, LinkProbabilities(float(p[0]), float(p[1])),
+                                        *rates)
+        inflow = s * hazard
+        ds = -inflow
+        if model.d > 0:
+            ds = ds + model.d * (s_init - s)
+        flow = pop.rates[:, :, None] * infected
+        d_inf = -flow
+        if pop.n_stages > 1:
+            d_inf[:, 1:] += flow[:, :-1]
+        if model.routing == "hazard":
+            h1 = hazard_profile(pop.k, float(p[0]), rates[0])
+            h2 = hazard_profile(pop.k, float(p[1]), rates[1])
+            total = h1 + h2
+            w1 = np.divide(h1, total, out=np.full(len(h1), 0.5), where=total > 0)
+            shares = np.stack([w1, 1.0 - w1])
+        else:
+            shares = np.array(model.routing)[:, None]
+        d_inf[:, 0] += shares * inflow
+        removal = flow[:, -1].sum(axis=0)
+        if model.exit_rate > 0:
+            d_inf -= model.exit_rate * infected
+            removal = removal + model.exit_rate * infected.sum(axis=(0, 1))
+        parts += [ds, d_inf.ravel(), removal]
+        total_inflow += float(inflow.sum())
+    return np.concatenate(parts), total_inflow
+
+
+def reference_integrate(model, t_span, dt, method, schedule=None):
+    """(Y, dY, incidence) of ``integrate`` on a grid that is known to fit."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    segments = [(t0, t1, None)]
+    if schedule is not None:
+        bounds = [t0, *schedule.epochs, t1]
+        segments = list(zip(bounds, bounds[1:], [schedule.initial_coverage, *schedule.coverages]))
+        model.set_coverage(schedule.initial_coverage)
+    s0 = [s.copy() for s, _, _ in model.blocks(model.initial_state())]
+    counts = [int(round((end - start) / dt)) for start, end, _ in segments]
+    rows = sum(counts) + 1
+    Y, dY, inflow = np.empty((rows, model.dim)), np.empty((rows, model.dim)), np.empty(rows)
+    Y[0] = y = model.initial_state()
+    row = 0
+    for (seg_start, _, coverage), n in zip(segments, counts):
+        if coverage is not None and seg_start > t0:
+            y = model.repartition(y, coverage)
+            Y[row] = y
+        for i in range(n):
+            t = seg_start + i * dt
+            k1, inflow[row] = reference_rhs(model, y, s0)
+            dY[row] = k1
+            if method == "euler":
+                y = y + dt * k1
+            else:
+                k2 = reference_rhs(model, y + (dt / 2) * k1, s0)[0]
+                k3 = reference_rhs(model, y + (dt / 2) * k2, s0)[0]
+                k4 = reference_rhs(model, y + dt * k3, s0)[0]
+                y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            row += 1
+            if (not np.isfinite(y).all() or y.min() < STATE_FLOOR
+                    or y.max(initial=-np.inf, where=model.bounded) > STATE_CEIL):
+                raise StabilityError(f"state left [{STATE_FLOOR}, {STATE_CEIL}] at "
+                                     f"t={t + dt:g}; try a smaller dt")
+            Y[row] = y
+    dY[row], inflow[row] = reference_rhs(model, y, s0)
+    return Y, dY, np.concatenate([inflow[:1], inflow[:-1]])
+
+
+_DIST2 = truncated_power_law(2.0, 1, 25)
+_PARAMS = EpidemicParams(lam=0.3, mu=0.1, rho0=0.05, d=0.02, lam2=0.15)
+_HIV_PARAMS = EpidemicParams(lam=0.3, rho0=0.05, d=0.02)
+
+
+def _guard_cases():
+    """(id, model factory, t_span, dt, method, schedule)."""
+    runs = {"euler": ((0, 30), 1.0), "rk4": ((0, 15), 0.5)}
+    cases = []
+    for name in MODEL_NAMES:
+        for link_mode in ("active", "fixed"):
+            for method, (span, dt) in runs.items():
+                def factory(name=name, link_mode=link_mode):
+                    extra = {"two_type": {"rho0_type2": 0.3},
+                             "hiv_msm": {"coverage": 0.4},
+                             "hiv_hetero": {"coverage": 0.4}}.get(name, {})
+                    params = _HIV_PARAMS if name.startswith("hiv") else _PARAMS
+                    return build_model(name, params, FIG1_DIST, _DIST2, link_mode, **extra)
+                cases.append((f"{name}-{link_mode}-{method}", factory, span, dt, method, None))
+    staged = EpidemicParams(lam=0.3, mu=0.0, rho0=0.05, d=0.02, lam2=0.15)
+    cases += [
+        ("stratified-stages", lambda: build_model(
+            "stratified", staged, FIG1_DIST, stage_rates=[0.3, 0.2, 0.1]),
+         (0, 15), 0.5, "rk4", None),
+        ("two_type-hazard-stage-rows", lambda: build_model(
+            "two_type", staged, FIG1_DIST, rho0_type2=0.3,
+            stage_rates=[[0.3, 0.2], [0.1, 0.4]]), (0, 30), 1.0, "euler", None),
+        ("two_type-split", lambda: build_model(
+            "two_type", _PARAMS, FIG1_DIST, split=0.3, rho0_type2=0.2),
+         (0, 15), 0.5, "rk4", None),
+        ("bipartite-rho0_2-zero", lambda: build_model(
+            "bipartite", EpidemicParams(lam=0.3, mu=0.1, rho0=0.05, lam2=0.2, rho0_2=0.0),
+            FIG1_DIST, _DIST2), (0, 15), 0.5, "rk4", None),
+        ("hiv_hetero-two-epochs", lambda: build_model(
+            "hiv_hetero", _HIV_PARAMS, FIG1_DIST, _DIST2, stage_rates=[0.2, 0.1]),
+         (0, 15), 0.25, "rk4", TreatmentSchedule(epochs=(5.0, 10.0), coverages=(0.5, 0.8))),
+        ("hiv_msm-epoch-fixed", lambda: build_model(
+            "hiv_msm", _HIV_PARAMS, FIG1_DIST, link_mode="fixed"),
+         (0, 30), 1.0, "euler", TreatmentSchedule(epochs=(10.0,), coverages=(0.7,))),
+    ]
+    return cases
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("factory, span, dt, method, schedule",
+                             [case[1:] for case in _guard_cases()],
+                             ids=[case[0] for case in _guard_cases()])
+    def test_matches_reference_step_loop(self, factory, span, dt, method, schedule):
+        traj = integrate(factory(), span, dt, method, schedule=schedule)
+        Y, dY, incidence = reference_integrate(factory(), span, dt, method, schedule)
+        assert traj.Y.tobytes() == Y.tobytes()
+        assert traj.dY.tobytes() == dY.tobytes()
+        assert traj.incidence.tobytes() == incidence.tobytes()
+        assert traj.incidence.max() > 0
+
+
+class TestStepCheck:
+    """StabilityError names the first failing step, as the reference
+    four-reduction check does."""
+
+    @staticmethod
+    def messages(factory, span, dt, method, schedule=None):
+        with pytest.raises(StabilityError) as new:
+            integrate(factory(), span, dt, method, schedule=schedule)
+        with pytest.raises(StabilityError) as ref:
+            reference_integrate(factory(), span, dt, method, schedule)
+        return str(new.value), str(ref.value)
+
+    def test_euler_blowup(self):
+        # rho' = -rho at dt = 5: rho goes 0.5 -> -2 in the first step
+        new, ref = self.messages(
+            lambda: build_model("classic", EpidemicParams(lam=0.0, mu=1.0, rho0=0.5)),
+            (0, 30), 5.0, "euler")
+        assert new == ref
+        assert "at t=5;" in new
+
+    def test_rk4_blowup(self):
+        # the rk4 amplification of rho' = -rho at dt = 4 is 5: rho 0.5 -> 2.5
+        new, ref = self.messages(
+            lambda: build_model("classic", EpidemicParams(lam=0.0, mu=1.0, rho0=0.5)),
+            (0, 40), 4.0, "rk4")
+        assert new == ref
+        assert "at t=4;" in new
+
+    def test_blowup_after_treatment_epoch(self):
+        # untreated infected decay at rate 0.1 (stable at dt = 3); from the
+        # epoch on, 90% of them are treated and leave their stage at rate 1,
+        # where the rk4 amplification at dt = 3 is 1.375 per step
+        def factory():
+            return build_model("hiv_msm", EpidemicParams(lam=0.0, rho0=0.5), FIG1_DIST,
+                               stage_rates=[[0.1], [1.0]])
+        schedule = TreatmentSchedule(epochs=(30.0,), coverages=(0.9,))
+        new, ref = self.messages(factory, (0, 150), 3.0, "rk4", schedule)
+        assert new == ref
+        failed_at = float(new.split("at t=")[1].split(";")[0])
+        assert failed_at > 30.0 and failed_at % 3.0 == 0.0
+
+    def test_crossing_only_the_ceiling(self):
+        # SI with replenishment (mu = 0, d > 0): infected never leave while
+        # susceptibles are refilled, so the infected fraction passes 1 with
+        # every entry finite and above the floor
+        def factory():
+            return build_model("classic", EpidemicParams(lam=0.3, mu=0.0, d=0.05, rho0=0.01))
+        new, ref = self.messages(factory, (0, 40), 1.0, "euler")
+        assert new == ref
+        assert "at t=23;" in new
+        before = integrate(factory(), (0, 22), 1.0, "euler")
+        assert before.Y.min() >= 0.0 and 0.95 < before.Y[-1, 1] <= STATE_CEIL
