@@ -24,25 +24,17 @@ from .degree import (
     DegreeDistribution,
     from_weights,
     mean_degree,
-    sample_degree,
     sample_degrees,
     truncated_power_law,
 )
 from .errors import ConfigError, DomainError, NetepiError, StabilityError
-from .mixing import (
-    LinkProbabilities,
-    infection_hazard,
-    infection_hazard_two,
-    normal_approx_pmf,
-)
+from .mixing import LinkProbabilities, normal_approx_pmf
 from .ode import (
     CompartmentModel,
     EpidemicParams,
-    StratifiedState,
     Trajectory,
     TreatmentSchedule,
     build_model,
-    current_link_probability,
     integrate,
 )
 

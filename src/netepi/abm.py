@@ -67,14 +67,6 @@ class NetworkRealization:
     edges_v: np.ndarray
     node_state: np.ndarray
 
-    def adjacency(self) -> list[np.ndarray]:
-        """Per-node neighbor arrays for the current step."""
-        neighbors = [[] for _ in range(self.n)]
-        for u, v in zip(self.edges_u, self.edges_v):
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        return [np.array(sorted(nb), dtype=np.int64) for nb in neighbors]
-
     def realized_degrees(self) -> np.ndarray:
         counts = np.bincount(self.edges_u, minlength=self.n)
         counts += np.bincount(self.edges_v, minlength=self.n)

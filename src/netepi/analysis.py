@@ -43,9 +43,6 @@ class SobolResult:
     noise_bound: float
     n_base: int
 
-    def index_at(self, parameter: str, time_index: int) -> float:
-        return float(self.indices[self.parameters.index(parameter), time_index])
-
 
 def _evaluate(runner, rows, parameters, output, n_jobs):
     def one(row):
@@ -150,7 +147,8 @@ def phase_series(
         return int(idx[0])
 
     i_m, i_n = column(m), column(n)
-    # the clamps and summation order of traj.state(i) / traj.deriv(i), all rows at once
+    # states: infected summed over stages, each type clamped at 0, then summed
+    # over types; s and removed clamped at 0.  Derivatives are not clamped.
     s, infected, removed = model.blocks(traj.Y)[index]
     ds, d_infected, d_removed = model.blocks(traj.dY)[index]
     if variant == "infected":

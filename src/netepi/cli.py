@@ -129,7 +129,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             columns = [traj.times, traj.susceptible, traj.prevalence, traj.removed,
                        traj.incidence]
             if spec.per_degree:
-                header += model.state_labels()
+                header += model.degree_labels()
                 columns += list(model.degree_columns(traj.Y).T)
             _write_csv(target("trajectory.csv"), header, columns)
             if plot:

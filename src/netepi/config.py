@@ -152,7 +152,8 @@ def _parse_bounds_map(obj, path, model, dist, stage_rates):
             raise ConfigError(full, f"lower {lo} must be below upper {hi}")
         for bound in (lo, hi):
             _check_range(full, bound, *_DOMAINS[name])
-        if name == "lambda2" and model not in ("two_type", "bipartite"):
+        if ((name == "lambda2" and model not in ("two_type", "bipartite"))
+                or (name == "treatment_efficacy" and model not in HIV_MODELS)):
             raise ConfigError(full, f"not used by model {model!r}")
         if name == "gamma" and (dist is None or dist["type"] != "power_law"):
             raise ConfigError(full, "can only be varied on a power_law distribution")
@@ -483,7 +484,9 @@ def parse_config_data(data) -> SimulationSpec:
         free = _parse_bounds_map(_get(ft, "fit", "free", dict, required=True), "fit.free",
                                  model, dist, stage_rates)
         initial_obj = _get(ft, "fit", "initial", dict, required=True)
-        initial = {name: _get(initial_obj, "fit.initial", name, float, required=True)
+        initial = {name: _check_range(f"fit.initial.{name}",
+                                      _get(initial_obj, "fit.initial", name, float,
+                                           required=True), *free[name])
                    for name in free}
         for name in initial_obj:
             if name not in free:

@@ -91,13 +91,8 @@ def mean_degree(dist: DegreeDistribution) -> float:
     return float(np.dot(dist.degrees, dist.pmf))
 
 
-def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
-    """Draw one degree by inverse-CDF lookup (binary search on the
-    precomputed cumulative table)."""
-    return int(dist.k_min + np.searchsorted(dist._cdf, rng.random(), side="right"))
-
-
 def sample_degrees(dist: DegreeDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized ``sample_degree``; one uniform draw per sample."""
+    """Draw ``size`` degrees by inverse-CDF lookup (binary search on the
+    precomputed cumulative table); one uniform draw per sample."""
     u = rng.random(size)
     return (dist.k_min + np.searchsorted(dist._cdf, u, side="right")).astype(np.int64)

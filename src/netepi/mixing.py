@@ -35,13 +35,12 @@ class LinkProbabilities:
     """Chance that a random link points at an infected node of each group.
 
     ``p1`` and ``p2`` are the two infected-group link probabilities (p2 = 0
-    in single-group models); the healthy share p3 = 1 - p1 - p2 is implied.
-    ``extinct`` marks an all-removed network where no links remain.
+    in single-group models).  Each must be >= 0 and their sum <= 1, both
+    within a 1e-12 slack for accumulated rounding.
     """
 
     p1: float
     p2: float = 0.0
-    extinct: bool = False
 
     def __post_init__(self):
         slack = 1e-12
@@ -49,10 +48,6 @@ class LinkProbabilities:
             raise DomainError(
                 f"invalid link probabilities p1={self.p1}, p2={self.p2}"
             )
-
-    @property
-    def p3(self) -> float:
-        return 1.0 - self.p1 - self.p2
 
 
 def _check_prob(name, value):
@@ -90,8 +85,9 @@ def normal_approx_pmf(n: int, k: int, p: float) -> float:
 def _pgf_hazard(degrees, x: float) -> np.ndarray:
     """1 - (1 - x)^k per degree for a per-link infection chance x.
 
-    x is clipped to [0, 1]: LinkProbabilities admits p1 + p2 up to 1 + 1e-12,
-    and with lambda = 1 the base 1 - x would otherwise turn negative.
+    x (lambda p, or lambda1 p1 + lambda2 p2) is clipped to [0, 1]:
+    LinkProbabilities admits p1 + p2 up to 1 + 1e-12, and with lambda = 1
+    the base 1 - x would otherwise turn negative.
     """
     x = min(max(x, 0.0), 1.0)
     return 1.0 - (1.0 - x) ** np.asarray(degrees)
@@ -112,21 +108,3 @@ def hazard_profile_two(
     for lambda1 = lambda2 it reduces to the single-group hazard at p1 + p2.
     """
     return _pgf_hazard(degrees, lam1 * probs.p1 + lam2 * probs.p2)
-
-
-def infection_hazard(k: int, p: float, lam: float) -> float:
-    """Infection hazard of a degree-k susceptible given link probability p."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    _check_prob("p", p)
-    _check_prob("lambda", lam)
-    return float(hazard_profile(np.array([k]), p, lam)[0])
-
-
-def infection_hazard_two(k: int, probs: LinkProbabilities, lam1: float, lam2: float) -> float:
-    """Two-group infection hazard of a degree-k susceptible."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    _check_prob("lambda1", lam1)
-    _check_prob("lambda2", lam2)
-    return float(hazard_profile_two(np.array([k]), probs, lam1, lam2)[0])

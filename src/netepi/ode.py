@@ -87,28 +87,6 @@ class EpidemicParams:
             raise DomainError(f"rho0_2 must be in [0, 1), got {self.rho0_2}")
 
 
-@dataclass(frozen=True)
-class StratifiedState:
-    """Snapshot of the compartments at one time point.
-
-    ``s`` holds per-degree susceptible fractions, ``rho`` per-degree infected
-    fractions with one row per infected type, ``r`` the aggregate removed
-    fraction over all populations.  ``removed_k`` carries the per-degree
-    removed split used by the healthy-group phase plots.  Second-population
-    fields are None for single-population models.
-    """
-
-    degrees: np.ndarray
-    s: np.ndarray
-    rho: np.ndarray
-    r: float
-    removed_k: np.ndarray
-    degrees2: np.ndarray | None = None
-    s2: np.ndarray | None = None
-    rho2: np.ndarray | None = None
-    removed_k2: np.ndarray | None = None
-
-
 def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
     """Link probabilities (one Python float per infected type) from the
     current state.
@@ -116,8 +94,9 @@ def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
     Active-denominator mode divides infected edge mass by the edge mass of
     all still-present nodes (removed nodes leave the network); passing
     ``fixed_edge_mass`` divides by the static initial edge mass instead.
-    ``rho_types`` holds one row of infected fractions per type.  Returns
-    (probabilities, extinct).
+    ``rho_types`` holds one row of infected fractions per type.  Each
+    probability is clamped to [0, 1]; with no edge mass left (every node
+    removed) all are 0.
     """
     infected_mass = (rho_types @ degrees).tolist()
     if fixed_edge_mass is None:
@@ -125,27 +104,8 @@ def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
     else:
         denom = fixed_edge_mass
     if denom <= 0.0:
-        return [0.0] * len(infected_mass), True
-    return [min(max(m / denom, 0.0), 1.0) for m in infected_mass], False
-
-
-def current_link_probability(
-    state: StratifiedState, dist: DegreeDistribution, mode: str = "active"
-) -> LinkProbabilities:
-    """Probability that a random link points at an infected node.
-
-    p = <k_inf>/<k> with the denominator taken over still-active nodes
-    (mode="active", the default: removed nodes leave the network) or over
-    the static degree distribution (mode="fixed").  Two-type states get one
-    probability per infected type.
-    """
-    if mode not in ("active", "fixed"):
-        raise DomainError(f"mode must be 'active' or 'fixed', got {mode!r}")
-    if state.degrees.shape != dist.degrees.shape or np.any(state.degrees != dist.degrees):
-        raise DomainError("state degree support does not match the distribution")
-    fixed = mean_degree(dist) if mode == "fixed" else None
-    p, extinct = _link_fractions(state.degrees.astype(float), state.s, np.atleast_2d(state.rho), fixed)
-    return LinkProbabilities(p[0], p[1] if len(p) > 1 else 0.0, extinct=extinct)
+        return [0.0] * len(infected_mass)
+    return [min(max(m / denom, 0.0), 1.0) for m in infected_mass]
 
 
 def _stage_matrix(stage_rates, n_types, mu):
@@ -163,7 +123,7 @@ def _stage_matrix(stage_rates, n_types, mu):
 
 
 class _Population:
-    """One population block: s(nk) | I(types, stages, nk) | removed(nk)."""
+    """One population: degree grid, stage-rate rows, seeding and weight."""
 
     def __init__(self, dist: DegreeDistribution, n_types: int, stage_rates, mu: float,
                  rho0: float, weight: float = 1.0, name: str = ""):
@@ -175,30 +135,26 @@ class _Population:
         self.rates = _stage_matrix(stage_rates, n_types, mu)
         self.n_types, self.n_stages = self.rates.shape
         self.rho0, self.weight, self.name = rho0, weight, name
-        self.size = self.nk * (1 + self.n_types * self.n_stages + 1)
         self.fixed_edge_mass = weight * mean_degree(dist)
-
-    def split(self, y, offset):
-        """(s, I, removed) of one state vector, or of every row of a stack."""
-        a, b, end = offset + self.nk, offset + self.size - self.nk, offset + self.size
-        infected = y[..., a:b].reshape(*y.shape[:-1], self.n_types, self.n_stages, self.nk)
-        return y[..., offset:a], infected, y[..., b:end]
 
 
 class _Block:
-    """What the RHS needs of one population, built once per model: its s,
-    infected and removed slices, infected shape, the plan index of its
-    source block, stage flow rates as a column, transmissibilities, initial
-    susceptibles and routing shares (None for "hazard" routing)."""
+    """One population's place in the state vector and what the RHS needs of
+    it, built once per model.  The population is laid out from ``offset`` as
+    s(nk) | I(types, stages, nk) | removed(nk); the three slices and the
+    infected shape here are the only place that layout is computed.  Also:
+    the plan index of its source block, stage flow rates as a column,
+    transmissibilities, initial susceptibles and routing shares (None for
+    "hazard" routing)."""
 
-    def __init__(self, pop, offset, source, rates, s0):
-        a, b = offset + pop.nk, offset + pop.size - pop.nk
-        self.pop, self.source, self.rates, self.s0 = pop, source, rates, s0
-        self.s, self.infected = slice(offset, a), slice(a, b)
-        self.removed = slice(b, offset + pop.size)
+    def __init__(self, pop, offset, source, rates):
         self.shape = (pop.n_types, pop.n_stages, pop.nk)
+        a = offset + pop.nk
+        b = a + pop.n_types * pop.n_stages * pop.nk
+        self.s, self.infected, self.removed = slice(offset, a), slice(a, b), slice(b, b + pop.nk)
+        self.pop, self.source, self.rates = pop, source, rates
         self.flow_rates = pop.rates[:, :, None]
-        self.shares = None
+        self.s0 = self.shares = None
 
 
 def _check_link_mode(link_mode):
@@ -227,14 +183,15 @@ class CompartmentModel:
             raise DomainError("populations, sources, rates and shares do not fit together")
         self.d, self.exit_rate = d, exit_rate
         self.treatable, self.link_mode = treatable, link_mode
-        self.offsets = np.cumsum([0] + [p.size for p in self.populations])
-        self.dim = int(self.offsets[-1])
+        self._plan, self.dim = [], 0
+        for pop, source, r in zip(self.populations, self.sources, self.rates):
+            self._plan.append(_Block(pop, self.dim, source, r))
+            self.dim = self._plan[-1].removed.stop
         self.bounded = np.ones(self.dim, dtype=bool)
-        for _, _, removed in self.blocks(self.bounded):
-            removed[:] = False
-        s0 = [s.copy() for s, _, _ in self.blocks(self.initial_state())]
-        self._plan = [_Block(*args) for args in
-                      zip(self.populations, self.offsets, self.sources, self.rates, s0)]
+        y0 = self.initial_state()
+        for block in self._plan:
+            self.bounded[block.removed] = False
+            block.s0 = y0[block.s].copy()
         self._route()
 
     def _route(self):
@@ -244,19 +201,25 @@ class CompartmentModel:
             block.shares = shares
 
     def blocks(self, y):
+        """Per population the (s, infected, removed) views of a state vector
+        or of every row of a (..., dim) stack; infected is shaped
+        (..., types, stages, nk)."""
         if y.shape[-1:] != (self.dim,):
             raise DomainError(f"state array has shape {y.shape}, expected (..., {self.dim})")
-        return [p.split(y, off) for p, off in zip(self.populations, self.offsets)]
+        lead = y.shape[:-1]
+        return [(y[..., b.s], y[..., b.infected].reshape(*lead, *b.shape), y[..., b.removed])
+                for b in self._plan]
 
     def initial_state(self) -> np.ndarray:
-        parts = []
-        for pop in self.populations:
+        y = np.zeros(self.dim)
+        for block in self._plan:
+            pop = block.pop
             base = pop.weight * pop.dist.pmf
-            infected = np.zeros((pop.n_types, pop.n_stages, pop.nk))
+            y[block.s] = (1.0 - pop.rho0) * base
+            infected = y[block.infected].reshape(block.shape)
             for t, frac in enumerate(self.seed):
                 infected[t, 0] = frac * pop.rho0 * base
-            parts += [(1.0 - pop.rho0) * base, infected.ravel(), np.zeros(pop.nk)]
-        return np.concatenate(parts)
+        return y
 
     def set_coverage(self, coverage):
         """Seed and route infections untreated : treated as 1 - c : c."""
@@ -298,8 +261,8 @@ class CompartmentModel:
             pop, src, rates = block.pop, plan[block.source], block.rates
             rho = y[src.infected].reshape(src.shape)
             rho = rho[:, 0] if src.pop.n_stages == 1 else rho.sum(axis=1)
-            p, _ = _link_fractions(src.pop.degrees, y[src.s], rho,
-                                   src.pop.fixed_edge_mass if fixed else None)
+            p = _link_fractions(src.pop.degrees, y[src.s], rho,
+                                src.pop.fixed_edge_mass if fixed else None)
             if len(rates) == 1:
                 hazard = hazard_profile(pop.degrees, p[0], rates[0])
             else:
@@ -334,27 +297,14 @@ class CompartmentModel:
 
     def totals(self, Y):
         """(susceptible, prevalence, removed) per row of a (rows, dim) state
-        array clamped at 0."""
+        array clamped at 0: each population's s, infected and removed slices
+        summed per row, then the populations added in plan order."""
         Y = np.maximum(Y, 0.0)
-        parts = []
-        for pop, off in zip(self.populations, self.offsets):
-            edges = off + np.cumsum([0, pop.nk, pop.size - 2 * pop.nk, pop.nk])
-            parts.append([Y[:, a:b].sum(axis=1) for a, b in zip(edges, edges[1:])])
+        parts = [[Y[:, b.s].sum(axis=1), Y[:, b.infected].sum(axis=1),
+                  Y[:, b.removed].sum(axis=1)] for b in self._plan]
         return tuple(reduce(np.add, column) for column in zip(*parts))
 
-    def view(self, y, clamp: bool = True) -> StratifiedState:
-        parts = []
-        for pop, (s, infected, removed) in zip(self.populations, self.blocks(y)):
-            s, rho, removed = (np.maximum(a, 0.0) if clamp else a.copy()
-                               for a in (s, infected.sum(axis=1), removed))
-            parts.append((pop.k, s, rho, removed))
-        (k1, s1, rho1, removed1), *second = parts
-        k2, s2, rho2, removed2 = second[0] if second else (None,) * 4
-        return StratifiedState(
-            degrees=k1, s=s1, rho=rho1, r=float(sum(part[3].sum() for part in parts)),
-            removed_k=removed1, degrees2=k2, s2=s2, rho2=rho2, removed_k2=removed2)
-
-    def state_labels(self) -> list[str]:
+    def degree_labels(self) -> list[str]:
         labels = []
         for pop in self.populations:
             prefix = f"{pop.name}_" if pop.name else ""
@@ -363,9 +313,9 @@ class CompartmentModel:
         return labels
 
     def degree_columns(self, Y) -> np.ndarray:
-        """Per-degree table of a (rows, dim) state array in ``state_labels()``
-        order: per population s_k, then infected summed over stages, clamped
-        at 0 as in ``view``, then summed over types."""
+        """Per-degree table of a (rows, dim) state array in ``degree_labels()``
+        order: per population s_k clamped at 0, then i_k, the infected summed
+        over stages, clamped at 0 per type, then summed over types."""
         cols = []
         for s, infected, _ in self.blocks(Y):
             cols += [np.maximum(s, 0.0), np.maximum(infected.sum(axis=-2), 0.0).sum(axis=-2)]
@@ -381,7 +331,9 @@ class Trajectory:
     ``incidence[i]`` is the new-infection inflow rate at the previous
     recorded state, the per-step count of new infections when dt = 1.
     ``susceptible``, ``prevalence`` and ``removed`` are totals over the
-    states clamped at 0; ``state(i)``/``deriv(i)`` give per-degree views.
+    states clamped at 0.  ``model.blocks(Y)`` / ``model.blocks(dY)`` give
+    the per-population s, infected and removed arrays of every row, and
+    ``model.degree_columns(Y)`` the clamped per-degree table.
     """
 
     times: np.ndarray
@@ -399,16 +351,6 @@ class Trajectory:
         if self.Y.shape != (len(self.times), self.model.dim):
             raise DomainError("states and times must align 1:1")
         self.susceptible, self.prevalence, self.removed = self.model.totals(self.Y)
-
-    def state(self, i) -> StratifiedState:
-        """Compartments at ``times[i]``, clamped at 0."""
-        return self.model.view(self.Y[i])
-
-    def deriv(self, i) -> StratifiedState:
-        """Right-hand side recorded at ``times[i]``."""
-        if self.dY is None:
-            raise DomainError("trajectory has no recorded RHS evaluations (agent-based run?)")
-        return self.model.view(self.dY[i], clamp=False)
 
     def peak(self):
         """(peak prevalence, time of peak)."""

@@ -30,13 +30,14 @@ class TestGenerateNetwork:
         net = generate_network(DIST30, 5000, np.random.default_rng(0))
         assert np.all(net.realized_degrees() <= net.degrees)
 
-    def test_adjacency_symmetric_no_self_loops(self):
+    def test_edge_list_canonical_without_self_loops_or_multi_edges(self):
+        # u < v excludes self-loops; strictly increasing (u, v) keys exclude
+        # repeated edges, in either orientation
         net = generate_network(DIST30, 300, np.random.default_rng(1))
-        adj = net.adjacency()
-        for u in range(net.n):
-            assert u not in adj[u]
-            for v in adj[u]:
-                assert u in adj[v]
+        u, v = net.edges_u, net.edges_v
+        assert u.size > 0 and u.shape == v.shape
+        assert np.all(u < v)
+        assert np.all(np.diff(u * net.n + v) > 0)
 
     def test_degree_one_mean_close_to_one(self):
         # with all-degree-1 stubs the only loss is the rare self-loop pair:

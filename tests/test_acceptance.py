@@ -19,8 +19,7 @@ from netepi.degree import truncated_power_law
 from netepi.mixing import (
     LinkProbabilities,
     hazard_profile,
-    infection_hazard,
-    infection_hazard_two,
+    hazard_profile_two,
     normal_approx_pmf,
 )
 from netepi.ode import EpidemicParams, TreatmentSchedule, build_model, integrate
@@ -135,8 +134,9 @@ def test_c03_multinomial_collapse():
         for k in range(1, 11):
             for p1 in grid:
                 for p2 in grid:
-                    merged = infection_hazard(k, p1 + p2, lam)
-                    two = infection_hazard_two(k, LinkProbabilities(p1, p2), lam, lam)
+                    degree = np.array([k])
+                    merged = hazard_profile(degree, p1 + p2, lam)[0]
+                    two = hazard_profile_two(degree, LinkProbabilities(p1, p2), lam, lam)[0]
                     brute = 0.0
                     for k1 in range(k + 1):
                         for k2 in range(k - k1 + 1):
@@ -296,9 +296,12 @@ def test_c11_hiv_symmetry_and_treatment_response():
         sym_params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02)
         sym = integrate(build_model("hiv_hetero", sym_params, dist, dist, asymmetry=1.0),
                         (0, 50), 0.25, "rk4")
-        worst = max(
-            max(np.abs(st.s - st.s2).max(), np.abs(st.rho - st.rho2).max())
-            for st in map(sym.state, range(len(sym.times))))
+        # per degree, every recorded row: s and the stage-summed infected
+        # of each type, clamped at 0
+        (s_m, inf_m, _), (s_w, inf_w, _) = sym.model.blocks(sym.Y)
+        rho_m, rho_w = (np.maximum(i.sum(axis=-2), 0.0) for i in (inf_m, inf_w))
+        worst = max(np.abs(np.maximum(s_m, 0.0) - np.maximum(s_w, 0.0)).max(),
+                    np.abs(rho_m - rho_w).max())
         assert worst <= 1e-10
 
         # treatment epoch in the growth phase: normalized derivative

@@ -97,12 +97,12 @@ class TestPhaseSeries:
         model = stratified(FIG1_PARAMS)
         traj = integrate(model, (0, 20), 0.5, "rk4")
         dy0 = model.rhs(0.0, model.initial_state())
-        d0 = model.view(dy0, clamp=False)
+        [(_, d_infected, _)] = model.blocks(dy0)
         for m in (1, 10, 30):
             ser = phase_series(traj, m, m)
             i = m - 1
             assert ser[0, 0] == FIG1_PARAMS.rho0 * FIG1_DIST.pmf[i]
-            assert ser[0, 1] == d0.rho[0, i]
+            assert ser[0, 1] == d_infected[0, 0, i]
 
     def test_decay_only_dynamics_has_nonpositive_derivative(self):
         params = EpidemicParams(lam=0.0, mu=0.1, rho0=0.1)
@@ -120,8 +120,8 @@ class TestPhaseSeries:
     def test_healthy_variant_uses_s_plus_removed(self):
         traj = integrate(stratified(FIG1_PARAMS), (0, 20), 0.5, "rk4")
         ser = phase_series(traj, 4, 4, variant="healthy")
-        st = traj.state(0)
-        assert ser[0, 0] == st.s[3] + st.removed_k[3]
+        [(s, _, removed)] = traj.model.blocks(traj.Y[0])
+        assert ser[0, 0] == max(s[3], 0.0) + max(removed[3], 0.0)
 
     def test_rejects_degree_outside_support(self):
         traj = integrate(stratified(FIG1_PARAMS), (0, 5), 1.0, "euler")

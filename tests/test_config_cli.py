@@ -403,6 +403,18 @@ class TestCliProcess:
         assert "sensitivity.ranges.lambda" in result.output
         assert not (out / "sobol.csv").exists()
 
+    def test_sensitivity_unused_parameter_exit_code(self, tmp_path):
+        # treatment_efficacy never enters a stratified model: its index
+        # column would be all zeros
+        cfg = self.write(tmp_path, {**FIG1, "t_span": [0, 10], "method": "euler", "dt": 1.0,
+                                    "sensitivity": {"ranges": {"treatment_efficacy": [0.1, 0.9]},
+                                                    "n_base": 64}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["sensitivity", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "sensitivity.ranges.treatment_efficacy: not used by model" in result.output
+        assert not (out / "sobol.csv").exists()
+
     def test_stability_error_exit_code(self, tmp_path):
         runner = CliRunner()
         cfg = self.write(tmp_path, {
@@ -637,7 +649,8 @@ FIELDS = {
     "fit.free.lambda": ("list", [[0.5, 0.1], [float("-inf"), 0.1], [0.5, 1.5]]),
     "fit.free.treatment_efficacy": ("list", [[0.5, 1.01]]),
     "fit.initial": ("object", []),
-    "fit.initial.lambda": ("number", []),
+    # FULL fits lambda in [0.1, 0.5]
+    "fit.initial.lambda": ("number", [0.05, 0.6, 7.5]),
     "fit.observed": ("list", [[], [[1]], [[1, float("nan")]]]),
     "fit.output": ("str", ["peak"]),
 }
@@ -772,7 +785,8 @@ def valid_configs(draw):
     if draw(st.booleans()):
         cfg["compare"] = {}
         optional(draw, cfg["compare"], "band_sigmas", st.floats(0.1, 10))
-    names = ["lambda", "rho0", "d", "treatment_efficacy"]
+    names = ["lambda", "rho0", "d"]
+    names += ["treatment_efficacy"] if hiv else []
     names += ["mu"] if not hiv and not staged else []
     names += ["lambda2"] if model in ("two_type", "bipartite") else []
     names += ["gamma"] if cfg.get("distribution", {}).get("type") == "power_law" else []
@@ -805,7 +819,7 @@ def valid_configs(draw):
         optional(draw, cfg["phase"], "variant", st.sampled_from(["infected", "healthy"]))
     if draw(st.booleans()):
         free = draw(some_ranges())
-        cfg["fit"] = {"free": free, "initial": {k: draw(st.floats(-2, 2)) for k in free}}
+        cfg["fit"] = {"free": free, "initial": {k: draw(st.floats(*free[k])) for k in free}}
         if draw(st.booleans()):
             cfg["fit"]["observed"] = draw(st.lists(
                 st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2), min_size=1, max_size=4))
@@ -865,8 +879,46 @@ class TestMalformedConfigs:
     def test_ranges_inside_domains_parse(self):
         spec = parse_config_data({**SOBOL_BASE, "sensitivity": {"ranges": {
             "lambda": [0, 1], "rho0": [1e-9, 0.999], "gamma": [0.01, 40], "d": [0, 1],
-            "mu": [0, 1], "treatment_efficacy": [0, 1]}, "n_base": 64}})
+            "mu": [0, 1]}, "n_base": 64}})
         assert spec.sensitivity["ranges"]["gamma"] == (0.01, 40.0)
+        spec = parse_config_data({**SOBOL_BASE, "model": "hiv_msm", "mu": 0.0, "sensitivity": {
+            "ranges": {"treatment_efficacy": [0, 1]}, "n_base": 64}})
+        assert spec.sensitivity["ranges"]["treatment_efficacy"] == (0.0, 1.0)
+
+    @pytest.mark.parametrize("model", ["classic", "stratified", "two_type", "bipartite"])
+    @pytest.mark.parametrize("section", ["sensitivity", "fit"])
+    def test_treatment_efficacy_needs_an_hiv_model(self, model, section):
+        cfg = {**SOBOL_BASE, "model": model, "lambda2": 0.1}
+        if model == "classic":
+            del cfg["distribution"]
+        if model not in ("two_type", "bipartite"):
+            del cfg["lambda2"]
+        pair = [0.1, 0.9]
+        if section == "sensitivity":
+            cfg["sensitivity"] = {"ranges": {"treatment_efficacy": pair}, "n_base": 64}
+        else:
+            cfg["fit"] = {"free": {"treatment_efficacy": pair},
+                          "initial": {"treatment_efficacy": 0.5}, "observed": [[1, 0.01]]}
+        with pytest.raises(ConfigError, match="not used by model") as err:
+            parse_config_data(cfg)
+        key = "ranges" if section == "sensitivity" else "free"
+        assert field_of(err) == f"{section}.{key}.treatment_efficacy"
+        # the top-level value stays accepted: canonical_dict writes it for every model
+        cfg.pop(section)
+        assert parse_config_data({**cfg, "treatment_efficacy": 0.4}).model == model
+
+    @pytest.mark.parametrize("value", [7.5, 0.6 + 1e-9, 0.05 - 1e-9, 0.0])
+    def test_fit_initial_outside_free_range(self, value):
+        cfg = {"model": "classic", "lambda": 0.2, "mu": 0.1, "rho0": 0.01,
+               "t_span": [0, 20], "method": "euler", "dt": 1.0,
+               "fit": {"free": {"lambda": [0.05, 0.6]}, "initial": {"lambda": value},
+                       "observed": [[4, 0.00502654], [8, 0.00984814]]}}
+        with pytest.raises(ConfigError, match="out of") as err:
+            parse_config_data(cfg)
+        assert field_of(err) == "fit.initial.lambda"
+        for inside in (0.05, 0.2, 0.6):
+            cfg["fit"]["initial"]["lambda"] = inside
+            assert parse_config_data(cfg).fit["initial"] == {"lambda": inside}
 
     @given(malformed())
     @settings(max_examples=400, deadline=None)

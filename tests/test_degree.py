@@ -6,7 +6,6 @@ from netepi.degree import (
     DegreeDistribution,
     from_weights,
     mean_degree,
-    sample_degree,
     sample_degrees,
     truncated_power_law,
 )
@@ -106,7 +105,7 @@ class TestSampling:
     def test_degenerate_support(self):
         dist = from_weights(3, [1.0])
         rng = np.random.default_rng(123)
-        assert all(sample_degree(dist, rng) == 3 for _ in range(50))
+        assert np.all(sample_degrees(dist, 50, rng) == 3)
 
     def test_uniform_two_frequency(self):
         # binomial standard error: 3 sigma = 3 * 0.5 / sqrt(1e6) = 0.0015

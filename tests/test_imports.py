@@ -78,3 +78,25 @@ def test_fit_loads_scipy_on_first_call_with_the_parent_result():
     for key in ("lambda", "mu"):
         assert float.fromhex(fresh[key]) == pytest.approx(
             float.fromhex(PARENT_FIT[key]), abs=1e-7)
+
+
+# the names ``netepi`` exports; a new export is added here on purpose
+PUBLIC = {
+    "CompartmentModel", "ConfigError", "CoverageReport", "DegreeDistribution", "DomainError",
+    "EnsembleSummary", "EpidemicParams", "FitResult", "LinkProbabilities", "NetepiError",
+    "NetworkRealization", "SimulationSpec", "SobolResult", "StabilityError", "Trajectory",
+    "TreatmentSchedule", "build_model", "compare_ode_abm", "fit_parameters", "from_weights",
+    "generate_network", "integrate", "mean_degree", "normal_approx_pmf", "parse_config",
+    "parse_config_data", "phase_series", "run_ensemble", "run_trajectory", "sample_degrees",
+    "simulate_epidemic", "sobol_first_order", "summarize_trajectories", "truncated_power_law",
+}
+
+
+def test_public_surface_is_pinned():
+    import types
+
+    import netepi
+
+    exported = {name for name, value in vars(netepi).items()
+                if not name.startswith("__") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC

@@ -11,8 +11,6 @@ from netepi.mixing import (
     LinkProbabilities,
     hazard_profile,
     hazard_profile_two,
-    infection_hazard,
-    infection_hazard_two,
     normal_approx_pmf,
 )
 
@@ -81,98 +79,99 @@ class TestInfectionHazard:
     def test_degree_one_recovers_bilinear_term(self):
         for p in (0.01, 0.2, 0.9):
             for lam in (0.05, 0.5):
-                assert infection_hazard(1, p, lam) == pytest.approx(lam * p, rel=1e-12)
+                assert hazard_profile(np.array([1]), p, lam)[0] == pytest.approx(
+                    lam * p, rel=1e-12)
 
     def test_hand_value(self):
         # brute force over l in {1, 2}: 0.5*0.5 + 0.75*0.25
-        assert infection_hazard(2, 0.5, 0.5) == pytest.approx(0.4375, abs=1e-14)
+        assert hazard_profile(np.array([2]), 0.5, 0.5)[0] == pytest.approx(0.4375, abs=1e-14)
 
     def test_no_infected_links(self):
-        assert infection_hazard(3, 0.0, 0.9) == 0.0
+        assert hazard_profile(np.array([3]), 0.0, 0.9)[0] == 0.0
 
     def test_matches_brute_enumeration(self):
         rng = np.random.default_rng(5)
-        for k in (1, 2, 7, 23):
-            for _ in range(3):
-                p, lam = rng.random(), rng.random()
-                assert infection_hazard(k, p, lam) == pytest.approx(
-                    brute_hazard(k, p, lam), abs=1e-12)
+        ks = np.array([1, 2, 7, 23])
+        for _ in range(3):
+            p, lam = rng.random(), rng.random()
+            h = hazard_profile(ks, p, lam)
+            for k, value in zip(ks, h):
+                assert value == pytest.approx(brute_hazard(int(k), p, lam), abs=1e-12)
 
     def test_closed_form_identity(self):
         # 1 - (1 - lam p)^k is the analytic binomial average
         grid = (0.0, 0.05, 0.37, 0.9, 1.0)
-        for k in (1, 2, 10, 60, 133, 200):
-            for p in grid:
-                for lam in grid:
-                    assert infection_hazard(k, p, lam) == pytest.approx(
-                        brute_hazard(k, p, lam), abs=1e-10)
+        ks = np.array([1, 2, 10, 60, 133, 200])
+        for p in grid:
+            for lam in grid:
+                h = hazard_profile(ks, p, lam)
+                for k, value in zip(ks, h):
+                    assert value == pytest.approx(brute_hazard(int(k), p, lam), abs=1e-10)
 
     def test_all_links_infected_is_contact_function(self):
         # p = 1: every one of the k links is infected, so the hazard is f(k, lam)
-        assert infection_hazard(1, 1.0, 0.3) == pytest.approx(0.3, abs=1e-15)
-        assert infection_hazard(2, 1.0, 0.5) == pytest.approx(0.75, abs=1e-15)
-        assert infection_hazard(5, 1.0, 1.0) == 1.0
+        assert hazard_profile(np.array([1]), 1.0, 0.3)[0] == pytest.approx(0.3, abs=1e-15)
+        assert hazard_profile(np.array([2]), 1.0, 0.5)[0] == pytest.approx(0.75, abs=1e-15)
+        assert hazard_profile(np.array([5]), 1.0, 1.0)[0] == 1.0
 
     def test_degree_zero_has_no_hazard(self):
         assert np.all(hazard_profile(np.array([0, 0]), 0.7, 0.9) == 0.0)
-
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(DomainError):
-            infection_hazard(0, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            infection_hazard(5, 1.5, 0.5)
-        with pytest.raises(DomainError):
-            infection_hazard(5, 0.5, -0.1)
 
     def test_monotone_in_every_argument(self):
         ks = np.arange(1, 41)
         h = hazard_profile(ks, 0.3, 0.4)
         assert np.all(np.diff(h) >= -1e-15)
         ps = np.linspace(0, 1, 21)
-        hp = [infection_hazard(7, p, 0.4) for p in ps]
+        hp = [hazard_profile(np.array([7]), p, 0.4)[0] for p in ps]
         assert np.all(np.diff(hp) >= -1e-15)
-        hl = [infection_hazard(7, 0.3, lam) for lam in ps]
+        hl = [hazard_profile(np.array([7]), 0.3, lam)[0] for lam in ps]
         assert np.all(np.diff(hl) >= -1e-15)
 
 
 class TestInfectionHazardTwo:
     def test_two_term_enumeration(self):
         probs = LinkProbabilities(0.2, 0.3)
-        assert infection_hazard_two(1, probs, 0.5, 0.1) == pytest.approx(0.13, abs=1e-14)
+        assert hazard_profile_two(np.array([1]), probs, 0.5, 0.1)[0] == pytest.approx(
+            0.13, abs=1e-14)
 
     def test_no_infected_links(self):
-        assert infection_hazard_two(5, LinkProbabilities(0.0, 0.0), 0.5, 0.5) == 0.0
+        assert hazard_profile_two(np.array([5]), LinkProbabilities(0.0, 0.0), 0.5, 0.5)[0] == 0.0
 
     def test_equal_rates_collapse_to_single_group(self):
         # multinomial marginal identity, against brute-force enumeration
-        for k in range(1, 11):
-            for p1, p2 in ((0.1, 0.2), (0.0, 0.4), (0.45, 0.45)):
-                two = infection_hazard_two(k, LinkProbabilities(p1, p2), 0.3, 0.3)
-                assert two == pytest.approx(infection_hazard(k, p1 + p2, 0.3), abs=1e-12)
-                assert two == pytest.approx(brute_hazard_two(k, p1, p2, 0.3, 0.3), abs=1e-12)
+        ks = np.arange(1, 11)
+        for p1, p2 in ((0.1, 0.2), (0.0, 0.4), (0.45, 0.45)):
+            two = hazard_profile_two(ks, LinkProbabilities(p1, p2), 0.3, 0.3)
+            one = hazard_profile(ks, p1 + p2, 0.3)
+            for k, a, b in zip(ks, two, one):
+                assert a == pytest.approx(b, abs=1e-12)
+                assert a == pytest.approx(brute_hazard_two(int(k), p1, p2, 0.3, 0.3), abs=1e-12)
 
     def test_idle_second_group_reduces_exactly(self):
         # lam2 = 0 with p2 folded into the healthy share
-        for k in (1, 4, 17, 60):
-            a = infection_hazard_two(k, LinkProbabilities(0.23, 0.0), 0.37, 0.0)
-            b = infection_hazard(k, 0.23, 0.37)
-            assert a == pytest.approx(b, abs=1e-12)
+        ks = np.array([1, 4, 17, 60])
+        a = hazard_profile_two(ks, LinkProbabilities(0.23, 0.0), 0.37, 0.0)
+        b = hazard_profile(ks, 0.23, 0.37)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_matches_brute_enumeration(self):
         rng = np.random.default_rng(11)
-        for k in (2, 5, 9):
-            for _ in range(3):
-                p1, p2 = rng.random() * 0.5, rng.random() * 0.4
-                l1, l2 = rng.random(), rng.random()
-                assert infection_hazard_two(k, LinkProbabilities(p1, p2), l1, l2) == pytest.approx(
-                    brute_hazard_two(k, p1, p2, l1, l2), abs=1e-12)
-
+        ks = np.array([2, 5, 9])
+        for _ in range(3):
+            p1, p2 = rng.random() * 0.5, rng.random() * 0.4
+            l1, l2 = rng.random(), rng.random()
+            h = hazard_profile_two(ks, LinkProbabilities(p1, p2), l1, l2)
+            for k, value in zip(ks, h):
+                assert value == pytest.approx(brute_hazard_two(int(k), p1, p2, l1, l2),
+                                              abs=1e-12)
 
     def test_one_group_owns_every_link(self):
         # p1 = 1 (or p2 = 1): the hazard is that group's f(k, lam)
-        assert infection_hazard_two(1, LinkProbabilities(1.0, 0.0), 0.4, 0.9) == pytest.approx(
+        assert hazard_profile_two(
+            np.array([1]), LinkProbabilities(1.0, 0.0), 0.4, 0.9)[0] == pytest.approx(
             0.4, abs=1e-15)
-        assert infection_hazard_two(2, LinkProbabilities(0.0, 1.0), 0.9, 0.5) == pytest.approx(
+        assert hazard_profile_two(
+            np.array([2]), LinkProbabilities(0.0, 1.0), 0.9, 0.5)[0] == pytest.approx(
             0.75, abs=1e-15)
 
     def test_slack_above_one_stays_a_probability(self):
@@ -182,15 +181,6 @@ class TestInfectionHazardTwo:
         h = hazard_profile_two(np.arange(0, 251), probs, 1.0, 1.0)
         assert h[0] == 0.0
         assert np.all(h[1:] == 1.0)
-
-    def test_rejects_out_of_domain(self):
-        probs = LinkProbabilities(0.2, 0.3)
-        with pytest.raises(DomainError):
-            infection_hazard_two(0, probs, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            infection_hazard_two(3, probs, 1.2, 0.5)
-        with pytest.raises(DomainError):
-            infection_hazard_two(3, probs, 0.5, -0.2)
 
 
 class TestKernelProperties:
@@ -220,9 +210,6 @@ class TestKernelProperties:
 
 
 class TestLinkProbabilities:
-    def test_p3_is_implied(self):
-        assert LinkProbabilities(0.2, 0.3).p3 == pytest.approx(0.5, abs=1e-15)
-
     def test_rejects_invalid(self):
         with pytest.raises(DomainError):
             LinkProbabilities(-0.1, 0.0)

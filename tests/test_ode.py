@@ -12,11 +12,10 @@ from netepi.ode import (
     STATE_CEIL,
     STATE_FLOOR,
     EpidemicParams,
-    StratifiedState,
     Trajectory,
     TreatmentSchedule,
+    _link_fractions,
     build_model,
-    current_link_probability,
     integrate,
 )
 
@@ -28,8 +27,16 @@ def total_mass(traj):
     return traj.susceptible + traj.prevalence + traj.removed
 
 
-def states(traj):
-    return [traj.state(i) for i in range(len(traj.times))]
+def per_degree(model, y):
+    """Per population (s, rho, removed) of a state or RHS vector, or of
+    every row of a stack: rho is the infected summed over stages, one row
+    per infected type."""
+    return [(s, infected.sum(axis=-2), removed) for s, infected, removed in model.blocks(y)]
+
+
+def active_link_fractions(degrees, s, rho):
+    """Oracle p_t = <k rho_t> / <k (s + sum_t rho_t)> at r = 0."""
+    return (rho @ degrees) / (degrees @ s + (rho @ degrees).sum())
 
 
 def classic_sir_rhs(state, params: EpidemicParams):
@@ -88,42 +95,38 @@ class TestClassicRhs:
 
 class TestLinkProbability:
     def test_homogeneous_reduction(self):
-        dist = from_weights(1, [1.0])
-        state = StratifiedState(
-            degrees=np.array([1]), s=np.array([0.99]), rho=np.array([[0.01]]),
-            r=0.0, removed_k=np.array([0.0]))
-        for mode in ("active", "fixed"):
-            assert current_link_probability(state, dist, mode).p1 == pytest.approx(0.01, abs=1e-15)
+        for fixed in (None, 1.0):
+            p = _link_fractions(np.array([1.0]), np.array([0.99]), np.array([[0.01]]), fixed)
+            assert p == [pytest.approx(0.01, abs=1e-15)]
 
     def test_disease_free(self):
-        dist = from_weights(1, [1.0])
-        state = StratifiedState(
-            degrees=np.array([1]), s=np.array([1.0]), rho=np.array([[0.0]]),
-            r=0.0, removed_k=np.array([0.0]))
-        assert current_link_probability(state, dist).p1 == 0.0
+        assert _link_fractions(np.array([1.0]), np.array([1.0]), np.array([[0.0]])) == [0.0]
 
     def test_two_class_hand_value(self):
-        dist = from_weights(1, [0.5, 0.5])
-        state = StratifiedState(
-            degrees=np.array([1, 2]), s=np.array([0.5, 0.2]),
-            rho=np.array([[0.0, 0.05]]), r=0.25, removed_k=np.array([0.1, 0.15]))
-        # (2 * 0.05) / (1*0.5 + 2*0.25) = 0.1
-        assert current_link_probability(state, dist, "active").p1 == pytest.approx(0.1, abs=1e-14)
+        degrees, s, rho = np.array([1.0, 2.0]), np.array([0.5, 0.2]), np.array([[0.0, 0.05]])
+        # (2 * 0.05) / (1*0.5 + 2*0.25) = 0.1 over the nodes still present
+        assert _link_fractions(degrees, s, rho) == [pytest.approx(0.1, abs=1e-14)]
+        # the static edge mass <k> = 1.5 of from_weights(1, [0.5, 0.5])
+        assert _link_fractions(degrees, s, rho, 1.5) == [pytest.approx(0.1 / 1.5, abs=1e-15)]
 
-    def test_everyone_removed_sets_extinct_flag(self):
-        dist = from_weights(1, [1.0])
-        state = StratifiedState(
-            degrees=np.array([1]), s=np.array([0.0]), rho=np.array([[0.0]]),
-            r=1.0, removed_k=np.array([1.0]))
-        probs = current_link_probability(state, dist, "active")
-        assert probs.extinct and probs.p1 == 0.0
+    def test_one_probability_per_type(self):
+        degrees, s = np.array([1.0, 3.0]), np.array([0.4, 0.1])
+        rho = np.array([[0.1, 0.0], [0.0, 0.1]])
+        # infected edge mass 0.1 and 0.3 over 0.4 + 0.3 + 0.1 + 0.3 = 1.1
+        assert _link_fractions(degrees, s, rho) == [pytest.approx(0.1 / 1.1, abs=1e-15),
+                                                    pytest.approx(0.3 / 1.1, abs=1e-15)]
 
-    def test_rejects_mismatched_support(self):
-        state = StratifiedState(
-            degrees=np.array([1, 2]), s=np.array([0.5, 0.5]),
-            rho=np.array([[0.0, 0.0]]), r=0.0, removed_k=np.array([0.0, 0.0]))
-        with pytest.raises(DomainError):
-            current_link_probability(state, from_weights(1, [1.0]))
+    def test_everyone_removed_gives_zero_probability(self):
+        # no edge mass left: every probability is 0, not 0/0
+        assert _link_fractions(np.array([1.0]), np.array([0.0]), np.array([[0.0]])) == [0.0]
+        rho = np.zeros((2, 2))
+        assert _link_fractions(np.array([1.0, 2.0]), np.zeros(2), rho) == [0.0, 0.0]
+
+    def test_clamped_to_unit_interval(self):
+        # a negative entry or a fixed denominator below the infected mass
+        degrees = np.array([1.0, 2.0])
+        assert _link_fractions(degrees, np.array([0.5, 0.0]), np.array([[-0.1, 0.0]])) == [0.0]
+        assert _link_fractions(degrees, np.zeros(2), np.array([[0.0, 0.5]]), 0.5) == [1.0]
 
 
 class TestStratified:
@@ -142,16 +145,16 @@ class TestStratified:
         model = build_model("stratified", params, FIG1_DIST)
         y0 = model.initial_state()
         dy = model.rhs(0.0, y0)
-        view0, dview = model.view(y0), model.view(dy, clamp=False)
-        np.testing.assert_allclose(dview.s, 0.0, atol=1e-18)
-        np.testing.assert_allclose(dview.rho, -0.07 * view0.rho, atol=1e-15)
+        [(_, rho0, _)], [(ds, drho, _)] = per_degree(model, y0), per_degree(model, dy)
+        np.testing.assert_allclose(ds, 0.0, atol=1e-18)
+        np.testing.assert_allclose(drho, -0.07 * rho0, atol=1e-15)
 
     def test_heterogeneity_amplifies_growth(self):
         # k=1 classic with these rates is subcritical, but the power-law
         # network grows at t=0 (frozen from a closed-form hand evaluation)
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         dy, inflow = model.rhs_full(0.0, model.initial_state())
-        growth = model.view(dy, clamp=False).rho.sum()
+        growth = per_degree(model, dy)[0][1].sum()
         assert growth == pytest.approx(1.7033073410991e-4, rel=1e-9)
         assert growth > 0
         classic_growth = classic_sir_rhs((0.99, 0.01, 0.0), FIG1_PARAMS)[1]
@@ -161,11 +164,11 @@ class TestStratified:
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         y = model.initial_state()
         dy = model.rhs(0.0, y)
-        view, dview = model.view(y), model.view(dy, clamp=False)
-        p = current_link_probability(view, FIG1_DIST, "active").p1
+        [(s, rho, _)], [(ds, _, _)] = per_degree(model, y), per_degree(model, dy)
+        [p] = active_link_fractions(FIG1_DIST.degrees, s, rho)
         for i, k in enumerate(FIG1_DIST.degrees):
-            expected = -view.s[i] * (1.0 - (1.0 - FIG1_PARAMS.lam * p) ** int(k))
-            assert dview.s[i] == pytest.approx(expected, rel=1e-9, abs=1e-15)
+            expected = -s[i] * (1.0 - (1.0 - FIG1_PARAMS.lam * p) ** int(k))
+            assert ds[i] == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
     def test_rejects_wrong_state_size(self):
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
@@ -194,10 +197,10 @@ class TestTwoType:
         two = build_model("two_type", params, FIG1_DIST, rho0_type2=0.0)
         one = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         y2, y1 = two.initial_state(), one.initial_state()
-        d2 = two.view(two.rhs(0.0, y2), clamp=False)
-        d1 = one.view(one.rhs(0.0, y1), clamp=False)
-        np.testing.assert_allclose(d2.s, d1.s, atol=1e-12)
-        np.testing.assert_allclose(d2.rho.sum(axis=0), d1.rho.sum(axis=0), atol=1e-12)
+        [(ds2, drho2, _)] = per_degree(two, two.rhs(0.0, y2))
+        [(ds1, drho1, _)] = per_degree(one, one.rhs(0.0, y1))
+        np.testing.assert_allclose(ds2, ds1, atol=1e-12)
+        np.testing.assert_allclose(drho2.sum(axis=0), drho1.sum(axis=0), atol=1e-12)
 
     def test_equal_rates_aggregate_matches_merged_p(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01, lam2=0.05)
@@ -211,19 +214,18 @@ class TestTwoType:
         params = EpidemicParams(lam=0.4, mu=0.0, rho0=0.01, lam2=0.2)
         model = build_model("two_type", params, FIG1_DIST)
         y = model.initial_state()
-        view = model.view(y)
         # kill all infected mass: p1 = p2 = 0
-        y = y.copy()
-        y[len(view.s):-len(view.s)] = 0.0
-        dview = model.view(model.rhs(0.0, y), clamp=False)
-        np.testing.assert_allclose(dview.s, 0.0, atol=1e-18)
+        [(_, infected, _)] = model.blocks(y)
+        infected[:] = 0.0
+        [(ds, _, _)] = per_degree(model, model.rhs(0.0, y))
+        np.testing.assert_allclose(ds, 0.0, atol=1e-18)
 
     def test_fixed_split_fraction(self):
         params = EpidemicParams(lam=0.1, mu=0.0, rho0=0.01, lam2=0.1)
         model = build_model("two_type", params, FIG1_DIST, split=0.25, rho0_type2=0.5)
-        dview = model.view(model.rhs(0.0, model.initial_state()), clamp=False)
-        inflow_1 = dview.rho[0].sum()
-        inflow_2 = dview.rho[1].sum()
+        [(_, drho, _)] = per_degree(model, model.rhs(0.0, model.initial_state()))
+        inflow_1 = drho[0].sum()
+        inflow_2 = drho[1].sum()
         assert inflow_1 == pytest.approx(inflow_2 / 3.0, rel=1e-10)
 
 
@@ -232,25 +234,23 @@ class TestBipartite:
         params = EpidemicParams(lam=0.1, mu=0.05, rho0=0.01, lam2=0.1)
         traj = integrate(build_model("bipartite", params, FIG1_DIST, FIG1_DIST),
                          (0, 100), 0.5, "rk4")
-        worst = max(
-            max(np.abs(st.s - st.s2).max(), np.abs(st.rho - st.rho2).max())
-            for st in states(traj))
-        assert worst <= 1e-10
+        (s1, rho1, _), (s2, rho2, _) = per_degree(traj.model, traj.Y)
+        assert max(np.abs(s1 - s2).max(), np.abs(rho1 - rho2).max()) <= 1e-10
 
     def test_uninfected_far_side_gives_zero_hazard(self):
         params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.01, lam2=0.3, rho0_2=0.0)
         model = build_model("bipartite", params, FIG1_DIST, FIG1_DIST)
-        dview = model.view(model.rhs(0.0, model.initial_state()), clamp=False)
-        np.testing.assert_allclose(dview.s, 0.0, atol=1e-18)   # side 1 sees no infection
-        assert dview.rho2.sum() > 0                            # side 2 does
+        (ds1, _, _), (_, drho2, _) = per_degree(model, model.rhs(0.0, model.initial_state()))
+        np.testing.assert_allclose(ds1, 0.0, atol=1e-18)   # side 1 sees no infection
+        assert drho2.sum() > 0                             # side 2 does
 
     def test_single_degree_hand_value(self):
         # d rho2/dt(0) = s2 * lam_{1->2} * p with p = rho1 / active degree mass
         single = from_weights(1, [1.0])
         params = EpidemicParams(lam=0.1, mu=0.0, rho0=0.01, lam2=0.2, rho0_2=0.0)
         model = build_model("bipartite", params, single, single)
-        dview = model.view(model.rhs(0.0, model.initial_state()), clamp=False)
-        assert dview.rho2[0, 0] == pytest.approx(0.5 * 0.1 * 0.01, rel=1e-12)
+        _, (_, drho2, _) = per_degree(model, model.rhs(0.0, model.initial_state()))
+        assert drho2[0, 0] == pytest.approx(0.5 * 0.1 * 0.01, rel=1e-12)
 
 
 class TestHivMsm:
@@ -271,13 +271,12 @@ class TestHivMsm:
         params = EpidemicParams(lam=0.3, rho0=0.01, treatment_efficacy=0.4)
         model = build_model("hiv_msm", params, FIG1_DIST, coverage=1.0)
         y = model.initial_state()
-        view = model.view(y)
-        p2 = current_link_probability(view, FIG1_DIST, "active").p2
-        assert current_link_probability(view, FIG1_DIST, "active").p1 == 0.0
-        dview = model.view(model.rhs(0.0, y), clamp=False)
+        [(s, rho, _)], [(ds, _, _)] = per_degree(model, y), per_degree(model, model.rhs(0.0, y))
+        p1, p2 = active_link_fractions(FIG1_DIST.degrees, s, rho)
+        assert p1 == 0.0
         for i, k in enumerate(FIG1_DIST.degrees):
-            expected = -view.s[i] * (1.0 - (1.0 - 0.4 * 0.3 * p2) ** int(k))
-            assert dview.s[i] == pytest.approx(expected, rel=1e-9, abs=1e-16)
+            expected = -s[i] * (1.0 - (1.0 - 0.4 * 0.3 * p2) ** int(k))
+            assert ds[i] == pytest.approx(expected, rel=1e-9, abs=1e-16)
 
     def test_demography_removes_infected_into_r(self):
         params = EpidemicParams(lam=0.3, rho0=0.01, d=0.05)
@@ -317,18 +316,15 @@ class TestHivHetero:
         params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02)
         traj = integrate(build_model("hiv_hetero", params, FIG1_DIST, FIG1_DIST, asymmetry=1.0),
                          (0, 50), 0.25, "rk4")
-        worst = max(
-            max(np.abs(st.s - st.s2).max(), np.abs(st.rho - st.rho2).max())
-            for st in states(traj))
-        assert worst <= 1e-10
+        (s1, rho1, _), (s2, rho2, _) = per_degree(traj.model, traj.Y)
+        assert max(np.abs(s1 - s2).max(), np.abs(rho1 - rho2).max()) <= 1e-10
 
     def test_halved_male_rate_breaks_symmetry(self):
         params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02)
         traj = integrate(build_model("hiv_hetero", params, FIG1_DIST, FIG1_DIST, asymmetry=0.5),
                          (0, 50), 0.25, "rk4")
-        men_inf = np.array([st.rho.sum() for st in states(traj)])
-        women_inf = np.array([st.rho2.sum() for st in states(traj)])
-        assert women_inf[-1] > men_inf[-1]
+        (_, men, _), (_, women, _) = per_degree(traj.model, traj.Y)
+        assert women[-1].sum() > men[-1].sum()
 
     def test_zero_rate_relaxes_toward_initial_susceptibles(self):
         # i = 0: no infections ever; s sits at its demographic attractor
@@ -352,9 +348,9 @@ class TestTreatmentSchedule:
         params = EpidemicParams(lam=0.3, rho0=0.01, d=0.02)
         model = build_model("hiv_msm", params, FIG1_DIST)
         y = model.initial_state()
-        before = model.view(y).rho.sum(axis=0)
+        before = per_degree(model, y)[0][1].sum(axis=0)
         y2 = model.repartition(y, 0.7)
-        after = model.view(y2).rho
+        after = per_degree(model, y2)[0][1]
         np.testing.assert_allclose(after.sum(axis=0), before, atol=1e-15)
         np.testing.assert_allclose(after[1], 0.7 * before, atol=1e-15)
 
@@ -384,7 +380,8 @@ class TestTreatmentSchedule:
         model = build_model("hiv_msm", params, FIG1_DIST)
         traj = integrate(model, (0, 20), 0.5, "rk4", schedule=sched)
         e = int(np.flatnonzero(traj.times == 10.0)[0])
-        jump = traj.deriv(e).rho.sum() - traj.deriv(e - 1).rho.sum()
+        [(_, drho, _)] = per_degree(model, traj.dY)
+        jump = drho[e].sum() - drho[e - 1].sum()
         assert jump < 0
 
 
@@ -393,7 +390,7 @@ class TestIntegrate:
         params = EpidemicParams(lam=0.0, mu=0.1, rho0=0.05)
         for model in (build_model("classic", params), build_model("stratified", params, FIG1_DIST)):
             traj = integrate(model, (0, 30), 0.5, "rk4")
-            s = np.array([st.s.sum() for st in states(traj)])
+            s = per_degree(model, traj.Y)[0][0].sum(axis=1)
             assert np.abs(s - s[0]).max() <= 1e-12
 
     def test_subcritical_classic_prevalence_decreases(self):
@@ -434,8 +431,8 @@ class TestIntegrate:
         y = model.initial_state()
         for i in range(5):
             y = y + model.rhs(0.0, y)
-        np.testing.assert_allclose(
-            traj.state(5).s, np.maximum(y[:60], 0.0), atol=1e-15)
+        [(s5, _, _)] = model.blocks(traj.Y[5])
+        np.testing.assert_allclose(np.maximum(s5, 0.0), np.maximum(y[:60], 0.0), atol=1e-15)
 
     def test_stability_error_on_blowup(self):
         params = EpidemicParams(lam=0.0, mu=1.0, rho0=0.5)
@@ -473,8 +470,9 @@ class TestIntegrate:
 
     def test_per_degree_removed_sums_to_aggregate(self):
         traj = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 50), 0.5, "rk4")
-        for st in states(traj)[::20]:
-            assert st.removed_k.sum() == pytest.approx(st.r, abs=1e-14)
+        [(_, _, removed)] = traj.model.blocks(traj.Y)
+        for i in range(0, len(traj.times), 20):
+            assert np.maximum(removed[i], 0.0).sum() == pytest.approx(traj.removed[i], abs=1e-14)
 
 
 class TestFinalSize:

@@ -1,9 +1,9 @@
 """The array-native output path against the per-row code it replaced.
 
 Each oracle below is the old implementation, kept here verbatim in spirit:
-per-value formatting through ``old_fmt``, one ``view`` per recorded row for
-the per-degree table, and one ``state(i)``/``deriv(i)`` pair per row for
-phase series.  The new path must reproduce them byte for byte.
+per-value formatting through ``old_fmt``, and one per-degree split of each
+recorded row (``row_view``) for the per-degree table and for phase series.
+The new path must reproduce them byte for byte.
 """
 
 import csv
@@ -98,21 +98,32 @@ class TestRowFormat:
         assert written(columns, ["i", "x", "b"]) == old_csv(["i", "x", "b"], rows)
 
 
-def old_columns(state):
-    cols = list(state.s) + list(state.rho.sum(axis=0))
-    if state.s2 is not None:
-        cols += list(state.s2) + list(state.rho2.sum(axis=0))
+def row_view(model, y, clamp=True):
+    """Per population (s, rho, removed) of one state or RHS vector: rho is
+    the infected summed over stages, one row per type; with ``clamp`` each
+    array is then clamped at 0."""
+    out = []
+    for s, infected, removed in model.blocks(y):
+        arrays = (s, infected.sum(axis=1), removed)
+        out.append(tuple(np.maximum(a, 0.0) if clamp else a for a in arrays))
+    return out
+
+
+def old_columns(model, y):
+    cols = []
+    for s, rho, _ in row_view(model, y):
+        cols += list(s) + list(rho.sum(axis=0))
     return cols
 
 
 def old_trajectory_csv(spec) -> str:
     model = build_spec_model(spec)
     traj = integrate(model, spec.t_span, spec.dt, spec.method, schedule=spec.treatment)
-    header = ["t", "s_total", "i_total", "r", "incidence"] + model.state_labels()
+    header = ["t", "s_total", "i_total", "r", "incidence"] + model.degree_labels()
     rows = []
     for i, t in enumerate(traj.times):
         rows.append([t, traj.susceptible[i], traj.prevalence[i], traj.removed[i],
-                     traj.incidence[i], *old_columns(model.view(traj.Y[i]))])
+                     traj.incidence[i], *old_columns(model, traj.Y[i])])
     return old_csv(header, rows)
 
 
@@ -150,22 +161,22 @@ class TestPerDegreeTable:
 
     def test_signed_zeros_and_negatives_match_per_row_views(self):
         for model, Y, _ in synthetic_runs():
-            old = np.array([old_columns(model.view(y)) for y in Y])
+            old = np.array([old_columns(model, y) for y in Y])
             assert model.degree_columns(Y).tobytes() == old.tobytes()
 
 
 def old_phase_series(traj, m, n, variant, population):
-    def pick(state, degree):
-        degrees = state.degrees if population == 1 else state.degrees2
+    degrees = traj.model.populations[population - 1].k
+
+    def pick(y, degree, clamp):
+        s, rho, removed = row_view(traj.model, y, clamp)[population - 1]
         i = int(np.flatnonzero(degrees == degree)[0])
-        if population == 1:
-            return float(state.rho[:, i].sum()), float(state.s[i] + state.removed_k[i])
-        return float(state.rho2[:, i].sum()), float(state.s2[i] + state.removed_k2[i])
+        return float(rho[:, i].sum()), float(s[i] + removed[i])
 
     out = np.empty((len(traj.times), 2))
     for row in range(len(traj.times)):
-        rho_m, healthy_m = pick(traj.state(row), m)
-        drho_n, dhealthy_n = pick(traj.deriv(row), n)
+        rho_m, healthy_m = pick(traj.Y[row], m, clamp=True)
+        drho_n, dhealthy_n = pick(traj.dY[row], n, clamp=False)
         out[row] = (rho_m, drho_n) if variant == "infected" else (healthy_m, dhealthy_n)
     return out
 
