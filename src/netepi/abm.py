@@ -32,6 +32,24 @@ by (u, v) key (sort plus an adjacent-difference mask, not a hash set) and
 new infections are collected through a boolean mask, so they come out in
 ascending node order; ``tests/data/abm_stream_golden.json`` pins the
 resulting stream.
+
+Two things keep a step's cost to the live part of the epidemic without
+changing that stream:
+
+- Removed nodes leave the arrays.  After seeding and after every step the
+  node arrays are compacted to the live nodes in ascending id order (a
+  static edge list is renumbered onto the new positions) and removed
+  nodes are tallied per degree as they leave.  Positions map to ids
+  monotonically, so node order, edge-key order, deduplication and the
+  shuffle (whose draws depend only on the stub count) are what they would
+  be over the full id range.
+- Full rewiring forms only susceptible-infected edges.  Right after the
+  shuffle, stub pairs whose ends agree in infected status are dropped
+  (self-loops with them), and only the rest is sorted and deduplicated.
+  Susceptible-susceptible and infected-infected edges draw nothing, and
+  infected status cannot change between the pairing and the next
+  infection pass (an epoch switch re-draws only treated status among the
+  infected), so the dropped edges would never have drawn a number.
 """
 
 from __future__ import annotations
@@ -73,26 +91,37 @@ class NetworkRealization:
         return counts
 
 
-def _pair_stubs(node_ids: np.ndarray, degrees: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform stub pairing with self-loops dropped and multi-edges collapsed.
+def _shuffled_stub_pairs(node_ids: np.ndarray, degrees: np.ndarray,
+                         rng) -> tuple[np.ndarray, np.ndarray]:
+    """The two ends of each stub pair of one uniform pairing, in shuffle order.
 
     An odd stub count loses one stub (the shuffle makes it a uniformly
-    random one).
+    random one).  The draws depend only on the stub count.
     """
     stubs = np.repeat(node_ids, degrees)
     rng.shuffle(stubs)
-    if stubs.size % 2:
-        stubs = stubs[:-1]
-    u, v = stubs[0::2], stubs[1::2]
-    keep = u != v
-    u, v = u[keep], v[keep]
-    lo = np.minimum(u, v).astype(np.int64)
-    hi = np.maximum(u, v).astype(np.int64)
-    span = int(node_ids.max()) + 1 if node_ids.size else 1
-    key = np.sort(lo * span + hi)
+    end = stubs.size - stubs.size % 2
+    return stubs[0:end:2], stubs[1:end:2]
+
+
+def _unique_edges(u: np.ndarray, v: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs as a (lo, hi) edge list sorted by key, multi-edges collapsed.
+
+    Node ids must lie in [0, span).
+    """
+    key = np.sort(np.minimum(u, v) * span + np.maximum(u, v))
     if key.size:
         key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    return key // span, key % span
+    return np.divmod(key, span)
+
+
+def _renumbered(keep: np.ndarray, edges_u: np.ndarray,
+                edges_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges between kept nodes, in the same order, renumbered onto the
+    kept nodes' positions."""
+    live = keep[edges_u] & keep[edges_v]
+    position = np.cumsum(keep) - 1
+    return position[edges_u[live]], position[edges_v[live]]
 
 
 def generate_network(dist: DegreeDistribution, n: int, rng: np.random.Generator) -> NetworkRealization:
@@ -100,7 +129,9 @@ def generate_network(dist: DegreeDistribution, n: int, rng: np.random.Generator)
     if n < 2:
         raise DomainError(f"network needs at least 2 nodes, got {n}")
     degrees = sample_degrees(dist, n, rng)
-    edges_u, edges_v = _pair_stubs(np.arange(n, dtype=np.int64), degrees, rng)
+    u, v = _shuffled_stub_pairs(np.arange(n, dtype=np.int64), degrees, rng)
+    keep = u != v
+    edges_u, edges_v = _unique_edges(u[keep], v[keep], n)
     return NetworkRealization(
         n=n, degrees=degrees, edges_u=edges_u, edges_v=edges_v,
         node_state=np.full(n, SUSCEPTIBLE, dtype=np.int8),
@@ -146,7 +177,7 @@ def simulate_epidemic(
     net = initial_network if initial_network is not None else generate_network(dist, n, rng)
     if net.n != n:
         raise DomainError("initial_network size does not match n")
-    degrees = net.degrees.copy()
+    degrees = net.degrees
     state = net.node_state.copy()
     eff = params.treatment_efficacy
 
@@ -156,22 +187,28 @@ def simulate_epidemic(
     treated = rng.random(n_seed) < coverage
     state[seed_nodes] = np.where(treated, INFECTED_TREATED, INFECTED)
 
-    edges_u, edges_v = net.edges_u, net.edges_v
     k_grid = dist.degrees
     nk = len(k_grid)
+    # removed nodes leave the node arrays, here those removed before the run
+    # and in (3) those removed in it; every live node is susceptible or infected
+    keep = state != REMOVED
+    removed_count = np.bincount(degrees[~keep] - dist.k_min, minlength=nk)
+    state, degrees = state[keep], degrees[keep]
+    edges_u, edges_v = _renumbered(keep, net.edges_u, net.edges_v)
+
     s_k = np.zeros((steps + 1, nk))
     rho_k = np.zeros((steps + 1, nk))
     removed_k = np.zeros((steps + 1, nk))
     incidence = np.zeros(steps + 1)
 
     def tally(row):
-        # one bincount over (compartment code, degree) cells; returns the
-        # per-degree susceptible counts
+        # one bincount over the live (compartment code, degree) cells;
+        # returns the per-degree susceptible counts
         counts = np.bincount(state.astype(np.intp) * nk + (degrees - dist.k_min),
-                             minlength=4 * nk).reshape(4, nk)
+                             minlength=3 * nk).reshape(3, nk)
         s_k[row] = counts[SUSCEPTIBLE] / n
         rho_k[row] = (counts[INFECTED] + counts[INFECTED_TREATED]) / n
-        removed_k[row] = counts[REMOVED] / n
+        removed_k[row] = removed_count / n
         return counts[SUSCEPTIBLE]
 
     initial_susceptible = susceptible = tally(0)
@@ -181,11 +218,11 @@ def simulate_epidemic(
         coverage = _coverage_at(schedule, t0 + step - 1)
         if schedule is not None and coverage != prev_coverage:
             # epoch switch: re-draw treated status of the standing infected
-            infected_idx = np.flatnonzero((state == INFECTED) | (state == INFECTED_TREATED))
+            infected_idx = np.flatnonzero(state != SUSCEPTIBLE)
             treated = rng.random(infected_idx.size) < coverage
             state[infected_idx] = np.where(treated, INFECTED_TREATED, INFECTED)
 
-        is_inf = (state == INFECTED) | (state == INFECTED_TREATED)
+        is_inf = state != SUSCEPTIBLE
         start_infected = np.flatnonzero(is_inf)
 
         # (1) infections, one independent draw per susceptible-infected edge;
@@ -206,8 +243,16 @@ def simulate_epidemic(
         if new_infected.size:
             treated = rng.random(new_infected.size) < coverage
             state[new_infected] = np.where(treated, INFECTED_TREATED, INFECTED)
-        state[removed_now] = REMOVED
         incidence[step] = new_infected.size / n
+
+        # (3) removed nodes leave the arrays, the rest keep their order
+        if removed_now.size:
+            removed_count += np.bincount(degrees[removed_now] - dist.k_min, minlength=nk)
+            keep = np.ones(state.size, dtype=bool)
+            keep[removed_now] = False
+            state, degrees = state[keep], degrees[keep]
+            if rewire == "none":
+                edges_u, edges_v = _renumbered(keep, edges_u, edges_v)
 
         # (4) demographic replenishment toward initial susceptible counts, with
         # the deficit taken at the start of the step like the euler dt=1 ODE
@@ -220,13 +265,13 @@ def simulate_epidemic(
                 degrees = np.concatenate([degrees, new_deg])
                 state = np.concatenate([state, np.full(total_add, SUSCEPTIBLE, dtype=np.int8)])
 
-        # (3) + (5): removed nodes leave; optionally re-pair the survivors
+        # (5) re-pair the survivors, keeping only the susceptible-infected
+        # pairs: no other edge can draw before the next pairing
         if rewire == "full":
-            active = np.flatnonzero(state != REMOVED)
-            edges_u, edges_v = _pair_stubs(active, degrees[active], rng)
-        else:
-            keep = (state[edges_u] != REMOVED) & (state[edges_v] != REMOVED)
-            edges_u, edges_v = edges_u[keep], edges_v[keep]
+            u, v = _shuffled_stub_pairs(np.arange(state.size, dtype=np.int64), degrees, rng)
+            is_inf = state != SUSCEPTIBLE
+            mixed = is_inf[u] != is_inf[v]
+            edges_u, edges_v = _unique_edges(u[mixed], v[mixed], max(state.size, 1))
 
         susceptible = tally(step)
 

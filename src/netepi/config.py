@@ -152,17 +152,26 @@ def _parse_bounds_map(obj, path, model, dist, stage_rates):
             raise ConfigError(full, f"lower {lo} must be below upper {hi}")
         for bound in (lo, hi):
             _check_range(full, bound, *_DOMAINS[name])
-        if ((name == "lambda2" and model not in ("two_type", "bipartite"))
-                or (name == "treatment_efficacy" and model not in HIV_MODELS)):
-            raise ConfigError(full, f"not used by model {model!r}")
-        if name == "gamma" and (dist is None or dist["type"] != "power_law"):
-            raise ConfigError(full, "can only be varied on a power_law distribution")
-        if name == "mu" and model in HIV_MODELS:
-            raise ConfigError(full, "hiv models remove through demography; mu must be 0")
-        if name == "mu" and stage_rates is not None:
-            raise ConfigError(full, "stage_rates replaces mu; mu must stay 0")
+        reason = _fixed_reason(name, model, dist, stage_rates)
+        if reason:
+            raise ConfigError(full, reason)
         out[name] = (lo, hi)
     return out
+
+
+def _fixed_reason(name, model, dist, stage_rates):
+    """Why the model as configured cannot vary the TUNABLE parameter
+    ``name``, or None when it can."""
+    if ((name == "lambda2" and model not in ("two_type", "bipartite"))
+            or (name == "treatment_efficacy" and model not in HIV_MODELS)):
+        return f"not used by model {model!r}"
+    if name == "gamma" and (dist is None or dist["type"] != "power_law"):
+        return "can only be varied on a power_law distribution"
+    if name == "mu" and model in HIV_MODELS:
+        return "hiv models remove through demography; mu must be 0"
+    if name == "mu" and stage_rates is not None:
+        return "stage_rates replaces mu; mu must stay 0"
+    return None
 
 
 @dataclass
@@ -539,14 +548,19 @@ def parse_config(path) -> SimulationSpec:
 def build_spec_model(spec: SimulationSpec, overrides: dict | None = None):
     """Instantiate the configured model, optionally overriding tunables.
 
-    Overrides may touch any of the TUNABLE parameters; "gamma" requires a
-    power-law distribution.
+    Overrides may touch the TUNABLE parameters the model uses as
+    configured, by the same rule as ``sensitivity.ranges`` and ``fit.free``;
+    any other override is a DomainError naming it.
     """
     overrides = dict(overrides or {})
+    for name in overrides:
+        if name not in _DOMAINS:
+            raise DomainError(f"override {name!r}: unknown parameter; expected one of {TUNABLE}")
+        reason = _fixed_reason(name, spec.model, spec.distribution, spec.stage_rates)
+        if reason:
+            raise DomainError(f"override {name!r}: {reason}")
     dist_dict = spec.distribution
     if "gamma" in overrides:
-        if dist_dict is None or dist_dict["type"] != "power_law":
-            raise DomainError("gamma can only be varied on a power_law distribution")
         dist_dict = {**dist_dict, "gamma": overrides.pop("gamma")}
     rename = {"lambda": "lam", "lambda2": "lam2"}
     fields = {

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from netepi.abm import (
+    INFECTED,
+    INFECTED_TREATED,
+    REMOVED,
+    SUSCEPTIBLE,
     NetworkRealization,
+    _coverage_at,
     generate_network,
     replica_rng,
     run_ensemble,
@@ -248,3 +255,161 @@ class TestDemographyAgreement:
         report = compare_ode_abm(ode, ens, band_sigmas=3.0)
         assert report.coverage >= 0.90
         assert report.peak_relative_deviation <= 0.10
+
+
+def reference_pair_stubs(node_ids, degrees, rng):
+    """The full pairing over node ids: every pair but self-loops, deduplicated."""
+    stubs = np.repeat(node_ids, degrees)
+    rng.shuffle(stubs)
+    if stubs.size % 2:
+        stubs = stubs[:-1]
+    u, v = stubs[0::2], stubs[1::2]
+    keep = u != v
+    u, v = u[keep], v[keep]
+    lo = np.minimum(u, v).astype(np.int64)
+    hi = np.maximum(u, v).astype(np.int64)
+    span = int(node_ids.max()) + 1 if node_ids.size else 1
+    key = np.sort(lo * span + hi)
+    if key.size:
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    return key // span, key % span
+
+
+def reference_simulate(dist, n, params, steps, rewire, rng, schedule=None, initial_network=None):
+    """The step loop over full-length node arrays, with removed nodes kept in
+    place and every edge of each full pairing kept: (Y, incidence)."""
+    rng = np.random.default_rng(rng)
+    net = initial_network if initial_network is not None else generate_network(dist, n, rng)
+    degrees = net.degrees.copy()
+    state = net.node_state.copy()
+    eff = params.treatment_efficacy
+
+    n_seed = int(round(params.rho0 * n))
+    seed_nodes = rng.choice(n, size=n_seed, replace=False)
+    coverage = _coverage_at(schedule, 0.0)
+    treated = rng.random(n_seed) < coverage
+    state[seed_nodes] = np.where(treated, INFECTED_TREATED, INFECTED)
+
+    edges_u, edges_v = net.edges_u, net.edges_v
+    k_grid = dist.degrees
+    nk = len(k_grid)
+    s_k = np.zeros((steps + 1, nk))
+    rho_k = np.zeros((steps + 1, nk))
+    removed_k = np.zeros((steps + 1, nk))
+    incidence = np.zeros(steps + 1)
+
+    def tally(row):
+        counts = np.bincount(state.astype(np.intp) * nk + (degrees - dist.k_min),
+                             minlength=4 * nk).reshape(4, nk)
+        s_k[row] = counts[SUSCEPTIBLE] / n
+        rho_k[row] = (counts[INFECTED] + counts[INFECTED_TREATED]) / n
+        removed_k[row] = counts[REMOVED] / n
+        return counts[SUSCEPTIBLE]
+
+    initial_susceptible = susceptible = tally(0)
+
+    for step in range(1, steps + 1):
+        prev_coverage = coverage
+        coverage = _coverage_at(schedule, step - 1)
+        if schedule is not None and coverage != prev_coverage:
+            infected_idx = np.flatnonzero((state == INFECTED) | (state == INFECTED_TREATED))
+            treated = rng.random(infected_idx.size) < coverage
+            state[infected_idx] = np.where(treated, INFECTED_TREATED, INFECTED)
+
+        is_inf = (state == INFECTED) | (state == INFECTED_TREATED)
+        start_infected = np.flatnonzero(is_inf)
+
+        hit = np.zeros(state.size, dtype=bool)
+        for src, dst in ((edges_v, edges_u), (edges_u, edges_v)):
+            live = (state[dst] == SUSCEPTIBLE) & is_inf[src]
+            n_live = np.count_nonzero(live)
+            if not n_live:
+                continue
+            lam_edge = np.where(state[src[live]] == INFECTED_TREATED, eff * params.lam, params.lam)
+            hit[dst[live][rng.random(n_live) < lam_edge]] = True
+        new_infected = np.flatnonzero(hit)
+
+        removed_now = start_infected[rng.random(start_infected.size) < params.mu]
+
+        if new_infected.size:
+            treated = rng.random(new_infected.size) < coverage
+            state[new_infected] = np.where(treated, INFECTED_TREATED, INFECTED)
+        state[removed_now] = REMOVED
+        incidence[step] = new_infected.size / n
+
+        if params.d > 0:
+            deficit = np.maximum(initial_susceptible - susceptible, 0)
+            additions = rng.binomial(deficit, params.d)
+            total_add = int(additions.sum())
+            if total_add:
+                new_deg = np.repeat(k_grid, additions)
+                degrees = np.concatenate([degrees, new_deg])
+                state = np.concatenate([state, np.full(total_add, SUSCEPTIBLE, dtype=np.int8)])
+
+        if rewire == "full":
+            active = np.flatnonzero(state != REMOVED)
+            edges_u, edges_v = reference_pair_stubs(active, degrees[active], rng)
+        else:
+            keep = (state[edges_u] != REMOVED) & (state[edges_v] != REMOVED)
+            edges_u, edges_v = edges_u[keep], edges_v[keep]
+
+        susceptible = tally(step)
+
+    return np.hstack([s_k, rho_k, removed_k]), incidence
+
+
+EQUIVALENCE_DIST = truncated_power_law(2.2, 1, 40)
+EQUIVALENCE_SCHEDULE = TreatmentSchedule(epochs=(3.0, 9.0), coverages=(0.6, 0.2),
+                                         initial_coverage=0.1)
+
+
+def pre_removed_network(n, fraction, seed):
+    """A generated network with ``fraction`` of its nodes removed before the run."""
+    rng = np.random.default_rng(seed)
+    net = generate_network(EQUIVALENCE_DIST, n, rng)
+    net.node_state[rng.random(n) < fraction] = REMOVED
+    return net
+
+
+class TestCompactedStepEquivalence:
+    """The step over live nodes and susceptible-infected pairs draws the same
+    stream as the step over full-length arrays and full pairings."""
+
+    @staticmethod
+    def assert_same_run(n, params, steps, rewire, seed, schedule, initial_network):
+        ref_Y, ref_incidence = reference_simulate(
+            EQUIVALENCE_DIST, n, params, steps, rewire, replica_rng(seed, 0), schedule,
+            initial_network)
+        traj = simulate_epidemic(EQUIVALENCE_DIST, n, params, steps, rewire=rewire,
+                                 rng=replica_rng(seed, 0), schedule=schedule,
+                                 initial_network=initial_network)
+        assert traj.Y.tobytes() == ref_Y.tobytes()
+        assert traj.incidence.tobytes() == ref_incidence.tobytes()
+        return traj
+
+    @given(n=st.integers(50, 2000), rewire=st.sampled_from(["full", "none"]),
+           d=st.sampled_from([0.0, 0.05]), treated=st.booleans(),
+           pre_removed=st.sampled_from([0.0, 0.3]), lam=st.sampled_from([0.1, 0.6]),
+           mu=st.sampled_from([0.05, 0.5]), seed=st.integers(0, 2 ** 16))
+    @example(n=2000, rewire="full", d=0.05, treated=True, pre_removed=0.3, lam=0.6, mu=0.05,
+             seed=1)
+    @example(n=50, rewire="none", d=0.0, treated=False, pre_removed=0.3, lam=0.1, mu=0.5,
+             seed=2)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_full_length_reference(self, n, rewire, d, treated, pre_removed, lam, mu,
+                                           seed):
+        params = EpidemicParams(lam=lam, mu=mu, rho0=0.05, d=d, treatment_efficacy=0.3)
+        network = pre_removed_network(n, pre_removed, seed) if pre_removed else None
+        self.assert_same_run(n, params, 15, rewire, seed,
+                             EQUIVALENCE_SCHEDULE if treated else None, network)
+
+    @pytest.mark.parametrize("rewire", ["full", "none"])
+    def test_everyone_removed(self, rewire):
+        # every live node is seeded and removed in the first step; the arrays
+        # stay empty for the remaining steps
+        n = 400
+        params = EpidemicParams(lam=0.5, mu=1.0, rho0=0.25)
+        network = pre_removed_network(n, 1.0, 3)
+        traj = self.assert_same_run(n, params, 6, rewire, 3, EQUIVALENCE_SCHEDULE, network)
+        assert np.all(traj.prevalence[1:] == 0) and np.all(traj.susceptible == 0)
+        assert traj.removed[-1] == pytest.approx(1.0, abs=1e-12)

@@ -12,7 +12,7 @@ from netepi.cli import execute, main
 from netepi.config import parse_config, parse_config_data, run_trajectory
 from netepi.errors import ConfigError, DomainError
 from netepi.ode import MODEL_NAMES, integrate
-from netepi.config import build_spec_model
+from netepi.config import HIV_MODELS, TUNABLE, build_spec_model
 
 DATA = Path(__file__).parent / "data"
 
@@ -845,6 +845,56 @@ SOBOL_BASE = {
     "distribution": {"type": "power_law", "gamma": 2.5, "k_min": 1, "k_max": 20},
     "t_span": [0, 20], "method": "euler", "dt": 1.0,
 }
+
+
+
+def model_config(model, **extra):
+    """SOBOL_BASE as a valid config of ``model``."""
+    cfg = {**SOBOL_BASE, "model": model, **extra}
+    if model == "classic":
+        del cfg["distribution"]
+    if model in ("two_type", "bipartite"):
+        cfg["lambda2"] = 0.05
+    if model in HIV_MODELS or "stage_rates" in extra:
+        cfg["mu"] = 0.0
+    return cfg
+
+
+class TestOverrides:
+    def test_unused_override_is_named(self):
+        # these used to return the unchanged run
+        spec = parse_config_data(SOBOL_BASE)
+        for name in ("lambda2", "treatment_efficacy"):
+            with pytest.raises(DomainError,
+                               match=f"override '{name}': not used by model 'stratified'"):
+                run_trajectory(spec, {name: 0.9})
+        with pytest.raises(DomainError, match="override 'lambda3': unknown parameter"):
+            run_trajectory(spec, {"lambda3": 0.9})
+        assert not np.array_equal(run_trajectory(spec, {"lambda": 0.2}).incidence,
+                                  run_trajectory(spec).incidence)
+
+    @pytest.mark.parametrize("model,extra", [(model, {}) for model in MODEL_NAMES] + [
+        (model, extra) for model in MODEL_NAMES if model != "classic"
+        for extra in ({"stage_rates": [0.1, 0.2]},
+                      {"distribution": {"type": "weights", "weights": [1, 1]}})])
+    def test_same_rule_as_the_parser(self, model, extra):
+        # an override is accepted exactly where the parser accepts a range
+        cfg = model_config(model, **extra)
+        spec = parse_config_data(cfg)
+        for name in TUNABLE:
+            pair = [2.0, 3.0] if name == "gamma" else [0.2, 0.4]
+            try:
+                parse_config_data({**cfg, "sensitivity": {"ranges": {name: pair}, "n_base": 64}})
+                parsed = True
+            except ConfigError:
+                parsed = False
+            try:
+                build_spec_model(spec, {name: pair[0]})
+                built = True
+            except DomainError as exc:
+                assert f"override {name!r}" in str(exc)
+                built = False
+            assert parsed == built, name
 
 
 class TestMalformedConfigs:
