@@ -148,6 +148,23 @@ def _coverage_at(schedule: TreatmentSchedule | None, t: float) -> float:
     return coverage
 
 
+def _check_network(net: NetworkRealization, dist: DegreeDistribution, n: int):
+    """Reject a caller's starting network that does not fit ``n`` nodes with
+    degrees in ``dist``'s support, naming the part that does not."""
+    if net.n != n:
+        raise DomainError("initial_network size does not match n")
+    if len(net.degrees) != n or len(net.node_state) != n:
+        raise DomainError(f"initial_network degrees and node_state need length n={n}")
+    if np.any((net.degrees < dist.k_min) | (net.degrees > dist.k_max)):
+        raise DomainError(f"initial_network degrees outside the distribution's support "
+                          f"[{dist.k_min}, {dist.k_max}]")
+    edges = np.concatenate([net.edges_u, net.edges_v])
+    if len(net.edges_u) != len(net.edges_v) or np.any((edges < 0) | (edges >= n)):
+        raise DomainError(f"initial_network edges must pair node ids in [0, {n})")
+    if np.any((net.node_state < SUSCEPTIBLE) | (net.node_state > REMOVED)):
+        raise DomainError(f"initial_network node_state codes outside [{SUSCEPTIBLE}, {REMOVED}]")
+
+
 def simulate_epidemic(
     dist: DegreeDistribution,
     n: int,
@@ -174,9 +191,9 @@ def simulate_epidemic(
         raise DomainError(f"rewire must be 'full' or 'none', got {rewire!r}")
     rng = np.random.default_rng(rng)
 
+    if initial_network is not None:
+        _check_network(initial_network, dist, n)
     net = initial_network if initial_network is not None else generate_network(dist, n, rng)
-    if net.n != n:
-        raise DomainError("initial_network size does not match n")
     degrees = net.degrees
     state = net.node_state.copy()
     eff = params.treatment_efficacy

@@ -44,19 +44,8 @@ class SobolResult:
     n_base: int
 
 
-def _evaluate(runner, rows, parameters, output, n_jobs):
-    def one(row):
-        traj = runner(dict(zip(parameters, row)))
-        return getattr(traj, output)
-
-    if n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(one, rows))
-    else:
-        results = [one(row) for row in rows]
-    return np.asarray(results)
+def _evaluate(runner, rows, parameters, output):
+    return np.asarray([getattr(runner(dict(zip(parameters, row))), output) for row in rows])
 
 
 def sobol_first_order(
@@ -65,14 +54,11 @@ def sobol_first_order(
     n_base: int,
     seed: int = 0,
     output: str = "incidence",
-    n_jobs: int = 1,
 ) -> SobolResult:
     """Saltelli estimate of first-order Sobol indices over output time.
 
     ``runner`` maps a parameter dict to a Trajectory; ``ranges`` gives one
-    uniform interval per parameter.  Evaluations are independent and may run
-    in ``n_jobs`` threads; assembly order is fixed by sample index either
-    way.
+    uniform interval per parameter.  Evaluations run in sample order.
     """
     if n_base < 64:
         raise DomainError(f"n_base must be >= 64, got {n_base}")
@@ -93,8 +79,8 @@ def sobol_first_order(
     a = lo + (hi - lo) * rng.random((n_base, d))
     b = lo + (hi - lo) * rng.random((n_base, d))
 
-    f_a = _evaluate(runner, a, parameters, output, n_jobs)
-    f_b = _evaluate(runner, b, parameters, output, n_jobs)
+    f_a = _evaluate(runner, a, parameters, output)
+    f_b = _evaluate(runner, b, parameters, output)
     times = runner(dict(zip(parameters, a[0]))).times
 
     variance = np.concatenate([f_a, f_b]).var(axis=0, ddof=1)
@@ -105,7 +91,7 @@ def sobol_first_order(
     for j in range(d):
         ab = a.copy()
         ab[:, j] = b[:, j]
-        f_ab = _evaluate(runner, ab, parameters, output, n_jobs)
+        f_ab = _evaluate(runner, ab, parameters, output)
         # Saltelli 2010 first-order estimator
         terms = f_b * (f_ab - f_a)
         with np.errstate(invalid="ignore", divide="ignore"):

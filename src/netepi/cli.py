@@ -100,7 +100,8 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
     """Run one command against a validated spec.
 
     ``seed`` and ``replicas`` override the configured values for the
-    stochastic commands.  Returns (summary line, list of written paths).
+    stochastic commands; ``threads`` is the number of agent-based replica
+    processes.  Returns (summary line, list of written paths).
     Raises ConfigError / DomainError / StabilityError / OSError; any
     partially written outputs are removed first.
     """
@@ -186,7 +187,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             result = sobol_first_order(
                 runner, sen["ranges"], sen["n_base"],
                 seed=sen["seed"] if seed is None else seed,
-                output=sen["output"], n_jobs=threads,
+                output=sen["output"],
             )
             _write_csv(target("sobol.csv"), ["t"] + [f"S_{p}" for p in result.parameters],
                        [result.times, *result.indices])
@@ -318,7 +319,8 @@ def _command(name, help_text):
         fn = click.option("--out", type=click.Path(file_okay=False), default=None,
                           help="Output directory (default: out_dir from the config).")(fn)
         fn = click.option("--threads", type=int, default=None,
-                          help="Worker parallelism (default: NETEPI_THREADS or 1).")(fn)
+                          help="Agent-based replica processes (default: NETEPI_THREADS "
+                               "or 1); other work runs in one process.")(fn)
         fn = click.option("--seed", type=int, default=None,
                           help="Override the configured random seed.")(fn)
         fn = click.option("--config", required=True,

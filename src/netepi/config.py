@@ -4,40 +4,46 @@ A configuration is one JSON object selecting a model and its parameters.
 Unknown keys are rejected everywhere (typo safety) and every diagnostic
 carries the dotted path of the offending field.  The canonical form emitted
 by ``SimulationSpec.canonical_dict`` round-trips through ``parse_config``
-unchanged.
+unchanged.  README.md ("Configuration") has examples.
 
-Minimal example::
-
-    {"model": "classic", "lambda": 0.05, "mu": 0.05, "rho0": 0.01,
-     "t_span": [0, 200]}
-
-Stratified and richer models add a "distribution" object, either
-{"type": "power_law", "gamma": 3, "k_min": 1, "k_max": 60} or
-{"type": "weights", "k_min": 1, "weights": [...]}.  Command-specific
-sections ("abm", "compare", "sensitivity", "phase", "fit") are validated
-when present.
+The model-specific fields, "distribution" among them, are read per
+MODEL_FIELDS below.  A distribution is either {"type": "power_law",
+"gamma": 3, "k_min": 1, "k_max": 60} or {"type": "weights", "k_min": 1,
+"weights": [...]}.  Command-specific sections ("abm", "compare",
+"sensitivity", "phase", "fit") are validated when present.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .degree import DegreeDistribution, from_weights, truncated_power_law
 from .errors import ConfigError, DomainError
-from .ode import (
-    MODEL_BUILDERS,
-    MODEL_NAMES,
-    EpidemicParams,
-    TreatmentSchedule,
-    build_model,
-    integrate,
-)
+from .ode import MODEL_NAMES, EpidemicParams, TreatmentSchedule, build_model, integrate
 
-TWO_POP_MODELS = ("bipartite", "hiv_hetero")
-HIV_MODELS = ("hiv_msm", "hiv_hetero")
+# Per model, the model-specific fields it reads, REQUIRED_FIELDS required.
+# The parser rejects a field outside the row, naming it; sensitivity.ranges,
+# fit.free and overrides vary lambda2, mu and treatment_efficacy only inside
+# it; phase.population 2 needs distribution2; canonical_dict writes, and
+# build_spec_model passes the builder, the row's BUILDER_FIELDS and treatment
+# as the initial coverage.  Two exceptions: a top-level mu outside the row is
+# accepted at 0 (those models remove infected through demography), and a
+# top-level treatment_efficacy on every model (canonical_dict writes it).
+MODEL_FIELDS = {
+    "classic": ("mu",),
+    "stratified": ("mu", "distribution", "stage_rates"),
+    "two_type": ("mu", "distribution", "lambda2", "split", "rho0_type2", "stage_rates"),
+    "bipartite": ("mu", "distribution", "distribution2", "lambda2", "rho0_2", "side_fraction",
+                  "stage_rates"),
+    "hiv_msm": ("treatment_efficacy", "distribution", "treatment", "stage_rates"),
+    "hiv_hetero": ("treatment_efficacy", "distribution", "distribution2", "rho0_2",
+                   "asymmetry", "side_fraction", "treatment", "stage_rates"),
+}
+REQUIRED_FIELDS = ("distribution", "lambda2")
+BUILDER_FIELDS = ("split", "rho0_type2", "asymmetry", "side_fraction", "stage_rates")
+_TABLE_FIELDS = {name for row in MODEL_FIELDS.values() for name in row}
 
 # parameters the sensitivity and fit commands may vary, each with its domain
 # (lower, upper, lower open, upper open)
@@ -47,13 +53,6 @@ _DOMAINS = {
     "treatment_efficacy": (0, 1, False, False), "gamma": (0, float("inf"), True, True),
 }
 TUNABLE = tuple(_DOMAINS)
-# spec fields passed to the model builders that take them, per model
-_MODEL_OPTIONS = {
-    name: tuple(option for option in ("split", "rho0_type2", "asymmetry", "side_fraction",
-                                      "stage_rates")
-                if option in inspect.signature(builder).parameters)
-    for name, builder in MODEL_BUILDERS.items()
-}
 
 
 def _expect(mapping, path, known):
@@ -162,13 +161,10 @@ def _parse_bounds_map(obj, path, model, dist, stage_rates):
 def _fixed_reason(name, model, dist, stage_rates):
     """Why the model as configured cannot vary the TUNABLE parameter
     ``name``, or None when it can."""
-    if ((name == "lambda2" and model not in ("two_type", "bipartite"))
-            or (name == "treatment_efficacy" and model not in HIV_MODELS)):
+    if name in _TABLE_FIELDS and name not in MODEL_FIELDS[model]:
         return f"not used by model {model!r}"
     if name == "gamma" and (dist is None or dist["type"] != "power_law"):
         return "can only be varied on a power_law distribution"
-    if name == "mu" and model in HIV_MODELS:
-        return "hiv models remove through demography; mu must be 0"
     if name == "mu" and stage_rates is not None:
         return "stage_rates replaces mu; mu must stay 0"
     return None
@@ -235,15 +231,9 @@ class SimulationSpec:
             out["distribution"] = dict(self.distribution)
         if self.distribution2 is not None:
             out["distribution2"] = dict(self.distribution2)
-        if self.model == "two_type":
-            out["split"] = self.split
-            out["rho0_type2"] = self.rho0_type2
-        if self.model == "hiv_hetero":
-            out["asymmetry"] = self.asymmetry
-        if self.model in TWO_POP_MODELS:
-            out["side_fraction"] = self.side_fraction
-        if self.stage_rates is not None:
-            out["stage_rates"] = self.stage_rates
+        for name in BUILDER_FIELDS:
+            if name in MODEL_FIELDS[self.model] and getattr(self, name) is not None:
+                out[name] = getattr(self, name)
         if self.treatment is not None:
             out["treatment"] = {
                 "initial_coverage": self.treatment.initial_coverage,
@@ -273,13 +263,30 @@ class SimulationSpec:
         return out
 
 
-_TOP_KEYS = {
-    "model", "lambda", "mu", "rho0", "d", "lambda2", "rho0_2",
-    "treatment_efficacy", "t_span", "method", "dt", "link_mode",
-    "distribution", "distribution2", "split", "rho0_type2", "asymmetry",
-    "side_fraction", "stage_rates", "treatment", "per_degree", "out_dir",
-    "abm", "compare", "sensitivity", "phase", "fit",
+_TOP_KEYS = _TABLE_FIELDS | {
+    "model", "lambda", "rho0", "d", "t_span", "method", "dt", "link_mode", "per_degree",
+    "out_dir", "abm", "compare", "sensitivity", "phase", "fit",
 }
+
+
+def _given(data, model, name) -> bool:
+    """Whether the MODEL_FIELDS field ``name`` is in ``data``: it is rejected
+    outside the model's row and, if REQUIRED_FIELDS, required inside it."""
+    if name not in MODEL_FIELDS[model]:
+        if name in data:
+            raise ConfigError(name, f"not used by model {model!r}")
+        return False
+    if name in REQUIRED_FIELDS and name not in data:
+        raise ConfigError(name, f"required for model {model!r}")
+    return name in data
+
+
+def _model_number(data, model, name, default, **open_ends):
+    """The MODEL_FIELDS number ``name`` in [0, 1] (ends open per
+    ``open_ends``), or ``default`` when absent."""
+    if not _given(data, model, name):
+        return default
+    return _check_range(name, _get(data, "", name, float), 0, 1, **open_ends)
 
 
 def parse_config_data(data) -> SimulationSpec:
@@ -300,22 +307,10 @@ def parse_config_data(data) -> SimulationSpec:
     efficacy = _check_range(
         "treatment_efficacy", _get(data, "", "treatment_efficacy", float, default=0.4), 0, 1)
 
-    lam2 = _get(data, "", "lambda2", float, default=None)
-    if model in ("two_type", "bipartite"):
-        if lam2 is None:
-            raise ConfigError("lambda2", f"required for model {model!r}")
-        _check_range("lambda2", lam2, 0, 1)
-    elif lam2 is not None:
-        raise ConfigError("lambda2", f"not used by model {model!r}")
-
-    rho0_2 = _get(data, "", "rho0_2", float, default=None)
-    if rho0_2 is not None:
-        if model not in TWO_POP_MODELS:
-            raise ConfigError("rho0_2", f"not used by model {model!r}")
-        _check_range("rho0_2", rho0_2, 0, 1, hi_open=True)
-
-    if model in HIV_MODELS and mu != 0.0:
-        raise ConfigError("mu", "hiv models remove through demography; mu must be 0")
+    lam2 = _model_number(data, model, "lambda2", None)
+    rho0_2 = _model_number(data, model, "rho0_2", None, hi_open=True)
+    if mu != 0.0 and "mu" not in MODEL_FIELDS[model]:
+        raise ConfigError("mu", f"model {model!r} removes through demography; mu must be 0")
 
     span = _get(data, "", "t_span", list, required=True)
     if len(span) != 2:
@@ -335,45 +330,26 @@ def parse_config_data(data) -> SimulationSpec:
         raise ConfigError("link_mode", f"expected 'active' or 'fixed', got {link_mode!r}")
 
     dist = dist2 = None
-    if model == "classic":
-        if "distribution" in data or "distribution2" in data:
-            raise ConfigError("distribution", "classic model takes no distribution")
-    else:
-        if "distribution" not in data:
-            raise ConfigError("distribution", f"required for model {model!r}")
+    if _given(data, model, "distribution"):
         dist = _parse_distribution(data["distribution"], "distribution")
-        if "distribution2" in data:
-            if model not in TWO_POP_MODELS:
-                raise ConfigError("distribution2", f"not used by model {model!r}")
+        if _given(data, model, "distribution2"):
             dist2 = _parse_distribution(data["distribution2"], "distribution2")
+    elif "distribution2" in data:
+        # a model without degrees names the distribution it lacks
+        raise ConfigError("distribution", f"not used by model {model!r}")
 
-    split = data.get("split", "hazard")
-    if "split" in data and model != "two_type":
-        raise ConfigError("split", f"not used by model {model!r}")
+    split = data["split"] if _given(data, model, "split") else "hazard"
     if split != "hazard":
         if isinstance(split, bool) or not isinstance(split, (int, float)):
             raise ConfigError("split", "expected 'hazard' or a fraction in [0, 1]")
         split = _check_range("split", float(split), 0, 1)
 
-    rho0_type2 = _get(data, "", "rho0_type2", float, default=0.0)
-    if "rho0_type2" in data and model != "two_type":
-        raise ConfigError("rho0_type2", f"not used by model {model!r}")
-    _check_range("rho0_type2", rho0_type2, 0, 1)
-
-    asymmetry = _get(data, "", "asymmetry", float, default=0.5)
-    if "asymmetry" in data and model != "hiv_hetero":
-        raise ConfigError("asymmetry", f"not used by model {model!r}")
-    _check_range("asymmetry", asymmetry, 0, 1)
-
-    side_fraction = _get(data, "", "side_fraction", float, default=0.5)
-    if "side_fraction" in data and model not in TWO_POP_MODELS:
-        raise ConfigError("side_fraction", f"not used by model {model!r}")
-    _check_range("side_fraction", side_fraction, 0, 1, lo_open=True, hi_open=True)
+    rho0_type2 = _model_number(data, model, "rho0_type2", 0.0)
+    asymmetry = _model_number(data, model, "asymmetry", 0.5)
+    side_fraction = _model_number(data, model, "side_fraction", 0.5, lo_open=True, hi_open=True)
 
     stage_rates = None
-    if "stage_rates" in data:
-        if model == "classic":
-            raise ConfigError("stage_rates", "not used by the classic model")
+    if _given(data, model, "stage_rates"):
         stage_rates = data["stage_rates"]
         if not isinstance(stage_rates, list) or not stage_rates:
             raise ConfigError("stage_rates", "expected per-stage rates in [0, 1]")
@@ -381,13 +357,11 @@ def parse_config_data(data) -> SimulationSpec:
         if (not all(isinstance(r, list) and r for r in rows) or len({len(r) for r in rows}) > 1
                 or not all(0 <= _number("stage_rates", v) <= 1 for row in rows for v in row)):
             raise ConfigError("stage_rates", "expected per-stage rates in [0, 1], as many per type")
-        if model not in HIV_MODELS and mu != 0.0:
+        if mu != 0.0:
             raise ConfigError("stage_rates", "stage_rates replaces mu; set mu=0")
 
     treatment = None
-    if "treatment" in data:
-        if model not in HIV_MODELS:
-            raise ConfigError("treatment", f"not used by model {model!r}")
+    if _given(data, model, "treatment"):
         tr = data["treatment"]
         if not isinstance(tr, dict):
             raise ConfigError("treatment", "expected an object")
@@ -474,9 +448,9 @@ def parse_config_data(data) -> SimulationSpec:
             "n": _get(ph, "phase", "n", int, required=True),
             "variant": variant, "population": population,
         }
-        if population == 2 and model not in TWO_POP_MODELS:
+        if population == 2 and "distribution2" not in MODEL_FIELDS[model]:
             raise ConfigError("phase.population", f"model {model!r} has one population")
-        # classic has no distribution: its one degree is 1
+        # a model without a distribution has the one degree 1
         chosen = build_distribution(dist if population == 1 else dist2 or dist) if dist else None
         lo, hi = (chosen.k_min, chosen.k_max) if chosen else (1, 1)
         for key in ("m", "n"):
@@ -563,22 +537,22 @@ def build_spec_model(spec: SimulationSpec, overrides: dict | None = None):
     if "gamma" in overrides:
         dist_dict = {**dist_dict, "gamma": overrides.pop("gamma")}
     rename = {"lambda": "lam", "lambda2": "lam2"}
-    fields = {
-        "lam": spec.params.lam, "mu": spec.params.mu, "rho0": spec.params.rho0,
-        "d": spec.params.d, "lam2": spec.params.lam2, "rho0_2": spec.params.rho0_2,
-        "treatment_efficacy": spec.params.treatment_efficacy,
-    }
-    for name, value in overrides.items():
-        fields[rename.get(name, name)] = float(value)
-    params = EpidemicParams(**fields)
-
+    params = replace(spec.params, **{rename.get(name, name): float(value)
+                                     for name, value in overrides.items()})
     dist = build_distribution(dist_dict) if dist_dict else None
     dist2 = build_distribution(spec.distribution2) if spec.distribution2 else None
-    kwargs = {name: getattr(spec, name) for name in _MODEL_OPTIONS[spec.model]}
-    if spec.treatment is not None:
-        kwargs["coverage"] = spec.treatment.initial_coverage
     return build_model(spec.model, params, dist=dist, dist2=dist2,
-                       link_mode=spec.link_mode, **kwargs)
+                       link_mode=spec.link_mode, **builder_options(spec))
+
+
+def builder_options(spec: SimulationSpec) -> dict:
+    """The keyword options ``build_spec_model`` passes the model's builder:
+    its row's BUILDER_FIELDS, and treatment as the initial coverage."""
+    row = MODEL_FIELDS[spec.model]
+    options = {name: getattr(spec, name) for name in BUILDER_FIELDS if name in row}
+    if "treatment" in row:
+        options["coverage"] = spec.treatment.initial_coverage if spec.treatment else 0.0
+    return options
 
 
 def run_trajectory(spec: SimulationSpec, overrides: dict | None = None,

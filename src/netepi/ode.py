@@ -96,7 +96,9 @@ def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
     ``fixed_edge_mass`` divides by the static initial edge mass instead.
     ``rho_types`` holds one row of infected fractions per type.  Each
     probability is clamped to [0, 1]; with no edge mass left (every node
-    removed) all are 0.
+    removed) all are 0.  A sum past the 1 + 1e-12 ``LinkProbabilities``
+    allows (negative s in an rk4 stage) is scaled to 1; the step check then
+    decides whether the run goes on.
     """
     infected_mass = (rho_types @ degrees).tolist()
     if fixed_edge_mass is None:
@@ -105,7 +107,11 @@ def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
         denom = fixed_edge_mass
     if denom <= 0.0:
         return [0.0] * len(infected_mass)
-    return [min(max(m / denom, 0.0), 1.0) for m in infected_mass]
+    p = [min(max(m / denom, 0.0), 1.0) for m in infected_mass]
+    total = sum(p)
+    if total > 1.0 + 1e-12:
+        p = [x / total for x in p]
+    return p
 
 
 def _stage_matrix(stage_rates, n_types, mu):

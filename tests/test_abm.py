@@ -171,6 +171,27 @@ class TestSimulateEpidemic:
         with pytest.raises(DomainError):
             simulate_epidemic(DIST30, 100, params, 5, rewire="partial")
 
+    @pytest.mark.parametrize("rewire", ["full", "none"])
+    @pytest.mark.parametrize("field, value, part", [
+        ("degrees", np.full(5, 9), "support"),
+        ("degrees", np.full(5, 0), "support"),
+        ("degrees", np.full(4, 4), "length"),
+        ("edges_u", np.array([0, 1, 5]), "edges"),
+        ("edges_v", np.array([1, 2, -1]), "edges"),
+        ("node_state", np.array([0, 0, 7, 0, 0], dtype=np.int8), "node_state"),
+        ("node_state", np.array([0, -1, 0, 0, 0], dtype=np.int8), "node_state"),
+    ], ids=["degree_above", "degree_below", "degrees_short", "edge_id_n", "edge_id_negative",
+            "state_7", "state_negative"])
+    def test_rejects_bad_initial_network(self, rewire, field, value, part):
+        # these used to end in a raw numpy ValueError or IndexError
+        net = complete_graph(5)
+        net.edges_u, net.edges_v = net.edges_u[:3], net.edges_v[:3]
+        setattr(net, field, value)
+        params = EpidemicParams(lam=0.5, mu=0.1, rho0=0.2)
+        with pytest.raises(DomainError, match=part):
+            simulate_epidemic(from_weights(1, [1.0] * 4), 5, params, 3, rewire=rewire,
+                              rng=np.random.default_rng(0), initial_network=net)
+
 
 class TestEnsemble:
     def test_identical_replicas_have_zero_variance(self):

@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -11,10 +12,12 @@ from netepi import cli
 from netepi.cli import execute, main
 from netepi.config import parse_config, parse_config_data, run_trajectory
 from netepi.errors import ConfigError, DomainError
-from netepi.ode import MODEL_NAMES, integrate
-from netepi.config import HIV_MODELS, TUNABLE, build_spec_model
+from netepi.ode import MODEL_BUILDERS, MODEL_NAMES, integrate
+from netepi.config import (MODEL_FIELDS, REQUIRED_FIELDS, TUNABLE, build_spec_model,
+                           builder_options)
 
 DATA = Path(__file__).parent / "data"
+HIV_MODELS = ("hiv_msm", "hiv_hetero")
 
 MINIMAL_CLASSIC = {
     "model": "classic", "lambda": 0.05, "mu": 0.05, "rho0": 0.01,
@@ -424,6 +427,19 @@ class TestCliProcess:
         result = runner.invoke(main, ["run-ode", "--config", cfg,
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("dt, code", [(2, 0), (3, 2)])
+    def test_two_type_large_rk4_step_is_not_a_config_error(self, tmp_path, dt, code):
+        # used to exit 1 with "invalid link probabilities"; the stratified
+        # twin completes at dt 2 and stops with a StabilityError at dt 3
+        stratified = {"model": "stratified", "lambda": 0.5, "mu": 0.1, "rho0": 0.2,
+                      "distribution": {"type": "power_law", "gamma": 2, "k_min": 1, "k_max": 40},
+                      "t_span": [0, 60], "method": "rk4", "dt": dt}
+        two_type = {**stratified, "model": "two_type", "lambda2": 0.5, "rho0_type2": 0.3}
+        for cfg in (two_type, stratified):
+            result = CliRunner().invoke(main, ["run-ode", "--config", self.write(tmp_path, cfg),
+                                               "--out", str(tmp_path / cfg["model"])])
+            assert result.exit_code == code, (cfg["model"], result.output)
 
     def test_demography_run_completes(self, tmp_path):
         # the cumulative removed tally of k = 1 passes 1 near t = 39; only
@@ -977,3 +993,64 @@ class TestMalformedConfigs:
         with pytest.raises(ConfigError) as err:
             parse_config_data(cfg)
         assert field_of(err) == path, str(err.value)
+
+
+# one valid value for every field a MODEL_FIELDS row can hold, plus
+# phase.population 2 (a second population)
+OPTIONAL_FIELDS = {
+    "mu": 0.05, "treatment_efficacy": 0.5, "lambda2": 0.1, "rho0_2": 0.1,
+    "distribution": SOBOL_BASE["distribution"],
+    "distribution2": {"type": "weights", "k_min": 2, "weights": [1, 2, 1]},
+    "split": 0.3, "rho0_type2": 0.2, "asymmetry": 0.6, "side_fraction": 0.4,
+    "stage_rates": [0.1, 0.2], "treatment": {"epochs": [5], "coverages": [0.5]},
+    "phase.population": 2,
+}
+
+
+class TestModelFieldTable:
+    def test_one_row_per_model_over_the_optional_fields(self):
+        assert tuple(MODEL_FIELDS) == MODEL_NAMES
+        fields = {name for row in MODEL_FIELDS.values() for name in row}
+        assert fields | {"phase.population"} == set(OPTIONAL_FIELDS)
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_builder_options_are_the_builders_keywords(self, model):
+        spec = parse_config_data({**model_config(model), "mu": 0.0})
+        parameters = inspect.signature(MODEL_BUILDERS[model]).parameters.values()
+        keywords = {p.name for p in parameters if p.default is not inspect.Parameter.empty}
+        assert set(builder_options(spec)) == keywords
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    @pytest.mark.parametrize("name", sorted(OPTIONAL_FIELDS))
+    def test_fields_outside_the_row_are_rejected(self, model, name):
+        row = MODEL_FIELDS[model]
+        cfg = {**model_config(model), "mu": 0.0}
+        if name == "phase.population":
+            cfg["phase"] = {"m": 1, "n": 1, "population": 2}
+            inside = "distribution2" in row
+        else:
+            cfg[name] = OPTIONAL_FIELDS[name]
+            # the top-level treatment_efficacy is accepted on every model
+            inside = name in row or name == "treatment_efficacy"
+        if inside:
+            assert parse_config_data(cfg).model == model
+            return
+        with pytest.raises(ConfigError, match="not used by model|has one population|mu must"
+                           ) as err:
+            parse_config_data(cfg)
+        # a model without degrees names the distribution it lacks
+        named = "distribution" if name == "distribution2" and "distribution" not in row else name
+        assert field_of(err) == named
+        if name == "mu":
+            # ... but accepts a top-level mu of 0
+            assert parse_config_data({**cfg, "mu": 0.0}).model == model
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_required_fields_inside_the_row(self, model):
+        cfg = {**model_config(model), "mu": 0.0}
+        assert parse_config_data(cfg).model == model
+        for name in REQUIRED_FIELDS:
+            if name in MODEL_FIELDS[model]:
+                with pytest.raises(ConfigError, match="required for model") as err:
+                    parse_config_data({k: v for k, v in cfg.items() if k != name})
+                assert field_of(err) == name

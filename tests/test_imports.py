@@ -1,8 +1,8 @@
 """Cold start: ``import netepi.cli`` loads only what every command needs.
 
-scipy is used only by ``fit_parameters`` (Nelder-Mead) and the executor
-pools only by ``n_jobs > 1`` runs, so each is imported inside the code path
-that uses it.  These checks run in fresh interpreters, because the test
+scipy is used only by ``fit_parameters`` (Nelder-Mead) and the process
+pool only by ``run_ensemble(n_jobs > 1)``, so each is imported inside the
+code path that uses it.  These checks run in fresh interpreters, because the test
 process itself has long since imported scipy.
 """
 
@@ -18,7 +18,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# defines heavy(): the loaded modules that only fit and n_jobs > 1 runs need
+# defines heavy(): the loaded modules that only fit and n_jobs > 1 ensembles need
 HEAVY = """
 import json, sys
 def heavy():

@@ -128,6 +128,18 @@ class TestLinkProbability:
         assert _link_fractions(degrees, np.array([0.5, 0.0]), np.array([[-0.1, 0.0]])) == [0.0]
         assert _link_fractions(degrees, np.zeros(2), np.array([[0.0, 0.5]]), 0.5) == [1.0]
 
+    def test_pair_past_one_scaled_to_one(self):
+        # a negative susceptible entry (an rk4 stage) shrinks the denominator
+        # to 0.9 under an infected edge mass of 1.1; LinkProbabilities would
+        # reject the unscaled pair 0.667 + 0.556
+        p = _link_fractions(np.array([1.0]), np.array([-0.2]), np.array([[0.6], [0.5]]))
+        assert p == [pytest.approx(0.6 / 1.1, abs=1e-15), pytest.approx(0.5 / 1.1, abs=1e-15)]
+        LinkProbabilities(*p)
+        # inside the slack nothing moves
+        rho = np.array([[0.6], [0.4 + 5e-13]])
+        assert _link_fractions(np.array([1.0]), np.array([-1e-12]), rho) == [
+            0.6 / (1.0 - 1e-12 + 5e-13), (0.4 + 5e-13) / (1.0 - 1e-12 + 5e-13)]
+
 
 class TestStratified:
     def test_single_degree_rhs_matches_classic(self):
@@ -209,6 +221,24 @@ class TestTwoType:
         one = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 100), 0.5, "rk4")
         assert np.abs(two.prevalence - one.prevalence).max() < 1e-8
         assert np.abs(two.susceptible - one.susceptible).max() < 1e-8
+
+    @pytest.mark.parametrize("dt", [2.0, 3.0])
+    def test_large_rk4_step_behaves_like_stratified(self, dt):
+        # rk4 stages leave susceptibles slightly negative; the two-type run
+        # used to stop with a DomainError on p1 + p2 > 1 where stratified
+        # completes (dt 2) or stops with a StabilityError (dt 3)
+        dist = truncated_power_law(2, 1, 40)
+        two = build_model("two_type", EpidemicParams(lam=0.5, mu=0.1, rho0=0.2, lam2=0.5), dist,
+                          rho0_type2=0.3)
+        one = build_model("stratified", EpidemicParams(lam=0.5, mu=0.1, rho0=0.2), dist)
+        if dt == 3.0:
+            for model in (two, one):
+                with pytest.raises(StabilityError, match="t=3"):
+                    integrate(model, (0, 60), dt, "rk4")
+            return
+        two, one = integrate(two, (0, 60), dt, "rk4"), integrate(one, (0, 60), dt, "rk4")
+        assert np.abs(two.prevalence - one.prevalence).max() < 1e-12
+        assert np.abs(two.susceptible - one.susceptible).max() < 1e-12
 
     def test_no_infected_links_freezes_susceptibles(self):
         params = EpidemicParams(lam=0.4, mu=0.0, rho0=0.01, lam2=0.2)
