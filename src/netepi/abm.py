@@ -13,8 +13,9 @@ stratified model approximates:
   4. optional demographic replenishment adds susceptibles back toward their
      initial per-degree counts at rate d, the per-degree deficit taken from
      the susceptible counts at the start of the step,
-  5. with rewire="full" a fresh configuration-model pairing is drawn over
-     the surviving nodes (their target degrees persist).
+  5. a fresh configuration-model pairing is drawn over the surviving nodes
+     (their target degrees persist), so the network is fully re-paired
+     every step, as the ODE's annealed links are.
 
 Infections are evaluated against the start-of-step state and removals only
 hit previously infected nodes, which is what makes step counts comparable
@@ -37,9 +38,8 @@ Two things keep a step's cost to the live part of the epidemic without
 changing that stream:
 
 - Removed nodes leave the arrays.  After seeding and after every step the
-  node arrays are compacted to the live nodes in ascending id order (a
-  static edge list is renumbered onto the new positions) and removed
-  nodes are tallied per degree as they leave.  Positions map to ids
+  node arrays are compacted to the live nodes in ascending id order and
+  removed nodes are tallied per degree as they leave.  Positions map to ids
   monotonically, so node order, edge-key order, deduplication and the
   shuffle (whose draws depend only on the stub count) are what they would
   be over the full id range.
@@ -124,10 +124,14 @@ def _renumbered(keep: np.ndarray, edges_u: np.ndarray,
     return position[edges_u[live]], position[edges_v[live]]
 
 
+def _check_n(n):
+    if not (is_integer(n) and n >= 2):
+        raise DomainError(f"n must be an integer >= 2, got {n!r}")
+
+
 def generate_network(dist: DegreeDistribution, n: int, rng: np.random.Generator) -> NetworkRealization:
     """Configuration-model graph with degrees drawn from ``dist``."""
-    if n < 2:
-        raise DomainError(f"network needs at least 2 nodes, got {n}")
+    _check_n(n)
     degrees = sample_degrees(dist, n, rng)
     u, v = _shuffled_stub_pairs(np.arange(n, dtype=np.int64), degrees, rng)
     keep = u != v
@@ -170,7 +174,6 @@ def simulate_epidemic(
     n: int,
     params: EpidemicParams,
     steps: int,
-    rewire: str = "full",
     rng: np.random.Generator | None = None,
     schedule: TreatmentSchedule | None = None,
     initial_network: NetworkRealization | None = None,
@@ -181,14 +184,15 @@ def simulate_epidemic(
     Fractions are reported relative to the initial population, so the output
     aligns point for point with an euler dt=1 integration of the matching
     ODE model over [t0, t0 + steps]; treatment epochs are times on that
-    axis.  ``initial_network`` substitutes a custom starting graph
-    (useful with rewire="none"); demographically added nodes join isolated
-    until the next full rewiring.
+    axis.  ``initial_network`` substitutes a custom graph for the first
+    step only; every step ends by re-pairing all live nodes, the ones
+    demography adds in that step among them.
     """
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    if rewire not in ("full", "none"):
-        raise DomainError(f"rewire must be 'full' or 'none', got {rewire!r}")
+    _check_n(n)
+    if not (is_integer(steps) and steps >= 1):
+        raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
+    if is_integer(rng) and rng < 0:
+        raise DomainError(f"rng seed must be >= 0, got {rng!r}")
     rng = np.random.default_rng(rng)
 
     if initial_network is not None:
@@ -268,8 +272,6 @@ def simulate_epidemic(
             keep = np.ones(state.size, dtype=bool)
             keep[removed_now] = False
             state, degrees = state[keep], degrees[keep]
-            if rewire == "none":
-                edges_u, edges_v = _renumbered(keep, edges_u, edges_v)
 
         # (4) demographic replenishment toward initial susceptible counts, with
         # the deficit taken at the start of the step like the euler dt=1 ODE
@@ -284,11 +286,10 @@ def simulate_epidemic(
 
         # (5) re-pair the survivors, keeping only the susceptible-infected
         # pairs: no other edge can draw before the next pairing
-        if rewire == "full":
-            u, v = _shuffled_stub_pairs(np.arange(state.size, dtype=np.int64), degrees, rng)
-            is_inf = state != SUSCEPTIBLE
-            mixed = is_inf[u] != is_inf[v]
-            edges_u, edges_v = _unique_edges(u[mixed], v[mixed], max(state.size, 1))
+        u, v = _shuffled_stub_pairs(np.arange(state.size, dtype=np.int64), degrees, rng)
+        is_inf = state != SUSCEPTIBLE
+        mixed = is_inf[u] != is_inf[v]
+        edges_u, edges_v = _unique_edges(u[mixed], v[mixed], max(state.size, 1))
 
         susceptible = tally(step)
 
@@ -348,11 +349,9 @@ def replica_rng(base_seed: int, replica: int) -> np.random.Generator:
 
 
 def _run_replica(args):
-    dist, n, params, steps, rewire, schedule, base_seed, replica, t0 = args
-    return simulate_epidemic(
-        dist, n, params, steps, rewire=rewire,
-        rng=replica_rng(base_seed, replica), schedule=schedule, t0=t0,
-    )
+    dist, n, params, steps, schedule, base_seed, replica, t0 = args
+    return simulate_epidemic(dist, n, params, steps, rng=replica_rng(base_seed, replica),
+                             schedule=schedule, t0=t0)
 
 
 def run_ensemble(
@@ -362,7 +361,6 @@ def run_ensemble(
     steps: int,
     replicas: int,
     base_seed: int = 0,
-    rewire: str = "full",
     schedule: TreatmentSchedule | None = None,
     n_jobs: int = 1,
     t0: float = 0.0,
@@ -378,7 +376,7 @@ def run_ensemble(
         raise DomainError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     if not (is_integer(base_seed) and base_seed >= 0):
         raise DomainError(f"base_seed must be an integer >= 0, got {base_seed!r}")
-    jobs = [(dist, n, params, steps, rewire, schedule, base_seed, r, t0) for r in range(replicas)]
+    jobs = [(dist, n, params, steps, schedule, base_seed, r, t0) for r in range(replicas)]
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

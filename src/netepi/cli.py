@@ -90,7 +90,7 @@ def _abm_ensemble(spec: SimulationSpec, seed, replicas: int, threads: int):
         dist = build_distribution(spec.distribution)
     return run_ensemble(
         dist, spec.abm_n, spec.params, steps, replicas=replicas,
-        base_seed=spec.abm_seed if seed is None else seed, rewire=spec.abm_rewire,
+        base_seed=spec.abm_seed if seed is None else seed,
         schedule=spec.treatment, n_jobs=threads, t0=t0,
     )
 

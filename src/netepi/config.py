@@ -193,7 +193,6 @@ class SimulationSpec:
     abm_n: int | None = None
     abm_replicas: int = 100
     abm_seed: int = 0
-    abm_rewire: str = "full"
     compare_band_sigmas: float = 3.0
     sensitivity: dict | None = None
     phase: dict | None = None
@@ -217,7 +216,6 @@ class SimulationSpec:
             "abm": {
                 "replicas": self.abm_replicas,
                 "seed": self.abm_seed,
-                "rewire": self.abm_rewire,
             },
             "compare": {"band_sigmas": self.compare_band_sigmas},
         }
@@ -332,11 +330,8 @@ def parse_config_data(data) -> SimulationSpec:
     dist = dist2 = None
     if _given(data, model, "distribution"):
         dist = _parse_distribution(data["distribution"], "distribution")
-        if _given(data, model, "distribution2"):
-            dist2 = _parse_distribution(data["distribution2"], "distribution2")
-    elif "distribution2" in data:
-        # a model without degrees names the distribution it lacks
-        raise ConfigError("distribution", f"not used by model {model!r}")
+    if _given(data, model, "distribution2"):
+        dist2 = _parse_distribution(data["distribution2"], "distribution2")
 
     split = data["split"] if _given(data, model, "split") else "hazard"
     if split != "hazard":
@@ -383,12 +378,12 @@ def parse_config_data(data) -> SimulationSpec:
     per_degree = _get(data, "", "per_degree", bool, default=False)
     out_dir = _get(data, "", "out_dir", str, default=".")
 
-    abm_n, abm_replicas, abm_seed, abm_rewire = None, 100, 0, "full"
+    abm_n, abm_replicas, abm_seed = None, 100, 0
     if "abm" in data:
         abm = data["abm"]
         if not isinstance(abm, dict):
             raise ConfigError("abm", "expected an object")
-        _expect(abm, "abm", {"n", "replicas", "seed", "rewire"})
+        _expect(abm, "abm", {"n", "replicas", "seed"})
         abm_n = _get(abm, "abm", "n", int, default=None)
         if abm_n is not None and abm_n < 2:
             raise ConfigError("abm.n", f"must be >= 2, got {abm_n}")
@@ -398,9 +393,6 @@ def parse_config_data(data) -> SimulationSpec:
         abm_seed = _get(abm, "abm", "seed", int, default=0)
         if abm_seed < 0:
             raise ConfigError("abm.seed", f"must be >= 0, got {abm_seed}")
-        abm_rewire = _get(abm, "abm", "rewire", str, default="full")
-        if abm_rewire not in ("full", "none"):
-            raise ConfigError("abm.rewire", f"expected 'full' or 'none', got {abm_rewire!r}")
 
     band = 3.0
     if "compare" in data:
@@ -504,8 +496,7 @@ def parse_config_data(data) -> SimulationSpec:
         side_fraction=side_fraction, stage_rates=stage_rates,
         treatment=treatment, per_degree=per_degree, out_dir=out_dir,
         abm_n=abm_n, abm_replicas=abm_replicas, abm_seed=abm_seed,
-        abm_rewire=abm_rewire, compare_band_sigmas=band,
-        sensitivity=sensitivity, phase=phase, fit=fit,
+        compare_band_sigmas=band, sensitivity=sensitivity, phase=phase, fit=fit,
     )
 
 

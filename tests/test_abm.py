@@ -73,9 +73,10 @@ class TestGenerateNetwork:
         _, pvalue = stats.chisquare(observed, expected * observed.sum() / expected.sum())
         assert pvalue > 0.001
 
-    def test_rejects_tiny_network(self):
-        with pytest.raises(DomainError):
-            generate_network(DIST30, 1, np.random.default_rng(0))
+    @pytest.mark.parametrize("n", [1, 50.0, 2.5, "50", True])
+    def test_rejects_bad_n(self, n):
+        with pytest.raises(DomainError, match="^n "):
+            generate_network(DIST30, n, np.random.default_rng(0))
 
 
 class TestSimulateEpidemic:
@@ -91,7 +92,7 @@ class TestSimulateEpidemic:
     def test_certain_transmission_on_complete_graph(self):
         params = EpidemicParams(lam=1.0, mu=0.0, rho0=0.2)
         traj = simulate_epidemic(
-            from_weights(4, [1.0]), 5, params, 1, rewire="none",
+            from_weights(4, [1.0]), 5, params, 1,
             rng=np.random.default_rng(6), initial_network=complete_graph(5))
         assert traj.prevalence[1] == 1.0
 
@@ -122,14 +123,6 @@ class TestSimulateEpidemic:
         inflow = model.rhs_full(0, model.initial_state())[1]
         var = (inflow * (1 - inflow) + params.rho0 * params.mu * (1 - params.mu)) / n
         assert abs(abm.prevalence[1] - ode.prevalence[1]) <= 4 * np.sqrt(var)
-
-    def test_rewire_none_keeps_edges_static(self):
-        params = EpidemicParams(lam=0.0, mu=0.0, rho0=0.01)
-        net = complete_graph(6)
-        traj = simulate_epidemic(
-            from_weights(5, [1.0]), 6, params, 3, rewire="none",
-            rng=np.random.default_rng(10), initial_network=net)
-        assert traj.susceptible[-1] == traj.susceptible[0]
 
     def test_demographic_replenishment(self):
         params = EpidemicParams(lam=0.2, mu=0.2, rho0=0.05, d=0.5)
@@ -168,10 +161,26 @@ class TestSimulateEpidemic:
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.01)
         with pytest.raises(DomainError):
             simulate_epidemic(DIST30, 100, params, 0)
-        with pytest.raises(DomainError):
-            simulate_epidemic(DIST30, 100, params, 5, rewire="partial")
 
-    @pytest.mark.parametrize("rewire", ["full", "none"])
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n": 2.5}, "n"), ({"n": 100.0}, "n"), ({"n": "100"}, "n"), ({"n": True}, "n"),
+        ({"n": 1}, "n"), ({"steps": 2.5}, "steps"), ({"steps": 3.0}, "steps"),
+        ({"steps": "3"}, "steps"), ({"steps": True}, "steps"),
+        ({"rng": -1}, "rng"), ({"rng": np.int64(-3)}, "rng"),
+    ])
+    def test_rejects_bad_counts(self, kwargs, name):
+        # these used to end in a raw TypeError or ValueError, or run
+        params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
+        args = {"n": 100, "steps": 3, "rng": 0, **kwargs}
+        with pytest.raises(DomainError, match=f"^{name} "):
+            simulate_epidemic(DIST30, args["n"], params, args["steps"], rng=args["rng"])
+
+    def test_integer_seed_is_a_generator_seed(self):
+        params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
+        a = simulate_epidemic(DIST30, 200, params, 5, rng=np.uint8(7))
+        b = simulate_epidemic(DIST30, 200, params, 5, rng=np.random.default_rng(7))
+        assert a.Y.tobytes() == b.Y.tobytes()
+
     @pytest.mark.parametrize("field, value, part", [
         ("degrees", np.full(5, 9), "support"),
         ("degrees", np.full(5, 0), "support"),
@@ -182,14 +191,14 @@ class TestSimulateEpidemic:
         ("node_state", np.array([0, -1, 0, 0, 0], dtype=np.int8), "node_state"),
     ], ids=["degree_above", "degree_below", "degrees_short", "edge_id_n", "edge_id_negative",
             "state_7", "state_negative"])
-    def test_rejects_bad_initial_network(self, rewire, field, value, part):
+    def test_rejects_bad_initial_network(self, field, value, part):
         # these used to end in a raw numpy ValueError or IndexError
         net = complete_graph(5)
         net.edges_u, net.edges_v = net.edges_u[:3], net.edges_v[:3]
         setattr(net, field, value)
         params = EpidemicParams(lam=0.5, mu=0.1, rho0=0.2)
         with pytest.raises(DomainError, match=part):
-            simulate_epidemic(from_weights(1, [1.0] * 4), 5, params, 3, rewire=rewire,
+            simulate_epidemic(from_weights(1, [1.0] * 4), 5, params, 3,
                               rng=np.random.default_rng(0), initial_network=net)
 
 
@@ -296,7 +305,7 @@ def reference_pair_stubs(node_ids, degrees, rng):
     return key // span, key % span
 
 
-def reference_simulate(dist, n, params, steps, rewire, rng, schedule=None, initial_network=None):
+def reference_simulate(dist, n, params, steps, rng, schedule=None, initial_network=None):
     """The step loop over full-length node arrays, with removed nodes kept in
     place and every edge of each full pairing kept: (Y, incidence)."""
     rng = np.random.default_rng(rng)
@@ -367,12 +376,8 @@ def reference_simulate(dist, n, params, steps, rewire, rng, schedule=None, initi
                 degrees = np.concatenate([degrees, new_deg])
                 state = np.concatenate([state, np.full(total_add, SUSCEPTIBLE, dtype=np.int8)])
 
-        if rewire == "full":
-            active = np.flatnonzero(state != REMOVED)
-            edges_u, edges_v = reference_pair_stubs(active, degrees[active], rng)
-        else:
-            keep = (state[edges_u] != REMOVED) & (state[edges_v] != REMOVED)
-            edges_u, edges_v = edges_u[keep], edges_v[keep]
+        active = np.flatnonzero(state != REMOVED)
+        edges_u, edges_v = reference_pair_stubs(active, degrees[active], rng)
 
         susceptible = tally(step)
 
@@ -397,40 +402,34 @@ class TestCompactedStepEquivalence:
     stream as the step over full-length arrays and full pairings."""
 
     @staticmethod
-    def assert_same_run(n, params, steps, rewire, seed, schedule, initial_network):
+    def assert_same_run(n, params, steps, seed, schedule, initial_network):
         ref_Y, ref_incidence = reference_simulate(
-            EQUIVALENCE_DIST, n, params, steps, rewire, replica_rng(seed, 0), schedule,
-            initial_network)
-        traj = simulate_epidemic(EQUIVALENCE_DIST, n, params, steps, rewire=rewire,
+            EQUIVALENCE_DIST, n, params, steps, replica_rng(seed, 0), schedule, initial_network)
+        traj = simulate_epidemic(EQUIVALENCE_DIST, n, params, steps,
                                  rng=replica_rng(seed, 0), schedule=schedule,
                                  initial_network=initial_network)
         assert traj.Y.tobytes() == ref_Y.tobytes()
         assert traj.incidence.tobytes() == ref_incidence.tobytes()
         return traj
 
-    @given(n=st.integers(50, 2000), rewire=st.sampled_from(["full", "none"]),
-           d=st.sampled_from([0.0, 0.05]), treated=st.booleans(),
+    @given(n=st.integers(50, 2000), d=st.sampled_from([0.0, 0.05]), treated=st.booleans(),
            pre_removed=st.sampled_from([0.0, 0.3]), lam=st.sampled_from([0.1, 0.6]),
            mu=st.sampled_from([0.05, 0.5]), seed=st.integers(0, 2 ** 16))
-    @example(n=2000, rewire="full", d=0.05, treated=True, pre_removed=0.3, lam=0.6, mu=0.05,
-             seed=1)
-    @example(n=50, rewire="none", d=0.0, treated=False, pre_removed=0.3, lam=0.1, mu=0.5,
-             seed=2)
+    @example(n=2000, d=0.05, treated=True, pre_removed=0.3, lam=0.6, mu=0.05, seed=1)
+    @example(n=50, d=0.0, treated=False, pre_removed=0.3, lam=0.1, mu=0.5, seed=2)
     @settings(max_examples=30, deadline=None)
-    def test_matches_full_length_reference(self, n, rewire, d, treated, pre_removed, lam, mu,
-                                           seed):
+    def test_matches_full_length_reference(self, n, d, treated, pre_removed, lam, mu, seed):
         params = EpidemicParams(lam=lam, mu=mu, rho0=0.05, d=d, treatment_efficacy=0.3)
         network = pre_removed_network(n, pre_removed, seed) if pre_removed else None
-        self.assert_same_run(n, params, 15, rewire, seed,
-                             EQUIVALENCE_SCHEDULE if treated else None, network)
+        self.assert_same_run(n, params, 15, seed, EQUIVALENCE_SCHEDULE if treated else None,
+                             network)
 
-    @pytest.mark.parametrize("rewire", ["full", "none"])
-    def test_everyone_removed(self, rewire):
+    def test_everyone_removed(self):
         # every live node is seeded and removed in the first step; the arrays
         # stay empty for the remaining steps
         n = 400
         params = EpidemicParams(lam=0.5, mu=1.0, rho0=0.25)
         network = pre_removed_network(n, 1.0, 3)
-        traj = self.assert_same_run(n, params, 6, rewire, 3, EQUIVALENCE_SCHEDULE, network)
+        traj = self.assert_same_run(n, params, 6, 3, EQUIVALENCE_SCHEDULE, network)
         assert np.all(traj.prevalence[1:] == 0) and np.all(traj.susceptible == 0)
         assert traj.removed[-1] == pytest.approx(1.0, abs=1e-12)

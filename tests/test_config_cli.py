@@ -74,6 +74,21 @@ class TestParseConfig:
             parse_config_data(bad)
         assert field_of(err) == "distribution.kmax"
 
+    @pytest.mark.parametrize("value", ["full", "none"])
+    def test_retired_abm_rewire_key(self, value):
+        # the agent-based network is re-paired every step; there is no option
+        bad = {**FIG1, "abm": {"n": 300, "replicas": 4, "rewire": value}}
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            parse_config_data(bad)
+        assert field_of(err) == "abm.rewire"
+
+    def test_distribution2_on_classic_names_distribution2(self):
+        bad = {**MINIMAL_CLASSIC,
+               "distribution2": {"type": "weights", "k_min": 2, "weights": [1, 2, 1]}}
+        with pytest.raises(ConfigError, match="not used by model") as err:
+            parse_config_data(bad)
+        assert field_of(err) == "distribution2"
+
     def test_missing_required_field(self):
         cfg = dict(MINIMAL_CLASSIC)
         del cfg["rho0"]
@@ -179,7 +194,7 @@ class TestParseConfig:
                 "distribution2": {"type": "power_law", "gamma": 2.7, "k_min": 1, "k_max": 40},
                 "t_span": [0, 40], "dt": 0.25,
                 "treatment": {"epochs": [4], "coverages": [0.7]},
-                "abm": {"n": 1000, "replicas": 10, "seed": 4, "rewire": "full"},
+                "abm": {"n": 1000, "replicas": 10, "seed": 4},
                 "sensitivity": {"ranges": {"lambda": [0.1, 0.3]}, "n_base": 64, "seed": 1},
                 "phase": {"m": 1, "n": 1, "variant": "healthy", "population": 2},
                 "fit": {"free": {"lambda": [0.1, 0.4]}, "initial": {"lambda": 0.2},
@@ -512,6 +527,15 @@ class TestCliProcess:
         last = (tmp_path / "o" / "ensemble.csv").read_text().splitlines()[-1]
         assert last.endswith(",4")
 
+    def test_retired_abm_rewire_key_exit_code(self, tmp_path):
+        cfg = self.write(tmp_path, {**FIG1, "t_span": [0, 10], "method": "euler", "dt": 1.0,
+                                    "abm": {"n": 300, "replicas": 4, "rewire": "full"}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["run-abm", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "abm.rewire: unknown key" in result.stderr
+        assert not (out / "ensemble.csv").exists()
+
     def test_threads_env_fallback(self, tmp_path):
         runner = CliRunner()
         cfg = self.write(tmp_path, {**MINIMAL_CLASSIC, "t_span": [0, 10]})
@@ -596,7 +620,7 @@ FULL = {
     "distribution": {"type": "power_law", "gamma": 2.5, "k_min": 1, "k_max": 20},
     "distribution2": {"type": "weights", "k_min": 2, "weights": [1, 2, 1]},
     "treatment": {"initial_coverage": 0.1, "epochs": [5], "coverages": [0.5]},
-    "abm": {"n": 500, "replicas": 4, "seed": 3, "rewire": "full"},
+    "abm": {"n": 500, "replicas": 4, "seed": 3},
     "compare": {"band_sigmas": 3.0},
     "sensitivity": {"ranges": {"lambda": [0.1, 0.4]}, "n_base": 64, "seed": 1,
                     "output": "incidence"},
@@ -640,7 +664,6 @@ FIELDS = {
     "abm.n": ("int", [1, 0]),
     "abm.replicas": ("int", [1]),
     "abm.seed": ("int", [-1]),
-    "abm.rewire": ("str", ["partial"]),
     "compare": ("object", []),
     "compare.band_sigmas": ("number", [0, -1]),
     "sensitivity": ("object", []),
@@ -797,7 +820,6 @@ def valid_configs(draw):
         optional(draw, cfg["abm"], "n", st.integers(2, 10 ** 6))
         optional(draw, cfg["abm"], "replicas", st.integers(2, 500))
         optional(draw, cfg["abm"], "seed", st.integers(0, 2 ** 63))
-        optional(draw, cfg["abm"], "rewire", st.sampled_from(["full", "none"]))
     if draw(st.booleans()):
         cfg["compare"] = {}
         optional(draw, cfg["compare"], "band_sigmas", st.floats(0.1, 10))
@@ -1038,9 +1060,7 @@ class TestModelFieldTable:
         with pytest.raises(ConfigError, match="not used by model|has one population|mu must"
                            ) as err:
             parse_config_data(cfg)
-        # a model without degrees names the distribution it lacks
-        named = "distribution" if name == "distribution2" and "distribution" not in row else name
-        assert field_of(err) == named
+        assert field_of(err) == name
         if name == "mu":
             # ... but accepts a top-level mu of 0
             assert parse_config_data({**cfg, "mu": 0.0}).model == model
