@@ -26,35 +26,40 @@ Self-loops are dropped and multi-edges collapsed when pairing stubs
 from below; the distortion is o(1) at the population sizes used here and is
 measured by the tests rather than assumed away.
 
-The random stream is part of the output: the infection pass draws one
-number per live edge in edge-list order, then one treated-status number
-per new infection in node order.  The edge list is therefore kept sorted
-by (u, v) key (sort plus an adjacent-difference mask, not a hash set) and
-new infections are collected through a boolean mask, so they come out in
-ascending node order; ``tests/data/abm_stream_golden.json`` pins the
+The random stream is part of the output: each re-pairing draws the
+susceptible-infected pairs of a uniform pairing (below), the infection pass
+draws one number per live edge in edge-list order, then one treated-status
+number per new infection in node order.  The edge list is therefore kept
+sorted by (u, v) key (sort plus an adjacent-difference mask, not a hash
+set) and new infections are collected through a boolean mask, so they come
+out in ascending node order; ``tests/data/abm_stream_golden.json`` pins the
 resulting stream.
 
-Two things keep a step's cost to the live part of the epidemic without
-changing that stream:
+Two things keep a step's cost to the live part of the epidemic:
 
 - Removed nodes leave the arrays.  After seeding and after every step the
   node arrays are compacted to the live nodes in ascending id order and
   removed nodes are tallied per degree as they leave.  Positions map to ids
-  monotonically, so node order, edge-key order, deduplication and the
-  shuffle (whose draws depend only on the stub count) are what they would
-  be over the full id range.
-- Full rewiring forms only susceptible-infected edges.  Right after the
-  shuffle, stub pairs whose ends agree in infected status are dropped
-  (self-loops with them), and only the rest is sorted and deduplicated.
-  Susceptible-susceptible and infected-infected edges draw nothing, and
-  infected status cannot change between the pairing and the next
-  infection pass (an epoch switch re-draws only treated status among the
-  infected), so the dropped edges would never have drawn a number.
+  monotonically, and the pairing's draws depend only on the two sides'
+  stub counts and on the stubs listed in node order, so node order,
+  edge-key order, deduplication and the stream are what they would be over
+  the full id range with removed nodes holding no stubs.
+- A re-pairing draws only susceptible-infected pairs.  Susceptible-
+  susceptible and infected-infected edges would draw nothing, and infected
+  status cannot change between the pairing and the next infection pass (an
+  epoch switch re-draws only treated status among the infected).  The
+  number of pairs joining the two sides of a uniform pairing has a closed
+  law (two hypergeometric draws); given it, the joining stubs are a
+  shuffled prefix of the smaller side's stubs against a uniform subset of
+  the larger side's, so a step costs the smaller side's stubs plus one
+  pass over the larger side's instead of a shuffle of every live stub.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -115,6 +120,43 @@ def _unique_edges(u: np.ndarray, v: np.ndarray, span: int) -> tuple[np.ndarray, 
     return np.divmod(key, span)
 
 
+def _mixed_stub_pairs(degrees: np.ndarray, infected: np.ndarray,
+                      rng) -> tuple[np.ndarray, np.ndarray]:
+    """The susceptible-infected stub pairs of one uniform pairing of all stubs.
+
+    Node ``i`` holds ``degrees[i]`` stubs, on the infected side where
+    ``infected[i]``; an odd stub total first loses one uniformly chosen
+    stub.  Returns the two ends of each pair joining the sides, the smaller
+    side's first, without drawing the pairs inside a side.  The draws
+    depend only on the two sides' stub counts and on the stubs listed in
+    node order.
+    """
+    nodes = (np.flatnonzero(~infected), np.flatnonzero(infected))
+    side_degrees = (degrees[nodes[0]], degrees[nodes[1]])
+    counts = [int(d.sum()) for d in side_degrees]
+    if not (counts[0] and counts[1]):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    total, paired = counts[0] + counts[1], list(counts)
+    if total % 2:
+        # only the side of the stub left out matters
+        paired[int(rng.integers(total) >= counts[0])] -= 1
+    small = int(paired[1] < paired[0])
+    a, half = paired[small], total // 2
+    # a uniform pairing is a uniform stub order paired position by position:
+    # x of the smaller side's a stubs come first in their pair, and the j
+    # pairs holding two of them are where their seconds meet those firsts
+    x = rng.hypergeometric(half, half, a)
+    j = rng.hypergeometric(x, half - x, a - x)
+    cross = a - 2 * j
+    # given j, the cross stubs are a uniform subset of each side's stubs
+    # (the left-out one among them) in a uniform bijection: a shuffled
+    # prefix of one side against a uniform subset of the other
+    ends = np.repeat(nodes[small], side_degrees[small])
+    rng.shuffle(ends)
+    partners = rng.choice(counts[1 - small], cross, replace=False, shuffle=False)
+    return ends[:cross], np.repeat(nodes[1 - small], side_degrees[1 - small])[partners]
+
+
 def _renumbered(keep: np.ndarray, edges_u: np.ndarray,
                 edges_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The edges between kept nodes, in the same order, renumbered onto the
@@ -129,9 +171,21 @@ def _check_n(n):
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
 
 
-def generate_network(dist: DegreeDistribution, n: int, rng: np.random.Generator) -> NetworkRealization:
+def _generator(rng) -> np.random.Generator:
+    """``rng`` as a Generator: None (fresh entropy), an integer seed >= 0 or
+    a Generator, which is used as is."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    if rng is None or (is_integer(rng) and rng >= 0):
+        return np.random.default_rng(rng)
+    raise DomainError(f"rng must be None, an integer seed >= 0 or a numpy Generator, got {rng!r}")
+
+
+def generate_network(dist: DegreeDistribution, n: int,
+                     rng: np.random.Generator | int | None) -> NetworkRealization:
     """Configuration-model graph with degrees drawn from ``dist``."""
     _check_n(n)
+    rng = _generator(rng)
     degrees = sample_degrees(dist, n, rng)
     u, v = _shuffled_stub_pairs(np.arange(n, dtype=np.int64), degrees, rng)
     keep = u != v
@@ -174,7 +228,7 @@ def simulate_epidemic(
     n: int,
     params: EpidemicParams,
     steps: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | int | None = None,
     schedule: TreatmentSchedule | None = None,
     initial_network: NetworkRealization | None = None,
     t0: float = 0.0,
@@ -191,9 +245,9 @@ def simulate_epidemic(
     _check_n(n)
     if not (is_integer(steps) and steps >= 1):
         raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
-    if is_integer(rng) and rng < 0:
-        raise DomainError(f"rng seed must be >= 0, got {rng!r}")
-    rng = np.random.default_rng(rng)
+    if not (isinstance(t0, Real) and not isinstance(t0, bool) and math.isfinite(t0)):
+        raise DomainError(f"t0 must be a finite real number, got {t0!r}")
+    rng = _generator(rng)
 
     if initial_network is not None:
         _check_network(initial_network, dist, n)
@@ -284,12 +338,10 @@ def simulate_epidemic(
                 degrees = np.concatenate([degrees, new_deg])
                 state = np.concatenate([state, np.full(total_add, SUSCEPTIBLE, dtype=np.int8)])
 
-        # (5) re-pair the survivors, keeping only the susceptible-infected
+        # (5) re-pair the survivors, drawing only the susceptible-infected
         # pairs: no other edge can draw before the next pairing
-        u, v = _shuffled_stub_pairs(np.arange(state.size, dtype=np.int64), degrees, rng)
-        is_inf = state != SUSCEPTIBLE
-        mixed = is_inf[u] != is_inf[v]
-        edges_u, edges_v = _unique_edges(u[mixed], v[mixed], max(state.size, 1))
+        u, v = _mixed_stub_pairs(degrees, state != SUSCEPTIBLE, rng)
+        edges_u, edges_v = _unique_edges(u, v, max(state.size, 1))
 
         susceptible = tally(step)
 

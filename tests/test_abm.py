@@ -11,6 +11,7 @@ from netepi.abm import (
     SUSCEPTIBLE,
     NetworkRealization,
     _coverage_at,
+    _mixed_stub_pairs,
     generate_network,
     replica_rng,
     run_ensemble,
@@ -77,6 +78,20 @@ class TestGenerateNetwork:
     def test_rejects_bad_n(self, n):
         with pytest.raises(DomainError, match="^n "):
             generate_network(DIST30, n, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rng", [-1, 2.5, "x", True, np.random.SeedSequence(1)])
+    def test_rejects_bad_rng(self, rng):
+        # these used to end in a raw AttributeError
+        with pytest.raises(DomainError, match="^rng "):
+            generate_network(DIST30, 50, rng)
+
+    def test_integer_or_no_seed(self):
+        # an integer seeds a fresh Generator; None draws fresh entropy
+        seeded = generate_network(DIST30, 50, 7)
+        same = generate_network(DIST30, 50, np.random.default_rng(7))
+        assert np.array_equal(seeded.edges_u, same.edges_u)
+        assert np.array_equal(seeded.edges_v, same.edges_v)
+        assert generate_network(DIST30, 50, None).n == 50
 
 
 class TestSimulateEpidemic:
@@ -166,7 +181,8 @@ class TestSimulateEpidemic:
         ({"n": 2.5}, "n"), ({"n": 100.0}, "n"), ({"n": "100"}, "n"), ({"n": True}, "n"),
         ({"n": 1}, "n"), ({"steps": 2.5}, "steps"), ({"steps": 3.0}, "steps"),
         ({"steps": "3"}, "steps"), ({"steps": True}, "steps"),
-        ({"rng": -1}, "rng"), ({"rng": np.int64(-3)}, "rng"),
+        ({"rng": -1}, "rng"), ({"rng": np.int64(-3)}, "rng"), ({"rng": 2.5}, "rng"),
+        ({"rng": "x"}, "rng"), ({"rng": True}, "rng"), ({"rng": np.random.SeedSequence(1)}, "rng"),
     ])
     def test_rejects_bad_counts(self, kwargs, name):
         # these used to end in a raw TypeError or ValueError, or run
@@ -174,6 +190,13 @@ class TestSimulateEpidemic:
         args = {"n": 100, "steps": 3, "rng": 0, **kwargs}
         with pytest.raises(DomainError, match=f"^{name} "):
             simulate_epidemic(DIST30, args["n"], params, args["steps"], rng=args["rng"])
+
+    @pytest.mark.parametrize("t0", [float("nan"), float("inf"), "a", None, True])
+    def test_rejects_bad_t0(self, t0):
+        # these used to run with NaN times, run, or end in a raw TypeError
+        params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
+        with pytest.raises(DomainError, match="^t0 "):
+            simulate_epidemic(DIST30, 100, params, 3, rng=0, t0=t0)
 
     def test_integer_seed_is_a_generator_seed(self):
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
@@ -287,18 +310,10 @@ class TestDemographyAgreement:
         assert report.peak_relative_deviation <= 0.10
 
 
-def reference_pair_stubs(node_ids, degrees, rng):
-    """The full pairing over node ids: every pair but self-loops, deduplicated."""
-    stubs = np.repeat(node_ids, degrees)
-    rng.shuffle(stubs)
-    if stubs.size % 2:
-        stubs = stubs[:-1]
-    u, v = stubs[0::2], stubs[1::2]
-    keep = u != v
-    u, v = u[keep], v[keep]
+def reference_unique_edges(u, v, span):
+    """Pairs deduplicated by (lo, hi) key, in key order."""
     lo = np.minimum(u, v).astype(np.int64)
     hi = np.maximum(u, v).astype(np.int64)
-    span = int(node_ids.max()) + 1 if node_ids.size else 1
     key = np.sort(lo * span + hi)
     if key.size:
         key = key[np.concatenate(([True], key[1:] != key[:-1]))]
@@ -307,7 +322,7 @@ def reference_pair_stubs(node_ids, degrees, rng):
 
 def reference_simulate(dist, n, params, steps, rng, schedule=None, initial_network=None):
     """The step loop over full-length node arrays, with removed nodes kept in
-    place and every edge of each full pairing kept: (Y, incidence)."""
+    place holding zero stubs at each re-pairing: (Y, incidence)."""
     rng = np.random.default_rng(rng)
     net = initial_network if initial_network is not None else generate_network(dist, n, rng)
     degrees = net.degrees.copy()
@@ -376,8 +391,10 @@ def reference_simulate(dist, n, params, steps, rng, schedule=None, initial_netwo
                 degrees = np.concatenate([degrees, new_deg])
                 state = np.concatenate([state, np.full(total_add, SUSCEPTIBLE, dtype=np.int8)])
 
-        active = np.flatnonzero(state != REMOVED)
-        edges_u, edges_v = reference_pair_stubs(active, degrees[active], rng)
+        live_degrees = np.where(state == REMOVED, 0, degrees)
+        is_inf = (state == INFECTED) | (state == INFECTED_TREATED)
+        u, v = _mixed_stub_pairs(live_degrees, is_inf, rng)
+        edges_u, edges_v = reference_unique_edges(u, v, state.size)
 
         susceptible = tally(step)
 
@@ -398,8 +415,8 @@ def pre_removed_network(n, fraction, seed):
 
 
 class TestCompactedStepEquivalence:
-    """The step over live nodes and susceptible-infected pairs draws the same
-    stream as the step over full-length arrays and full pairings."""
+    """The step over live nodes draws the same stream as the step over
+    full-length arrays whose removed nodes keep zero stubs."""
 
     @staticmethod
     def assert_same_run(n, params, steps, seed, schedule, initial_network):

@@ -1,23 +1,38 @@
-"""The agent-based simulator's random stream, pinned.
+"""The agent-based simulator's random stream, pinned, and the law of its
+stub pairings.
 
 ``tests/data/abm_stream_golden.json`` holds the per-degree state counts and
 per-step incidence counts of small ``simulate_epidemic`` runs.  Every output
-bit depends on how many numbers each step draws and in which order (edge
-list order, new-infection order), so any change to the hot path that keeps
-the stream must reproduce these runs exactly.
+bit depends on how many numbers each step draws and in which order (the
+re-pairing's draws, edge list order, new-infection order), so any change to
+the hot path that keeps the stream must reproduce these runs exactly.
 
-Regenerate the file only when the stream is meant to change:
+Each step's re-pairing draws only the susceptible-infected pairs of a
+uniform pairing (``_mixed_stub_pairs``), a stream of its own, so it is
+checked by its law rather than against another stream: exactly against
+every perfect matching of small stub sets, and in mean and SD against the
+shuffle of every stub it replaced, kept here as the oracle.  The full
+pairing of ``generate_network`` is still that shuffle and is checked
+against a ``np.unique`` form of it draw for draw.
+
+Regenerate the golden file only when the stream is meant to change:
 
     PYTHONPATH=src python tests/test_abm_stream.py
 """
 
 import json
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from netepi.abm import (
+    _mixed_stub_pairs,
     _shuffled_stub_pairs,
     _unique_edges,
     generate_network,
@@ -95,13 +110,6 @@ def full_pairing(node_ids, degrees, rng):
     return _unique_edges(u[keep], v[keep], span_of(node_ids))
 
 
-def mixed_pairing(node_ids, degrees, infected, rng):
-    """Full rewiring's pairing: only pairs with one infected end."""
-    u, v = _shuffled_stub_pairs(node_ids, degrees, rng)
-    mixed = infected[u] != infected[v]
-    return _unique_edges(u[mixed], v[mixed], span_of(node_ids))
-
-
 def assert_same_edges(pairing, oracle, seed):
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     u, v = pairing(rng_a)
@@ -116,18 +124,6 @@ def assert_same_edges(pairing, oracle, seed):
 def assert_same_as_oracle(node_ids, degrees, seed):
     return assert_same_edges(lambda rng: full_pairing(node_ids, degrees, rng),
                              lambda rng: unique_oracle(node_ids, degrees, rng), seed)
-
-
-def assert_mixed_same_as_filtered_oracle(node_ids, degrees, infected, seed):
-    def filtered_oracle(rng):
-        u, v = unique_oracle(node_ids, degrees, rng)
-        mixed = infected[u] != infected[v]
-        return u[mixed], v[mixed]
-
-    u, v = assert_same_edges(lambda rng: mixed_pairing(node_ids, degrees, infected, rng),
-                             filtered_oracle, seed)
-    assert np.all(infected[u] != infected[v])
-    return u, v
 
 
 def random_nodes(rng):
@@ -173,47 +169,162 @@ class TestPairStubs:
         assert np.array_equal(net.edges_u, ou) and np.array_equal(net.edges_v, ov)
 
 
+def shuffle_filter_oracle(degrees, infected, rng):
+    """The re-pairing the sampler replaced: shuffle every stub, keep the
+    pairs with one infected end."""
+    u, v = _shuffled_stub_pairs(np.arange(degrees.size, dtype=np.int64), degrees, rng)
+    mixed = infected[u] != infected[v]
+    return u[mixed], v[mixed]
+
+
+def perfect_matchings(stubs):
+    if not stubs:
+        yield []
+        return
+    first, rest = stubs[0], stubs[1:]
+    for i, partner in enumerate(rest):
+        for matching in perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, partner)] + matching
+
+
+def cross_multiset(pairs):
+    return tuple(sorted((int(min(a, b)), int(max(a, b))) for a, b in pairs))
+
+
+def exact_cross_law(degrees, infected):
+    """Probability of each multiset of susceptible-infected pairs, by listing
+    every perfect matching (of every stub set left after an odd drop)."""
+    stubs = [node for node, d in enumerate(degrees) for _ in range(d)]
+    drops = range(len(stubs)) if len(stubs) % 2 else [None]
+    law = Counter()
+    for drop in drops:
+        kept = [s for i, s in enumerate(stubs) if i != drop]
+        matchings = list(perfect_matchings(kept))
+        for matching in matchings:
+            cross = [(a, b) for a, b in matching if infected[a] != infected[b]]
+            law[cross_multiset(cross)] += Fraction(1, len(matchings) * len(drops))
+    return law
+
+
+@st.composite
+def small_states(draw):
+    """Degrees and infected flags of a few nodes, with the edge cases forced
+    often: all susceptible, all infected, one infected stub, and more
+    infected stubs than susceptible ones."""
+    n = draw(st.integers(1, 12))
+    degrees = np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["random", "all_s", "all_i", "one_i_stub", "i_larger"]))
+    infected = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if kind == "all_s":
+        infected[:] = False
+    elif kind == "all_i":
+        infected[:] = True
+    elif kind == "one_i_stub":
+        degrees[0], infected[:] = 1, False
+        infected[0] = True
+    elif kind == "i_larger" and degrees[infected].sum() < degrees[~infected].sum():
+        infected = ~infected
+    return degrees, infected
+
+
 class TestMixedPairing:
-    """Full rewiring keeps only the pairs with one infected end; that must be
-    the full pairing filtered afterwards, drawn from the same stream."""
+    """A re-pairing draws only the susceptible-infected pairs of one uniform
+    pairing of the live stubs (an odd total first dropping one uniformly
+    chosen stub): its law is checked against full enumeration on small stub
+    sets and against shuffling every stub on larger ones."""
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_random_masks(self, seed):
-        rng = np.random.default_rng(2000 + seed)
-        node_ids, degrees = random_nodes(rng)
-        infected = rng.random(node_ids.max() + 1) < rng.uniform(0.05, 0.95)
-        u, v = assert_mixed_same_as_filtered_oracle(node_ids, degrees, infected, seed)
-        assert np.all(u < v)
-        assert np.all(np.diff(u * (node_ids.max() + 1) + v) > 0)
+    @pytest.mark.parametrize("degrees, infected", [
+        ([2, 1, 3, 2], [1, 0, 0, 1]),
+        ([2, 1, 3, 1], [1, 0, 0, 1]),
+        ([1, 1, 1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0, 1, 0]),
+        ([1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0, 0]),
+        ([3, 2, 2, 1], [0, 1, 1, 0]),
+        ([4, 3], [1, 0]),
+        ([2, 2, 2, 1, 1], [1, 0, 1, 0, 1]),
+    ], ids=["even_8", "odd_7", "two_infected_of_8", "infected_larger_odd", "multi_edges",
+            "two_nodes_odd", "odd_5_nodes"])
+    def test_exact_law_on_small_stub_sets(self, degrees, infected):
+        degrees, infected = np.array(degrees), np.array(infected, dtype=bool)
+        law = exact_cross_law(degrees.tolist(), infected.tolist())
+        draws = 20000
+        rng = np.random.default_rng(sum(degrees) * 100 + len(degrees))
+        seen = Counter(cross_multiset(zip(*_mixed_stub_pairs(degrees, infected, rng)))
+                       for _ in range(draws))
+        assert set(seen) <= set(law)
+        outcomes = sorted(law)
+        expected = np.array([float(law[o]) * draws for o in outcomes])
+        observed = np.array([seen[o] for o in outcomes])
+        assert expected.min() >= 5
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        assert stats.chi2.sf(chi2, len(outcomes) - 1) > 1e-3
 
-    @pytest.mark.parametrize("everyone", [True, False])
-    def test_uniform_status_pairs_nothing(self, everyone):
-        node_ids, degrees = np.arange(50, dtype=np.int64), np.full(50, 4)
-        infected = np.full(50, everyone)
-        u, v = assert_mixed_same_as_filtered_oracle(node_ids, degrees, infected, 4)
-        assert u.size == 0 and v.size == 0
+    @pytest.mark.parametrize("share, odd, nodes, max_degree", [
+        (0.05, False, 300, 12), (0.3, True, 300, 12), (0.5, False, 300, 12),
+        (0.8, True, 300, 12), (0.4, True, 5, 80), (0.0, True, 300, 12), (1.0, False, 300, 12),
+    ], ids=["share_0.05", "share_0.3_odd", "share_0.5", "share_0.8_odd", "dense_multi_edges_odd",
+            "all_s_odd", "all_i"])
+    def test_law_matches_shuffle_oracle(self, share, odd, nodes, max_degree):
+        # mean and SD of the cross-pair count and of the unique
+        # susceptible-infected edge count over 2000 draws each
+        rng = np.random.default_rng(int(share * 100) + nodes)
+        degrees = rng.integers(0, max_degree + 1, size=nodes)
+        if degrees.sum() % 2 != odd:
+            degrees[0] += 1
+        infected = rng.random(nodes) < share
+        if 0 < share < 1:
+            infected[:2] = True, False
+        stats_of = {}
+        for name, pairing in (("sampler", _mixed_stub_pairs), ("oracle", shuffle_filter_oracle)):
+            draw_rng = np.random.default_rng(7)
+            rows = []
+            for _ in range(2000):
+                u, v = pairing(degrees, infected, draw_rng)
+                assert np.all(infected[u] != infected[v])
+                rows.append((u.size, _unique_edges(u, v, nodes)[0].size))
+            stats_of[name] = np.array(rows, dtype=float)
+        sampler, oracle = stats_of["sampler"], stats_of["oracle"]
+        if share in (0.0, 1.0):
+            assert not sampler.any() and not oracle.any()
+            return
+        se = np.sqrt((sampler.var(axis=0, ddof=1) + oracle.var(axis=0, ddof=1)) / 2000)
+        assert np.all(np.abs(sampler.mean(axis=0) - oracle.mean(axis=0)) <= 4.5 * se)
+        # the SD ratio of two 2000-draw samples has a standard error of
+        # about 1/sqrt(2000) = 0.022 for near-normal counts; a count that
+        # never varies in the oracle (every pair of the dense case present)
+        # must not vary in the sampler either
+        sd, oracle_sd = sampler.std(axis=0, ddof=1), oracle.std(axis=0, ddof=1)
+        assert np.all(np.abs(sd - oracle_sd) <= 0.12 * oracle_sd)
 
-    def test_dense_multi_edges(self):
-        infected = np.array([True, False, True, False, False])
-        assert_mixed_same_as_filtered_oracle(np.arange(5, dtype=np.int64), np.full(5, 40),
-                                             infected, 8)
-
-    def test_zero_stubs(self):
-        infected = np.array([True, False, True, False])
-        u, v = assert_mixed_same_as_filtered_oracle(
-            np.arange(4, dtype=np.int64), np.zeros(4, dtype=np.int64), infected, 1)
-        assert u.size == 0
-        u, v = assert_mixed_same_as_filtered_oracle(
-            np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.zeros(0, bool), 2)
-        assert u.size == 0
-
-    def test_odd_stub_count(self):
-        degrees = np.array([3, 2, 2, 1, 1])
-        assert degrees.sum() % 2
-        infected = np.array([True, False, False, True, False])
-        for seed in range(6):
-            assert_mixed_same_as_filtered_oracle(np.arange(5, dtype=np.int64), degrees,
-                                                 infected, seed)
+    @given(state=small_states(), gaps=st.lists(st.integers(0, 3), min_size=13, max_size=13),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_of_small_states(self, state, gaps, seed):
+        degrees, infected = state
+        u, v = _mixed_stub_pairs(degrees, infected, np.random.default_rng(seed))
+        # one infected end per pair, and no node in more pairs than its degree
+        assert np.all(infected[u] != infected[v])
+        assert np.all(np.bincount(np.concatenate([u, v]), minlength=degrees.size) <= degrees)
+        # the cross count has the parity of the smaller side after the odd
+        # drop, whose side the first draw picks
+        side_stubs = [int(degrees[~infected].sum()), int(degrees[infected].sum())]
+        total = sum(side_stubs)
+        if side_stubs[0] and side_stubs[1] and total % 2:
+            side_stubs[int(np.random.default_rng(seed).integers(total) >= side_stubs[0])] -= 1
+        assert u.size <= min(side_stubs)
+        assert u.size % 2 == min(side_stubs) % 2
+        # the same nodes spread over a longer id range, with removed nodes
+        # holding no stubs in the gaps: the same pairs from the same draws
+        live_ids = np.arange(degrees.size) + np.cumsum(gaps[:degrees.size])
+        long_size = int(live_ids[-1]) + 1 + gaps[-1]
+        long_degrees = np.zeros(long_size, dtype=degrees.dtype)
+        long_degrees[live_ids] = degrees
+        long_infected = np.random.default_rng(seed + 1).random(long_size) < 0.5
+        long_infected[live_ids] = infected
+        rng, long_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        u, v = _mixed_stub_pairs(degrees, infected, rng)
+        lu, lv = _mixed_stub_pairs(long_degrees, long_infected, long_rng)
+        assert np.array_equal(lu, live_ids[u]) and np.array_equal(lv, live_ids[v])
+        assert long_rng.bit_generator.state == rng.bit_generator.state
 
 
 if __name__ == "__main__":
