@@ -1,21 +1,21 @@
 """Agent-based Monte-Carlo simulation on configuration-model random graphs.
 
-This is the stochastic oracle the ODE models are validated against.  Each
-step mirrors the discrete-time process the euler dt=1 integration of the
-stratified model approximates:
+This is the stochastic oracle the ODE models are validated against.  A run
+samples every node's target degree, starts every node susceptible and
+seeds the infected.  Each step then mirrors the discrete-time process the
+euler dt=1 integration of the stratified model approximates:
 
-  1. every susceptible is infected through each link to an infected node
+  1. a fresh configuration-model pairing is drawn over the live nodes
+     (their target degrees persist), so the network is fully re-paired
+     every step, the first one included, as the ODE's annealed links are,
+  2. every susceptible is infected through each link to an infected node
      independently with probability lambda (so a node with l infected
      neighbours converts with probability 1 - (1-lambda)^l),
-  2. every node infected at the start of the step is removed with
-     probability mu,
-  3. removed nodes are deleted from the network,
+  3. every node infected at the start of the step is removed with
+     probability mu and leaves the network,
   4. optional demographic replenishment adds susceptibles back toward their
      initial per-degree counts at rate d, the per-degree deficit taken from
-     the susceptible counts at the start of the step,
-  5. a fresh configuration-model pairing is drawn over the surviving nodes
-     (their target degrees persist), so the network is fully re-paired
-     every step, as the ODE's annealed links are.
+     the susceptible counts at the start of the step.
 
 Infections are evaluated against the start-of-step state and removals only
 hit previously infected nodes, which is what makes step counts comparable
@@ -26,33 +26,33 @@ Self-loops are dropped and multi-edges collapsed when pairing stubs
 from below; the distortion is o(1) at the population sizes used here and is
 measured by the tests rather than assumed away.
 
-The random stream is part of the output: each re-pairing draws the
-susceptible-infected pairs of a uniform pairing (below), the infection pass
-draws one number per live edge in edge-list order, then one treated-status
-number per new infection in node order.  The edge list is therefore kept
-sorted by (u, v) key (sort plus an adjacent-difference mask, not a hash
-set) and new infections are collected through a boolean mask, so they come
-out in ascending node order; ``tests/data/abm_stream_golden.json`` pins the
-resulting stream.
+The random stream is part of the output: the set-up draws the degrees, the
+seed nodes and their treated status; each step draws the
+susceptible-infected pairs of a uniform pairing (below), one number per
+edge in edge-list order, one removal number per start-of-step infected
+node, then one treated-status number per new infection in node order.  The
+edge list is therefore kept sorted by (u, v) key (sort plus an
+adjacent-difference mask, not a hash set) and new infections are collected
+through a boolean mask, so they come out in ascending node order;
+``tests/data/abm_stream_golden.json`` pins the resulting stream.
 
 Two things keep a step's cost to the live part of the epidemic:
 
-- Removed nodes leave the arrays.  After seeding and after every step the
-  node arrays are compacted to the live nodes in ascending id order and
-  removed nodes are tallied per degree as they leave.  Positions map to ids
-  monotonically, and the pairing's draws depend only on the two sides'
-  stub counts and on the stubs listed in node order, so node order,
-  edge-key order, deduplication and the stream are what they would be over
-  the full id range with removed nodes holding no stubs.
-- A re-pairing draws only susceptible-infected pairs.  Susceptible-
-  susceptible and infected-infected edges would draw nothing, and infected
-  status cannot change between the pairing and the next infection pass (an
-  epoch switch re-draws only treated status among the infected).  The
-  number of pairs joining the two sides of a uniform pairing has a closed
-  law (two hypergeometric draws); given it, the joining stubs are a
-  shuffled prefix of the smaller side's stubs against a uniform subset of
-  the larger side's, so a step costs the smaller side's stubs plus one
-  pass over the larger side's instead of a shuffle of every live stub.
+- Removed nodes leave the arrays.  After every step the node arrays are
+  compacted to the live nodes in ascending id order and removed nodes are
+  tallied per degree as they leave.  Positions map to ids monotonically,
+  and the pairing's draws depend only on the two sides' stub counts and on
+  the stubs listed in node order, so node order, edge-key order,
+  deduplication and the stream are what they would be over the full id
+  range with removed nodes holding no stubs.
+- A pairing draws only susceptible-infected pairs, the only edges that can
+  transmit.  The number of pairs joining the two sides of a uniform
+  pairing has a closed law (two hypergeometric draws); given it, the
+  joining stubs are a shuffled prefix of the smaller side's stubs against a
+  uniform subset of the larger side's, so a step costs the smaller side's
+  stubs plus one pass over the larger side's instead of a shuffle of every
+  live stub.  Every edge then has exactly one susceptible end, so the
+  infection pass is one draw per edge.
 """
 
 from __future__ import annotations
@@ -67,11 +67,10 @@ from .degree import DegreeDistribution, sample_degrees
 from .errors import DomainError, is_integer
 from .ode import EpidemicParams, Trajectory, TreatmentSchedule, build_model
 
-# node compartment codes
+# compartment codes of the live nodes; removed nodes leave the arrays
 SUSCEPTIBLE = 0
 INFECTED = 1
 INFECTED_TREATED = 2
-REMOVED = 3
 
 
 @dataclass
@@ -88,7 +87,6 @@ class NetworkRealization:
     degrees: np.ndarray
     edges_u: np.ndarray
     edges_v: np.ndarray
-    node_state: np.ndarray
 
     def realized_degrees(self) -> np.ndarray:
         counts = np.bincount(self.edges_u, minlength=self.n)
@@ -129,7 +127,8 @@ def _mixed_stub_pairs(degrees: np.ndarray, infected: np.ndarray,
     stub.  Returns the two ends of each pair joining the sides, the smaller
     side's first, without drawing the pairs inside a side.  The draws
     depend only on the two sides' stub counts and on the stubs listed in
-    node order.
+    node order.  This is the pairing of every ``simulate_epidemic`` step,
+    the first one included: a pair inside a side cannot transmit.
     """
     nodes = (np.flatnonzero(~infected), np.flatnonzero(infected))
     side_degrees = (degrees[nodes[0]], degrees[nodes[1]])
@@ -157,15 +156,6 @@ def _mixed_stub_pairs(degrees: np.ndarray, infected: np.ndarray,
     return ends[:cross], np.repeat(nodes[1 - small], side_degrees[1 - small])[partners]
 
 
-def _renumbered(keep: np.ndarray, edges_u: np.ndarray,
-                edges_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges between kept nodes, in the same order, renumbered onto the
-    kept nodes' positions."""
-    live = keep[edges_u] & keep[edges_v]
-    position = np.cumsum(keep) - 1
-    return position[edges_u[live]], position[edges_v[live]]
-
-
 def _check_n(n):
     if not (is_integer(n) and n >= 2):
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
@@ -190,10 +180,7 @@ def generate_network(dist: DegreeDistribution, n: int,
     u, v = _shuffled_stub_pairs(np.arange(n, dtype=np.int64), degrees, rng)
     keep = u != v
     edges_u, edges_v = _unique_edges(u[keep], v[keep], n)
-    return NetworkRealization(
-        n=n, degrees=degrees, edges_u=edges_u, edges_v=edges_v,
-        node_state=np.full(n, SUSCEPTIBLE, dtype=np.int8),
-    )
+    return NetworkRealization(n=n, degrees=degrees, edges_u=edges_u, edges_v=edges_v)
 
 
 def _coverage_at(schedule: TreatmentSchedule | None, t: float) -> float:
@@ -206,23 +193,6 @@ def _coverage_at(schedule: TreatmentSchedule | None, t: float) -> float:
     return coverage
 
 
-def _check_network(net: NetworkRealization, dist: DegreeDistribution, n: int):
-    """Reject a caller's starting network that does not fit ``n`` nodes with
-    degrees in ``dist``'s support, naming the part that does not."""
-    if net.n != n:
-        raise DomainError("initial_network size does not match n")
-    if len(net.degrees) != n or len(net.node_state) != n:
-        raise DomainError(f"initial_network degrees and node_state need length n={n}")
-    if np.any((net.degrees < dist.k_min) | (net.degrees > dist.k_max)):
-        raise DomainError(f"initial_network degrees outside the distribution's support "
-                          f"[{dist.k_min}, {dist.k_max}]")
-    edges = np.concatenate([net.edges_u, net.edges_v])
-    if len(net.edges_u) != len(net.edges_v) or np.any((edges < 0) | (edges >= n)):
-        raise DomainError(f"initial_network edges must pair node ids in [0, {n})")
-    if np.any((net.node_state < SUSCEPTIBLE) | (net.node_state > REMOVED)):
-        raise DomainError(f"initial_network node_state codes outside [{SUSCEPTIBLE}, {REMOVED}]")
-
-
 def simulate_epidemic(
     dist: DegreeDistribution,
     n: int,
@@ -230,7 +200,6 @@ def simulate_epidemic(
     steps: int,
     rng: np.random.Generator | int | None = None,
     schedule: TreatmentSchedule | None = None,
-    initial_network: NetworkRealization | None = None,
     t0: float = 0.0,
 ) -> Trajectory:
     """Run one stochastic epidemic for ``steps`` time steps from time ``t0``.
@@ -238,9 +207,8 @@ def simulate_epidemic(
     Fractions are reported relative to the initial population, so the output
     aligns point for point with an euler dt=1 integration of the matching
     ODE model over [t0, t0 + steps]; treatment epochs are times on that
-    axis.  ``initial_network`` substitutes a custom graph for the first
-    step only; every step ends by re-pairing all live nodes, the ones
-    demography adds in that step among them.
+    axis.  Every step, the first one included, starts by pairing all live
+    nodes, the ones demography added in the step before among them.
     """
     _check_n(n)
     if not (is_integer(steps) and steps >= 1):
@@ -249,11 +217,8 @@ def simulate_epidemic(
         raise DomainError(f"t0 must be a finite real number, got {t0!r}")
     rng = _generator(rng)
 
-    if initial_network is not None:
-        _check_network(initial_network, dist, n)
-    net = initial_network if initial_network is not None else generate_network(dist, n, rng)
-    degrees = net.degrees
-    state = net.node_state.copy()
+    degrees = sample_degrees(dist, n, rng)
+    state = np.full(n, SUSCEPTIBLE, dtype=np.int8)
     eff = params.treatment_efficacy
 
     n_seed = int(round(params.rho0 * n))
@@ -264,12 +229,8 @@ def simulate_epidemic(
 
     k_grid = dist.degrees
     nk = len(k_grid)
-    # removed nodes leave the node arrays, here those removed before the run
-    # and in (3) those removed in it; every live node is susceptible or infected
-    keep = state != REMOVED
-    removed_count = np.bincount(degrees[~keep] - dist.k_min, minlength=nk)
-    state, degrees = state[keep], degrees[keep]
-    edges_u, edges_v = _renumbered(keep, net.edges_u, net.edges_v)
+    # removed nodes leave the node arrays in (3), tallied here per degree
+    removed_count = np.zeros(nk, dtype=np.int64)
 
     s_k = np.zeros((steps + 1, nk))
     rho_k = np.zeros((steps + 1, nk))
@@ -300,19 +261,22 @@ def simulate_epidemic(
         is_inf = state != SUSCEPTIBLE
         start_infected = np.flatnonzero(is_inf)
 
-        # (1) infections, one independent draw per susceptible-infected edge;
-        # a node hit through several edges is infected once
+        # (1) pair the live nodes, drawing only the susceptible-infected
+        # pairs: no other edge can transmit
+        u, v = _mixed_stub_pairs(degrees, is_inf, rng)
+        edges_u, edges_v = _unique_edges(u, v, max(state.size, 1))
+
+        # (2) infections, one draw per edge from its infected end to its
+        # susceptible one; a node hit through several edges is infected once
+        u_infected = is_inf[edges_u]
+        source = np.where(u_infected, edges_u, edges_v)
+        target = np.where(u_infected, edges_v, edges_u)
+        lam_edge = np.where(state[source] == INFECTED_TREATED, eff * params.lam, params.lam)
         hit = np.zeros(state.size, dtype=bool)
-        for src, dst in ((edges_v, edges_u), (edges_u, edges_v)):
-            live = (state[dst] == SUSCEPTIBLE) & is_inf[src]
-            n_live = np.count_nonzero(live)
-            if not n_live:
-                continue
-            lam_edge = np.where(state[src[live]] == INFECTED_TREATED, eff * params.lam, params.lam)
-            hit[dst[live][rng.random(n_live) < lam_edge]] = True
+        hit[target[rng.random(target.size) < lam_edge]] = True
         new_infected = np.flatnonzero(hit)
 
-        # (2) removal of start-of-step infected
+        # (3) removal of start-of-step infected
         removed_now = start_infected[rng.random(start_infected.size) < params.mu]
 
         if new_infected.size:
@@ -320,7 +284,7 @@ def simulate_epidemic(
             state[new_infected] = np.where(treated, INFECTED_TREATED, INFECTED)
         incidence[step] = new_infected.size / n
 
-        # (3) removed nodes leave the arrays, the rest keep their order
+        # removed nodes leave the arrays, the rest keep their order
         if removed_now.size:
             removed_count += np.bincount(degrees[removed_now] - dist.k_min, minlength=nk)
             keep = np.ones(state.size, dtype=bool)
@@ -337,11 +301,6 @@ def simulate_epidemic(
                 new_deg = np.repeat(k_grid, additions)
                 degrees = np.concatenate([degrees, new_deg])
                 state = np.concatenate([state, np.full(total_add, SUSCEPTIBLE, dtype=np.int8)])
-
-        # (5) re-pair the survivors, drawing only the susceptible-infected
-        # pairs: no other edge can draw before the next pairing
-        u, v = _mixed_stub_pairs(degrees, state != SUSCEPTIBLE, rng)
-        edges_u, edges_v = _unique_edges(u, v, max(state.size, 1))
 
         susceptible = tally(step)
 

@@ -24,15 +24,15 @@ import numpy as np
 from .abm import run_ensemble
 from .analysis import compare_ode_abm, fit_parameters, phase_series, sobol_first_order
 from .config import (
+    MODEL_FIELDS,
     SimulationSpec,
     build_distribution,
     build_spec_model,
     parse_config,
     run_trajectory,
 )
-from .degree import from_weights
 from .errors import ConfigError, DomainError, NetepiError, StabilityError, is_integer
-from .ode import integrate
+from .ode import _SINGLE_DEGREE, integrate
 
 ABM_MODELS = ("classic", "stratified")
 
@@ -84,10 +84,9 @@ def _abm_ensemble(spec: SimulationSpec, seed, replicas: int, threads: int):
     steps = int(round(t1 - t0))
     if abs(t1 - t0 - steps) > 1e-9 or steps < 1:
         raise ConfigError("t_span", "agent-based runs need an integer number of unit steps")
-    if spec.model == "classic":
-        dist = from_weights(1, [1.0])
-    else:
-        dist = build_distribution(spec.distribution)
+    # a model without a distribution runs on the one-link network
+    dist = (build_distribution(spec.distribution) if "distribution" in MODEL_FIELDS[spec.model]
+            else _SINGLE_DEGREE)
     return run_ensemble(
         dist, spec.abm_n, spec.params, steps, replicas=replicas,
         base_seed=spec.abm_seed if seed is None else seed,

@@ -7,9 +7,7 @@ from scipy import stats
 from netepi.abm import (
     INFECTED,
     INFECTED_TREATED,
-    REMOVED,
     SUSCEPTIBLE,
-    NetworkRealization,
     _coverage_at,
     _mixed_stub_pairs,
     generate_network,
@@ -19,18 +17,12 @@ from netepi.abm import (
     summarize_trajectories,
 )
 from netepi.analysis import compare_ode_abm
-from netepi.degree import from_weights, truncated_power_law
+from netepi.degree import from_weights, sample_degrees, truncated_power_law
 from netepi.errors import DomainError
 from netepi.ode import EpidemicParams, TreatmentSchedule, build_model, integrate
 
 DIST30 = truncated_power_law(3, 1, 30)
-
-
-def complete_graph(n):
-    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
-    return NetworkRealization(
-        n=n, degrees=np.full(n, n - 1), edges_u=pairs[:, 0], edges_v=pairs[:, 1],
-        node_state=np.zeros(n, dtype=np.int8))
+DEGREE_ONE = from_weights(1, [1.0])
 
 
 class TestGenerateNetwork:
@@ -105,11 +97,12 @@ class TestSimulateEpidemic:
         assert np.abs(traj.prevalence - expected).max() < 0.02
 
     def test_certain_transmission_on_complete_graph(self):
-        params = EpidemicParams(lam=1.0, mu=0.0, rho0=0.2)
-        traj = simulate_epidemic(
-            from_weights(4, [1.0]), 5, params, 1,
-            rng=np.random.default_rng(6), initial_network=complete_graph(5))
-        assert traj.prevalence[1] == 1.0
+        # two degree-1 nodes, one of them infected: the only pairing is the
+        # complete graph on the two, and lambda = 1 transmits on it
+        params = EpidemicParams(lam=1.0, mu=0.0, rho0=0.5)
+        for seed in range(20):
+            traj = simulate_epidemic(DEGREE_ONE, 2, params, 1, rng=seed)
+            assert traj.prevalence[1] == 1.0
 
     def test_deterministic_given_seed(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01)
@@ -203,26 +196,6 @@ class TestSimulateEpidemic:
         a = simulate_epidemic(DIST30, 200, params, 5, rng=np.uint8(7))
         b = simulate_epidemic(DIST30, 200, params, 5, rng=np.random.default_rng(7))
         assert a.Y.tobytes() == b.Y.tobytes()
-
-    @pytest.mark.parametrize("field, value, part", [
-        ("degrees", np.full(5, 9), "support"),
-        ("degrees", np.full(5, 0), "support"),
-        ("degrees", np.full(4, 4), "length"),
-        ("edges_u", np.array([0, 1, 5]), "edges"),
-        ("edges_v", np.array([1, 2, -1]), "edges"),
-        ("node_state", np.array([0, 0, 7, 0, 0], dtype=np.int8), "node_state"),
-        ("node_state", np.array([0, -1, 0, 0, 0], dtype=np.int8), "node_state"),
-    ], ids=["degree_above", "degree_below", "degrees_short", "edge_id_n", "edge_id_negative",
-            "state_7", "state_negative"])
-    def test_rejects_bad_initial_network(self, field, value, part):
-        # these used to end in a raw numpy ValueError or IndexError
-        net = complete_graph(5)
-        net.edges_u, net.edges_v = net.edges_u[:3], net.edges_v[:3]
-        setattr(net, field, value)
-        params = EpidemicParams(lam=0.5, mu=0.1, rho0=0.2)
-        with pytest.raises(DomainError, match=part):
-            simulate_epidemic(from_weights(1, [1.0] * 4), 5, params, 3,
-                              rng=np.random.default_rng(0), initial_network=net)
 
 
 class TestEnsemble:
@@ -320,13 +293,16 @@ def reference_unique_edges(u, v, span):
     return key // span, key % span
 
 
-def reference_simulate(dist, n, params, steps, rng, schedule=None, initial_network=None):
+# the reference keeps removed nodes in place under a fourth code
+REMOVED = 3
+
+
+def reference_simulate(dist, n, params, steps, rng, schedule=None):
     """The step loop over full-length node arrays, with removed nodes kept in
-    place holding zero stubs at each re-pairing: (Y, incidence)."""
+    place holding zero stubs at each pairing: (Y, incidence)."""
     rng = np.random.default_rng(rng)
-    net = initial_network if initial_network is not None else generate_network(dist, n, rng)
-    degrees = net.degrees.copy()
-    state = net.node_state.copy()
+    degrees = sample_degrees(dist, n, rng)
+    state = np.zeros(n, dtype=np.int8)
     eff = params.treatment_efficacy
 
     n_seed = int(round(params.rho0 * n))
@@ -335,7 +311,6 @@ def reference_simulate(dist, n, params, steps, rng, schedule=None, initial_netwo
     treated = rng.random(n_seed) < coverage
     state[seed_nodes] = np.where(treated, INFECTED_TREATED, INFECTED)
 
-    edges_u, edges_v = net.edges_u, net.edges_v
     k_grid = dist.degrees
     nk = len(k_grid)
     s_k = np.zeros((steps + 1, nk))
@@ -364,14 +339,20 @@ def reference_simulate(dist, n, params, steps, rng, schedule=None, initial_netwo
         is_inf = (state == INFECTED) | (state == INFECTED_TREATED)
         start_infected = np.flatnonzero(is_inf)
 
+        live_degrees = np.where(state == REMOVED, 0, degrees)
+        u, v = _mixed_stub_pairs(live_degrees, is_inf, rng)
+        edges_u, edges_v = reference_unique_edges(u, v, state.size)
+
+        # exactly one susceptible end per edge; the treated flag of the
+        # infected end is the one set at either end
+        u_susceptible = state[edges_u] == SUSCEPTIBLE
+        assert np.all(u_susceptible != (state[edges_v] == SUSCEPTIBLE))
+        treated_end = (state[edges_u] == INFECTED_TREATED) | (state[edges_v] == INFECTED_TREATED)
+        lam_edge = np.where(treated_end, eff * params.lam, params.lam)
+        transmits = rng.random(edges_u.size) < lam_edge
         hit = np.zeros(state.size, dtype=bool)
-        for src, dst in ((edges_v, edges_u), (edges_u, edges_v)):
-            live = (state[dst] == SUSCEPTIBLE) & is_inf[src]
-            n_live = np.count_nonzero(live)
-            if not n_live:
-                continue
-            lam_edge = np.where(state[src[live]] == INFECTED_TREATED, eff * params.lam, params.lam)
-            hit[dst[live][rng.random(n_live) < lam_edge]] = True
+        hit[edges_u[transmits & u_susceptible]] = True
+        hit[edges_v[transmits & ~u_susceptible]] = True
         new_infected = np.flatnonzero(hit)
 
         removed_now = start_infected[rng.random(start_infected.size) < params.mu]
@@ -391,11 +372,6 @@ def reference_simulate(dist, n, params, steps, rng, schedule=None, initial_netwo
                 degrees = np.concatenate([degrees, new_deg])
                 state = np.concatenate([state, np.full(total_add, SUSCEPTIBLE, dtype=np.int8)])
 
-        live_degrees = np.where(state == REMOVED, 0, degrees)
-        is_inf = (state == INFECTED) | (state == INFECTED_TREATED)
-        u, v = _mixed_stub_pairs(live_degrees, is_inf, rng)
-        edges_u, edges_v = reference_unique_edges(u, v, state.size)
-
         susceptible = tally(step)
 
     return np.hstack([s_k, rho_k, removed_k]), incidence
@@ -406,47 +382,80 @@ EQUIVALENCE_SCHEDULE = TreatmentSchedule(epochs=(3.0, 9.0), coverages=(0.6, 0.2)
                                          initial_coverage=0.1)
 
 
-def pre_removed_network(n, fraction, seed):
-    """A generated network with ``fraction`` of its nodes removed before the run."""
-    rng = np.random.default_rng(seed)
-    net = generate_network(EQUIVALENCE_DIST, n, rng)
-    net.node_state[rng.random(n) < fraction] = REMOVED
-    return net
-
-
 class TestCompactedStepEquivalence:
     """The step over live nodes draws the same stream as the step over
     full-length arrays whose removed nodes keep zero stubs."""
 
     @staticmethod
-    def assert_same_run(n, params, steps, seed, schedule, initial_network):
+    def assert_same_run(dist, n, params, steps, seed, schedule):
         ref_Y, ref_incidence = reference_simulate(
-            EQUIVALENCE_DIST, n, params, steps, replica_rng(seed, 0), schedule, initial_network)
-        traj = simulate_epidemic(EQUIVALENCE_DIST, n, params, steps,
-                                 rng=replica_rng(seed, 0), schedule=schedule,
-                                 initial_network=initial_network)
+            dist, n, params, steps, replica_rng(seed, 0), schedule)
+        traj = simulate_epidemic(dist, n, params, steps, rng=replica_rng(seed, 0),
+                                 schedule=schedule)
         assert traj.Y.tobytes() == ref_Y.tobytes()
         assert traj.incidence.tobytes() == ref_incidence.tobytes()
         return traj
 
     @given(n=st.integers(50, 2000), d=st.sampled_from([0.0, 0.05]), treated=st.booleans(),
-           pre_removed=st.sampled_from([0.0, 0.3]), lam=st.sampled_from([0.1, 0.6]),
-           mu=st.sampled_from([0.05, 0.5]), seed=st.integers(0, 2 ** 16))
-    @example(n=2000, d=0.05, treated=True, pre_removed=0.3, lam=0.6, mu=0.05, seed=1)
-    @example(n=50, d=0.0, treated=False, pre_removed=0.3, lam=0.1, mu=0.5, seed=2)
+           lam=st.sampled_from([0.1, 0.6]), mu=st.sampled_from([0.05, 0.5]),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=2000, d=0.05, treated=True, lam=0.6, mu=0.05, seed=1)
+    @example(n=50, d=0.0, treated=False, lam=0.1, mu=0.5, seed=2)
     @settings(max_examples=30, deadline=None)
-    def test_matches_full_length_reference(self, n, d, treated, pre_removed, lam, mu, seed):
+    def test_matches_full_length_reference(self, n, d, treated, lam, mu, seed):
         params = EpidemicParams(lam=lam, mu=mu, rho0=0.05, d=d, treatment_efficacy=0.3)
-        network = pre_removed_network(n, pre_removed, seed) if pre_removed else None
-        self.assert_same_run(n, params, 15, seed, EQUIVALENCE_SCHEDULE if treated else None,
-                             network)
+        self.assert_same_run(EQUIVALENCE_DIST, n, params, 15, seed,
+                             EQUIVALENCE_SCHEDULE if treated else None)
 
     def test_everyone_removed(self):
-        # every live node is seeded and removed in the first step; the arrays
+        # two degree-1 nodes, one seeded: the first step infects the other
+        # and removes the seed, the second removes the other, and the arrays
         # stay empty for the remaining steps
-        n = 400
-        params = EpidemicParams(lam=0.5, mu=1.0, rho0=0.25)
-        network = pre_removed_network(n, 1.0, 3)
-        traj = self.assert_same_run(n, params, 6, 3, EQUIVALENCE_SCHEDULE, network)
-        assert np.all(traj.prevalence[1:] == 0) and np.all(traj.susceptible == 0)
-        assert traj.removed[-1] == pytest.approx(1.0, abs=1e-12)
+        params = EpidemicParams(lam=1.0, mu=1.0, rho0=0.5)
+        traj = self.assert_same_run(DEGREE_ONE, 2, params, 6, 3, EQUIVALENCE_SCHEDULE)
+        assert np.array_equal(traj.prevalence, [0.5, 0.5, 0, 0, 0, 0, 0])
+        assert np.all(traj.susceptible[1:] == 0)
+        assert np.array_equal(traj.removed, [0, 0.5, 1, 1, 1, 1, 1])
+
+
+def old_order_first_incidence(dist, n, params, rng):
+    """New infections of the first step in the order the simulator used
+    before every step was paired alike: the whole graph of
+    ``generate_network``, then seeding, then one masked infection pass per
+    edge orientation."""
+    net = generate_network(dist, n, rng)
+    state = np.zeros(n, dtype=np.int8)
+    state[rng.choice(n, size=int(round(params.rho0 * n)), replace=False)] = INFECTED
+    hit = np.zeros(n, dtype=bool)
+    for src, dst in ((net.edges_v, net.edges_u), (net.edges_u, net.edges_v)):
+        live = (state[dst] == SUSCEPTIBLE) & (state[src] == INFECTED)
+        hit[dst[live][rng.random(np.count_nonzero(live)) < params.lam]] = True
+    return np.count_nonzero(hit)
+
+
+# degrees 1, 3, 5 and 7 only, so the stub total has the parity of n
+ODD_DEGREES = from_weights(1, [4, 0, 2, 0, 1, 0, 1])
+
+
+class TestFirstStepLaw:
+    """The first step is paired like every later one; its incidence has the
+    law of the whole first graph it replaced, kept here as the oracle."""
+
+    @pytest.mark.parametrize("n, rho0", [(300, 0.1), (300, 0.5), (301, 0.1)],
+                             ids=["share_0.1", "share_0.5", "share_0.1_odd_stubs"])
+    def test_incidence_matches_whole_first_graph(self, n, rho0):
+        # 2000 seeds each; the means may differ by 4.5 standard errors of
+        # their difference, the SDs by 0.12 of the oracle's (the SD ratio
+        # of two 2000-draw samples has a standard error of about
+        # 1/sqrt(2000) = 0.022 for near-normal counts)
+        params = EpidemicParams(lam=0.6, mu=0.0, rho0=rho0)
+        draws = 2000
+        oracle = np.array([old_order_first_incidence(ODD_DEGREES, n, params,
+                                                     np.random.default_rng(seed))
+                           for seed in range(draws)], dtype=float)
+        new = np.array([simulate_epidemic(ODD_DEGREES, n, params, 1, rng=draws + seed)
+                        .incidence[1] * n for seed in range(draws)])
+        assert oracle.mean() > 5 and new.std() > 1
+        se = np.sqrt((oracle.var(ddof=1) + new.var(ddof=1)) / draws)
+        assert abs(new.mean() - oracle.mean()) <= 4.5 * se
+        assert abs(new.std(ddof=1) - oracle.std(ddof=1)) <= 0.12 * oracle.std(ddof=1)

@@ -3,17 +3,19 @@ stub pairings.
 
 ``tests/data/abm_stream_golden.json`` holds the per-degree state counts and
 per-step incidence counts of small ``simulate_epidemic`` runs.  Every output
-bit depends on how many numbers each step draws and in which order (the
-re-pairing's draws, edge list order, new-infection order), so any change to
-the hot path that keeps the stream must reproduce these runs exactly.
+bit depends on how many numbers the set-up and each step draw and in which
+order (the pairing's draws, edge list order, new-infection order), so any
+change to the hot path that keeps the stream must reproduce these runs
+exactly.
 
-Each step's re-pairing draws only the susceptible-infected pairs of a
-uniform pairing (``_mixed_stub_pairs``), a stream of its own, so it is
-checked by its law rather than against another stream: exactly against
-every perfect matching of small stub sets, and in mean and SD against the
-shuffle of every stub it replaced, kept here as the oracle.  The full
-pairing of ``generate_network`` is still that shuffle and is checked
-against a ``np.unique`` form of it draw for draw.
+Every step, the first one included, starts with a pairing that draws only
+the susceptible-infected pairs of a uniform pairing (``_mixed_stub_pairs``),
+a stream of its own, so it is checked by its law rather than against
+another stream: exactly against every perfect matching of small stub sets,
+and in mean and SD against the shuffle of every stub, kept here as the
+oracle.  That shuffle is still the whole-graph pairing of the public
+``generate_network``, which no simulation step uses, and is checked against
+a ``np.unique`` form of it draw for draw.
 
 Regenerate the golden file only when the stream is meant to change:
 
