@@ -104,6 +104,31 @@ class TestSimulateEpidemic:
             traj = simulate_epidemic(DEGREE_ONE, 2, params, 1, rng=seed)
             assert traj.prevalence[1] == 1.0
 
+    @pytest.mark.parametrize("rho0, seeded", [(0.0009, 0.0), (0.9995, 1.0)],
+                             ids=["none_infected", "all_infected"])
+    def test_one_sided_population_transmits_nothing(self, rho0, seeded):
+        # rho0 * n rounds to 0 or to n seeds, so one side of the pairing is
+        # empty from the first step on: no susceptible-infected pair exists
+        # and nothing transmits
+        params = EpidemicParams(lam=1.0, mu=0.1, rho0=rho0, d=0.2)
+        traj = simulate_epidemic(DIST30, 500, params, 10, rng=4)
+        assert traj.incidence.max() == 0.0
+        assert traj.prevalence[0] == seeded
+        assert np.all(np.diff(traj.prevalence) <= 0)
+
+    @pytest.mark.parametrize("d, schedule", [
+        (0.0, None), (0.1, None),
+        (0.0, TreatmentSchedule(epochs=(3.0, 12.0), coverages=(0.5, 0.9), initial_coverage=0.2)),
+    ], ids=["plain", "demography", "treatment"])
+    def test_shorter_run_is_a_prefix(self, d, schedule):
+        # every step draws its own pairing at its start and nothing is drawn
+        # after the last tally, so the horizon does not change earlier steps
+        params = EpidemicParams(lam=0.3, mu=0.1, rho0=0.05, d=d, treatment_efficacy=0.3)
+        short = simulate_epidemic(DIST30, 800, params, 8, rng=replica_rng(21, 0), schedule=schedule)
+        full = simulate_epidemic(DIST30, 800, params, 20, rng=replica_rng(21, 0), schedule=schedule)
+        assert short.Y.tobytes() == full.Y[:9].tobytes()
+        assert short.incidence.tobytes() == full.incidence[:9].tobytes()
+
     def test_deterministic_given_seed(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01)
         a = simulate_epidemic(DIST30, 3000, params, 60, rng=replica_rng(9, 4))
