@@ -60,8 +60,8 @@ def sobol_first_order(
     ``runner`` maps a parameter dict to a Trajectory; ``ranges`` gives one
     uniform interval per parameter.  Evaluations run in sample order.
     """
-    if n_base < 64:
-        raise DomainError(f"n_base must be >= 64, got {n_base}")
+    if not (is_integer(n_base) and n_base >= 64):
+        raise DomainError(f"n_base must be an integer >= 64, got {n_base!r}")
     if not (is_integer(seed) and seed >= 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     if not ranges:
@@ -69,10 +69,12 @@ def sobol_first_order(
     if output not in ("incidence", "prevalence"):
         raise DomainError(f"output must be 'incidence' or 'prevalence', got {output!r}")
     parameters = tuple(ranges)
-    lo = np.array([ranges[p][0] for p in parameters], dtype=float)
-    hi = np.array([ranges[p][1] for p in parameters], dtype=float)
-    if np.any(hi <= lo):
-        raise DomainError("each range must have lower < upper")
+    try:
+        lo, hi = np.array([ranges[p] for p in parameters], dtype=float).T
+    except (TypeError, ValueError):
+        raise DomainError("each range must be a pair [lower, upper]") from None
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
+        raise DomainError("each range must be finite with lower < upper")
     d = len(parameters)
 
     rng = np.random.default_rng(seed)

@@ -40,6 +40,8 @@ class DegreeDistribution:
                 f"pmf length {pmf.shape[0] if pmf.ndim == 1 else pmf.shape} does not "
                 f"match degree support [{self.k_min}, {self.k_max}]"
             )
+        if not np.all(np.isfinite(pmf)):
+            raise DomainError("pmf entries must be finite")
         if np.any(pmf < 0):
             raise DomainError("pmf entries must be nonnegative")
         if abs(pmf.sum() - 1.0) > PMF_TOL:
@@ -63,7 +65,7 @@ def truncated_power_law(gamma: float, k_min: int = 1, k_max: int = 60) -> Degree
     Z is the direct finite sum over the support, so normalization is exact
     rather than a zeta-function approximation.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
     if k_min < 1 or k_max < k_min:
         raise DomainError(f"invalid degree support [{k_min}, {k_max}]")

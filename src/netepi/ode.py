@@ -41,8 +41,10 @@ speed here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
+from numbers import Real
 
 import numpy as np
 
@@ -255,38 +257,48 @@ class CompartmentModel:
         w1 = np.divide(h1, total, out=np.full(len(h1), 0.5), where=total > 0)
         return np.stack([w1, 1.0 - w1])
 
-    def rhs_full(self, t, y):
-        """(dy/dt, aggregate new-infection inflow rate)."""
+    def rhs_full(self, t, y, out=None):
+        """(dy/dt, aggregate new-infection inflow rate).  dy is written into
+        ``out`` (a float64 array of shape (dim,) that does not overlap ``y``)
+        when one is given, and returned."""
         if y.shape != (self.dim,):
             raise DomainError(f"state array has shape {y.shape}, expected ({self.dim},)")
-        dy = np.empty(self.dim)
+        if out is None:
+            dy = np.empty(self.dim)
+        elif not (isinstance(out, np.ndarray) and out.shape == (self.dim,)
+                  and out.dtype == np.float64):
+            raise DomainError(f"out must be a float64 array of shape ({self.dim},)")
+        else:
+            dy = out
         total_inflow = 0.0
         fixed = self.link_mode == "fixed"
         plan = self._plan
         for block in plan:
             pop, src, rates = block.pop, plan[block.source], block.rates
-            rho = y[src.infected].reshape(src.shape)
+            s, infected = y[block.s], y[block.infected].reshape(block.shape)
+            if src is block:
+                src_s, rho = s, infected
+            else:
+                src_s, rho = y[src.s], y[src.infected].reshape(src.shape)
             rho = rho[:, 0] if src.pop.n_stages == 1 else rho.sum(axis=1)
-            p = _link_fractions(src.pop.degrees, y[src.s], rho,
+            p = _link_fractions(src.pop.degrees, src_s, rho,
                                 src.pop.fixed_edge_mass if fixed else None)
             if len(rates) == 1:
                 hazard = hazard_profile(pop.degrees, p[0], rates[0])
             else:
                 hazard = hazard_profile_two(pop.degrees, LinkProbabilities(p[0], p[1]), *rates)
-            s = y[block.s]
-            infected = y[block.infected].reshape(block.shape)
-            inflow = s * hazard
+            inflow = np.multiply(s, hazard, out=hazard)
             ds = dy[block.s]
-            np.negative(inflow, out=ds)
             if self.d > 0:
-                ds += self.d * (block.s0 - s)
+                np.subtract(self.d * (block.s0 - s), inflow, out=ds)
+            else:
+                np.negative(inflow, out=ds)
             flow = block.flow_rates * infected
             d_inf = dy[block.infected].reshape(block.shape)
-            np.negative(flow, out=d_inf)
-            if pop.n_stages > 1:
-                d_inf[:, 1:] += flow[:, :-1]
             shares = block.shares if block.shares is not None else self._hazard_shares(block, p)
-            d_inf[:, 0] += shares * inflow
+            np.subtract(shares * inflow, flow[:, 0], out=d_inf[:, 0])
+            if pop.n_stages > 1:
+                np.subtract(flow[:, :-1], flow[:, 1:], out=d_inf[:, 1:])
             removal = dy[block.removed]
             if pop.n_types == 1:
                 removal[:] = flow[0, -1]
@@ -295,11 +307,8 @@ class CompartmentModel:
             if self.exit_rate > 0:
                 d_inf -= self.exit_rate * infected
                 removal += self.exit_rate * infected.sum(axis=(0, 1))
-            total_inflow += float(inflow.sum())
+            total_inflow += float(np.add.reduce(inflow))
         return dy, total_inflow
-
-    def rhs(self, t, y):
-        return self.rhs_full(t, y)[0]
 
     def totals(self, Y):
         """(susceptible, prevalence, removed) per row of a (rows, dim) state
@@ -389,10 +398,32 @@ class TreatmentSchedule:
 
 
 def _check_grid(t0, t1, dt, what="t_span"):
-    n = int(round((t1 - t0) / dt))
+    steps = (t1 - t0) / dt
+    if not math.isfinite(steps):
+        raise DomainError(f"{what} [{t0}, {t1}] at dt={dt} is too many steps to count")
+    n = int(round(steps))
     if n < 1 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1 - t0)):
         raise DomainError(f"{what} [{t0}, {t1}] is not a whole number of dt={dt} steps")
     return n
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _first_unstable(Y, bounded):
+    """Index of the first row of ``Y`` outside [STATE_FLOOR, STATE_CEIL] (the
+    ceiling on ``bounded`` entries only), or None.  Two whole-array
+    reductions decide; the rows are searched only when they fail.  NaN
+    fails both comparisons, -inf the first, +inf in an s or infected entry
+    the second.  A removed entry takes only infected flows, so it turns +inf
+    only through an infected flow already out of range, which leaves its
+    infected entry -inf or NaN."""
+    if Y.min() >= STATE_FLOOR and Y.max(initial=-np.inf, where=bounded) <= STATE_CEIL:
+        return None
+    ok = (Y.min(axis=1) >= STATE_FLOOR) & (
+        Y.max(axis=1, initial=-np.inf, where=bounded) <= STATE_CEIL)
+    return int(np.argmin(ok))
 
 
 def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
@@ -402,11 +433,21 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     euler with dt=1 reproduces the discrete-time process of the agent-based
     simulator step for step.  Treatment epochs split the run into segments so
     the coverage discontinuity never falls inside an rk4 step; the standing
-    infected mass is repartitioned at each epoch boundary.
+    infected mass is repartitioned at each epoch boundary.  Each step is
+    written in place into the recorded arrays.  The state range is checked
+    once per segment, over all of its recorded rows, before any
+    repartition; a failure raises StabilityError naming the time of the
+    first step that left the range.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    try:
+        t0, t1 = t_span
+    except (TypeError, ValueError):
+        raise DomainError(f"t_span must be [t0, t1], got {t_span!r}") from None
+    if not (_is_number(t0) and _is_number(t1)):
+        raise DomainError(f"t_span must be two finite numbers, got {t_span!r}")
+    if not (_is_number(dt) and dt > 0):
+        raise DomainError(f"dt must be a finite positive number, got {dt!r}")
+    t0, t1 = float(t0), float(t1)
     if t1 <= t0:
         raise DomainError(f"t_span end {t1} must exceed start {t0}")
     if method not in ("euler", "rk4"):
@@ -428,37 +469,41 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     counts = [_check_grid(start, end, dt) for start, end, _ in segments]
 
     rows = sum(counts) + 1
-    Y, dY, inflow = np.empty((rows, model.dim)), np.empty((rows, model.dim)), np.empty(rows)
-    Y[0] = y = model.initial_state()
+    try:
+        Y, dY, inflow = np.empty((rows, model.dim)), np.empty((rows, model.dim)), np.empty(rows)
+    except (MemoryError, ValueError):
+        raise DomainError(f"t_span [{t0}, {t1}] at dt={dt} is {rows - 1} steps, too many to "
+                          f"record") from None
+    Y[0] = model.initial_state()
+    k2, k3, k4 = np.empty((3, model.dim))   # rk4 stage slopes
     row = 0
-    for (seg_start, _, coverage), n in zip(segments, counts):
-        if coverage is not None and seg_start > t0:
-            # switch epoch: repartition the infected stock, re-record the
-            # boundary state post-switch (aggregates are continuous there)
-            y = model.repartition(y, coverage)
-            Y[row] = y
-        for i in range(n):
-            t = seg_start + i * dt
-            k1, inflow[row] = model.rhs_full(t, y)
-            dY[row] = k1
-            if method == "euler":
-                y = y + dt * k1
-            else:
-                k2 = model.rhs(t + dt / 2, y + (dt / 2) * k1)
-                k3 = model.rhs(t + dt / 2, y + (dt / 2) * k2)
-                k4 = model.rhs(t + dt, y + dt * k3)
-                y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            row += 1
-            # NaN fails both comparisons, -inf the first, +inf in an s or
-            # infected entry the second.  A removed entry takes only infected
-            # flows, so it turns +inf only through an infected flow already out
-            # of range, which leaves its infected entry -inf or NaN.
-            if not (y.min() >= STATE_FLOOR
-                    and y.max(initial=-np.inf, where=model.bounded) <= STATE_CEIL):
+    # a run that leaves the range keeps stepping through inf and NaN to the
+    # end of its segment; the segment check below reports it
+    with np.errstate(all="ignore"):
+        for (seg_start, _, coverage), n in zip(segments, counts):
+            if coverage is not None and seg_start > t0:
+                # switch epoch: repartition the infected stock, re-record the
+                # boundary state post-switch (aggregates are continuous there)
+                Y[row] = model.repartition(Y[row], coverage)
+            first = row + 1
+            for i in range(n):
+                t = seg_start + i * dt
+                y, k1 = Y[row], dY[row]
+                inflow[row] = model.rhs_full(t, y, out=k1)[1]
+                if method == "euler":
+                    np.add(y, dt * k1, out=Y[row + 1])
+                else:
+                    model.rhs_full(t + dt / 2, y + (dt / 2) * k1, out=k2)
+                    model.rhs_full(t + dt / 2, y + (dt / 2) * k2, out=k3)
+                    model.rhs_full(t + dt, y + dt * k3, out=k4)
+                    np.add(y, (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), out=Y[row + 1])
+                row += 1
+            bad = _first_unstable(Y[first:row + 1], model.bounded)
+            if bad is not None:
+                t = seg_start + bad * dt
                 raise StabilityError(f"state left [{STATE_FLOOR}, {STATE_CEIL}] at "
                                      f"t={t + dt:g}; try a smaller dt")
-            Y[row] = y
-    dY[row], inflow[row] = model.rhs_full(t1, y)
+    inflow[row] = model.rhs_full(t1, Y[row], out=dY[row])[1]
 
     return Trajectory(
         times=t0 + np.arange(rows) * dt, Y=Y, dY=dY,

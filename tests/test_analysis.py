@@ -83,6 +83,27 @@ class TestSobol:
         with pytest.raises(DomainError):
             sobol_first_order(runner, {"x1": (0, 1)}, n_base=64, output="peak")
 
+    @pytest.mark.parametrize("bound", [(float("nan"), 1), (0, float("nan")), (0, float("inf")),
+                                       (0,), (0, 1, 2), "ab", None])
+    def test_rejects_non_finite_range(self, bound):
+        calls = []
+
+        def runner(p):
+            calls.append(p)
+            return flat_output(p["x1"])
+
+        with pytest.raises(DomainError, match="range"):
+            sobol_first_order(runner, {"x1": bound}, n_base=64)
+        assert calls == []
+
+    @pytest.mark.parametrize("n_base", [64.5, 64.0, "64", True, None])
+    def test_rejects_non_integer_n_base(self, n_base):
+        def runner(p):
+            return flat_output(p["x1"])
+
+        with pytest.raises(DomainError, match="n_base"):
+            sobol_first_order(runner, {"x1": (0, 1)}, n_base=n_base)
+
     @pytest.mark.parametrize("seed", [-1, 2.0, 1.5, "3", True, None])
     def test_rejects_bad_seed(self, seed):
         def runner(p):
@@ -96,7 +117,7 @@ class TestPhaseSeries:
     def test_starts_at_initial_state_and_rhs(self):
         model = stratified(FIG1_PARAMS)
         traj = integrate(model, (0, 20), 0.5, "rk4")
-        dy0 = model.rhs(0.0, model.initial_state())
+        dy0 = model.rhs_full(0.0, model.initial_state())[0]
         [(_, d_infected, _)] = model.blocks(dy0)
         for m in (1, 10, 30):
             ser = phase_series(traj, m, m)

@@ -36,7 +36,8 @@ class TestTruncatedPowerLaw:
             dist = truncated_power_law(gamma, 1, 80)
             assert np.all(np.diff(dist.pmf) < 0)
 
-    @pytest.mark.parametrize("gamma,k_min,k_max", [(0.0, 1, 5), (-1, 1, 5), (3, 0, 5), (3, 4, 3)])
+    @pytest.mark.parametrize("gamma,k_min,k_max",
+                             [(0.0, 1, 5), (-1, 1, 5), (3, 0, 5), (3, 4, 3), (float("nan"), 1, 20)])
     def test_domain_errors(self, gamma, k_min, k_max):
         with pytest.raises(DomainError):
             truncated_power_law(gamma, k_min, k_max)
@@ -78,6 +79,14 @@ class TestInvariants:
             DegreeDistribution(1, 2, np.array([0.5, 0.6]))
         with pytest.raises(DomainError):
             DegreeDistribution(1, 3, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("pmf", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
+    def test_rejects_non_finite_pmf(self, pmf):
+        # NaN fails both the sign and the sum-to-1 comparison, so it needs its own check
+        with pytest.raises(DomainError, match="finite"):
+            DegreeDistribution(1, 2, np.array(pmf))
+        with pytest.raises(DomainError):
+            from_weights(1, pmf)
 
     def test_weighted_mean_against_hand_computation(self):
         rng = np.random.default_rng(42)

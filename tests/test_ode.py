@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,18 +66,18 @@ class TestClassicRhs:
     def test_hand_value(self):
         ds, drho, dr = classic_sir_rhs((0.99, 0.01, 0.0), FIG1_PARAMS)
         assert ds == pytest.approx(-4.95e-4, abs=1e-18)
-        dy = build_model("classic", FIG1_PARAMS).rhs(0.0, np.array([0.99, 0.01, 0.0]))
+        dy = build_model("classic", FIG1_PARAMS).rhs_full(0.0, np.array([0.99, 0.01, 0.0]))[0]
         # 1 - (1 - lam rho) equals lam rho up to rounding
         np.testing.assert_allclose(dy, [ds, drho, dr], rtol=0, atol=1e-16)
 
     def test_no_transmission(self):
         model = build_model("classic", EpidemicParams(lam=0.0, mu=0.1))
-        assert model.rhs(0.0, np.array([0.3, 0.5, 0.2]))[0] == 0.0
+        assert model.rhs_full(0.0, np.array([0.3, 0.5, 0.2]))[0][0] == 0.0
         ds, _, _ = classic_sir_rhs((0.3, 0.5, 0.2), EpidemicParams(lam=0.0, mu=0.1))
         assert ds == 0.0
 
     def test_disease_free_fixed_point(self):
-        dy = build_model("classic", FIG1_PARAMS).rhs(0.0, np.array([1.0, 0.0, 0.0]))
+        dy = build_model("classic", FIG1_PARAMS).rhs_full(0.0, np.array([1.0, 0.0, 0.0]))[0]
         assert dy.tolist() == [0.0, 0.0, 0.0]
         assert classic_sir_rhs((1.0, 0.0, 0.0), FIG1_PARAMS) == (0.0, 0.0, 0.0)
 
@@ -146,17 +148,17 @@ class TestStratified:
         # at r = 0 the active and fixed denominators agree with the classic
         # bilinear term
         model = build_model("stratified", FIG1_PARAMS, from_weights(1, [1.0]), link_mode="fixed")
-        dy = model.rhs(0.0, model.initial_state())
+        dy = model.rhs_full(0.0, model.initial_state())[0]
         ds, drho, dr = classic_sir_rhs((0.99, 0.01, 0.0), FIG1_PARAMS)
         np.testing.assert_allclose(dy, [ds, drho, dr], atol=1e-14)
         classic = build_model("classic", FIG1_PARAMS)
-        np.testing.assert_array_equal(classic.rhs(0.0, classic.initial_state()), dy)
+        np.testing.assert_array_equal(classic.rhs_full(0.0, classic.initial_state())[0], dy)
 
     def test_no_transmission_is_pure_decay(self):
         params = EpidemicParams(lam=0.0, mu=0.07, rho0=0.2)
         model = build_model("stratified", params, FIG1_DIST)
         y0 = model.initial_state()
-        dy = model.rhs(0.0, y0)
+        dy = model.rhs_full(0.0, y0)[0]
         [(_, rho0, _)], [(ds, drho, _)] = per_degree(model, y0), per_degree(model, dy)
         np.testing.assert_allclose(ds, 0.0, atol=1e-18)
         np.testing.assert_allclose(drho, -0.07 * rho0, atol=1e-15)
@@ -175,7 +177,7 @@ class TestStratified:
     def test_rhs_against_closed_form_oracle(self):
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         y = model.initial_state()
-        dy = model.rhs(0.0, y)
+        dy = model.rhs_full(0.0, y)[0]
         [(s, rho, _)], [(ds, _, _)] = per_degree(model, y), per_degree(model, dy)
         [p] = active_link_fractions(FIG1_DIST.degrees, s, rho)
         for i, k in enumerate(FIG1_DIST.degrees):
@@ -185,7 +187,7 @@ class TestStratified:
     def test_rejects_wrong_state_size(self):
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         with pytest.raises(DomainError):
-            model.rhs(0.0, np.zeros(7))
+            model.rhs_full(0.0, np.zeros(7))
 
     def test_stage_chain_conserves_and_delays(self):
         params = EpidemicParams(lam=0.05, mu=0.0, rho0=0.05)
@@ -209,8 +211,8 @@ class TestTwoType:
         two = build_model("two_type", params, FIG1_DIST, rho0_type2=0.0)
         one = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         y2, y1 = two.initial_state(), one.initial_state()
-        [(ds2, drho2, _)] = per_degree(two, two.rhs(0.0, y2))
-        [(ds1, drho1, _)] = per_degree(one, one.rhs(0.0, y1))
+        [(ds2, drho2, _)] = per_degree(two, two.rhs_full(0.0, y2)[0])
+        [(ds1, drho1, _)] = per_degree(one, one.rhs_full(0.0, y1)[0])
         np.testing.assert_allclose(ds2, ds1, atol=1e-12)
         np.testing.assert_allclose(drho2.sum(axis=0), drho1.sum(axis=0), atol=1e-12)
 
@@ -247,13 +249,13 @@ class TestTwoType:
         # kill all infected mass: p1 = p2 = 0
         [(_, infected, _)] = model.blocks(y)
         infected[:] = 0.0
-        [(ds, _, _)] = per_degree(model, model.rhs(0.0, y))
+        [(ds, _, _)] = per_degree(model, model.rhs_full(0.0, y)[0])
         np.testing.assert_allclose(ds, 0.0, atol=1e-18)
 
     def test_fixed_split_fraction(self):
         params = EpidemicParams(lam=0.1, mu=0.0, rho0=0.01, lam2=0.1)
         model = build_model("two_type", params, FIG1_DIST, split=0.25, rho0_type2=0.5)
-        [(_, drho, _)] = per_degree(model, model.rhs(0.0, model.initial_state()))
+        [(_, drho, _)] = per_degree(model, model.rhs_full(0.0, model.initial_state())[0])
         inflow_1 = drho[0].sum()
         inflow_2 = drho[1].sum()
         assert inflow_1 == pytest.approx(inflow_2 / 3.0, rel=1e-10)
@@ -270,7 +272,8 @@ class TestBipartite:
     def test_uninfected_far_side_gives_zero_hazard(self):
         params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.01, lam2=0.3, rho0_2=0.0)
         model = build_model("bipartite", params, FIG1_DIST, FIG1_DIST)
-        (ds1, _, _), (_, drho2, _) = per_degree(model, model.rhs(0.0, model.initial_state()))
+        dy = model.rhs_full(0.0, model.initial_state())[0]
+        (ds1, _, _), (_, drho2, _) = per_degree(model, dy)
         np.testing.assert_allclose(ds1, 0.0, atol=1e-18)   # side 1 sees no infection
         assert drho2.sum() > 0                             # side 2 does
 
@@ -279,7 +282,7 @@ class TestBipartite:
         single = from_weights(1, [1.0])
         params = EpidemicParams(lam=0.1, mu=0.0, rho0=0.01, lam2=0.2, rho0_2=0.0)
         model = build_model("bipartite", params, single, single)
-        _, (_, drho2, _) = per_degree(model, model.rhs(0.0, model.initial_state()))
+        _, (_, drho2, _) = per_degree(model, model.rhs_full(0.0, model.initial_state())[0])
         assert drho2[0, 0] == pytest.approx(0.5 * 0.1 * 0.01, rel=1e-12)
 
 
@@ -301,7 +304,8 @@ class TestHivMsm:
         params = EpidemicParams(lam=0.3, rho0=0.01, treatment_efficacy=0.4)
         model = build_model("hiv_msm", params, FIG1_DIST, coverage=1.0)
         y = model.initial_state()
-        [(s, rho, _)], [(ds, _, _)] = per_degree(model, y), per_degree(model, model.rhs(0.0, y))
+        [(s, rho, _)] = per_degree(model, y)
+        [(ds, _, _)] = per_degree(model, model.rhs_full(0.0, y)[0])
         p1, p2 = active_link_fractions(FIG1_DIST.degrees, s, rho)
         assert p1 == 0.0
         for i, k in enumerate(FIG1_DIST.degrees):
@@ -460,7 +464,7 @@ class TestIntegrate:
         traj = integrate(model, (0, 5), 1.0, "euler")
         y = model.initial_state()
         for i in range(5):
-            y = y + model.rhs(0.0, y)
+            y = y + model.rhs_full(0.0, y)[0]
         [(s5, _, _)] = model.blocks(traj.Y[5])
         np.testing.assert_allclose(np.maximum(s5, 0.0), np.maximum(y[:60], 0.0), atol=1e-15)
 
@@ -803,3 +807,81 @@ class TestStepCheck:
         assert "at t=23;" in new
         before = integrate(factory(), (0, 22), 1.0, "euler")
         assert before.Y.min() >= 0.0 and 0.95 < before.Y[-1, 1] <= STATE_CEIL
+
+
+class TestSegmentCheck:
+    """The state range is checked once per segment, and a run that leaves it
+    keeps stepping to the end of its segment; the error still names the
+    first failing step."""
+
+    def test_blowup_inside_the_middle_of_three_segments(self):
+        # treated infected leave their stage at rate 1, unstable for rk4 at
+        # dt = 3 (amplification 1.375 per step); treatment covers 90% from
+        # t = 30 to t = 90 and nobody after, so the run leaves the range
+        # between the two epochs, before the repartition at t = 90
+        def factory():
+            return build_model("hiv_hetero", EpidemicParams(lam=0.0, rho0=0.5), FIG1_DIST,
+                               _DIST2, stage_rates=[[0.1], [1.0]])
+        schedule = TreatmentSchedule(epochs=(30.0, 90.0), coverages=(0.9, 0.0))
+        new, ref = TestStepCheck.messages(factory, (0, 150), 3.0, "rk4", schedule)
+        assert new == ref
+        failed_at = float(new.split("at t=")[1].split(";")[0])
+        assert 30.0 < failed_at < 90.0 and failed_at % 3.0 == 0.0
+
+    def test_overflow_raises_only_stability_error(self):
+        # rho' = -rho at dt = 5 multiplies rho by -4 per step: it overflows
+        # to inf after about 510 of the 1000 steps, then turns NaN
+        model = build_model("classic", EpidemicParams(lam=0.0, mu=1.0, rho0=0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StabilityError, match="at t=5;"):
+                integrate(model, (0, 5000), 5.0, "euler")
+
+
+class TestRhsOut:
+    @pytest.mark.parametrize("factory", [case[1] for case in _guard_cases()],
+                             ids=[case[0] for case in _guard_cases()])
+    def test_out_is_filled_and_returned(self, factory):
+        model = factory()
+        y = integrate(model, (0, 4), 0.5, "rk4").Y[-1]
+        dy, inflow = model.rhs_full(2.0, y)
+        buf = np.full(model.dim, np.nan)
+        got, got_inflow = model.rhs_full(2.0, y, out=buf)
+        assert got is buf
+        assert buf.tobytes() == dy.tobytes()
+        assert got_inflow == inflow
+
+    @pytest.mark.parametrize("out", [np.empty(179), np.empty((1, 180)),
+                                     np.empty(180, dtype=np.float32), [0.0] * 180])
+    def test_bad_out_rejected(self, out):
+        model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
+        assert model.dim == 180
+        with pytest.raises(DomainError, match="out"):
+            model.rhs_full(0.0, model.initial_state(), out=out)
+
+
+class TestGridArguments:
+    @pytest.mark.parametrize("t_span, dt, name", [
+        ((0, 10), float("nan"), "dt"),
+        ((0, 10), float("inf"), "dt"),
+        ((0, 10), "1", "dt"),
+        ((0, 10), True, "dt"),
+        ((0, float("inf")), 1.0, "t_span"),
+        ((float("nan"), 10), 1.0, "t_span"),
+        ((0,), 1.0, "t_span"),
+        ((0, 10, 20), 1.0, "t_span"),
+        (10, 1.0, "t_span"),
+        (("0", "10"), 1.0, "t_span"),
+        ((0, 1e300), 1e-300, "t_span"),
+    ])
+    def test_named_domain_error(self, t_span, dt, name):
+        with pytest.raises(DomainError, match=name):
+            integrate(build_model("classic", FIG1_PARAMS), t_span, dt)
+
+    # grids whose record cannot exist: 1.25 EiB is past any address space, so
+    # the allocation fails at once, and past 8 EiB numpy refuses the shape
+    @pytest.mark.parametrize("t1", [1e15, 1e17])
+    def test_grid_too_large_to_record(self, t1):
+        model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
+        with pytest.raises(DomainError, match="t_span .* at dt=1.0 .* too many to record"):
+            integrate(model, (0, t1), 1.0, "euler")
