@@ -1074,3 +1074,60 @@ class TestModelFieldTable:
                 with pytest.raises(ConfigError, match="required for model") as err:
                     parse_config_data({k: v for k, v in cfg.items() if k != name})
                 assert field_of(err) == name
+
+
+# The minimal config of each model, with the minimal command sections, and
+# every value the parser fills in for it: each default pinned.
+POWER_LAW = {"type": "power_law", "gamma": 2.5, "k_max": 20}
+MINIMAL_SECTIONS = {
+    "sensitivity": {"ranges": {"lambda": [0.1, 0.3]}},
+    "phase": {"m": 1, "n": 1},
+    "fit": {"free": {"lambda": [0.1, 0.3]}, "initial": {"lambda": 0.2},
+            "observed": [[1, 0.1]]},
+}
+DEFAULTED = {
+    "lambda": 0.2, "rho0": 0.01, "t_span": [0.0, 10.0],
+    "mu": 0.0, "d": 0.0, "treatment_efficacy": 0.4,
+    "method": "rk4", "dt": 0.1, "link_mode": "active", "per_degree": False, "out_dir": ".",
+    "abm": {"replicas": 100, "seed": 0},
+    "compare": {"band_sigmas": 3.0},
+    "sensitivity": {"ranges": {"lambda": [0.1, 0.3]}, "n_base": 512, "seed": 0,
+                    "output": "incidence"},
+    "phase": {"m": 1, "n": 1, "variant": "infected", "population": 1},
+    "fit": {"free": {"lambda": [0.1, 0.3]}, "initial": {"lambda": 0.2},
+            "observed": [[1.0, 0.1]], "output": "incidence"},
+}
+PINNED_DEFAULTS = {
+    # model: (fields its minimal config adds, fields its canonical form adds)
+    "classic": ({}, {}),
+    "stratified": ({"distribution": POWER_LAW},
+                   {"distribution": {**POWER_LAW, "k_min": 1}}),
+    "two_type": ({"distribution": POWER_LAW, "lambda2": 0.1},
+                 {"distribution": {**POWER_LAW, "k_min": 1}, "lambda2": 0.1,
+                  "split": "hazard", "rho0_type2": 0.0}),
+    "bipartite": ({"distribution": POWER_LAW, "lambda2": 0.1},
+                  {"distribution": {**POWER_LAW, "k_min": 1}, "lambda2": 0.1,
+                   "side_fraction": 0.5}),
+    "hiv_msm": ({"distribution": POWER_LAW, "treatment": {"epochs": [5], "coverages": [0.5]}},
+                {"distribution": {**POWER_LAW, "k_min": 1},
+                 "treatment": {"initial_coverage": 0.0, "epochs": [5.0], "coverages": [0.5]}}),
+    "hiv_hetero": ({"distribution": POWER_LAW,
+                    "distribution2": {"type": "weights", "weights": [1, 3]}},
+                   {"distribution": {**POWER_LAW, "k_min": 1},
+                    "distribution2": {"type": "weights", "k_min": 1, "weights": [1.0, 3.0]},
+                    "asymmetry": 0.5, "side_fraction": 0.5}),
+}
+
+
+class TestPinnedDefaults:
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_minimal_config_canonical_form(self, model):
+        given, filled = PINNED_DEFAULTS[model]
+        cfg = {"model": model, "lambda": 0.2, "rho0": 0.01, "t_span": [0, 10],
+               **MINIMAL_SECTIONS, **given}
+        canonical = parse_config_data(cfg).canonical_dict()
+        assert canonical == {"model": model, **DEFAULTED, **filled}
+        # numbers come back as floats, counts as ints
+        assert [type(v) for v in canonical["t_span"]] == [float, float]
+        assert type(canonical["abm"]["replicas"]) is int
+        assert type(canonical["compare"]["band_sigmas"]) is float
