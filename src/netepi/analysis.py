@@ -224,14 +224,24 @@ def fit_parameters(
         raise DomainError("observed series must be nonempty")
     if observed_times.shape != observed.shape:
         raise DomainError("observed times and values must align")
+    for name, values in (("observed_times", observed_times), ("observed", observed)):
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"{name} must be finite")
     if not free:
         raise DomainError("at least one free parameter is required")
     names = tuple(free)
-    lo = np.array([free[p][0] for p in names], dtype=float)
-    hi = np.array([free[p][1] for p in names], dtype=float)
+    try:
+        lo, hi = np.array([free[p] for p in names], dtype=float).T
+    except (TypeError, ValueError):
+        raise DomainError("free: each bound must be a pair (lower, upper)") from None
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))) or np.any(hi <= lo):
-        raise DomainError("each bound must be a finite (lower, upper) pair")
+        raise DomainError("free: each bound must be a finite (lower, upper) pair")
+    missing = [p for p in names if p not in initial]
+    if missing:
+        raise DomainError(f"initial: no value for the free parameter {missing[0]!r}")
     x0 = np.array([initial[p] for p in names], dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise DomainError(f"initial: values must be finite, got {initial!r}")
     x0 = np.clip(x0, lo, hi)
 
     grid_index = None

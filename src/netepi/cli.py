@@ -78,7 +78,7 @@ def _abm_ensemble(spec: SimulationSpec, seed, replicas: int, threads: int):
     t_span."""
     if spec.model not in ABM_MODELS:
         raise ConfigError("model", f"agent-based runs support {ABM_MODELS}, got {spec.model!r}")
-    if spec.abm_n is None:
+    if "n" not in spec.abm:
         raise ConfigError("abm.n", "required for agent-based runs")
     t0, t1 = spec.t_span
     steps = int(round(t1 - t0))
@@ -88,8 +88,8 @@ def _abm_ensemble(spec: SimulationSpec, seed, replicas: int, threads: int):
     dist = (build_distribution(spec.distribution) if "distribution" in MODEL_FIELDS[spec.model]
             else _SINGLE_DEGREE)
     return run_ensemble(
-        dist, spec.abm_n, spec.params, steps, replicas=replicas,
-        base_seed=spec.abm_seed if seed is None else seed,
+        dist, spec.abm["n"], spec.params, steps, replicas=replicas,
+        base_seed=spec.abm["seed"] if seed is None else seed,
         schedule=spec.treatment, n_jobs=threads, t0=t0,
     )
 
@@ -110,7 +110,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
         raise ConfigError("threads", f"must be an integer >= 1, got {threads!r}")
     if seed is not None and not (is_integer(seed) and seed >= 0):
         raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
-    n_replicas = spec.abm_replicas if replicas is None else replicas
+    n_replicas = spec.abm["replicas"] if replicas is None else replicas
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -153,7 +153,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
         elif command == "compare":
             ens = _abm_ensemble(spec, seed, n_replicas, threads)
             ode = run_trajectory(spec, method="euler", dt=1.0)
-            report = compare_ode_abm(ode, ens, spec.compare_band_sigmas)
+            report = compare_ode_abm(ode, ens, spec.compare["band_sigmas"])
             _write_csv(target("comparison.csv"),
                        ["t", "ode_prev", "mean_prev", "se_prev", "covered"],
                        [ens.times, ode.prevalence, ens.mean_prevalence, ens.se_prevalence,
@@ -215,7 +215,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             if spec.fit is None:
                 raise ConfigError("fit", "section required for the fit command")
             ft = spec.fit
-            if ft["observed"] is not None:
+            if "observed" in ft:
                 observed = np.asarray(ft["observed"], dtype=float)
             else:
                 observed = _read_observed_csv(ft["observed_csv"])
@@ -251,21 +251,21 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
 
 
 def _read_observed_csv(path):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
     data = []
     for i, row in enumerate(rows):
         if not row:
             continue
         try:
-            data.append((float(row[0]), float(row[1])))
+            pair = (float(row[0]), float(row[1]))
         except (ValueError, IndexError):
             if i == 0:
                 continue  # header line
             raise ConfigError("fit.observed_csv", f"bad row {i + 1} in {path}")
+        if not np.all(np.isfinite(pair)):
+            raise ConfigError("fit.observed_csv", f"row {i + 1} in {path} is not finite: {row}")
+        data.append(pair)
     if not data:
         raise ConfigError("fit.observed_csv", f"no data rows in {path}")
     return np.asarray(data, dtype=float)

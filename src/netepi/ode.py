@@ -411,6 +411,11 @@ def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+# steps between two state range checks: a run that leaves the range stops
+# within this many steps, and the check costs one reduction per chunk
+_CHECK_ROWS = 64
+
+
 def _first_unstable(Y, bounded):
     """Index of the first row of ``Y`` outside [STATE_FLOOR, STATE_CEIL] (the
     ceiling on ``bounded`` entries only), or None.  Two whole-array
@@ -435,7 +440,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     the coverage discontinuity never falls inside an rk4 step; the standing
     infected mass is repartitioned at each epoch boundary.  Each step is
     written in place into the recorded arrays.  The state range is checked
-    once per segment, over all of its recorded rows, before any
+    over each segment's recorded rows, _CHECK_ROWS at a time and before any
     repartition; a failure raises StabilityError naming the time of the
     first step that left the range.
     """
@@ -478,31 +483,32 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     k2, k3, k4 = np.empty((3, model.dim))   # rk4 stage slopes
     row = 0
     # a run that leaves the range keeps stepping through inf and NaN to the
-    # end of its segment; the segment check below reports it
+    # end of its chunk of _CHECK_ROWS steps; the chunk check reports it
     with np.errstate(all="ignore"):
         for (seg_start, _, coverage), n in zip(segments, counts):
             if coverage is not None and seg_start > t0:
                 # switch epoch: repartition the infected stock, re-record the
                 # boundary state post-switch (aggregates are continuous there)
                 Y[row] = model.repartition(Y[row], coverage)
-            first = row + 1
-            for i in range(n):
-                t = seg_start + i * dt
-                y, k1 = Y[row], dY[row]
-                inflow[row] = model.rhs_full(t, y, out=k1)[1]
-                if method == "euler":
-                    np.add(y, dt * k1, out=Y[row + 1])
-                else:
-                    model.rhs_full(t + dt / 2, y + (dt / 2) * k1, out=k2)
-                    model.rhs_full(t + dt / 2, y + (dt / 2) * k2, out=k3)
-                    model.rhs_full(t + dt, y + dt * k3, out=k4)
-                    np.add(y, (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), out=Y[row + 1])
-                row += 1
-            bad = _first_unstable(Y[first:row + 1], model.bounded)
-            if bad is not None:
-                t = seg_start + bad * dt
-                raise StabilityError(f"state left [{STATE_FLOOR}, {STATE_CEIL}] at "
-                                     f"t={t + dt:g}; try a smaller dt")
+            for chunk in range(0, n, _CHECK_ROWS):
+                first = row + 1
+                for i in range(chunk, min(chunk + _CHECK_ROWS, n)):
+                    t = seg_start + i * dt
+                    y, k1 = Y[row], dY[row]
+                    inflow[row] = model.rhs_full(t, y, out=k1)[1]
+                    if method == "euler":
+                        np.add(y, dt * k1, out=Y[row + 1])
+                    else:
+                        model.rhs_full(t + dt / 2, y + (dt / 2) * k1, out=k2)
+                        model.rhs_full(t + dt / 2, y + (dt / 2) * k2, out=k3)
+                        model.rhs_full(t + dt, y + dt * k3, out=k4)
+                        np.add(y, (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), out=Y[row + 1])
+                    row += 1
+                bad = _first_unstable(Y[first:row + 1], model.bounded)
+                if bad is not None:
+                    t = seg_start + (chunk + bad) * dt
+                    raise StabilityError(f"state left [{STATE_FLOOR}, {STATE_CEIL}] at "
+                                         f"t={t + dt:g}; try a smaller dt")
     inflow[row] = model.rhs_full(t1, Y[row], out=dY[row])[1]
 
     return Trajectory(

@@ -252,3 +252,26 @@ class TestFit:
             # off-grid observation times
             fit_parameters(self.runner, truth.times + 0.31, truth.incidence,
                            {"lambda": (0.01, 0.3)}, {"lambda": 0.1})
+
+    @pytest.mark.parametrize("argument,changes", [
+        ("free", {"free": {"lambda": (0.01,)}}),
+        ("free", {"free": {"lambda": (0.01, 0.2, 0.3)}}),
+        ("free", {"free": {"lambda": None}}),
+        ("initial", {"initial": {}}),
+        ("initial", {"initial": {"lambda": float("nan")}}),
+        ("initial", {"initial": {"lambda": float("inf")}}),
+        ("observed_times", {"observed_times": [0.0, float("nan")]}),
+        ("observed", {"observed": [0.0, float("inf")]}),
+    ])
+    def test_rejects_bad_argument_before_any_run(self, argument, changes):
+        calls = []
+
+        def runner(p):
+            calls.append(p)
+            return self.runner(p)
+
+        kw = {"observed_times": [0.0, 1.0], "observed": [0.0, 0.001],
+              "free": {"lambda": (0.01, 0.3)}, "initial": {"lambda": 0.1}, **changes}
+        with pytest.raises(DomainError, match=f"^{argument}[ :]"):
+            fit_parameters(runner, **kw)
+        assert calls == []

@@ -610,6 +610,23 @@ class TestCliProcess:
         report = json.loads((tmp_path / "o" / "fit.json").read_text())
         assert report["parameters"]["lambda"] == pytest.approx(0.05, abs=1e-3)
 
+    @pytest.mark.parametrize("row", ["4,nan", "4,inf", "nan,0.01", "4,-inf"])
+    def test_fit_rejects_non_finite_observed_csv_row(self, tmp_path, row):
+        # the fit used to run all its iterations to a NaN residual and write
+        # "residual": NaN, which is not JSON
+        csv_path = tmp_path / "observed.csv"
+        csv_path.write_text(f"t,incidence\n2,0.003\n{row}\n")
+        cfg = self.write(tmp_path, {
+            **MINIMAL_CLASSIC, "t_span": [0, 20], "method": "euler", "dt": 1.0,
+            "fit": {"free": {"lambda": [0.01, 0.2]}, "initial": {"lambda": 0.12},
+                    "observed_csv": str(csv_path)},
+        })
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "fit.observed_csv" in result.output and "row 3" in result.output
+        assert not (out / "fit.json").exists()
+
 
 # A valid config that exercises every section parse_config_data knows.
 FULL = {

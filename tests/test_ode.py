@@ -810,9 +810,9 @@ class TestStepCheck:
 
 
 class TestSegmentCheck:
-    """The state range is checked once per segment, and a run that leaves it
-    keeps stepping to the end of its segment; the error still names the
-    first failing step."""
+    """The state range is checked over each segment 64 steps at a time, and
+    a run that leaves it keeps stepping to the end of its chunk; the error
+    still names the first failing step."""
 
     def test_blowup_inside_the_middle_of_three_segments(self):
         # treated infected leave their stage at rate 1, unstable for rk4 at
@@ -836,6 +836,22 @@ class TestSegmentCheck:
             warnings.simplefilter("error")
             with pytest.raises(StabilityError, match="at t=5;"):
                 integrate(model, (0, 5000), 5.0, "euler")
+
+    def test_blowup_stops_within_one_chunk(self, monkeypatch):
+        # the run leaves the range in its first step; it used to step on
+        # through all 100000 steps of its one segment before raising
+        model = build_model("classic", EpidemicParams(lam=0.0, mu=1.0, rho0=0.5))
+        calls = []
+        rhs_full = model.rhs_full
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return rhs_full(*args, **kwargs)
+
+        monkeypatch.setattr(model, "rhs_full", counting)
+        with pytest.raises(StabilityError, match="at t=5;"):
+            integrate(model, (0, 500000), 5.0, "euler")
+        assert 1 <= len(calls) <= 65
 
 
 class TestRhsOut:
