@@ -116,14 +116,17 @@ def phase_series(
     variant="infected" pairs (rho_m(t), d rho_n / dt); variant="healthy"
     pairs the never-or-no-longer-infected fraction s + r per degree with its
     derivative.  Derivatives come from the recorded RHS evaluations.
+    ``population`` (1 or 2) picks the population of a two-population model.
     """
     if traj.dY is None:
         raise DomainError("trajectory has no recorded RHS evaluations (agent-based run?)")
     if variant not in ("infected", "healthy"):
         raise DomainError(f"variant must be 'infected' or 'healthy', got {variant!r}")
 
+    if not (is_integer(population) and population in (1, 2)):
+        raise DomainError(f"population must be 1 or 2, got {population!r}")
     model = traj.model
-    index = 0 if population == 1 else 1
+    index = population - 1
     if index >= len(model.populations):
         raise DomainError("trajectory has no second population")
     degrees = model.populations[index].k
@@ -214,9 +217,10 @@ def fit_parameters(
 ) -> FitResult:
     """Minimize the sum of squared output residuals over ``free`` parameters.
 
-    Derivative-free Nelder-Mead simplex descent with bound clipping;
-    deterministic given the initial guess.  Observed times must land on the
-    model output grid.  Never returns a point worse than the initial guess.
+    Derivative-free Nelder-Mead simplex descent with bound clipping from an
+    initial guess inside the bounds; deterministic given that guess.
+    Observed times must land on the model output grid.  Never returns a
+    point worse than the initial guess.
     """
     observed_times = np.asarray(observed_times, dtype=float)
     observed = np.asarray(observed, dtype=float)
@@ -242,7 +246,9 @@ def fit_parameters(
     x0 = np.array([initial[p] for p in names], dtype=float)
     if not np.all(np.isfinite(x0)):
         raise DomainError(f"initial: values must be finite, got {initial!r}")
-    x0 = np.clip(x0, lo, hi)
+    for p, v, a, b in zip(names, x0, lo, hi):
+        if not a <= v <= b:
+            raise DomainError(f"initial: {p} = {v:g} lies outside its free bound [{a:g}, {b:g}]")
 
     grid_index = None
 

@@ -120,7 +120,8 @@ _SECTIONS["distribution2"] = _SECTIONS["distribution"]
 # The parser rejects a field outside the row, naming it; sensitivity.ranges,
 # fit.free and overrides vary lambda2, mu and treatment_efficacy only inside
 # it; phase.population 2 needs distribution2; build_spec_model passes the
-# builder the row's BUILDER_FIELDS and treatment as the initial coverage.
+# builder the row's BUILDER_FIELDS, and run_trajectory passes integrate the
+# treatment schedule.
 # Two exceptions (_ANY_MODEL): a top-level mu outside the row is accepted at
 # 0 (those models remove infected through demography), and a top-level
 # treatment_efficacy on every model.
@@ -418,12 +419,9 @@ def build_spec_model(spec: SimulationSpec, overrides: dict | None = None):
 
 def builder_options(spec: SimulationSpec) -> dict:
     """The keyword options ``build_spec_model`` passes the model's builder:
-    its row's BUILDER_FIELDS, and treatment as the initial coverage."""
+    its row's BUILDER_FIELDS."""
     row = MODEL_FIELDS[spec.model]
-    options = {name: getattr(spec, name) for name in BUILDER_FIELDS if name in row}
-    if "treatment" in row:
-        options["coverage"] = spec.treatment.initial_coverage if spec.treatment else 0.0
-    return options
+    return {name: getattr(spec, name) for name in BUILDER_FIELDS if name in row}
 
 
 def run_trajectory(spec: SimulationSpec, overrides: dict | None = None,

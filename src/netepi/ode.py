@@ -17,7 +17,8 @@ weight and rho0; per target population the source population it is
 infected through and one transmissibility per type; the seed and routing
 shares of the types (routing may be "hazard": in proportion to each type's
 own one-type hazard); an infected exit rate; and whether a treatment
-coverage sets the shares.  The six named models are builders over it:
+coverage may set the shares, in a copy (``at_coverage``): a built model
+never changes.  The six named models are builders over it:
 
 classic      stratified at k = 1 with the fixed link denominator, which is
              s' = -lam rho s,  rho' = lam rho s - mu rho,  r' = mu rho
@@ -41,6 +42,7 @@ speed here.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -152,8 +154,7 @@ class _Block:
     s(nk) | I(types, stages, nk) | removed(nk); the three slices and the
     infected shape here are the only place that layout is computed.  Also:
     the plan index of its source block, stage flow rates as a column,
-    transmissibilities, initial susceptibles and routing shares (None for
-    "hazard" routing)."""
+    transmissibilities and initial susceptibles."""
 
     def __init__(self, pop, offset, source, rates):
         self.shape = (pop.n_types, pop.n_stages, pop.nk)
@@ -162,7 +163,7 @@ class _Block:
         self.s, self.infected, self.removed = slice(offset, a), slice(a, b), slice(b, b + pop.nk)
         self.pop, self.source, self.rates = pop, source, rates
         self.flow_rates = pop.rates[:, :, None]
-        self.s0 = self.shares = None
+        self.s0 = (1.0 - pop.rho0) * (pop.weight * pop.dist.pmf)
 
 
 def _check_link_mode(link_mode):
@@ -173,7 +174,8 @@ def _check_link_mode(link_mode):
 class CompartmentModel:
     """Populations x infected types x stages, configured by data (module
     docstring).  ``d`` is the susceptible replenishment rate; ``bounded``
-    marks the s and infected entries, the ones STATE_CEIL applies to."""
+    marks the s and infected entries, the ones STATE_CEIL applies to;
+    ``shares`` the routing column (None for "hazard").  Never written once built."""
 
     def __init__(self, populations, sources, rates, seed, routing, d=0.0, exit_rate=0.0,
                  treatable=False, link_mode="active"):
@@ -196,17 +198,9 @@ class CompartmentModel:
             self._plan.append(_Block(pop, self.dim, source, r))
             self.dim = self._plan[-1].removed.stop
         self.bounded = np.ones(self.dim, dtype=bool)
-        y0 = self.initial_state()
         for block in self._plan:
             self.bounded[block.removed] = False
-            block.s0 = y0[block.s].copy()
-        self._route()
-
-    def _route(self):
-        """Set the plan's routing shares; called wherever routing changes."""
-        shares = None if self.routing == "hazard" else np.array(self.routing)[:, None]
-        for block in self._plan:
-            block.shares = shares
+        self.shares = None if self.routing == "hazard" else np.array(self.routing)[:, None]
 
     def blocks(self, y):
         """Per population the (s, infected, removed) views of a state vector
@@ -222,26 +216,30 @@ class CompartmentModel:
         y = np.zeros(self.dim)
         for block in self._plan:
             pop = block.pop
-            base = pop.weight * pop.dist.pmf
-            y[block.s] = (1.0 - pop.rho0) * base
+            y[block.s] = block.s0
             infected = y[block.infected].reshape(block.shape)
             for t, frac in enumerate(self.seed):
-                infected[t, 0] = frac * pop.rho0 * base
+                infected[t, 0] = frac * pop.rho0 * (pop.weight * pop.dist.pmf)
         return y
 
-    def set_coverage(self, coverage):
-        """Seed and route infections untreated : treated as 1 - c : c."""
+    def at_coverage(self, coverage):
+        """A copy that seeds and routes infections untreated : treated as
+        1 - c : c.  It shares this model's plan."""
         if not self.treatable:
             raise DomainError("treatment coverage requires an HIV model")
-        if not 0.0 <= coverage <= 1.0:
-            raise DomainError(f"treatment coverage must be in [0, 1], got {coverage}")
+        if not (_is_number(coverage) and 0.0 <= coverage <= 1.0):
+            raise DomainError(f"treatment coverage must be in [0, 1], got {coverage!r}")
         c = float(coverage)
-        self.seed = self.routing = (1.0 - c, c)
-        self._route()
+        model = copy.copy(self)
+        model.seed = model.routing = (1.0 - c, c)
+        model.shares = np.array(model.routing)[:, None]
+        return model
 
-    def repartition(self, y, coverage):
-        """Reassign the standing infected mass to match a new coverage."""
-        self.set_coverage(coverage)
+    def repartition(self, y):
+        """A copy of ``y`` whose standing infected mass is reassigned to this
+        model's routing shares."""
+        if self.shares is None:
+            raise DomainError("repartition requires fixed routing shares")
         y = y.copy()
         for _, infected, _ in self.blocks(y):
             infected[:] = np.multiply.outer(self.routing, infected.sum(axis=0))
@@ -295,7 +293,7 @@ class CompartmentModel:
                 np.negative(inflow, out=ds)
             flow = block.flow_rates * infected
             d_inf = dy[block.infected].reshape(block.shape)
-            shares = block.shares if block.shares is not None else self._hazard_shares(block, p)
+            shares = self.shares if self.shares is not None else self._hazard_shares(block, p)
             np.subtract(shares * inflow, flow[:, 0], out=d_inf[:, 0])
             if pop.n_stages > 1:
                 np.subtract(flow[:, :-1], flow[:, 1:], out=d_inf[:, 1:])
@@ -390,10 +388,12 @@ class TreatmentSchedule:
     def __post_init__(self):
         if len(self.epochs) != len(self.coverages):
             raise DomainError("one coverage per epoch required")
+        if not all(_is_number(e) for e in self.epochs):
+            raise DomainError(f"treatment epochs must be finite numbers, got {self.epochs!r}")
         if any(b <= a for a, b in zip(self.epochs, self.epochs[1:])):
             raise DomainError("treatment epochs must be strictly increasing")
         for c in (self.initial_coverage, *self.coverages):
-            if not 0.0 <= c <= 1.0:
+            if not (_is_number(c) and 0.0 <= c <= 1.0):
                 raise DomainError(f"coverage must be in [0, 1], got {c}")
 
 
@@ -436,9 +436,11 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     """Fixed-step integration recording the state at every step.
 
     euler with dt=1 reproduces the discrete-time process of the agent-based
-    simulator step for step.  Treatment epochs split the run into segments so
-    the coverage discontinuity never falls inside an rk4 step; the standing
-    infected mass is repartitioned at each epoch boundary.  Each step is
+    simulator step for step.  A schedule sets every segment's coverage: its
+    epochs split the run so the coverage discontinuity never falls inside an
+    rk4 step, segment i runs ``model.at_coverage`` at coverage i (the first
+    at ``initial_coverage``) and the standing infected mass is repartitioned
+    at each epoch boundary; ``model`` itself never changes.  Each step is
     written in place into the recorded arrays.  The state range is checked
     over each segment's recorded rows, _CHECK_ROWS at a time and before any
     repartition; a failure raises StabilityError naming the time of the
@@ -459,19 +461,15 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
         raise DomainError(f"method must be 'euler' or 'rk4', got {method!r}")
     _check_grid(t0, t1, dt)
 
-    segments = [(t0, t1, None)]   # (t_start, t_end, coverage or None)
-    if schedule is not None and schedule.epochs:
-        if not model.treatable:
-            raise DomainError("treatment schedule requires an HIV model")
-        bounds = [t0, *schedule.epochs, t1]
+    bounds, models = [t0, t1], [model]   # segment i runs models[i] from bounds[i]
+    if schedule is not None:
+        models = [model.at_coverage(c) for c in (schedule.initial_coverage, *schedule.coverages)]
         if any(not t0 < e < t1 for e in schedule.epochs):
             raise DomainError("treatment epochs must lie strictly inside t_span")
         for e in schedule.epochs:
             _check_grid(t0, e, dt, what="treatment epoch")
-        coverages = [schedule.initial_coverage, *schedule.coverages]
-        segments = [(bounds[i], bounds[i + 1], coverages[i]) for i in range(len(coverages))]
-        model.set_coverage(schedule.initial_coverage)
-    counts = [_check_grid(start, end, dt) for start, end, _ in segments]
+        bounds = [t0, *schedule.epochs, t1]
+    counts = [_check_grid(start, end, dt) for start, end in zip(bounds, bounds[1:])]
 
     rows = sum(counts) + 1
     try:
@@ -479,29 +477,29 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     except (MemoryError, ValueError):
         raise DomainError(f"t_span [{t0}, {t1}] at dt={dt} is {rows - 1} steps, too many to "
                           f"record") from None
-    Y[0] = model.initial_state()
+    Y[0] = models[0].initial_state()
     k2, k3, k4 = np.empty((3, model.dim))   # rk4 stage slopes
     row = 0
     # a run that leaves the range keeps stepping through inf and NaN to the
     # end of its chunk of _CHECK_ROWS steps; the chunk check reports it
     with np.errstate(all="ignore"):
-        for (seg_start, _, coverage), n in zip(segments, counts):
-            if coverage is not None and seg_start > t0:
+        for seg_model, seg_start, n in zip(models, bounds, counts):
+            if seg_start > t0:
                 # switch epoch: repartition the infected stock, re-record the
                 # boundary state post-switch (aggregates are continuous there)
-                Y[row] = model.repartition(Y[row], coverage)
+                Y[row] = seg_model.repartition(Y[row])
             for chunk in range(0, n, _CHECK_ROWS):
                 first = row + 1
                 for i in range(chunk, min(chunk + _CHECK_ROWS, n)):
                     t = seg_start + i * dt
                     y, k1 = Y[row], dY[row]
-                    inflow[row] = model.rhs_full(t, y, out=k1)[1]
+                    inflow[row] = seg_model.rhs_full(t, y, out=k1)[1]
                     if method == "euler":
                         np.add(y, dt * k1, out=Y[row + 1])
                     else:
-                        model.rhs_full(t + dt / 2, y + (dt / 2) * k1, out=k2)
-                        model.rhs_full(t + dt / 2, y + (dt / 2) * k2, out=k3)
-                        model.rhs_full(t + dt, y + dt * k3, out=k4)
+                        seg_model.rhs_full(t + dt / 2, y + (dt / 2) * k1, out=k2)
+                        seg_model.rhs_full(t + dt / 2, y + (dt / 2) * k2, out=k3)
+                        seg_model.rhs_full(t + dt, y + dt * k3, out=k4)
                         np.add(y, (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), out=Y[row + 1])
                     row += 1
                 bad = _first_unstable(Y[first:row + 1], model.bounded)
@@ -509,7 +507,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                     t = seg_start + (chunk + bad) * dt
                     raise StabilityError(f"state left [{STATE_FLOOR}, {STATE_CEIL}] at "
                                          f"t={t + dt:g}; try a smaller dt")
-    inflow[row] = model.rhs_full(t1, Y[row], out=dY[row])[1]
+    inflow[row] = models[-1].rhs_full(t1, Y[row], out=dY[row])[1]
 
     return Trajectory(
         times=t0 + np.arange(rows) * dt, Y=Y, dY=dY,
@@ -527,12 +525,11 @@ def _check_stage_rates(params, stage_rates):
         raise DomainError("stage_rates replaces mu; set mu=0 when providing stages")
 
 
-def _hiv_shares(params, coverage):
+def _hiv_shares(params):
+    """Seed and routing at coverage 0, where the HIV builders build."""
     if params.mu != 0.0:
         raise DomainError("hiv models have no mu removal; use d and/or stage_rates")
-    if not 0.0 <= coverage <= 1.0:
-        raise DomainError(f"treatment coverage must be in [0, 1], got {coverage}")
-    return (1.0 - float(coverage), float(coverage))
+    return (1.0, 0.0)
 
 
 def _side_fraction(side_fraction):
@@ -584,19 +581,19 @@ def _bipartite(params, dist, dist2, link_mode, side_fraction=0.5, stage_rates=No
                             d=params.d, link_mode=link_mode)
 
 
-def _hiv_msm(params, dist, dist2, link_mode, coverage=0.0, stage_rates=None):
-    shares = _hiv_shares(params, coverage)
+def _hiv_msm(params, dist, dist2, link_mode, stage_rates=None):
+    shares = _hiv_shares(params)
     i = params.lam
     pop = _Population(dist, 2, stage_rates, 0.0, params.rho0)
     return CompartmentModel([pop], (0,), [(i, params.treatment_efficacy * i)], shares, shares,
                             d=params.d, exit_rate=params.d, treatable=True, link_mode=link_mode)
 
 
-def _hiv_hetero(params, dist, dist2, link_mode, coverage=0.0, asymmetry=0.5,
-                side_fraction=0.5, stage_rates=None):
+def _hiv_hetero(params, dist, dist2, link_mode, asymmetry=0.5, side_fraction=0.5,
+                stage_rates=None):
     """Men are infected by women at asymmetry * i (default 0.5: male-to-female
     transmission is twice as likely), women by men at i."""
-    shares = _hiv_shares(params, coverage)
+    shares = _hiv_shares(params)
     if not 0.0 <= asymmetry <= 1.0:
         raise DomainError(f"asymmetry must be in [0, 1], got {asymmetry}")
     w_men, w_women = _side_fraction(side_fraction)

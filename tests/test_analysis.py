@@ -160,6 +160,15 @@ class TestPhaseSeries:
         with pytest.raises(DomainError):
             phase_series(traj, 1, 1, population=2)
 
+    @pytest.mark.parametrize("population", [0, 7, -1, 1.0, True, "2", None])
+    def test_rejects_population_other_than_1_or_2(self, population):
+        params = EpidemicParams(lam=0.2, mu=0.1, rho0=0.01, lam2=0.1)
+        traj = integrate(build_model("bipartite", params, FIG1_DIST, FIG1_DIST), (0, 5), 1.0,
+                         "euler")
+        assert phase_series(traj, 1, 1, population=np.int64(2)).shape == (6, 2)
+        with pytest.raises(DomainError, match="population"):
+            phase_series(traj, 1, 1, population=population)
+
 
 class TestCompare:
     def test_self_comparison_has_full_coverage(self):
@@ -260,6 +269,7 @@ class TestFit:
         ("initial", {"initial": {}}),
         ("initial", {"initial": {"lambda": float("nan")}}),
         ("initial", {"initial": {"lambda": float("inf")}}),
+        ("initial", {"initial": {"lambda": 7.5}}),
         ("observed_times", {"observed_times": [0.0, float("nan")]}),
         ("observed", {"observed": [0.0, float("inf")]}),
     ])

@@ -503,15 +503,25 @@ class TestCliProcess:
         assert "peak_prevalence=" in result.output
         assert (tmp_path / "o" / "trajectory.csv").exists()
 
-    def test_plot_flag_emits_script(self, tmp_path):
-        runner = CliRunner()
-        cfg = self.write(tmp_path, {**MINIMAL_CLASSIC, "t_span": [0, 20]})
-        result = runner.invoke(main, ["run-ode", "--config", cfg,
-                                      "--out", str(tmp_path / "o"), "--plot"])
-        assert result.exit_code == 0
-        script = tmp_path / "o" / "plot_trajectory.py"
-        assert script.exists()
-        assert "matplotlib" in script.read_text()
+    # matplotlib is not a dependency, so each script is compiled, not run
+    @pytest.mark.parametrize("command, section, script", [
+        ("run-ode", {}, "plot_trajectory.py"),
+        ("run-abm", {"abm": {"n": 300, "replicas": 2, "seed": 1}}, "plot_ensemble.py"),
+        ("compare", {"abm": {"n": 300, "replicas": 2, "seed": 1}}, "plot_comparison.py"),
+        ("sensitivity", {"sensitivity": {"ranges": {"lambda": [0.02, 0.08]}, "n_base": 64}},
+         "plot_sobol.py"),
+        ("phase", {"phase": {"m": 1, "n": 1}}, "plot_phase.py"),
+    ])
+    def test_plot_flag_emits_script(self, tmp_path, command, section, script):
+        cfg = self.write(tmp_path, {**MINIMAL_CLASSIC, "t_span": [0, 20], "method": "euler",
+                                    "dt": 1.0, **section})
+        result = CliRunner().invoke(main, [command, "--config", cfg,
+                                           "--out", str(tmp_path / "o"), "--plot"])
+        assert result.exit_code == 0, result.output
+        path = tmp_path / "o" / script
+        source = path.read_text()
+        assert "matplotlib" in source
+        compile(source, str(path), "exec")
 
     def test_replicas_flag_overrides_config(self, tmp_path):
         runner = CliRunner()

@@ -302,7 +302,7 @@ class TestHivMsm:
 
     def test_full_coverage_uses_treated_rate_only(self):
         params = EpidemicParams(lam=0.3, rho0=0.01, treatment_efficacy=0.4)
-        model = build_model("hiv_msm", params, FIG1_DIST, coverage=1.0)
+        model = build_model("hiv_msm", params, FIG1_DIST).at_coverage(1.0)
         y = model.initial_state()
         [(s, rho, _)] = per_degree(model, y)
         [(ds, _, _)] = per_degree(model, model.rhs_full(0.0, y)[0])
@@ -383,7 +383,7 @@ class TestTreatmentSchedule:
         model = build_model("hiv_msm", params, FIG1_DIST)
         y = model.initial_state()
         before = per_degree(model, y)[0][1].sum(axis=0)
-        y2 = model.repartition(y, 0.7)
+        y2 = model.at_coverage(0.7).repartition(y)
         after = per_degree(model, y2)[0][1]
         np.testing.assert_allclose(after.sum(axis=0), before, atol=1e-15)
         np.testing.assert_allclose(after[1], 0.7 * before, atol=1e-15)
@@ -402,11 +402,62 @@ class TestTreatmentSchedule:
         with pytest.raises(DomainError):
             integrate(model, (0, 20), 0.1, "rk4", schedule=sched)
 
-    def test_schedule_requires_hiv_model(self):
-        sched = TreatmentSchedule(epochs=(5.0,), coverages=(0.5,))
-        with pytest.raises(DomainError):
+    # a schedule without epochs still sets the coverage, so it is checked too
+    @pytest.mark.parametrize("epochs, coverages", [((5.0,), (0.5,)), ((), ())],
+                             ids=["one-epoch", "no-epochs"])
+    def test_schedule_requires_hiv_model(self, epochs, coverages):
+        sched = TreatmentSchedule(epochs=epochs, coverages=coverages)
+        with pytest.raises(DomainError, match="HIV"):
             integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 10), 0.5,
                       schedule=sched)
+
+    def test_scheduled_run_leaves_model_unchanged(self):
+        params = EpidemicParams(lam=0.3, rho0=0.01, d=0.02)
+        model = build_model("hiv_msm", params, FIG1_DIST)
+        sched = TreatmentSchedule(epochs=(5.0, 10.0), coverages=(0.5, 0.9), initial_coverage=0.2)
+        integrate(model, (0, 20), 0.5, "rk4", schedule=sched)
+        assert (model.seed, model.routing) == ((1.0, 0.0), (1.0, 0.0))
+        again = integrate(model, (0, 20), 0.5, "rk4")
+        fresh = integrate(build_model("hiv_msm", params, FIG1_DIST), (0, 20), 0.5, "rk4")
+        assert again.model is model
+        assert again.Y.tobytes() == fresh.Y.tobytes()
+        assert again.dY.tobytes() == fresh.dY.tobytes()
+
+    def test_empty_schedule_runs_at_its_initial_coverage(self):
+        params = EpidemicParams(lam=0.3, rho0=0.01, d=0.02)
+        model = build_model("hiv_msm", params, FIG1_DIST)
+        sched = TreatmentSchedule(epochs=(), coverages=(), initial_coverage=0.9)
+        scheduled = integrate(model, (0, 20), 0.5, "rk4", schedule=sched)
+        direct = integrate(model.at_coverage(0.9), (0, 20), 0.5, "rk4")
+        untreated = integrate(model, (0, 20), 0.5, "rk4")
+        for name in ("Y", "dY", "incidence"):
+            assert getattr(scheduled, name).tobytes() == getattr(direct, name).tobytes()
+        assert scheduled.prevalence[-1] < untreated.prevalence[-1]
+
+    def test_coverage_needs_a_treatable_model_and_fixed_shares(self):
+        two_type = build_model("two_type", EpidemicParams(lam=0.3, mu=0.1, rho0=0.01, lam2=0.2),
+                               FIG1_DIST)
+        with pytest.raises(DomainError, match="HIV"):
+            two_type.at_coverage(0.5)
+        with pytest.raises(DomainError, match="routing"):
+            two_type.repartition(two_type.initial_state())
+        hiv = build_model("hiv_msm", EpidemicParams(lam=0.3, rho0=0.01), FIG1_DIST)
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(DomainError, match="coverage"):
+                hiv.at_coverage(bad)
+
+    @pytest.mark.parametrize("epochs", [(float("nan"),), (float("inf"),), ("a",), (None,),
+                                        (True,)])
+    def test_rejects_epoch_that_is_not_a_finite_number(self, epochs):
+        with pytest.raises(DomainError, match="epochs"):
+            TreatmentSchedule(epochs=epochs, coverages=(0.5,))
+
+    @pytest.mark.parametrize("coverage", ["a", None, float("nan")])
+    def test_rejects_coverage_that_is_not_a_number(self, coverage):
+        with pytest.raises(DomainError, match="coverage"):
+            TreatmentSchedule(epochs=(5.0,), coverages=(coverage,))
+        with pytest.raises(DomainError, match="coverage"):
+            TreatmentSchedule(epochs=(), coverages=(), initial_coverage=coverage)
 
     def test_coverage_switch_reduces_growth(self):
         params = EpidemicParams(lam=0.3, rho0=0.005, d=0.05)
@@ -585,9 +636,9 @@ def _random_model(name, lam, lam2, mu, rho0, coverage, dist):
         "stratified": lambda: build_model("stratified", params, dist),
         "two_type": lambda: build_model("two_type", params, dist, rho0_type2=coverage),
         "bipartite": lambda: build_model("bipartite", params, dist, dist),
-        "hiv_msm": lambda: build_model("hiv_msm", hiv_params, dist, coverage=coverage),
-        "hiv_hetero": lambda: build_model("hiv_hetero", hiv_params, dist, dist,
-                                          coverage=coverage),
+        "hiv_msm": lambda: build_model("hiv_msm", hiv_params, dist).at_coverage(coverage),
+        "hiv_hetero": lambda: build_model("hiv_hetero", hiv_params, dist,
+                                          dist).at_coverage(coverage),
     }[name]()
 
 
@@ -667,7 +718,7 @@ def reference_integrate(model, t_span, dt, method, schedule=None):
     if schedule is not None:
         bounds = [t0, *schedule.epochs, t1]
         segments = list(zip(bounds, bounds[1:], [schedule.initial_coverage, *schedule.coverages]))
-        model.set_coverage(schedule.initial_coverage)
+        model = model.at_coverage(schedule.initial_coverage)
     s0 = [s.copy() for s, _, _ in model.blocks(model.initial_state())]
     counts = [int(round((end - start) / dt)) for start, end, _ in segments]
     rows = sum(counts) + 1
@@ -676,7 +727,8 @@ def reference_integrate(model, t_span, dt, method, schedule=None):
     row = 0
     for (seg_start, _, coverage), n in zip(segments, counts):
         if coverage is not None and seg_start > t0:
-            y = model.repartition(y, coverage)
+            model = model.at_coverage(coverage)
+            y = model.repartition(y)
             Y[row] = y
         for i in range(n):
             t = seg_start + i * dt
@@ -712,11 +764,11 @@ def _guard_cases():
         for link_mode in ("active", "fixed"):
             for method, (span, dt) in runs.items():
                 def factory(name=name, link_mode=link_mode):
-                    extra = {"two_type": {"rho0_type2": 0.3},
-                             "hiv_msm": {"coverage": 0.4},
-                             "hiv_hetero": {"coverage": 0.4}}.get(name, {})
-                    params = _HIV_PARAMS if name.startswith("hiv") else _PARAMS
-                    return build_model(name, params, FIG1_DIST, _DIST2, link_mode, **extra)
+                    extra = {"two_type": {"rho0_type2": 0.3}}.get(name, {})
+                    if name.startswith("hiv"):
+                        return build_model(name, _HIV_PARAMS, FIG1_DIST, _DIST2,
+                                           link_mode).at_coverage(0.4)
+                    return build_model(name, _PARAMS, FIG1_DIST, _DIST2, link_mode, **extra)
                 cases.append((f"{name}-{link_mode}-{method}", factory, span, dt, method, None))
     staged = EpidemicParams(lam=0.3, mu=0.0, rho0=0.05, d=0.02, lam2=0.15)
     cases += [
