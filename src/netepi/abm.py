@@ -1,58 +1,42 @@
 """Agent-based Monte-Carlo simulation on configuration-model random graphs.
 
 This is the stochastic oracle the ODE models are validated against.  A run
-samples every node's target degree, starts every node susceptible and
-seeds the infected.  Each step then mirrors the discrete-time process the
-euler dt=1 integration of the stratified model approximates:
+samples every node's target degree and seeds the infected.  Each step then
+mirrors the discrete-time process the euler dt=1 integration of the
+stratified model approximates, all against the start-of-step state:
 
-  1. a fresh configuration-model pairing is drawn over the live nodes
-     (their target degrees persist), so the network is fully re-paired
-     every step, the first one included, as the ODE's annealed links are,
-  2. every susceptible is infected through each link to an infected node
-     independently with probability lambda (so a node with l infected
-     neighbours converts with probability 1 - (1-lambda)^l),
+  1. the live nodes' stubs are paired afresh (target degrees persist), so
+     the network is fully re-paired every step, the first one included,
+     as the ODE's annealed links are,
+  2. every susceptible is infected through each stub pair joining it to an
+     infected node independently with probability lambda,
   3. every node infected at the start of the step is removed with
      probability mu and leaves the network,
   4. optional demographic replenishment adds susceptibles back toward their
-     initial per-degree counts at rate d, the per-degree deficit taken from
-     the susceptible counts at the start of the step.
+     initial per-degree counts at rate d.
 
-Infections are evaluated against the start-of-step state and removals only
-hit previously infected nodes, which is what makes step counts comparable
-to the ODE inflow term.
+The pairing is the configuration multigraph: every stub pair is one
+transmission chance, parallel pairs included, the process whose one-step
+law the ODE's binomial link count describes (Britton, Deijfen & Martin-Lof,
+J. Stat. Phys. 124, 2006).  A step draws only what can transmit, in this
+order: the side of an odd stub total's dropped stub, two hypergeometric
+draws for the number of susceptible-infected pairs, a third for how many
+of them face a treated stub, then their susceptible ends in uniform order
+(a shuffled prefix of the susceptible stubs when that side is the smaller,
+a uniform ordered subset of them otherwise; the infected ends are never
+listed).  Then come one infection number per pair, one removal number per
+start-of-step infected node, one treated-status number per new infection in
+node order and the replenishment binomials; an epoch switch first re-draws
+the standing infected's treated status.  ``tests/data/abm_stream_golden.json``
+pins the stream.
 
-Self-loops are dropped and multi-edges collapsed when pairing stubs
-("erased" configuration model), so realized degrees approximate the targets
-from below; the distortion is o(1) at the population sizes used here and is
-measured by the tests rather than assumed away.
+Removed nodes leave the arrays, which stay in ascending id order, and are
+tallied per degree.  The pairing's draws depend only on the stub counts and
+on the susceptible stubs in node order, so the stream is the one over the
+full id range with removed nodes holding no stubs.
 
-The random stream is part of the output: the set-up draws the degrees, the
-seed nodes and their treated status; each step draws the
-susceptible-infected pairs of a uniform pairing (below), one number per
-edge in edge-list order, one removal number per start-of-step infected
-node, then one treated-status number per new infection in node order.  The
-edge list is therefore kept sorted by (u, v) key (sort plus an
-adjacent-difference mask, not a hash set) and new infections are collected
-through a boolean mask, so they come out in ascending node order;
-``tests/data/abm_stream_golden.json`` pins the resulting stream.
-
-Two things keep a step's cost to the live part of the epidemic:
-
-- Removed nodes leave the arrays.  After every step the node arrays are
-  compacted to the live nodes in ascending id order and removed nodes are
-  tallied per degree as they leave.  Positions map to ids monotonically,
-  and the pairing's draws depend only on the two sides' stub counts and on
-  the stubs listed in node order, so node order, edge-key order,
-  deduplication and the stream are what they would be over the full id
-  range with removed nodes holding no stubs.
-- A pairing draws only susceptible-infected pairs, the only edges that can
-  transmit.  The number of pairs joining the two sides of a uniform
-  pairing has a closed law (two hypergeometric draws); given it, the
-  joining stubs are a shuffled prefix of the smaller side's stubs against a
-  uniform subset of the larger side's, so a step costs the smaller side's
-  stubs plus one pass over the larger side's instead of a shuffle of every
-  live stub.  Every edge then has exactly one susceptible end, so the
-  infection pass is one draw per edge.
+``generate_network`` is still the erased static generator (one shuffle of
+every stub, self-loops dropped, parallel edges collapsed); no step uses it.
 """
 
 from __future__ import annotations
@@ -118,23 +102,22 @@ def _unique_edges(u: np.ndarray, v: np.ndarray, span: int) -> tuple[np.ndarray, 
     return np.divmod(key, span)
 
 
-def _mixed_stub_pairs(degrees: np.ndarray, infected: np.ndarray,
-                      rng) -> tuple[np.ndarray, np.ndarray]:
-    """The susceptible-infected stub pairs of one uniform pairing of all stubs.
+def _cross_stubs(degrees: np.ndarray, infected: np.ndarray, treated: np.ndarray,
+                 rng) -> tuple[np.ndarray, int]:
+    """The susceptible ends of the susceptible-infected pairs of one uniform
+    pairing of all stubs, in uniform order, and how many of the first of them
+    face a treated stub.
 
     Node ``i`` holds ``degrees[i]`` stubs, on the infected side where
-    ``infected[i]``; an odd stub total first loses one uniformly chosen
-    stub.  Returns the two ends of each pair joining the sides, the smaller
-    side's first, without drawing the pairs inside a side.  The draws
-    depend only on the two sides' stub counts and on the stubs listed in
-    node order.  This is the pairing of every ``simulate_epidemic`` step,
-    the first one included: a pair inside a side cannot transmit.
+    ``infected[i]``, treated where ``treated[i]``; an odd total first loses
+    one uniformly chosen stub.  The draws depend only on the stub counts and
+    on the susceptible stubs listed in node order.
     """
-    nodes = (np.flatnonzero(~infected), np.flatnonzero(infected))
-    side_degrees = (degrees[nodes[0]], degrees[nodes[1]])
-    counts = [int(d.sum()) for d in side_degrees]
+    susceptible = np.flatnonzero(~infected)
+    s_degrees = degrees[susceptible]
+    counts = [int(s_degrees.sum()), int(degrees[infected].sum())]
     if not (counts[0] and counts[1]):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), 0
     total, paired = counts[0] + counts[1], list(counts)
     if total % 2:
         # only the side of the stub left out matters
@@ -148,12 +131,17 @@ def _mixed_stub_pairs(degrees: np.ndarray, infected: np.ndarray,
     j = rng.hypergeometric(x, half - x, a - x)
     cross = a - 2 * j
     # given j, the cross stubs are a uniform subset of each side's stubs
-    # (the left-out one among them) in a uniform bijection: a shuffled
-    # prefix of one side against a uniform subset of the other
-    ends = np.repeat(nodes[small], side_degrees[small])
-    rng.shuffle(ends)
-    partners = rng.choice(counts[1 - small], cross, replace=False, shuffle=False)
-    return ends[:cross], np.repeat(nodes[1 - small], side_degrees[1 - small])[partners]
+    # (the left-out one among them) in a uniform bijection
+    treated_stubs = int(degrees[treated].sum())
+    facing = int(rng.hypergeometric(treated_stubs, counts[1] - treated_stubs, cross))
+    if small:
+        # the subset is drawn before the stubs are listed, so choice's
+        # scratch index array is freed before the stub list is allocated
+        picks = rng.choice(counts[0], cross, replace=False)
+        return np.repeat(susceptible, s_degrees)[picks], facing
+    stubs = np.repeat(susceptible, s_degrees)
+    rng.shuffle(stubs)
+    return stubs[:cross], facing
 
 
 def _check_n(n):
@@ -217,8 +205,11 @@ def simulate_epidemic(
         raise DomainError(f"t0 must be a finite real number, got {t0!r}")
     rng = _generator(rng)
 
-    degrees = sample_degrees(dist, n, rng)
-    state = np.full(n, SUSCEPTIBLE, dtype=np.int8)
+    try:
+        degrees = sample_degrees(dist, n, rng)
+        state = np.full(n, SUSCEPTIBLE, dtype=np.int8)
+    except (MemoryError, ValueError):
+        raise DomainError(f"n={n} is too many nodes to allocate") from None
     eff = params.treatment_efficacy
 
     n_seed = int(round(params.rho0 * n))
@@ -232,10 +223,11 @@ def simulate_epidemic(
     # removed nodes leave the node arrays in (3), tallied here per degree
     removed_count = np.zeros(nk, dtype=np.int64)
 
-    s_k = np.zeros((steps + 1, nk))
-    rho_k = np.zeros((steps + 1, nk))
-    removed_k = np.zeros((steps + 1, nk))
-    incidence = np.zeros(steps + 1)
+    try:
+        s_k, rho_k, removed_k = np.zeros((3, steps + 1, nk))
+        incidence = np.zeros(steps + 1)
+    except (MemoryError, ValueError):
+        raise DomainError(f"steps={steps} is too many to record") from None
 
     def tally(row):
         # one bincount over the live (compartment code, degree) cells;
@@ -261,19 +253,16 @@ def simulate_epidemic(
         is_inf = state != SUSCEPTIBLE
         start_infected = np.flatnonzero(is_inf)
 
-        # (1) pair the live nodes, drawing only the susceptible-infected
-        # pairs: no other edge can transmit
-        u, v = _mixed_stub_pairs(degrees, is_inf, rng)
-        edges_u, edges_v = _unique_edges(u, v, max(state.size, 1))
+        # (1) pair the live nodes, drawing only the susceptible end of each
+        # susceptible-infected pair: no other pair can transmit
+        ends, facing = _cross_stubs(degrees, is_inf, state == INFECTED_TREATED, rng)
 
-        # (2) infections, one draw per edge from its infected end to its
-        # susceptible one; a node hit through several edges is infected once
-        u_infected = is_inf[edges_u]
-        source = np.where(u_infected, edges_u, edges_v)
-        target = np.where(u_infected, edges_v, edges_u)
-        lam_edge = np.where(state[source] == INFECTED_TREATED, eff * params.lam, params.lam)
+        # (2) infections, one draw per pair, the first ``facing`` from a
+        # treated infector; a node hit through several pairs is infected once
+        draws = rng.random(ends.size)
         hit = np.zeros(state.size, dtype=bool)
-        hit[target[rng.random(target.size) < lam_edge]] = True
+        hit[ends[:facing][draws[:facing] < eff * params.lam]] = True
+        hit[ends[facing:][draws[facing:] < params.lam]] = True
         new_infected = np.flatnonzero(hit)
 
         # (3) removal of start-of-step infected

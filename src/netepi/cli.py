@@ -151,6 +151,9 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                        f"final_size={1.0 - ens.mean_susceptible[-1]:.6g}")
 
         elif command == "compare":
+            if "n" in spec.abm and round(spec.params.rho0 * spec.abm["n"]) == 0:
+                raise ConfigError("abm.n", f"{spec.abm['n']} nodes at rho0={spec.params.rho0} "
+                                  f"seed no infected node: no epidemic peak to compare")
             ens = _abm_ensemble(spec, seed, n_replicas, threads)
             ode = run_trajectory(spec, method="euler", dt=1.0)
             report = compare_ode_abm(ode, ens, spec.compare["band_sigmas"])

@@ -4,18 +4,21 @@ stub pairings.
 ``tests/data/abm_stream_golden.json`` holds the per-degree state counts and
 per-step incidence counts of small ``simulate_epidemic`` runs.  Every output
 bit depends on how many numbers the set-up and each step draw and in which
-order (the pairing's draws, edge list order, new-infection order), so any
-change to the hot path that keeps the stream must reproduce these runs
-exactly.
+order (the pairing's draws, the order of the susceptible ends, the
+new-infection order), so any change to the hot path that keeps the stream
+must reproduce these runs exactly.
 
-Every step, the first one included, starts with a pairing that draws only
-the susceptible-infected pairs of a uniform pairing (``_mixed_stub_pairs``),
-a stream of its own, so it is checked by its law rather than against
-another stream: exactly against every perfect matching of small stub sets,
-and in mean and SD against the shuffle of every stub, kept here as the
-oracle.  That shuffle is still the whole-graph pairing of the public
-``generate_network``, which no simulation step uses, and is checked against
-a ``np.unique`` form of it draw for draw.
+Every step, the first one included, starts with a pairing of the
+configuration multigraph (every stub pair kept, parallel ones included)
+that draws only the susceptible end of each susceptible-infected pair and
+how many of those ends face a treated stub (``_cross_stubs``), a stream of
+its own, so it is checked by its law rather than against another stream:
+exactly against every perfect matching of small stub sets, and in mean and
+SD against the shuffle of every stub, kept here as the oracle.  That
+shuffle, with self-loops dropped and parallel edges collapsed, is still the
+erased static graph of the public ``generate_network``, which no
+simulation step uses, and is checked against a ``np.unique`` form of it
+draw for draw.
 
 Regenerate the golden file only when the stream is meant to change:
 
@@ -34,7 +37,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from netepi.abm import (
-    _mixed_stub_pairs,
+    _cross_stubs,
     _shuffled_stub_pairs,
     _unique_edges,
     generate_network,
@@ -171,12 +174,15 @@ class TestPairStubs:
         assert np.array_equal(net.edges_u, ou) and np.array_equal(net.edges_v, ov)
 
 
-def shuffle_filter_oracle(degrees, infected, rng):
+def shuffle_oracle(degrees, infected, treated, rng):
     """The re-pairing the sampler replaced: shuffle every stub, keep the
-    pairs with one infected end."""
+    pairs with one infected end; their susceptible ends and the treated
+    flags of their infected ends."""
     u, v = _shuffled_stub_pairs(np.arange(degrees.size, dtype=np.int64), degrees, rng)
     mixed = infected[u] != infected[v]
-    return u[mixed], v[mixed]
+    u, v = u[mixed], v[mixed]
+    u_infected = infected[u]
+    return np.where(u_infected, v, u), treated[np.where(u_infected, u, v)]
 
 
 def perfect_matchings(stubs):
@@ -189,13 +195,20 @@ def perfect_matchings(stubs):
             yield [(first, partner)] + matching
 
 
-def cross_multiset(pairs):
-    return tuple(sorted((int(min(a, b)), int(max(a, b))) for a, b in pairs))
+def cross_multiset(ends, facing_treated):
+    """The cross pairs as a sorted multiset of (susceptible end, whether its
+    partner is treated)."""
+    return tuple(sorted((int(e), bool(t)) for e, t in zip(ends, facing_treated)))
 
 
-def exact_cross_law(degrees, infected):
-    """Probability of each multiset of susceptible-infected pairs, by listing
-    every perfect matching (of every stub set left after an odd drop)."""
+def sampled_multiset(ends, facing):
+    return cross_multiset(ends, np.arange(ends.size) < facing)
+
+
+def exact_cross_law(degrees, infected, treated):
+    """Probability of each multiset of (susceptible end, partner treated)
+    over the susceptible-infected pairs, by listing every perfect matching
+    (of every stub set left after an odd drop)."""
     stubs = [node for node, d in enumerate(degrees) for _ in range(d)]
     drops = range(len(stubs)) if len(stubs) % 2 else [None]
     law = Counter()
@@ -203,16 +216,18 @@ def exact_cross_law(degrees, infected):
         kept = [s for i, s in enumerate(stubs) if i != drop]
         matchings = list(perfect_matchings(kept))
         for matching in matchings:
-            cross = [(a, b) for a, b in matching if infected[a] != infected[b]]
-            law[cross_multiset(cross)] += Fraction(1, len(matchings) * len(drops))
+            cross = [(b, treated[a]) if infected[a] else (a, treated[b])
+                     for a, b in matching if infected[a] != infected[b]]
+            law[cross_multiset(*zip(*cross)) if cross else ()] += Fraction(
+                1, len(matchings) * len(drops))
     return law
 
 
 @st.composite
 def small_states(draw):
-    """Degrees and infected flags of a few nodes, with the edge cases forced
-    often: all susceptible, all infected, one infected stub, and more
-    infected stubs than susceptible ones."""
+    """Degrees, infected and treated flags of a few nodes, with the edge
+    cases forced often: all susceptible, all infected, one infected stub,
+    and more infected stubs than susceptible ones."""
     n = draw(st.integers(1, 12))
     degrees = np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
     kind = draw(st.sampled_from(["random", "all_s", "all_i", "one_i_stub", "i_larger"]))
@@ -226,31 +241,35 @@ def small_states(draw):
         infected[0] = True
     elif kind == "i_larger" and degrees[infected].sum() < degrees[~infected].sum():
         infected = ~infected
-    return degrees, infected
+    treated = infected & np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return degrees, infected, treated
 
 
-class TestMixedPairing:
-    """A re-pairing draws only the susceptible-infected pairs of one uniform
-    pairing of the live stubs (an odd total first dropping one uniformly
-    chosen stub): its law is checked against full enumeration on small stub
-    sets and against shuffling every stub on larger ones."""
+class TestCrossStubs:
+    """A re-pairing draws only the susceptible ends of the
+    susceptible-infected pairs of one uniform pairing of the live stubs,
+    parallel pairs kept (an odd total first dropping one uniformly chosen
+    stub), and how many of them face a treated stub: its law is checked
+    against full enumeration on small stub sets and against shuffling every
+    stub on larger ones."""
 
-    @pytest.mark.parametrize("degrees, infected", [
-        ([2, 1, 3, 2], [1, 0, 0, 1]),
-        ([2, 1, 3, 1], [1, 0, 0, 1]),
-        ([1, 1, 1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0, 1, 0]),
-        ([1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0, 0]),
-        ([3, 2, 2, 1], [0, 1, 1, 0]),
-        ([4, 3], [1, 0]),
-        ([2, 2, 2, 1, 1], [1, 0, 1, 0, 1]),
+    @pytest.mark.parametrize("degrees, infected, treated", [
+        ([2, 1, 3, 2], [1, 0, 0, 1], [1, 0, 0, 0]),
+        ([2, 1, 3, 1], [1, 0, 0, 1], [0, 0, 0, 1]),
+        ([1, 1, 1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0, 0, 0]),
+        ([1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0, 0]),
+        ([3, 2, 2, 1], [0, 1, 1, 0], [0, 1, 0, 0]),
+        ([4, 3], [1, 0], [1, 0]),
+        ([2, 2, 2, 1, 1], [1, 0, 1, 0, 1], [0, 0, 1, 0, 1]),
     ], ids=["even_8", "odd_7", "two_infected_of_8", "infected_larger_odd", "multi_edges",
             "two_nodes_odd", "odd_5_nodes"])
-    def test_exact_law_on_small_stub_sets(self, degrees, infected):
-        degrees, infected = np.array(degrees), np.array(infected, dtype=bool)
-        law = exact_cross_law(degrees.tolist(), infected.tolist())
+    def test_exact_law_on_small_stub_sets(self, degrees, infected, treated):
+        degrees = np.array(degrees)
+        infected, treated = np.array(infected, dtype=bool), np.array(treated, dtype=bool)
+        law = exact_cross_law(degrees.tolist(), infected.tolist(), treated.tolist())
         draws = 20000
         rng = np.random.default_rng(sum(degrees) * 100 + len(degrees))
-        seen = Counter(cross_multiset(zip(*_mixed_stub_pairs(degrees, infected, rng)))
+        seen = Counter(sampled_multiset(*_cross_stubs(degrees, infected, treated, rng))
                        for _ in range(draws))
         assert set(seen) <= set(law)
         outcomes = sorted(law)
@@ -266,8 +285,8 @@ class TestMixedPairing:
     ], ids=["share_0.05", "share_0.3_odd", "share_0.5", "share_0.8_odd", "dense_multi_edges_odd",
             "all_s_odd", "all_i"])
     def test_law_matches_shuffle_oracle(self, share, odd, nodes, max_degree):
-        # mean and SD of the cross-pair count and of the unique
-        # susceptible-infected edge count over 2000 draws each
+        # mean and SD of the cross-pair count, of the distinct susceptible
+        # nodes hit and of the pairs facing a treated stub over 2000 draws each
         rng = np.random.default_rng(int(share * 100) + nodes)
         degrees = rng.integers(0, max_degree + 1, size=nodes)
         if degrees.sum() % 2 != odd:
@@ -275,14 +294,19 @@ class TestMixedPairing:
         infected = rng.random(nodes) < share
         if 0 < share < 1:
             infected[:2] = True, False
+        treated = infected & (rng.random(nodes) < 0.5)
+        if 0 < share < 1:
+            treated[0] = True
         stats_of = {}
-        for name, pairing in (("sampler", _mixed_stub_pairs), ("oracle", shuffle_filter_oracle)):
+        for name, pairing in (("sampler", _cross_stubs), ("oracle", shuffle_oracle)):
             draw_rng = np.random.default_rng(7)
             rows = []
             for _ in range(2000):
-                u, v = pairing(degrees, infected, draw_rng)
-                assert np.all(infected[u] != infected[v])
-                rows.append((u.size, _unique_edges(u, v, nodes)[0].size))
+                ends, facing = pairing(degrees, infected, treated, draw_rng)
+                assert not infected[ends].any()
+                if name == "oracle":
+                    facing = np.count_nonzero(facing)
+                rows.append((ends.size, np.unique(ends).size, facing))
             stats_of[name] = np.array(rows, dtype=float)
         sampler, oracle = stats_of["sampler"], stats_of["oracle"]
         if share in (0.0, 1.0):
@@ -292,8 +316,8 @@ class TestMixedPairing:
         assert np.all(np.abs(sampler.mean(axis=0) - oracle.mean(axis=0)) <= 4.5 * se)
         # the SD ratio of two 2000-draw samples has a standard error of
         # about 1/sqrt(2000) = 0.022 for near-normal counts; a count that
-        # never varies in the oracle (every pair of the dense case present)
-        # must not vary in the sampler either
+        # never varies in the oracle (every susceptible node hit in the
+        # dense case) must not vary in the sampler either
         sd, oracle_sd = sampler.std(axis=0, ddof=1), oracle.std(axis=0, ddof=1)
         assert np.all(np.abs(sd - oracle_sd) <= 0.12 * oracle_sd)
 
@@ -301,31 +325,37 @@ class TestMixedPairing:
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=300, deadline=None)
     def test_pairs_of_small_states(self, state, gaps, seed):
-        degrees, infected = state
-        u, v = _mixed_stub_pairs(degrees, infected, np.random.default_rng(seed))
-        # one infected end per pair, and no node in more pairs than its degree
-        assert np.all(infected[u] != infected[v])
-        assert np.all(np.bincount(np.concatenate([u, v]), minlength=degrees.size) <= degrees)
+        degrees, infected, treated = state
+        ends, facing = _cross_stubs(degrees, infected, treated, np.random.default_rng(seed))
+        # every end susceptible, and no node in more pairs than its degree
+        assert not infected[ends].any()
+        assert np.all(np.bincount(ends, minlength=degrees.size) <= degrees)
+        # no more pairs face treated (untreated) stubs than there are
+        treated_stubs = int(degrees[treated].sum())
+        assert 0 <= facing <= treated_stubs
+        assert ends.size - facing <= int(degrees[infected].sum()) - treated_stubs
         # the cross count has the parity of the smaller side after the odd
         # drop, whose side the first draw picks
         side_stubs = [int(degrees[~infected].sum()), int(degrees[infected].sum())]
         total = sum(side_stubs)
         if side_stubs[0] and side_stubs[1] and total % 2:
             side_stubs[int(np.random.default_rng(seed).integers(total) >= side_stubs[0])] -= 1
-        assert u.size <= min(side_stubs)
-        assert u.size % 2 == min(side_stubs) % 2
+        assert ends.size <= min(side_stubs)
+        assert ends.size % 2 == min(side_stubs) % 2
         # the same nodes spread over a longer id range, with removed nodes
         # holding no stubs in the gaps: the same pairs from the same draws
         live_ids = np.arange(degrees.size) + np.cumsum(gaps[:degrees.size])
         long_size = int(live_ids[-1]) + 1 + gaps[-1]
         long_degrees = np.zeros(long_size, dtype=degrees.dtype)
         long_degrees[live_ids] = degrees
-        long_infected = np.random.default_rng(seed + 1).random(long_size) < 0.5
-        long_infected[live_ids] = infected
+        flags = np.random.default_rng(seed + 1).random((2, long_size)) < 0.5
+        long_infected, long_treated = flags[0], flags[0] & flags[1]
+        long_infected[live_ids], long_treated[live_ids] = infected, treated
         rng, long_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        u, v = _mixed_stub_pairs(degrees, infected, rng)
-        lu, lv = _mixed_stub_pairs(long_degrees, long_infected, long_rng)
-        assert np.array_equal(lu, live_ids[u]) and np.array_equal(lv, live_ids[v])
+        ends, facing = _cross_stubs(degrees, infected, treated, rng)
+        long_ends, long_facing = _cross_stubs(long_degrees, long_infected, long_treated,
+                                              long_rng)
+        assert np.array_equal(long_ends, live_ids[ends]) and long_facing == facing
         assert long_rng.bit_generator.state == rng.bit_generator.state
 
 

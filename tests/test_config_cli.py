@@ -546,6 +546,33 @@ class TestCliProcess:
         assert "abm.rewire: unknown key" in result.stderr
         assert not (out / "ensemble.csv").exists()
 
+    def test_compare_rejects_a_run_without_seeds(self, tmp_path):
+        # rho0 * n rounds to 0 seeds, so the ensemble peak is 0: compare used
+        # to exit 0 writing "peak_relative_deviation": Infinity, not JSON
+        cfg = self.write(tmp_path, {**FIG1, "rho0": 0.001, "t_span": [0, 10], "method": "euler",
+                                    "dt": 1.0, "abm": {"n": 100, "replicas": 2}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["compare", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "abm.n: 100 nodes at rho0=0.001 seed no infected node" in result.stderr
+        assert not (out / "comparison.json").exists()
+        # run-abm still runs it: an epidemic that never starts
+        result = CliRunner().invoke(main, ["run-abm", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+
+    def test_abm_n_too_large_to_allocate(self, tmp_path):
+        # numpy refuses 10**15 nodes before it allocates anything; run-abm
+        # used to end in its MemoryError traceback
+        cfg = self.write(tmp_path, {**FIG1, "t_span": [0, 10], "method": "euler", "dt": 1.0,
+                                    "abm": {"n": 10 ** 15, "replicas": 2}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["run-abm", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "n=1000000000000000 is too many nodes" in result.stderr
+        assert not (out / "ensemble.csv").exists()
+
     def test_threads_env_fallback(self, tmp_path):
         runner = CliRunner()
         cfg = self.write(tmp_path, {**MINIMAL_CLASSIC, "t_span": [0, 10]})
