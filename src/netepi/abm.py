@@ -1,13 +1,14 @@
 """Agent-based Monte-Carlo simulation on configuration-model random graphs.
 
 This is the stochastic oracle the ODE models are validated against.  A run
-samples every node's target degree and seeds the infected.  Each step then
-mirrors the discrete-time process the euler dt=1 integration of the
-stratified model approximates, all against the start-of-step state:
+draws how many of its n nodes fall in each degree class and seeds the
+infected.  Each step then mirrors the discrete-time process the euler dt=1
+integration of the stratified model approximates, all against the
+start-of-step state:
 
-  1. the live nodes' stubs are paired afresh (target degrees persist), so
-     the network is fully re-paired every step, the first one included,
-     as the ODE's annealed links are,
+  1. the live nodes' stubs are paired afresh (degrees persist), so the
+     network is fully re-paired every step, the first one included, as the
+     ODE's annealed links are,
   2. every susceptible is infected through each stub pair joining it to an
      infected node independently with probability lambda,
   3. every node infected at the start of the step is removed with
@@ -18,22 +19,24 @@ stratified model approximates, all against the start-of-step state:
 The pairing is the configuration multigraph: every stub pair is one
 transmission chance, parallel pairs included, the process whose one-step
 law the ODE's binomial link count describes (Britton, Deijfen & Martin-Lof,
-J. Stat. Phys. 124, 2006).  A step draws only what can transmit, in this
-order: the side of an odd stub total's dropped stub, two hypergeometric
-draws for the number of susceptible-infected pairs, a third for how many
-of them face a treated stub, then their susceptible ends in uniform order
-(a shuffled prefix of the susceptible stubs when that side is the smaller,
-a uniform ordered subset of them otherwise; the infected ends are never
-listed).  Then come one infection number per pair, one removal number per
-start-of-step infected node, one treated-status number per new infection in
-node order and the replenishment binomials; an epoch switch first re-draws
-the standing infected's treated status.  ``tests/data/abm_stream_golden.json``
-pins the stream.
+J. Stat. Phys. 124, 2006).  Under it, nodes of one degree class and one
+compartment are exchangeable, so the chain's state is exactly its integer
+counts per class: susceptible, infected untreated, infected treated and a
+removed tally, the ODE's layout times n.  No node is kept between steps.
+Within a step, a susceptible end needs an identity only so that a node hit
+through several pairs is infected once; its virtual node (the class's
+susceptibles numbered in order, each holding k consecutive stubs) gives it.
 
-Removed nodes leave the arrays, which stay in ascending id order, and are
-tallied per degree.  The pairing's draws depend only on the stub counts and
-on the susceptible stubs in node order, so the stream is the one over the
-full id range with removed nodes holding no stubs.
+The draws come in this order.  Set-up: the class sizes (one multinomial),
+the seeds per class (one multivariate hypergeometric) and the treated seeds
+(a binomial per class).  Each step: an epoch switch first re-draws the
+standing infected's treated status (a binomial per class); then the side
+of an odd stub total's dropped stub, two hypergeometric draws for the
+number of susceptible-infected pairs, a third for how many of them face a
+treated stub, their susceptible ends as a uniform ordered subset of the
+susceptible stubs, one infection number per pair, and binomials per class
+for removal, the treated status of the new infections and replenishment.
+``tests/data/abm_stream_golden.json`` pins the stream.
 
 ``generate_network`` is still the erased static generator (one shuffle of
 every stub, self-loops dropped, parallel edges collapsed); no step uses it.
@@ -50,11 +53,6 @@ import numpy as np
 from .degree import DegreeDistribution, sample_degrees
 from .errors import DomainError, is_integer
 from .ode import EpidemicParams, Trajectory, TreatmentSchedule, build_model
-
-# compartment codes of the live nodes; removed nodes leave the arrays
-SUSCEPTIBLE = 0
-INFECTED = 1
-INFECTED_TREATED = 2
 
 
 @dataclass
@@ -102,46 +100,46 @@ def _unique_edges(u: np.ndarray, v: np.ndarray, span: int) -> tuple[np.ndarray, 
     return np.divmod(key, span)
 
 
-def _cross_stubs(degrees: np.ndarray, infected: np.ndarray, treated: np.ndarray,
-                 rng) -> tuple[np.ndarray, int]:
+def _cross_stubs(s_stubs: int, i_stubs: int, t_stubs: int, rng) -> tuple[np.ndarray, int]:
     """The susceptible ends of the susceptible-infected pairs of one uniform
-    pairing of all stubs, in uniform order, and how many of the first of them
-    face a treated stub.
+    pairing of ``s_stubs`` susceptible and ``i_stubs`` infected stubs, as
+    indices into the susceptible stubs in uniform order, and how many of the
+    first of them face one of the ``t_stubs`` treated infected stubs.
 
-    Node ``i`` holds ``degrees[i]`` stubs, on the infected side where
-    ``infected[i]``, treated where ``treated[i]``; an odd total first loses
-    one uniformly chosen stub.  The draws depend only on the stub counts and
-    on the susceptible stubs listed in node order.
+    Every pair is kept, parallel ones included; an odd total first loses one
+    uniformly chosen stub.
     """
-    susceptible = np.flatnonzero(~infected)
-    s_degrees = degrees[susceptible]
-    counts = [int(s_degrees.sum()), int(degrees[infected].sum())]
-    if not (counts[0] and counts[1]):
+    if not (s_stubs and i_stubs):
         return np.zeros(0, dtype=np.int64), 0
-    total, paired = counts[0] + counts[1], list(counts)
+    total, paired = s_stubs + i_stubs, [s_stubs, i_stubs]
     if total % 2:
         # only the side of the stub left out matters
-        paired[int(rng.integers(total) >= counts[0])] -= 1
-    small = int(paired[1] < paired[0])
-    a, half = paired[small], total // 2
+        paired[int(rng.integers(total) >= s_stubs)] -= 1
+    a, half = min(paired), total // 2
     # a uniform pairing is a uniform stub order paired position by position:
     # x of the smaller side's a stubs come first in their pair, and the j
     # pairs holding two of them are where their seconds meet those firsts
     x = rng.hypergeometric(half, half, a)
     j = rng.hypergeometric(x, half - x, a - x)
-    cross = a - 2 * j
+    cross = int(a - 2 * j)
     # given j, the cross stubs are a uniform subset of each side's stubs
     # (the left-out one among them) in a uniform bijection
-    treated_stubs = int(degrees[treated].sum())
-    facing = int(rng.hypergeometric(treated_stubs, counts[1] - treated_stubs, cross))
-    if small:
-        # the subset is drawn before the stubs are listed, so choice's
-        # scratch index array is freed before the stub list is allocated
-        picks = rng.choice(counts[0], cross, replace=False)
-        return np.repeat(susceptible, s_degrees)[picks], facing
-    stubs = np.repeat(susceptible, s_degrees)
-    rng.shuffle(stubs)
-    return stubs[:cross], facing
+    facing = int(rng.hypergeometric(t_stubs, i_stubs - t_stubs, cross))
+    return rng.choice(s_stubs, cross, replace=False), facing
+
+
+def _stub_owners(k: np.ndarray, s: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degree class and virtual node of each susceptible stub index.
+
+    The susceptible stubs are listed class by class, and so are the
+    susceptible nodes; within class c each of its ``s[c]`` nodes holds
+    ``k[c]`` consecutive stubs.
+    """
+    ks = k * s
+    stub_end = np.cumsum(ks)
+    cls = np.searchsorted(stub_end, idx, side="right")
+    node_start = np.cumsum(s) - s
+    return cls, node_start[cls] + (idx - (stub_end - ks)[cls]) // k[cls]
 
 
 def _check_n(n):
@@ -206,97 +204,74 @@ def simulate_epidemic(
     rng = _generator(rng)
 
     try:
-        degrees = sample_degrees(dist, n, rng)
-        state = np.full(n, SUSCEPTIBLE, dtype=np.int8)
+        # slot[v]: the last of a step's transmitting pairs to hit virtual node v
+        slot = np.empty(n, dtype=np.intp)
     except (MemoryError, ValueError):
         raise DomainError(f"n={n} is too many nodes to allocate") from None
-    eff = params.treatment_efficacy
-
-    n_seed = int(round(params.rho0 * n))
-    seed_nodes = rng.choice(n, size=n_seed, replace=False)
-    coverage = _coverage_at(schedule, t0)
-    treated = rng.random(n_seed) < coverage
-    state[seed_nodes] = np.where(treated, INFECTED_TREATED, INFECTED)
-
-    k_grid = dist.degrees
-    nk = len(k_grid)
-    # removed nodes leave the node arrays in (3), tallied here per degree
-    removed_count = np.zeros(nk, dtype=np.int64)
-
     try:
-        s_k, rho_k, removed_k = np.zeros((3, steps + 1, nk))
-        incidence = np.zeros(steps + 1)
+        # per row: the susceptible, infected and removed counts per class
+        record = np.zeros((steps + 1, 3, len(dist.pmf)), dtype=np.int64)
+        new_total = np.zeros(steps + 1, dtype=np.int64)
     except (MemoryError, ValueError):
         raise DomainError(f"steps={steps} is too many to record") from None
+    eff, k = params.treatment_efficacy, dist.degrees
 
-    def tally(row):
-        # one bincount over the live (compartment code, degree) cells;
-        # returns the per-degree susceptible counts
-        counts = np.bincount(state.astype(np.intp) * nk + (degrees - dist.k_min),
-                             minlength=3 * nk).reshape(3, nk)
-        s_k[row] = counts[SUSCEPTIBLE] / n
-        rho_k[row] = (counts[INFECTED] + counts[INFECTED_TREATED]) / n
-        removed_k[row] = removed_count / n
-        return counts[SUSCEPTIBLE]
-
-    initial_susceptible = susceptible = tally(0)
+    s = rng.multinomial(n, dist.pmf)
+    seeds = rng.multivariate_hypergeometric(s, int(round(params.rho0 * n)))
+    coverage = _coverage_at(schedule, t0)
+    treated = rng.binomial(seeds, coverage)
+    # infected counts per class: row 0 untreated, row 1 treated
+    infected = np.stack([seeds - treated, treated])
+    initial_s = s = s - seeds
+    removed = np.zeros_like(s)
+    record[0] = s, seeds, removed
 
     for step in range(1, steps + 1):
         prev_coverage = coverage
         coverage = _coverage_at(schedule, t0 + step - 1)
-        if schedule is not None and coverage != prev_coverage:
+        if coverage != prev_coverage:
             # epoch switch: re-draw treated status of the standing infected
-            infected_idx = np.flatnonzero(state != SUSCEPTIBLE)
-            treated = rng.random(infected_idx.size) < coverage
-            state[infected_idx] = np.where(treated, INFECTED_TREATED, INFECTED)
+            total = infected.sum(axis=0)
+            treated = rng.binomial(total, coverage)
+            infected = np.stack([total - treated, treated])
 
-        is_inf = state != SUSCEPTIBLE
-        start_infected = np.flatnonzero(is_inf)
-
-        # (1) pair the live nodes, drawing only the susceptible end of each
+        # (1) pair the live stubs, drawing only the susceptible end of each
         # susceptible-infected pair: no other pair can transmit
-        ends, facing = _cross_stubs(degrees, is_inf, state == INFECTED_TREATED, rng)
+        ends, facing = _cross_stubs(int(k @ s), int(k @ infected.sum(axis=0)),
+                                    int(k @ infected[1]), rng)
 
         # (2) infections, one draw per pair, the first ``facing`` from a
-        # treated infector; a node hit through several pairs is infected once
+        # treated infector; a node hit through several pairs is infected
+        # once, counted at the one pair its slot names
         draws = rng.random(ends.size)
-        hit = np.zeros(state.size, dtype=bool)
-        hit[ends[:facing][draws[:facing] < eff * params.lam]] = True
-        hit[ends[facing:][draws[facing:] < params.lam]] = True
-        new_infected = np.flatnonzero(hit)
+        transmits = draws < params.lam
+        transmits[:facing] = draws[:facing] < eff * params.lam
+        cls, nodes = _stub_owners(k, s, ends[transmits])
+        order = np.arange(nodes.size)
+        slot[nodes] = order
+        new = np.bincount(cls[slot[nodes] == order], minlength=k.size)
 
-        # (3) removal of start-of-step infected
-        removed_now = start_infected[rng.random(start_infected.size) < params.mu]
-
-        if new_infected.size:
-            treated = rng.random(new_infected.size) < coverage
-            state[new_infected] = np.where(treated, INFECTED_TREATED, INFECTED)
-        incidence[step] = new_infected.size / n
-
-        # removed nodes leave the arrays, the rest keep their order
-        if removed_now.size:
-            removed_count += np.bincount(degrees[removed_now] - dist.k_min, minlength=nk)
-            keep = np.ones(state.size, dtype=bool)
-            keep[removed_now] = False
-            state, degrees = state[keep], degrees[keep]
+        # (3) removal of start-of-step infected; the new infections join
+        # treated at the step's coverage
+        gone = rng.binomial(infected, params.mu)
+        removed += gone.sum(axis=0)
+        treated = rng.binomial(new, coverage)
+        infected = infected - gone + np.stack([new - treated, treated])
 
         # (4) demographic replenishment toward initial susceptible counts, with
         # the deficit taken at the start of the step like the euler dt=1 ODE
+        deficit = np.maximum(initial_s - s, 0)
+        s = s - new
         if params.d > 0:
-            deficit = np.maximum(initial_susceptible - susceptible, 0)
-            additions = rng.binomial(deficit, params.d)
-            total_add = int(additions.sum())
-            if total_add:
-                new_deg = np.repeat(k_grid, additions)
-                degrees = np.concatenate([degrees, new_deg])
-                state = np.concatenate([state, np.full(total_add, SUSCEPTIBLE, dtype=np.int8)])
+            s = s + rng.binomial(deficit, params.d)
 
-        susceptible = tally(step)
+        record[step] = s, infected.sum(axis=0), removed
+        new_total[step] = new.sum()
 
     # the stratified one-type, one-stage layout: s_k | rho_k | removed_k
     return Trajectory(
-        times=t0 + np.arange(steps + 1, dtype=float), Y=np.hstack([s_k, rho_k, removed_k]),
-        dY=None, incidence=incidence, model=build_model("stratified", params, dist),
+        times=t0 + np.arange(steps + 1, dtype=float), Y=record.reshape(steps + 1, -1) / n,
+        dY=None, incidence=new_total / n, model=build_model("stratified", params, dist),
     )
 
 

@@ -198,12 +198,22 @@ def compare_ode_abm(ode: Trajectory, ens: EnsembleSummary, band_sigmas: float = 
 
 @dataclass
 class FitResult:
-    """Outcome of a least-squares parameter fit."""
+    """Outcome of a least-squares parameter fit.
+
+    ``at_bound`` names the free parameters that end on a bound of their
+    range, in ``free`` order: a converged fit there may be a boundary local
+    minimum, not the best fit.
+    """
 
     parameters: dict
     residual: float
     iterations: int
     converged: bool
+    at_bound: tuple
+
+
+# the simplex's absolute parameter tolerance, also the reach of ``at_bound``
+_XATOL = 1e-8
 
 
 def fit_parameters(
@@ -220,7 +230,8 @@ def fit_parameters(
     Derivative-free Nelder-Mead simplex descent with bound clipping from an
     initial guess inside the bounds; deterministic given that guess.
     Observed times must land on the model output grid.  Never returns a
-    point worse than the initial guess.
+    point worse than the initial guess.  A parameter within the simplex's
+    ``xatol`` of a bound is reported in ``at_bound``.
     """
     observed_times = np.asarray(observed_times, dtype=float)
     observed = np.asarray(observed, dtype=float)
@@ -266,7 +277,7 @@ def fit_parameters(
     result = minimize(
         residual, x0, method="Nelder-Mead",
         bounds=list(zip(lo, hi)),
-        options={"maxiter": max_iterations, "xatol": 1e-8, "fatol": 1e-14},
+        options={"maxiter": max_iterations, "xatol": _XATOL, "fatol": 1e-14},
     )
     if result.fun <= r0:
         best, fun = np.clip(result.x, lo, hi), float(result.fun)
@@ -277,6 +288,8 @@ def fit_parameters(
         residual=fun,
         iterations=int(result.nit),
         converged=bool(result.success),
+        at_bound=tuple(p for p, v, a, b in zip(names, best, lo, hi)
+                       if min(v - a, b - v) <= _XATOL),
     )
 
 

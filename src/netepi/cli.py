@@ -87,11 +87,18 @@ def _abm_ensemble(spec: SimulationSpec, seed, replicas: int, threads: int):
     # a model without a distribution runs on the one-link network
     dist = (build_distribution(spec.distribution) if "distribution" in MODEL_FIELDS[spec.model]
             else _SINGLE_DEGREE)
-    return run_ensemble(
-        dist, spec.abm["n"], spec.params, steps, replicas=replicas,
-        base_seed=spec.abm["seed"] if seed is None else seed,
-        schedule=spec.treatment, n_jobs=threads, t0=t0,
-    )
+    try:
+        return run_ensemble(
+            dist, spec.abm["n"], spec.params, steps, replicas=replicas,
+            base_seed=spec.abm["seed"] if seed is None else seed,
+            schedule=spec.treatment, n_jobs=threads, t0=t0,
+        )
+    except DomainError as err:
+        # the library names its argument; steps come from t_span here
+        if str(err).startswith("steps="):
+            raise ConfigError("t_span", f"{steps} unit steps from {t0:g} to {t1:g} are too "
+                              f"many to record") from None
+        raise
 
 
 def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
@@ -235,10 +242,13 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                 "residual": result.residual,
                 "iterations": result.iterations,
                 "converged": result.converged,
+                "at_bound": list(result.at_bound),
             })
             fitted = " ".join(f"{k}={v:.6g}" for k, v in result.parameters.items())
             summary = (f"{fitted} residual={result.residual:.6g} "
                        f"iterations={result.iterations} converged={result.converged}")
+            if result.at_bound:
+                summary += f" at_bound={','.join(result.at_bound)}"
 
         else:
             raise ConfigError("", f"unknown command {command!r}")

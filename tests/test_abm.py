@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from netepi.abm import (
-    INFECTED,
-    INFECTED_TREATED,
-    SUSCEPTIBLE,
     _coverage_at,
-    _cross_stubs,
     _shuffled_stub_pairs,
     generate_network,
     replica_rng,
@@ -341,14 +335,14 @@ class TestOneStepDrift:
         assert np.all(np.abs(z) <= 4), z
 
 
-# the reference keeps removed nodes in place under a fourth code
-REMOVED = 3
+# compartment codes of the per-node reference
+SUSCEPTIBLE, INFECTED, INFECTED_TREATED, REMOVED = range(4)
 
 
 def reference_simulate(dist, n, params, steps, rng, schedule=None):
-    """The step loop over full-length node arrays, with removed nodes kept in
-    place holding zero stubs at each pairing: (Y, incidence)."""
-    rng = np.random.default_rng(rng)
+    """The step loop over one entry per node, with removed nodes kept in
+    place holding no stubs, each step pairing by a shuffle of every live
+    stub: its Y in the stratified layout."""
     degrees = sample_degrees(dist, n, rng)
     state = np.zeros(n, dtype=np.int8)
     eff = params.treatment_efficacy
@@ -361,17 +355,13 @@ def reference_simulate(dist, n, params, steps, rng, schedule=None):
 
     k_grid = dist.degrees
     nk = len(k_grid)
-    s_k = np.zeros((steps + 1, nk))
-    rho_k = np.zeros((steps + 1, nk))
-    removed_k = np.zeros((steps + 1, nk))
-    incidence = np.zeros(steps + 1)
+    Y = np.zeros((steps + 1, 3 * nk))
 
     def tally(row):
         counts = np.bincount(state.astype(np.intp) * nk + (degrees - dist.k_min),
                              minlength=4 * nk).reshape(4, nk)
-        s_k[row] = counts[SUSCEPTIBLE] / n
-        rho_k[row] = (counts[INFECTED] + counts[INFECTED_TREATED]) / n
-        removed_k[row] = counts[REMOVED] / n
+        Y[row] = np.concatenate([counts[SUSCEPTIBLE], counts[INFECTED] + counts[INFECTED_TREATED],
+                                 counts[REMOVED]]) / n
         return counts[SUSCEPTIBLE]
 
     initial_susceptible = susceptible = tally(0)
@@ -379,7 +369,7 @@ def reference_simulate(dist, n, params, steps, rng, schedule=None):
     for step in range(1, steps + 1):
         prev_coverage = coverage
         coverage = _coverage_at(schedule, step - 1)
-        if schedule is not None and coverage != prev_coverage:
+        if coverage != prev_coverage:
             infected_idx = np.flatnonzero((state == INFECTED) | (state == INFECTED_TREATED))
             treated = rng.random(infected_idx.size) < coverage
             state[infected_idx] = np.where(treated, INFECTED_TREATED, INFECTED)
@@ -388,73 +378,75 @@ def reference_simulate(dist, n, params, steps, rng, schedule=None):
         start_infected = np.flatnonzero(is_inf)
 
         live_degrees = np.where(state == REMOVED, 0, degrees)
-        ends, facing = _cross_stubs(live_degrees, is_inf, state == INFECTED_TREATED, rng)
-
-        # every end is susceptible; the first ``facing`` pairs transmit at
-        # the treated rate
-        assert np.all(state[ends] == SUSCEPTIBLE)
-        lam_pair = np.where(np.arange(ends.size) < facing, eff * params.lam, params.lam)
-        transmits = rng.random(ends.size) < lam_pair
-        new_infected = np.unique(ends[transmits])
+        u, v = _shuffled_stub_pairs(np.arange(state.size, dtype=np.int64), live_degrees, rng)
+        mixed = is_inf[u] != is_inf[v]
+        u, v = u[mixed], v[mixed]
+        ends, infectors = np.where(is_inf[u], v, u), np.where(is_inf[u], u, v)
+        lam_pair = np.where(state[infectors] == INFECTED_TREATED, eff * params.lam, params.lam)
+        new_infected = np.unique(ends[rng.random(ends.size) < lam_pair])
 
         removed_now = start_infected[rng.random(start_infected.size) < params.mu]
 
-        if new_infected.size:
-            treated = rng.random(new_infected.size) < coverage
-            state[new_infected] = np.where(treated, INFECTED_TREATED, INFECTED)
+        treated = rng.random(new_infected.size) < coverage
+        state[new_infected] = np.where(treated, INFECTED_TREATED, INFECTED)
         state[removed_now] = REMOVED
-        incidence[step] = new_infected.size / n
 
         if params.d > 0:
-            deficit = np.maximum(initial_susceptible - susceptible, 0)
-            additions = rng.binomial(deficit, params.d)
-            total_add = int(additions.sum())
-            if total_add:
-                new_deg = np.repeat(k_grid, additions)
-                degrees = np.concatenate([degrees, new_deg])
-                state = np.concatenate([state, np.full(total_add, SUSCEPTIBLE, dtype=np.int8)])
+            additions = rng.binomial(np.maximum(initial_susceptible - susceptible, 0), params.d)
+            degrees = np.concatenate([degrees, np.repeat(k_grid, additions)])
+            state = np.concatenate([state, np.full(additions.sum(), SUSCEPTIBLE, dtype=np.int8)])
 
         susceptible = tally(step)
 
-    return np.hstack([s_k, rho_k, removed_k]), incidence
+    return Y
 
 
-EQUIVALENCE_DIST = truncated_power_law(2.2, 1, 40)
-EQUIVALENCE_SCHEDULE = TreatmentSchedule(epochs=(3.0, 9.0), coverages=(0.6, 0.2),
-                                         initial_coverage=0.1)
+LAW_DIST = truncated_power_law(2.2, 1, 40)
+LAW_SCHEDULE = TreatmentSchedule(epochs=(3.0, 6.0), coverages=(0.6, 0.2), initial_coverage=0.1)
 
 
-class TestCompactedStepEquivalence:
-    """The step over live nodes draws the same stream as the step over
-    full-length arrays whose removed nodes keep zero stubs."""
+class TestCountChainLaw:
+    """The count-level chain has the law of the step over one entry per
+    node, kept here as the oracle."""
 
-    @staticmethod
-    def assert_same_run(dist, n, params, steps, seed, schedule):
-        ref_Y, ref_incidence = reference_simulate(
-            dist, n, params, steps, replica_rng(seed, 0), schedule)
-        traj = simulate_epidemic(dist, n, params, steps, rng=replica_rng(seed, 0),
-                                 schedule=schedule)
-        assert traj.Y.tobytes() == ref_Y.tobytes()
-        assert traj.incidence.tobytes() == ref_incidence.tobytes()
-        return traj
+    @pytest.mark.parametrize("d, schedule", [(0.0, None), (0.05, LAW_SCHEDULE)],
+                             ids=["plain", "treatment_demography"])
+    def test_matches_per_node_reference(self, d, schedule):
+        # 2000 seeds each; per degree bin, compartment and recorded step the
+        # means may differ by 4.5 standard errors of their difference, the
+        # SDs by 0.12 of the reference's, the rule of TestFirstStepLaw.  Over
+        # 8 blocks of 2000 chain runs every count's SD spread by at most 2.5%
+        # (so 0.12 is 3.4 standard errors of the SD ratio or more), and the
+        # sparsest count has mean 1.5.
+        params = EpidemicParams(lam=0.2, mu=0.2, rho0=0.05, d=d, treatment_efficacy=0.3)
+        n, steps, runs = 400, 7, 2000
+        to_bins = np.eye(3)[np.searchsorted([2, 4], LAW_DIST.degrees, side="right")]
 
-    @given(n=st.integers(50, 2000), d=st.sampled_from([0.0, 0.05]), treated=st.booleans(),
-           lam=st.sampled_from([0.1, 0.6]), mu=st.sampled_from([0.05, 0.5]),
-           seed=st.integers(0, 2 ** 16))
-    @example(n=2000, d=0.05, treated=True, lam=0.6, mu=0.05, seed=1)
-    @example(n=50, d=0.0, treated=False, lam=0.1, mu=0.5, seed=2)
-    @settings(max_examples=30, deadline=None)
-    def test_matches_full_length_reference(self, n, d, treated, lam, mu, seed):
-        params = EpidemicParams(lam=lam, mu=mu, rho0=0.05, d=d, treatment_efficacy=0.3)
-        self.assert_same_run(EQUIVALENCE_DIST, n, params, 15, seed,
-                             EQUIVALENCE_SCHEDULE if treated else None)
+        def binned(Y):
+            # susceptible, infected and removed counts per degree bin at
+            # steps 2, 4 and 7, the last two just after the epoch switches
+            return (Y[[2, 4, 7]].reshape(3, 3, -1) @ to_bins * n).ravel()
+
+        ref = np.array([binned(reference_simulate(LAW_DIST, n, params, steps,
+                                                  replica_rng(seed, 0), schedule))
+                        for seed in range(runs)])
+        new = np.array([binned(simulate_epidemic(LAW_DIST, n, params, steps,
+                                                 rng=replica_rng(seed, 1), schedule=schedule).Y)
+                        for seed in range(runs)])
+        assert np.all(ref.std(axis=0) > 0)
+        se = np.sqrt((ref.var(axis=0, ddof=1) + new.var(axis=0, ddof=1)) / runs)
+        z = (new.mean(axis=0) - ref.mean(axis=0)) / se
+        assert np.all(np.abs(z) <= 4.5), z
+        ref_sd, sd = ref.std(axis=0, ddof=1), new.std(axis=0, ddof=1)
+        assert np.all(np.abs(sd - ref_sd) <= 0.12 * ref_sd), sd / ref_sd
 
     def test_everyone_removed(self):
         # two degree-1 nodes, one seeded: the first step infects the other
-        # and removes the seed, the second removes the other, and the arrays
+        # and removes the seed, the second removes the other, and the counts
         # stay empty for the remaining steps
         params = EpidemicParams(lam=1.0, mu=1.0, rho0=0.5)
-        traj = self.assert_same_run(DEGREE_ONE, 2, params, 6, 3, EQUIVALENCE_SCHEDULE)
+        traj = simulate_epidemic(DEGREE_ONE, 2, params, 6, rng=replica_rng(3, 0),
+                                 schedule=LAW_SCHEDULE)
         assert np.array_equal(traj.prevalence, [0.5, 0.5, 0, 0, 0, 0, 0])
         assert np.all(traj.susceptible[1:] == 0)
         assert np.array_equal(traj.removed, [0, 0.5, 1, 1, 1, 1, 1])

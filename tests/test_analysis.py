@@ -240,6 +240,27 @@ class TestFit:
                              {"lambda": (0.01, 0.3)}, {"lambda": 0.17})
         assert res.residual <= residual_of(0.17) + 1e-12
 
+    def test_reports_a_bound_optimum(self):
+        # stratified k 1..20 over t 0..20, truth lambda 0.1 observed every
+        # 4th step: the residual rises from 0 at 0.1 to 0.028 at 0.5 and
+        # falls again to 0.0256 at 0.6, so a start at the upper bound ends
+        # there, converged, on a boundary local minimum
+        def runner(p):
+            params = EpidemicParams(lam=p["lambda"], mu=0.05, rho0=0.005)
+            return integrate(build_model("stratified", params, truncated_power_law(2.5, 1, 20)),
+                             (0, 20), 1.0, "euler")
+
+        truth = runner({"lambda": 0.1})
+        kw = dict(observed_times=truth.times[::4], observed=truth.incidence[::4],
+                  free={"lambda": (0.05, 0.6)})
+        stuck = fit_parameters(runner, **kw, initial={"lambda": 0.6})
+        assert stuck.converged and stuck.parameters["lambda"] == 0.6
+        assert stuck.residual == pytest.approx(0.0256, abs=1e-4)
+        assert stuck.at_bound == ("lambda",)
+        inside = fit_parameters(runner, **kw, initial={"lambda": 0.3})
+        assert inside.parameters["lambda"] == pytest.approx(0.1, abs=1e-6)
+        assert inside.at_bound == ()
+
     def test_deterministic(self):
         truth = self.runner({"lambda": 0.1})
         kw = dict(free={"lambda": (0.01, 0.3)}, initial={"lambda": 0.25})

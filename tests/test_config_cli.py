@@ -573,6 +573,42 @@ class TestCliProcess:
         assert "n=1000000000000000 is too many nodes" in result.stderr
         assert not (out / "ensemble.csv").exists()
 
+    @pytest.mark.parametrize("command, output", [("run-abm", "ensemble.csv"),
+                                                 ("compare", "comparison.json")])
+    def test_abm_t_span_too_long_to_record(self, tmp_path, command, output):
+        # the library's "steps=1000000000000000 is too many to record" used
+        # to reach the user, naming its argument instead of the config field
+        cfg = self.write(tmp_path, {**FIG1, "t_span": [0, 1e15], "method": "euler", "dt": 1.0,
+                                    "abm": {"n": 1000, "replicas": 2}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert ("t_span: 1000000000000000 unit steps from 0 to 1e+15 are too many to record"
+                in result.stderr)
+        assert "Traceback" not in result.stderr
+        assert not (out / output).exists()
+
+    def test_fit_names_a_parameter_ending_on_its_bound(self, tmp_path):
+        # truth lambda 0.1; from a start at the upper bound the simplex stops
+        # at a boundary local minimum there, which fit.json and the summary
+        # name
+        base = {"model": "stratified", "lambda": 0.1, "mu": 0.05, "rho0": 0.005,
+                "distribution": {"type": "power_law", "gamma": 2.5, "k_min": 1, "k_max": 20},
+                "t_span": [0, 20], "method": "euler", "dt": 1.0}
+        truth = run_trajectory(parse_config_data(base))
+        observed = [[float(t), float(v)] for t, v in zip(truth.times[::4], truth.incidence[::4])]
+        for start, at_bound in ((0.6, ["lambda"]), (0.3, [])):
+            cfg = self.write(tmp_path, {**base, "fit": {
+                "free": {"lambda": [0.05, 0.6]}, "initial": {"lambda": start},
+                "observed": observed}})
+            out = tmp_path / f"o{start}"
+            result = CliRunner().invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            report = json.loads((out / "fit.json").read_text())
+            assert report["at_bound"] == at_bound
+            assert ("at_bound=lambda" in result.stdout) == bool(at_bound)
+
     def test_threads_env_fallback(self, tmp_path):
         runner = CliRunner()
         cfg = self.write(tmp_path, {**MINIMAL_CLASSIC, "t_span": [0, 10]})
