@@ -1,18 +1,20 @@
 """Agent-based Monte-Carlo simulation on configuration-model random graphs.
 
-This is the stochastic oracle the ODE models are validated against.  A run
-draws how many of its n nodes fall in each degree class and seeds the
-infected.  Each step then mirrors the discrete-time process the euler dt=1
-integration of the stratified model approximates, all against the
-start-of-step state:
+This is the stochastic oracle the ODE models are validated against: it runs
+the ``CompartmentModel`` the ODE integrates, on n nodes, if the model has
+one population of one stage with fixed routing (``chain_limit``).  A run
+draws how many nodes fall in each degree class and seeds the infected.
+Each step then mirrors the discrete-time process the euler dt=1
+integration of the model approximates, all against the start-of-step state:
 
   1. the live nodes' stubs are paired afresh (degrees persist), so the
      network is fully re-paired every step, the first one included, as the
      ODE's annealed links are,
   2. every susceptible is infected through each stub pair joining it to an
-     infected node independently with probability lambda,
-  3. every node infected at the start of the step is removed with
-     probability mu and leaves the network,
+     infected node independently with the infector type's transmissibility,
+  3. every node infected at the start of the step leaves the network with
+     probability its type's stage rate plus the exit rate, and the new
+     infections join the types at the routing shares,
   4. optional demographic replenishment adds susceptibles back toward their
      initial per-degree counts at rate d.
 
@@ -21,21 +23,22 @@ transmission chance, parallel pairs included, the process whose one-step
 law the ODE's binomial link count describes (Britton, Deijfen & Martin-Lof,
 J. Stat. Phys. 124, 2006).  Under it, nodes of one degree class and one
 compartment are exchangeable, so the chain's state is exactly its integer
-counts per class: susceptible, infected untreated, infected treated and a
-removed tally, the ODE's layout times n.  No node is kept between steps.
-Within a step, a susceptible end needs an identity only so that a node hit
-through several pairs is infected once; its virtual node (the class's
-susceptibles numbered in order, each holding k consecutive stubs) gives it.
+counts per class, the model's layout times n.  No node is kept between
+steps.  Within a step, a susceptible end needs an identity only so that a
+node hit through several pairs is infected once; its virtual node (the
+class's susceptibles numbered in order, each holding k consecutive stubs)
+gives it.  A one-type model draws as a two-type one never seeding or
+routing into its second type.
 
 The draws come in this order.  Set-up: the class sizes (one multinomial),
-the seeds per class (one multivariate hypergeometric) and the treated seeds
-(a binomial per class).  Each step: an epoch switch first re-draws the
-standing infected's treated status (a binomial per class); then the side
-of an odd stub total's dropped stub, two hypergeometric draws for the
-number of susceptible-infected pairs, a third for how many of them face a
-treated stub, their susceptible ends as a uniform ordered subset of the
-susceptible stubs, one infection number per pair, and binomials per class
-for removal, the treated status of the new infections and replenishment.
+the seeds per class (one multivariate hypergeometric) and the second-type
+seeds (a binomial per class).  Each step: an epoch switch first re-draws the
+standing infected's type (a binomial per class); then the side of an odd
+stub total's dropped stub, two hypergeometric draws for the number of
+susceptible-infected pairs, a third for how many of them face a second-type
+stub, their susceptible ends as a uniform ordered subset of the susceptible
+stubs, one infection number per pair, and binomials per class for leaving,
+the type of the new infections and replenishment.
 ``tests/data/abm_stream_golden.json`` pins the stream.
 
 ``generate_network`` is still the erased static generator (one shuffle of
@@ -52,7 +55,7 @@ import numpy as np
 
 from .degree import DegreeDistribution, sample_degrees
 from .errors import DomainError, is_integer
-from .ode import EpidemicParams, Trajectory, TreatmentSchedule, build_model
+from .ode import CompartmentModel, Trajectory, TreatmentSchedule
 
 
 @dataclass
@@ -104,7 +107,7 @@ def _cross_stubs(s_stubs: int, i_stubs: int, t_stubs: int, rng) -> tuple[np.ndar
     """The susceptible ends of the susceptible-infected pairs of one uniform
     pairing of ``s_stubs`` susceptible and ``i_stubs`` infected stubs, as
     indices into the susceptible stubs in uniform order, and how many of the
-    first of them face one of the ``t_stubs`` treated infected stubs.
+    first of them face one of the ``t_stubs`` stubs of second-type infected.
 
     Every pair is kept, parallel ones included; an odd total first loses one
     uniformly chosen stub.
@@ -169,39 +172,59 @@ def generate_network(dist: DegreeDistribution, n: int,
     return NetworkRealization(n=n, degrees=degrees, edges_u=edges_u, edges_v=edges_v)
 
 
-def _coverage_at(schedule: TreatmentSchedule | None, t: float) -> float:
-    if schedule is None:
-        return 0.0
-    coverage = schedule.initial_coverage
-    for epoch, c in zip(schedule.epochs, schedule.coverages):
-        if t >= epoch:
-            coverage = c
-    return coverage
+def chain_limit(model: CompartmentModel) -> tuple[str, str] | None:
+    """(The part of ``model`` the chain cannot run, why), or None.  It runs
+    one population of one stage with fixed routing; the transmissibilities,
+    leave rates (stage rate plus exit rate) and d are per-step probabilities."""
+    if len(model.populations) != 1:
+        return "populations", f"one population, got {len(model.populations)}"
+    pop = model.populations[0]
+    if pop.n_stages != 1:
+        return "stages", f"one infected stage, got {pop.n_stages}"
+    if model.routing == "hazard":
+        return "routing", "fixed routing shares, got 'hazard'"
+    leave = (pop.rates[:, 0] + model.exit_rate).tolist()
+    for what, values in (("transmissibilities", model.rates[0]), ("leave rates", leave),
+                         ("replenishment rates", [model.d])):
+        if not all(0.0 <= p <= 1.0 for p in values):
+            return "rates", f"{what} in [0, 1], got {list(values)}"
+    return None
+
+
+def _check_model(model):
+    if not isinstance(model, CompartmentModel):
+        raise DomainError(f"model must be a CompartmentModel, got {model!r}")
+    limit = chain_limit(model)
+    if limit is not None:
+        raise DomainError(f"the agent-based chain needs {limit[1]}")
 
 
 def simulate_epidemic(
-    dist: DegreeDistribution,
+    model: CompartmentModel,
     n: int,
-    params: EpidemicParams,
     steps: int,
     rng: np.random.Generator | int | None = None,
     schedule: TreatmentSchedule | None = None,
     t0: float = 0.0,
 ) -> Trajectory:
-    """Run one stochastic epidemic for ``steps`` time steps from time ``t0``.
+    """Run one stochastic epidemic of ``model`` on ``n`` nodes for ``steps``
+    time steps from time ``t0``.
 
-    Fractions are reported relative to the initial population, so the output
-    aligns point for point with an euler dt=1 integration of the matching
-    ODE model over [t0, t0 + steps]; treatment epochs are times on that
-    axis.  Every step, the first one included, starts by pairing all live
-    nodes, the ones demography added in the step before among them.
+    Fractions of the initial population are reported in the model's layout,
+    aligned point for point with ``integrate(model, (t0, t0 + steps), 1.0,
+    "euler", schedule)``: each epoch runs ``model.at_coverage`` at its
+    coverage, as there.  Every step, the first one included, starts by
+    pairing all live nodes, the ones demography added the step before too.
     """
+    _check_model(model)
     _check_n(n)
     if not (is_integer(steps) and steps >= 1):
         raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
     if not (isinstance(t0, Real) and not isinstance(t0, bool) and math.isfinite(t0)):
         raise DomainError(f"t0 must be a finite real number, got {t0!r}")
     rng = _generator(rng)
+    pop = model.populations[0]
+    k, types = pop.k, pop.n_types
 
     try:
         # slot[v]: the last of a step's transmitting pairs to hit virtual node v
@@ -209,31 +232,37 @@ def simulate_epidemic(
     except (MemoryError, ValueError):
         raise DomainError(f"n={n} is too many nodes to allocate") from None
     try:
-        # per row: the susceptible, infected and removed counts per class
-        record = np.zeros((steps + 1, 3, len(dist.pmf)), dtype=np.int64)
+        # per row and class: the susceptible, each type's infected and removed counts
+        record = np.zeros((steps + 1, types + 2, k.size), dtype=np.int64)
         new_total = np.zeros(steps + 1, dtype=np.int64)
     except (MemoryError, ValueError):
         raise DomainError(f"steps={steps} is too many to record") from None
-    eff, k = params.treatment_efficacy, dist.degrees
+    # infected counts per class, one row per type; a one-type model's second row stays empty
+    lam, lam2 = (*model.rates[0], 0.0)[:2]
+    leave = np.append(pop.rates[:, 0] + model.exit_rate, 0.0)[:2, None]
 
-    s = rng.multinomial(n, dist.pmf)
-    seeds = rng.multivariate_hypergeometric(s, int(round(params.rho0 * n)))
-    coverage = _coverage_at(schedule, t0)
-    treated = rng.binomial(seeds, coverage)
-    # infected counts per class: row 0 untreated, row 1 treated
-    infected = np.stack([seeds - treated, treated])
+    def shares_at(t):
+        # the second row's seed and routing shares at time t
+        routed = model if schedule is None else model.at_coverage(schedule.coverage_at(t))
+        return (*routed.seed, 0.0)[1], (*routed.routing, 0.0)[1]
+
+    s = rng.multinomial(n, pop.dist.pmf)
+    seeds = rng.multivariate_hypergeometric(s, int(round(pop.rho0 * n)))
+    seed_share, share = shares_at(t0)
+    second = rng.binomial(seeds, seed_share)
+    infected = np.stack([seeds - second, second])
     initial_s = s = s - seeds
     removed = np.zeros_like(s)
-    record[0] = s, seeds, removed
+    record[0] = s, *infected[:types], removed
 
     for step in range(1, steps + 1):
-        prev_coverage = coverage
-        coverage = _coverage_at(schedule, t0 + step - 1)
-        if coverage != prev_coverage:
-            # epoch switch: re-draw treated status of the standing infected
+        prev_share = share
+        _, share = shares_at(t0 + step - 1)
+        if share != prev_share:
+            # epoch switch: re-draw the type of the standing infected
             total = infected.sum(axis=0)
-            treated = rng.binomial(total, coverage)
-            infected = np.stack([total - treated, treated])
+            second = rng.binomial(total, share)
+            infected = np.stack([total - second, second])
 
         # (1) pair the live stubs, drawing only the susceptible end of each
         # susceptible-infected pair: no other pair can transmit
@@ -241,37 +270,36 @@ def simulate_epidemic(
                                     int(k @ infected[1]), rng)
 
         # (2) infections, one draw per pair, the first ``facing`` from a
-        # treated infector; a node hit through several pairs is infected
+        # second-row infector; a node hit through several pairs is infected
         # once, counted at the one pair its slot names
         draws = rng.random(ends.size)
-        transmits = draws < params.lam
-        transmits[:facing] = draws[:facing] < eff * params.lam
+        transmits = draws < lam
+        transmits[:facing] = draws[:facing] < lam2
         cls, nodes = _stub_owners(k, s, ends[transmits])
         order = np.arange(nodes.size)
         slot[nodes] = order
         new = np.bincount(cls[slot[nodes] == order], minlength=k.size)
 
-        # (3) removal of start-of-step infected; the new infections join
-        # treated at the step's coverage
-        gone = rng.binomial(infected, params.mu)
+        # (3) start-of-step infected leave at their type's rate; the new
+        # infections are routed at the step's shares
+        gone = rng.binomial(infected, leave)
         removed += gone.sum(axis=0)
-        treated = rng.binomial(new, coverage)
-        infected = infected - gone + np.stack([new - treated, treated])
+        second = rng.binomial(new, share)
+        infected = infected - gone + np.stack([new - second, second])
 
         # (4) demographic replenishment toward initial susceptible counts, with
         # the deficit taken at the start of the step like the euler dt=1 ODE
         deficit = np.maximum(initial_s - s, 0)
         s = s - new
-        if params.d > 0:
-            s = s + rng.binomial(deficit, params.d)
+        if model.d > 0:
+            s = s + rng.binomial(deficit, model.d)
 
-        record[step] = s, infected.sum(axis=0), removed
+        record[step] = s, *infected[:types], removed
         new_total[step] = new.sum()
 
-    # the stratified one-type, one-stage layout: s_k | rho_k | removed_k
     return Trajectory(
         times=t0 + np.arange(steps + 1, dtype=float), Y=record.reshape(steps + 1, -1) / n,
-        dY=None, incidence=new_total / n, model=build_model("stratified", params, dist),
+        dY=None, incidence=new_total / n, model=model,
     )
 
 
@@ -324,15 +352,14 @@ def replica_rng(base_seed: int, replica: int) -> np.random.Generator:
 
 
 def _run_replica(args):
-    dist, n, params, steps, schedule, base_seed, replica, t0 = args
-    return simulate_epidemic(dist, n, params, steps, rng=replica_rng(base_seed, replica),
+    model, n, steps, schedule, base_seed, replica, t0 = args
+    return simulate_epidemic(model, n, steps, rng=replica_rng(base_seed, replica),
                              schedule=schedule, t0=t0)
 
 
 def run_ensemble(
-    dist: DegreeDistribution,
+    model: CompartmentModel,
     n: int,
-    params: EpidemicParams,
     steps: int,
     replicas: int,
     base_seed: int = 0,
@@ -340,7 +367,8 @@ def run_ensemble(
     n_jobs: int = 1,
     t0: float = 0.0,
 ) -> EnsembleSummary:
-    """Run ``replicas`` independent simulations and summarize them.
+    """Run ``replicas`` independent simulations of ``model`` and summarize
+    them.
 
     Replicas are embarrassingly parallel; results are merged in replica
     order so the summary is identical for any ``n_jobs``.
@@ -351,7 +379,8 @@ def run_ensemble(
         raise DomainError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     if not (is_integer(base_seed) and base_seed >= 0):
         raise DomainError(f"base_seed must be an integer >= 0, got {base_seed!r}")
-    jobs = [(dist, n, params, steps, schedule, base_seed, r, t0) for r in range(replicas)]
+    _check_model(model)
+    jobs = [(model, n, steps, schedule, base_seed, r, t0) for r in range(replicas)]
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

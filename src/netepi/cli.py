@@ -21,20 +21,15 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .abm import run_ensemble
+from .abm import chain_limit, run_ensemble
 from .analysis import compare_ode_abm, fit_parameters, phase_series, sobol_first_order
-from .config import (
-    MODEL_FIELDS,
-    SimulationSpec,
-    build_distribution,
-    build_spec_model,
-    parse_config,
-    run_trajectory,
-)
+from .config import SimulationSpec, build_spec_model, parse_config, run_trajectory
 from .errors import ConfigError, DomainError, NetepiError, StabilityError, is_integer
-from .ode import _SINGLE_DEGREE, integrate
+from .ode import integrate
 
-ABM_MODELS = ("classic", "stratified")
+# the config field behind each part of a model the agent-based chain cannot run
+_CHAIN_FIELDS = {"populations": "model", "stages": "stage_rates", "rates": "stage_rates",
+                 "routing": "split"}
 
 
 def _write_replacing(path: Path, fill, newline=None):
@@ -72,24 +67,23 @@ def _write_json(path: Path, obj):
     _write_replacing(path, fill)
 
 
-def _abm_ensemble(spec: SimulationSpec, seed, replicas: int, threads: int):
-    """Run the configured agent-based ensemble on the config's time axis, so
-    rows and treatment epochs line up with the ODE trajectory of the same
-    t_span."""
-    if spec.model not in ABM_MODELS:
-        raise ConfigError("model", f"agent-based runs support {ABM_MODELS}, got {spec.model!r}")
+def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int):
+    """Run the agent-based ensemble of the configured ``model`` on the
+    config's time axis, so rows and treatment epochs line up with the ODE
+    trajectory of the same t_span."""
+    limit = chain_limit(model)
+    if limit is not None:
+        raise ConfigError(_CHAIN_FIELDS[limit[0]], f"agent-based runs of {spec.model!r} need "
+                          f"{limit[1]}")
     if "n" not in spec.abm:
         raise ConfigError("abm.n", "required for agent-based runs")
     t0, t1 = spec.t_span
     steps = int(round(t1 - t0))
     if abs(t1 - t0 - steps) > 1e-9 or steps < 1:
         raise ConfigError("t_span", "agent-based runs need an integer number of unit steps")
-    # a model without a distribution runs on the one-link network
-    dist = (build_distribution(spec.distribution) if "distribution" in MODEL_FIELDS[spec.model]
-            else _SINGLE_DEGREE)
     try:
         return run_ensemble(
-            dist, spec.abm["n"], spec.params, steps, replicas=replicas,
+            model, spec.abm["n"], steps, replicas=replicas,
             base_seed=spec.abm["seed"] if seed is None else seed,
             schedule=spec.treatment, n_jobs=threads, t0=t0,
         )
@@ -127,6 +121,9 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
         written.append(path)
         return path
 
+    def runner(overrides):  # one model evaluation of sensitivity and fit
+        return run_trajectory(spec, overrides)
+
     try:
         if command == "run-ode":
             model = build_spec_model(spec)
@@ -146,7 +143,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                        f"final_size={traj.final_size():.6g}")
 
         elif command == "run-abm":
-            ens = _abm_ensemble(spec, seed, n_replicas, threads)
+            ens = _abm_ensemble(spec, build_spec_model(spec), seed, n_replicas, threads)
             _write_csv(target("ensemble.csv"),
                        ["t", "mean_prev", "se_prev", "mean_inc", "se_inc", "replicas"],
                        [ens.times, ens.mean_prevalence, ens.se_prevalence, ens.mean_incidence,
@@ -161,24 +158,16 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             if "n" in spec.abm and round(spec.params.rho0 * spec.abm["n"]) == 0:
                 raise ConfigError("abm.n", f"{spec.abm['n']} nodes at rho0={spec.params.rho0} "
                                   f"seed no infected node: no epidemic peak to compare")
-            ens = _abm_ensemble(spec, seed, n_replicas, threads)
-            ode = run_trajectory(spec, method="euler", dt=1.0)
+            model = build_spec_model(spec)
+            ens = _abm_ensemble(spec, model, seed, n_replicas, threads)
+            ode = integrate(model, spec.t_span, 1.0, "euler", schedule=spec.treatment)
             report = compare_ode_abm(ode, ens, spec.compare["band_sigmas"])
             _write_csv(target("comparison.csv"),
                        ["t", "ode_prev", "mean_prev", "se_prev", "covered"],
                        [ens.times, ode.prevalence, ens.mean_prevalence, ens.se_prevalence,
                         report.covered])
-            _write_json(target("comparison.json"), {
-                "band_sigmas": report.band_sigmas,
-                "coverage": report.coverage,
-                "n_points": report.n_points,
-                "ode_peak": report.ode_peak,
-                "ode_peak_time": report.ode_peak_time,
-                "ensemble_peak": report.ensemble_peak,
-                "ensemble_peak_time": report.ensemble_peak_time,
-                "peak_relative_deviation": report.peak_relative_deviation,
-                "peak_time_offset": report.peak_time_offset,
-            })
+            _write_json(target("comparison.json"),
+                        {k: v for k, v in vars(report).items() if k != "covered"})
             if plot:
                 _emit_plot(target("plot_comparison.py"), "comparison.csv", _PLOT_COMPARISON)
             summary = (f"coverage={report.coverage:.4g} "
@@ -189,15 +178,9 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             if spec.sensitivity is None:
                 raise ConfigError("sensitivity", "section required for the sensitivity command")
             sen = spec.sensitivity
-
-            def runner(overrides):
-                return run_trajectory(spec, overrides)
-
-            result = sobol_first_order(
-                runner, sen["ranges"], sen["n_base"],
-                seed=sen["seed"] if seed is None else seed,
-                output=sen["output"],
-            )
+            result = sobol_first_order(runner, sen["ranges"], sen["n_base"],
+                                       seed=sen["seed"] if seed is None else seed,
+                                       output=sen["output"])
             _write_csv(target("sobol.csv"), ["t"] + [f"S_{p}" for p in result.parameters],
                        [result.times, *result.indices])
             if plot:
@@ -229,21 +212,9 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                 observed = np.asarray(ft["observed"], dtype=float)
             else:
                 observed = _read_observed_csv(ft["observed_csv"])
-
-            def runner(overrides):
-                return run_trajectory(spec, overrides)
-
-            result = fit_parameters(
-                runner, observed[:, 0], observed[:, 1],
-                free=ft["free"], initial=ft["initial"], output=ft["output"],
-            )
-            _write_json(target("fit.json"), {
-                "parameters": result.parameters,
-                "residual": result.residual,
-                "iterations": result.iterations,
-                "converged": result.converged,
-                "at_bound": list(result.at_bound),
-            })
+            result = fit_parameters(runner, observed[:, 0], observed[:, 1], free=ft["free"],
+                                    initial=ft["initial"], output=ft["output"])
+            _write_json(target("fit.json"), vars(result))
             fitted = " ".join(f"{k}={v:.6g}" for k, v in result.parameters.items())
             summary = (f"{fitted} residual={result.residual:.6g} "
                        f"iterations={result.iterations} converged={result.converged}")

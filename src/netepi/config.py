@@ -424,12 +424,7 @@ def builder_options(spec: SimulationSpec) -> dict:
     return {name: getattr(spec, name) for name in BUILDER_FIELDS if name in row}
 
 
-def run_trajectory(spec: SimulationSpec, overrides: dict | None = None,
-                   method: str | None = None, dt: float | None = None):
+def run_trajectory(spec: SimulationSpec, overrides: dict | None = None):
     """Integrate the configured model and return its Trajectory."""
-    model = build_spec_model(spec, overrides)
-    return integrate(
-        model, spec.t_span, dt if dt is not None else spec.dt,
-        method if method is not None else spec.method,
-        schedule=spec.treatment,
-    )
+    return integrate(build_spec_model(spec, overrides), spec.t_span, spec.dt, spec.method,
+                     schedule=spec.treatment)

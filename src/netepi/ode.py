@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from numbers import Real
@@ -395,6 +396,10 @@ class TreatmentSchedule:
         for c in (self.initial_coverage, *self.coverages):
             if not (_is_number(c) and 0.0 <= c <= 1.0):
                 raise DomainError(f"coverage must be in [0, 1], got {c}")
+
+    def coverage_at(self, t) -> float:
+        """The coverage in force at time ``t``, set by the last epoch <= t."""
+        return (self.initial_coverage, *self.coverages)[bisect_right(self.epochs, t)]
 
 
 def _check_grid(t0, t1, dt, what="t_span"):

@@ -3,7 +3,6 @@ import pytest
 from scipy import stats
 
 from netepi.abm import (
-    _coverage_at,
     _shuffled_stub_pairs,
     generate_network,
     replica_rng,
@@ -14,10 +13,22 @@ from netepi.abm import (
 from netepi.analysis import compare_ode_abm
 from netepi.degree import from_weights, sample_degrees, truncated_power_law
 from netepi.errors import DomainError
-from netepi.ode import EpidemicParams, TreatmentSchedule, build_model, integrate
+from netepi.ode import (
+    CompartmentModel,
+    EpidemicParams,
+    TreatmentSchedule,
+    _Population,
+    build_model,
+    integrate,
+)
+from test_abm_stream import state_counts, treatable
 
 DIST30 = truncated_power_law(3, 1, 30)
 DEGREE_ONE = from_weights(1, [1.0])
+
+
+def stratified(params, dist=DIST30):
+    return build_model("stratified", params, dist)
 
 
 class TestGenerateNetwork:
@@ -84,7 +95,7 @@ class TestGenerateNetwork:
 class TestSimulateEpidemic:
     def test_no_transmission_decay(self):
         params = EpidemicParams(lam=0.0, mu=0.1, rho0=0.2)
-        traj = simulate_epidemic(DIST30, 5000, params, 40, rng=np.random.default_rng(5))
+        traj = simulate_epidemic(stratified(params), 5000, 40, rng=np.random.default_rng(5))
         assert traj.incidence[1:].max() == 0.0
         assert np.all(np.diff(traj.removed) >= 0)
         # geometric decay in expectation: prevalence ~ 0.2 * 0.9^t
@@ -96,7 +107,7 @@ class TestSimulateEpidemic:
         # complete graph on the two, and lambda = 1 transmits on it
         params = EpidemicParams(lam=1.0, mu=0.0, rho0=0.5)
         for seed in range(20):
-            traj = simulate_epidemic(DEGREE_ONE, 2, params, 1, rng=seed)
+            traj = simulate_epidemic(stratified(params, DEGREE_ONE), 2, 1, rng=seed)
             assert traj.prevalence[1] == 1.0
 
     @pytest.mark.parametrize("rho0, seeded", [(0.0009, 0.0), (0.9995, 1.0)],
@@ -106,7 +117,7 @@ class TestSimulateEpidemic:
         # empty from the first step on: no susceptible-infected pair exists
         # and nothing transmits
         params = EpidemicParams(lam=1.0, mu=0.1, rho0=rho0, d=0.2)
-        traj = simulate_epidemic(DIST30, 500, params, 10, rng=4)
+        traj = simulate_epidemic(stratified(params), 500, 10, rng=4)
         assert traj.incidence.max() == 0.0
         assert traj.prevalence[0] == seeded
         assert np.all(np.diff(traj.prevalence) <= 0)
@@ -119,15 +130,16 @@ class TestSimulateEpidemic:
         # every step draws its own pairing at its start and nothing is drawn
         # after the last tally, so the horizon does not change earlier steps
         params = EpidemicParams(lam=0.3, mu=0.1, rho0=0.05, d=d, treatment_efficacy=0.3)
-        short = simulate_epidemic(DIST30, 800, params, 8, rng=replica_rng(21, 0), schedule=schedule)
-        full = simulate_epidemic(DIST30, 800, params, 20, rng=replica_rng(21, 0), schedule=schedule)
+        model = stratified(params) if schedule is None else treatable(params, DIST30)
+        short = simulate_epidemic(model, 800, 8, rng=replica_rng(21, 0), schedule=schedule)
+        full = simulate_epidemic(model, 800, 20, rng=replica_rng(21, 0), schedule=schedule)
         assert short.Y.tobytes() == full.Y[:9].tobytes()
         assert short.incidence.tobytes() == full.incidence[:9].tobytes()
 
     def test_deterministic_given_seed(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01)
-        a = simulate_epidemic(DIST30, 3000, params, 60, rng=replica_rng(9, 4))
-        b = simulate_epidemic(DIST30, 3000, params, 60, rng=replica_rng(9, 4))
+        a = simulate_epidemic(stratified(params), 3000, 60, rng=replica_rng(9, 4))
+        b = simulate_epidemic(stratified(params), 3000, 60, rng=replica_rng(9, 4))
         assert np.array_equal(a.prevalence, b.prevalence)
         assert np.array_equal(a.incidence, b.incidence)
         assert np.array_equal(a.removed, b.removed)
@@ -135,7 +147,7 @@ class TestSimulateEpidemic:
     def test_integer_compartment_conservation(self):
         params = EpidemicParams(lam=0.08, mu=0.05, rho0=0.02)
         n = 2000
-        traj = simulate_epidemic(DIST30, n, params, 50, rng=np.random.default_rng(7))
+        traj = simulate_epidemic(stratified(params), n, 50, rng=np.random.default_rng(7))
         for i in range(len(traj.times)):
             counts = np.round(np.array([
                 traj.susceptible[i], traj.prevalence[i], traj.removed[i]]) * n)
@@ -144,51 +156,52 @@ class TestSimulateEpidemic:
     def test_one_step_matches_ode_within_4_sigma(self):
         params = EpidemicParams(lam=0.1, mu=0.05, rho0=0.05)
         n = 50000
-        ode = integrate(build_model("stratified", params, DIST30), (0, 1), 1.0, "euler")
-        abm = simulate_epidemic(DIST30, n, params, 1, rng=np.random.default_rng(8))
+        model = stratified(params)
+        ode = integrate(model, (0, 1), 1.0, "euler")
+        abm = simulate_epidemic(model, n, 1, rng=np.random.default_rng(8))
         # binomial bound: new infections + removals are sums of n Bernoullis
-        model = build_model("stratified", params, DIST30)
         inflow = model.rhs_full(0, model.initial_state())[1]
         var = (inflow * (1 - inflow) + params.rho0 * params.mu * (1 - params.mu)) / n
         assert abs(abm.prevalence[1] - ode.prevalence[1]) <= 4 * np.sqrt(var)
 
     def test_demographic_replenishment(self):
         params = EpidemicParams(lam=0.2, mu=0.2, rho0=0.05, d=0.5)
-        traj = simulate_epidemic(DIST30, 3000, params, 60, rng=np.random.default_rng(11))
+        traj = simulate_epidemic(stratified(params), 3000, 60, rng=np.random.default_rng(11))
         # susceptibles pulled back toward their initial share
         assert traj.susceptible[-1] > 0.5
 
     def test_treatment_schedule_slows_spread(self):
         params = EpidemicParams(lam=0.5, mu=0.05, rho0=0.02, treatment_efficacy=0.2)
         sched = TreatmentSchedule(epochs=(1.0,), coverages=(1.0,))
-        base = simulate_epidemic(DIST30, 4000, params, 30, rng=replica_rng(12, 0))
-        treated = simulate_epidemic(DIST30, 4000, params, 30, rng=replica_rng(12, 0),
-                                    schedule=sched)
+        model = treatable(params, DIST30)
+        base = simulate_epidemic(model, 4000, 30, rng=replica_rng(12, 0))
+        treated = simulate_epidemic(model, 4000, 30, rng=replica_rng(12, 0), schedule=sched)
         assert treated.prevalence.max() < base.prevalence.max()
 
     def test_treatment_epochs_on_shifted_time_axis(self):
         # epochs are times on the run's own axis: t0=1980 with an epoch at
         # 1988 is the t0=0 run with an epoch at 8, shifted
         params = EpidemicParams(lam=0.5, mu=0.05, rho0=0.02, treatment_efficacy=0.2)
+        model = treatable(params, DIST30)
         shifted = simulate_epidemic(
-            DIST30, 2000, params, 20, rng=replica_rng(13, 0), t0=1980.0,
+            model, 2000, 20, rng=replica_rng(13, 0), t0=1980.0,
             schedule=TreatmentSchedule(epochs=(1988.0,), coverages=(1.0,)))
         local = simulate_epidemic(
-            DIST30, 2000, params, 20, rng=replica_rng(13, 0),
+            model, 2000, 20, rng=replica_rng(13, 0),
             schedule=TreatmentSchedule(epochs=(8.0,), coverages=(1.0,)))
-        untreated = simulate_epidemic(DIST30, 2000, params, 20, rng=replica_rng(13, 0), t0=1980.0)
+        untreated = simulate_epidemic(model, 2000, 20, rng=replica_rng(13, 0), t0=1980.0)
         assert np.array_equal(shifted.times, 1980.0 + np.arange(21))
         assert np.array_equal(shifted.Y, local.Y)
         assert np.array_equal(shifted.incidence, local.incidence)
         assert np.array_equal(shifted.Y[:9], untreated.Y[:9])
         assert not np.array_equal(shifted.Y, untreated.Y)
-        ens = run_ensemble(DIST30, 300, params, 5, replicas=2, base_seed=1, t0=5.0)
+        ens = run_ensemble(stratified(params), 300, 5, replicas=2, base_seed=1, t0=5.0)
         assert np.array_equal(ens.times, 5.0 + np.arange(6))
 
     def test_input_validation(self):
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.01)
         with pytest.raises(DomainError):
-            simulate_epidemic(DIST30, 100, params, 0)
+            simulate_epidemic(stratified(params), 100, 0)
 
     @pytest.mark.parametrize("kwargs,name", [
         ({"n": 2.5}, "n"), ({"n": 100.0}, "n"), ({"n": "100"}, "n"), ({"n": True}, "n"),
@@ -202,42 +215,42 @@ class TestSimulateEpidemic:
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
         args = {"n": 100, "steps": 3, "rng": 0, **kwargs}
         with pytest.raises(DomainError, match=f"^{name} "):
-            simulate_epidemic(DIST30, args["n"], params, args["steps"], rng=args["rng"])
+            simulate_epidemic(stratified(params), args["n"], args["steps"], rng=args["rng"])
 
     @pytest.mark.parametrize("t0", [float("nan"), float("inf"), "a", None, True])
     def test_rejects_bad_t0(self, t0):
         # these used to run with NaN times, run, or end in a raw TypeError
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
         with pytest.raises(DomainError, match="^t0 "):
-            simulate_epidemic(DIST30, 100, params, 3, rng=0, t0=t0)
+            simulate_epidemic(stratified(params), 100, 3, rng=0, t0=t0)
 
     def test_too_many_nodes_or_steps_to_allocate(self):
         # numpy refuses these sizes before it allocates anything; they used
         # to end in its raw MemoryError
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
         with pytest.raises(DomainError, match="^n=1000000000000000 is too many nodes"):
-            simulate_epidemic(DIST30, 10 ** 15, params, 3, rng=0)
+            simulate_epidemic(stratified(params), 10 ** 15, 3, rng=0)
         with pytest.raises(DomainError, match="^steps=1000000000000000 is too many to record"):
-            simulate_epidemic(DIST30, 100, params, 10 ** 15, rng=0)
+            simulate_epidemic(stratified(params), 100, 10 ** 15, rng=0)
 
     def test_integer_seed_is_a_generator_seed(self):
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
-        a = simulate_epidemic(DIST30, 200, params, 5, rng=np.uint8(7))
-        b = simulate_epidemic(DIST30, 200, params, 5, rng=np.random.default_rng(7))
+        a = simulate_epidemic(stratified(params), 200, 5, rng=np.uint8(7))
+        b = simulate_epidemic(stratified(params), 200, 5, rng=np.random.default_rng(7))
         assert a.Y.tobytes() == b.Y.tobytes()
 
 
 class TestEnsemble:
     def test_identical_replicas_have_zero_variance(self):
         params = EpidemicParams(lam=0.05, mu=0.1, rho0=0.05)
-        traj = simulate_epidemic(DIST30, 1000, params, 20, rng=replica_rng(1, 1))
+        traj = simulate_epidemic(stratified(params), 1000, 20, rng=replica_rng(1, 1))
         summary = summarize_trajectories([traj, traj])
         assert summary.var_prevalence.max() == 0.0
         assert summary.se_prevalence.max() == 0.0
 
     def test_se_definition(self):
         params = EpidemicParams(lam=0.05, mu=0.1, rho0=0.05)
-        ens = run_ensemble(DIST30, 500, params, 15, replicas=8, base_seed=3)
+        ens = run_ensemble(stratified(params), 500, 15, replicas=8, base_seed=3)
         np.testing.assert_allclose(
             ens.se_prevalence, np.sqrt(ens.var_prevalence / 8), atol=1e-15)
 
@@ -245,7 +258,7 @@ class TestEnsemble:
         params = EpidemicParams(lam=0.0, mu=0.1, rho0=0.2)
         scales = []
         for replicas in (25, 100, 400):
-            ens = run_ensemble(DIST30, 400, params, 20, replicas=replicas, base_seed=17)
+            ens = run_ensemble(stratified(params), 400, 20, replicas=replicas, base_seed=17)
             scales.append(ens.se_prevalence[5:15].mean())
         slope = np.polyfit(np.log([25, 100, 400]), np.log(scales), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
@@ -255,22 +268,23 @@ class TestEnsemble:
         # inflow term point for point (same indexing convention)
         dist = truncated_power_law(3, 1, 30)
         params = EpidemicParams(lam=0.08, mu=0.05, rho0=0.05)
-        ens = run_ensemble(dist, 20000, params, 25, replicas=30, base_seed=6)
-        ode = integrate(build_model("stratified", params, dist), (0, 25), 1.0, "euler")
+        model = stratified(params, dist)
+        ens = run_ensemble(model, 20000, 25, replicas=30, base_seed=6)
+        ode = integrate(model, (0, 25), 1.0, "euler")
         dev = np.abs(ode.incidence[1:] - ens.mean_incidence[1:])
         assert np.all(dev <= 4 * ens.se_incidence[1:] + 1e-4)
 
     def test_parallel_matches_serial(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
-        serial = run_ensemble(DIST30, 800, params, 15, replicas=6, base_seed=5, n_jobs=1)
-        parallel = run_ensemble(DIST30, 800, params, 15, replicas=6, base_seed=5, n_jobs=3)
+        serial = run_ensemble(stratified(params), 800, 15, replicas=6, base_seed=5, n_jobs=1)
+        parallel = run_ensemble(stratified(params), 800, 15, replicas=6, base_seed=5, n_jobs=3)
         assert np.array_equal(serial.mean_prevalence, parallel.mean_prevalence)
         assert np.array_equal(serial.se_incidence, parallel.se_incidence)
 
     def test_order_invariance(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
         trajs = [
-            simulate_epidemic(DIST30, 500, params, 10, rng=replica_rng(7, r))
+            simulate_epidemic(stratified(params), 500, 10, rng=replica_rng(7, r))
             for r in range(4)
         ]
         forward = summarize_trajectories(trajs)
@@ -281,7 +295,7 @@ class TestEnsemble:
     def test_requires_two_replicas(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
         with pytest.raises(DomainError):
-            run_ensemble(DIST30, 500, params, 10, replicas=1)
+            run_ensemble(stratified(params), 500, 10, replicas=1)
 
     @pytest.mark.parametrize("kwargs,name", [
         ({"replicas": 2.5}, "replicas"), ({"replicas": "3"}, "replicas"),
@@ -295,7 +309,7 @@ class TestEnsemble:
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
         kwargs = {"replicas": 2, **kwargs}
         with pytest.raises(DomainError, match=name):
-            run_ensemble(DIST30, 200, params, 2, **kwargs)
+            run_ensemble(stratified(params), 200, 2, **kwargs)
 
 
 class TestDemographyAgreement:
@@ -305,11 +319,89 @@ class TestDemographyAgreement:
         # bounds (coverage >= 0.90, peak deviation <= 0.10)
         dist = truncated_power_law(2.7, 1, 30)
         params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.01, d=0.05)
-        ens = run_ensemble(dist, 20000, params, 60, replicas=20, base_seed=20250810)
-        ode = integrate(build_model("stratified", params, dist), (0, 60), 1.0, "euler")
+        model = stratified(params, dist)
+        ens = run_ensemble(model, 20000, 60, replicas=20, base_seed=20250810)
+        ode = integrate(model, (0, 60), 1.0, "euler")
         report = compare_ode_abm(ode, ens, band_sigmas=3.0)
         assert report.coverage >= 0.90
         assert report.peak_relative_deviation <= 0.10
+
+
+class TestModelAgreement:
+    """The chain runs the model the ODE integrates, in its own layout."""
+
+    @pytest.mark.parametrize("name", ["hiv_msm", "two_type"])
+    def test_one_population_models_match_euler_ode(self, name):
+        # n = 2e4, 20 replicas, c05/c06's bounds (coverage >= 0.90, peak
+        # deviation <= 0.10).  Over base seeds 0-29: hiv_msm coverage
+        # 0.918-1.000 (2 of 30 below 0.95), peak deviation <= 0.0029;
+        # two_type coverage 0.984-1.000, peak deviation <= 0.0023.
+        dist = truncated_power_law(2.0, 1, 40)
+        if name == "hiv_msm":
+            params = EpidemicParams(lam=0.3, rho0=0.01, d=0.05, treatment_efficacy=0.4)
+            model = build_model(name, params, dist)
+            schedule = TreatmentSchedule(epochs=(20.0,), coverages=(0.7,), initial_coverage=0.1)
+        else:
+            params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.01, lam2=0.1)
+            model = build_model(name, params, dist, split=0.6, rho0_type2=0.3)
+            schedule = None
+        ens = run_ensemble(model, 20000, 60, replicas=20, base_seed=0, schedule=schedule)
+        ode = integrate(model, (0, 60), 1.0, "euler", schedule=schedule)
+        report = compare_ode_abm(ode, ens, band_sigmas=3.0)
+        assert report.coverage >= 0.90
+        assert report.peak_relative_deviation <= 0.10
+
+    def test_trajectory_in_the_model_layout(self):
+        params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.1, lam2=0.1)
+        model = build_model("two_type", params, DIST30, split=0.6, rho0_type2=0.3)
+        traj = simulate_epidemic(model, 2000, 10, rng=3)
+        assert traj.model is model and traj.Y.shape == (11, model.dim)
+        s, infected, removed = model.blocks(traj.Y)[0]
+        # both types are seeded and both receive new infections
+        assert np.all(infected[[0, -1]].sum(axis=-1) > 0)
+        assert np.allclose(s.sum(axis=1) + infected.sum(axis=(1, 2, 3)) + removed.sum(axis=1), 1)
+
+
+def leaving_model(mu, exit_rate):
+    pop = _Population(DIST30, 1, None, mu, 0.05)
+    return CompartmentModel([pop], (0,), [(0.1,)], (1.0,), (1.0,), exit_rate=exit_rate)
+
+
+class TestChainLimits:
+    """One population, one stage, fixed routing and per-step probabilities;
+    anything else is a DomainError saying why, before any draw."""
+
+    @pytest.mark.parametrize("model, reason", [
+        (build_model("bipartite", EpidemicParams(lam=0.1, mu=0.1, lam2=0.1), DIST30),
+         "one population, got 2"),
+        (build_model("hiv_hetero", EpidemicParams(lam=0.1, d=0.1), DIST30),
+         "one population, got 2"),
+        (build_model("stratified", EpidemicParams(lam=0.1), DIST30, stage_rates=[0.2, 0.3]),
+         "one infected stage, got 2"),
+        (build_model("two_type", EpidemicParams(lam=0.1, mu=0.1, lam2=0.1), DIST30),
+         "fixed routing shares, got 'hazard'"),
+        (leaving_model(0.8, 0.5), r"leave rates in \[0, 1\], got \[1.3\]"),
+    ], ids=["bipartite", "hiv_hetero", "stages", "hazard_routing", "leave_rate"])
+    def test_rejects_what_the_chain_cannot_run(self, model, reason):
+        with pytest.raises(DomainError, match=f"^the agent-based chain needs {reason}"):
+            simulate_epidemic(model, 100, 3, rng=0)
+        with pytest.raises(DomainError, match=f"^the agent-based chain needs {reason}"):
+            run_ensemble(model, 100, 3, replicas=2, n_jobs=2)
+
+    def test_leave_rate_of_one_runs(self):
+        # stage rate plus exit rate 1: every infected node leaves after one
+        # step, so the infected after a step are the ones it infected
+        traj = simulate_epidemic(leaving_model(0.5, 0.5), 2000, 5, rng=0)
+        assert traj.incidence[1] > 0
+        assert np.array_equal(traj.prevalence[1:], traj.incidence[1:])
+
+    def test_rejects_a_distribution_or_an_untreatable_schedule(self):
+        with pytest.raises(DomainError, match="^model must be a CompartmentModel"):
+            simulate_epidemic(DIST30, 100, 3, rng=0)
+        schedule = TreatmentSchedule(epochs=(1.0,), coverages=(0.5,))
+        with pytest.raises(DomainError, match="requires an HIV model"):
+            simulate_epidemic(stratified(EpidemicParams(lam=0.1)), 100, 3, rng=0,
+                              schedule=schedule)
 
 
 class TestOneStepDrift:
@@ -324,12 +416,13 @@ class TestOneStepDrift:
         params = EpidemicParams(lam=0.05, mu=0.0, rho0=0.05)
         n, runs, nk = 10 ** 4, 2000, len(dist.degrees)
         bins = np.searchsorted([3, 10, 40, 100], dist.degrees, side="right")
-        ode = integrate(build_model("stratified", params, dist), (0, 1), 1.0, "euler")
+        model = stratified(params, dist)
+        ode = integrate(model, (0, 1), 1.0, "euler")
         expected = np.bincount(bins, (ode.Y[0, :nk] - ode.Y[1, :nk]) * n)
         # mu = 0 and d = 0: a susceptible count falls only by infection
         counts = np.array([
             np.bincount(bins, (traj.Y[0, :nk] - traj.Y[1, :nk]) * n)
-            for traj in (simulate_epidemic(dist, n, params, 1, rng=replica_rng(0, r))
+            for traj in (simulate_epidemic(model, n, 1, rng=replica_rng(0, r))
                          for r in range(runs))])
         z = (counts.mean(axis=0) - expected) / (counts.std(axis=0, ddof=1) / np.sqrt(runs))
         assert np.all(np.abs(z) <= 4), z
@@ -349,7 +442,7 @@ def reference_simulate(dist, n, params, steps, rng, schedule=None):
 
     n_seed = int(round(params.rho0 * n))
     seed_nodes = rng.choice(n, size=n_seed, replace=False)
-    coverage = _coverage_at(schedule, 0.0)
+    coverage = schedule.coverage_at(0.0) if schedule else 0.0
     treated = rng.random(n_seed) < coverage
     state[seed_nodes] = np.where(treated, INFECTED_TREATED, INFECTED)
 
@@ -368,7 +461,7 @@ def reference_simulate(dist, n, params, steps, rng, schedule=None):
 
     for step in range(1, steps + 1):
         prev_coverage = coverage
-        coverage = _coverage_at(schedule, step - 1)
+        coverage = schedule.coverage_at(step - 1) if schedule else 0.0
         if coverage != prev_coverage:
             infected_idx = np.flatnonzero((state == INFECTED) | (state == INFECTED_TREATED))
             treated = rng.random(infected_idx.size) < coverage
@@ -422,16 +515,18 @@ class TestCountChainLaw:
         n, steps, runs = 400, 7, 2000
         to_bins = np.eye(3)[np.searchsorted([2, 4], LAW_DIST.degrees, side="right")]
 
-        def binned(Y):
+        model = stratified(params, LAW_DIST) if schedule is None else treatable(params, LAW_DIST)
+
+        def binned(counts):
             # susceptible, infected and removed counts per degree bin at
             # steps 2, 4 and 7, the last two just after the epoch switches
-            return (Y[[2, 4, 7]].reshape(3, 3, -1) @ to_bins * n).ravel()
+            return (counts[[2, 4, 7]].reshape(3, 3, -1) @ to_bins).ravel()
 
         ref = np.array([binned(reference_simulate(LAW_DIST, n, params, steps,
-                                                  replica_rng(seed, 0), schedule))
+                                                  replica_rng(seed, 0), schedule) * n)
                         for seed in range(runs)])
-        new = np.array([binned(simulate_epidemic(LAW_DIST, n, params, steps,
-                                                 rng=replica_rng(seed, 1), schedule=schedule).Y)
+        new = np.array([binned(state_counts(simulate_epidemic(
+            model, n, steps, rng=replica_rng(seed, 1), schedule=schedule), n))
                         for seed in range(runs)])
         assert np.all(ref.std(axis=0) > 0)
         se = np.sqrt((ref.var(axis=0, ddof=1) + new.var(axis=0, ddof=1)) / runs)
@@ -445,7 +540,7 @@ class TestCountChainLaw:
         # and removes the seed, the second removes the other, and the counts
         # stay empty for the remaining steps
         params = EpidemicParams(lam=1.0, mu=1.0, rho0=0.5)
-        traj = simulate_epidemic(DEGREE_ONE, 2, params, 6, rng=replica_rng(3, 0),
+        traj = simulate_epidemic(treatable(params, DEGREE_ONE), 2, 6, rng=replica_rng(3, 0),
                                  schedule=LAW_SCHEDULE)
         assert np.array_equal(traj.prevalence, [0.5, 0.5, 0, 0, 0, 0, 0])
         assert np.all(traj.susceptible[1:] == 0)
@@ -485,7 +580,7 @@ class TestFirstStepLaw:
         oracle = np.array([multigraph_first_incidence(ODD_DEGREES, n, params,
                                                       np.random.default_rng(seed))
                            for seed in range(draws)], dtype=float)
-        new = np.array([simulate_epidemic(ODD_DEGREES, n, params, 1, rng=draws + seed)
+        new = np.array([simulate_epidemic(stratified(params, ODD_DEGREES), n, 1, rng=draws + seed)
                         .incidence[1] * n for seed in range(draws)])
         assert oracle.mean() > 5 and new.std() > 1
         se = np.sqrt((oracle.var(ddof=1) + new.var(ddof=1)) / draws)

@@ -6,7 +6,10 @@ per-step incidence counts of small ``simulate_epidemic`` runs.  Every output
 bit depends on how many numbers the set-up and each step draw and in which
 order (the class sizes and seeds, the pairing's draws, the order of the
 susceptible ends, the binomials per class), so any change to the hot path
-that keeps the stream must reproduce these runs exactly.
+that keeps the stream must reproduce these runs exactly.  The treated cases
+run ``treatable``, a hand-built two-type model; their counts are stored in
+the one-type layout, s | infected | removed per class, with the two infected
+rows summed.
 
 The simulator is a chain on the counts per degree class.  Every step, the
 first one included, starts with a pairing of the configuration multigraph
@@ -49,7 +52,13 @@ from netepi.abm import (
     simulate_epidemic,
 )
 from netepi.degree import sample_degrees, truncated_power_law
-from netepi.ode import EpidemicParams, TreatmentSchedule
+from netepi.ode import (
+    CompartmentModel,
+    EpidemicParams,
+    TreatmentSchedule,
+    _Population,
+    build_model,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "abm_stream_golden.json"
 N = 3000
@@ -65,18 +74,36 @@ CASES = {
 }
 
 
+def treatable(params, dist):
+    """The stratified model plus a treated type: untreated infectors
+    transmit at lam, treated ones at treatment_efficacy * lam, and both
+    are removed at mu.  It has hiv_msm's layout, but its infected leave at
+    mu rather than exiting at d."""
+    pop = _Population(dist, 2, None, params.mu, params.rho0)
+    return CompartmentModel([pop], (0,), [(params.lam, params.treatment_efficacy * params.lam)],
+                            (1.0, 0.0), (1.0, 0.0), d=params.d, treatable=True)
+
+
 def run_case(name):
     index, d, schedule = CASES[name]
     params = EpidemicParams(lam=0.1, mu=0.05, rho0=0.02, d=d, treatment_efficacy=0.3)
-    return simulate_epidemic(DIST, N, params, STEPS, rng=replica_rng(20250810, index),
+    model = build_model("stratified", params, DIST) if schedule is None else treatable(params, DIST)
+    return simulate_epidemic(model, N, STEPS, rng=replica_rng(20250810, index),
                              schedule=schedule)
 
 
-def counts(values):
-    """Fractions of N back to the integer counts they were made from."""
-    out = np.rint(np.asarray(values) * N).astype(np.int64)
-    assert np.array_equal(out / N, values)
+def counts(values, n=N):
+    """Fractions of n back to the integer counts they were made from."""
+    out = np.rint(np.asarray(values) * n).astype(np.int64)
+    assert np.array_equal(out / n, values)
     return out
+
+
+def state_counts(traj, n=N):
+    """Per row of a run on n nodes the counts s | infected | removed per
+    class, the infected summed over types."""
+    s, infected, removed = (counts(part, n) for part in traj.model.blocks(traj.Y)[0])
+    return np.concatenate([s, infected.sum(axis=(1, 2)), removed], axis=1)
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -88,8 +115,8 @@ def test_stream_matches_golden(name):
     assert sum(expected["incidence_counts"]) > N // 10
     traj = run_case(name)
     assert np.array_equal(traj.times, np.arange(STEPS + 1, dtype=float))
-    assert np.array_equal(traj.Y, np.asarray(expected["Y_counts"]) / N)
-    assert np.array_equal(traj.incidence, np.asarray(expected["incidence_counts"]) / N)
+    assert np.array_equal(state_counts(traj), expected["Y_counts"])
+    assert np.array_equal(counts(traj.incidence), expected["incidence_counts"])
 
 
 def span_of(node_ids):
@@ -370,7 +397,7 @@ if __name__ == "__main__":
     for case_name in CASES:
         traj = run_case(case_name)
         cases[case_name] = {
-            "Y_counts": counts(traj.Y).tolist(),
+            "Y_counts": state_counts(traj).tolist(),
             "incidence_counts": counts(traj.incidence).tolist(),
         }
     GOLDEN.write_text(json.dumps({"n": N, "steps": STEPS, "cases": cases},

@@ -176,8 +176,9 @@ def test_c05_ode_vs_abm_reference_setup():
         dist = truncated_power_law(3.0, 1, 30)
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
         steps = 200
-        ens = run_ensemble(dist, 10 ** 4, params, steps, replicas=100, base_seed=20250810)
-        ode = integrate(build_model("stratified", params, dist), (0, steps), 1.0, "euler")
+        model = build_model("stratified", params, dist)
+        ens = run_ensemble(model, 10 ** 4, steps, replicas=100, base_seed=20250810)
+        ode = integrate(model, (0, steps), 1.0, "euler")
         report = compare_ode_abm(ode, ens, band_sigmas=3.0)
         assert report.coverage >= 0.90
         assert report.peak_relative_deviation <= 0.10
@@ -191,8 +192,9 @@ def test_c06_ode_vs_abm_at_scale():
         dist = truncated_power_law(1.6, 1, 150)
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
         steps = 150
-        ens = run_ensemble(dist, 10 ** 5, params, steps, replicas=25, base_seed=20250810)
-        ode = integrate(build_model("stratified", params, dist), (0, steps), 1.0, "euler")
+        model = build_model("stratified", params, dist)
+        ens = run_ensemble(model, 10 ** 5, steps, replicas=25, base_seed=20250810)
+        ode = integrate(model, (0, steps), 1.0, "euler")
         report = compare_ode_abm(ode, ens, band_sigmas=3.0)
         assert report.coverage >= 0.90
         assert report.peak_relative_deviation <= 0.10

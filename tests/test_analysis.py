@@ -181,9 +181,9 @@ class TestCompare:
 
     def test_no_transmission_decay_matches(self):
         params = EpidemicParams(lam=0.0, mu=0.1, rho0=0.1)
-        ode = integrate(stratified(params, truncated_power_law(3, 1, 30)), (0, 30), 1.0, "euler")
-        ens = run_ensemble(truncated_power_law(3, 1, 30), 10000, params, 30,
-                           replicas=30, base_seed=21)
+        model = stratified(params, truncated_power_law(3, 1, 30))
+        ode = integrate(model, (0, 30), 1.0, "euler")
+        ens = run_ensemble(model, 10000, 30, replicas=30, base_seed=21)
         report = compare_ode_abm(ode, ens)
         assert report.coverage >= 0.9
 
@@ -191,9 +191,9 @@ class TestCompare:
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
         from netepi.abm import replica_rng, simulate_epidemic
 
-        trajs = [simulate_epidemic(truncated_power_law(3, 1, 30), 1000, params, 20,
-                                   rng=replica_rng(2, r)) for r in range(6)]
-        ode = integrate(stratified(params, truncated_power_law(3, 1, 30)), (0, 20), 1.0, "euler")
+        model = stratified(params, truncated_power_law(3, 1, 30))
+        trajs = [simulate_epidemic(model, 1000, 20, rng=replica_rng(2, r)) for r in range(6)]
+        ode = integrate(model, (0, 20), 1.0, "euler")
         a = compare_ode_abm(ode, summarize_trajectories(trajs))
         b = compare_ode_abm(ode, summarize_trajectories(trajs[::-1]))
         assert a.coverage == b.coverage

@@ -250,15 +250,47 @@ class TestExecute:
         assert 0.0 <= report["coverage"] <= 1.0
         assert "coverage=" in summary
 
-    def test_abm_rejects_two_population_models(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run-abm", "compare"])
+    @pytest.mark.parametrize("extra, field", [
+        ({"model": "bipartite", "lambda2": 0.1}, "model"),
+        ({"model": "hiv_hetero", "mu": 0.0, "d": 0.02}, "model"),
+        ({"mu": 0.0, "stage_rates": [0.1, 0.2]}, "stage_rates"),
+        ({"model": "two_type", "lambda2": 0.1}, "split"),
+        ({"model": "hiv_msm", "mu": 0.0, "d": 0.5, "stage_rates": [0.9]}, "stage_rates"),
+    ], ids=["bipartite", "hiv_hetero", "stages", "hazard_split", "leave_rate"])
+    def test_abm_rejects_two_population_models(self, tmp_path, command, extra, field):
+        # the agent-based chain runs one population of one stage with fixed
+        # routing and per-step probabilities; the ODE runs each of these
         spec = parse_config_data({
-            "model": "bipartite", "lambda": 0.1, "mu": 0.05, "rho0": 0.01, "lambda2": 0.1,
+            "model": "stratified", "lambda": 0.1, "mu": 0.05, "rho0": 0.01,
             "distribution": {"type": "power_law", "gamma": 3, "k_min": 1, "k_max": 20},
-            "t_span": [0, 10], "abm": {"n": 100, "replicas": 4},
+            "t_span": [0, 10], "abm": {"n": 100, "replicas": 4}, **extra,
         })
         with pytest.raises(ConfigError) as err:
-            execute(spec, "run-abm", out_dir=tmp_path)
-        assert field_of(err) == "model"
+            execute(spec, command, out_dir=tmp_path)
+        assert field_of(err) == field
+        assert f"agent-based runs of {spec.model!r} need" in str(err.value)
+        assert not any(tmp_path.iterdir())
+        execute(spec, "run-ode", out_dir=tmp_path)
+
+    @pytest.mark.parametrize("extra", [
+        {"model": "hiv_msm", "mu": 0.0, "d": 0.02,
+         "treatment": {"epochs": [4], "coverages": [0.7], "initial_coverage": 0.1}},
+        {"model": "two_type", "lambda2": 0.3, "split": 0.6, "rho0_type2": 0.4},
+        {"model": "classic"},
+    ], ids=["hiv_msm", "two_type", "classic"])
+    def test_abm_runs_one_population_models(self, tmp_path, extra):
+        cfg = {"model": "stratified", "lambda": 0.1, "mu": 0.05, "rho0": 0.05,
+               "distribution": {"type": "power_law", "gamma": 3, "k_min": 1, "k_max": 20},
+               "t_span": [0, 10], "method": "euler", "dt": 1.0,
+               "abm": {"n": 300, "replicas": 2, "seed": 4}, **extra}
+        if cfg["model"] == "classic":
+            del cfg["distribution"]
+        spec = parse_config_data(cfg)
+        execute(spec, "compare", out_dir=tmp_path / "a")
+        execute(spec, "compare", threads=2, out_dir=tmp_path / "b")
+        for name in ("comparison.csv", "comparison.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize("threads", [0, -3, 1.5, "2", True])
     def test_execute_rejects_bad_threads(self, tmp_path, threads):
@@ -545,6 +577,17 @@ class TestCliProcess:
         assert result.exit_code == 1
         assert "abm.rewire: unknown key" in result.stderr
         assert not (out / "ensemble.csv").exists()
+
+    def test_compare_of_a_two_population_model_exit_code(self, tmp_path):
+        cfg = self.write(tmp_path, {**FIG1, "model": "bipartite", "lambda2": 0.1,
+                                    "t_span": [0, 10], "method": "euler", "dt": 1.0,
+                                    "abm": {"n": 300, "replicas": 2}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["compare", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "model: agent-based runs of 'bipartite' need one population" in result.stderr
+        assert not (out / "comparison.json").exists()
 
     def test_compare_rejects_a_run_without_seeds(self, tmp_path):
         # rho0 * n rounds to 0 seeds, so the ensemble peak is 0: compare used
