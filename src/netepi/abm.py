@@ -47,15 +47,13 @@ every stub, self-loops dropped, parallel edges collapsed); no step uses it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .degree import DegreeDistribution, sample_degrees
 from .errors import DomainError, is_integer
-from .ode import CompartmentModel, Trajectory, TreatmentSchedule
+from .ode import CompartmentModel, Trajectory, TreatmentSchedule, _check_grid, _is_number
 
 
 @dataclass
@@ -220,8 +218,11 @@ def simulate_epidemic(
     _check_n(n)
     if not (is_integer(steps) and steps >= 1):
         raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
-    if not (isinstance(t0, Real) and not isinstance(t0, bool) and math.isfinite(t0)):
+    if not _is_number(t0):
         raise DomainError(f"t0 must be a finite real number, got {t0!r}")
+    for epoch in schedule.epochs if schedule is not None else ():
+        if t0 < epoch < t0 + steps:   # a switch falls on a step boundary
+            _check_grid(t0, epoch, 1.0, what="treatment epoch")
     rng = _generator(rng)
     pop = model.populations[0]
     k, types = pop.k, pop.n_types

@@ -25,7 +25,7 @@ from .abm import chain_limit, run_ensemble
 from .analysis import compare_ode_abm, fit_parameters, phase_series, sobol_first_order
 from .config import SimulationSpec, build_spec_model, parse_config, run_trajectory
 from .errors import ConfigError, DomainError, NetepiError, StabilityError, is_integer
-from .ode import integrate
+from .ode import _check_grid, integrate
 
 # the config field behind each part of a model the agent-based chain cannot run
 _CHAIN_FIELDS = {"populations": "model", "stages": "stage_rates", "rates": "stage_rates",
@@ -78,9 +78,14 @@ def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int
     if "n" not in spec.abm:
         raise ConfigError("abm.n", "required for agent-based runs")
     t0, t1 = spec.t_span
-    steps = int(round(t1 - t0))
-    if abs(t1 - t0 - steps) > 1e-9 or steps < 1:
-        raise ConfigError("t_span", "agent-based runs need an integer number of unit steps")
+    epochs = spec.treatment.epochs if spec.treatment else ()
+    for path, end in [("t_span", t1), *(("treatment.epochs", e) for e in epochs if t0 < e < t1)]:
+        try:
+            _check_grid(t0, end, 1.0)
+        except DomainError:
+            raise ConfigError(path, f"agent-based runs take unit steps from {t0:g}; {end:g} is "
+                                    f"not a whole number of them") from None
+    steps = round(t1 - t0)
     try:
         return run_ensemble(
             model, spec.abm["n"], steps, replicas=replicas,

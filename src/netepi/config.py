@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 from .degree import DegreeDistribution, from_weights, truncated_power_law
@@ -117,11 +117,11 @@ for _path, _field in FIELDS.items():
 _SECTIONS["distribution2"] = _SECTIONS["distribution"]
 
 # Per model, the model-specific fields it reads, REQUIRED_FIELDS required.
-# The parser rejects a field outside the row, naming it; sensitivity.ranges,
+# The parser rejects a field outside the row, naming it, so the one
+# EpidemicParams it builds holds the defaults there; sensitivity.ranges,
 # fit.free and overrides vary lambda2, mu and treatment_efficacy only inside
-# it; phase.population 2 needs distribution2; build_spec_model passes the
-# builder the row's BUILDER_FIELDS, and run_trajectory passes integrate the
-# treatment schedule.
+# it; phase.population 2 needs distribution2; run_trajectory passes integrate
+# the treatment schedule.
 # Two exceptions (_ANY_MODEL): a top-level mu outside the row is accepted at
 # 0 (those models remove infected through demography), and a top-level
 # treatment_efficacy on every model.
@@ -136,7 +136,6 @@ MODEL_FIELDS = {
                    "asymmetry", "side_fraction", "treatment", "stage_rates"),
 }
 REQUIRED_FIELDS = ("distribution", "lambda2")
-BUILDER_FIELDS = ("split", "rho0_type2", "asymmetry", "side_fraction", "stage_rates")
 _TABLE_FIELDS = tuple(dict.fromkeys(name for row in MODEL_FIELDS.values() for name in row))
 _ANY_MODEL = ("mu", "treatment_efficacy")
 
@@ -145,6 +144,9 @@ _ANY_MODEL = ("mu", "treatment_efficacy")
 _DOMAINS = {path.rpartition(".")[2]: FIELDS[path].bounds for path in (
     "lambda", "mu", "rho0", "d", "lambda2", "treatment_efficacy", "distribution.gamma")}
 TUNABLE = tuple(_DOMAINS)
+# the EpidemicParams field of each config key that sets one
+_PARAM_NAMES = {**{f.name: f.name for f in fields(EpidemicParams)},
+                "lambda": "lam", "lambda2": "lam2"}
 
 _KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
           bool: (bool, "true or false"), list: (list, "a list"), dict: (dict, "an object")}
@@ -373,12 +375,8 @@ def parse_config_data(data) -> SimulationSpec:
                 raise ConfigError("fit.observed", "expected [[t, value], ...]")
             fit["observed"] = [[_number("fit.observed", v) for v in p] for p in observed]
 
-    params = EpidemicParams(
-        lam=config["lambda"], mu=config["mu"], rho0=config["rho0"], d=config["d"],
-        lam2=config.get("lambda2"), rho0_2=config.get("rho0_2"),
-        treatment_efficacy=config["treatment_efficacy"],
-    )
-    return SimulationSpec(config, params, treatment)
+    params = {_PARAM_NAMES[k]: v for k, v in config.items() if k in _PARAM_NAMES}
+    return SimulationSpec(config, EpidemicParams(**params), treatment)
 
 
 def parse_config(path) -> SimulationSpec:
@@ -408,20 +406,10 @@ def build_spec_model(spec: SimulationSpec, overrides: dict | None = None):
     dist_dict = spec.distribution
     if "gamma" in overrides:
         dist_dict = {**dist_dict, "gamma": overrides.pop("gamma")}
-    rename = {"lambda": "lam", "lambda2": "lam2"}
-    params = replace(spec.params, **{rename.get(name, name): float(value)
-                                     for name, value in overrides.items()})
+    params = replace(spec.params, **{_PARAM_NAMES[k]: float(v) for k, v in overrides.items()})
     dist = build_distribution(dist_dict) if dist_dict else None
     dist2 = build_distribution(spec.distribution2) if spec.distribution2 else None
-    return build_model(spec.model, params, dist=dist, dist2=dist2,
-                       link_mode=spec.link_mode, **builder_options(spec))
-
-
-def builder_options(spec: SimulationSpec) -> dict:
-    """The keyword options ``build_spec_model`` passes the model's builder:
-    its row's BUILDER_FIELDS."""
-    row = MODEL_FIELDS[spec.model]
-    return {name: getattr(spec, name) for name in BUILDER_FIELDS if name in row}
+    return build_model(spec.model, params, dist=dist, dist2=dist2)
 
 
 def run_trajectory(spec: SimulationSpec, overrides: dict | None = None):

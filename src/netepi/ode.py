@@ -18,7 +18,9 @@ infected through and one transmissibility per type; the seed and routing
 shares of the types (routing may be "hazard": in proportion to each type's
 own one-type hazard); an infected exit rate; and whether a treatment
 coverage may set the shares, in a copy (``at_coverage``): a built model
-never changes.  The six named models are builders over it:
+never changes.  The six named models are builders over it, each
+``builder(params, dist, dist2)`` reading every number and option from one
+``EpidemicParams`` record:
 
 classic      stratified at k = 1 with the fixed link denominator, which is
              s' = -lam rho s,  rho' = lam rho s - mu rho,  r' = mu rho
@@ -45,9 +47,10 @@ from __future__ import annotations
 import copy
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from numbers import Real
+from sys import float_info
 
 import numpy as np
 
@@ -59,16 +62,25 @@ STATE_FLOOR = -1e-6   # integration aborts below this
 STATE_CEIL = 1.0 + 1e-6   # ... or above this in an s or infected entry
 
 
+# the interval each numeric EpidemicParams field must lie in
+_INTERVALS = {"lam": "[0, 1]", "mu": "[0, 1]", "rho0": "(0, 1)", "d": "[0, 1]", "lam2": "[0, 1]",
+              "rho0_2": "[0, 1)", "treatment_efficacy": "[0, 1]", "split": "[0, 1]",
+              "rho0_type2": "[0, 1]", "asymmetry": "[0, 1]", "side_fraction": "(0, 1)"}
+
+
 @dataclass(frozen=True)
 class EpidemicParams:
-    """Transmission/removal/demographic rates plus the initial infected
-    fraction.
+    """Every number and option a named model is built from, each checked
+    here; a model ignores the fields it does not read.
 
-    ``lam2`` is the second transmission rate where a model needs one (group 2
-    in two_type, the reverse direction in bipartite).  ``rho0_2`` optionally
-    seeds the second population of a bipartite model differently (0 allowed);
-    it defaults to ``rho0``.  ``treatment_efficacy`` scales transmission from
-    treated infectors in the HIV models.
+    ``lam2``: the second rate (two_type's group 2, bipartite's reverse
+    direction); ``rho0_2``: the second population's seed (default rho0);
+    ``treatment_efficacy``: the scale on treated HIV infectors; ``split``:
+    two_type's routing ("hazard", or type 1's share) and ``rho0_type2`` its
+    type-2 seed share; ``asymmetry``: hiv_hetero's scale on infecting men;
+    ``side_fraction``: the first population's weight; ``stage_rates``: one
+    rate list or one per type, replacing the one stage at mu; ``link_mode``
+    "fixed": the initial edge mass as denominator (classic always).
     """
 
     lam: float
@@ -78,18 +90,37 @@ class EpidemicParams:
     lam2: float | None = None
     rho0_2: float | None = None
     treatment_efficacy: float = 0.4
+    split: float | str = "hazard"
+    rho0_type2: float = 0.0
+    asymmetry: float = 0.5
+    side_fraction: float = 0.5
+    stage_rates: tuple | None = None
+    link_mode: str = "active"
 
     def __post_init__(self):
-        for name in ("lam", "mu", "d", "treatment_efficacy"):
+        for name, interval in _INTERVALS.items():
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1], got {v}")
-        if not 0.0 < self.rho0 < 1.0:
-            raise DomainError(f"rho0 must be in (0, 1), got {self.rho0}")
-        if self.lam2 is not None and not 0.0 <= self.lam2 <= 1.0:
-            raise DomainError(f"lam2 must be in [0, 1], got {self.lam2}")
-        if self.rho0_2 is not None and not 0.0 <= self.rho0_2 < 1.0:
-            raise DomainError(f"rho0_2 must be in [0, 1), got {self.rho0_2}")
+            if (v is None and name in ("lam2", "rho0_2")
+                    or name == "split" and isinstance(v, str) and v == "hazard"):
+                continue
+            if not (_is_number(v) and (0 < v if interval[0] == "(" else 0 <= v)
+                    and (v < 1 if interval[-1] == ")" else v <= 1)):
+                what = "'hazard' or a fraction in" if name == "split" else "in"
+                raise DomainError(f"{name} must be {what} {interval}, got {v!r}")
+        _check_link_mode(self.link_mode)
+        rates = self.stage_rates
+        if rates is not None:
+            if self.mu != 0.0:
+                raise DomainError("stage_rates replaces mu; set mu=0 when providing stages")
+            seq = (list, tuple)
+            nested = isinstance(rates, seq) and rates and isinstance(rates[0], seq)
+            rows = rates if nested else [rates]
+            if not (all(isinstance(r, seq) and r and all(_is_number(v) and 0 <= v <= 1 for v in r)
+                        for r in rows) and len(set(map(len, rows))) == 1):
+                raise DomainError(f"stage_rates must be rates in [0, 1], one list or one per "
+                                  f"type, got {rates!r}")
+            rows = tuple(tuple(map(float, r)) for r in rows)   # hashable, as the record
+            object.__setattr__(self, "stage_rates", rows if nested else rows[0])
 
 
 def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
@@ -120,7 +151,8 @@ def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
 
 
 def _stage_matrix(stage_rates, n_types, mu):
-    """Per-type stage-rate rows; default one stage at rate mu."""
+    """Per-type stage-rate rows (EpidemicParams checks the rates); default one
+    stage at rate mu."""
     if stage_rates is None:
         return np.full((n_types, 1), mu)
     rates = np.asarray(stage_rates, dtype=float)
@@ -128,8 +160,6 @@ def _stage_matrix(stage_rates, n_types, mu):
         rates = np.tile(rates, (n_types, 1))
     if rates.ndim != 2 or rates.shape[0] != n_types:
         raise DomainError(f"stage_rates must be one rate list or one per type ({n_types})")
-    if np.any(rates < 0) or np.any(rates > 1):
-        raise DomainError("stage rates must be in [0, 1]")
     return rates
 
 
@@ -413,7 +443,8 @@ def _check_grid(t0, t1, dt, what="t_span"):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A real number a float holds finitely (math.isfinite raises past it); no bool."""
+    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= float_info.max
 
 
 # steps between two state range checks: a run that leaves the range stops
@@ -525,11 +556,6 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
 _SINGLE_DEGREE = DegreeDistribution(1, 1, np.array([1.0]))
 
 
-def _check_stage_rates(params, stage_rates):
-    if stage_rates is not None and params.mu != 0.0:
-        raise DomainError("stage_rates replaces mu; set mu=0 when providing stages")
-
-
 def _hiv_shares(params):
     """Seed and routing at coverage 0, where the HIV builders build."""
     if params.mu != 0.0:
@@ -537,78 +563,61 @@ def _hiv_shares(params):
     return (1.0, 0.0)
 
 
-def _side_fraction(side_fraction):
-    if not 0.0 < side_fraction < 1.0:
-        raise DomainError(f"side_fraction must be in (0, 1), got {side_fraction}")
-    return side_fraction, 1.0 - side_fraction
-
-
-def _classic(params, dist, dist2, link_mode):
+def _classic(params, dist, dist2):
     """Homogeneous SIR: the degenerate network with one link per node."""
-    _check_link_mode(link_mode)
-    return _stratified(params, _SINGLE_DEGREE, None, "fixed")
+    return _stratified(replace(params, link_mode="fixed"), _SINGLE_DEGREE, None)
 
 
-def _stratified(params, dist, dist2, link_mode, stage_rates=None):
-    _check_stage_rates(params, stage_rates)
-    pop = _Population(dist, 1, stage_rates, params.mu, params.rho0)
+def _stratified(params, dist, dist2):
+    pop = _Population(dist, 1, params.stage_rates, params.mu, params.rho0)
     return CompartmentModel([pop], (0,), [(params.lam,)], (1.0,), (1.0,), d=params.d,
-                            link_mode=link_mode)
+                            link_mode=params.link_mode)
 
 
-def _two_type(params, dist, dist2, link_mode, split="hazard", rho0_type2=0.0,
-              stage_rates=None):
+def _two_type(params, dist, dist2):
     """Group 1 gets new infections by its share of the hazard, or a fixed ``split``."""
     if params.lam2 is None:
         raise DomainError("two_type model requires lam2")
-    _check_stage_rates(params, stage_rates)
-    if split != "hazard" and not 0.0 <= float(split) <= 1.0:
-        raise DomainError(f"split must be 'hazard' or a fraction in [0, 1], got {split!r}")
-    if not 0.0 <= rho0_type2 <= 1.0:
-        raise DomainError(f"rho0_type2 must be in [0, 1], got {rho0_type2}")
+    split, rho0_type2 = params.split, params.rho0_type2
     routing = split if split == "hazard" else (float(split), 1.0 - float(split))
-    pop = _Population(dist, 2, stage_rates, params.mu, params.rho0)
+    pop = _Population(dist, 2, params.stage_rates, params.mu, params.rho0)
     return CompartmentModel([pop], (0,), [(params.lam, params.lam2)],
                             (1.0 - rho0_type2, rho0_type2), routing, d=params.d,
-                            link_mode=link_mode)
+                            link_mode=params.link_mode)
 
 
-def _bipartite(params, dist, dist2, link_mode, side_fraction=0.5, stage_rates=None):
+def _bipartite(params, dist, dist2):
     """Side 2 is infected from side 1 at lam, side 1 from side 2 at lam2."""
     if params.lam2 is None:
         raise DomainError("bipartite model requires lam2")
-    _check_stage_rates(params, stage_rates)
-    w1, w2 = _side_fraction(side_fraction)
+    w1, w2 = params.side_fraction, 1.0 - params.side_fraction
     rho0_2 = params.rho0 if params.rho0_2 is None else params.rho0_2
-    pops = [_Population(dist, 1, stage_rates, params.mu, params.rho0, w1, "s1"),
-            _Population(dist2, 1, stage_rates, params.mu, rho0_2, w2, "s2")]
+    pops = [_Population(dist, 1, params.stage_rates, params.mu, params.rho0, w1, "s1"),
+            _Population(dist2, 1, params.stage_rates, params.mu, rho0_2, w2, "s2")]
     return CompartmentModel(pops, (1, 0), [(params.lam2,), (params.lam,)], (1.0,), (1.0,),
-                            d=params.d, link_mode=link_mode)
+                            d=params.d, link_mode=params.link_mode)
 
 
-def _hiv_msm(params, dist, dist2, link_mode, stage_rates=None):
+def _hiv_msm(params, dist, dist2):
     shares = _hiv_shares(params)
-    i = params.lam
-    pop = _Population(dist, 2, stage_rates, 0.0, params.rho0)
-    return CompartmentModel([pop], (0,), [(i, params.treatment_efficacy * i)], shares, shares,
-                            d=params.d, exit_rate=params.d, treatable=True, link_mode=link_mode)
+    pop = _Population(dist, 2, params.stage_rates, 0.0, params.rho0)
+    rates = [(params.lam, params.treatment_efficacy * params.lam)]
+    return CompartmentModel([pop], (0,), rates, shares, shares, d=params.d, exit_rate=params.d,
+                            treatable=True, link_mode=params.link_mode)
 
 
-def _hiv_hetero(params, dist, dist2, link_mode, asymmetry=0.5, side_fraction=0.5,
-                stage_rates=None):
+def _hiv_hetero(params, dist, dist2):
     """Men are infected by women at asymmetry * i (default 0.5: male-to-female
     transmission is twice as likely), women by men at i."""
     shares = _hiv_shares(params)
-    if not 0.0 <= asymmetry <= 1.0:
-        raise DomainError(f"asymmetry must be in [0, 1], got {asymmetry}")
-    w_men, w_women = _side_fraction(side_fraction)
-    i, eff = params.lam, params.treatment_efficacy
+    w_men, w_women = params.side_fraction, 1.0 - params.side_fraction
+    i, eff, asymmetry = params.lam, params.treatment_efficacy, params.asymmetry
     rho0_2 = params.rho0 if params.rho0_2 is None else params.rho0_2
-    pops = [_Population(dist, 2, stage_rates, 0.0, params.rho0, w_men, "m"),
-            _Population(dist2, 2, stage_rates, 0.0, rho0_2, w_women, "w")]
+    pops = [_Population(dist, 2, params.stage_rates, 0.0, params.rho0, w_men, "m"),
+            _Population(dist2, 2, params.stage_rates, 0.0, rho0_2, w_women, "w")]
     rates = [(asymmetry * i, eff * (asymmetry * i)), (i, eff * i)]
     return CompartmentModel(pops, (1, 0), rates, shares, shares, d=params.d,
-                            exit_rate=params.d, treatable=True, link_mode=link_mode)
+                            exit_rate=params.d, treatable=True, link_mode=params.link_mode)
 
 
 MODEL_BUILDERS = {"classic": _classic, "stratified": _stratified, "two_type": _two_type,
@@ -616,11 +625,11 @@ MODEL_BUILDERS = {"classic": _classic, "stratified": _stratified, "two_type": _t
 MODEL_NAMES = tuple(MODEL_BUILDERS)
 
 
-def build_model(name, params, dist=None, dist2=None, link_mode="active", **kwargs):
-    """Construct a named model; dist2 defaults to dist for two-population
-    models, and classic takes no distribution."""
+def build_model(name, params, dist=None, dist2=None):
+    """Construct a named model from ``params``; dist2 defaults to dist for
+    two-population models, and classic takes no distribution."""
     if name not in MODEL_BUILDERS:
         raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
     if dist is None and name != "classic":
         raise DomainError(f"model {name!r} requires a degree distribution")
-    return MODEL_BUILDERS[name](params, dist, dist2 or dist, link_mode, **kwargs)
+    return MODEL_BUILDERS[name](params, dist, dist2 or dist)

@@ -198,6 +198,19 @@ class TestSimulateEpidemic:
         ens = run_ensemble(stratified(params), 300, 5, replicas=2, base_seed=1, t0=5.0)
         assert np.array_equal(ens.times, 5.0 + np.arange(6))
 
+    def test_epoch_off_the_unit_grid(self):
+        # an epoch inside the run sits a whole number of steps from t0;
+        # 8.5 used to switch silently at t = 9
+        model = treatable(EpidemicParams(lam=0.5, mu=0.05, rho0=0.02), DIST30)
+        for t0, epoch in ((0.0, 8.5), (1980.0, 1988.5), (0.5, 8.0)):
+            schedule = TreatmentSchedule(epochs=(epoch,), coverages=(1.0,))
+            with pytest.raises(DomainError, match=r"^treatment epoch \[.*\] is not a whole"):
+                simulate_epidemic(model, 300, 20, rng=0, t0=t0, schedule=schedule)
+        # one past the end of the run never switches, so it is not checked
+        late = TreatmentSchedule(epochs=(25.5,), coverages=(1.0,))
+        assert np.array_equal(simulate_epidemic(model, 300, 20, rng=0, schedule=late).Y,
+                              simulate_epidemic(model, 300, 20, rng=0).Y)
+
     def test_input_validation(self):
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.01)
         with pytest.raises(DomainError):
@@ -342,8 +355,9 @@ class TestModelAgreement:
             model = build_model(name, params, dist)
             schedule = TreatmentSchedule(epochs=(20.0,), coverages=(0.7,), initial_coverage=0.1)
         else:
-            params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.01, lam2=0.1)
-            model = build_model(name, params, dist, split=0.6, rho0_type2=0.3)
+            params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.01, lam2=0.1, split=0.6,
+                                    rho0_type2=0.3)
+            model = build_model(name, params, dist)
             schedule = None
         ens = run_ensemble(model, 20000, 60, replicas=20, base_seed=0, schedule=schedule)
         ode = integrate(model, (0, 60), 1.0, "euler", schedule=schedule)
@@ -352,8 +366,8 @@ class TestModelAgreement:
         assert report.peak_relative_deviation <= 0.10
 
     def test_trajectory_in_the_model_layout(self):
-        params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.1, lam2=0.1)
-        model = build_model("two_type", params, DIST30, split=0.6, rho0_type2=0.3)
+        params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.1, lam2=0.1, split=0.6, rho0_type2=0.3)
+        model = build_model("two_type", params, DIST30)
         traj = simulate_epidemic(model, 2000, 10, rng=3)
         assert traj.model is model and traj.Y.shape == (11, model.dim)
         s, infected, removed = model.blocks(traj.Y)[0]
@@ -376,7 +390,7 @@ class TestChainLimits:
          "one population, got 2"),
         (build_model("hiv_hetero", EpidemicParams(lam=0.1, d=0.1), DIST30),
          "one population, got 2"),
-        (build_model("stratified", EpidemicParams(lam=0.1), DIST30, stage_rates=[0.2, 0.3]),
+        (build_model("stratified", EpidemicParams(lam=0.1, stage_rates=[0.2, 0.3]), DIST30),
          "one infected stage, got 2"),
         (build_model("two_type", EpidemicParams(lam=0.1, mu=0.1, lam2=0.1), DIST30),
          "fixed routing shares, got 'hazard'"),

@@ -109,8 +109,8 @@ def test_c02_conservation_all_models():
             "classic": build_model("classic", params),
             "stratified": build_model("stratified", params, dist),
             "two_type": build_model(
-                "two_type", EpidemicParams(lam=0.05, mu=0.05, rho0=0.01, lam2=0.02), dist,
-                rho0_type2=0.3),
+                "two_type", EpidemicParams(lam=0.05, mu=0.05, rho0=0.01, lam2=0.02,
+                                           rho0_type2=0.3), dist),
             "bipartite": build_model(
                 "bipartite", EpidemicParams(lam=0.1, mu=0.05, rho0=0.01, lam2=0.2), dist, dist),
             "hiv_msm": build_model("hiv_msm", EpidemicParams(lam=0.3, rho0=0.005), dist),
@@ -295,8 +295,8 @@ def test_c11_hiv_symmetry_and_treatment_response():
         dist = truncated_power_law(2.7, 1, 60)
 
         # symmetry: remove the halved male rate, seed both sides identically
-        sym_params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02)
-        sym = integrate(build_model("hiv_hetero", sym_params, dist, dist, asymmetry=1.0),
+        sym_params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02, asymmetry=1.0)
+        sym = integrate(build_model("hiv_hetero", sym_params, dist, dist),
                         (0, 50), 0.25, "rk4")
         # per degree, every recorded row: s and the stage-summed infected
         # of each type, clamped at 0

@@ -1,4 +1,3 @@
-import inspect
 import json
 from pathlib import Path
 
@@ -12,9 +11,8 @@ from netepi import cli
 from netepi.cli import execute, main
 from netepi.config import parse_config, parse_config_data, run_trajectory
 from netepi.errors import ConfigError, DomainError
-from netepi.ode import MODEL_BUILDERS, MODEL_NAMES, integrate
-from netepi.config import (MODEL_FIELDS, REQUIRED_FIELDS, TUNABLE, build_spec_model,
-                           builder_options)
+from netepi.ode import MODEL_NAMES, integrate
+from netepi.config import MODEL_FIELDS, REQUIRED_FIELDS, TUNABLE, build_spec_model
 
 DATA = Path(__file__).parent / "data"
 HIV_MODELS = ("hiv_msm", "hiv_hetero")
@@ -632,6 +630,31 @@ class TestCliProcess:
         assert "Traceback" not in result.stderr
         assert not (out / output).exists()
 
+    @pytest.mark.parametrize("command, output", [("run-abm", "ensemble.csv"),
+                                                 ("compare", "comparison.json")])
+    @pytest.mark.parametrize("field, change", [
+        ("treatment.epochs", {"treatment": {"epochs": [4.5], "coverages": [0.7]}}),
+        ("t_span", {"t_span": [0, 10.5]})])
+    def test_abm_off_the_unit_grid(self, tmp_path, monkeypatch, command, output, field, change):
+        # an epoch at 4.5 used to switch at t = 5 in run-abm, and compare
+        # rejected it only after the whole ensemble, naming no field
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("a replica ran")
+        monkeypatch.setattr(cli, "run_ensemble", no_replicas)
+        cfg = self.write(tmp_path, {
+            "model": "hiv_msm", "lambda": 0.3, "rho0": 0.05, "d": 0.05,
+            "distribution": {"type": "power_law", "gamma": 2.0, "k_min": 1, "k_max": 20},
+            "t_span": [0, 10], "method": "euler", "dt": 0.5,
+            "treatment": {"epochs": [4], "coverages": [0.7]},
+            "abm": {"n": 300, "replicas": 2}, **change})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{field}: agent-based runs take unit steps from 0; " in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (out / output).exists()
+
     def test_fit_names_a_parameter_ending_on_its_bound(self, tmp_path):
         # truth lambda 0.1; from a start at the upper bound the simplex stops
         # at a boundary local minimum there, which fit.json and the summary
@@ -1169,11 +1192,26 @@ class TestModelFieldTable:
         assert fields | {"phase.population"} == set(OPTIONAL_FIELDS)
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
-    def test_builder_options_are_the_builders_keywords(self, model):
-        spec = parse_config_data({**model_config(model), "mu": 0.0})
-        parameters = inspect.signature(MODEL_BUILDERS[model]).parameters.values()
-        keywords = {p.name for p in parameters if p.default is not inspect.Parameter.empty}
-        assert set(builder_options(spec)) == keywords
+    def test_every_field_of_the_row_reaches_the_model(self, model):
+        # each field but the schedule (which integrate takes) changes the
+        # built model's initial state or its RHS at a state positive in every
+        # entry; link_mode does too, but in classic, which always divides by
+        # the fixed edge mass
+        base = {**model_config(model), "mu": 0.0}
+
+        def built(cfg):
+            model = build_spec_model(parse_config_data(cfg))
+            y = np.linspace(0.01, 0.02, model.dim)
+            return model.initial_state(), model.rhs_full(0.0, y)[0]
+
+        names = [name for name in MODEL_FIELDS[model] if name != "treatment"]
+        for name in names + (["link_mode"] if model != "classic" else []):
+            value = {**OPTIONAL_FIELDS, "mu": 0.05, "link_mode": "fixed",
+                     "distribution": {"type": "weights", "weights": [1, 2]}}[name]
+            assert base.get(name) != value
+            changed = built({**base, name: value})
+            assert any(a.shape != b.shape or not np.array_equal(a, b)
+                       for a, b in zip(built(base), changed)), name
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
     @pytest.mark.parametrize("name", sorted(OPTIONAL_FIELDS))

@@ -1,4 +1,6 @@
+import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,12 @@ from netepi.ode import (
 
 FIG1_DIST = truncated_power_law(3, 1, 60)
 FIG1_PARAMS = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01)
+# each numeric EpidemicParams field lies in [0, 1]; does it exclude (0, 1)?
+_OPEN_ENDS = {"lam": (False, False), "mu": (False, False), "rho0": (True, True),
+              "d": (False, False), "lam2": (False, False), "rho0_2": (False, True),
+              "treatment_efficacy": (False, False), "split": (False, False),
+              "rho0_type2": (False, False), "asymmetry": (False, False),
+              "side_fraction": (True, True)}
 
 
 def total_mass(traj):
@@ -59,6 +67,43 @@ class TestParams:
         with pytest.raises(DomainError):
             EpidemicParams(lam=0.1, lam2=2.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(_OPEN_ENDS)), value=st.one_of(
+        st.floats(-0.5, 1.5), st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-2, 2), st.just(10 ** 400), st.booleans(), st.none(), st.text(max_size=4),
+        st.just("hazard"), st.lists(st.floats(0, 1), max_size=2), st.complex_numbers()))
+    def test_numeric_fields_take_finite_reals_in_their_interval(self, name, value):
+        # "0.1", None and "half" used to end in a raw TypeError or
+        # ValueError, and True to be taken as 1
+        low_open, high_open = _OPEN_ENDS[name]
+        number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and abs(value) <= sys.float_info.max)
+        valid = (value is None and name in ("lam2", "rho0_2")
+                 or value == "hazard" and name == "split"
+                 or number and (0 < value if low_open else 0 <= value)
+                 and (value < 1 if high_open else value <= 1))
+        if valid:
+            assert getattr(EpidemicParams(**{"lam": 0.1, name: value}), name) == value
+        else:
+            with pytest.raises(DomainError, match=f"^{name} must be "):
+                EpidemicParams(**{"lam": 0.1, name: value})
+
+    @pytest.mark.parametrize("rates", [[], [[]], [0.1, "x"], [1.5], [-0.1], [float("nan")],
+                                       [[0.1], [0.1, 0.2]], 0.1, "0.1", [True], [[0.1], 0.2]])
+    def test_rejects_stage_rates_that_are_not_rate_rows(self, rates):
+        with pytest.raises(DomainError, match="^stage_rates must be "):
+            EpidemicParams(lam=0.1, stage_rates=rates)
+
+    def test_options_are_hashable_fields(self):
+        params = EpidemicParams(lam=0.1, stage_rates=[[0.1, 0.2], [0.3, 0.4]], split=0.3)
+        assert params.stage_rates == ((0.1, 0.2), (0.3, 0.4))
+        assert EpidemicParams(lam=0.1, stage_rates=[0.5]).stage_rates == (0.5,)
+        assert hash(params) == hash(replace(params, stage_rates=((0.1, 0.2), (0.3, 0.4))))
+        with pytest.raises(DomainError, match="^link_mode must be 'active' or 'fixed'"):
+            EpidemicParams(lam=0.1, link_mode="passive")
+        with pytest.raises(DomainError, match="^stage_rates replaces mu"):
+            EpidemicParams(lam=0.1, mu=0.1, stage_rates=[0.1])
+
 
 class TestClassicRhs:
     # classic is the stratified model at k = 1 with the fixed link
@@ -85,7 +130,8 @@ class TestClassicRhs:
         params = EpidemicParams(lam=0.3, mu=0.1, rho0=0.01, d=0.02)
         classic = integrate(build_model("classic", params), (0, 30), 0.1, "rk4")
         single = integrate(
-            build_model("stratified", params, from_weights(1, [1.0]), link_mode="fixed"),
+            build_model("stratified", replace(params, link_mode="fixed"),
+                        from_weights(1, [1.0])),
             (0, 30), 0.1, "rk4")
         np.testing.assert_array_equal(classic.susceptible, single.susceptible)
         np.testing.assert_array_equal(classic.prevalence, single.prevalence)
@@ -147,7 +193,8 @@ class TestStratified:
     def test_single_degree_rhs_matches_classic(self):
         # at r = 0 the active and fixed denominators agree with the classic
         # bilinear term
-        model = build_model("stratified", FIG1_PARAMS, from_weights(1, [1.0]), link_mode="fixed")
+        model = build_model("stratified", replace(FIG1_PARAMS, link_mode="fixed"),
+                            from_weights(1, [1.0]))
         dy = model.rhs_full(0.0, model.initial_state())[0]
         ds, drho, dr = classic_sir_rhs((0.99, 0.01, 0.0), FIG1_PARAMS)
         np.testing.assert_allclose(dy, [ds, drho, dr], atol=1e-14)
@@ -190,15 +237,15 @@ class TestStratified:
             model.rhs_full(0.0, np.zeros(7))
 
     def test_stage_chain_conserves_and_delays(self):
-        params = EpidemicParams(lam=0.05, mu=0.0, rho0=0.05)
-        staged = build_model("stratified", params, FIG1_DIST, stage_rates=[0.2, 0.2])
+        params = EpidemicParams(lam=0.05, mu=0.0, rho0=0.05, stage_rates=[0.2, 0.2])
+        staged = build_model("stratified", params, FIG1_DIST)
         traj = integrate(staged, (0, 50), 0.1, "rk4")
         assert np.abs(total_mass(traj) - 1.0).max() < 1e-9
         assert traj.removed[-1] > 0.01
 
     def test_stage_rates_exclude_mu(self):
         with pytest.raises(DomainError):
-            build_model("stratified", FIG1_PARAMS, FIG1_DIST, stage_rates=[0.1])
+            build_model("stratified", replace(FIG1_PARAMS, stage_rates=[0.1]), FIG1_DIST)
 
 
 class TestTwoType:
@@ -208,7 +255,7 @@ class TestTwoType:
 
     def test_empty_second_type_matches_stratified(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01, lam2=0.05)
-        two = build_model("two_type", params, FIG1_DIST, rho0_type2=0.0)
+        two = build_model("two_type", replace(params, rho0_type2=0.0), FIG1_DIST)
         one = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         y2, y1 = two.initial_state(), one.initial_state()
         [(ds2, drho2, _)] = per_degree(two, two.rhs_full(0.0, y2)[0])
@@ -218,7 +265,7 @@ class TestTwoType:
 
     def test_equal_rates_aggregate_matches_merged_p(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01, lam2=0.05)
-        two = integrate(build_model("two_type", params, FIG1_DIST, rho0_type2=0.4),
+        two = integrate(build_model("two_type", replace(params, rho0_type2=0.4), FIG1_DIST),
                         (0, 100), 0.5, "rk4")
         one = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 100), 0.5, "rk4")
         assert np.abs(two.prevalence - one.prevalence).max() < 1e-8
@@ -230,8 +277,8 @@ class TestTwoType:
         # used to stop with a DomainError on p1 + p2 > 1 where stratified
         # completes (dt 2) or stops with a StabilityError (dt 3)
         dist = truncated_power_law(2, 1, 40)
-        two = build_model("two_type", EpidemicParams(lam=0.5, mu=0.1, rho0=0.2, lam2=0.5), dist,
-                          rho0_type2=0.3)
+        two = build_model("two_type", EpidemicParams(lam=0.5, mu=0.1, rho0=0.2, lam2=0.5,
+                                                     rho0_type2=0.3), dist)
         one = build_model("stratified", EpidemicParams(lam=0.5, mu=0.1, rho0=0.2), dist)
         if dt == 3.0:
             for model in (two, one):
@@ -253,8 +300,8 @@ class TestTwoType:
         np.testing.assert_allclose(ds, 0.0, atol=1e-18)
 
     def test_fixed_split_fraction(self):
-        params = EpidemicParams(lam=0.1, mu=0.0, rho0=0.01, lam2=0.1)
-        model = build_model("two_type", params, FIG1_DIST, split=0.25, rho0_type2=0.5)
+        params = EpidemicParams(lam=0.1, mu=0.0, rho0=0.01, lam2=0.1, split=0.25, rho0_type2=0.5)
+        model = build_model("two_type", params, FIG1_DIST)
         [(_, drho, _)] = per_degree(model, model.rhs_full(0.0, model.initial_state())[0])
         inflow_1 = drho[0].sum()
         inflow_2 = drho[1].sum()
@@ -347,15 +394,15 @@ class TestHivHetero:
                         FIG1_DIST, FIG1_DIST)
 
     def test_symmetry_restored_without_rate_asymmetry(self):
-        params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02)
-        traj = integrate(build_model("hiv_hetero", params, FIG1_DIST, FIG1_DIST, asymmetry=1.0),
+        params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02, asymmetry=1.0)
+        traj = integrate(build_model("hiv_hetero", params, FIG1_DIST, FIG1_DIST),
                          (0, 50), 0.25, "rk4")
         (s1, rho1, _), (s2, rho2, _) = per_degree(traj.model, traj.Y)
         assert max(np.abs(s1 - s2).max(), np.abs(rho1 - rho2).max()) <= 1e-10
 
     def test_halved_male_rate_breaks_symmetry(self):
-        params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02)
-        traj = integrate(build_model("hiv_hetero", params, FIG1_DIST, FIG1_DIST, asymmetry=0.5),
+        params = EpidemicParams(lam=0.28, rho0=0.002, d=0.02, asymmetry=0.5)
+        traj = integrate(build_model("hiv_hetero", params, FIG1_DIST, FIG1_DIST),
                          (0, 50), 0.25, "rk4")
         (_, men, _), (_, women, _) = per_degree(traj.model, traj.Y)
         assert women[-1].sum() > men[-1].sum()
@@ -564,9 +611,9 @@ class TestFinalSize:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_is_removed_plus_prevalence_without_demography(self, name):
         params = EpidemicParams(lam=0.3, mu=0.0 if name.startswith("hiv") else 0.1,
-                                rho0=0.01, lam2=0.1)
-        kwargs = {"stage_rates": [0.2, 0.1]} if name.startswith("hiv") else {}
-        traj = integrate(build_model(name, params, truncated_power_law(2.5, 1, 20), **kwargs),
+                                rho0=0.01, lam2=0.1,
+                                stage_rates=[0.2, 0.1] if name.startswith("hiv") else None)
+        traj = integrate(build_model(name, params, truncated_power_law(2.5, 1, 20)),
                          (0, 40), 0.5, "rk4")
         assert traj.final_size() == 1.0 - traj.susceptible[-1]
         assert traj.final_size() == pytest.approx(traj.removed[-1] + traj.prevalence[-1],
@@ -634,7 +681,7 @@ def _random_model(name, lam, lam2, mu, rho0, coverage, dist):
     return {
         "classic": lambda: build_model("classic", params),
         "stratified": lambda: build_model("stratified", params, dist),
-        "two_type": lambda: build_model("two_type", params, dist, rho0_type2=coverage),
+        "two_type": lambda: build_model("two_type", replace(params, rho0_type2=coverage), dist),
         "bipartite": lambda: build_model("bipartite", params, dist, dist),
         "hiv_msm": lambda: build_model("hiv_msm", hiv_params, dist).at_coverage(coverage),
         "hiv_hetero": lambda: build_model("hiv_hetero", hiv_params, dist,
@@ -764,31 +811,33 @@ def _guard_cases():
         for link_mode in ("active", "fixed"):
             for method, (span, dt) in runs.items():
                 def factory(name=name, link_mode=link_mode):
-                    extra = {"two_type": {"rho0_type2": 0.3}}.get(name, {})
                     if name.startswith("hiv"):
-                        return build_model(name, _HIV_PARAMS, FIG1_DIST, _DIST2,
-                                           link_mode).at_coverage(0.4)
-                    return build_model(name, _PARAMS, FIG1_DIST, _DIST2, link_mode, **extra)
+                        return build_model(name, replace(_HIV_PARAMS, link_mode=link_mode),
+                                           FIG1_DIST, _DIST2).at_coverage(0.4)
+                    params = replace(_PARAMS, link_mode=link_mode)
+                    if name == "two_type":
+                        params = replace(params, rho0_type2=0.3)
+                    return build_model(name, params, FIG1_DIST, _DIST2)
                 cases.append((f"{name}-{link_mode}-{method}", factory, span, dt, method, None))
     staged = EpidemicParams(lam=0.3, mu=0.0, rho0=0.05, d=0.02, lam2=0.15)
     cases += [
         ("stratified-stages", lambda: build_model(
-            "stratified", staged, FIG1_DIST, stage_rates=[0.3, 0.2, 0.1]),
+            "stratified", replace(staged, stage_rates=[0.3, 0.2, 0.1]), FIG1_DIST),
          (0, 15), 0.5, "rk4", None),
         ("two_type-hazard-stage-rows", lambda: build_model(
-            "two_type", staged, FIG1_DIST, rho0_type2=0.3,
-            stage_rates=[[0.3, 0.2], [0.1, 0.4]]), (0, 30), 1.0, "euler", None),
+            "two_type", replace(staged, rho0_type2=0.3, stage_rates=[[0.3, 0.2], [0.1, 0.4]]),
+            FIG1_DIST), (0, 30), 1.0, "euler", None),
         ("two_type-split", lambda: build_model(
-            "two_type", _PARAMS, FIG1_DIST, split=0.3, rho0_type2=0.2),
+            "two_type", replace(_PARAMS, split=0.3, rho0_type2=0.2), FIG1_DIST),
          (0, 15), 0.5, "rk4", None),
         ("bipartite-rho0_2-zero", lambda: build_model(
             "bipartite", EpidemicParams(lam=0.3, mu=0.1, rho0=0.05, lam2=0.2, rho0_2=0.0),
             FIG1_DIST, _DIST2), (0, 15), 0.5, "rk4", None),
         ("hiv_hetero-two-epochs", lambda: build_model(
-            "hiv_hetero", _HIV_PARAMS, FIG1_DIST, _DIST2, stage_rates=[0.2, 0.1]),
+            "hiv_hetero", replace(_HIV_PARAMS, stage_rates=[0.2, 0.1]), FIG1_DIST, _DIST2),
          (0, 15), 0.25, "rk4", TreatmentSchedule(epochs=(5.0, 10.0), coverages=(0.5, 0.8))),
         ("hiv_msm-epoch-fixed", lambda: build_model(
-            "hiv_msm", _HIV_PARAMS, FIG1_DIST, link_mode="fixed"),
+            "hiv_msm", replace(_HIV_PARAMS, link_mode="fixed"), FIG1_DIST),
          (0, 30), 1.0, "euler", TreatmentSchedule(epochs=(10.0,), coverages=(0.7,))),
     ]
     return cases
@@ -840,8 +889,8 @@ class TestStepCheck:
         # epoch on, 90% of them are treated and leave their stage at rate 1,
         # where the rk4 amplification at dt = 3 is 1.375 per step
         def factory():
-            return build_model("hiv_msm", EpidemicParams(lam=0.0, rho0=0.5), FIG1_DIST,
-                               stage_rates=[[0.1], [1.0]])
+            return build_model("hiv_msm", EpidemicParams(lam=0.0, rho0=0.5,
+                                                         stage_rates=[[0.1], [1.0]]), FIG1_DIST)
         schedule = TreatmentSchedule(epochs=(30.0,), coverages=(0.9,))
         new, ref = self.messages(factory, (0, 150), 3.0, "rk4", schedule)
         assert new == ref
@@ -872,8 +921,9 @@ class TestSegmentCheck:
         # t = 30 to t = 90 and nobody after, so the run leaves the range
         # between the two epochs, before the repartition at t = 90
         def factory():
-            return build_model("hiv_hetero", EpidemicParams(lam=0.0, rho0=0.5), FIG1_DIST,
-                               _DIST2, stage_rates=[[0.1], [1.0]])
+            return build_model("hiv_hetero", EpidemicParams(lam=0.0, rho0=0.5,
+                                                            stage_rates=[[0.1], [1.0]]),
+                               FIG1_DIST, _DIST2)
         schedule = TreatmentSchedule(epochs=(30.0, 90.0), coverages=(0.9, 0.0))
         new, ref = TestStepCheck.messages(factory, (0, 150), 3.0, "rk4", schedule)
         assert new == ref

@@ -9,6 +9,7 @@ The new path must reproduce them byte for byte.
 import csv
 import io
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,8 +188,8 @@ def synthetic_runs():
     rng = np.random.default_rng(7)
     params = EpidemicParams(lam=0.2, lam2=0.1, rho0=0.01)
     d1, d2 = truncated_power_law(2.5, 1, 6), from_weights(2, [1, 2, 0, 1])
-    models = [build_model("hiv_hetero", params, d1, d2, stage_rates=[0.1, 0.2, 0.3]),
-              build_model("two_type", params, d1, stage_rates=[0.1] * 9),
+    models = [build_model("hiv_hetero", replace(params, stage_rates=[0.1, 0.2, 0.3]), d1, d2),
+              build_model("two_type", replace(params, stage_rates=[0.1] * 9), d1),
               build_model("bipartite", params, d1, d2),
               build_model("classic", params)]
     specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300])
