@@ -9,7 +9,9 @@ integration of the model approximates, all against the start-of-step state:
 
   1. the live nodes' stubs are paired afresh (degrees persist), so the
      network is fully re-paired every step, the first one included, as the
-     ODE's annealed links are,
+     ODE's annealed links are; under ``link_mode`` "fixed" the removed
+     nodes' stubs stay in the pairing as inert partners, so every step
+     pairs the initial stubs, the ODE's fixed link denominator,
   2. every susceptible is infected through each stub pair joining it to an
      infected node independently with the infector type's transmissibility,
   3. every node infected at the start of the step leaves the network with
@@ -24,21 +26,27 @@ law the ODE's binomial link count describes (Britton, Deijfen & Martin-Lof,
 J. Stat. Phys. 124, 2006).  Under it, nodes of one degree class and one
 compartment are exchangeable, so the chain's state is exactly its integer
 counts per class, the model's layout times n.  No node is kept between
-steps.  Within a step, a susceptible end needs an identity only so that a
-node hit through several pairs is infected once; its virtual node (the
-class's susceptibles numbered in order, each holding k consecutive stubs)
-gives it.  A one-type model draws as a two-type one never seeding or
-routing into its second type.
+steps.  Given their number, the susceptible ends of the cross pairs are a
+uniform subset of the susceptible stubs, and each pair transmits on its
+own, so the ends of the transmitting pairs are a uniform subset too: a
+step draws how many pairs transmit, then those ends alone.  A susceptible
+end needs an identity only so that a node hit through several pairs is
+infected once; its virtual node (the class's susceptibles numbered in
+order, each holding k consecutive stubs) gives it.  A one-type model draws
+as a two-type one never seeding or routing into its second type.
 
 The draws come in this order.  Set-up: the class sizes (one multinomial),
 the seeds per class (one multivariate hypergeometric) and the second-type
 seeds (a binomial per class).  Each step: an epoch switch first re-draws the
 standing infected's type (a binomial per class); then the side of an odd
 stub total's dropped stub, two hypergeometric draws for the number of
-susceptible-infected pairs, a third for how many of them face a second-type
-stub, their susceptible ends as a uniform ordered subset of the susceptible
-stubs, one infection number per pair, and binomials per class for leaving,
-the type of the new infections and replenishment.
+pairs joining a susceptible stub to another, under "fixed" a third for how
+many of those face a live infected stub, one for how many face a
+second-type stub, a binomial for how many of those transmit and one for how
+many of the rest do, the susceptible ends of the transmitting pairs as a
+uniform ordered subset of the susceptible stubs (the second-type ones
+first), and binomials per class for leaving, the type of the new infections
+and replenishment.
 ``tests/data/abm_stream_golden.json`` pins the stream.
 
 ``generate_network`` is still the erased static generator (one shuffle of
@@ -101,18 +109,26 @@ def _unique_edges(u: np.ndarray, v: np.ndarray, span: int) -> tuple[np.ndarray, 
     return np.divmod(key, span)
 
 
-def _cross_stubs(s_stubs: int, i_stubs: int, t_stubs: int, rng) -> tuple[np.ndarray, int]:
-    """The susceptible ends of the susceptible-infected pairs of one uniform
-    pairing of ``s_stubs`` susceptible and ``i_stubs`` infected stubs, as
-    indices into the susceptible stubs in uniform order, and how many of the
-    first of them face one of the ``t_stubs`` stubs of second-type infected.
+def _cross_stubs(s_stubs: int, i_stubs: int, t_stubs: int, lam: float, lam2: float, rng,
+                 inert: int = 0) -> tuple[np.ndarray, int]:
+    """The susceptible ends of the transmitting susceptible-infected pairs of
+    one uniform pairing of ``s_stubs`` susceptible, ``i_stubs`` infected and
+    ``inert`` other stubs, as indices into the susceptible stubs in uniform
+    order, and how many of the first of them transmit from one of the
+    ``t_stubs`` stubs of second-type infected.
 
     Every pair is kept, parallel ones included; an odd total first loses one
-    uniformly chosen stub.
+    uniformly chosen stub.  A pair facing a second-type stub transmits with
+    probability ``lam2``, any other cross pair with ``lam``.  The draws: the
+    side of the dropped stub (odd totals only), two hypergeometric draws for
+    the number of pairs joining a susceptible stub to another, one for how
+    many of those face a live infected stub (only if ``inert``), one for how
+    many of those face a second-type stub, a binomial for the second-type
+    transmissions, one for the others, and the transmitting ends.
     """
     if not (s_stubs and i_stubs):
         return np.zeros(0, dtype=np.int64), 0
-    total, paired = s_stubs + i_stubs, [s_stubs, i_stubs]
+    total, paired = s_stubs + i_stubs + inert, [s_stubs, i_stubs + inert]
     if total % 2:
         # only the side of the stub left out matters
         paired[int(rng.integers(total) >= s_stubs)] -= 1
@@ -125,8 +141,14 @@ def _cross_stubs(s_stubs: int, i_stubs: int, t_stubs: int, rng) -> tuple[np.ndar
     cross = int(a - 2 * j)
     # given j, the cross stubs are a uniform subset of each side's stubs
     # (the left-out one among them) in a uniform bijection
+    if inert:
+        cross = int(rng.hypergeometric(i_stubs, inert, cross))
     facing = int(rng.hypergeometric(t_stubs, i_stubs - t_stubs, cross))
-    return rng.choice(s_stubs, cross, replace=False), facing
+    # each pair transmits on its own, so the transmitting ends are a uniform
+    # subset of the susceptible stubs too, the second-type ones first
+    second = int(rng.binomial(facing, lam2))
+    first = int(rng.binomial(cross - facing, lam))
+    return rng.choice(s_stubs, second + first, replace=False), second
 
 
 def _stub_owners(k: np.ndarray, s: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,8 +194,9 @@ def generate_network(dist: DegreeDistribution, n: int,
 
 def chain_limit(model: CompartmentModel) -> tuple[str, str] | None:
     """(The part of ``model`` the chain cannot run, why), or None.  It runs
-    one population of one stage with fixed routing; the transmissibilities,
-    leave rates (stage rate plus exit rate) and d are per-step probabilities."""
+    one population of one stage with fixed routing, and no replenishment
+    under the fixed link denominator; the transmissibilities, leave rates
+    (stage rate plus exit rate) and d are per-step probabilities."""
     if len(model.populations) != 1:
         return "populations", f"one population, got {len(model.populations)}"
     pop = model.populations[0]
@@ -181,6 +204,9 @@ def chain_limit(model: CompartmentModel) -> tuple[str, str] | None:
         return "stages", f"one infected stage, got {pop.n_stages}"
     if model.routing == "hazard":
         return "routing", "fixed routing shares, got 'hazard'"
+    if model.link_mode == "fixed" and model.d > 0:
+        # replenished nodes would pair on top of the initial stubs
+        return "d", f"d = 0 under link_mode 'fixed', got d={model.d!r}"
     leave = (pop.rates[:, 0] + model.exit_rate).tolist()
     for what, values in (("transmissibilities", model.rates[0]), ("leave rates", leave),
                          ("replenishment rates", [model.d])):
@@ -240,6 +266,7 @@ def simulate_epidemic(
         raise DomainError(f"steps={steps} is too many to record") from None
     # infected counts per class, one row per type; a one-type model's second row stays empty
     lam, lam2 = (*model.rates[0], 0.0)[:2]
+    fixed = model.link_mode == "fixed"
     leave = np.append(pop.rates[:, 0] + model.exit_rate, 0.0)[:2, None]
 
     def shares_at(t):
@@ -265,18 +292,17 @@ def simulate_epidemic(
             second = rng.binomial(total, share)
             infected = np.stack([total - second, second])
 
-        # (1) pair the live stubs, drawing only the susceptible end of each
-        # susceptible-infected pair: no other pair can transmit
-        ends, facing = _cross_stubs(int(k @ s), int(k @ infected.sum(axis=0)),
-                                    int(k @ infected[1]), rng)
+        # (1) pair the stubs, drawing only the susceptible end of each
+        # transmitting susceptible-infected pair: no other pair can infect.
+        # Under the fixed link denominator the removed keep their stubs in
+        # the pairing, inert (with d = 0, as chain_limit asks, every step
+        # then pairs the initial stubs)
+        ends, _ = _cross_stubs(int(k @ s), int(k @ infected.sum(axis=0)), int(k @ infected[1]),
+                               lam, lam2, rng, inert=int(k @ removed) if fixed else 0)
 
-        # (2) infections, one draw per pair, the first ``facing`` from a
-        # second-row infector; a node hit through several pairs is infected
-        # once, counted at the one pair its slot names
-        draws = rng.random(ends.size)
-        transmits = draws < lam
-        transmits[:facing] = draws[:facing] < lam2
-        cls, nodes = _stub_owners(k, s, ends[transmits])
+        # (2) a node hit through several pairs is infected once, counted at
+        # the one pair its slot names
+        cls, nodes = _stub_owners(k, s, ends)
         order = np.arange(nodes.size)
         slot[nodes] = order
         new = np.bincount(cls[slot[nodes] == order], minlength=k.size)

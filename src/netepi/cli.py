@@ -29,7 +29,7 @@ from .ode import _check_grid, integrate
 
 # the config field behind each part of a model the agent-based chain cannot run
 _CHAIN_FIELDS = {"populations": "model", "stages": "stage_rates", "rates": "stage_rates",
-                 "routing": "split"}
+                 "routing": "split", "d": "d"}
 
 
 def _write_replacing(path: Path, fill, newline=None):
@@ -79,7 +79,7 @@ def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int
         raise ConfigError("abm.n", "required for agent-based runs")
     t0, t1 = spec.t_span
     epochs = spec.treatment.epochs if spec.treatment else ()
-    for path, end in [("t_span", t1), *(("treatment.epochs", e) for e in epochs if t0 < e < t1)]:
+    for path, end in [("t_span", t1), *(("treatment.epochs", e) for e in epochs)]:
         try:
             _check_grid(t0, end, 1.0)
         except DomainError:

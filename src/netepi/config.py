@@ -339,6 +339,11 @@ def parse_config_data(data) -> SimulationSpec:
                                           initial_coverage=tr["initial_coverage"])
         except DomainError as exc:
             raise ConfigError("treatment", str(exc)) from exc
+        t0, t1 = config["t_span"]
+        for epoch in treatment.epochs:
+            if not t0 < epoch < t1:
+                raise ConfigError("treatment.epochs", f"epoch {epoch:g} is not strictly inside "
+                                  f"t_span [{t0:g}, {t1:g}]")
 
     if "sensitivity" in config:
         sen = config["sensitivity"]

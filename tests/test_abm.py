@@ -365,6 +365,23 @@ class TestModelAgreement:
         assert report.coverage >= 0.90
         assert report.peak_relative_deviation <= 0.10
 
+    @pytest.mark.parametrize("name", ["classic", "stratified"])
+    def test_fixed_link_denominator_matches_euler_ode(self, name):
+        # the ODE divides by the initial edge mass, and the chain keeps the
+        # removed nodes' stubs in the pairing as inert partners; c05/c06's
+        # bounds.  Over base seeds 0-7: classic coverage 1.000, peak
+        # deviation <= 0.0048; stratified coverage 0.951-1.000, peak
+        # deviation <= 0.0026.  Pairing live stubs only read coverage 0.131
+        # in both at base seed 0.
+        params = EpidemicParams(lam=0.5, mu=0.1, rho0=0.01, link_mode="fixed")
+        model = build_model(name, params, truncated_power_law(2.5, 1, 30))
+        assert model.link_mode == "fixed"
+        ens = run_ensemble(model, 20000, 60, replicas=20, base_seed=0)
+        ode = integrate(model, (0, 60), 1.0, "euler")
+        report = compare_ode_abm(ode, ens, band_sigmas=3.0)
+        assert report.coverage >= 0.90
+        assert report.peak_relative_deviation <= 0.10
+
     def test_trajectory_in_the_model_layout(self):
         params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.1, lam2=0.1, split=0.6, rho0_type2=0.3)
         model = build_model("two_type", params, DIST30)
@@ -395,7 +412,10 @@ class TestChainLimits:
         (build_model("two_type", EpidemicParams(lam=0.1, mu=0.1, lam2=0.1), DIST30),
          "fixed routing shares, got 'hazard'"),
         (leaving_model(0.8, 0.5), r"leave rates in \[0, 1\], got \[1.3\]"),
-    ], ids=["bipartite", "hiv_hetero", "stages", "hazard_routing", "leave_rate"])
+        (build_model("stratified", EpidemicParams(lam=0.1, d=0.1, link_mode="fixed"), DIST30),
+         "d = 0 under link_mode 'fixed', got d=0.1"),
+    ], ids=["bipartite", "hiv_hetero", "stages", "hazard_routing", "leave_rate",
+            "fixed_replenished"])
     def test_rejects_what_the_chain_cannot_run(self, model, reason):
         with pytest.raises(DomainError, match=f"^the agent-based chain needs {reason}"):
             simulate_epidemic(model, 100, 3, rng=0)
@@ -439,6 +459,27 @@ class TestOneStepDrift:
             for traj in (simulate_epidemic(model, n, 1, rng=replica_rng(0, r))
                          for r in range(runs))])
         z = (counts.mean(axis=0) - expected) / (counts.std(axis=0, ddof=1) / np.sqrt(runs))
+        assert np.all(np.abs(z) <= 4), z
+
+    def test_step_after_removal_under_fixed_link_denominator(self):
+        # the second step, once half the seeds have left: new infections
+        # per degree bin over 2000 runs against the euler dt=1 inflow from
+        # each run's own state after the first step, which under the fixed
+        # link denominator divides by the initial edge mass, the removed
+        # nodes' inert stubs included
+        dist = truncated_power_law(1.6, 1, 150)
+        params = EpidemicParams(lam=0.05, mu=0.5, rho0=0.1, link_mode="fixed")
+        n, runs, nk = 10 ** 4, 2000, len(dist.degrees)
+        bins = np.searchsorted([3, 10, 40, 100], dist.degrees, side="right")
+        model = stratified(params, dist)
+        residuals = []
+        for r in range(runs):
+            traj = simulate_epidemic(model, n, 2, rng=replica_rng(0, r))
+            # d = 0: a susceptible count falls only by infection
+            inflow = -model.rhs_full(1.0, traj.Y[1])[0][:nk]
+            residuals.append(np.bincount(bins, (traj.Y[1, :nk] - traj.Y[2, :nk] - inflow) * n))
+        residuals = np.array(residuals)
+        z = residuals.mean(axis=0) / (residuals.std(axis=0, ddof=1) / np.sqrt(runs))
         assert np.all(np.abs(z) <= 4), z
 
 

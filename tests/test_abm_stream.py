@@ -4,23 +4,25 @@ stub pairings.
 ``tests/data/abm_stream_golden.json`` holds the per-degree state counts and
 per-step incidence counts of small ``simulate_epidemic`` runs.  Every output
 bit depends on how many numbers the set-up and each step draw and in which
-order (the class sizes and seeds, the pairing's draws, the order of the
-susceptible ends, the binomials per class), so any change to the hot path
-that keeps the stream must reproduce these runs exactly.  The treated cases
-run ``treatable``, a hand-built two-type model; their counts are stored in
-the one-type layout, s | infected | removed per class, with the two infected
-rows summed.
+order (the class sizes and seeds, the pairing's draws, how many pairs
+transmit, the order of their susceptible ends, the binomials per class), so
+any change to the hot path that keeps the stream must reproduce these runs
+exactly.  The treated cases run ``treatable``, a hand-built two-type model;
+their counts are stored in the one-type layout, s | infected | removed per
+class, with the two infected rows summed.
 
 The simulator is a chain on the counts per degree class.  Every step, the
 first one included, starts with a pairing of the configuration multigraph
-(every stub pair kept, parallel ones included) that draws only the
-susceptible end of each susceptible-infected pair, as an index into the
-susceptible stubs listed class by class, and how many of those ends face a
-treated stub (``_cross_stubs``); ``_stub_owners`` maps each end to its
-class and to a virtual node of that class.  That is a stream of its own,
-so it is checked by its law rather than against another stream: exactly,
-per class, against every perfect matching of small stub sets, and in mean
-and SD against the shuffle of every stub of per-node arrays, kept here as
+(every stub pair kept, parallel ones included) that draws how many
+susceptible-infected pairs transmit, each on its own at its infector's
+transmissibility, and then only the susceptible ends of those pairs, as
+indices into the susceptible stubs listed class by class, the ones that
+transmit from a treated stub first (``_cross_stubs``); ``_stub_owners``
+maps each end to its class and to a virtual node of that class.  That is a
+stream of its own, so it is checked by its law rather than against another
+stream: exactly, per class, against every perfect matching of small stub
+sets thinned binomially, and in mean and SD against the shuffle of every
+stub of per-node arrays with one infection number per pair, kept here as
 the oracle.  That shuffle, with self-loops dropped and parallel edges
 collapsed, is still the erased static graph of the public
 ``generate_network``, which no simulation step uses, and is checked
@@ -34,6 +36,8 @@ Regenerate the golden file only when the stream is meant to change:
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -205,27 +209,36 @@ class TestPairStubs:
         assert np.array_equal(net.edges_u, ou) and np.array_equal(net.edges_v, ov)
 
 
-def shuffle_oracle(degrees, infected, treated, rng):
-    """The re-pairing the sampler replaced: shuffle every stub, keep the
-    pairs with one infected end; their susceptible ends and the treated
-    flags of their infected ends."""
+# the transmissibilities of the law tests: an untreated and a treated infector's
+LAM, LAM2 = Fraction(1, 2), Fraction(1, 4)
+
+
+def shuffle_oracle(degrees, infected, treated, removed, rng):
+    """The re-pairing the sampler replaced: shuffle every stub, the removed
+    nodes' inert ones too, keep the pairs of a susceptible and an infected
+    end, and draw one infection number per pair; the susceptible ends of the
+    pairs that transmit and the treated flags of their infected ends."""
     u, v = _shuffled_stub_pairs(np.arange(degrees.size, dtype=np.int64), degrees, rng)
-    mixed = infected[u] != infected[v]
+    susceptible = ~(infected | removed)
+    mixed = (infected[u] & susceptible[v]) | (susceptible[u] & infected[v])
     u, v = u[mixed], v[mixed]
-    u_infected = infected[u]
-    return np.where(u_infected, v, u), treated[np.where(u_infected, u, v)]
+    ends, infectors = np.where(infected[u], v, u), np.where(infected[u], u, v)
+    transmits = rng.random(ends.size) < np.where(treated[infectors], float(LAM2), float(LAM))
+    return ends[transmits], treated[infectors[transmits]]
 
 
-def class_sampler(degrees, infected, treated, rng):
+def class_sampler(degrees, infected, treated, removed, rng, lam=LAM, lam2=LAM2):
     """The chain's draw on the class counts of these nodes: the degree class
-    and virtual node of each susceptible end, and how many of the first of
-    them face a treated stub."""
+    and virtual node of each transmitting pair's susceptible end, and how
+    many of the first of them transmit from a treated stub."""
     k = np.arange(1, max(int(degrees.max(initial=0)), 1) + 1)
-    s = np.bincount(degrees[~infected], minlength=k.size + 1)[1:]
-    ends, facing = _cross_stubs(int(degrees[~infected].sum()), int(degrees[infected].sum()),
-                                int(degrees[treated].sum()), rng)
+    susceptible = ~(infected | removed)
+    s = np.bincount(degrees[susceptible], minlength=k.size + 1)[1:]
+    ends, second = _cross_stubs(int(degrees[susceptible].sum()), int(degrees[infected].sum()),
+                                int(degrees[treated].sum()), float(lam), float(lam2), rng,
+                                inert=int(degrees[removed].sum()))
     cls, nodes = _stub_owners(k, s, ends)
-    return k[cls], nodes, facing
+    return k[cls], nodes, second
 
 
 def perfect_matchings(stubs):
@@ -238,36 +251,46 @@ def perfect_matchings(stubs):
             yield [(first, partner)] + matching
 
 
-def cross_multiset(classes, facing_treated):
-    """The cross pairs as a sorted multiset of (degree class of the
+def cross_multiset(classes, from_treated):
+    """The transmitting pairs as a sorted multiset of (degree class of the
     susceptible end, whether its partner is treated): the per-class hit
     counts."""
-    return tuple(sorted((int(c), bool(t)) for c, t in zip(classes, facing_treated)))
+    return tuple(sorted((int(c), bool(t)) for c, t in zip(classes, from_treated)))
 
 
-def exact_cross_law(degrees, infected, treated):
+def exact_cross_law(degrees, infected, treated, removed):
     """Probability of each multiset of (susceptible end's degree class,
-    partner treated) over the susceptible-infected pairs, by listing every
-    perfect matching (of every stub set left after an odd drop)."""
+    partner treated) over the transmitting susceptible-infected pairs, by
+    listing every perfect matching (of every stub set left after an odd
+    drop) and thinning its cross pairs binomially at LAM and LAM2 per kind."""
     stubs = [node for node, d in enumerate(degrees) for _ in range(d)]
     drops = range(len(stubs)) if len(stubs) % 2 else [None]
+    susceptible = [not (i or r) for i, r in zip(infected, removed)]
     law = Counter()
     for drop in drops:
         kept = [s for i, s in enumerate(stubs) if i != drop]
         matchings = list(perfect_matchings(kept))
         for matching in matchings:
-            cross = [(degrees[b], treated[a]) if infected[a] else (degrees[a], treated[b])
-                     for a, b in matching if infected[a] != infected[b]]
-            law[cross_multiset(*zip(*cross)) if cross else ()] += Fraction(
-                1, len(matchings) * len(drops))
+            cross = Counter((degrees[b], treated[a]) if infected[a] else (degrees[a], treated[b])
+                            for a, b in matching
+                            if (infected[a] and susceptible[b]) or (susceptible[a] and infected[b]))
+            kinds = sorted(cross)
+            weight = Fraction(1, len(matchings) * len(drops))
+            for hits in product(*(range(cross[kind] + 1) for kind in kinds)):
+                p = weight
+                for (c, t), hit in zip(kinds, hits):
+                    lam = LAM2 if t else LAM
+                    p *= comb(cross[(c, t)], hit) * lam ** hit * (1 - lam) ** (cross[(c, t)] - hit)
+                law[tuple(sorted(kind for kind, hit in zip(kinds, hits)
+                                 for _ in range(hit)))] += p
     return law
 
 
 @st.composite
 def small_states(draw):
-    """Degrees, infected and treated flags of a few nodes, with the edge
-    cases forced often: all susceptible, all infected, one infected stub,
-    and more infected stubs than susceptible ones."""
+    """Degrees, infected, treated and removed flags of a few nodes, with the
+    edge cases forced often: all susceptible, all infected, one infected
+    stub, and more infected stubs than susceptible ones."""
     n = draw(st.integers(1, 12))
     degrees = np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
     kind = draw(st.sampled_from(["random", "all_s", "all_i", "one_i_stub", "i_larger"]))
@@ -282,38 +305,46 @@ def small_states(draw):
     elif kind == "i_larger" and degrees[infected].sum() < degrees[~infected].sum():
         infected = ~infected
     treated = infected & np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return degrees, infected, treated
+    removed = ~infected & np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return degrees, infected, treated, removed
 
 
 class TestCrossStubs:
-    """A re-pairing draws only the susceptible ends of the
-    susceptible-infected pairs of one uniform pairing of the live stubs,
-    parallel pairs kept (an odd total first dropping one uniformly chosen
-    stub), and how many of them face a treated stub, from the class counts
-    alone: its law is checked per class against full enumeration on small
-    stub sets and against shuffling every stub of per-node arrays on larger
-    ones."""
+    """A re-pairing draws only the susceptible ends of the transmitting
+    susceptible-infected pairs of one uniform pairing of the stubs (live
+    ones, and under the fixed link denominator the removed nodes' inert
+    ones), parallel pairs kept (an odd total first dropping one uniformly
+    chosen stub), each pair transmitting on its own, and how many of them
+    transmit from a treated stub, from the class counts alone: its law is
+    checked per class against full enumeration on small stub sets and
+    against shuffling every stub of per-node arrays on larger ones."""
 
-    @pytest.mark.parametrize("degrees, infected, treated", [
-        ([2, 1, 3, 2], [1, 0, 0, 1], [1, 0, 0, 0]),
-        ([2, 1, 3, 1], [1, 0, 0, 1], [0, 0, 0, 1]),
-        ([1, 1, 1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0, 0, 0]),
-        ([1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0, 0]),
-        ([3, 2, 2, 1], [0, 1, 1, 0], [0, 1, 0, 0]),
-        ([4, 3], [1, 0], [1, 0]),
-        ([2, 2, 2, 1, 1], [1, 0, 1, 0, 1], [0, 0, 1, 0, 1]),
+    @pytest.mark.parametrize("degrees, infected, treated, removed", [
+        ([2, 1, 3, 2], [1, 0, 0, 1], [1, 0, 0, 0], [0, 0, 0, 0]),
+        ([2, 1, 3, 1], [1, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]),
+        ([1, 1, 1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0, 0, 0],
+         [0] * 8),
+        ([1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0, 0], [0] * 7),
+        ([3, 2, 2, 1], [0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]),
+        ([4, 3], [1, 0], [1, 0], [0, 0]),
+        ([2, 2, 2, 1, 1], [1, 0, 1, 0, 1], [0, 0, 1, 0, 1], [0] * 5),
+        ([2, 1, 3, 2], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]),
+        ([1, 2, 1, 2, 1], [1, 0, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]),
     ], ids=["even_8", "odd_7", "two_infected_of_8", "infected_larger_odd", "multi_edges",
-            "two_nodes_odd", "odd_5_nodes"])
-    def test_exact_law_on_small_stub_sets(self, degrees, infected, treated):
+            "two_nodes_odd", "odd_5_nodes", "inert_even", "inert_odd"])
+    def test_exact_law_on_small_stub_sets(self, degrees, infected, treated, removed):
         degrees = np.array(degrees)
-        infected, treated = np.array(infected, dtype=bool), np.array(treated, dtype=bool)
-        law = exact_cross_law(degrees.tolist(), infected.tolist(), treated.tolist())
+        infected, treated, removed = (np.array(flags, dtype=bool)
+                                      for flags in (infected, treated, removed))
+        law = exact_cross_law(degrees.tolist(), infected.tolist(), treated.tolist(),
+                              removed.tolist())
+        assert sum(law.values()) == 1
         draws = 20000
         rng = np.random.default_rng(sum(degrees) * 100 + len(degrees))
         seen = Counter()
         for _ in range(draws):
-            classes, _, facing = class_sampler(degrees, infected, treated, rng)
-            seen[cross_multiset(classes, np.arange(classes.size) < facing)] += 1
+            classes, _, second = class_sampler(degrees, infected, treated, removed, rng)
+            seen[cross_multiset(classes, np.arange(classes.size) < second)] += 1
         assert set(seen) <= set(law)
         outcomes = sorted(law)
         expected = np.array([float(law[o]) * draws for o in outcomes])
@@ -322,14 +353,16 @@ class TestCrossStubs:
         chi2 = ((observed - expected) ** 2 / expected).sum()
         assert stats.chi2.sf(chi2, len(outcomes) - 1) > 1e-3
 
-    @pytest.mark.parametrize("share, odd, nodes, max_degree", [
-        (0.05, False, 300, 12), (0.3, True, 300, 12), (0.5, False, 300, 12),
-        (0.8, True, 300, 12), (0.4, True, 5, 80), (0.0, True, 300, 12), (1.0, False, 300, 12),
+    @pytest.mark.parametrize("share, odd, nodes, max_degree, removed_share", [
+        (0.05, False, 300, 12, 0.0), (0.3, True, 300, 12, 0.0), (0.5, False, 300, 12, 0.0),
+        (0.8, True, 300, 12, 0.0), (0.4, True, 5, 80, 0.0), (0.0, True, 300, 12, 0.0),
+        (1.0, False, 300, 12, 0.0), (0.3, True, 300, 12, 0.4),
     ], ids=["share_0.05", "share_0.3_odd", "share_0.5", "share_0.8_odd", "dense_multi_edges_odd",
-            "all_s_odd", "all_i"])
-    def test_law_matches_shuffle_oracle(self, share, odd, nodes, max_degree):
-        # mean and SD of the cross-pair count, of the distinct susceptible
-        # nodes hit and of the pairs facing a treated stub over 2000 draws each
+            "all_s_odd", "all_i", "share_0.3_inert_odd"])
+    def test_law_matches_shuffle_oracle(self, share, odd, nodes, max_degree, removed_share):
+        # mean and SD of the transmitting pair count, of the distinct
+        # susceptible nodes hit and of the pairs transmitting from a treated
+        # stub over 2000 draws each
         rng = np.random.default_rng(int(share * 100) + nodes)
         degrees = rng.integers(0, max_degree + 1, size=nodes)
         if degrees.sum() % 2 != odd:
@@ -340,18 +373,22 @@ class TestCrossStubs:
         treated = infected & (rng.random(nodes) < 0.5)
         if 0 < share < 1:
             treated[0] = True
+        removed = ~infected & (rng.random(nodes) < removed_share)
+        removed[1] = False
         stats_of = {}
         for name in ("sampler", "oracle"):
             draw_rng = np.random.default_rng(7)
             rows = []
             for _ in range(2000):
                 if name == "oracle":
-                    nodes_hit, facing = shuffle_oracle(degrees, infected, treated, draw_rng)
-                    assert not infected[nodes_hit].any()
-                    facing = np.count_nonzero(facing)
+                    nodes_hit, from_treated = shuffle_oracle(degrees, infected, treated, removed,
+                                                             draw_rng)
+                    assert not (infected | removed)[nodes_hit].any()
+                    second = np.count_nonzero(from_treated)
                 else:
-                    _, nodes_hit, facing = class_sampler(degrees, infected, treated, draw_rng)
-                rows.append((nodes_hit.size, np.unique(nodes_hit).size, facing))
+                    _, nodes_hit, second = class_sampler(degrees, infected, treated, removed,
+                                                         draw_rng)
+                rows.append((nodes_hit.size, np.unique(nodes_hit).size, second))
             stats_of[name] = np.array(rows, dtype=float)
         sampler, oracle = stats_of["sampler"], stats_of["oracle"]
         if share in (0.0, 1.0):
@@ -361,35 +398,41 @@ class TestCrossStubs:
         assert np.all(np.abs(sampler.mean(axis=0) - oracle.mean(axis=0)) <= 4.5 * se)
         # the SD ratio of two 2000-draw samples has a standard error of
         # about 1/sqrt(2000) = 0.022 for near-normal counts; a count that
-        # never varies in the oracle (every susceptible node hit in the
-        # dense case) must not vary in the sampler either
+        # never varies in the oracle must not vary in the sampler either
         sd, oracle_sd = sampler.std(axis=0, ddof=1), oracle.std(axis=0, ddof=1)
         assert np.all(np.abs(sd - oracle_sd) <= 0.12 * oracle_sd)
 
-    @given(state=small_states(), seed=st.integers(0, 2 ** 16))
+    @given(state=small_states(), rates=st.sampled_from([(1.0, 1.0), (0.0, 0.0), (0.5, 1.0),
+                                                        (1.0, 0.0)]),
+           seed=st.integers(0, 2 ** 16))
     @settings(max_examples=300, deadline=None)
-    def test_pairs_of_small_states(self, state, seed):
-        degrees, infected, treated = state
-        classes, nodes, facing = class_sampler(degrees, infected, treated,
-                                               np.random.default_rng(seed))
+    def test_pairs_of_small_states(self, state, rates, seed):
+        degrees, infected, treated, removed = state
+        classes, nodes, second = class_sampler(degrees, infected, treated, removed,
+                                               np.random.default_rng(seed), *rates)
         # every end is a susceptible node of its class, and no virtual node
         # is in more pairs than its degree
-        s = np.bincount(degrees[~infected], minlength=7)[1:]
+        s = np.bincount(degrees[~(infected | removed)], minlength=7)[1:]
         assert np.all(nodes < s.sum())
         assert np.all(classes == 1 + np.searchsorted(np.cumsum(s), nodes, side="right"))
         assert np.all(np.bincount(nodes, minlength=s.sum())[nodes] <= classes)
-        # no more pairs face treated (untreated) stubs than there are
+        # no more pairs transmit from treated (untreated) stubs than there
+        # are, and none at a transmissibility of 0
         treated_stubs = int(degrees[treated].sum())
-        assert 0 <= facing <= treated_stubs
-        assert nodes.size - facing <= int(degrees[infected].sum()) - treated_stubs
-        # the cross count has the parity of the smaller side after the odd
-        # drop, whose side the first draw picks
-        side_stubs = [int(degrees[~infected].sum()), int(degrees[infected].sum())]
+        assert 0 <= second <= treated_stubs
+        assert nodes.size - second <= int(degrees[infected].sum()) - treated_stubs
+        assert rates[1] > 0 or second == 0
+        assert rates[0] > 0 or nodes.size == second
+        # with every pair transmitting and no inert stub, the count has the
+        # parity of the smaller side after the odd drop, whose side the
+        # first draw picks
+        side_stubs = [int(s @ np.arange(1, 7)), int(degrees[infected].sum())]
         total = sum(side_stubs)
-        if side_stubs[0] and side_stubs[1] and total % 2:
-            side_stubs[int(np.random.default_rng(seed).integers(total) >= side_stubs[0])] -= 1
+        if rates == (1.0, 1.0) and not degrees[removed].any():
+            if side_stubs[0] and side_stubs[1] and total % 2:
+                side_stubs[int(np.random.default_rng(seed).integers(total) >= side_stubs[0])] -= 1
+            assert nodes.size % 2 == min(side_stubs) % 2
         assert nodes.size <= min(side_stubs)
-        assert nodes.size % 2 == min(side_stubs) % 2
 
 
 if __name__ == "__main__":

@@ -255,7 +255,9 @@ class TestExecute:
         ({"mu": 0.0, "stage_rates": [0.1, 0.2]}, "stage_rates"),
         ({"model": "two_type", "lambda2": 0.1}, "split"),
         ({"model": "hiv_msm", "mu": 0.0, "d": 0.5, "stage_rates": [0.9]}, "stage_rates"),
-    ], ids=["bipartite", "hiv_hetero", "stages", "hazard_split", "leave_rate"])
+        ({"link_mode": "fixed", "d": 0.05}, "d"),
+    ], ids=["bipartite", "hiv_hetero", "stages", "hazard_split", "leave_rate",
+            "fixed_replenished"])
     def test_abm_rejects_two_population_models(self, tmp_path, command, extra, field):
         # the agent-based chain runs one population of one stage with fixed
         # routing and per-step probabilities; the ODE runs each of these
@@ -655,6 +657,30 @@ class TestCliProcess:
         assert "Traceback" not in result.stderr
         assert not (out / output).exists()
 
+    @pytest.mark.parametrize("command, output", [("run-ode", "trajectory.csv"),
+                                                 ("run-abm", "ensemble.csv"),
+                                                 ("compare", "comparison.json")])
+    def test_epoch_outside_t_span(self, tmp_path, monkeypatch, command, output):
+        # run-abm used to run it, and run-ode and compare rejected it naming
+        # no field, compare only after the whole ensemble
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("a replica ran")
+        monkeypatch.setattr(cli, "run_ensemble", no_replicas)
+        cfg = self.write(tmp_path, {
+            "model": "hiv_msm", "lambda": 0.3, "rho0": 0.05, "d": 0.05,
+            "distribution": {"type": "power_law", "gamma": 2.0, "k_min": 1, "k_max": 20},
+            "t_span": [0, 60], "method": "euler", "dt": 1.0,
+            "treatment": {"epochs": [70], "coverages": [0.7]},
+            "abm": {"n": 300, "replicas": 2}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert ("treatment.epochs: epoch 70 is not strictly inside t_span [0, 60]"
+                in result.stderr)
+        assert "Traceback" not in result.stderr
+        assert not (out / output).exists()
+
     def test_fit_names_a_parameter_ending_on_its_bound(self, tmp_path):
         # truth lambda 0.1; from a start at the upper bound the simplex stops
         # at a boundary local minimum there, which fit.json and the summary
@@ -814,7 +840,7 @@ FIELDS = {
     "distribution2.weights": ("list", [[], [-1, 2], [0, 0], [1, float("nan")]]),
     "treatment": ("object", []),
     "treatment.initial_coverage": ("number", [1.5, -0.1]),
-    "treatment.epochs": ("list", [[float("nan")]]),
+    "treatment.epochs": ("list", [[float("nan")], [0], [20], [70]]),
     "treatment.coverages": ("list", [[1.5]]),
     "abm": ("object", []),
     "abm.n": ("int", [1, 0]),
@@ -967,7 +993,9 @@ def valid_configs(draw):
                 for _ in range(types)]
         cfg["stage_rates"] = rows if types > 1 and draw(st.booleans()) else rows[0]
     if hiv and draw(st.booleans()):
-        epochs = sorted(set(draw(st.lists(st.floats(-10, 110), max_size=3))))
+        t1 = cfg["t_span"][1]
+        epochs = sorted(set(draw(st.lists(st.floats(t0, t1, exclude_min=True, exclude_max=True),
+                                          max_size=3))))
         cfg["treatment"] = {"epochs": epochs,
                             "coverages": [draw(FRACTION) for _ in epochs]}
         optional(draw, cfg["treatment"], "initial_coverage", FRACTION)
