@@ -78,8 +78,12 @@ def sobol_first_order(
     d = len(parameters)
 
     rng = np.random.default_rng(seed)
-    a = lo + (hi - lo) * rng.random((n_base, d))
-    b = lo + (hi - lo) * rng.random((n_base, d))
+    try:
+        a = lo + (hi - lo) * rng.random((n_base, d))
+        b = lo + (hi - lo) * rng.random((n_base, d))
+    except (MemoryError, ValueError):
+        raise DomainError(f"n_base={n_base} needs two {n_base} x {d} design matrices, too "
+                          f"large to allocate") from None
 
     f_a = _evaluate(runner, a, parameters, output)
     f_b = _evaluate(runner, b, parameters, output)

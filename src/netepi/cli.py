@@ -183,9 +183,15 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             if spec.sensitivity is None:
                 raise ConfigError("sensitivity", "section required for the sensitivity command")
             sen = spec.sensitivity
-            result = sobol_first_order(runner, sen["ranges"], sen["n_base"],
-                                       seed=sen["seed"] if seed is None else seed,
-                                       output=sen["output"])
+            try:
+                result = sobol_first_order(runner, sen["ranges"], sen["n_base"],
+                                           seed=sen["seed"] if seed is None else seed,
+                                           output=sen["output"])
+            except DomainError as err:
+                # the library names its argument; n_base comes from the config
+                if str(err).startswith("n_base="):
+                    raise ConfigError("sensitivity.n_base", str(err)) from None
+                raise
             _write_csv(target("sobol.csv"), ["t"] + [f"S_{p}" for p in result.parameters],
                        [result.times, *result.indices])
             if plot:

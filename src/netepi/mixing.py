@@ -89,8 +89,8 @@ def _pgf_hazard(degrees, x: float) -> np.ndarray:
     LinkProbabilities admits p1 + p2 up to 1 + 1e-12, and with lambda = 1
     the base 1 - x would otherwise turn negative.
     """
-    x = min(max(x, 0.0), 1.0)
-    return 1.0 - (1.0 - x) ** np.asarray(degrees)
+    h = np.power(1.0 - min(max(x, 0.0), 1.0), degrees)
+    return np.subtract(1.0, h, out=h)
 
 
 def hazard_profile(degrees: np.ndarray, p: float, lam: float) -> np.ndarray:

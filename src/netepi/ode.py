@@ -136,18 +136,17 @@ def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
     allows (negative s in an rk4 stage) is scaled to 1; the step check then
     decides whether the run goes on.
     """
-    infected_mass = (rho_types @ degrees).tolist()
-    if fixed_edge_mass is None:
-        denom = float(degrees @ s) + sum(infected_mass)
-    else:
-        denom = fixed_edge_mass
+    masses = (rho_types @ degrees).tolist()
+    denom = float(degrees @ s) + sum(masses) if fixed_edge_mass is None else fixed_edge_mass
     if denom <= 0.0:
-        return [0.0] * len(infected_mass)
-    p = [min(max(m / denom, 0.0), 1.0) for m in infected_mass]
-    total = sum(p)
-    if total > 1.0 + 1e-12:
-        p = [x / total for x in p]
-    return p
+        return [0.0] * len(masses)
+    p, total = [], 0.0
+    for m in masses:
+        x = m / denom
+        x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+        p.append(x)
+        total += x
+    return [x / total for x in p] if total > 1.0 + 1e-12 else p
 
 
 def _stage_matrix(stage_rates, n_types, mu):
@@ -184,8 +183,9 @@ class _Block:
     it, built once per model.  The population is laid out from ``offset`` as
     s(nk) | I(types, stages, nk) | removed(nk); the three slices and the
     infected shape here are the only place that layout is computed.  Also:
-    the plan index of its source block, stage flow rates as a column,
-    transmissibilities and initial susceptibles."""
+    the plan index of its source block, stage flow rates as a column (and,
+    for a one-type, one-stage block, its one rate as the 0-d array
+    ``mu``; else None), transmissibilities and initial susceptibles."""
 
     def __init__(self, pop, offset, source, rates):
         self.shape = (pop.n_types, pop.n_stages, pop.nk)
@@ -194,6 +194,8 @@ class _Block:
         self.s, self.infected, self.removed = slice(offset, a), slice(a, b), slice(b, b + pop.nk)
         self.pop, self.source, self.rates = pop, source, rates
         self.flow_rates = pop.rates[:, :, None]
+        # a 0-d view: numpy scales an array by it faster than by a float
+        self.mu = pop.rates[0, 0, ...] if self.shape[:2] == (1, 1) else None
         self.s0 = (1.0 - pop.rho0) * (pop.weight * pop.dist.pmf)
 
 
@@ -219,7 +221,9 @@ class CompartmentModel:
         types = {p.n_types for p in self.populations} | {len(r) for r in self.rates}
         types |= {len(self.seed), 2 if self.routing == "hazard" else len(self.routing)}
         n = len(self.populations)
-        if (len(types) != 1 or types - {1, 2} or len(self.rates) != n
+        # one type takes every new infection: the RHS routes it unscaled
+        if (len(types) != 1 or types - {1, 2} or types == {1} and self.routing != (1.0,)
+                or len(self.rates) != n
                 or len(self.sources) != n or any(not 0 <= i < n for i in self.sources)):
             raise DomainError("populations, sources, rates and shares do not fit together")
         self.d, self.exit_rate = d, exit_rate
@@ -289,7 +293,10 @@ class CompartmentModel:
     def rhs_full(self, t, y, out=None):
         """(dy/dt, aggregate new-infection inflow rate).  dy is written into
         ``out`` (a float64 array of shape (dim,) that does not overlap ``y``)
-        when one is given, and returned."""
+        when one is given, and returned.  Parts of dy are written before the
+        last reads of ``y`` (a one-type, one-stage block writes its stage
+        flow into the removal row, then reads it back), which is why the two
+        must not overlap."""
         if y.shape != (self.dim,):
             raise DomainError(f"state array has shape {y.shape}, expected ({self.dim},)")
         if out is None:
@@ -304,12 +311,12 @@ class CompartmentModel:
         plan = self._plan
         for block in plan:
             pop, src, rates = block.pop, plan[block.source], block.rates
-            s, infected = y[block.s], y[block.infected].reshape(block.shape)
-            if src is block:
-                src_s, rho = s, infected
+            s, infected = y[block.s], y[block.infected]
+            src_s, src_inf = (s, infected) if src is block else (y[src.s], y[src.infected])
+            if src.pop.n_stages == 1:
+                rho = src_inf.reshape(src.shape[0], -1)
             else:
-                src_s, rho = y[src.s], y[src.infected].reshape(src.shape)
-            rho = rho[:, 0] if src.pop.n_stages == 1 else rho.sum(axis=1)
+                rho = src_inf.reshape(src.shape).sum(axis=1)
             p = _link_fractions(src.pop.degrees, src_s, rho,
                                 src.pop.fixed_edge_mass if fixed else None)
             if len(rates) == 1:
@@ -317,25 +324,31 @@ class CompartmentModel:
             else:
                 hazard = hazard_profile_two(pop.degrees, LinkProbabilities(p[0], p[1]), *rates)
             inflow = np.multiply(s, hazard, out=hazard)
-            ds = dy[block.s]
+            ds, d_inf, removal = dy[block.s], dy[block.infected], dy[block.removed]
             if self.d > 0:
-                np.subtract(self.d * (block.s0 - s), inflow, out=ds)
+                np.subtract(block.s0, s, out=ds)
+                ds *= self.d
+                ds -= inflow
             else:
                 np.negative(inflow, out=ds)
-            flow = block.flow_rates * infected
-            d_inf = dy[block.infected].reshape(block.shape)
-            shares = self.shares if self.shares is not None else self._hazard_shares(block, p)
-            np.subtract(shares * inflow, flow[:, 0], out=d_inf[:, 0])
-            if pop.n_stages > 1:
-                np.subtract(flow[:, :-1], flow[:, 1:], out=d_inf[:, 1:])
-            removal = dy[block.removed]
-            if pop.n_types == 1:
-                removal[:] = flow[0, -1]
+            if block.mu is not None:
+                # one type in one stage: the stage flow is the removal row,
+                # and the type's routing share is 1
+                np.multiply(infected, block.mu, out=removal)
+                np.subtract(inflow, removal, out=d_inf)
             else:
+                infected, d_inf = infected.reshape(block.shape), d_inf.reshape(block.shape)
+                flow = block.flow_rates * infected
+                entry = d_inf[:, 0]
+                np.multiply(self.shares if self.shares is not None
+                            else self._hazard_shares(block, p), inflow, out=entry)
+                entry -= flow[:, 0]
+                if pop.n_stages > 1:
+                    np.subtract(flow[:, :-1], flow[:, 1:], out=d_inf[:, 1:])
                 np.add.reduce(flow[:, -1], axis=0, out=removal)
             if self.exit_rate > 0:
                 d_inf -= self.exit_rate * infected
-                removal += self.exit_rate * infected.sum(axis=(0, 1))
+                removal += self.exit_rate * infected.reshape(block.shape).sum(axis=(0, 1))
             total_inflow += float(np.add.reduce(inflow))
         return dy, total_inflow
 
@@ -477,7 +490,8 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     rk4 step, segment i runs ``model.at_coverage`` at coverage i (the first
     at ``initial_coverage``) and the standing infected mass is repartitioned
     at each epoch boundary; ``model`` itself never changes.  Each step is
-    written in place into the recorded arrays.  The state range is checked
+    written in place into the recorded arrays; the three rk4 stage states
+    reuse one buffer allocated per run.  The state range is checked
     over each segment's recorded rows, _CHECK_ROWS at a time and before any
     repartition; a failure raises StabilityError naming the time of the
     first step that left the range.
@@ -514,7 +528,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
         raise DomainError(f"t_span [{t0}, {t1}] at dt={dt} is {rows - 1} steps, too many to "
                           f"record") from None
     Y[0] = models[0].initial_state()
-    k2, k3, k4 = np.empty((3, model.dim))   # rk4 stage slopes
+    stage, k2, k3, k4 = np.empty((4, model.dim))   # rk4 stage state and slopes
     row = 0
     # a run that leaves the range keeps stepping through inf and NaN to the
     # end of its chunk of _CHECK_ROWS steps; the chunk check reports it
@@ -524,19 +538,32 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                 # switch epoch: repartition the infected stock, re-record the
                 # boundary state post-switch (aggregates are continuous there)
                 Y[row] = seg_model.repartition(Y[row])
+            y = Y[row]
             for chunk in range(0, n, _CHECK_ROWS):
                 first = row + 1
                 for i in range(chunk, min(chunk + _CHECK_ROWS, n)):
                     t = seg_start + i * dt
-                    y, k1 = Y[row], dY[row]
+                    k1, nxt = dY[row], Y[row + 1]
                     inflow[row] = seg_model.rhs_full(t, y, out=k1)[1]
-                    if method == "euler":
-                        np.add(y, dt * k1, out=Y[row + 1])
+                    if method == "rk4":
+                        # each stage state y + h k is built as h k + y in
+                        # ``stage``, and the slopes are summed in place into
+                        # k2: the same roundings as the written-out formula
+                        for h, k, out in ((dt / 2, k1, k2), (dt / 2, k2, k3), (dt, k3, k4)):
+                            np.multiply(k, h, out=stage)
+                            stage += y
+                            seg_model.rhs_full(t + h, stage, out=out)
+                        k2 *= 2.0
+                        k2 += k1
+                        k3 *= 2.0
+                        k2 += k3
+                        k2 += k4
+                        k2 *= dt / 6
+                        np.add(y, k2, out=nxt)
                     else:
-                        seg_model.rhs_full(t + dt / 2, y + (dt / 2) * k1, out=k2)
-                        seg_model.rhs_full(t + dt / 2, y + (dt / 2) * k2, out=k3)
-                        seg_model.rhs_full(t + dt, y + dt * k3, out=k4)
-                        np.add(y, (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), out=Y[row + 1])
+                        np.multiply(k1, dt, out=nxt)
+                        nxt += y
+                    y = nxt
                     row += 1
                 bad = _first_unstable(Y[first:row + 1], model.bounded)
                 if bad is not None:

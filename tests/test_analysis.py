@@ -104,6 +104,19 @@ class TestSobol:
         with pytest.raises(DomainError, match="n_base"):
             sobol_first_order(runner, {"x1": (0, 1)}, n_base=n_base)
 
+    def test_n_base_too_large_to_allocate(self):
+        # 10**13 x 2 doubles is refused at once, before any model evaluation
+        calls = []
+
+        def runner(p):
+            calls.append(p)
+            return flat_output(p["x1"])
+
+        with pytest.raises(DomainError, match=r"^n_base=10000000000000 needs two "
+                                              r"10000000000000 x 2 design matrices"):
+            sobol_first_order(runner, {"x1": (0, 1), "x2": (0, 1)}, n_base=10 ** 13)
+        assert calls == []
+
     @pytest.mark.parametrize("seed", [-1, 2.0, 1.5, "3", True, None])
     def test_rejects_bad_seed(self, seed):
         def runner(p):

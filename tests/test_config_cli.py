@@ -616,6 +616,27 @@ class TestCliProcess:
         assert "n=1000000000000000 is too many nodes" in result.stderr
         assert not (out / "ensemble.csv").exists()
 
+    def test_sensitivity_n_base_too_large_to_allocate(self, tmp_path, monkeypatch):
+        # numpy refuses two 10**13 x 3 design matrices before it allocates
+        # anything; the sensitivity command used to end in that traceback
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a model evaluation ran")
+        monkeypatch.setattr(cli, "run_trajectory", no_runs)
+        cfg = self.write(tmp_path, {**FIG1, "t_span": [0, 20], "method": "euler", "dt": 1.0,
+                                    "sensitivity": {"ranges": {"gamma": [2, 3],
+                                                               "lambda": [0.05, 0.15],
+                                                               "rho0": [0.001, 0.01]},
+                                                    "n_base": 10 ** 13}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["sensitivity", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert ("sensitivity.n_base: n_base=10000000000000 needs two 10000000000000 x 3 "
+                "design matrices, too large to allocate" in result.stderr)
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, output", [("run-abm", "ensemble.csv"),
                                                  ("compare", "comparison.json")])
     def test_abm_t_span_too_long_to_record(self, tmp_path, command, output):

@@ -658,8 +658,9 @@ class TestBuildModel:
         assert model().dim == 180
         three_types = {"n_types": 3, "rates": ((0.1,) * 3,), "seed": (1, 0, 0),
                        "routing": (1, 0, 0)}
+        # a one-type model routes every new infection to its one type
         for bad in ({"sources": (1,)}, {"sources": (0, 0)}, {"rates": ((0.1, 0.2),)},
-                    {"seed": (0.5, 0.5)}, {"routing": "hazard"},
+                    {"seed": (0.5, 0.5)}, {"routing": "hazard"}, {"routing": (0.5,)},
                     {"routing": np.array([1.0, 0.0])}, three_types):
             with pytest.raises(DomainError):
                 model(**bad)
@@ -839,6 +840,14 @@ def _guard_cases():
         ("hiv_msm-epoch-fixed", lambda: build_model(
             "hiv_msm", replace(_HIV_PARAMS, link_mode="fixed"), FIG1_DIST),
          (0, 30), 1.0, "euler", TreatmentSchedule(epochs=(10.0,), coverages=(0.7,))),
+        # euler off dt = 1, where the step scales the slope by dt
+        ("stratified-euler-dt0.5", lambda: build_model("stratified", _PARAMS, FIG1_DIST),
+         (0, 30), 0.5, "euler", None),
+        ("hiv_msm-euler-dt0.5", lambda: build_model(
+            "hiv_msm", _HIV_PARAMS, FIG1_DIST).at_coverage(0.4),
+         (0, 30), 0.5, "euler", None),
+        ("classic-euler-dt0.25", lambda: build_model("classic", _PARAMS),
+         (0, 15), 0.25, "euler", None),
     ]
     return cases
 
