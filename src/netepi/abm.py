@@ -25,29 +25,40 @@ transmission chance, parallel pairs included, the process whose one-step
 law the ODE's binomial link count describes (Britton, Deijfen & Martin-Lof,
 J. Stat. Phys. 124, 2006).  Under it, nodes of one degree class and one
 compartment are exchangeable, so the chain's state is exactly its integer
-counts per class, the model's layout times n.  No node is kept between
-steps.  Given their number, the susceptible ends of the cross pairs are a
-uniform subset of the susceptible stubs, and each pair transmits on its
-own, so the ends of the transmitting pairs are a uniform subset too: a
-step draws how many pairs transmit, then those ends alone.  A susceptible
-end needs an identity only so that a node hit through several pairs is
-infected once; its virtual node (the class's susceptibles numbered in
-order, each holding k consecutive stubs) gives it.  A one-type model draws
-as a two-type one never seeding or routing into its second type.
+counts per class, the model's layout times n, held as one (types + 2, nk)
+array in the record's row layout: s, each type's infected, removed.  No
+node is kept between steps.  Given their number, the susceptible ends of
+the cross pairs are a uniform subset of the susceptible stubs, and each
+pair transmits on its own, so the ends of the transmitting pairs are a
+uniform subset too: a step draws how many pairs transmit, then those ends
+alone.  A susceptible end needs an identity only so that a node hit
+through several pairs is infected once; its virtual node (the class's
+susceptibles numbered in order, each holding k consecutive stubs) gives
+it.  The ends are sorted first, which draws nothing: sorted ends map to
+sorted virtual nodes, so a node's ends lie side by side and one comparison
+with the neighbour counts it once.
+
+A binomial of 0 trials or at p = 0 draws nothing, so a one-type model
+draws as a two-type one never seeding or routing into its second type.
+The chain does not call those draws at all: a one-type model has no second
+row to seed or to leave, and a routing share of 0 routes nothing.
 
 The draws come in this order.  Set-up: the class sizes (one multinomial),
-the seeds per class (one multivariate hypergeometric) and the second-type
-seeds (a binomial per class).  Each step: an epoch switch first re-draws the
-standing infected's type (a binomial per class); then the side of an odd
-stub total's dropped stub, two hypergeometric draws for the number of
-pairs joining a susceptible stub to another, under "fixed" a third for how
-many of those face a live infected stub, one for how many face a
-second-type stub, a binomial for how many of those transmit and one for how
-many of the rest do, the susceptible ends of the transmitting pairs as a
-uniform ordered subset of the susceptible stubs (the second-type ones
-first), and binomials per class for leaving, the type of the new infections
-and replenishment.
-``tests/data/abm_stream_golden.json`` pins the stream.
+the seeds per class (one multivariate hypergeometric) and, for a two-type
+model, the second-type seeds (a binomial per class).  Each step: an epoch
+switch first re-draws the standing infected's type (a binomial per class);
+then the side of an odd stub total's dropped stub, two hypergeometric
+draws for the number of pairs joining a susceptible stub to another, under
+"fixed" a third for how many of those face a live infected stub, one for
+how many face a second-type stub, a binomial for how many of those
+transmit and one for how many of the rest do, the susceptible ends of the
+transmitting pairs as a uniform ordered subset of the susceptible stubs
+(the second-type ones first), and binomials per class for leaving (per
+type), the type of the new infections (at a routing share above 0) and
+replenishment.  ``tests/data/abm_stream_golden.json`` pins the stream.
+numpy's hypergeometric draws take fewer than 1e9 items, so a run takes
+fewer than 1e9 nodes, and a step pairs fewer than 2e9 stubs, fewer than 1e9
+of them infected and fewer than 1e9 inert.
 
 ``generate_network`` is still the erased static generator (one shuffle of
 every stub, self-loops dropped, parallel edges collapsed); no step uses it.
@@ -109,6 +120,12 @@ def _unique_edges(u: np.ndarray, v: np.ndarray, span: int) -> tuple[np.ndarray, 
     return np.divmod(key, span)
 
 
+# numpy's hypergeometric draws take populations below this size: the seed
+# draw n nodes, the pairing draws half the paired stubs, and the later draws
+# the infected and the inert stubs
+_MAX_DRAW = 10 ** 9
+
+
 def _cross_stubs(s_stubs: int, i_stubs: int, t_stubs: int, lam: float, lam2: float, rng,
                  inert: int = 0) -> tuple[np.ndarray, int]:
     """The susceptible ends of the transmitting susceptible-infected pairs of
@@ -163,6 +180,23 @@ def _stub_owners(k: np.ndarray, s: np.ndarray, idx: np.ndarray) -> tuple[np.ndar
     cls = np.searchsorted(stub_end, idx, side="right")
     node_start = np.cumsum(s) - s
     return cls, node_start[cls] + (idx - (stub_end - ks)[cls]) // k[cls]
+
+
+def _new_infections(k: np.ndarray, s: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per degree class, how many susceptible nodes own at least one of the
+    stub indices ``ends`` (as ``_stub_owners`` maps them).
+
+    Sorted ends map to sorted virtual nodes, so the ends of one node lie side
+    by side and one comparison with the neighbour finds each node once.  The
+    sort drops the second-type-first order ``_cross_stubs`` returns: routing
+    new infections by their infector's type would have to sort each part on
+    its own or carry each end's type.
+    """
+    cls, nodes = _stub_owners(k, s, np.sort(ends))
+    first = np.empty(nodes.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(nodes[1:], nodes[:-1], out=first[1:])
+    return np.bincount(cls[first], minlength=k.size)
 
 
 def _check_n(n):
@@ -249,79 +283,96 @@ def simulate_epidemic(
     for epoch in schedule.epochs if schedule is not None else ():
         if t0 < epoch < t0 + steps:   # a switch falls on a step boundary
             _check_grid(t0, epoch, 1.0, what="treatment epoch")
+    if n >= _MAX_DRAW:
+        raise DomainError(f"n={n} is too many nodes: the seed draw takes fewer than {_MAX_DRAW}")
     rng = _generator(rng)
     pop = model.populations[0]
     k, types = pop.k, pop.n_types
 
-    try:
-        # slot[v]: the last of a step's transmitting pairs to hit virtual node v
-        slot = np.empty(n, dtype=np.intp)
-    except (MemoryError, ValueError):
-        raise DomainError(f"n={n} is too many nodes to allocate") from None
     try:
         # per row and class: the susceptible, each type's infected and removed counts
         record = np.zeros((steps + 1, types + 2, k.size), dtype=np.int64)
         new_total = np.zeros(steps + 1, dtype=np.int64)
     except (MemoryError, ValueError):
         raise DomainError(f"steps={steps} is too many to record") from None
-    # infected counts per class, one row per type; a one-type model's second row stays empty
     lam, lam2 = (*model.rates[0], 0.0)[:2]
     fixed = model.link_mode == "fixed"
-    leave = np.append(pop.rates[:, 0] + model.exit_rate, 0.0)[:2, None]
+    leave = (pop.rates[:, 0] + model.exit_rate)[:, None]
+
+    def shares(m):
+        # a routed model's second-type seed and routing shares (0 for one type)
+        return (*m.seed, 0.0)[1], (*m.routing, 0.0)[1]
+
+    by_coverage = {None: shares(model)} if schedule is None else {
+        c: shares(model.at_coverage(c)) for c in (schedule.initial_coverage, *schedule.coverages)}
 
     def shares_at(t):
-        # the second row's seed and routing shares at time t
-        routed = model if schedule is None else model.at_coverage(schedule.coverage_at(t))
-        return (*routed.seed, 0.0)[1], (*routed.routing, 0.0)[1]
+        return by_coverage[None if schedule is None else schedule.coverage_at(t)]
 
-    s = rng.multinomial(n, pop.dist.pmf)
+    # the chain's state, in the record's row layout: s, each type's infected, removed
+    state = np.zeros((types + 2, k.size), dtype=np.int64)
+    s, infected, removed = state[0], state[1:-1], state[-1]
+    s[:] = rng.multinomial(n, pop.dist.pmf)
     seeds = rng.multivariate_hypergeometric(s, int(round(pop.rho0 * n)))
     seed_share, share = shares_at(t0)
-    second = rng.binomial(seeds, seed_share)
-    infected = np.stack([seeds - second, second])
-    initial_s = s = s - seeds
-    removed = np.zeros_like(s)
-    record[0] = s, *infected[:types], removed
+    s -= seeds
+    infected[0] = seeds
+    if types == 2:
+        infected[1] = rng.binomial(seeds, seed_share)
+        infected[0] -= infected[1]
+    initial_s = s.copy()
+    record[0] = state
 
     for step in range(1, steps + 1):
         prev_share = share
         _, share = shares_at(t0 + step - 1)
         if share != prev_share:
             # epoch switch: re-draw the type of the standing infected
-            total = infected.sum(axis=0)
-            second = rng.binomial(total, share)
-            infected = np.stack([total - second, second])
+            total = infected[0] + infected[1]
+            infected[1] = rng.binomial(total, share)
+            np.subtract(total, infected[1], out=infected[0])
 
         # (1) pair the stubs, drawing only the susceptible end of each
         # transmitting susceptible-infected pair: no other pair can infect.
         # Under the fixed link denominator the removed keep their stubs in
         # the pairing, inert (with d = 0, as chain_limit asks, every step
-        # then pairs the initial stubs)
-        ends, _ = _cross_stubs(int(k @ s), int(k @ infected.sum(axis=0)), int(k @ infected[1]),
-                               lam, lam2, rng, inert=int(k @ removed) if fixed else 0)
+        # then pairs the initial stubs).  One product gives every row's stubs
+        s_stubs, *i_stubs, r_stubs = (state @ k).tolist()
+        i_total, inert = sum(i_stubs), r_stubs if fixed else 0
+        if max((s_stubs + i_total + inert) // 2, i_total, inert) >= _MAX_DRAW:
+            raise DomainError(f"n={n} is too many nodes: step {step} pairs "
+                              f"{s_stubs + i_total + inert} stubs, {i_total} infected and "
+                              f"{inert} inert, past numpy's hypergeometric draws")
+        ends, _ = _cross_stubs(s_stubs, i_total, i_stubs[1] if types == 2 else 0,
+                               lam, lam2, rng, inert=inert)
 
-        # (2) a node hit through several pairs is infected once, counted at
-        # the one pair its slot names
-        cls, nodes = _stub_owners(k, s, ends)
-        order = np.arange(nodes.size)
-        slot[nodes] = order
-        new = np.bincount(cls[slot[nodes] == order], minlength=k.size)
+        # (2) a node hit through several pairs is infected once: its ends
+        # lie side by side once sorted
+        new = _new_infections(k, s, ends)
 
         # (3) start-of-step infected leave at their type's rate; the new
-        # infections are routed at the step's shares
+        # infections are routed at the step's shares.  A one-type model
+        # has no second row to draw for, and a share of 0 routes nothing
         gone = rng.binomial(infected, leave)
-        removed += gone.sum(axis=0)
-        second = rng.binomial(new, share)
-        infected = infected - gone + np.stack([new - second, second])
+        infected -= gone
+        removed += gone[0] if types == 1 else gone[0] + gone[1]
+        infected[0] += new
+        if share:
+            second = rng.binomial(new, share)
+            infected[0] -= second
+            infected[1] += second
 
         # (4) demographic replenishment toward initial susceptible counts, with
         # the deficit taken at the start of the step like the euler dt=1 ODE
-        deficit = np.maximum(initial_s - s, 0)
-        s = s - new
+        # (s never exceeds initial_s)
         if model.d > 0:
-            s = s + rng.binomial(deficit, model.d)
+            deficit = initial_s - s
+            s -= new
+            s += rng.binomial(deficit, model.d)
+        else:
+            s -= new
 
-        record[step] = s, *infected[:types], removed
+        record[step] = state
         new_total[step] = new.sum()
 
     return Trajectory(

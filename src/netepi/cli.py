@@ -93,10 +93,13 @@ def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int
             schedule=spec.treatment, n_jobs=threads, t0=t0,
         )
     except DomainError as err:
-        # the library names its argument; steps come from t_span here
+        # the library names its argument; steps come from t_span here, and
+        # n, which sets how many stubs a step pairs, from abm.n
         if str(err).startswith("steps="):
             raise ConfigError("t_span", f"{steps} unit steps from {t0:g} to {t1:g} are too "
                               f"many to record") from None
+        if str(err).startswith("n="):
+            raise ConfigError("abm.n", str(err)) from None
         raise
 
 

@@ -246,6 +246,25 @@ class TestSimulateEpidemic:
         with pytest.raises(DomainError, match="^steps=1000000000000000 is too many to record"):
             simulate_epidemic(stratified(params), 100, 10 ** 15, rng=0)
 
+    def test_too_many_nodes_or_stubs_to_draw(self):
+        # numpy's hypergeometric draws take fewer than 1e9: the seed draw
+        # over n nodes, the pairing draws over half a step's stubs, and the
+        # later draws over its infected stubs.  The 1e8 nodes of degree 20 to
+        # 30 hold about 2.5e9 stubs; at 5e7 nodes, about 1.25e9 pair, but
+        # with 90% seeded over 1e9 are infected.  Each used to end in numpy's
+        # raw ValueError
+        params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.01)
+        wide = truncated_power_law(3, 20, 30)
+        with pytest.raises(DomainError, match="^n=1000000000 is too many nodes"):
+            simulate_epidemic(stratified(params), 10 ** 9, 1, rng=0)
+        with pytest.raises(DomainError,
+                           match=r"^n=100000000 is too many nodes: step 1 pairs 2\d{9} stubs"):
+            simulate_epidemic(stratified(params, wide), 10 ** 8, 1, rng=0)
+        with pytest.raises(DomainError, match=r"^n=50000000 is too many nodes: step 1 pairs "
+                                              r"1\d{9} stubs, 1\d{9} infected and 0 inert"):
+            simulate_epidemic(stratified(EpidemicParams(lam=0.1, mu=0.1, rho0=0.9), wide),
+                              5 * 10 ** 7, 1, rng=0)
+
     def test_integer_seed_is_a_generator_seed(self):
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
         a = simulate_epidemic(stratified(params), 200, 5, rng=np.uint8(7))

@@ -48,6 +48,7 @@ from scipy import stats
 
 from netepi.abm import (
     _cross_stubs,
+    _new_infections,
     _shuffled_stub_pairs,
     _stub_owners,
     _unique_edges,
@@ -121,6 +122,23 @@ def test_stream_matches_golden(name):
     assert np.array_equal(traj.times, np.arange(STEPS + 1, dtype=float))
     assert np.array_equal(state_counts(traj), expected["Y_counts"])
     assert np.array_equal(counts(traj.incidence), expected["incidence_counts"])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d, link_mode", [(0.0, "active"), (0.05, "active"), (0.0, "fixed")])
+def test_empty_second_type_draws_nothing(d, link_mode, seed):
+    # a one-type model draws as a two-type one never seeding or routing into
+    # its second type, whatever that type's transmissibility: the draws for
+    # an empty row (binomials of 0 nodes or at p = 0) take no random number
+    params = dict(lam=0.1, mu=0.05, rho0=0.02, d=d, link_mode=link_mode)
+    one = build_model("stratified", EpidemicParams(**params), DIST)
+    two = build_model("two_type", EpidemicParams(**params, lam2=0.3, rho0_type2=0.0, split=1.0),
+                      DIST)
+    a, b = (simulate_epidemic(model, N, STEPS, rng=replica_rng(7, seed)) for model in (one, two))
+    assert np.array_equal(state_counts(a), state_counts(b))
+    assert np.array_equal(counts(a.incidence), counts(b.incidence))
+    assert sum(counts(a.incidence)) > N // 10
+    assert not two.blocks(b.Y)[0][1][:, 1].any()
 
 
 def span_of(node_ids):
@@ -433,6 +451,48 @@ class TestCrossStubs:
                 side_stubs[int(np.random.default_rng(seed).integers(total) >= side_stubs[0])] -= 1
             assert nodes.size % 2 == min(side_stubs) % 2
         assert nodes.size <= min(side_stubs)
+
+
+@st.composite
+def owned_ends(draw):
+    """Class sizes on a degree grid and distinct susceptible stub indices in
+    any order; often every stub of one virtual node is among them."""
+    nk = draw(st.integers(1, 5))
+    k = np.arange(draw(st.integers(1, 4)), 100)[:nk]
+    s = np.array(draw(st.lists(st.integers(0, 4), min_size=nk, max_size=nk)))
+    total = int(k @ s)
+    ends = set(draw(st.lists(st.integers(0, max(total - 1, 0)), max_size=total)))
+    if total and draw(st.booleans()):
+        # every stub of one node: a class with nodes, one of them
+        c = draw(st.sampled_from(np.flatnonzero(s).tolist()))
+        first = int(k[:c] @ s[:c]) + draw(st.integers(0, int(s[c]) - 1)) * int(k[c])
+        ends |= set(range(first, first + int(k[c])))
+    ends = np.array(draw(st.permutations(sorted(ends))), dtype=np.int64)
+    return k, s, ends
+
+
+class TestNewInfections:
+    @given(case=owned_ends(), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_distinct_owners(self, case, seed):
+        # a step counts each susceptible node hit through any of its stubs
+        # once, in its class, however the ends are ordered
+        k, s, ends = case
+        new = _new_infections(k, s, ends)
+        cls, nodes = _stub_owners(k, s, ends)
+        _, first = np.unique(nodes, return_index=True)
+        assert np.array_equal(new, np.bincount(cls[first], minlength=k.size))
+        assert np.all(new <= s)
+        shuffled = np.random.default_rng(seed).permutation(ends)
+        assert np.array_equal(_new_infections(k, s, shuffled), new)
+        assert np.array_equal(_new_infections(k, s, np.sort(ends)), new)
+
+    def test_every_stub_of_one_node_infects_it_once(self):
+        k, s = np.array([1, 2, 3]), np.array([2, 0, 3])
+        # the second class-3 node holds stubs 5, 6 and 7
+        new = _new_infections(k, s, np.array([7, 5, 6]))
+        assert new.tolist() == [0, 0, 1]
+        assert _new_infections(k, s, np.zeros(0, dtype=np.int64)).tolist() == [0, 0, 0]
 
 
 if __name__ == "__main__":

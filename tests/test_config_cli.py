@@ -616,6 +616,21 @@ class TestCliProcess:
         assert "n=1000000000000000 is too many nodes" in result.stderr
         assert not (out / "ensemble.csv").exists()
 
+    def test_abm_n_with_too_many_stubs_to_pair(self, tmp_path):
+        # 1e8 nodes of degree 20 to 30 hold more stubs than numpy's
+        # hypergeometric draws of a pairing take; run-abm used to end in its
+        # ValueError traceback
+        cfg = self.write(tmp_path, {**FIG1, "t_span": [0, 10], "method": "euler", "dt": 1.0,
+                                    "distribution": {"type": "power_law", "gamma": 3,
+                                                     "k_min": 20, "k_max": 30},
+                                    "abm": {"n": 10 ** 8, "replicas": 2}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["run-abm", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "abm.n: n=100000000 is too many nodes: step 1 pairs" in result.stderr
+        assert not (out / "ensemble.csv").exists()
+
     def test_sensitivity_n_base_too_large_to_allocate(self, tmp_path, monkeypatch):
         # numpy refuses two 10**13 x 3 design matrices before it allocates
         # anything; the sensitivity command used to end in that traceback
