@@ -227,17 +227,18 @@ def generate_network(dist: DegreeDistribution, n: int,
 
 
 def chain_limit(model: CompartmentModel) -> tuple[str, str] | None:
-    """(The part of ``model`` the chain cannot run, why), or None.  It runs
-    one population of one stage with fixed routing, and no replenishment
-    under the fixed link denominator; the transmissibilities, leave rates
-    (stage rate plus exit rate) and d are per-step probabilities."""
+    """(The parameter that sets what the chain cannot run in ``model``, why),
+    or None.  It runs one population of one stage with fixed routing, and no
+    replenishment under the fixed link denominator; the transmissibilities,
+    leave rates (stage rate plus exit rate) and d are per-step
+    probabilities."""
     if len(model.populations) != 1:
-        return "populations", f"one population, got {len(model.populations)}"
+        return "model", f"one population, got {len(model.populations)}"
     pop = model.populations[0]
     if pop.n_stages != 1:
-        return "stages", f"one infected stage, got {pop.n_stages}"
+        return "stage_rates", f"one infected stage, got {pop.n_stages}"
     if model.routing == "hazard":
-        return "routing", "fixed routing shares, got 'hazard'"
+        return "split", "fixed routing shares, got 'hazard'"
     if model.link_mode == "fixed" and model.d > 0:
         # replenished nodes would pair on top of the initial stubs
         return "d", f"d = 0 under link_mode 'fixed', got d={model.d!r}"
@@ -245,7 +246,7 @@ def chain_limit(model: CompartmentModel) -> tuple[str, str] | None:
     for what, values in (("transmissibilities", model.rates[0]), ("leave rates", leave),
                          ("replenishment rates", [model.d])):
         if not all(0.0 <= p <= 1.0 for p in values):
-            return "rates", f"{what} in [0, 1], got {list(values)}"
+            return "stage_rates", f"{what} in [0, 1], got {list(values)}"
     return None
 
 

@@ -16,7 +16,9 @@ import csv
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -26,10 +28,6 @@ from .analysis import compare_ode_abm, fit_parameters, phase_series, sobol_first
 from .config import SimulationSpec, build_spec_model, parse_config, run_trajectory
 from .errors import ConfigError, DomainError, NetepiError, StabilityError, is_integer
 from .ode import _check_grid, integrate
-
-# the config field behind each part of a model the agent-based chain cannot run
-_CHAIN_FIELDS = {"populations": "model", "stages": "stage_rates", "rates": "stage_rates",
-                 "routing": "split", "d": "d"}
 
 
 def _write_replacing(path: Path, fill, newline=None):
@@ -73,8 +71,7 @@ def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int
     trajectory of the same t_span."""
     limit = chain_limit(model)
     if limit is not None:
-        raise ConfigError(_CHAIN_FIELDS[limit[0]], f"agent-based runs of {spec.model!r} need "
-                          f"{limit[1]}")
+        raise ConfigError(limit[0], f"agent-based runs of {spec.model!r} need {limit[1]}")
     if "n" not in spec.abm:
         raise ConfigError("abm.n", "required for agent-based runs")
     t0, t1 = spec.t_span
@@ -113,6 +110,11 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
     Raises ConfigError / DomainError / StabilityError / OSError; any
     partially written outputs are removed first.
     """
+    entry = COMMANDS.get(command)
+    if entry is None:
+        raise ConfigError("", f"unknown command {command!r}")
+    if entry.section and getattr(spec, command) is None:
+        raise ConfigError(command, f"section required for the {command} command")
     if replicas is not None and not (is_integer(replicas) and replicas >= 2):
         raise ConfigError("abm.replicas", f"must be an integer >= 2, got {replicas!r}")
     if not (is_integer(threads) and threads >= 1):
@@ -144,8 +146,6 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                 header += model.degree_labels()
                 columns += list(model.degree_columns(traj.Y).T)
             _write_csv(target("trajectory.csv"), header, columns)
-            if plot:
-                _emit_plot(target("plot_trajectory.py"), "trajectory.csv", _PLOT_TRAJECTORY)
             peak, peak_t = traj.peak()
             summary = (f"peak_prevalence={peak:.6g} peak_time={peak_t:g} "
                        f"final_size={traj.final_size():.6g}")
@@ -156,8 +156,6 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                        ["t", "mean_prev", "se_prev", "mean_inc", "se_inc", "replicas"],
                        [ens.times, ens.mean_prevalence, ens.se_prevalence, ens.mean_incidence,
                         ens.se_incidence, np.full(len(ens.times), ens.replicas)])
-            if plot:
-                _emit_plot(target("plot_ensemble.py"), "ensemble.csv", _PLOT_ENSEMBLE)
             i = int(np.argmax(ens.mean_prevalence))
             summary = (f"peak_prevalence={ens.mean_prevalence[i]:.6g} peak_time={ens.times[i]:g} "
                        f"final_size={1.0 - ens.mean_susceptible[-1]:.6g}")
@@ -176,15 +174,11 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                         report.covered])
             _write_json(target("comparison.json"),
                         {k: v for k, v in vars(report).items() if k != "covered"})
-            if plot:
-                _emit_plot(target("plot_comparison.py"), "comparison.csv", _PLOT_COMPARISON)
             summary = (f"coverage={report.coverage:.4g} "
                        f"peak_rel_dev={report.peak_relative_deviation:.4g} "
                        f"peak_time_offset={report.peak_time_offset:g}")
 
         elif command == "sensitivity":
-            if spec.sensitivity is None:
-                raise ConfigError("sensitivity", "section required for the sensitivity command")
             sen = spec.sensitivity
             try:
                 result = sobol_first_order(runner, sen["ranges"], sen["n_base"],
@@ -197,30 +191,22 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                 raise
             _write_csv(target("sobol.csv"), ["t"] + [f"S_{p}" for p in result.parameters],
                        [result.times, *result.indices])
-            if plot:
-                _emit_plot(target("plot_sobol.py"), "sobol.csv", _PLOT_SOBOL)
             peak_j, peak_t = np.unravel_index(np.nanargmax(result.indices), result.indices.shape)
             summary = (f"max_index={result.parameters[peak_j]}@t={result.times[peak_t]:g} "
                        f"value={result.indices[peak_j, peak_t]:.4g} "
                        f"noise_bound={result.noise_bound:.4g}")
 
         elif command == "phase":
-            if spec.phase is None:
-                raise ConfigError("phase", "section required for the phase command")
             traj = run_trajectory(spec)
             series = phase_series(traj, spec.phase["m"], spec.phase["n"],
                                   variant=spec.phase["variant"],
                                   population=spec.phase["population"])
             prefix = "rho" if spec.phase["variant"] == "infected" else "healthy"
             _write_csv(target("phase.csv"), [f"{prefix}_m", f"d{prefix}_n_dt"], series.T)
-            if plot:
-                _emit_plot(target("plot_phase.py"), "phase.csv", _PLOT_PHASE)
             summary = (f"points={len(series)} m={spec.phase['m']} n={spec.phase['n']} "
                        f"variant={spec.phase['variant']}")
 
         elif command == "fit":
-            if spec.fit is None:
-                raise ConfigError("fit", "section required for the fit command")
             ft = spec.fit
             if "observed" in ft:
                 observed = np.asarray(ft["observed"], dtype=float)
@@ -235,9 +221,10 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             if result.at_bound:
                 summary += f" at_bound={','.join(result.at_bound)}"
 
-        else:
-            raise ConfigError("", f"unknown command {command!r}")
-
+        if plot and entry.plot:   # the last file written
+            stem, body = entry.plot
+            _write_replacing(target(f"plot_{stem}.py"),
+                             lambda fh: fh.write(_PLOT_HEADER.format(csv=f"{stem}.csv") + body))
     except BaseException:
         for path in written:
             try:
@@ -310,60 +297,28 @@ def _dispatch(command, config, seed, threads, out, plot, replicas=None):
         click.echo(f"wrote {path}")
 
 
-def _command(name, help_text):
-    def wrap(fn):
-        fn = click.option("--plot", is_flag=True, help="Also write a matplotlib plotting script.")(fn)
-        fn = click.option("--out", type=click.Path(file_okay=False), default=None,
-                          help="Output directory (default: out_dir from the config).")(fn)
-        fn = click.option("--threads", type=int, default=None,
-                          help="Agent-based replica processes (default: NETEPI_THREADS "
-                               "or 1); other work runs in one process.")(fn)
-        fn = click.option("--seed", type=int, default=None,
-                          help="Override the configured random seed.")(fn)
-        fn = click.option("--config", required=True,
-                          type=click.Path(exists=True, dir_okay=False),
-                          help="JSON configuration file.")(fn)
-        return main.command(name=name, help=help_text)(fn)
-    return wrap
+def _options(replicas: bool):
+    options = [
+        click.Option(["--config"], required=True, type=click.Path(exists=True, dir_okay=False),
+                     help="JSON configuration file."),
+        click.Option(["--seed"], type=int, default=None,
+                     help="Override the configured random seed."),
+        click.Option(["--threads"], type=int, default=None,
+                     help="Agent-based replica processes (default: NETEPI_THREADS "
+                          "or 1); other work runs in one process."),
+        click.Option(["--out"], type=click.Path(file_okay=False), default=None,
+                     help="Output directory (default: out_dir from the config)."),
+        click.Option(["--plot"], is_flag=True, help="Also write a matplotlib plotting script."),
+    ]
+    if replicas:
+        options.append(click.Option(["--replicas"], type=int, default=None,
+                                    help="Override the configured replica count."))
+    return options
 
 
 @click.group()
 def main():
     """Deterministic epidemic models on rewiring heterogeneous networks."""
-
-
-@_command("run-ode", "Integrate the configured ODE model and write the trajectory CSV.")
-def run_ode(config, seed, threads, out, plot):
-    _dispatch("run-ode", config, seed, threads, out, plot)
-
-
-@_command("run-abm", "Run the agent-based ensemble and write the summary CSV.")
-@click.option("--replicas", type=int, default=None,
-              help="Override the configured replica count.")
-def run_abm(config, seed, threads, out, plot, replicas):
-    _dispatch("run-abm", config, seed, threads, out, plot, replicas)
-
-
-@_command("compare", "Cross-validate the ODE against the agent-based ensemble.")
-@click.option("--replicas", type=int, default=None,
-              help="Override the configured replica count.")
-def compare(config, seed, threads, out, plot, replicas):
-    _dispatch("compare", config, seed, threads, out, plot, replicas)
-
-
-@_command("sensitivity", "Sobol first-order sensitivity indices per output time.")
-def sensitivity(config, seed, threads, out, plot):
-    _dispatch("sensitivity", config, seed, threads, out, plot)
-
-
-@_command("phase", "Extract a (state, state-derivative) phase series.")
-def phase(config, seed, threads, out, plot):
-    _dispatch("phase", config, seed, threads, out, plot)
-
-
-@_command("fit", "Fit free parameters to an observed incidence series.")
-def fit(config, seed, threads, out, plot):
-    _dispatch("fit", config, seed, threads, out, plot)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +383,30 @@ plt.savefig("phase.png", dpi=150)
 """
 
 
-def _emit_plot(path: Path, csv_name: str, body: str):
-    _write_replacing(path, lambda fh: fh.write(_PLOT_HEADER.format(csv=csv_name) + body))
+class _Command(NamedTuple):   # one per command, read by execute and by click
+    help: str
+    replicas: bool = False       # takes --replicas
+    section: bool = False        # needs the config section of its own name
+    plot: tuple | None = None    # the --plot script: (CSV stem, template)
+
+
+COMMANDS = {
+    "run-ode": _Command("Integrate the configured ODE model and write the trajectory CSV.",
+                        plot=("trajectory", _PLOT_TRAJECTORY)),
+    "run-abm": _Command("Run the agent-based ensemble and write the summary CSV.",
+                        replicas=True, plot=("ensemble", _PLOT_ENSEMBLE)),
+    "compare": _Command("Cross-validate the ODE against the agent-based ensemble.",
+                        replicas=True, plot=("comparison", _PLOT_COMPARISON)),
+    "sensitivity": _Command("Sobol first-order sensitivity indices per output time.",
+                            section=True, plot=("sobol", _PLOT_SOBOL)),
+    "phase": _Command("Extract a (state, state-derivative) phase series.",
+                      section=True, plot=("phase", _PLOT_PHASE)),
+    "fit": _Command("Fit free parameters to an observed incidence series.", section=True),
+}
+
+for _name, _entry in COMMANDS.items():
+    main.add_command(click.Command(_name, callback=partial(_dispatch, _name),
+                                   params=_options(_entry.replicas), help=_entry.help))
 
 
 if __name__ == "__main__":

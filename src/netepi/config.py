@@ -322,14 +322,11 @@ def parse_config_data(data) -> SimulationSpec:
         if "weights" in dist and not sum(dist["weights"]) > 0:
             raise ConfigError(f"{name}.weights", "expected at least one positive weight")
 
-    if "stage_rates" in config:
-        stage_rates = config["stage_rates"]
-        rows = stage_rates if stage_rates and isinstance(stage_rates[0], list) else [stage_rates]
-        if (not all(isinstance(r, list) and r for r in rows) or len({len(r) for r in rows}) > 1
-                or not all(0 <= _number("stage_rates", v) <= 1 for row in rows for v in row)):
-            raise ConfigError("stage_rates", "expected per-stage rates in [0, 1], as many per type")
-        if config["mu"] != 0.0:
-            raise ConfigError("stage_rates", "stage_rates replaces mu; set mu=0")
+    try:
+        params = EpidemicParams(**{_PARAM_NAMES[k]: v for k, v in config.items()
+                                   if k in _PARAM_NAMES})
+    except DomainError as exc:   # the fields above leave only stage_rates to the record
+        raise ConfigError("stage_rates", str(exc)) from None
 
     treatment = None
     if "treatment" in config:
@@ -380,8 +377,7 @@ def parse_config_data(data) -> SimulationSpec:
                 raise ConfigError("fit.observed", "expected [[t, value], ...]")
             fit["observed"] = [[_number("fit.observed", v) for v in p] for p in observed]
 
-    params = {_PARAM_NAMES[k]: v for k, v in config.items() if k in _PARAM_NAMES}
-    return SimulationSpec(config, EpidemicParams(**params), treatment)
+    return SimulationSpec(config, params, treatment)
 
 
 def parse_config(path) -> SimulationSpec:

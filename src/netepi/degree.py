@@ -7,7 +7,7 @@ degree sampling for the agent-based simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class DegreeDistribution:
     k_min: int
     k_max: int
     pmf: np.ndarray
-    _cdf: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.k_min < 1:
@@ -48,10 +47,6 @@ class DegreeDistribution:
             raise DomainError(f"pmf must sum to 1 within {PMF_TOL}, got {pmf.sum()!r}")
         pmf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
-        cdf = np.cumsum(pmf)
-        cdf[-1] = 1.0
-        cdf.flags.writeable = False
-        object.__setattr__(self, "_cdf", cdf)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -95,6 +90,8 @@ def mean_degree(dist: DegreeDistribution) -> float:
 
 def sample_degrees(dist: DegreeDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` degrees by inverse-CDF lookup (binary search on the
-    precomputed cumulative table); one uniform draw per sample."""
+    cumulative table); one uniform draw per sample."""
+    cdf = np.cumsum(dist.pmf)
+    cdf[-1] = 1.0
     u = rng.random(size)
-    return (dist.k_min + np.searchsorted(dist._cdf, u, side="right")).astype(np.int64)
+    return (dist.k_min + np.searchsorted(cdf, u, side="right")).astype(np.int64)

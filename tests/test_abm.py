@@ -238,8 +238,9 @@ class TestSimulateEpidemic:
             simulate_epidemic(stratified(params), 100, 3, rng=0, t0=t0)
 
     def test_too_many_nodes_or_steps_to_allocate(self):
-        # numpy refuses these sizes before it allocates anything; they used
-        # to end in its raw MemoryError
+        # neither allocates anything: 10**15 nodes is over the chain's own
+        # limit (numpy's hypergeometric seed draw takes fewer than 1e9), and
+        # numpy refuses a record of 10**15 steps before allocating it
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
         with pytest.raises(DomainError, match="^n=1000000000000000 is too many nodes"):
             simulate_epidemic(stratified(params), 10 ** 15, 3, rng=0)

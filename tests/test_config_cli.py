@@ -134,6 +134,19 @@ class TestParseConfig:
             parse_config_data(cfg)
         assert field_of(err) == "mu"
 
+    @pytest.mark.parametrize("extra", [
+        {"stage_rates": [[0.1, 0.2], [0.3]]},
+        {"stage_rates": [[0.1], []]},
+        {"stage_rates": [0.1, True]},
+        {"stage_rates": [0.5, 1.5]},
+        {"mu": 0.05, "stage_rates": [0.1]},
+    ], ids=["ragged_rows", "empty_row", "bool", "rate_above_one", "mu_with_stages"])
+    def test_stage_rates_rejections_name_the_field(self, extra):
+        # the record's own rule rejects these; the parser names the field
+        with pytest.raises(ConfigError) as err:
+            parse_config_data({**FIG1, "mu": 0.0, **extra})
+        assert field_of(err) == "stage_rates"
+
     def test_decreasing_epochs_rejected(self):
         cfg = {
             "model": "hiv_msm", "lambda": 0.3, "mu": 0, "rho0": 0.01,
@@ -326,6 +339,17 @@ class TestExecute:
         assert field_of(err) == "seed"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, field", [
+        ("forecast", ""), ("sensitivity", "sensitivity"), ("phase", "phase"), ("fit", "fit"),
+    ])
+    def test_execute_rejects_command_before_making_out_dir(self, tmp_path, command, field):
+        # checked before the output directory is made, so none is left behind
+        spec = parse_config_data(FIG1)
+        with pytest.raises(ConfigError) as err:
+            execute(spec, command, out_dir=tmp_path / "o")
+        assert field_of(err) == field
+        assert not (tmp_path / "o").exists()
+
     def test_phase_closed_loop(self, tmp_path):
         spec = parse_config_data({
             **FIG1, "t_span": [0, 400], "dt": 0.2,
@@ -419,6 +443,36 @@ class TestReplacingWrites:
         cli._write_csv(target, ["a", "b"], [[1], [0.5]])
         assert target.read_text() == "a,b\n1,0.5\n"
         assert [p.name for p in tmp_path.iterdir()] == ["ensemble.csv"]
+
+
+class TestCliSurface:
+    HELP = {
+        "compare": "Cross-validate the ODE against the agent-based ensemble.",
+        "fit": "Fit free parameters to an observed incidence series.",
+        "phase": "Extract a (state, state-derivative) phase series.",
+        "run-abm": "Run the agent-based ensemble and write the summary CSV.",
+        "run-ode": "Integrate the configured ODE model and write the trajectory CSV.",
+        "sensitivity": "Sobol first-order sensitivity indices per output time.",
+    }
+
+    def test_main_help_lists_the_six_commands(self):
+        result = CliRunner().invoke(main, ["--help"])
+        assert result.exit_code == 0
+        listed = [line.split(None, 1) for line in result.output.split("Commands:\n")[1].splitlines()]
+        assert [name for name, _ in listed] == sorted(self.HELP)
+        for name, short in listed:   # click shortens a long help text to fit the line
+            assert self.HELP[name].startswith(short.removesuffix("..."))
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_command_help_and_options(self, command):
+        result = CliRunner().invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[2] == f"  {self.HELP[command]}"
+        options = [line.split()[0] for line in result.output.split("Options:\n")[1].splitlines()
+                   if line.startswith("  --")]
+        replicas = ["--replicas"] if command in ("run-abm", "compare") else []
+        assert options == ["--config", "--seed", "--threads", "--out", "--plot", *replicas,
+                           "--help"]
 
 
 class TestCliProcess:
@@ -605,8 +659,9 @@ class TestCliProcess:
         assert result.exit_code == 0, result.output
 
     def test_abm_n_too_large_to_allocate(self, tmp_path):
-        # numpy refuses 10**15 nodes before it allocates anything; run-abm
-        # used to end in its MemoryError traceback
+        # 10**15 nodes is over the chain's own limit, checked before anything
+        # is drawn or allocated: numpy's hypergeometric seed draw takes fewer
+        # than 1e9
         cfg = self.write(tmp_path, {**FIG1, "t_span": [0, 10], "method": "euler", "dt": 1.0,
                                     "abm": {"n": 10 ** 15, "replicas": 2}})
         out = tmp_path / "o"
