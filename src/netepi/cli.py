@@ -65,6 +65,20 @@ def _write_json(path: Path, obj):
     _write_replacing(path, fill)
 
 
+def _off_grid(spec: SimulationSpec, dt):
+    """(config path, end, library message) for the first of t_span's end and
+    the treatment epochs that is not a whole number of ``dt`` steps from
+    t_span's start, or None when all are."""
+    t0, t1 = spec.t_span
+    epochs = spec.treatment.epochs if spec.treatment else ()
+    for path, end in [("t_span", t1), *(("treatment.epochs", e) for e in epochs)]:
+        try:
+            _check_grid(t0, end, dt, what="t_span" if path == "t_span" else "treatment epoch")
+        except DomainError as err:
+            return path, end, str(err)
+    return None
+
+
 def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int):
     """Run the agent-based ensemble of the configured ``model`` on the
     config's time axis, so rows and treatment epochs line up with the ODE
@@ -75,13 +89,11 @@ def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int
     if "n" not in spec.abm:
         raise ConfigError("abm.n", "required for agent-based runs")
     t0, t1 = spec.t_span
-    epochs = spec.treatment.epochs if spec.treatment else ()
-    for path, end in [("t_span", t1), *(("treatment.epochs", e) for e in epochs)]:
-        try:
-            _check_grid(t0, end, 1.0)
-        except DomainError:
-            raise ConfigError(path, f"agent-based runs take unit steps from {t0:g}; {end:g} is "
-                                    f"not a whole number of them") from None
+    off = _off_grid(spec, 1.0)
+    if off is not None:
+        path, end, _ = off
+        raise ConfigError(path, f"agent-based runs take unit steps from {t0:g}; {end:g} is not "
+                                f"a whole number of them")
     steps = round(t1 - t0)
     try:
         return run_ensemble(
@@ -121,6 +133,11 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
         raise ConfigError("threads", f"must be an integer >= 1, got {threads!r}")
     if seed is not None and not (is_integer(seed) and seed >= 0):
         raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
+    if entry.steps_at_dt:
+        off = _off_grid(spec, spec.dt)
+        if off is not None:
+            path, _, message = off
+            raise ConfigError("dt" if path == "t_span" else path, message)
     n_replicas = spec.abm["replicas"] if replicas is None else replicas
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -191,10 +208,16 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                 raise
             _write_csv(target("sobol.csv"), ["t"] + [f"S_{p}" for p in result.parameters],
                        [result.times, *result.indices])
-            peak_j, peak_t = np.unravel_index(np.nanargmax(result.indices), result.indices.shape)
-            summary = (f"max_index={result.parameters[peak_j]}@t={result.times[peak_t]:g} "
-                       f"value={result.indices[peak_j, peak_t]:.4g} "
-                       f"noise_bound={result.noise_bound:.4g}")
+            if np.isnan(result.indices).all():
+                # a valid config whose output never varies: no index is defined
+                summary = (f"max_index=none (no index is defined: the output does not vary) "
+                           f"noise_bound={result.noise_bound:.4g}")
+            else:
+                peak_j, peak_t = np.unravel_index(np.nanargmax(result.indices),
+                                                  result.indices.shape)
+                summary = (f"max_index={result.parameters[peak_j]}@t={result.times[peak_t]:g} "
+                           f"value={result.indices[peak_j, peak_t]:.4g} "
+                           f"noise_bound={result.noise_bound:.4g}")
 
         elif command == "phase":
             traj = run_trajectory(spec)
@@ -358,11 +381,15 @@ plt.savefig("ensemble.png", dpi=150)
 """
 
 _PLOT_COMPARISON = """\
+import json
+
+band = json.load(open(Path(__file__).parent / "comparison.json"))["band_sigmas"]
 t = [r[col["t"]] for r in data]
 mean = [r[col["mean_prev"]] for r in data]
 se = [r[col["se_prev"]] for r in data]
-plt.fill_between(t, [m - 3 * s for m, s in zip(mean, se)],
-                 [m + 3 * s for m, s in zip(mean, se)], alpha=0.3, label="ABM +-3 SE")
+plt.fill_between(t, [m - band * s for m, s in zip(mean, se)],
+                 [m + band * s for m, s in zip(mean, se)], alpha=0.3,
+                 label=f"ABM +-{band:g} SE")
 plt.plot(t, [r[col["ode_prev"]] for r in data], "k-", label="ODE")
 plt.xlabel("t"); plt.ylabel("prevalence"); plt.legend(); plt.tight_layout()
 plt.savefig("comparison.png", dpi=150)
@@ -388,15 +415,17 @@ class _Command(NamedTuple):   # one per command, read by execute and by click
     replicas: bool = False       # takes --replicas
     section: bool = False        # needs the config section of its own name
     plot: tuple | None = None    # the --plot script: (CSV stem, template)
+    steps_at_dt: bool = True     # integrates at the config's dt; agent-based runs step by 1
 
 
 COMMANDS = {
     "run-ode": _Command("Integrate the configured ODE model and write the trajectory CSV.",
                         plot=("trajectory", _PLOT_TRAJECTORY)),
     "run-abm": _Command("Run the agent-based ensemble and write the summary CSV.",
-                        replicas=True, plot=("ensemble", _PLOT_ENSEMBLE)),
+                        replicas=True, plot=("ensemble", _PLOT_ENSEMBLE), steps_at_dt=False),
     "compare": _Command("Cross-validate the ODE against the agent-based ensemble.",
-                        replicas=True, plot=("comparison", _PLOT_COMPARISON)),
+                        replicas=True, plot=("comparison", _PLOT_COMPARISON),
+                        steps_at_dt=False),
     "sensitivity": _Command("Sobol first-order sensitivity indices per output time.",
                             section=True, plot=("sobol", _PLOT_SOBOL)),
     "phase": _Command("Extract a (state, state-derivative) phase series.",

@@ -82,6 +82,11 @@ def normal_approx_pmf(n: int, k: int, p: float) -> float:
     return max(0.0, value)
 
 
+# a 0-d array: numpy subtracts an array from it faster than from a float
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
+
+
 def _pgf_hazard(degrees, x: float) -> np.ndarray:
     """1 - (1 - x)^k per degree for a per-link infection chance x.
 
@@ -90,7 +95,7 @@ def _pgf_hazard(degrees, x: float) -> np.ndarray:
     the base 1 - x would otherwise turn negative.
     """
     h = np.power(1.0 - min(max(x, 0.0), 1.0), degrees)
-    return np.subtract(1.0, h, out=h)
+    return np.subtract(_ONE, h, out=h)
 
 
 def hazard_profile(degrees: np.ndarray, p: float, lam: float) -> np.ndarray:

@@ -183,9 +183,11 @@ class _Block:
     it, built once per model.  The population is laid out from ``offset`` as
     s(nk) | I(types, stages, nk) | removed(nk); the three slices and the
     infected shape here are the only place that layout is computed.  Also:
-    the plan index of its source block, stage flow rates as a column (and,
-    for a one-type, one-stage block, its one rate as the 0-d array
-    ``mu``; else None), transmissibilities and initial susceptibles."""
+    the plan index of its source block, stage flow rates as a column (None
+    when every stage rate is 0: the block has no stage flow; and, for a
+    one-type, one-stage block, its one rate as the 0-d array ``mu``; else
+    None), transmissibilities, initial susceptibles and ``rows``, the state
+    slice of each infected (type, stage) row in layout order."""
 
     def __init__(self, pop, offset, source, rates):
         self.shape = (pop.n_types, pop.n_stages, pop.nk)
@@ -193,10 +195,11 @@ class _Block:
         b = a + pop.n_types * pop.n_stages * pop.nk
         self.s, self.infected, self.removed = slice(offset, a), slice(a, b), slice(b, b + pop.nk)
         self.pop, self.source, self.rates = pop, source, rates
-        self.flow_rates = pop.rates[:, :, None]
+        self.flow_rates = pop.rates[:, :, None] if pop.rates.any() else None
         # a 0-d view: numpy scales an array by it faster than by a float
         self.mu = pop.rates[0, 0, ...] if self.shape[:2] == (1, 1) else None
         self.s0 = (1.0 - pop.rho0) * (pop.weight * pop.dist.pmf)
+        self.rows = tuple(slice(i, i + pop.nk) for i in range(a, b, pop.nk))
 
 
 def _check_link_mode(link_mode):
@@ -227,6 +230,8 @@ class CompartmentModel:
                 or len(self.sources) != n or any(not 0 <= i < n for i in self.sources)):
             raise DomainError("populations, sources, rates and shares do not fit together")
         self.d, self.exit_rate = d, exit_rate
+        # 0-d copies: numpy scales an array by them faster than by a float
+        self._d, self._exit = np.array(d), np.array(exit_rate)
         self.treatable, self.link_mode = treatable, link_mode
         self._plan, self.dim = [], 0
         for pop, source, r in zip(self.populations, self.sources, self.rates):
@@ -327,7 +332,7 @@ class CompartmentModel:
             ds, d_inf, removal = dy[block.s], dy[block.infected], dy[block.removed]
             if self.d > 0:
                 np.subtract(block.s0, s, out=ds)
-                ds *= self.d
+                ds *= self._d
                 ds -= inflow
             else:
                 np.negative(inflow, out=ds)
@@ -338,17 +343,28 @@ class CompartmentModel:
                 np.subtract(inflow, removal, out=d_inf)
             else:
                 infected, d_inf = infected.reshape(block.shape), d_inf.reshape(block.shape)
-                flow = block.flow_rates * infected
                 entry = d_inf[:, 0]
                 np.multiply(self.shares if self.shares is not None
                             else self._hazard_shares(block, p), inflow, out=entry)
-                entry -= flow[:, 0]
-                if pop.n_stages > 1:
-                    np.subtract(flow[:, :-1], flow[:, 1:], out=d_inf[:, 1:])
-                np.add.reduce(flow[:, -1], axis=0, out=removal)
+                if block.flow_rates is None:
+                    # no stage flow: nothing moves between stages or into removal
+                    if pop.n_stages > 1:
+                        d_inf[:, 1:] = 0.0
+                    removal.fill(0.0)
+                else:
+                    flow = block.flow_rates * infected
+                    entry -= flow[:, 0]
+                    if pop.n_stages > 1:
+                        np.subtract(flow[:, :-1], flow[:, 1:], out=d_inf[:, 1:])
+                    np.add.reduce(flow[:, -1], axis=0, out=removal)
             if self.exit_rate > 0:
-                d_inf -= self.exit_rate * infected
-                removal += self.exit_rate * infected.reshape(block.shape).sum(axis=(0, 1))
+                d_inf -= self._exit * infected
+                # the infected rows added left to right: the order, and so the
+                # bits, of numpy's reduction over the leading axes
+                stock = y[block.rows[0]]
+                for row in block.rows[1:]:
+                    stock = stock + y[row]
+                removal += self._exit * stock
             total_inflow += float(np.add.reduce(inflow))
         return dy, total_inflow
 
@@ -529,6 +545,9 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                           f"record") from None
     Y[0] = models[0].initial_state()
     stage, k2, k3, k4 = np.empty((4, model.dim))   # rk4 stage state and slopes
+    # the step's factors as 0-d arrays: numpy scales an array by them
+    # faster than by a float
+    half, step, two, sixth = (np.array(x) for x in (dt / 2, dt, 2.0, dt / 6))
     row = 0
     # a run that leaves the range keeps stepping through inf and NaN to the
     # end of its chunk of _CHECK_ROWS steps; the chunk check reports it
@@ -549,19 +568,20 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                         # each stage state y + h k is built as h k + y in
                         # ``stage``, and the slopes are summed in place into
                         # k2: the same roundings as the written-out formula
-                        for h, k, out in ((dt / 2, k1, k2), (dt / 2, k2, k3), (dt, k3, k4)):
-                            np.multiply(k, h, out=stage)
+                        for h, scale, k, out in ((dt / 2, half, k1, k2), (dt / 2, half, k2, k3),
+                                                 (dt, step, k3, k4)):
+                            np.multiply(k, scale, out=stage)
                             stage += y
                             seg_model.rhs_full(t + h, stage, out=out)
-                        k2 *= 2.0
+                        k2 *= two
                         k2 += k1
-                        k3 *= 2.0
+                        k3 *= two
                         k2 += k3
                         k2 += k4
-                        k2 *= dt / 6
+                        k2 *= sixth
                         np.add(y, k2, out=nxt)
                     else:
-                        np.multiply(k1, dt, out=nxt)
+                        np.multiply(k1, step, out=nxt)
                         nxt += y
                     y = nxt
                     row += 1

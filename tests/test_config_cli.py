@@ -1,4 +1,8 @@
+import csv
 import json
+import runpy
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -771,6 +775,80 @@ class TestCliProcess:
                 in result.stderr)
         assert "Traceback" not in result.stderr
         assert not (out / output).exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("run-ode", {}),
+        ("sensitivity", {"sensitivity": {"ranges": {"lambda": [0.2, 0.4]}, "n_base": 64}}),
+        ("phase", {"phase": {"m": 1, "n": 1}}),
+        ("fit", {"fit": {"free": {"lambda": [0.1, 0.5]}, "initial": {"lambda": 0.3},
+                         "observed": [[2, 0.01], [4, 0.02]]}})])
+    @pytest.mark.parametrize("field, change, message", [
+        ("dt", {"dt": 0.3}, "t_span [0.0, 10.0] is not a whole number of dt=0.3 steps"),
+        ("treatment.epochs", {"treatment": {"epochs": [4.25], "coverages": [0.7]}},
+         "treatment epoch [0.0, 4.25] is not a whole number of dt=0.5 steps")],
+        ids=["dt", "treatment.epochs"])
+    def test_ode_off_the_dt_grid(self, tmp_path, monkeypatch, command, section, field, change,
+                                 message):
+        # both used to fail at the first integrate, after the output
+        # directory was made, and the epoch message named no config path
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a model ran")
+        monkeypatch.setattr(cli, "integrate", no_runs)
+        monkeypatch.setattr(cli, "run_trajectory", no_runs)
+        cfg = self.write(tmp_path, {
+            "model": "hiv_msm", "lambda": 0.3, "rho0": 0.05, "d": 0.05,
+            "distribution": {"type": "power_law", "gamma": 2.0, "k_min": 1, "k_max": 20},
+            "t_span": [0, 10], "method": "rk4", "dt": 0.5, **section, **change})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {field}: {message}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    def test_sensitivity_with_no_defined_index(self, tmp_path):
+        # at lambda 0 the incidence is 0 whatever mu is, so every index is
+        # NaN; the summary used to end in nanargmax's "All-NaN slice" traceback
+        cfg = self.write(tmp_path, {**MINIMAL_CLASSIC, "lambda": 0.0, "t_span": [0, 10],
+                                    "method": "euler", "dt": 1.0,
+                                    "sensitivity": {"ranges": {"mu": [0.1, 0.2]}, "n_base": 64}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["sensitivity", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "max_index=none (no index is defined: the output does not vary)" in result.stdout
+        rows = (out / "sobol.csv").read_text().splitlines()
+        assert rows[0] == "t,S_mu"
+        assert len(rows) == 12 and all(row.split(",")[1] == "nan" for row in rows[1:])
+
+    def test_compare_plot_draws_the_configured_band(self, tmp_path, monkeypatch):
+        # the script used to draw +-3 SE whatever compare.band_sigmas was;
+        # it is run here against a stand-in pyplot that records the band
+        cfg = self.write(tmp_path, {**FIG1, "t_span": [0, 20], "method": "euler", "dt": 1.0,
+                                    "abm": {"n": 300, "replicas": 2, "seed": 1},
+                                    "compare": {"band_sigmas": 2.0}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["compare", "--config", cfg, "--out", str(out),
+                                           "--plot"])
+        assert result.exit_code == 0, result.output
+        drawn = {}
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.fill_between = lambda t, low, high, **kw: drawn.update(low=low, high=high, **kw)
+        for name in ("plot", "xlabel", "ylabel", "legend", "tight_layout", "savefig"):
+            setattr(pyplot, name, lambda *args, **kwargs: None)
+        matplotlib = types.ModuleType("matplotlib")
+        matplotlib.pyplot = pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        runpy.run_path(str(out / "plot_comparison.py"))
+        with open(out / "comparison.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        mean = np.array([float(r["mean_prev"]) for r in rows])
+        se = np.array([float(r["se_prev"]) for r in rows])
+        assert drawn["label"] == "ABM +-2 SE"
+        assert np.array_equal(drawn["low"], mean - 2.0 * se)
+        assert np.array_equal(drawn["high"], mean + 2.0 * se)
+        assert se.max() > 0
 
     def test_fit_names_a_parameter_ending_on_its_bound(self, tmp_path):
         # truth lambda 0.1; from a start at the upper bound the simplex stops

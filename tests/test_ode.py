@@ -828,6 +828,10 @@ def _guard_cases():
         ("two_type-hazard-stage-rows", lambda: build_model(
             "two_type", replace(staged, rho0_type2=0.3, stage_rates=[[0.3, 0.2], [0.1, 0.4]]),
             FIG1_DIST), (0, 30), 1.0, "euler", None),
+        # every stage rate 0: a one-type block on the general branch with no stage flow
+        ("stratified-zero-stages", lambda: build_model(
+            "stratified", replace(staged, stage_rates=[0.0, 0.0]), FIG1_DIST),
+         (0, 15), 0.5, "rk4", None),
         ("two_type-split", lambda: build_model(
             "two_type", replace(_PARAMS, split=0.3, rho0_type2=0.2), FIG1_DIST),
          (0, 15), 0.5, "rk4", None),
@@ -837,6 +841,10 @@ def _guard_cases():
         ("hiv_hetero-two-epochs", lambda: build_model(
             "hiv_hetero", replace(_HIV_PARAMS, stage_rates=[0.2, 0.1]), FIG1_DIST, _DIST2),
          (0, 15), 0.25, "rk4", TreatmentSchedule(epochs=(5.0, 10.0), coverages=(0.5, 0.8))),
+        # a zero-rate stage next to a live one: the block keeps its stage flow
+        ("hiv_msm-zero-and-live-stage", lambda: build_model(
+            "hiv_msm", replace(_HIV_PARAMS, stage_rates=[0.0, 0.2]), FIG1_DIST),
+         (0, 15), 0.5, "rk4", TreatmentSchedule(epochs=(5.0,), coverages=(0.6,))),
         ("hiv_msm-epoch-fixed", lambda: build_model(
             "hiv_msm", replace(_HIV_PARAMS, link_mode="fixed"), FIG1_DIST),
          (0, 30), 1.0, "euler", TreatmentSchedule(epochs=(10.0,), coverages=(0.7,))),
@@ -905,6 +913,18 @@ class TestStepCheck:
         assert new == ref
         failed_at = float(new.split("at t=")[1].split(";")[0])
         assert failed_at > 30.0 and failed_at % 3.0 == 0.0
+
+    def test_blowup_without_stage_flow(self):
+        # HIV blocks without stage rates have no stage flow; infected leave
+        # only at the exit rate d = 1, where the rk4 amplification at dt = 50
+        # is about 2.4e5 per step: the run leaves the range at the second
+        # step and overflows to inf and NaN before its chunk ends
+        def factory():
+            return build_model("hiv_hetero", EpidemicParams(lam=0.3, rho0=1e-12, d=1.0),
+                               FIG1_DIST, _DIST2)
+        new, ref = self.messages(factory, (0, 5000), 50.0, "rk4")
+        assert new == ref
+        assert "at t=100;" in new
 
     def test_crossing_only_the_ceiling(self):
         # SI with replenishment (mu = 0, d > 0): infected never leave while
