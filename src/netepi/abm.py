@@ -72,7 +72,8 @@ import numpy as np
 
 from .degree import DegreeDistribution, sample_degrees
 from .errors import DomainError, is_integer
-from .ode import CompartmentModel, Trajectory, TreatmentSchedule, _check_grid, _is_number
+from .ode import (CompartmentModel, Trajectory, TreatmentSchedule, _check_grid, _check_kind,
+                  _is_number)
 
 
 @dataclass
@@ -242,17 +243,15 @@ def chain_limit(model: CompartmentModel) -> tuple[str, str] | None:
     if model.link_mode == "fixed" and model.d > 0:
         # replenished nodes would pair on top of the initial stubs
         return "d", f"d = 0 under link_mode 'fixed', got d={model.d!r}"
+    # the model holds its transmissibilities and d in [0, 1]; a leave rate may pass 1
     leave = (pop.rates[:, 0] + model.exit_rate).tolist()
-    for what, values in (("transmissibilities", model.rates[0]), ("leave rates", leave),
-                         ("replenishment rates", [model.d])):
-        if not all(0.0 <= p <= 1.0 for p in values):
-            return "stage_rates", f"{what} in [0, 1], got {list(values)}"
+    if not all(p <= 1.0 for p in leave):
+        return "stage_rates", f"leave rates in [0, 1], got {leave}"
     return None
 
 
 def _check_model(model):
-    if not isinstance(model, CompartmentModel):
-        raise DomainError(f"model must be a CompartmentModel, got {model!r}")
+    _check_kind("model", model, CompartmentModel)
     limit = chain_limit(model)
     if limit is not None:
         raise DomainError(f"the agent-based chain needs {limit[1]}")
@@ -276,6 +275,7 @@ def simulate_epidemic(
     pairing all live nodes, the ones demography added the step before too.
     """
     _check_model(model)
+    _check_kind("schedule", schedule, TreatmentSchedule, optional=True)
     _check_n(n)
     if not (is_integer(steps) and steps >= 1):
         raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
@@ -296,7 +296,7 @@ def simulate_epidemic(
         new_total = np.zeros(steps + 1, dtype=np.int64)
     except (MemoryError, ValueError):
         raise DomainError(f"steps={steps} is too many to record") from None
-    lam, lam2 = (*model.rates[0], 0.0)[:2]
+    lam, lam2 = (*pop.lam, 0.0)[:2]
     fixed = model.link_mode == "fixed"
     leave = (pop.rates[:, 0] + model.exit_rate)[:, None]
 

@@ -186,6 +186,8 @@ def _value(mapping, path, key, field):
         return value
     if field.choices and field.kind is str:
         raise ConfigError(full, f"expected one of {field.choices}, got {value!r}")
+    if isinstance(value, str) and "\x00" in value:   # no file path holds one
+        raise ConfigError(full, "expected a string without a NUL character")
     accepted, name = _KINDS[field.kind]
     if not isinstance(value, accepted) or isinstance(value, bool) and field.kind is not bool:
         expected = " or ".join([*map(repr, field.choices), name])

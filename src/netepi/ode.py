@@ -10,17 +10,18 @@ closed-form hazard 1 - (1 - lam p)^k (two groups: 1 - (1 - lam1 p1 -
 lam2 p2)^k), the link-count average computed once per population per RHS
 by ``mixing.hazard_profile`` / ``hazard_profile_two``.
 
-Every model is one ``CompartmentModel``: populations x infected types x
-stages, each population laid out as s(nk) | I(types, stages, nk) |
-removed(nk), and configured by data: per population a degree distribution,
-weight and rho0; per target population the source population it is
-infected through and one transmissibility per type; the seed and routing
-shares of the types (routing may be "hazard": in proportion to each type's
-own one-type hazard); an infected exit rate; and whether a treatment
-coverage may set the shares, in a copy (``at_coverage``): a built model
-never changes.  The six named models are builders over it, each
-``builder(params, dist, dist2)`` reading every number and option from one
-``EpidemicParams`` record:
+Every model is one ``CompartmentModel`` of populations x infected types x
+stages with one record per population, laid out as s(nk) |
+I(types, stages, nk) | removed(nk).  It is configured by data: one row
+(dist, rho0, weight, name) per population, and per population the source
+population it is infected through and one transmissibility per type; the
+types' seed and routing shares, whose length is the type count (routing may
+be "hazard": in proportion to each type's own one-type hazard); the stage
+rates, one list or one per type (default one stage at mu); d, an exit rate
+and whether a treatment coverage may set the shares, in a copy
+(``at_coverage``): a built model never changes.  The six named models are
+builders over it, each ``builder(params, dist, dist2)`` reading every
+number and option from one ``EpidemicParams`` record:
 
 classic      stratified at k = 1 with the fixed link denominator, which is
              s' = -lam rho s,  rho' = lam rho s - mu rho,  r' = mu rho
@@ -49,7 +50,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from numbers import Real
+from numbers import Integral, Real
 from sys import float_info
 
 import numpy as np
@@ -62,6 +63,7 @@ STATE_FLOOR = -1e-6   # integration aborts below this
 STATE_CEIL = 1.0 + 1e-6   # ... or above this in an s or infected entry
 
 
+_LINK_MODES = ("active", "fixed")
 # the interval each numeric EpidemicParams field must lie in
 _INTERVALS = {"lam": "[0, 1]", "mu": "[0, 1]", "rho0": "(0, 1)", "d": "[0, 1]", "lam2": "[0, 1]",
               "rho0_2": "[0, 1)", "treatment_efficacy": "[0, 1]", "split": "[0, 1]",
@@ -100,27 +102,58 @@ class EpidemicParams:
     def __post_init__(self):
         for name, interval in _INTERVALS.items():
             v = getattr(self, name)
-            if (v is None and name in ("lam2", "rho0_2")
+            if not (v is None and name in ("lam2", "rho0_2")
                     or name == "split" and isinstance(v, str) and v == "hazard"):
-                continue
-            if not (_is_number(v) and (0 < v if interval[0] == "(" else 0 <= v)
-                    and (v < 1 if interval[-1] == ")" else v <= 1)):
                 what = "'hazard' or a fraction in" if name == "split" else "in"
-                raise DomainError(f"{name} must be {what} {interval}, got {v!r}")
-        _check_link_mode(self.link_mode)
-        rates = self.stage_rates
-        if rates is not None:
+                _check(name, v, lambda x: _in(x, interval), f"{what} {interval}")
+        _check("link_mode", self.link_mode, _LINK_MODES.__contains__, "'active' or 'fixed'")
+        if self.stage_rates is not None:
             if self.mu != 0.0:
                 raise DomainError("stage_rates replaces mu; set mu=0 when providing stages")
-            seq = (list, tuple)
-            nested = isinstance(rates, seq) and rates and isinstance(rates[0], seq)
-            rows = rates if nested else [rates]
-            if not (all(isinstance(r, seq) and r and all(_is_number(v) and 0 <= v <= 1 for v in r)
-                        for r in rows) and len(set(map(len, rows))) == 1):
-                raise DomainError(f"stage_rates must be rates in [0, 1], one list or one per "
-                                  f"type, got {rates!r}")
-            rows = tuple(tuple(map(float, r)) for r in rows)   # hashable, as the record
-            object.__setattr__(self, "stage_rates", rows if nested else rows[0])
+            object.__setattr__(self, "stage_rates", _stage_rows(self.stage_rates))
+
+
+def _is_number(value) -> bool:
+    """A real number a float holds finitely (math.isfinite raises past it); no bool."""
+    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= float_info.max
+
+
+def _in(value, interval="[0, 1]"):
+    """Whether ``value`` is a number in ``interval``, "[0, 1]" with either end open."""
+    return (_is_number(value) and (0 < value if interval[0] == "(" else 0 <= value)
+            and (value < 1 if interval[-1] == ")" else value <= 1))
+
+
+def _check(name, value, ok, what):
+    """``value`` if ``ok(value)``, else a DomainError naming ``name``."""
+    if not ok(value):
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _items(name, values, ok, what):
+    """``values`` as a tuple if it is a list or tuple of items that pass ``ok``."""
+    return tuple(_check(name, values, lambda v: isinstance(v, (list, tuple)) and all(map(ok, v)),
+                        what))
+
+
+def _check_kind(name, value, kind, optional=False):
+    _check(name, value, lambda v: isinstance(v, kind) or optional and v is None,
+           f"a {kind.__name__}")
+
+
+def _stage_rows(rates):
+    """``rates`` as a tuple of stage rates in [0, 1], or of such rows of one
+    length, one per type (hashable, as the record)."""
+    seq = (list, tuple)
+    nested = isinstance(rates, seq) and rates and isinstance(rates[0], seq)
+    rows = rates if nested else [rates]
+    if not (all(isinstance(r, seq) and r and all(map(_in, r)) for r in rows)
+            and len(set(map(len, rows))) == 1):
+        raise DomainError(f"stage_rates must be rates in [0, 1], one list or one per type, "
+                          f"got {rates!r}")
+    rows = tuple(tuple(map(float, r)) for r in rows)
+    return rows if nested else rows[0]
 
 
 def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
@@ -149,97 +182,79 @@ def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
     return [x / total for x in p] if total > 1.0 + 1e-12 else p
 
 
-def _stage_matrix(stage_rates, n_types, mu):
-    """Per-type stage-rate rows (EpidemicParams checks the rates); default one
-    stage at rate mu."""
-    if stage_rates is None:
-        return np.full((n_types, 1), mu)
-    rates = np.asarray(stage_rates, dtype=float)
-    if rates.ndim == 1:
-        rates = np.tile(rates, (n_types, 1))
-    if rates.ndim != 2 or rates.shape[0] != n_types:
-        raise DomainError(f"stage_rates must be one rate list or one per type ({n_types})")
-    return rates
-
-
 class _Population:
-    """One population: degree grid, stage-rate rows, seeding and weight."""
+    """A population's one record, built by ``CompartmentModel`` from its row
+    (dist, rho0, weight, name), ``source`` index, transmissibilities ``lam``
+    and the model's stage matrix ``rates``.  Its slices, infected ``shape``
+    and ``rows`` (a slice per infected (type, stage) row) are the only place
+    the layout s(nk) | I(types, stages, nk) | removed(nk) from ``offset`` is
+    computed.  For the RHS: ``flow_rates`` (None without stage flow), the 0-d
+    ``mu`` of a one-type, one-stage population, ``s0``, ``fixed_edge_mass``."""
 
-    def __init__(self, dist: DegreeDistribution, n_types: int, stage_rates, mu: float,
-                 rho0: float, weight: float = 1.0, name: str = ""):
-        self.dist = dist
-        self.k = dist.degrees   # integer grid; ``degrees`` is its float copy
+    def __init__(self, row, source, lam, rates, offset):
+        self.dist, self.rho0, self.weight, self.name = row
+        self.k = self.dist.degrees   # integer grid; ``degrees`` is its float copy
         self.k.flags.writeable = False
         self.degrees = self.k.astype(float)
         self.nk = len(self.degrees)
-        self.rates = _stage_matrix(stage_rates, n_types, mu)
-        self.n_types, self.n_stages = self.rates.shape
-        self.rho0, self.weight, self.name = rho0, weight, name
-        self.fixed_edge_mass = weight * mean_degree(dist)
-
-
-class _Block:
-    """One population's place in the state vector and what the RHS needs of
-    it, built once per model.  The population is laid out from ``offset`` as
-    s(nk) | I(types, stages, nk) | removed(nk); the three slices and the
-    infected shape here are the only place that layout is computed.  Also:
-    the plan index of its source block, stage flow rates as a column (None
-    when every stage rate is 0: the block has no stage flow; and, for a
-    one-type, one-stage block, its one rate as the 0-d array ``mu``; else
-    None), transmissibilities, initial susceptibles and ``rows``, the state
-    slice of each infected (type, stage) row in layout order."""
-
-    def __init__(self, pop, offset, source, rates):
-        self.shape = (pop.n_types, pop.n_stages, pop.nk)
-        a = offset + pop.nk
-        b = a + pop.n_types * pop.n_stages * pop.nk
-        self.s, self.infected, self.removed = slice(offset, a), slice(a, b), slice(b, b + pop.nk)
-        self.pop, self.source, self.rates = pop, source, rates
-        self.flow_rates = pop.rates[:, :, None] if pop.rates.any() else None
+        self.source, self.lam, self.rates = source, tuple(lam), rates
+        self.n_types, self.n_stages = rates.shape
+        self.shape = (self.n_types, self.n_stages, self.nk)
+        a, b = offset + self.nk, offset + self.nk * (1 + rates.size)
+        self.s, self.infected, self.removed = slice(offset, a), slice(a, b), slice(b, b + self.nk)
+        self.rows = tuple(slice(i, i + self.nk) for i in range(a, b, self.nk))
+        self.flow_rates = rates[:, :, None] if rates.any() else None
         # a 0-d view: numpy scales an array by it faster than by a float
-        self.mu = pop.rates[0, 0, ...] if self.shape[:2] == (1, 1) else None
-        self.s0 = (1.0 - pop.rho0) * (pop.weight * pop.dist.pmf)
-        self.rows = tuple(slice(i, i + pop.nk) for i in range(a, b, pop.nk))
-
-
-def _check_link_mode(link_mode):
-    if link_mode not in ("active", "fixed"):
-        raise DomainError(f"link_mode must be 'active' or 'fixed', got {link_mode!r}")
+        self.mu = rates[0, 0, ...] if self.shape[:2] == (1, 1) else None
+        self.s0 = (1.0 - self.rho0) * (self.weight * self.dist.pmf)
+        self.fixed_edge_mass = self.weight * mean_degree(self.dist)
 
 
 class CompartmentModel:
     """Populations x infected types x stages, configured by data (module
-    docstring).  ``d`` is the susceptible replenishment rate; ``bounded``
-    marks the s and infected entries, the ones STATE_CEIL applies to;
-    ``shares`` the routing column (None for "hazard").  Never written once built."""
+    docstring): ``populations`` holds one record per population, ``d`` is the
+    replenishment rate, ``bounded`` marks the s and infected entries (the ones
+    STATE_CEIL applies to), ``shares`` is the routing column (None for
+    "hazard").  Never written once built."""
 
-    def __init__(self, populations, sources, rates, seed, routing, d=0.0, exit_rate=0.0,
-                 treatable=False, link_mode="active"):
-        _check_link_mode(link_mode)
-        self.populations = list(populations)
-        self.sources = tuple(sources)
-        self.rates = [tuple(r) for r in rates]
-        self.seed = tuple(seed)
-        self.routing = routing if isinstance(routing, str) else tuple(routing)
-        types = {p.n_types for p in self.populations} | {len(r) for r in self.rates}
-        types |= {len(self.seed), 2 if self.routing == "hazard" else len(self.routing)}
-        n = len(self.populations)
+    def __init__(self, populations, sources, rates, seed, routing, stage_rates=None, mu=0.0,
+                 d=0.0, exit_rate=0.0, treatable=False, link_mode="active"):
+        _check("link_mode", link_mode, _LINK_MODES.__contains__, "'active' or 'fixed'")
+        for name, value in (("mu", mu), ("d", d), ("exit_rate", exit_rate)):
+            _check(name, value, _in, "in [0, 1]")
+        rows = _items("populations", populations, lambda r: (
+            isinstance(r, (list, tuple)) and len(r) == 4 and isinstance(r[0], DegreeDistribution)
+            and _in(r[1], "[0, 1)") and _in(r[2], "(0, 1]") and isinstance(r[3], str)),
+            "rows (DegreeDistribution, rho0 in [0, 1), weight in (0, 1], name)")
+        n = len(rows)
+        sources = _items("sources", sources, lambda i: isinstance(i, Integral) and 0 <= i < n,
+                         f"population indices in [0, {n})")
+        rates = _items("rates", rates, lambda r: isinstance(r, (list, tuple)) and all(map(_in, r)),
+                       "rows of transmissibilities in [0, 1]")
+        self.seed = _items("seed", seed, _in, "shares in [0, 1]")
+        self.routing = routing if isinstance(routing, str) and routing == "hazard" else _items(
+            "routing", routing, _in, "'hazard' or shares in [0, 1]")
+        types = len(self.seed)
         # one type takes every new infection: the RHS routes it unscaled
-        if (len(types) != 1 or types - {1, 2} or types == {1} and self.routing != (1.0,)
-                or len(self.rates) != n
-                or len(self.sources) != n or any(not 0 <= i < n for i in self.sources)):
+        if (not n or types not in (1, 2) or types == 1 and self.routing != (1.0,)
+                or (2 if self.routing == "hazard" else len(self.routing)) != types
+                or len(sources) != n or len(rates) != n or any(len(r) != types for r in rates)):
             raise DomainError("populations, sources, rates and shares do not fit together")
+        # the stage-rate rows, one per type: by default one stage at mu
+        stages = np.array([float(mu)] if stage_rates is None else _stage_rows(stage_rates))
+        stages = np.tile(stages, (types, 1)) if stages.ndim == 1 else stages
+        if len(stages) != types:
+            raise DomainError(f"stage_rates must be one rate list or one per type ({types})")
         self.d, self.exit_rate = d, exit_rate
         # 0-d copies: numpy scales an array by them faster than by a float
         self._d, self._exit = np.array(d), np.array(exit_rate)
         self.treatable, self.link_mode = treatable, link_mode
-        self._plan, self.dim = [], 0
-        for pop, source, r in zip(self.populations, self.sources, self.rates):
-            self._plan.append(_Block(pop, self.dim, source, r))
-            self.dim = self._plan[-1].removed.stop
-        self.bounded = np.ones(self.dim, dtype=bool)
-        for block in self._plan:
-            self.bounded[block.removed] = False
+        self.populations, self.dim = [], 0
+        for row, source, lam in zip(rows, sources, rates):
+            self.populations.append(_Population(row, source, lam, stages, self.dim))
+            self.dim = self.populations[-1].removed.stop
+        self.bounded = np.concatenate([np.arange(p.s.start, p.removed.stop) < p.removed.start
+                                       for p in self.populations])
         self.shares = None if self.routing == "hazard" else np.array(self.routing)[:, None]
 
     def blocks(self, y):
@@ -249,27 +264,24 @@ class CompartmentModel:
         if y.shape[-1:] != (self.dim,):
             raise DomainError(f"state array has shape {y.shape}, expected (..., {self.dim})")
         lead = y.shape[:-1]
-        return [(y[..., b.s], y[..., b.infected].reshape(*lead, *b.shape), y[..., b.removed])
-                for b in self._plan]
+        return [(y[..., p.s], y[..., p.infected].reshape(*lead, *p.shape), y[..., p.removed])
+                for p in self.populations]
 
     def initial_state(self) -> np.ndarray:
         y = np.zeros(self.dim)
-        for block in self._plan:
-            pop = block.pop
-            y[block.s] = block.s0
-            infected = y[block.infected].reshape(block.shape)
+        for pop in self.populations:
+            y[pop.s] = pop.s0
+            infected = y[pop.infected].reshape(pop.shape)
             for t, frac in enumerate(self.seed):
                 infected[t, 0] = frac * pop.rho0 * (pop.weight * pop.dist.pmf)
         return y
 
     def at_coverage(self, coverage):
         """A copy that seeds and routes infections untreated : treated as
-        1 - c : c.  It shares this model's plan."""
+        1 - c : c.  It shares this model's populations."""
         if not self.treatable:
             raise DomainError("treatment coverage requires an HIV model")
-        if not (_is_number(coverage) and 0.0 <= coverage <= 1.0):
-            raise DomainError(f"treatment coverage must be in [0, 1], got {coverage!r}")
-        c = float(coverage)
+        c = float(_check("treatment coverage", coverage, _in, "in [0, 1]"))
         model = copy.copy(self)
         model.seed = model.routing = (1.0 - c, c)
         model.shares = np.array(model.routing)[:, None]
@@ -286,11 +298,11 @@ class CompartmentModel:
         return y
 
     @staticmethod
-    def _hazard_shares(block, p):
+    def _hazard_shares(pop, p):
         """Share of new infections entering each type in proportion to each
         type's own one-type hazard, shaped (types, nk)."""
-        h1 = hazard_profile(block.pop.degrees, p[0], block.rates[0])
-        h2 = hazard_profile(block.pop.degrees, p[1], block.rates[1])
+        h1 = hazard_profile(pop.degrees, p[0], pop.lam[0])
+        h2 = hazard_profile(pop.degrees, p[1], pop.lam[1])
         total = h1 + h2
         w1 = np.divide(h1, total, out=np.full(len(h1), 0.5), where=total > 0)
         return np.stack([w1, 1.0 - w1])
@@ -299,7 +311,7 @@ class CompartmentModel:
         """(dy/dt, aggregate new-infection inflow rate).  dy is written into
         ``out`` (a float64 array of shape (dim,) that does not overlap ``y``)
         when one is given, and returned.  Parts of dy are written before the
-        last reads of ``y`` (a one-type, one-stage block writes its stage
+        last reads of ``y`` (a one-type, one-stage population writes its stage
         flow into the removal row, then reads it back), which is why the two
         must not overlap."""
         if y.shape != (self.dim,):
@@ -313,46 +325,45 @@ class CompartmentModel:
             dy = out
         total_inflow = 0.0
         fixed = self.link_mode == "fixed"
-        plan = self._plan
-        for block in plan:
-            pop, src, rates = block.pop, plan[block.source], block.rates
-            s, infected = y[block.s], y[block.infected]
-            src_s, src_inf = (s, infected) if src is block else (y[src.s], y[src.infected])
-            if src.pop.n_stages == 1:
-                rho = src_inf.reshape(src.shape[0], -1)
+        pops = self.populations
+        for pop in pops:
+            src, lam = pops[pop.source], pop.lam
+            s, infected = y[pop.s], y[pop.infected]
+            src_s, src_inf = (s, infected) if src is pop else (y[src.s], y[src.infected])
+            if src.n_stages == 1:
+                rho = src_inf.reshape(src.n_types, -1)
             else:
                 rho = src_inf.reshape(src.shape).sum(axis=1)
-            p = _link_fractions(src.pop.degrees, src_s, rho,
-                                src.pop.fixed_edge_mass if fixed else None)
-            if len(rates) == 1:
-                hazard = hazard_profile(pop.degrees, p[0], rates[0])
+            p = _link_fractions(src.degrees, src_s, rho, src.fixed_edge_mass if fixed else None)
+            if len(lam) == 1:
+                hazard = hazard_profile(pop.degrees, p[0], lam[0])
             else:
-                hazard = hazard_profile_two(pop.degrees, LinkProbabilities(p[0], p[1]), *rates)
+                hazard = hazard_profile_two(pop.degrees, LinkProbabilities(p[0], p[1]), *lam)
             inflow = np.multiply(s, hazard, out=hazard)
-            ds, d_inf, removal = dy[block.s], dy[block.infected], dy[block.removed]
+            ds, d_inf, removal = dy[pop.s], dy[pop.infected], dy[pop.removed]
             if self.d > 0:
-                np.subtract(block.s0, s, out=ds)
+                np.subtract(pop.s0, s, out=ds)
                 ds *= self._d
                 ds -= inflow
             else:
                 np.negative(inflow, out=ds)
-            if block.mu is not None:
+            if pop.mu is not None:
                 # one type in one stage: the stage flow is the removal row,
                 # and the type's routing share is 1
-                np.multiply(infected, block.mu, out=removal)
+                np.multiply(infected, pop.mu, out=removal)
                 np.subtract(inflow, removal, out=d_inf)
             else:
-                infected, d_inf = infected.reshape(block.shape), d_inf.reshape(block.shape)
+                infected, d_inf = infected.reshape(pop.shape), d_inf.reshape(pop.shape)
                 entry = d_inf[:, 0]
                 np.multiply(self.shares if self.shares is not None
-                            else self._hazard_shares(block, p), inflow, out=entry)
-                if block.flow_rates is None:
+                            else self._hazard_shares(pop, p), inflow, out=entry)
+                if pop.flow_rates is None:
                     # no stage flow: nothing moves between stages or into removal
                     if pop.n_stages > 1:
                         d_inf[:, 1:] = 0.0
                     removal.fill(0.0)
                 else:
-                    flow = block.flow_rates * infected
+                    flow = pop.flow_rates * infected
                     entry -= flow[:, 0]
                     if pop.n_stages > 1:
                         np.subtract(flow[:, :-1], flow[:, 1:], out=d_inf[:, 1:])
@@ -361,8 +372,8 @@ class CompartmentModel:
                 d_inf -= self._exit * infected
                 # the infected rows added left to right: the order, and so the
                 # bits, of numpy's reduction over the leading axes
-                stock = y[block.rows[0]]
-                for row in block.rows[1:]:
+                stock = y[pop.rows[0]]
+                for row in pop.rows[1:]:
                     stock = stock + y[row]
                 removal += self._exit * stock
             total_inflow += float(np.add.reduce(inflow))
@@ -371,19 +382,15 @@ class CompartmentModel:
     def totals(self, Y):
         """(susceptible, prevalence, removed) per row of a (rows, dim) state
         array clamped at 0: each population's s, infected and removed slices
-        summed per row, then the populations added in plan order."""
+        summed per row, then the populations added in order."""
         Y = np.maximum(Y, 0.0)
-        parts = [[Y[:, b.s].sum(axis=1), Y[:, b.infected].sum(axis=1),
-                  Y[:, b.removed].sum(axis=1)] for b in self._plan]
+        parts = [[Y[:, p.s].sum(axis=1), Y[:, p.infected].sum(axis=1),
+                  Y[:, p.removed].sum(axis=1)] for p in self.populations]
         return tuple(reduce(np.add, column) for column in zip(*parts))
 
     def degree_labels(self) -> list[str]:
-        labels = []
-        for pop in self.populations:
-            prefix = f"{pop.name}_" if pop.name else ""
-            labels += [f"{prefix}s_k{k}" for k in pop.k]
-            labels += [f"{prefix}i_k{k}" for k in pop.k]
-        return labels
+        return [f"{p.name}_{c}_k{k}" if p.name else f"{c}_k{k}"
+                for p in self.populations for c in "si" for k in p.k]
 
     def degree_columns(self, Y) -> np.ndarray:
         """Per-degree table of a (rows, dim) state array in ``degree_labels()``
@@ -453,8 +460,7 @@ class TreatmentSchedule:
         if any(b <= a for a, b in zip(self.epochs, self.epochs[1:])):
             raise DomainError("treatment epochs must be strictly increasing")
         for c in (self.initial_coverage, *self.coverages):
-            if not (_is_number(c) and 0.0 <= c <= 1.0):
-                raise DomainError(f"coverage must be in [0, 1], got {c}")
+            _check("coverage", c, _in, "in [0, 1]")
 
     def coverage_at(self, t) -> float:
         """The coverage in force at time ``t``, set by the last epoch <= t."""
@@ -469,11 +475,6 @@ def _check_grid(t0, t1, dt, what="t_span"):
     if n < 1 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1 - t0)):
         raise DomainError(f"{what} [{t0}, {t1}] is not a whole number of dt={dt} steps")
     return n
-
-
-def _is_number(value) -> bool:
-    """A real number a float holds finitely (math.isfinite raises past it); no bool."""
-    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= float_info.max
 
 
 # steps between two state range checks: a run that leaves the range stops
@@ -512,19 +513,19 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     repartition; a failure raises StabilityError naming the time of the
     first step that left the range.
     """
+    _check_kind("model", model, CompartmentModel)
+    _check_kind("schedule", schedule, TreatmentSchedule, optional=True)
     try:
         t0, t1 = t_span
     except (TypeError, ValueError):
         raise DomainError(f"t_span must be [t0, t1], got {t_span!r}") from None
     if not (_is_number(t0) and _is_number(t1)):
         raise DomainError(f"t_span must be two finite numbers, got {t_span!r}")
-    if not (_is_number(dt) and dt > 0):
-        raise DomainError(f"dt must be a finite positive number, got {dt!r}")
+    _check("dt", dt, lambda v: _is_number(v) and v > 0, "a finite positive number")
     t0, t1 = float(t0), float(t1)
     if t1 <= t0:
         raise DomainError(f"t_span end {t1} must exceed start {t0}")
-    if method not in ("euler", "rk4"):
-        raise DomainError(f"method must be 'euler' or 'rk4', got {method!r}")
+    _check("method", method, ("euler", "rk4").__contains__, "'euler' or 'rk4'")
     _check_grid(t0, t1, dt)
 
     bounds, models = [t0, t1], [model]   # segment i runs models[i] from bounds[i]
@@ -603,22 +604,14 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
 _SINGLE_DEGREE = DegreeDistribution(1, 1, np.array([1.0]))
 
 
-def _hiv_shares(params):
-    """Seed and routing at coverage 0, where the HIV builders build."""
-    if params.mu != 0.0:
-        raise DomainError("hiv models have no mu removal; use d and/or stage_rates")
-    return (1.0, 0.0)
-
-
 def _classic(params, dist, dist2):
     """Homogeneous SIR: the degenerate network with one link per node."""
     return _stratified(replace(params, link_mode="fixed"), _SINGLE_DEGREE, None)
 
 
 def _stratified(params, dist, dist2):
-    pop = _Population(dist, 1, params.stage_rates, params.mu, params.rho0)
-    return CompartmentModel([pop], (0,), [(params.lam,)], (1.0,), (1.0,), d=params.d,
-                            link_mode=params.link_mode)
+    return CompartmentModel([(dist, params.rho0, 1.0, "")], (0,), [(params.lam,)], (1.0,), (1.0,),
+                            params.stage_rates, params.mu, d=params.d, link_mode=params.link_mode)
 
 
 def _two_type(params, dist, dist2):
@@ -627,10 +620,9 @@ def _two_type(params, dist, dist2):
         raise DomainError("two_type model requires lam2")
     split, rho0_type2 = params.split, params.rho0_type2
     routing = split if split == "hazard" else (float(split), 1.0 - float(split))
-    pop = _Population(dist, 2, params.stage_rates, params.mu, params.rho0)
-    return CompartmentModel([pop], (0,), [(params.lam, params.lam2)],
-                            (1.0 - rho0_type2, rho0_type2), routing, d=params.d,
-                            link_mode=params.link_mode)
+    return CompartmentModel([(dist, params.rho0, 1.0, "")], (0,), [(params.lam, params.lam2)],
+                            (1.0 - rho0_type2, rho0_type2), routing, params.stage_rates,
+                            params.mu, d=params.d, link_mode=params.link_mode)
 
 
 def _bipartite(params, dist, dist2):
@@ -639,31 +631,29 @@ def _bipartite(params, dist, dist2):
         raise DomainError("bipartite model requires lam2")
     w1, w2 = params.side_fraction, 1.0 - params.side_fraction
     rho0_2 = params.rho0 if params.rho0_2 is None else params.rho0_2
-    pops = [_Population(dist, 1, params.stage_rates, params.mu, params.rho0, w1, "s1"),
-            _Population(dist2, 1, params.stage_rates, params.mu, rho0_2, w2, "s2")]
-    return CompartmentModel(pops, (1, 0), [(params.lam2,), (params.lam,)], (1.0,), (1.0,),
-                            d=params.d, link_mode=params.link_mode)
+    rows = [(dist, params.rho0, w1, "s1"), (dist2, rho0_2, w2, "s2")]
+    return CompartmentModel(rows, (1, 0), [(params.lam2,), (params.lam,)], (1.0,), (1.0,),
+                            params.stage_rates, params.mu, d=params.d, link_mode=params.link_mode)
 
 
 def _hiv_msm(params, dist, dist2):
-    shares = _hiv_shares(params)
-    pop = _Population(dist, 2, params.stage_rates, 0.0, params.rho0)
+    shares = (1.0, 0.0)   # the seed and routing at coverage 0, where HIV models build
     rates = [(params.lam, params.treatment_efficacy * params.lam)]
-    return CompartmentModel([pop], (0,), rates, shares, shares, d=params.d, exit_rate=params.d,
-                            treatable=True, link_mode=params.link_mode)
+    return CompartmentModel([(dist, params.rho0, 1.0, "")], (0,), rates, shares, shares,
+                            params.stage_rates, d=params.d, exit_rate=params.d, treatable=True,
+                            link_mode=params.link_mode)
 
 
 def _hiv_hetero(params, dist, dist2):
     """Men are infected by women at asymmetry * i (default 0.5: male-to-female
     transmission is twice as likely), women by men at i."""
-    shares = _hiv_shares(params)
+    shares = (1.0, 0.0)
     w_men, w_women = params.side_fraction, 1.0 - params.side_fraction
     i, eff, asymmetry = params.lam, params.treatment_efficacy, params.asymmetry
     rho0_2 = params.rho0 if params.rho0_2 is None else params.rho0_2
-    pops = [_Population(dist, 2, params.stage_rates, 0.0, params.rho0, w_men, "m"),
-            _Population(dist2, 2, params.stage_rates, 0.0, rho0_2, w_women, "w")]
+    rows = [(dist, params.rho0, w_men, "m"), (dist2, rho0_2, w_women, "w")]
     rates = [(asymmetry * i, eff * (asymmetry * i)), (i, eff * i)]
-    return CompartmentModel(pops, (1, 0), rates, shares, shares, d=params.d,
+    return CompartmentModel(rows, (1, 0), rates, shares, shares, params.stage_rates, d=params.d,
                             exit_rate=params.d, treatable=True, link_mode=params.link_mode)
 
 
@@ -677,6 +667,11 @@ def build_model(name, params, dist=None, dist2=None):
     two-population models, and classic takes no distribution."""
     if name not in MODEL_BUILDERS:
         raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    _check_kind("params", params, EpidemicParams)
+    _check_kind("dist", dist, DegreeDistribution, optional=True)
+    _check_kind("dist2", dist2, DegreeDistribution, optional=True)
     if dist is None and name != "classic":
         raise DomainError(f"model {name!r} requires a degree distribution")
+    if name.startswith("hiv") and params.mu != 0.0:
+        raise DomainError("hiv models have no mu removal; use d and/or stage_rates")
     return MODEL_BUILDERS[name](params, dist, dist2 or dist)

@@ -17,7 +17,6 @@ from netepi.ode import (
     CompartmentModel,
     EpidemicParams,
     TreatmentSchedule,
-    _Population,
     build_model,
     integrate,
 )
@@ -414,8 +413,8 @@ class TestModelAgreement:
 
 
 def leaving_model(mu, exit_rate):
-    pop = _Population(DIST30, 1, None, mu, 0.05)
-    return CompartmentModel([pop], (0,), [(0.1,)], (1.0,), (1.0,), exit_rate=exit_rate)
+    return CompartmentModel([(DIST30, 0.05, 1.0, "")], (0,), [(0.1,)], (1.0,), (1.0,), mu=mu,
+                            exit_rate=exit_rate)
 
 
 class TestChainLimits:
@@ -456,6 +455,8 @@ class TestChainLimits:
         with pytest.raises(DomainError, match="requires an HIV model"):
             simulate_epidemic(stratified(EpidemicParams(lam=0.1)), 100, 3, rng=0,
                               schedule=schedule)
+        with pytest.raises(DomainError, match="^schedule must be a TreatmentSchedule"):
+            simulate_epidemic(stratified(EpidemicParams(lam=0.1)), 100, 3, rng=0, schedule="x")
 
 
 class TestOneStepDrift:

@@ -61,7 +61,6 @@ from netepi.ode import (
     CompartmentModel,
     EpidemicParams,
     TreatmentSchedule,
-    _Population,
     build_model,
 )
 
@@ -84,9 +83,9 @@ def treatable(params, dist):
     transmit at lam, treated ones at treatment_efficacy * lam, and both
     are removed at mu.  It has hiv_msm's layout, but its infected leave at
     mu rather than exiting at d."""
-    pop = _Population(dist, 2, None, params.mu, params.rho0)
-    return CompartmentModel([pop], (0,), [(params.lam, params.treatment_efficacy * params.lam)],
-                            (1.0, 0.0), (1.0, 0.0), d=params.d, treatable=True)
+    return CompartmentModel([(dist, params.rho0, 1.0, "")], (0,),
+                            [(params.lam, params.treatment_efficacy * params.lam)],
+                            (1.0, 0.0), (1.0, 0.0), mu=params.mu, d=params.d, treatable=True)
 
 
 def run_case(name):

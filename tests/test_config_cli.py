@@ -2,6 +2,7 @@ import csv
 import json
 import runpy
 import sys
+import tempfile
 import types
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from netepi import cli
 from netepi.cli import execute, main
 from netepi.config import parse_config, parse_config_data, run_trajectory
-from netepi.errors import ConfigError, DomainError
+from netepi.errors import ConfigError, DomainError, StabilityError
 from netepi.ode import MODEL_NAMES, integrate
 from netepi.config import MODEL_FIELDS, REQUIRED_FIELDS, TUNABLE, build_spec_model
 
@@ -150,6 +151,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config_data({**FIG1, "mu": 0.0, **extra})
         assert field_of(err) == "stage_rates"
+
+    @pytest.mark.parametrize("field, extra", [
+        ("out_dir", {"out_dir": "out\x00"}),
+        ("fit.observed_csv", {"fit": {"free": {"lambda": [0.01, 0.1]}, "initial": {"lambda": 0.05},
+                                      "observed_csv": "obs\x00.csv"}}),
+    ])
+    def test_nul_in_a_path_names_the_field(self, field, extra):
+        # open() and mkdir() would raise a bare ValueError on it
+        with pytest.raises(ConfigError) as err:
+            parse_config_data({**MINIMAL_CLASSIC, **extra})
+        assert field_of(err) == field
 
     def test_decreasing_epochs_rejected(self):
         cfg = {
@@ -1099,6 +1111,8 @@ def malformed(draw):
 
 
 FRACTION = st.floats(0, 1)
+# a string a file path may hold: any but NUL
+PATH_TEXT = st.text(st.characters(exclude_characters="\x00"), max_size=8)
 OPEN_FRACTION = st.floats(0, 1, exclude_min=True, exclude_max=True)
 
 
@@ -1138,7 +1152,7 @@ def valid_configs(draw):
     optional(draw, cfg, "dt", st.floats(1e-3, 2))
     optional(draw, cfg, "link_mode", st.sampled_from(["active", "fixed"]))
     optional(draw, cfg, "per_degree", st.booleans())
-    optional(draw, cfg, "out_dir", st.text(max_size=8))
+    optional(draw, cfg, "out_dir", PATH_TEXT)
     supports = [(1, 1)]
     if model != "classic":
         cfg["distribution"], support = draw(distributions())
@@ -1215,7 +1229,7 @@ def valid_configs(draw):
             cfg["fit"]["observed"] = draw(st.lists(
                 st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2), min_size=1, max_size=4))
         else:
-            cfg["fit"]["observed_csv"] = draw(st.text(min_size=1, max_size=8))
+            cfg["fit"]["observed_csv"] = draw(PATH_TEXT.filter(bool))
         optional(draw, cfg["fit"], "output", st.sampled_from(["incidence", "prevalence"]))
     return cfg
 
@@ -1229,6 +1243,91 @@ class TestRoundTripProperty:
         again = parse_config_data(json.loads(json.dumps(canonical)))
         assert again == spec
         assert again.canonical_dict() == canonical
+
+
+COMMAND_NAMES = ("run-ode", "run-abm", "compare", "sensitivity", "phase", "fit")
+# every way a valid config may fail a command, each naming its cause
+EXPECTED_FAILURES = (ConfigError, DomainError, StabilityError, OSError)
+
+
+def at_the_edges(draw, cfg):
+    """``cfg`` with lambda 0, every other rate and share it sets at 0 or 1,
+    and maybe rho0 at its smallest, the smallest positive double."""
+    cfg["lambda"] = 0.0
+    edge = st.sampled_from([0.0, 1.0])
+    for key in ("mu", "d", "lambda2", "treatment_efficacy", "asymmetry", "rho0_type2"):
+        if key in cfg:
+            cfg[key] = draw(edge)
+    if cfg.get("split", "hazard") != "hazard":
+        cfg["split"] = draw(edge)
+    if "stage_rates" in cfg:
+        rates = cfg["stage_rates"]
+        cfg["stage_rates"] = ([[draw(edge) for _ in row] for row in rates]
+                              if isinstance(rates[0], list) else [draw(edge) for _ in rates])
+    if draw(st.booleans()):
+        cfg["rho0"] = 5e-324
+
+
+def capped(draw, cfg, command, root):
+    """``cfg`` at most 30 time units long, in at most 60 steps (10 and 10
+    for sensitivity and fit), with abm.n <= 3000, abm.replicas <= 4 and
+    n_base 64.  Half the draws put t_span, the treatment epochs and the
+    observed times on the dt grid and the unit grid and set abm.n, so that
+    the runs go through; fit.observed_csv names a path under ``root``."""
+    cheap = command in ("sensitivity", "fit")
+    t0, t1 = cfg["t_span"]
+    if draw(st.booleans()):
+        t0, steps = float(round(t0)), draw(st.integers(1, 10 if cheap else 30))
+        cfg["t_span"], cfg["dt"] = [t0, t0 + steps], draw(st.sampled_from([1.0, 0.5]))
+        if "treatment" in cfg:
+            epochs = sorted(draw(st.sets(st.integers(1, max(steps - 1, 1)), max_size=3)))
+            cfg["treatment"].update(epochs=[t0 + e for e in epochs if e < steps],
+                                    coverages=[draw(FRACTION) for e in epochs if e < steps])
+        if "observed" in cfg.get("fit", {}):
+            cfg["fit"]["observed"] = [[t0 + draw(st.integers(0, steps)), value]
+                                      for _, value in cfg["fit"]["observed"]]
+        cfg.setdefault("abm", {}).setdefault("n", draw(st.integers(2, 3000)))
+    else:
+        t1 = t0 + min(t1 - t0, 10 if cheap else 30)
+        cfg["t_span"] = [t0, t1]
+        cfg["dt"] = max(cfg.get("dt", 0.1), (t1 - t0) / (10 if cheap else 60))
+        if "treatment" in cfg:
+            kept = [i for i, e in enumerate(cfg["treatment"]["epochs"]) if e < t1]
+            for key in ("epochs", "coverages"):
+                cfg["treatment"][key] = [cfg["treatment"][key][i] for i in kept]
+    if "abm" in cfg:
+        for key, cap in (("n", 3000), ("replicas", 4)):
+            if key in cfg["abm"]:
+                cfg["abm"][key] = min(cfg["abm"][key], cap)
+    if "sensitivity" in cfg:
+        cfg["sensitivity"]["n_base"] = 64
+    if "observed_csv" in cfg.get("fit", {}):
+        cfg["fit"]["observed_csv"] = str(root / cfg["fit"]["observed_csv"])
+
+
+class TestEveryCommandProperty:
+    """Every command on every valid config either runs, writing what it
+    reports, or fails with a ConfigError, DomainError, StabilityError or
+    OSError (each names its field or cause) and leaves no output file."""
+
+    @given(valid_configs(), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_runs_or_fails_naming_its_field(self, cfg, edges, data):
+        # a command whose section is missing fails before any work (tested above)
+        command = data.draw(st.sampled_from(
+            [c for c in COMMAND_NAMES if c in cfg or c in ("run-ode", "run-abm", "compare")]))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            if edges:
+                at_the_edges(data.draw, cfg)
+            capped(data.draw, cfg, command, root)
+            out = root / "out"
+            try:
+                _, written = execute(parse_config_data(cfg), command, out_dir=out)
+            except EXPECTED_FAILURES:
+                assert not [p for p in out.rglob("*") if p.is_file()]
+            else:
+                assert written and all(p.is_file() and out in p.parents for p in written)
 
 
 SOBOL_BASE = {

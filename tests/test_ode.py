@@ -15,6 +15,7 @@ from netepi.ode import (
     MODEL_NAMES,
     STATE_CEIL,
     STATE_FLOOR,
+    CompartmentModel,
     EpidemicParams,
     Trajectory,
     TreatmentSchedule,
@@ -31,6 +32,13 @@ _OPEN_ENDS = {"lam": (False, False), "mu": (False, False), "rho0": (True, True),
               "treatment_efficacy": (False, False), "split": (False, False),
               "rho0_type2": (False, False), "asymmetry": (False, False),
               "side_fraction": (True, True)}
+
+
+def _model(**changes):
+    """A one-population, one-type CompartmentModel with ``changes`` applied."""
+    kwargs = {"populations": [(FIG1_DIST, 0.01, 1.0, "")], "sources": (0,), "rates": ((0.1,),),
+              "seed": (1.0,), "routing": (1.0,), "mu": 0.05, **changes}
+    return CompartmentModel(**kwargs)
 
 
 def total_mass(traj):
@@ -637,8 +645,9 @@ class TestBuildModel:
             model = build_model(name, hiv_params if name.startswith("hiv") else params,
                                 dist=FIG1_DIST)
             pops = model.populations
-            layouts[name] = (len(pops), pops[0].n_types, pops[0].nk, model.sources,
-                             model.routing, model.treatable, model.link_mode)
+            layouts[name] = (len(pops), pops[0].n_types, pops[0].nk,
+                             tuple(p.source for p in pops), model.routing, model.treatable,
+                             model.link_mode)
         assert layouts == {
             "classic": (1, 1, 1, (0,), (1.0,), False, "fixed"),
             "stratified": (1, 1, 60, (0,), (1.0,), False, "active"),
@@ -648,22 +657,76 @@ class TestBuildModel:
             "hiv_hetero": (2, 2, 60, (1, 0), (1.0, 0.0), True, "active"),
         }
 
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("stage_rates", [None, [0.2, 0.1], [[0.2, 0.1], [0.3, 0.0]]])
+    def test_one_record_per_population(self, name, stage_rates):
+        """Each population's s | infected | removed slices follow the one
+        before with no gap and tile [0, dim); every record holds the model's
+        one stage matrix, with len(seed) type rows."""
+        hiv = name.startswith("hiv")
+        if name in ("classic", "stratified", "bipartite") and stage_rates and isinstance(
+                stage_rates[0], list):
+            stage_rates = stage_rates[0]   # one type: one rate list
+        params = EpidemicParams(lam=0.1, mu=0.0 if hiv or stage_rates else 0.05, lam2=0.2,
+                                stage_rates=stage_rates)
+        model = build_model(name, params, FIG1_DIST, truncated_power_law(2.5, 2, 30))
+        pops, stop = model.populations, 0
+        for pop in pops:
+            assert (pop.s.start, pop.s.stop, pop.infected.stop, pop.removed.stop) == (
+                stop, stop + pop.nk, pop.s.stop + np.prod(pop.shape), pop.infected.stop + pop.nk)
+            assert [(r.start, r.stop) for r in pop.rows] == [
+                (i, i + pop.nk) for i in range(pop.s.stop, pop.infected.stop, pop.nk)]
+            assert pop.rates is pops[0].rates and pop.n_types == len(model.seed)
+            assert pop.shape == (*pop.rates.shape, pop.nk)
+            stop = pop.removed.stop
+        assert stop == model.dim == len(model.initial_state())
+        expected = np.full((1, 1), 0.0 if hiv else 0.05) if stage_rates is None else np.array(
+            stage_rates, dtype=float)
+        assert np.array_equal(pops[0].rates,
+                              np.broadcast_to(expected, (len(model.seed), expected.shape[-1])))
+
     def test_compartment_model_rejects_mismatched_data(self):
-        from netepi.ode import CompartmentModel, _Population
-
-        def model(n_types=1, sources=(0,), rates=((0.1,),), seed=(1.0,), routing=(1.0,)):
-            pop = _Population(FIG1_DIST, n_types, None, 0.05, 0.01)
-            return CompartmentModel([pop], sources, rates, seed, routing)
-
-        assert model().dim == 180
-        three_types = {"n_types": 3, "rates": ((0.1,) * 3,), "seed": (1, 0, 0),
-                       "routing": (1, 0, 0)}
+        assert _model().dim == 180
+        three_types = {"rates": ((0.1,) * 3,), "seed": (1, 0, 0), "routing": (1, 0, 0)}
         # a one-type model routes every new infection to its one type
         for bad in ({"sources": (1,)}, {"sources": (0, 0)}, {"rates": ((0.1, 0.2),)},
                     {"seed": (0.5, 0.5)}, {"routing": "hazard"}, {"routing": (0.5,)},
                     {"routing": np.array([1.0, 0.0])}, three_types):
             with pytest.raises(DomainError):
-                model(**bad)
+                _model(**bad)
+
+    @pytest.mark.parametrize("argument, call", [
+        ("populations", lambda: _model(populations=[FIG1_DIST])),
+        ("populations", lambda: _model(populations=[("x", 0.01, 1.0, "")])),
+        ("populations", lambda: _model(populations=[(FIG1_DIST, 0.01, 1.0)])),
+        ("populations", lambda: _model(populations=[(FIG1_DIST, 2, 1.0, "")])),
+        ("populations", lambda: _model(populations=[(FIG1_DIST, 0.01, -1, "")])),
+        ("populations", lambda: _model(populations=FIG1_DIST)),
+        ("seed", lambda: _model(seed=1.0)),
+        ("seed", lambda: _model(seed=(2, -1), routing=(1.0, 0.0), rates=((0.1, 0.1),))),
+        ("sources", lambda: _model(sources=0)),
+        ("rates", lambda: _model(rates=(0.1,))),
+        ("rates", lambda: _model(rates=(("0.1",),))),
+        ("rates", lambda: _model(rates=((5,),))),
+        ("routing", lambda: _model(routing="x")),
+        ("d", lambda: _model(d=-1)),
+        ("exit_rate", lambda: _model(exit_rate=float("nan"))),
+        ("mu", lambda: _model(mu=2)),
+        ("stage_rates", lambda: _model(stage_rates=[2])),
+        ("stage_rates", lambda: _model(stage_rates=0.1)),
+        ("link_mode", lambda: _model(link_mode="x")),
+        ("params", lambda: build_model("stratified", "x", FIG1_DIST)),
+        ("dist", lambda: build_model("stratified", FIG1_PARAMS, dist="x")),
+        ("dist2", lambda: build_model("bipartite", replace(FIG1_PARAMS, lam2=0.1), FIG1_DIST, 2)),
+        ("model", lambda: integrate("x", (0, 1), 0.1)),
+        ("schedule", lambda: integrate(_model(), (0, 1), 0.1, schedule="x")),
+    ])
+    def test_library_arguments_name_their_fault(self, argument, call):
+        """The constructor takes rows (DegreeDistribution, rho0 in [0, 1),
+        weight in (0, 1], name) and rates and shares in [0, 1], as
+        EpidemicParams does; a wrong argument is a DomainError naming it."""
+        with pytest.raises(DomainError, match=rf"^{argument} must"):
+            call()
 
     def test_unknown_model(self):
         with pytest.raises(DomainError):
@@ -723,9 +786,9 @@ def _reference_link_fractions(degrees, s, rho_types, fixed_edge_mass):
 def reference_rhs(model, y, s0):
     blocks = model.blocks(y)
     parts, total_inflow = [], 0.0
-    for pop, (s, infected, _), src, rates, s_init in zip(
-            model.populations, blocks, model.sources, model.rates, s0):
-        src_pop, (src_s, src_inf, _) = model.populations[src], blocks[src]
+    for pop, (s, infected, _), s_init in zip(model.populations, blocks, s0):
+        rates = pop.lam
+        src_pop, (src_s, src_inf, _) = model.populations[pop.source], blocks[pop.source]
         fixed = src_pop.fixed_edge_mass if model.link_mode == "fixed" else None
         p = _reference_link_fractions(src_pop.degrees, src_s, src_inf.sum(axis=1), fixed)
         if len(rates) == 1:
