@@ -66,17 +66,43 @@ def _write_json(path: Path, obj):
 
 
 def _off_grid(spec: SimulationSpec, dt):
-    """(config path, end, library message) for the first of t_span's end and
-    the treatment epochs that is not a whole number of ``dt`` steps from
-    t_span's start, or None when all are."""
+    """(config path, message) for the first of t_span's end and the treatment
+    epochs that is not a whole number of ``dt`` steps from t_span's start,
+    else for the first epoch that is not a whole number of steps, at least
+    one, before the next epoch or t_span's end (an epoch within the grid
+    tolerance of that bound passes the first test); None when all are."""
     t0, t1 = spec.t_span
     epochs = spec.treatment.epochs if spec.treatment else ()
     for path, end in [("t_span", t1), *(("treatment.epochs", e) for e in epochs)]:
         try:
             _check_grid(t0, end, dt, what="t_span" if path == "t_span" else "treatment epoch")
         except DomainError as err:
-            return path, end, str(err)
+            return path, str(err)
+    for start, end in zip(epochs, (*epochs[1:], t1)):
+        try:
+            _check_grid(start, end, dt)
+        except DomainError:
+            return "treatment.epochs", (f"epoch {start!r} is not a whole number of dt={dt} "
+                                        f"steps, at least one, before {end!r}")
     return None
+
+
+def _fit_observations(spec: SimulationSpec):
+    """The fit's (t, value) rows; a time off the model output grid
+    t0 + i dt (i = 0 .. steps), by the tolerance of
+    ``analysis.fit_parameters``, is a ConfigError naming its field."""
+    fit, (t0, t1), dt = spec.fit, spec.t_span, spec.dt
+    if "observed" in fit:
+        source, observed = "fit.observed", np.asarray(fit["observed"], dtype=float)
+    else:
+        source, observed = "fit.observed_csv", _read_observed_csv(fit["observed_csv"])
+    times, steps = observed[:, 0], _check_grid(t0, t1, dt)
+    off = np.abs(t0 + np.clip(np.rint((times - t0) / dt), 0, steps) * dt - times) > 1e-9
+    if off.any():
+        t = float(times[off.argmax()])
+        raise ConfigError(source, f"observed time {t!r} does not lie on the model output grid "
+                                  f"{t0:g} + i * {dt:g}, i = 0..{steps}")
+    return observed
 
 
 def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int):
@@ -91,9 +117,8 @@ def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int
     t0, t1 = spec.t_span
     off = _off_grid(spec, 1.0)
     if off is not None:
-        path, end, _ = off
-        raise ConfigError(path, f"agent-based runs take unit steps from {t0:g}; {end:g} is not "
-                                f"a whole number of them")
+        path, message = off
+        raise ConfigError(path, f"agent-based runs take unit steps from {t0:g}; {message}")
     steps = round(t1 - t0)
     try:
         return run_ensemble(
@@ -136,8 +161,9 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
     if entry.steps_at_dt:
         off = _off_grid(spec, spec.dt)
         if off is not None:
-            path, _, message = off
+            path, message = off
             raise ConfigError("dt" if path == "t_span" else path, message)
+    observed = _fit_observations(spec) if command == "fit" else None
     n_replicas = spec.abm["replicas"] if replicas is None else replicas
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -231,10 +257,6 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
 
         elif command == "fit":
             ft = spec.fit
-            if "observed" in ft:
-                observed = np.asarray(ft["observed"], dtype=float)
-            else:
-                observed = _read_observed_csv(ft["observed_csv"])
             result = fit_parameters(runner, observed[:, 0], observed[:, 1], free=ft["free"],
                                     initial=ft["initial"], output=ft["output"])
             _write_json(target("fit.json"), vars(result))

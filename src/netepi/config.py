@@ -399,23 +399,25 @@ def build_spec_model(spec: SimulationSpec, overrides: dict | None = None):
     configured, by the same rule as ``sensitivity.ranges`` and ``fit.free``;
     any other override is a DomainError naming it.
     """
+    config = spec.config   # read directly: a spec attribute goes through the slower __getattr__
     overrides = dict(overrides or {})
     for name in overrides:
         if name not in _DOMAINS:
             raise DomainError(f"override {name!r}: unknown parameter; expected one of {TUNABLE}")
-        reason = _fixed_reason(name, spec.config)
+        reason = _fixed_reason(name, config)
         if reason:
             raise DomainError(f"override {name!r}: {reason}")
-    dist_dict = spec.distribution
+    dist_dict, dist2_dict = config.get("distribution"), config.get("distribution2")
     if "gamma" in overrides:
         dist_dict = {**dist_dict, "gamma": overrides.pop("gamma")}
     params = replace(spec.params, **{_PARAM_NAMES[k]: float(v) for k, v in overrides.items()})
     dist = build_distribution(dist_dict) if dist_dict else None
-    dist2 = build_distribution(spec.distribution2) if spec.distribution2 else None
-    return build_model(spec.model, params, dist=dist, dist2=dist2)
+    dist2 = build_distribution(dist2_dict) if dist2_dict else None
+    return build_model(config["model"], params, dist=dist, dist2=dist2)
 
 
 def run_trajectory(spec: SimulationSpec, overrides: dict | None = None):
     """Integrate the configured model and return its Trajectory."""
-    return integrate(build_spec_model(spec, overrides), spec.t_span, spec.dt, spec.method,
-                     schedule=spec.treatment)
+    config = spec.config
+    return integrate(build_spec_model(spec, overrides), config["t_span"], config["dt"],
+                     config["method"], schedule=spec.treatment)

@@ -39,12 +39,15 @@ class DegreeDistribution:
                 f"pmf length {pmf.shape[0] if pmf.ndim == 1 else pmf.shape} does not "
                 f"match degree support [{self.k_min}, {self.k_max}]"
             )
-        if not np.all(np.isfinite(pmf)):
-            raise DomainError("pmf entries must be finite")
-        if np.any(pmf < 0):
-            raise DomainError("pmf entries must be nonnegative")
-        if abs(pmf.sum() - 1.0) > PMF_TOL:
-            raise DomainError(f"pmf must sum to 1 within {PMF_TOL}, got {pmf.sum()!r}")
+        # entries with a nonnegative minimum and a finite sum pass the first
+        # two checks; any other entries fail one of them
+        if not (pmf.min() >= 0 and np.isfinite(total := pmf.sum())):
+            if not np.all(np.isfinite(pmf)):
+                raise DomainError("pmf entries must be finite")
+            if np.any(pmf < 0):
+                raise DomainError("pmf entries must be nonnegative")
+        if abs(total - 1.0) > PMF_TOL:
+            raise DomainError(f"pmf must sum to 1 within {PMF_TOL}, got {total!r}")
         pmf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
 

@@ -87,20 +87,22 @@ _ONE = np.array(1.0)
 _ONE.flags.writeable = False
 
 
-def _pgf_hazard(degrees, x: float) -> np.ndarray:
-    """1 - (1 - x)^k per degree for a per-link infection chance x.
-
-    x (lambda p, or lambda1 p1 + lambda2 p2) is clipped to [0, 1]:
-    LinkProbabilities admits p1 + p2 up to 1 + 1e-12, and with lambda = 1
-    the base 1 - x would otherwise turn negative.
-    """
-    h = np.power(1.0 - min(max(x, 0.0), 1.0), degrees)
-    return np.subtract(_ONE, h, out=h)
-
-
 def hazard_profile(degrees: np.ndarray, p: float, lam: float) -> np.ndarray:
-    """Per-degree infection hazard 1 - (1 - lambda p)^k."""
-    return _pgf_hazard(degrees, lam * p)
+    """Per-degree infection hazard 1 - (1 - lambda p)^k, the one place the
+    formula 1 - (1 - x)^k is evaluated.
+
+    The per-link infection chance x = lambda p is clipped to [0, 1] (NaN
+    passes through): LinkProbabilities admits p1 + p2 up to 1 + 1e-12, and
+    with lambda = 1 the base 1 - x would otherwise turn negative.
+    """
+    x = lam * p
+    h = np.power(1.0 - (0.0 if x < 0.0 else 1.0 if x > 1.0 else x), degrees)
+    return np.subtract(_ONE, h, h)
+
+
+# hazard_profile_two evaluates the formula through this private name, so
+# that a wrapper counting the single-group kernel's calls counts only those
+_pgf_hazard = hazard_profile
 
 
 def hazard_profile_two(
@@ -111,5 +113,6 @@ def hazard_profile_two(
     Equal to the multinomial average of f(k1, k2) over all (k1, k2) with
     1 <= k1 + k2 <= k, including the terms where only one group contributes;
     for lambda1 = lambda2 it reduces to the single-group hazard at p1 + p2.
+    The combined chance enters the formula as p at lambda 1 (x * 1 = x).
     """
-    return _pgf_hazard(degrees, lam1 * probs.p1 + lam2 * probs.p2)
+    return _pgf_hazard(degrees, lam1 * probs.p1 + lam2 * probs.p2, 1.0)

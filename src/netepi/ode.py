@@ -61,6 +61,7 @@ from .mixing import LinkProbabilities, hazard_profile, hazard_profile_two
 
 STATE_FLOOR = -1e-6   # integration aborts below this
 STATE_CEIL = 1.0 + 1e-6   # ... or above this in an s or infected entry
+_FLOAT = np.dtype(np.float64)
 
 
 _LINK_MODES = ("active", "fixed")
@@ -102,10 +103,10 @@ class EpidemicParams:
     def __post_init__(self):
         for name, interval in _INTERVALS.items():
             v = getattr(self, name)
-            if not (v is None and name in ("lam2", "rho0_2")
+            if not (_in(v, interval) or v is None and name in ("lam2", "rho0_2")
                     or name == "split" and isinstance(v, str) and v == "hazard"):
                 what = "'hazard' or a fraction in" if name == "split" else "in"
-                _check(name, v, lambda x: _in(x, interval), f"{what} {interval}")
+                raise DomainError(f"{name} must be {what} {interval}, got {v!r}")
         _check("link_mode", self.link_mode, _LINK_MODES.__contains__, "'active' or 'fixed'")
         if self.stage_rates is not None:
             if self.mu != 0.0:
@@ -114,8 +115,12 @@ class EpidemicParams:
 
 
 def _is_number(value) -> bool:
-    """A real number a float holds finitely (math.isfinite raises past it); no bool."""
-    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= float_info.max
+    """A real number a float holds finitely (math.isfinite raises past it); no
+    bool.  A plain float or int is told apart by its type, before the slower
+    abstract-class test."""
+    return ((type(value) in (float, int)
+             or isinstance(value, Real) and not isinstance(value, bool))
+            and abs(value) <= float_info.max)
 
 
 def _in(value, interval="[0, 1]"):
@@ -138,8 +143,8 @@ def _items(name, values, ok, what):
 
 
 def _check_kind(name, value, kind, optional=False):
-    _check(name, value, lambda v: isinstance(v, kind) or optional and v is None,
-           f"a {kind.__name__}")
+    if not (isinstance(value, kind) or optional and value is None):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def _stage_rows(rates):
@@ -169,8 +174,8 @@ def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
     allows (negative s in an rk4 stage) is scaled to 1; the step check then
     decides whether the run goes on.
     """
-    masses = (rho_types @ degrees).tolist()
-    denom = float(degrees @ s) + sum(masses) if fixed_edge_mass is None else fixed_edge_mass
+    masses = rho_types.dot(degrees).tolist()
+    denom = float(degrees.dot(s)) + sum(masses) if fixed_edge_mass is None else fixed_edge_mass
     if denom <= 0.0:
         return [0.0] * len(masses)
     p, total = [], 0.0
@@ -185,11 +190,13 @@ def _link_fractions(degrees, s, rho_types, fixed_edge_mass=None):
 class _Population:
     """A population's one record, built by ``CompartmentModel`` from its row
     (dist, rho0, weight, name), ``source`` index, transmissibilities ``lam``
-    and the model's stage matrix ``rates``.  Its slices, infected ``shape``
-    and ``rows`` (a slice per infected (type, stage) row) are the only place
-    the layout s(nk) | I(types, stages, nk) | removed(nk) from ``offset`` is
-    computed.  For the RHS: ``flow_rates`` (None without stage flow), the 0-d
-    ``mu`` of a one-type, one-stage population, ``s0``, ``fixed_edge_mass``."""
+    and the model's stage matrix ``rates``.  Its slices (``bounded``: the s
+    and infected entries), infected ``shape`` and ``rows`` (a slice per
+    infected (type, stage) row) are the only place the layout s(nk) |
+    I(types, stages, nk) | removed(nk) from ``offset`` is computed.  For the
+    RHS: ``type_rows``, the infected shape of one stage, ``flow_rates`` (None
+    without stage flow), the 0-d ``mu`` of a one-type, one-stage population,
+    ``s0``, ``fixed_edge_mass``."""
 
     def __init__(self, row, source, lam, rates, offset):
         self.dist, self.rho0, self.weight, self.name = row
@@ -200,8 +207,10 @@ class _Population:
         self.source, self.lam, self.rates = source, tuple(lam), rates
         self.n_types, self.n_stages = rates.shape
         self.shape = (self.n_types, self.n_stages, self.nk)
+        self.type_rows = (self.n_types, self.nk)
         a, b = offset + self.nk, offset + self.nk * (1 + rates.size)
         self.s, self.infected, self.removed = slice(offset, a), slice(a, b), slice(b, b + self.nk)
+        self.bounded = slice(offset, b)
         self.rows = tuple(slice(i, i + self.nk) for i in range(a, b, self.nk))
         self.flow_rates = rates[:, :, None] if rates.any() else None
         # a 0-d view: numpy scales an array by it faster than by a float
@@ -253,8 +262,10 @@ class CompartmentModel:
         for row, source, lam in zip(rows, sources, rates):
             self.populations.append(_Population(row, source, lam, stages, self.dim))
             self.dim = self.populations[-1].removed.stop
-        self.bounded = np.concatenate([np.arange(p.s.start, p.removed.stop) < p.removed.start
-                                       for p in self.populations])
+        self._shape = (self.dim,)
+        self.bounded = np.zeros(self.dim, dtype=bool)
+        for p in self.populations:
+            self.bounded[p.bounded] = True
         self.shares = None if self.routing == "hazard" else np.array(self.routing)[:, None]
 
     def blocks(self, y):
@@ -314,15 +325,14 @@ class CompartmentModel:
         last reads of ``y`` (a one-type, one-stage population writes its stage
         flow into the removal row, then reads it back), which is why the two
         must not overlap."""
-        if y.shape != (self.dim,):
+        if y.shape != self._shape:
             raise DomainError(f"state array has shape {y.shape}, expected ({self.dim},)")
         if out is None:
             dy = np.empty(self.dim)
-        elif not (isinstance(out, np.ndarray) and out.shape == (self.dim,)
-                  and out.dtype == np.float64):
-            raise DomainError(f"out must be a float64 array of shape ({self.dim},)")
-        else:
+        elif isinstance(out, np.ndarray) and out.shape == self._shape and out.dtype == _FLOAT:
             dy = out
+        else:
+            raise DomainError(f"out must be a float64 array of shape ({self.dim},)")
         total_inflow = 0.0
         fixed = self.link_mode == "fixed"
         pops = self.populations
@@ -331,7 +341,7 @@ class CompartmentModel:
             s, infected = y[pop.s], y[pop.infected]
             src_s, src_inf = (s, infected) if src is pop else (y[src.s], y[src.infected])
             if src.n_stages == 1:
-                rho = src_inf.reshape(src.n_types, -1)
+                rho = src_inf.reshape(src.type_rows)
             else:
                 rho = src_inf.reshape(src.shape).sum(axis=1)
             p = _link_fractions(src.degrees, src_s, rho, src.fixed_edge_mass if fixed else None)
@@ -339,24 +349,24 @@ class CompartmentModel:
                 hazard = hazard_profile(pop.degrees, p[0], lam[0])
             else:
                 hazard = hazard_profile_two(pop.degrees, LinkProbabilities(p[0], p[1]), *lam)
-            inflow = np.multiply(s, hazard, out=hazard)
+            inflow = np.multiply(s, hazard, hazard)
             ds, d_inf, removal = dy[pop.s], dy[pop.infected], dy[pop.removed]
             if self.d > 0:
-                np.subtract(pop.s0, s, out=ds)
+                np.subtract(pop.s0, s, ds)
                 ds *= self._d
                 ds -= inflow
             else:
-                np.negative(inflow, out=ds)
+                np.negative(inflow, ds)
             if pop.mu is not None:
                 # one type in one stage: the stage flow is the removal row,
                 # and the type's routing share is 1
-                np.multiply(infected, pop.mu, out=removal)
-                np.subtract(inflow, removal, out=d_inf)
+                np.multiply(infected, pop.mu, removal)
+                np.subtract(inflow, removal, d_inf)
             else:
                 infected, d_inf = infected.reshape(pop.shape), d_inf.reshape(pop.shape)
                 entry = d_inf[:, 0]
                 np.multiply(self.shares if self.shares is not None
-                            else self._hazard_shares(pop, p), inflow, out=entry)
+                            else self._hazard_shares(pop, p), inflow, entry)
                 if pop.flow_rates is None:
                     # no stage flow: nothing moves between stages or into removal
                     if pop.n_stages > 1:
@@ -366,7 +376,7 @@ class CompartmentModel:
                     flow = pop.flow_rates * infected
                     entry -= flow[:, 0]
                     if pop.n_stages > 1:
-                        np.subtract(flow[:, :-1], flow[:, 1:], out=d_inf[:, 1:])
+                        np.subtract(flow[:, :-1], flow[:, 1:], d_inf[:, 1:])
                     np.add.reduce(flow[:, -1], axis=0, out=removal)
             if self.exit_rate > 0:
                 d_inf -= self._exit * infected
@@ -384,8 +394,8 @@ class CompartmentModel:
         array clamped at 0: each population's s, infected and removed slices
         summed per row, then the populations added in order."""
         Y = np.maximum(Y, 0.0)
-        parts = [[Y[:, p.s].sum(axis=1), Y[:, p.infected].sum(axis=1),
-                  Y[:, p.removed].sum(axis=1)] for p in self.populations]
+        parts = [[np.add.reduce(Y[:, part], 1) for part in (p.s, p.infected, p.removed)]
+                 for p in self.populations]
         return tuple(reduce(np.add, column) for column in zip(*parts))
 
     def degree_labels(self) -> list[str]:
@@ -426,7 +436,7 @@ class Trajectory:
     removed: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
+        if (self.times[1:] <= self.times[:-1]).any():
             raise DomainError("trajectory times must be strictly increasing")
         if self.Y.shape != (len(self.times), self.model.dim):
             raise DomainError("states and times must align 1:1")
@@ -482,18 +492,20 @@ def _check_grid(t0, t1, dt, what="t_span"):
 _CHECK_ROWS = 64
 
 
-def _first_unstable(Y, bounded):
+def _first_unstable(Y, model):
     """Index of the first row of ``Y`` outside [STATE_FLOOR, STATE_CEIL] (the
-    ceiling on ``bounded`` entries only), or None.  Two whole-array
-    reductions decide; the rows are searched only when they fail.  NaN
-    fails both comparisons, -inf the first, +inf in an s or infected entry
-    the second.  A removed entry takes only infected flows, so it turns +inf
-    only through an infected flow already out of range, which leaves its
-    infected entry -inf or NaN."""
-    if Y.min() >= STATE_FLOOR and Y.max(initial=-np.inf, where=bounded) <= STATE_CEIL:
+    ceiling on ``model``'s s and infected entries only), or None.  A
+    reduction over the whole array and one over each population's bounded
+    columns decide; the rows are searched only when they fail.  NaN fails
+    the first comparison (so the maxima compared after it hold none), -inf
+    the first, +inf in an s or infected entry the second.  A removed entry
+    takes only infected flows, so it turns +inf only through an infected
+    flow already out of range, which leaves its infected entry -inf or NaN."""
+    if (Y.min() >= STATE_FLOOR
+            and max(Y[:, p.bounded].max() for p in model.populations) <= STATE_CEIL):
         return None
     ok = (Y.min(axis=1) >= STATE_FLOOR) & (
-        Y.max(axis=1, initial=-np.inf, where=bounded) <= STATE_CEIL)
+        Y.max(axis=1, initial=-np.inf, where=model.bounded) <= STATE_CEIL)
     return int(np.argmin(ok))
 
 
@@ -545,15 +557,19 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
         raise DomainError(f"t_span [{t0}, {t1}] at dt={dt} is {rows - 1} steps, too many to "
                           f"record") from None
     Y[0] = models[0].initial_state()
-    stage, k2, k3, k4 = np.empty((4, model.dim))   # rk4 stage state and slopes
     # the step's factors as 0-d arrays: numpy scales an array by them
     # faster than by a float
-    half, step, two, sixth = (np.array(x) for x in (dt / 2, dt, 2.0, dt / 6))
+    step = np.array(dt)
+    euler = method == "euler"
+    if not euler:
+        stage, k2, k3, k4 = np.empty((4, model.dim))   # rk4 stage state and slopes
+        half, two, sixth = np.array(dt / 2), np.array(2.0), np.array(dt / 6)
     row = 0
     # a run that leaves the range keeps stepping through inf and NaN to the
     # end of its chunk of _CHECK_ROWS steps; the chunk check reports it
     with np.errstate(all="ignore"):
         for seg_model, seg_start, n in zip(models, bounds, counts):
+            rhs = seg_model.rhs_full
             if seg_start > t0:
                 # switch epoch: repartition the infected stock, re-record the
                 # boundary state post-switch (aggregates are continuous there)
@@ -564,29 +580,29 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                 for i in range(chunk, min(chunk + _CHECK_ROWS, n)):
                     t = seg_start + i * dt
                     k1, nxt = dY[row], Y[row + 1]
-                    inflow[row] = seg_model.rhs_full(t, y, out=k1)[1]
-                    if method == "rk4":
+                    inflow[row] = rhs(t, y, k1)[1]
+                    if euler:
+                        np.multiply(k1, step, nxt)
+                        nxt += y
+                    else:
                         # each stage state y + h k is built as h k + y in
                         # ``stage``, and the slopes are summed in place into
                         # k2: the same roundings as the written-out formula
                         for h, scale, k, out in ((dt / 2, half, k1, k2), (dt / 2, half, k2, k3),
                                                  (dt, step, k3, k4)):
-                            np.multiply(k, scale, out=stage)
+                            np.multiply(k, scale, stage)
                             stage += y
-                            seg_model.rhs_full(t + h, stage, out=out)
+                            rhs(t + h, stage, out)
                         k2 *= two
                         k2 += k1
                         k3 *= two
                         k2 += k3
                         k2 += k4
                         k2 *= sixth
-                        np.add(y, k2, out=nxt)
-                    else:
-                        np.multiply(k1, step, out=nxt)
-                        nxt += y
+                        np.add(y, k2, nxt)
                     y = nxt
                     row += 1
-                bad = _first_unstable(Y[first:row + 1], model.bounded)
+                bad = _first_unstable(Y[first:row + 1], model)
                 if bad is not None:
                     t = seg_start + (chunk + bad) * dt
                     raise StabilityError(f"state left [{STATE_FLOOR}, {STATE_CEIL}] at "

@@ -819,6 +819,57 @@ class TestCliProcess:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("epochs, coverages, start, end", [
+        ([9.999999999999], [0.7], "9.999999999999", "10.0"),
+        ([4, 4.000000000001], [0.7, 0.8], "4.0", "4.000000000001")], ids=["end", "epoch"])
+    def test_ode_epoch_within_tolerance_of_the_next_bound(self, tmp_path, monkeypatch, epochs,
+                                                          coverages, start, end):
+        # each epoch passes the grid test from t0 but leaves a zero-step
+        # segment; run-ode used to fail in integrate, naming t_span, after
+        # the output directory was made
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a model ran")
+        monkeypatch.setattr(cli, "integrate", no_runs)
+        cfg = self.write(tmp_path, {
+            "model": "hiv_msm", "lambda": 0.3, "rho0": 0.05, "d": 0.05,
+            "distribution": {"type": "power_law", "gamma": 2.0, "k_min": 1, "k_max": 20},
+            "t_span": [0, 10], "method": "euler", "dt": 1.0,
+            "treatment": {"epochs": epochs, "coverages": coverages}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["run-ode", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (f"error: treatment.epochs: epoch {start} is not a whole number of dt=1.0 "
+                f"steps, at least one, before {end}" in result.stderr)
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["observed", "observed_csv"])
+    def test_fit_observed_time_off_the_output_grid(self, tmp_path, monkeypatch, source):
+        # fit_parameters used to reject it after the first model run, naming
+        # no field, and the run left an empty output directory
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a model ran")
+        monkeypatch.setattr(cli, "run_trajectory", no_runs)
+        observed = [[4.0, 0.005], [4.5, 0.0098]]
+        fit = {"free": {"lambda": [0.05, 0.6]}, "initial": {"lambda": 0.2}}
+        if source == "observed":
+            fit["observed"] = observed
+        else:
+            path = tmp_path / "observed.csv"
+            path.write_text("t,value\n" + "".join(f"{t},{v}\n" for t, v in observed))
+            fit["observed_csv"] = str(path)
+        cfg = self.write(tmp_path, {**MINIMAL_CLASSIC, "t_span": [0, 20], "method": "euler",
+                                    "dt": 1.0, "fit": fit})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (f"error: fit.{source}: observed time 4.5 does not lie on the model output "
+                f"grid 0 + i * 1, i = 0..20" in result.stderr)
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_sensitivity_with_no_defined_index(self, tmp_path):
         # at lambda 0 the incidence is 0 whatever mu is, so every index is
         # NaN; the summary used to end in nanargmax's "All-NaN slice" traceback

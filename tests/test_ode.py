@@ -607,6 +607,11 @@ class TestIntegrate:
             Trajectory(
                 times=np.array([0.0, 1.0]), Y=np.zeros((3, 3)), dY=None,
                 incidence=np.zeros(2), model=build_model("classic", FIG1_PARAMS))
+        # equal infinite times are not increasing (their difference is NaN)
+        with pytest.raises(DomainError, match="strictly increasing"):
+            Trajectory(
+                times=np.array([np.inf, np.inf]), Y=np.zeros((2, 3)), dY=None,
+                incidence=np.zeros(2), model=build_model("classic", FIG1_PARAMS))
 
     def test_per_degree_removed_sums_to_aggregate(self):
         traj = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 50), 0.5, "rk4")
@@ -919,6 +924,12 @@ def _guard_cases():
          (0, 30), 0.5, "euler", None),
         ("classic-euler-dt0.25", lambda: build_model("classic", _PARAMS),
          (0, 15), 0.25, "euler", None),
+        # d = 0 on one population, where ds is the negated inflow (the Sobol
+        # sweep's and the agent-based comparison's path)
+        ("stratified-d0-euler", lambda: build_model(
+            "stratified", replace(_PARAMS, d=0.0), FIG1_DIST), (0, 30), 1.0, "euler", None),
+        ("classic-d0-euler", lambda: build_model("classic", replace(_PARAMS, d=0.0), FIG1_DIST),
+         (0, 30), 1.0, "euler", None),
     ]
     return cases
 
