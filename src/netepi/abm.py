@@ -66,7 +66,7 @@ every stub, self-loops dropped, parallel edges collapsed); no step uses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ from .ode import (CompartmentModel, Trajectory, TreatmentSchedule, _check_grid, 
                   _is_number)
 
 
-@dataclass
-class NetworkRealization:
+class NetworkRealization(NamedTuple):
     """One realization of the contact network.
 
     ``edges_u``/``edges_v`` hold the current undirected edge list in
@@ -382,8 +381,7 @@ def simulate_epidemic(
     )
 
 
-@dataclass
-class EnsembleSummary:
+class EnsembleSummary(NamedTuple):
     """Per-time-point statistics over independent simulation replicas."""
 
     times: np.ndarray

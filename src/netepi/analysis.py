@@ -14,7 +14,7 @@ during integration, never from differencing the outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .ode import Trajectory
 _VAR_FLOOR = 1e-12
 
 
-@dataclass
-class SobolResult:
+class SobolResult(NamedTuple):
     """First-order indices per output time point.
 
     ``indices[j, t]`` estimates S_j at times[t]; NaN marks time points whose
@@ -155,8 +154,7 @@ def phase_series(
     return np.stack([x, y], axis=1)
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Agreement between an ODE trajectory and an ABM ensemble band."""
 
     band_sigmas: float
@@ -200,8 +198,7 @@ def compare_ode_abm(ode: Trajectory, ens: EnsembleSummary, band_sigmas: float = 
     )
 
 
-@dataclass
-class FitResult:
+class FitResult(NamedTuple):
     """Outcome of a least-squares parameter fit.
 
     ``at_bound`` names the free parameters that end on a bound of their

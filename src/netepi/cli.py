@@ -8,6 +8,10 @@ the output directory, and prints a one-line summary.  Outputs are
 deterministic: identical config and seed give byte-identical files.  On
 failure partial outputs are removed and the exit code distinguishes config
 errors (1), numerical/stability errors (2), and I/O errors (3).
+
+click is imported only by the command group ``main``, which is built the
+first time something reads it, so importing this module for ``execute``
+loads none of click.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ import csv
 import json
 import os
 import sys
+from contextlib import suppress
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-import click
 import numpy as np
 
 from .abm import chain_limit, run_ensemble
@@ -145,7 +149,8 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
     stochastic commands; ``threads`` is the number of agent-based replica
     processes.  Returns (summary line, list of written paths).
     Raises ConfigError / DomainError / StabilityError / OSError; any
-    partially written outputs are removed first.
+    partially written outputs, and the directories made for them, are
+    removed first.
     """
     entry = COMMANDS.get(command)
     if entry is None:
@@ -166,6 +171,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
     observed = _fit_observations(spec) if command == "fit" else None
     n_replicas = spec.abm["replicas"] if replicas is None else replicas
     out = Path(out_dir if out_dir is not None else spec.out_dir)
+    made = [path for path in (out, *out.parents) if not path.exists()]   # deepest first
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
@@ -216,7 +222,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                        [ens.times, ode.prevalence, ens.mean_prevalence, ens.se_prevalence,
                         report.covered])
             _write_json(target("comparison.json"),
-                        {k: v for k, v in vars(report).items() if k != "covered"})
+                        {k: v for k, v in report._asdict().items() if k != "covered"})
             summary = (f"coverage={report.coverage:.4g} "
                        f"peak_rel_dev={report.peak_relative_deviation:.4g} "
                        f"peak_time_offset={report.peak_time_offset:g}")
@@ -259,7 +265,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
             ft = spec.fit
             result = fit_parameters(runner, observed[:, 0], observed[:, 1], free=ft["free"],
                                     initial=ft["initial"], output=ft["output"])
-            _write_json(target("fit.json"), vars(result))
+            _write_json(target("fit.json"), result._asdict())
             fitted = " ".join(f"{k}={v:.6g}" for k, v in result.parameters.items())
             summary = (f"{fitted} residual={result.residual:.6g} "
                        f"iterations={result.iterations} converged={result.converged}")
@@ -272,10 +278,11 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                              lambda fh: fh.write(_PLOT_HEADER.format(csv=f"{stem}.csv") + body))
     except BaseException:
         for path in written:
-            try:
+            with suppress(OSError):
                 path.unlink(missing_ok=True)
-            except OSError:
-                pass
+        for path in made:   # rmdir keeps a directory that is not empty
+            with suppress(OSError):
+                path.rmdir()
         raise
     return summary, written
 
@@ -325,6 +332,8 @@ def _thread_count(threads):
 
 
 def _dispatch(command, config, seed, threads, out, plot, replicas=None):
+    import click
+
     try:
         threads = _thread_count(threads)
         spec = parse_config(config)
@@ -343,6 +352,8 @@ def _dispatch(command, config, seed, threads, out, plot, replicas=None):
 
 
 def _options(replicas: bool):
+    import click
+
     options = [
         click.Option(["--config"], required=True, type=click.Path(exists=True, dir_okay=False),
                      help="JSON configuration file."),
@@ -361,9 +372,28 @@ def _options(replicas: bool):
     return options
 
 
-@click.group()
-def main():
-    """Deterministic epidemic models on rewiring heterogeneous networks."""
+def _build_main():
+    """The click group of the six commands, named ``main`` like the entry point."""
+    import click
+
+    @click.group()
+    def main():
+        """Deterministic epidemic models on rewiring heterogeneous networks."""
+
+    for name, entry in COMMANDS.items():
+        main.add_command(click.Command(name, callback=partial(_dispatch, name),
+                                       params=_options(entry.replicas), help=entry.help))
+    return main
+
+
+def __getattr__(name):
+    # PEP 562: ``main`` (the console script, ``from netepi.cli import main``)
+    # is built on its first read and then stays a module global
+    if name != "main":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global main
+    main = _build_main()
+    return main
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +485,6 @@ COMMANDS = {
     "fit": _Command("Fit free parameters to an observed incidence series.", section=True),
 }
 
-for _name, _entry in COMMANDS.items():
-    main.add_command(click.Command(_name, callback=partial(_dispatch, _name),
-                                   params=_options(_entry.replicas), help=_entry.help))
-
 
 if __name__ == "__main__":
-    main()
+    _build_main()()

@@ -674,6 +674,50 @@ class TestCliProcess:
         result = CliRunner().invoke(main, ["run-abm", "--config", cfg, "--out", str(out)])
         assert result.exit_code == 0, result.output
 
+    # each fails after execute has made the output directory
+    SHORT = {"t_span": [0, 10], "method": "euler", "dt": 1.0, "abm": {"n": 300, "replicas": 2}}
+    FAILED_RUNS = {
+        "bipartite": ("compare", {**FIG1, **SHORT, "model": "bipartite", "lambda2": 0.1},
+                      1, "error: model: agent-based runs of 'bipartite' need one population"),
+        "no_abm_n": ("run-abm", {**FIG1, **SHORT, "abm": {"replicas": 2}},
+                     1, "error: abm.n: required for agent-based runs"),
+        "end_epoch": ("compare", {
+            **SHORT, "model": "hiv_msm", "lambda": 0.3, "rho0": 0.05, "d": 0.05,
+            "distribution": {"type": "power_law", "gamma": 2.0, "k_min": 1, "k_max": 20},
+            "treatment": {"epochs": [9.999999999999], "coverages": [0.7]}},
+            1, "error: treatment.epochs: agent-based runs take unit steps from 0; "),
+        "unseeded": ("compare", {**FIG1, **SHORT, "abm": {"n": 20, "replicas": 2}},
+                     1, "error: abm.n: 20 nodes at rho0=0.01 seed no infected node"),
+        "state_range": ("run-ode", {**MINIMAL_CLASSIC, "lambda": 1.0, "mu": 1.0, "rho0": 0.5,
+                                    "t_span": [0, 30], "method": "euler", "dt": 5.0},
+                        2, "error: state left [-1e-06, 1.000001] at t=5;"),
+    }
+
+    def run_failing(self, tmp_path, case, out):
+        command, cfg, code, message = self.FAILED_RUNS[case]
+        result = CliRunner().invoke(main, [command, "--config", self.write(tmp_path, cfg),
+                                           "--out", str(out)])
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("case", sorted(FAILED_RUNS))
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, case):
+        # each used to exit with the right code and message but leave the
+        # empty output directory (and its parents) behind
+        self.run_failing(tmp_path, case, tmp_path / "new" / "o")
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("case", sorted(FAILED_RUNS))
+    def test_failed_run_keeps_an_existing_directory(self, tmp_path, case):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("unrelated")
+        self.run_failing(tmp_path, case, out)
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "unrelated"
+
     def test_abm_n_too_large_to_allocate(self, tmp_path):
         # 10**15 nodes is over the chain's own limit, checked before anything
         # is drawn or allocated: numpy's hypergeometric seed draw takes fewer
@@ -721,7 +765,7 @@ class TestCliProcess:
                 "design matrices, too large to allocate" in result.stderr)
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, output", [("run-abm", "ensemble.csv"),
                                                  ("compare", "comparison.json")])

@@ -1,9 +1,10 @@
 """Cold start: ``import netepi.cli`` loads only what every command needs.
 
-scipy is used only by ``fit_parameters`` (Nelder-Mead) and the process
-pool only by ``run_ensemble(n_jobs > 1)``, so each is imported inside the
-code path that uses it.  These checks run in fresh interpreters, because the test
-process itself has long since imported scipy.
+scipy is used only by ``fit_parameters`` (Nelder-Mead), the process pool
+only by ``run_ensemble(n_jobs > 1)`` and click only by the command group
+``netepi.cli.main``, so each is imported inside the code path that uses it.
+These checks run in fresh interpreters, because the test process itself has
+long since imported scipy and click.
 """
 
 import contextlib
@@ -18,11 +19,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# defines heavy(): the loaded modules that only fit and n_jobs > 1 ensembles need
+# defines heavy(): the loaded modules that only fit, n_jobs > 1 ensembles and
+# the command line need
 HEAVY = """
 import json, sys
 def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing")
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "multiprocessing", "click")
                   or m == "concurrent.futures.process")
 """
 
@@ -59,6 +62,28 @@ def run_fresh(code):
 @pytest.mark.parametrize("module", ["netepi", "netepi.cli"])
 def test_import_loads_no_scipy_or_process_pool(module):
     assert run_fresh(HEAVY + f"import {module}\nprint(json.dumps(heavy()))") == []
+
+
+def test_execute_loads_no_click(tmp_path):
+    code = HEAVY + f"""
+from netepi.cli import execute
+from netepi.config import parse_config_data
+spec = parse_config_data({{"model": "classic", "lambda": 0.2, "mu": 0.1, "rho0": 0.01,
+                          "t_span": [0, 20], "method": "euler", "dt": 1.0}})
+summary, written = execute(spec, "run-ode", out_dir={str(tmp_path)!r})
+print(json.dumps({{"heavy": heavy(), "written": [p.name for p in written]}}))
+"""
+    assert run_fresh(code) == {"heavy": [], "written": ["trajectory.csv"]}
+
+
+def test_reading_main_loads_click_and_the_six_commands():
+    code = HEAVY + """
+from netepi.cli import main
+print(json.dumps({"click": "click" in sys.modules, "name": main.name,
+                  "commands": sorted(main.commands)}))
+"""
+    assert run_fresh(code) == {"click": True, "name": "main", "commands": [
+        "compare", "fit", "phase", "run-abm", "run-ode", "sensitivity"]}
 
 
 def test_fit_loads_scipy_on_first_call_with_the_parent_result():
