@@ -14,16 +14,42 @@ during integration, never from differencing the outputs.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
 
 from .abm import EnsembleSummary
 from .errors import DomainError, is_integer
-from .ode import Trajectory
+from .ode import Trajectory, _is_number
 
 # relative variance below which an index is reported as undefined (NaN)
 _VAR_FLOOR = 1e-12
+_OUTPUTS = ("incidence", "prevalence")
+
+
+def _pairs(rows, message):
+    """(lower, upper) arrays of ``rows``, each a pair of numbers; otherwise a
+    DomainError with ``message``."""
+    try:
+        bounds = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        bounds = None
+    if bounds is None or bounds.shape != (len(rows), 2):
+        raise DomainError(message)
+    return bounds.T
+
+
+def _numbers(name, values):
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a sequence of numbers") from None
+
+
+def _check_output(output):
+    if not (isinstance(output, str) and output in _OUTPUTS):
+        raise DomainError(f"output must be 'incidence' or 'prevalence', got {output!r}")
 
 
 class SobolResult(NamedTuple):
@@ -63,23 +89,25 @@ def sobol_first_order(
         raise DomainError(f"n_base must be an integer >= 64, got {n_base!r}")
     if not (is_integer(seed) and seed >= 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    if not isinstance(ranges, Mapping):
+        raise DomainError(f"ranges must be a mapping of parameter names, got {ranges!r}")
     if not ranges:
         raise DomainError("at least one parameter range is required")
-    if output not in ("incidence", "prevalence"):
-        raise DomainError(f"output must be 'incidence' or 'prevalence', got {output!r}")
+    _check_output(output)
     parameters = tuple(ranges)
-    try:
-        lo, hi = np.array([ranges[p] for p in parameters], dtype=float).T
-    except (TypeError, ValueError):
-        raise DomainError("each range must be a pair [lower, upper]") from None
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
-        raise DomainError("each range must be finite with lower < upper")
+    lo, hi = _pairs([ranges[p] for p in parameters], "each range must be a pair [lower, upper]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+    # a width past the largest float would sample inf and NaN
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(width)) and np.all(lo < hi)):
+        raise DomainError("each range must be finite with lower < upper, and upper - lower "
+                          "a finite number")
     d = len(parameters)
 
     rng = np.random.default_rng(seed)
     try:
-        a = lo + (hi - lo) * rng.random((n_base, d))
-        b = lo + (hi - lo) * rng.random((n_base, d))
+        a = lo + width * rng.random((n_base, d))
+        b = lo + width * rng.random((n_base, d))
     except (MemoryError, ValueError):
         raise DomainError(f"n_base={n_base} needs two {n_base} x {d} design matrices, too "
                           f"large to allocate") from None
@@ -175,7 +203,10 @@ def compare_ode_abm(ode: Trajectory, ens: EnsembleSummary, band_sigmas: float = 
 
     Time grids must align exactly (run the ODE with euler dt=1).  A 1e-12
     absolute slack keeps exact matches at zero-variance points covered.
+    ``band_sigmas`` is a finite positive number, as ``compare.band_sigmas``.
     """
+    if not (_is_number(band_sigmas) and band_sigmas > 0):
+        raise DomainError(f"band_sigmas must be a finite positive number, got {band_sigmas!r}")
     if ode.times.shape != ens.times.shape or np.any(ode.times != ens.times):
         raise DomainError("ODE and ensemble time grids are not aligned")
     dev = np.abs(ode.prevalence - ens.mean_prevalence)
@@ -232,10 +263,15 @@ def fit_parameters(
     initial guess inside the bounds; deterministic given that guess.
     Observed times must land on the model output grid.  Never returns a
     point worse than the initial guess.  A parameter within the simplex's
-    ``xatol`` of a bound is reported in ``at_bound``.
+    ``xatol`` of a bound is reported in ``at_bound``.  ``output`` is
+    "incidence" or "prevalence" and ``max_iterations`` an integer >= 1; a
+    bad argument is a DomainError naming it, raised before any model run.
     """
-    observed_times = np.asarray(observed_times, dtype=float)
-    observed = np.asarray(observed, dtype=float)
+    _check_output(output)
+    if not (is_integer(max_iterations) and max_iterations >= 1):
+        raise DomainError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
+    observed_times = _numbers("observed_times", observed_times)
+    observed = _numbers("observed", observed)
     if observed.size == 0:
         raise DomainError("observed series must be nonempty")
     if observed_times.shape != observed.shape:
@@ -243,19 +279,24 @@ def fit_parameters(
     for name, values in (("observed_times", observed_times), ("observed", observed)):
         if not np.all(np.isfinite(values)):
             raise DomainError(f"{name} must be finite")
+    for name, value in (("free", free), ("initial", initial)):
+        if not isinstance(value, Mapping):
+            raise DomainError(f"{name} must be a mapping of parameter names, got {value!r}")
     if not free:
         raise DomainError("at least one free parameter is required")
     names = tuple(free)
-    try:
-        lo, hi = np.array([free[p] for p in names], dtype=float).T
-    except (TypeError, ValueError):
-        raise DomainError("free: each bound must be a pair (lower, upper)") from None
+    lo, hi = _pairs([free[p] for p in names], "free: each bound must be a pair (lower, upper)")
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))) or np.any(hi <= lo):
         raise DomainError("free: each bound must be a finite (lower, upper) pair")
     missing = [p for p in names if p not in initial]
     if missing:
         raise DomainError(f"initial: no value for the free parameter {missing[0]!r}")
-    x0 = np.array([initial[p] for p in names], dtype=float)
+    try:
+        x0 = np.array([initial[p] for p in names], dtype=float)
+    except (TypeError, ValueError):
+        x0 = None
+    if x0 is None or x0.shape != (len(names),):
+        raise DomainError(f"initial: values must be numbers, got {initial!r}")
     if not np.all(np.isfinite(x0)):
         raise DomainError(f"initial: values must be finite, got {initial!r}")
     for p, v, a, b in zip(names, x0, lo, hi):

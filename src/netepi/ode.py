@@ -48,8 +48,8 @@ from __future__ import annotations
 import copy
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from numbers import Integral, Real
 from sys import float_info
 
@@ -195,8 +195,9 @@ class _Population:
     infected (type, stage) row) are the only place the layout s(nk) |
     I(types, stages, nk) | removed(nk) from ``offset`` is computed.  For the
     RHS: ``type_rows``, the infected shape of one stage, ``flow_rates`` (None
-    without stage flow), the 0-d ``mu`` of a one-type, one-stage population,
-    ``s0``, ``fixed_edge_mass``."""
+    without stage flow), the 0-d ``mu``, the rate of the first type's first
+    stage (the removal rate of a one-type, one-stage population), ``s0``,
+    ``fixed_edge_mass``."""
 
     def __init__(self, row, source, lam, rates, offset):
         self.dist, self.rho0, self.weight, self.name = row
@@ -214,7 +215,7 @@ class _Population:
         self.rows = tuple(slice(i, i + self.nk) for i in range(a, b, self.nk))
         self.flow_rates = rates[:, :, None] if rates.any() else None
         # a 0-d view: numpy scales an array by it faster than by a float
-        self.mu = rates[0, 0, ...] if self.shape[:2] == (1, 1) else None
+        self.mu = rates[0, 0, ...]
         self.s0 = (1.0 - self.rho0) * (self.weight * self.dist.pmf)
         self.fixed_edge_mass = self.weight * mean_degree(self.dist)
 
@@ -267,6 +268,9 @@ class CompartmentModel:
         for p in self.populations:
             self.bounded[p.bounded] = True
         self.shares = None if self.routing == "hazard" else np.array(self.routing)[:, None]
+        # the RHS path: one type in one stage without exits has only the
+        # terms of ``_rhs_one_stage``
+        self._one_stage = stages.shape == (1, 1) and exit_rate == 0
 
     def blocks(self, y):
         """Per population the (s, infected, removed) views of a state vector
@@ -322,9 +326,9 @@ class CompartmentModel:
         """(dy/dt, aggregate new-infection inflow rate).  dy is written into
         ``out`` (a float64 array of shape (dim,) that does not overlap ``y``)
         when one is given, and returned.  Parts of dy are written before the
-        last reads of ``y`` (a one-type, one-stage population writes its stage
-        flow into the removal row, then reads it back), which is why the two
-        must not overlap."""
+        last reads of ``y`` (a one-type, one-stage population writes its
+        removal row, then reads it back), which is why the two must not
+        overlap."""
         if y.shape != self._shape:
             raise DomainError(f"state array has shape {y.shape}, expected ({self.dim},)")
         if out is None:
@@ -333,6 +337,48 @@ class CompartmentModel:
             dy = out
         else:
             raise DomainError(f"out must be a float64 array of shape ({self.dim},)")
+        if self._one_stage:
+            return dy, self._rhs_one_stage(y, dy)
+        return dy, self._rhs_typed(y, dy)
+
+    def _rhs_one_stage(self, y, dy):
+        """``rhs_full`` of a model with one type in one stage and no exits:
+        one infected mass and one link probability per source, the whole
+        inflow into the one infected row, removal = mu I.  Writes dy and
+        returns the aggregate inflow."""
+        total_inflow = 0.0
+        fixed = self.link_mode == "fixed"
+        pops = self.populations
+        for pop in pops:
+            src = pops[pop.source]
+            s, infected = y[pop.s], y[pop.infected]
+            src_s, src_inf = (s, infected) if src is pop else (y[src.s], y[src.infected])
+            # the same dot products as _link_fractions' (numpy takes a (1, nk)
+            # row times a vector through the dot of two vectors)
+            mass = float(src_inf.dot(src.degrees))
+            denom = src.fixed_edge_mass if fixed else float(src.degrees.dot(src_s)) + mass
+            if denom <= 0.0:
+                p = 0.0
+            else:
+                p = mass / denom
+                p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+            hazard = hazard_profile(pop.degrees, p, pop.lam[0])
+            inflow = np.multiply(s, hazard, hazard)
+            ds, d_inf, removal = dy[pop.s], dy[pop.infected], dy[pop.removed]
+            if self.d > 0:
+                np.subtract(pop.s0, s, ds)
+                ds *= self._d
+                ds -= inflow
+            else:
+                np.negative(inflow, ds)
+            np.multiply(infected, pop.mu, removal)
+            np.subtract(inflow, removal, d_inf)
+            total_inflow += float(np.add.reduce(inflow))
+        return total_inflow
+
+    def _rhs_typed(self, y, dy):
+        """``rhs_full`` of a model with two types, several stages or exits:
+        writes dy and returns the aggregate inflow."""
         total_inflow = 0.0
         fixed = self.link_mode == "fixed"
         pops = self.populations
@@ -357,27 +403,21 @@ class CompartmentModel:
                 ds -= inflow
             else:
                 np.negative(inflow, ds)
-            if pop.mu is not None:
-                # one type in one stage: the stage flow is the removal row,
-                # and the type's routing share is 1
-                np.multiply(infected, pop.mu, removal)
-                np.subtract(inflow, removal, d_inf)
+            infected, d_inf = infected.reshape(pop.shape), d_inf.reshape(pop.shape)
+            entry = d_inf[:, 0]
+            np.multiply(self.shares if self.shares is not None
+                        else self._hazard_shares(pop, p), inflow, entry)
+            if pop.flow_rates is None:
+                # no stage flow: nothing moves between stages or into removal
+                if pop.n_stages > 1:
+                    d_inf[:, 1:] = 0.0
+                removal.fill(0.0)
             else:
-                infected, d_inf = infected.reshape(pop.shape), d_inf.reshape(pop.shape)
-                entry = d_inf[:, 0]
-                np.multiply(self.shares if self.shares is not None
-                            else self._hazard_shares(pop, p), inflow, entry)
-                if pop.flow_rates is None:
-                    # no stage flow: nothing moves between stages or into removal
-                    if pop.n_stages > 1:
-                        d_inf[:, 1:] = 0.0
-                    removal.fill(0.0)
-                else:
-                    flow = pop.flow_rates * infected
-                    entry -= flow[:, 0]
-                    if pop.n_stages > 1:
-                        np.subtract(flow[:, :-1], flow[:, 1:], d_inf[:, 1:])
-                    np.add.reduce(flow[:, -1], axis=0, out=removal)
+                flow = pop.flow_rates * infected
+                entry -= flow[:, 0]
+                if pop.n_stages > 1:
+                    np.subtract(flow[:, :-1], flow[:, 1:], d_inf[:, 1:])
+                np.add.reduce(flow[:, -1], axis=0, out=removal)
             if self.exit_rate > 0:
                 d_inf -= self._exit * infected
                 # the infected rows added left to right: the order, and so the
@@ -387,7 +427,7 @@ class CompartmentModel:
                     stock = stock + y[row]
                 removal += self._exit * stock
             total_inflow += float(np.add.reduce(inflow))
-        return dy, total_inflow
+        return total_inflow
 
     def totals(self, Y):
         """(susceptible, prevalence, removed) per row of a (rows, dim) state
@@ -421,9 +461,11 @@ class Trajectory:
     ``incidence[i]`` is the new-infection inflow rate at the previous
     recorded state, the per-step count of new infections when dt = 1.
     ``susceptible``, ``prevalence`` and ``removed`` are totals over the
-    states clamped at 0.  ``model.blocks(Y)`` / ``model.blocks(dY)`` give
-    the per-population s, infected and removed arrays of every row, and
-    ``model.degree_columns(Y)`` the clamped per-degree table.
+    states clamped at 0, computed from ``Y`` when one of them is first read
+    (a Sobol sweep reads only ``incidence``).  ``model.blocks(Y)`` /
+    ``model.blocks(dY)`` give the per-population s, infected and removed
+    arrays of every row, and ``model.degree_columns(Y)`` the clamped
+    per-degree table.
     """
 
     times: np.ndarray
@@ -431,16 +473,20 @@ class Trajectory:
     dY: np.ndarray | None
     incidence: np.ndarray
     model: CompartmentModel
-    susceptible: np.ndarray = field(init=False)
-    prevalence: np.ndarray = field(init=False)
-    removed: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if (self.times[1:] <= self.times[:-1]).any():
             raise DomainError("trajectory times must be strictly increasing")
         if self.Y.shape != (len(self.times), self.model.dim):
             raise DomainError("states and times must align 1:1")
-        self.susceptible, self.prevalence, self.removed = self.model.totals(self.Y)
+
+    @cached_property
+    def _totals(self):
+        return self.model.totals(self.Y)
+
+    susceptible = property(lambda self: self._totals[0])
+    prevalence = property(lambda self: self._totals[1])
+    removed = property(lambda self: self._totals[2])
 
     def peak(self):
         """(peak prevalence, time of peak)."""
@@ -561,6 +607,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     # faster than by a float
     step = np.array(dt)
     euler = method == "euler"
+    unit = euler and dt == 1.0   # y + 1.0 k1 is y + k1: one add per step
     if not euler:
         stage, k2, k3, k4 = np.empty((4, model.dim))   # rk4 stage state and slopes
         half, two, sixth = np.array(dt / 2), np.array(2.0), np.array(dt / 6)
@@ -581,7 +628,9 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                     t = seg_start + i * dt
                     k1, nxt = dY[row], Y[row + 1]
                     inflow[row] = rhs(t, y, k1)[1]
-                    if euler:
+                    if unit:
+                        np.add(y, k1, nxt)
+                    elif euler:
                         np.multiply(k1, step, nxt)
                         nxt += y
                     else:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from netepi.analysis import (
@@ -9,6 +11,7 @@ from netepi.analysis import (
     sobol_first_order,
 )
 from netepi.abm import run_ensemble, summarize_trajectories
+from netepi.config import parse_config_data, run_trajectory
 from netepi.degree import truncated_power_law
 from netepi.errors import DomainError
 from netepi.ode import EpidemicParams, build_model, integrate
@@ -125,6 +128,26 @@ class TestSobol:
         with pytest.raises(DomainError, match="seed"):
             sobol_first_order(runner, {"x1": (0, 1)}, n_base=64, seed=seed)
 
+    @pytest.mark.parametrize("ranges", [5, None, [("x1", (0, 1))], "x1"])
+    def test_rejects_ranges_that_are_not_a_mapping(self, ranges):
+        def runner(p):
+            return flat_output(p["x1"])
+
+        with pytest.raises(DomainError, match="^ranges must be a mapping"):
+            sobol_first_order(runner, ranges, n_base=64)
+
+    def test_rejects_a_range_too_wide_to_sample(self):
+        # upper - lower overflows to inf, which would sample inf and NaN
+        calls = []
+
+        def runner(p):
+            calls.append(p)
+            return flat_output(p["x1"])
+
+        with pytest.raises(DomainError, match="range"):
+            sobol_first_order(runner, {"x1": (-1e308, 1e308)}, n_base=64)
+        assert calls == []
+
 
 class TestPhaseSeries:
     def test_starts_at_initial_state_and_rhs(self):
@@ -218,6 +241,15 @@ class TestCompare:
         with pytest.raises(DomainError):
             compare_ode_abm(ode, ens)
 
+    @pytest.mark.parametrize("band_sigmas", [-1.0, 0.0, float("nan"), float("inf"), "x", None,
+                                             True])
+    def test_rejects_band_sigmas_that_is_not_a_positive_number(self, band_sigmas):
+        # compare.band_sigmas' rule; -1 used to read a coverage, NaN 0 and inf 1
+        ode = integrate(stratified(FIG1_PARAMS), (0, 5), 1.0, "euler")
+        ens = summarize_trajectories([ode, ode])
+        with pytest.raises(DomainError, match="^band_sigmas must"):
+            compare_ode_abm(ode, ens, band_sigmas=band_sigmas)
+
 
 class TestFit:
     @staticmethod
@@ -306,6 +338,19 @@ class TestFit:
         ("initial", {"initial": {"lambda": 7.5}}),
         ("observed_times", {"observed_times": [0.0, float("nan")]}),
         ("observed", {"observed": [0.0, float("inf")]}),
+        ("output", {"output": "foo"}),
+        ("output", {"output": None}),
+        ("max_iterations", {"max_iterations": "x"}),
+        ("max_iterations", {"max_iterations": -1}),
+        ("max_iterations", {"max_iterations": 0}),
+        ("max_iterations", {"max_iterations": 1.5}),
+        ("max_iterations", {"max_iterations": True}),
+        ("initial", {"initial": None}),
+        ("initial", {"initial": {"lambda": "x"}}),
+        ("initial", {"initial": {"lambda": [0.1, 0.2]}}),
+        ("free", {"free": None}),
+        ("observed", {"observed": ["a", "b"]}),
+        ("observed_times", {"observed_times": [0.0, {}]}),
     ])
     def test_rejects_bad_argument_before_any_run(self, argument, changes):
         calls = []
@@ -319,3 +364,88 @@ class TestFit:
         with pytest.raises(DomainError, match=f"^{argument}[ :]"):
             fit_parameters(runner, **kw)
         assert calls == []
+
+
+# Library arguments drawn at random: sobol_first_order and fit_parameters
+# either return or raise a DomainError, whatever they are given.  Each
+# argument is drawn valid five times in six, so that the later checks and
+# the model runs are reached too.  The runner is the CLI's, on a small
+# stratified model, so a drawn parameter value outside its domain fails
+# there as it does in a config.
+_SMALL = parse_config_data({
+    "model": "stratified", "lambda": 0.1, "mu": 0.05, "rho0": 0.01,
+    "distribution": {"type": "power_law", "gamma": 2.5, "k_min": 1, "k_max": 10},
+    "t_span": [0, 4], "method": "euler", "dt": 1.0})
+
+
+def _small_runner(p):
+    return run_trajectory(_SMALL, p)
+
+
+def _mostly(valid, other):
+    """``valid`` five times in six, else ``other``."""
+    return st.integers(0, 5).flatmap(lambda i: other if i == 0 else valid)
+
+
+_ODD = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just({}), st.just([]))
+_NUMBER = st.one_of(st.floats(-0.5, 1.5), st.floats(), st.integers(-2, 3))
+_VALUE = st.one_of(_NUMBER, _ODD)
+_PAIR = st.one_of(st.tuples(_NUMBER, _NUMBER), st.tuples(_VALUE, _VALUE),
+                  st.lists(_NUMBER, max_size=3), _ODD)
+# each tunable's (lower, upper) inside its domain
+_DOMAIN = {"lambda": (0.0, 1.0), "mu": (0.0, 1.0), "rho0": (1e-3, 0.5), "gamma": (0.1, 4.0)}
+_RANGE = {name: st.tuples(st.floats(lo, (lo + hi) / 2), st.floats(1e-3, (hi - lo) / 2)).map(
+    lambda p: (p[0], p[0] + p[1])) for name, (lo, hi) in _DOMAIN.items()}
+_RANGES = _mostly(
+    st.sampled_from(sorted(_DOMAIN)).flatmap(lambda name: st.fixed_dictionaries(
+        {name: _RANGE[name]}, optional={other: _RANGE[other] for other in _DOMAIN
+                                        if other != name})),
+    st.one_of(st.dictionaries(st.sampled_from(["lambda", "gamma", "lambda2", "x"]), _PAIR,
+                              max_size=2), _ODD, _NUMBER))
+_OUTPUT = _mostly(st.sampled_from(["incidence", "prevalence"]), st.one_of(st.just("peak"), _ODD))
+
+
+class TestArgumentsDrawnAtRandom:
+    @given(ranges=_RANGES,
+           n_base=_mostly(st.integers(64, 70), st.one_of(st.integers(-2, 63), st.floats(), _ODD)),
+           seed=_mostly(st.integers(0, 2 ** 70), st.one_of(st.integers(max_value=-1),
+                                                           st.floats(), _ODD)),
+           output=_OUTPUT)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_sobol_returns_or_raises_domain_error(self, ranges, n_base, seed, output):
+        try:
+            result = sobol_first_order(_small_runner, ranges, n_base, seed=seed, output=output)
+        except DomainError:
+            return
+        assert result.indices.shape == (len(ranges), 5)
+
+    @given(data=st.data(),
+           free=_mostly(st.dictionaries(st.sampled_from(sorted(_DOMAIN)), st.just(None),
+                                        min_size=1, max_size=2).flatmap(
+               lambda names: st.fixed_dictionaries({p: _RANGE[p] for p in names})),
+               st.one_of(st.dictionaries(st.sampled_from(["lambda", "x"]), _PAIR, max_size=2),
+                         _ODD)),
+           output=_OUTPUT,
+           max_iterations=_mostly(st.integers(1, 20),
+                                  st.one_of(st.integers(-2, 0), st.floats(0, 5), _ODD)))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_fit_returns_or_raises_domain_error(self, data, free, output, max_iterations):
+        n = data.draw(st.integers(1, 4))
+        times = data.draw(_mostly(
+            st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0]), min_size=n, max_size=n),
+            st.one_of(st.lists(st.sampled_from([0.5, -1.0, 9.0]), min_size=n, max_size=n),
+                      st.lists(_VALUE, max_size=4), _ODD)))
+        observed = data.draw(_mostly(st.lists(st.floats(0, 0.1), min_size=n, max_size=n),
+                                     st.one_of(st.lists(_VALUE, max_size=4), _ODD)))
+        bounds = free.items() if isinstance(free, dict) and free else ()
+        within = (st.fixed_dictionaries({p: st.floats(*b) for p, b in bounds})
+                  if all(isinstance(b, tuple) and len(b) == 2 and all(map(np.isfinite, b))
+                         and b[0] < b[1] for _, b in bounds) else st.nothing())
+        initial = data.draw(_mostly(within, st.one_of(
+            st.dictionaries(st.sampled_from(["lambda", "mu"]), _VALUE, max_size=2), _ODD)))
+        try:
+            result = fit_parameters(_small_runner, times, observed, free, initial,
+                                    output=output, max_iterations=max_iterations)
+        except DomainError:
+            return
+        assert set(result.parameters) == set(free)

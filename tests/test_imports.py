@@ -2,7 +2,9 @@
 
 scipy is used only by ``fit_parameters`` (Nelder-Mead), the process pool
 only by ``run_ensemble(n_jobs > 1)`` and click only by the command group
-``netepi.cli.main``, so each is imported inside the code path that uses it.
+``netepi.cli.main``, so each is imported inside the code path that uses it;
+numpy loads ``numpy.random`` on first use, which set-up and a run-ode never
+make.
 These checks run in fresh interpreters, because the test process itself has
 long since imported scipy and click.
 """
@@ -74,6 +76,28 @@ summary, written = execute(spec, "run-ode", out_dir={str(tmp_path)!r})
 print(json.dumps({{"heavy": heavy(), "written": [p.name for p in written]}}))
 """
     assert run_fresh(code) == {"heavy": [], "written": ["trajectory.csv"]}
+
+
+def test_setup_and_run_ode_load_no_numpy_random(tmp_path):
+    """numpy.random is loaded on first use (an agent-based run, a Sobol
+    design): set-up and a run-ode never pay for its first import."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": "stratified", "lambda": 0.2, "mu": 0.1, "rho0": 0.01,
+        "distribution": {"type": "power_law", "gamma": 2.5, "k_min": 1, "k_max": 20},
+        "t_span": [0, 20], "method": "euler", "dt": 1.0}))
+    code = f"""
+import json, sys
+import netepi.cli
+from netepi.config import build_spec_model, parse_config
+spec = parse_config({str(config)!r})
+build_spec_model(spec)
+setup = "numpy.random" in sys.modules
+summary, written = netepi.cli.execute(spec, "run-ode", out_dir={str(tmp_path / "out")!r})
+print(json.dumps({{"setup": setup, "run-ode": "numpy.random" in sys.modules,
+                  "written": [p.name for p in written]}}))
+"""
+    assert run_fresh(code) == {"setup": False, "run-ode": False, "written": ["trajectory.csv"]}
 
 
 def test_reading_main_loads_click_and_the_six_commands():

@@ -930,6 +930,13 @@ def _guard_cases():
             "stratified", replace(_PARAMS, d=0.0), FIG1_DIST), (0, 30), 1.0, "euler", None),
         ("classic-d0-euler", lambda: build_model("classic", replace(_PARAMS, d=0.0), FIG1_DIST),
          (0, 30), 1.0, "euler", None),
+        # the one-stage RHS on two populations at d = 0, with the unit euler step
+        ("bipartite-d0-euler", lambda: build_model(
+            "bipartite", replace(_PARAMS, d=0.0), FIG1_DIST, _DIST2), (0, 30), 1.0, "euler", None),
+        # one stage given as an explicit stage_rates entry instead of mu
+        ("stratified-one-stage-rate", lambda: build_model(
+            "stratified", replace(staged, stage_rates=[0.1]), FIG1_DIST),
+         (0, 30), 1.0, "euler", None),
     ]
     return cases
 
