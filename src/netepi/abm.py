@@ -71,9 +71,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .degree import DegreeDistribution, sample_degrees
-from .errors import DomainError, is_integer
-from .ode import (CompartmentModel, Trajectory, TreatmentSchedule, _check_grid, _check_kind,
-                  _is_number)
+from .errors import FINITE, SEED, DomainError, check, check_kind, count
+from .ode import CompartmentModel, Trajectory, TreatmentSchedule, _check_grid
+
+# the argument rules the config's abm rows and the CLI's options take too
+NODES = count(2)
+REPLICAS = count(2)
+JOBS = count(1)
+_STEPS = count(1)
 
 
 class NetworkRealization(NamedTuple):
@@ -199,17 +204,12 @@ def _new_infections(k: np.ndarray, s: np.ndarray, ends: np.ndarray) -> np.ndarra
     return np.bincount(cls[first], minlength=k.size)
 
 
-def _check_n(n):
-    if not (is_integer(n) and n >= 2):
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
-
-
 def _generator(rng) -> np.random.Generator:
     """``rng`` as a Generator: None (fresh entropy), an integer seed >= 0 or
     a Generator, which is used as is."""
     if isinstance(rng, np.random.Generator):
         return rng
-    if rng is None or (is_integer(rng) and rng >= 0):
+    if rng is None or rng in SEED:
         return np.random.default_rng(rng)
     raise DomainError(f"rng must be None, an integer seed >= 0 or a numpy Generator, got {rng!r}")
 
@@ -217,7 +217,7 @@ def _generator(rng) -> np.random.Generator:
 def generate_network(dist: DegreeDistribution, n: int,
                      rng: np.random.Generator | int | None) -> NetworkRealization:
     """Configuration-model graph with degrees drawn from ``dist``."""
-    _check_n(n)
+    check("n", n, NODES)
     rng = _generator(rng)
     degrees = sample_degrees(dist, n, rng)
     u, v = _shuffled_stub_pairs(np.arange(n, dtype=np.int64), degrees, rng)
@@ -250,7 +250,7 @@ def chain_limit(model: CompartmentModel) -> tuple[str, str] | None:
 
 
 def _check_model(model):
-    _check_kind("model", model, CompartmentModel)
+    check_kind("model", model, CompartmentModel)
     limit = chain_limit(model)
     if limit is not None:
         raise DomainError(f"the agent-based chain needs {limit[1]}")
@@ -274,12 +274,10 @@ def simulate_epidemic(
     pairing all live nodes, the ones demography added the step before too.
     """
     _check_model(model)
-    _check_kind("schedule", schedule, TreatmentSchedule, optional=True)
-    _check_n(n)
-    if not (is_integer(steps) and steps >= 1):
-        raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
-    if not _is_number(t0):
-        raise DomainError(f"t0 must be a finite real number, got {t0!r}")
+    check_kind("schedule", schedule, TreatmentSchedule, optional=True)
+    check("n", n, NODES)
+    check("steps", steps, _STEPS)
+    check("t0", t0, FINITE)
     for epoch in schedule.epochs if schedule is not None else ():
         if t0 < epoch < t0 + steps:   # a switch falls on a step boundary
             _check_grid(t0, epoch, 1.0, what="treatment epoch")
@@ -450,12 +448,9 @@ def run_ensemble(
     Replicas are embarrassingly parallel; results are merged in replica
     order so the summary is identical for any ``n_jobs``.
     """
-    if not (is_integer(replicas) and replicas >= 2):
-        raise DomainError(f"replicas must be an integer >= 2, got {replicas!r}")
-    if not (is_integer(n_jobs) and n_jobs >= 1):
-        raise DomainError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
-    if not (is_integer(base_seed) and base_seed >= 0):
-        raise DomainError(f"base_seed must be an integer >= 0, got {base_seed!r}")
+    check("replicas", replicas, REPLICAS)
+    check("n_jobs", n_jobs, JOBS)
+    check("base_seed", base_seed, SEED)
     _check_model(model)
     jobs = [(model, n, steps, schedule, base_seed, r, t0) for r in range(replicas)]
     if n_jobs > 1:

@@ -20,36 +20,31 @@ from typing import NamedTuple
 import numpy as np
 
 from .abm import EnsembleSummary
-from .errors import DomainError, is_integer
-from .ode import Trajectory, _is_number
+from .degree import support
+from .errors import (NUMBERS, POSITIVE, RANGE, SEED, Domain, DomainError, Interval, check,
+                     count, is_integer, one_of)
+from .ode import Trajectory
 
 # relative variance below which an index is reported as undefined (NaN)
 _VAR_FLOOR = 1e-12
-_OUTPUTS = ("incidence", "prevalence")
+# the argument rules the config's rows take too
+OUTPUTS = one_of("incidence", "prevalence")
+N_BASE = count(64)
+VARIANTS = one_of("infected", "healthy")
+POPULATIONS = Domain(lambda v: is_integer(v) and v in (1, 2), "1 or 2")
+BAND_SIGMAS = POSITIVE
+_ITERATIONS = count(1)
+_NAMES = Domain(lambda v: isinstance(v, Mapping), "a mapping of parameter names")
+PARAMETERS = Domain(lambda v: isinstance(v, Mapping) and len(v) > 0,
+                    "a mapping of at least one parameter name")
+_SERIES = Domain(lambda v: v in NUMBERS and len(v) > 0, "a nonempty sequence of finite numbers")
 
 
-def _pairs(rows, message):
-    """(lower, upper) arrays of ``rows``, each a pair of numbers; otherwise a
-    DomainError with ``message``."""
-    try:
-        bounds = np.array(rows, dtype=float)
-    except (TypeError, ValueError):
-        bounds = None
-    if bounds is None or bounds.shape != (len(rows), 2):
-        raise DomainError(message)
-    return bounds.T
-
-
-def _numbers(name, values):
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a sequence of numbers") from None
-
-
-def _check_output(output):
-    if not (isinstance(output, str) and output in _OUTPUTS):
-        raise DomainError(f"output must be 'incidence' or 'prevalence', got {output!r}")
+def _bounds(name, ranges):
+    """The (lower, upper) arrays of the mapping ``ranges``, each entry RANGE."""
+    for p in ranges:
+        check(f"{name} {p!r}", ranges[p], RANGE)
+    return np.array([ranges[p] for p in ranges], dtype=float).T
 
 
 class SobolResult(NamedTuple):
@@ -85,23 +80,13 @@ def sobol_first_order(
     ``runner`` maps a parameter dict to a Trajectory; ``ranges`` gives one
     uniform interval per parameter.  Evaluations run in sample order.
     """
-    if not (is_integer(n_base) and n_base >= 64):
-        raise DomainError(f"n_base must be an integer >= 64, got {n_base!r}")
-    if not (is_integer(seed) and seed >= 0):
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    if not isinstance(ranges, Mapping):
-        raise DomainError(f"ranges must be a mapping of parameter names, got {ranges!r}")
-    if not ranges:
-        raise DomainError("at least one parameter range is required")
-    _check_output(output)
+    check("n_base", n_base, N_BASE)
+    check("seed", seed, SEED)
+    check("ranges", ranges, PARAMETERS)
+    check("output", output, OUTPUTS)
     parameters = tuple(ranges)
-    lo, hi = _pairs([ranges[p] for p in parameters], "each range must be a pair [lower, upper]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = hi - lo
-    # a width past the largest float would sample inf and NaN
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(width)) and np.all(lo < hi)):
-        raise DomainError("each range must be finite with lower < upper, and upper - lower "
-                          "a finite number")
+    lo, hi = _bounds("ranges", ranges)
+    width = hi - lo
     d = len(parameters)
 
     rng = np.random.default_rng(seed)
@@ -151,24 +136,15 @@ def phase_series(
     """
     if traj.dY is None:
         raise DomainError("trajectory has no recorded RHS evaluations (agent-based run?)")
-    if variant not in ("infected", "healthy"):
-        raise DomainError(f"variant must be 'infected' or 'healthy', got {variant!r}")
-
-    if not (is_integer(population) and population in (1, 2)):
-        raise DomainError(f"population must be 1 or 2, got {population!r}")
+    check("variant", variant, VARIANTS)
+    check("population", population, POPULATIONS)
     model = traj.model
     index = population - 1
     if index >= len(model.populations):
         raise DomainError("trajectory has no second population")
-    degrees = model.populations[index].k
-
-    def column(degree):
-        idx = np.flatnonzero(degrees == degree)
-        if idx.size == 0:
-            raise DomainError(f"degree {degree} outside trajectory support")
-        return int(idx[0])
-
-    i_m, i_n = column(m), column(n)
+    dist = model.populations[index].dist
+    degrees = support(dist.k_min, dist.k_max)
+    i_m, i_n = (check(name, k, degrees) - dist.k_min for name, k in (("m", m), ("n", n)))
     # states: infected summed over stages, each type clamped at 0, then summed
     # over types; s and removed clamped at 0.  Derivatives are not clamped.
     s, infected, removed = model.blocks(traj.Y)[index]
@@ -205,8 +181,7 @@ def compare_ode_abm(ode: Trajectory, ens: EnsembleSummary, band_sigmas: float = 
     absolute slack keeps exact matches at zero-variance points covered.
     ``band_sigmas`` is a finite positive number, as ``compare.band_sigmas``.
     """
-    if not (_is_number(band_sigmas) and band_sigmas > 0):
-        raise DomainError(f"band_sigmas must be a finite positive number, got {band_sigmas!r}")
+    check("band_sigmas", band_sigmas, BAND_SIGMAS)
     if ode.times.shape != ens.times.shape or np.any(ode.times != ens.times):
         raise DomainError("ODE and ensemble time grids are not aligned")
     dev = np.abs(ode.prevalence - ens.mean_prevalence)
@@ -267,41 +242,21 @@ def fit_parameters(
     "incidence" or "prevalence" and ``max_iterations`` an integer >= 1; a
     bad argument is a DomainError naming it, raised before any model run.
     """
-    _check_output(output)
-    if not (is_integer(max_iterations) and max_iterations >= 1):
-        raise DomainError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
-    observed_times = _numbers("observed_times", observed_times)
-    observed = _numbers("observed", observed)
-    if observed.size == 0:
-        raise DomainError("observed series must be nonempty")
+    check("output", output, OUTPUTS)
+    check("max_iterations", max_iterations, _ITERATIONS)
+    observed_times = np.array(check("observed_times", observed_times, _SERIES), dtype=float)
+    observed = np.array(check("observed", observed, _SERIES), dtype=float)
     if observed_times.shape != observed.shape:
         raise DomainError("observed times and values must align")
-    for name, values in (("observed_times", observed_times), ("observed", observed)):
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"{name} must be finite")
-    for name, value in (("free", free), ("initial", initial)):
-        if not isinstance(value, Mapping):
-            raise DomainError(f"{name} must be a mapping of parameter names, got {value!r}")
-    if not free:
-        raise DomainError("at least one free parameter is required")
+    check("free", free, PARAMETERS)
+    check("initial", initial, _NAMES)
     names = tuple(free)
-    lo, hi = _pairs([free[p] for p in names], "free: each bound must be a pair (lower, upper)")
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))) or np.any(hi <= lo):
-        raise DomainError("free: each bound must be a finite (lower, upper) pair")
-    missing = [p for p in names if p not in initial]
-    if missing:
-        raise DomainError(f"initial: no value for the free parameter {missing[0]!r}")
-    try:
-        x0 = np.array([initial[p] for p in names], dtype=float)
-    except (TypeError, ValueError):
-        x0 = None
-    if x0 is None or x0.shape != (len(names),):
-        raise DomainError(f"initial: values must be numbers, got {initial!r}")
-    if not np.all(np.isfinite(x0)):
-        raise DomainError(f"initial: values must be finite, got {initial!r}")
-    for p, v, a, b in zip(names, x0, lo, hi):
-        if not a <= v <= b:
-            raise DomainError(f"initial: {p} = {v:g} lies outside its free bound [{a:g}, {b:g}]")
+    lo, hi = _bounds("free", free)
+    x0 = np.array([check(f"initial {p!r}", initial.get(p), Interval(*free[p])) for p in names],
+                  dtype=float)
+    for p in initial:   # as the config's fit.initial
+        if p not in free:
+            raise DomainError(f"initial {p!r}: no matching free parameter")
 
     grid_index = None
 

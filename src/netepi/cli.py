@@ -27,10 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .abm import chain_limit, run_ensemble
+from .abm import JOBS, REPLICAS, chain_limit, run_ensemble
 from .analysis import compare_ode_abm, fit_parameters, phase_series, sobol_first_order
 from .config import SimulationSpec, build_spec_model, parse_config, run_trajectory
-from .errors import ConfigError, DomainError, NetepiError, StabilityError, is_integer
+from .errors import SEED, ConfigError, DomainError, NetepiError, StabilityError, check
 from .ode import _check_grid, integrate
 
 
@@ -157,12 +157,11 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
         raise ConfigError("", f"unknown command {command!r}")
     if entry.section and getattr(spec, command) is None:
         raise ConfigError(command, f"section required for the {command} command")
-    if replicas is not None and not (is_integer(replicas) and replicas >= 2):
-        raise ConfigError("abm.replicas", f"must be an integer >= 2, got {replicas!r}")
-    if not (is_integer(threads) and threads >= 1):
-        raise ConfigError("threads", f"must be an integer >= 1, got {threads!r}")
-    if seed is not None and not (is_integer(seed) and seed >= 0):
-        raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
+    if replicas is not None:
+        check("abm.replicas", replicas, REPLICAS, config=True)
+    check("threads", threads, JOBS, config=True)
+    if seed is not None:
+        check("seed", seed, SEED, config=True)
     if entry.steps_at_dt:
         off = _off_grid(spec, spec.dt)
         if off is not None:
@@ -325,10 +324,8 @@ def _thread_count(threads):
     try:
         value = int(raw)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(source, f"must be an integer >= 1, got {raw!r}")
-    return value
+        value = raw   # not an integer: the check names it as given
+    return check(source, value, JOBS, config=True)
 
 
 def _dispatch(command, config, seed, threads, out, plot, replicas=None):

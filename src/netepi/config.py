@@ -2,10 +2,11 @@
 
 A configuration is one JSON object selecting a model and its parameters.
 FIELDS is the one place a field is declared: one row per dotted path, with
-the field's JSON kind, its default (or REQUIRED) and its domain.  One
+the field's JSON kind, its default (or REQUIRED) and its domain, the rule
+the library declares for the argument the field sets (``errors``).  One
 reader walks it: unknown keys are rejected everywhere (typo safety), every
-value is checked, every default filled in, and every diagnostic carries the
-dotted path of the offending field.  The dict it builds is the canonical
+value is checked through ``errors.check``, every default filled in, and
+every diagnostic carries the dotted path of the offending field.  The dict it builds is the canonical
 form: ``SimulationSpec.canonical_dict`` returns a copy, which parses back
 unchanged.  What a row cannot state is written out after the table: which
 model reads which field (MODEL_FIELDS) and the rules tying fields together.
@@ -15,98 +16,101 @@ README.md ("Configuration") has examples and the scalar fields of the table.
 from __future__ import annotations
 
 import json
-import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-from .degree import DegreeDistribution, from_weights, truncated_power_law
-from .errors import ConfigError, DomainError
-from .ode import MODEL_NAMES, EpidemicParams, TreatmentSchedule, build_model, integrate
+from .abm import NODES, REPLICAS
+from .analysis import BAND_SIGMAS, N_BASE, OUTPUTS, PARAMETERS, POPULATIONS, VARIANTS
+from .degree import (DEGREE, GAMMA, WEIGHTS, DegreeDistribution, from_weights, support,
+                     truncated_power_law)
+from .errors import (INTEGER, NUMBERS, POSITIVE, RANGE, SEED, UNIT, ConfigError, Domain,
+                     DomainError, Interval, check, check_kind, is_number, one_of)
+from .ode import (COVERAGES, LINK_MODES, METHODS, MODELS, PARAM_INTERVALS, SPLIT, EpidemicParams,
+                  TreatmentSchedule, build_model, integrate)
 
 REQUIRED = object()
-_INF = float("inf")
-# bounds: (lower, upper, lower open, upper open)
-_UNIT = (0, 1, False, False)
-_OPEN_UNIT = (0, 1, True, True)
-_POSITIVE = (0, _INF, True, True)
-_OUTPUTS = ("incidence", "prevalence")
-
-
-def _at_least(lower):
-    return (lower, _INF, False, True)
 
 
 class Field(NamedTuple):
-    """One FIELDS row.  A value is one of ``choices`` as it stands, or of
-    ``kind`` (float, int, str, bool, list or dict) inside ``bounds`` (for a
-    list: each element a number inside them).  An absent field takes
-    ``default``; REQUIRED makes it an error, None leaves it out.  A dict
-    field with rows under its path is read by them, a default {} reading
-    an absent one as empty."""
+    """One FIELDS row.  A value must lie in ``domain``, by default any value
+    of ``kind`` (float, int, str, bool, list or dict); a float row stores a
+    number as a float, a list row with a domain its numbers as floats.  An
+    absent field takes ``default``; REQUIRED makes it an error, None leaves
+    it out.  A dict field with rows under its path is read by them, a
+    default {} reading an absent one as empty."""
 
     kind: type
     default: object = None
-    bounds: tuple | None = None
-    choices: tuple = ()
+    domain: Domain | None = None
 
 
 # the keys of a distribution section of each type, besides "type"
 _DISTRIBUTIONS = {"power_law": ("gamma", "k_min", "k_max"), "weights": ("k_min", "weights")}
+# the EpidemicParams field of each config key that sets one
+_PARAM_NAMES = {**{f.name: f.name for f in fields(EpidemicParams)},
+                "lambda": "lam", "lambda2": "lam2"}
+
+
+def _param(key, default):
+    """The row of the parameter ``key``, in the interval EpidemicParams declares."""
+    return Field(float, default, PARAM_INTERVALS[_PARAM_NAMES[key]])
+
 
 FIELDS = {
-    "model": Field(str, REQUIRED, choices=MODEL_NAMES),
-    "lambda": Field(float, REQUIRED, _UNIT),
-    "mu": Field(float, 0.0, _UNIT),
-    "rho0": Field(float, REQUIRED, _OPEN_UNIT),
-    "d": Field(float, 0.0, _UNIT),
-    "treatment_efficacy": Field(float, 0.4, _UNIT),
-    "lambda2": Field(float, None, _UNIT),
-    "rho0_2": Field(float, None, (0, 1, False, True)),
-    "split": Field(float, "hazard", _UNIT, ("hazard",)),
-    "rho0_type2": Field(float, 0.0, _UNIT),
-    "asymmetry": Field(float, 0.5, _UNIT),
-    "side_fraction": Field(float, 0.5, _OPEN_UNIT),
+    "model": Field(str, REQUIRED, MODELS),
+    "lambda": _param("lambda", REQUIRED),
+    "mu": _param("mu", 0.0),
+    "rho0": _param("rho0", REQUIRED),
+    "d": _param("d", 0.0),
+    "treatment_efficacy": _param("treatment_efficacy", 0.4),
+    "lambda2": _param("lambda2", None),
+    "rho0_2": _param("rho0_2", None),
+    "split": Field(float, "hazard", SPLIT),
+    "rho0_type2": _param("rho0_type2", 0.0),
+    "asymmetry": _param("asymmetry", 0.5),
+    "side_fraction": _param("side_fraction", 0.5),
     "stage_rates": Field(list),
-    "t_span": Field(list, REQUIRED),
-    "method": Field(str, "rk4", choices=("euler", "rk4")),
-    "dt": Field(float, 0.1, _POSITIVE),
-    "link_mode": Field(str, "active", choices=("active", "fixed")),
+    "t_span": Field(list, REQUIRED, RANGE),
+    "method": Field(str, "rk4", METHODS),
+    "dt": Field(float, 0.1, POSITIVE),
+    "link_mode": Field(str, "active", LINK_MODES),
     "per_degree": Field(bool, False),
     "out_dir": Field(str, "."),
     # distribution2 is read by the distribution rows
     "distribution": Field(dict),
     "distribution2": Field(dict),
-    "distribution.type": Field(str, REQUIRED, choices=tuple(_DISTRIBUTIONS)),
-    "distribution.gamma": Field(float, REQUIRED, _POSITIVE),
-    "distribution.k_min": Field(int, 1, _at_least(1)),
-    "distribution.k_max": Field(int, REQUIRED, _at_least(1)),
-    "distribution.weights": Field(list, REQUIRED, _at_least(0)),
+    "distribution.type": Field(str, REQUIRED, one_of(*_DISTRIBUTIONS)),
+    "distribution.gamma": Field(float, REQUIRED, GAMMA),
+    "distribution.k_min": Field(int, 1, DEGREE),
+    "distribution.k_max": Field(int, REQUIRED, DEGREE),
+    "distribution.weights": Field(list, REQUIRED, WEIGHTS),
     "treatment": Field(dict),
-    "treatment.initial_coverage": Field(float, 0.0, _UNIT),
-    "treatment.epochs": Field(list, REQUIRED, (-_INF, _INF, True, True)),
-    "treatment.coverages": Field(list, REQUIRED, _UNIT),
+    "treatment.initial_coverage": Field(float, 0.0, UNIT),
+    "treatment.epochs": Field(list, REQUIRED, NUMBERS),
+    "treatment.coverages": Field(list, REQUIRED, COVERAGES),
     "abm": Field(dict, {}),
-    "abm.n": Field(int, None, _at_least(2)),
-    "abm.replicas": Field(int, 100, _at_least(2)),
-    "abm.seed": Field(int, 0, _at_least(0)),
+    "abm.n": Field(int, None, NODES),
+    "abm.replicas": Field(int, 100, REPLICAS),
+    "abm.seed": Field(int, 0, SEED),
     "compare": Field(dict, {}),
-    "compare.band_sigmas": Field(float, 3.0, _POSITIVE),
+    "compare.band_sigmas": Field(float, 3.0, BAND_SIGMAS),
     "sensitivity": Field(dict),
-    "sensitivity.ranges": Field(dict, REQUIRED),
-    "sensitivity.n_base": Field(int, 512, _at_least(64)),
-    "sensitivity.seed": Field(int, 0, _at_least(0)),
-    "sensitivity.output": Field(str, "incidence", choices=_OUTPUTS),
+    "sensitivity.ranges": Field(dict, REQUIRED, PARAMETERS),
+    "sensitivity.n_base": Field(int, 512, N_BASE),
+    "sensitivity.seed": Field(int, 0, SEED),
+    "sensitivity.output": Field(str, "incidence", OUTPUTS),
     "phase": Field(dict),
     "phase.m": Field(int, REQUIRED),
     "phase.n": Field(int, REQUIRED),
-    "phase.variant": Field(str, "infected", choices=("infected", "healthy")),
-    "phase.population": Field(int, 1, (1, 2, False, False)),
+    "phase.variant": Field(str, "infected", VARIANTS),
+    "phase.population": Field(int, 1, POPULATIONS),
     "fit": Field(dict),
-    "fit.free": Field(dict, REQUIRED),
+    "fit.free": Field(dict, REQUIRED, PARAMETERS),
     "fit.initial": Field(dict, REQUIRED),
     "fit.observed": Field(list),
     "fit.observed_csv": Field(str),
-    "fit.output": Field(str, "incidence", choices=_OUTPUTS),
+    "fit.output": Field(str, "incidence", OUTPUTS),
 }
 
 # the rows of each section by key, "" the top level
@@ -140,34 +144,20 @@ _TABLE_FIELDS = tuple(dict.fromkeys(name for row in MODEL_FIELDS.values() for na
 _ANY_MODEL = ("mu", "treatment_efficacy")
 
 # the parameters sensitivity.ranges, fit.free and overrides may vary, each
-# with the bounds of its row
-_DOMAINS = {path.rpartition(".")[2]: FIELDS[path].bounds for path in (
+# with the domain of its row
+_DOMAINS = {path.rpartition(".")[2]: FIELDS[path].domain for path in (
     "lambda", "mu", "rho0", "d", "lambda2", "treatment_efficacy", "distribution.gamma")}
 TUNABLE = tuple(_DOMAINS)
-# the EpidemicParams field of each config key that sets one
-_PARAM_NAMES = {**{f.name: f.name for f in fields(EpidemicParams)},
-                "lambda": "lam", "lambda2": "lam2"}
-
-_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
-          bool: (bool, "true or false"), list: (list, "a list"), dict: (dict, "an object")}
-
-
-def _number(full, value) -> float:
-    """A JSON number as a float; bools, nan, inf and ints no float holds
-    are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(full, f"expected a number, got {type(value).__name__}")
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(full, f"expected a finite number, got {value}")
-    return float(value)
-
-
-def _within(full, value, bounds):
-    lo, hi, lo_open, hi_open = bounds
-    if not ((value > lo if lo_open else value >= lo) and (value < hi if hi_open else value <= hi)):
-        raise ConfigError(full, f"out of {'(' if lo_open else '['}{lo}, {hi}"
-                                f"{')' if hi_open else ']'}: {value}")
-    return value
+# what a value of each kind of row must be when the row declares no domain;
+# a free string is a file path, which holds no NUL character
+_KINDS = {int: INTEGER, bool: Domain(lambda v: isinstance(v, bool), "true or false"),
+          str: Domain(lambda v: isinstance(v, str) and "\x00" not in v,
+                      "a string without a NUL character"),
+          list: Domain(lambda v: isinstance(v, list), "a list"),
+          dict: Domain(lambda v: isinstance(v, dict), "an object")}
+_OBSERVED = Domain(lambda v: len(v) > 0 and all(
+    isinstance(p, list) and len(p) == 2 and all(map(is_number, p)) for p in v),
+    "a nonempty list of [t, value] pairs of finite numbers")
 
 
 def _value(mapping, path, key, field):
@@ -182,22 +172,11 @@ def _value(mapping, path, key, field):
         value = field.default
     else:
         return field.default
-    if isinstance(value, str) and value in field.choices:
-        return value
-    if field.choices and field.kind is str:
-        raise ConfigError(full, f"expected one of {field.choices}, got {value!r}")
-    if isinstance(value, str) and "\x00" in value:   # no file path holds one
-        raise ConfigError(full, "expected a string without a NUL character")
-    accepted, name = _KINDS[field.kind]
-    if not isinstance(value, accepted) or isinstance(value, bool) and field.kind is not bool:
-        expected = " or ".join([*map(repr, field.choices), name])
-        raise ConfigError(full, f"expected {expected}, got {type(value).__name__}")
-    if field.kind is list and field.bounds:
-        return [_within(full, _number(full, v), field.bounds) for v in value]
-    if field.kind is float:
-        value = _number(full, value)
-    if field.bounds:
-        _within(full, value, field.bounds)
+    check(full, value, field.domain or _KINDS[field.kind], config=True)
+    if field.kind is float and not isinstance(value, str):   # split's "hazard" stays
+        return float(value)
+    if field.kind is list and field.domain:
+        return [float(v) for v in value]
     if field.kind is dict and full in _SECTIONS:
         return _section(value, full)
     return value
@@ -222,16 +201,6 @@ def _section(obj, path, skip=()):
     return out
 
 
-def _interval(full, pair):
-    """``pair`` as (lower, upper): two finite numbers, lower below upper."""
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ConfigError(full, "expected [lower, upper]")
-    lo, hi = (_number(full, v) for v in pair)
-    if hi <= lo:
-        raise ConfigError(full, f"lower {lo} must be below upper {hi}")
-    return lo, hi
-
-
 def build_distribution(spec_dict) -> DegreeDistribution:
     if spec_dict["type"] == "power_law":
         return truncated_power_law(spec_dict["gamma"], spec_dict["k_min"], spec_dict["k_max"])
@@ -241,26 +210,24 @@ def build_distribution(spec_dict) -> DegreeDistribution:
 def _bounds_map(obj, path, config):
     """Parameter ranges inside each parameter's domain, for parameters the
     model uses as configured."""
-    if not obj:
-        raise ConfigError(path, "expected a nonempty object of parameter ranges")
     out = {}
     for name, pair in obj.items():
         full = f"{path}.{name}"
-        if name not in TUNABLE:
-            raise ConfigError(full, f"unknown parameter; expected one of {TUNABLE}")
-        out[name] = _interval(full, pair)
-        for bound in out[name]:
-            _within(full, bound, _DOMAINS[name])
         reason = _fixed_reason(name, config)
         if reason:
             raise ConfigError(full, reason)
+        for bound in check(full, pair, RANGE, config=True):
+            check(full, bound, _DOMAINS[name], config=True)
+        out[name] = (float(pair[0]), float(pair[1]))
     return out
 
 
 def _fixed_reason(name, config):
-    """Why the model as configured cannot vary the TUNABLE parameter
-    ``name``, or None when it can."""
+    """Why the model as configured cannot vary the parameter ``name``, or
+    None when it can: a TUNABLE one it uses as configured."""
     model = config["model"]
+    if name not in _DOMAINS:
+        return f"unknown parameter; expected one of {TUNABLE}"
     if name in _TABLE_FIELDS and name not in MODEL_FIELDS[model]:
         return f"not used by model {model!r}"
     if name == "gamma" and config.get("distribution", {}).get("type") != "power_law":
@@ -315,14 +282,11 @@ def parse_config_data(data) -> SimulationSpec:
     config = _section(data, "", skip=_outside_row(data, model))
     if config["mu"] != 0.0 and "mu" not in MODEL_FIELDS[model]:
         raise ConfigError("mu", f"model {model!r} removes through demography; mu must be 0")
-    config["t_span"] = list(_interval("t_span", config["t_span"]))
 
     for name in ("distribution", "distribution2"):
         dist = config.get(name, {})
         if "k_max" in dist and dist["k_max"] < dist["k_min"]:
             raise ConfigError(f"{name}.k_max", f"below k_min {dist['k_min']}")
-        if "weights" in dist and not sum(dist["weights"]) > 0:
-            raise ConfigError(f"{name}.weights", "expected at least one positive weight")
 
     try:
         params = EpidemicParams(**{_PARAM_NAMES[k]: v for k, v in config.items()
@@ -355,17 +319,15 @@ def parse_config_data(data) -> SimulationSpec:
         # a model without a distribution has the one degree 1
         dist, dist2 = config.get("distribution"), config.get("distribution2")
         chosen = build_distribution(dist if population == 1 else dist2 or dist) if dist else None
-        lo, hi = (chosen.k_min, chosen.k_max) if chosen else (1, 1)
+        degrees = support(chosen.k_min, chosen.k_max) if chosen else support(1, 1)
         for key in ("m", "n"):
-            if not lo <= phase[key] <= hi:
-                raise ConfigError(f"phase.{key}", f"degree {phase[key]} outside the degree "
-                                  f"support [{lo}, {hi}] of population {population}")
+            check(f"phase.{key}", phase[key], degrees, config=True)
 
     if "fit" in config:
         fit = config["fit"]
         free = fit["free"] = _bounds_map(fit["free"], "fit.free", config)
         initial = {name: _value(fit["initial"], "fit.initial", name,
-                                Field(float, REQUIRED, (*free[name], False, False)))
+                                Field(float, REQUIRED, Interval(*free[name])))
                    for name in free}
         for name in fit["initial"]:
             if name not in free:
@@ -374,10 +336,8 @@ def parse_config_data(data) -> SimulationSpec:
         if ("observed" in fit) == ("observed_csv" in fit):
             raise ConfigError("fit.observed", "provide exactly one of observed, observed_csv")
         if "observed" in fit:
-            observed = fit["observed"]
-            if not observed or not all(isinstance(p, list) and len(p) == 2 for p in observed):
-                raise ConfigError("fit.observed", "expected [[t, value], ...]")
-            fit["observed"] = [[_number("fit.observed", v) for v in p] for p in observed]
+            observed = check("fit.observed", fit["observed"], _OBSERVED, config=True)
+            fit["observed"] = [[float(v) for v in p] for p in observed]
 
     return SimulationSpec(config, params, treatment)
 
@@ -396,17 +356,19 @@ def build_spec_model(spec: SimulationSpec, overrides: dict | None = None):
     """Instantiate the configured model, optionally overriding tunables.
 
     Overrides may touch the TUNABLE parameters the model uses as
-    configured, by the same rule as ``sensitivity.ranges`` and ``fit.free``;
-    any other override is a DomainError naming it.
+    configured, each in its domain, by the same rules as
+    ``sensitivity.ranges`` and ``fit.free``; any other override is a
+    DomainError naming it.
     """
     config = spec.config   # read directly: a spec attribute goes through the slower __getattr__
+    check_kind("overrides", overrides, Mapping, optional=True)
     overrides = dict(overrides or {})
-    for name in overrides:
-        if name not in _DOMAINS:
-            raise DomainError(f"override {name!r}: unknown parameter; expected one of {TUNABLE}")
+    for name, value in overrides.items():
         reason = _fixed_reason(name, config)
         if reason:
             raise DomainError(f"override {name!r}: {reason}")
+        if value not in _DOMAINS[name]:   # the name is formatted only for the error
+            check(f"override {name!r}", value, _DOMAINS[name])
     dist_dict, dist2_dict = config.get("distribution"), config.get("distribution2")
     if "gamma" in overrides:
         dist_dict = {**dist_dict, "gamma": overrides.pop("gamma")}

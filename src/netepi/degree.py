@@ -11,9 +11,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import POSITIVE, Domain, DomainError, Interval, check, count, is_integer, is_sequence
 
 PMF_TOL = 1e-12
+# the degree bounds, which the config's distribution rows take too
+GAMMA = POSITIVE
+DEGREE = count(1)
+_WEIGHT = Interval(0, float("inf"), hi_open=True)
+WEIGHTS = Domain(lambda w: is_sequence(w) and all(map(_WEIGHT.__contains__, w)) and sum(w) > 0,
+                 "a list of finite numbers >= 0, at least one positive")
+
+
+def support(k_min, k_max) -> Domain:
+    """The integer degrees from ``k_min`` to ``k_max``."""
+    return Domain(lambda k: is_integer(k) and k_min <= k <= k_max,
+                  f"a degree in [{k_min}, {k_max}]")
+
+
+def _check_support(k_min, k_max):
+    check("k_min", k_min, DEGREE)
+    if not (is_integer(k_max) and k_max >= k_min):
+        raise DomainError(f"k_max must be an integer >= k_min ({k_min}), got {k_max!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,10 +47,7 @@ class DegreeDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
-        if self.k_min < 1:
-            raise DomainError(f"k_min must be >= 1, got {self.k_min}")
-        if self.k_max < self.k_min:
-            raise DomainError(f"k_max ({self.k_max}) must be >= k_min ({self.k_min})")
+        _check_support(self.k_min, self.k_max)
         pmf = np.asarray(self.pmf, dtype=float)
         if pmf.shape != (self.k_max - self.k_min + 1,):
             raise DomainError(
@@ -63,10 +78,8 @@ def truncated_power_law(gamma: float, k_min: int = 1, k_max: int = 60) -> Degree
     Z is the direct finite sum over the support, so normalization is exact
     rather than a zeta-function approximation.
     """
-    if not gamma > 0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
-    if k_min < 1 or k_max < k_min:
-        raise DomainError(f"invalid degree support [{k_min}, {k_max}]")
+    check("gamma", gamma, GAMMA)
+    _check_support(k_min, k_max)
     k = np.arange(k_min, k_max + 1, dtype=float)
     weights = k ** (-gamma)
     return DegreeDistribution(k_min, k_max, weights / weights.sum())
@@ -75,15 +88,9 @@ def truncated_power_law(gamma: float, k_min: int = 1, k_max: int = 60) -> Degree
 def from_weights(k_min: int, weights) -> DegreeDistribution:
     """Distribution proportional to the given nonnegative weights at
     degrees k_min, k_min+1, ...."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise DomainError("weights must be a nonempty 1-d sequence")
-    if np.any(w < 0):
-        raise DomainError("weights must be nonnegative")
-    total = w.sum()
-    if total <= 0:
-        raise DomainError("at least one weight must be positive")
-    return DegreeDistribution(k_min, k_min + w.size - 1, w / total)
+    check("k_min", k_min, DEGREE)
+    w = np.asarray(check("weights", weights, WEIGHTS), dtype=float)
+    return DegreeDistribution(k_min, k_min + w.size - 1, w / w.sum())
 
 
 def mean_degree(dist: DegreeDistribution) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import INTEGER, OPEN_UNIT, DomainError, check, count
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ class LinkProbabilities:
             )
 
 
-def _check_prob(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must be in [0, 1], got {value}")
+_TRIALS = count(1)
 
 
 def normal_approx_pmf(n: int, k: int, p: float) -> float:
@@ -62,13 +60,13 @@ def normal_approx_pmf(n: int, k: int, p: float) -> float:
     Gaussian density with mean Np and variance Np(1-p), refined by the
     second-order Edgeworth (skewness + kurtosis) terms.  The plain Gaussian
     density is ~8e-3 off near the mode for Np(1-p) ~ 9; the refined form
-    stays under 1e-3 absolute error for N >= 100, 0.1 <= p <= 0.9.
+    stays under 1e-3 absolute error for N >= 100, 0.1 <= p <= 0.9.  It takes
+    an integer ``n`` >= 1, an integer ``k`` and p in (0, 1): at p 0 or 1 the
+    variance is zero.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    _check_prob("p", p)
-    if p in (0.0, 1.0):
-        raise DomainError("normal approximation undefined for p in {0, 1} (zero variance)")
+    check("n", n, _TRIALS)
+    check("k", k, INTEGER)
+    check("p", p, OPEN_UNIT)
     q = 1.0 - p
     sd = math.sqrt(n * p * q)
     x = (k - n * p) / sd

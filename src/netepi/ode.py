@@ -50,13 +50,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from numbers import Integral, Real
-from sys import float_info
 
 import numpy as np
 
 from .degree import DegreeDistribution, mean_degree
-from .errors import DomainError, StabilityError
+from .errors import (NUMBERS, OPEN_UNIT, POSITIVE, RANGE, UNIT, Domain, DomainError,
+                     Interval, StabilityError, check, check_kind, is_integer, items_in, one_of)
 from .mixing import LinkProbabilities, hazard_profile, hazard_profile_two
 
 STATE_FLOOR = -1e-6   # integration aborts below this
@@ -64,11 +63,24 @@ STATE_CEIL = 1.0 + 1e-6   # ... or above this in an s or infected entry
 _FLOAT = np.dtype(np.float64)
 
 
-_LINK_MODES = ("active", "fixed")
-# the interval each numeric EpidemicParams field must lie in
-_INTERVALS = {"lam": "[0, 1]", "mu": "[0, 1]", "rho0": "(0, 1)", "d": "[0, 1]", "lam2": "[0, 1]",
-              "rho0_2": "[0, 1)", "treatment_efficacy": "[0, 1]", "split": "[0, 1]",
-              "rho0_type2": "[0, 1]", "asymmetry": "[0, 1]", "side_fraction": "(0, 1)"}
+LINK_MODES = one_of("active", "fixed")
+METHODS = one_of("euler", "rk4")
+# the interval each numeric EpidemicParams field must lie in, and split's
+# domain; the config rows of these parameters take theirs from here
+PARAM_INTERVALS = {"lam": UNIT, "mu": UNIT, "rho0": OPEN_UNIT, "d": UNIT, "lam2": UNIT,
+                   "rho0_2": Interval(0, 1, hi_open=True), "treatment_efficacy": UNIT,
+                   "rho0_type2": UNIT, "asymmetry": UNIT, "side_fraction": OPEN_UNIT}
+SPLIT = Domain(lambda v: isinstance(v, str) and v == "hazard" or v in UNIT,
+               "'hazard' or a number in [0, 1]")
+
+
+def _or_none(interval):
+    return Domain(lambda v: v is None or v in interval, f"None or {interval.what}")
+
+
+# what EpidemicParams accepts: lam2 and rho0_2 may be None, split "hazard"
+_PARAM_DOMAINS = {**PARAM_INTERVALS, "lam2": _or_none(UNIT),
+                  "rho0_2": _or_none(PARAM_INTERVALS["rho0_2"]), "split": SPLIT}
 
 
 @dataclass(frozen=True)
@@ -101,50 +113,13 @@ class EpidemicParams:
     link_mode: str = "active"
 
     def __post_init__(self):
-        for name, interval in _INTERVALS.items():
-            v = getattr(self, name)
-            if not (_in(v, interval) or v is None and name in ("lam2", "rho0_2")
-                    or name == "split" and isinstance(v, str) and v == "hazard"):
-                what = "'hazard' or a fraction in" if name == "split" else "in"
-                raise DomainError(f"{name} must be {what} {interval}, got {v!r}")
-        _check("link_mode", self.link_mode, _LINK_MODES.__contains__, "'active' or 'fixed'")
+        for name, domain in _PARAM_DOMAINS.items():
+            check(name, getattr(self, name), domain)
+        check("link_mode", self.link_mode, LINK_MODES)
         if self.stage_rates is not None:
             if self.mu != 0.0:
                 raise DomainError("stage_rates replaces mu; set mu=0 when providing stages")
             object.__setattr__(self, "stage_rates", _stage_rows(self.stage_rates))
-
-
-def _is_number(value) -> bool:
-    """A real number a float holds finitely (math.isfinite raises past it); no
-    bool.  A plain float or int is told apart by its type, before the slower
-    abstract-class test."""
-    return ((type(value) in (float, int)
-             or isinstance(value, Real) and not isinstance(value, bool))
-            and abs(value) <= float_info.max)
-
-
-def _in(value, interval="[0, 1]"):
-    """Whether ``value`` is a number in ``interval``, "[0, 1]" with either end open."""
-    return (_is_number(value) and (0 < value if interval[0] == "(" else 0 <= value)
-            and (value < 1 if interval[-1] == ")" else value <= 1))
-
-
-def _check(name, value, ok, what):
-    """``value`` if ``ok(value)``, else a DomainError naming ``name``."""
-    if not ok(value):
-        raise DomainError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
-def _items(name, values, ok, what):
-    """``values`` as a tuple if it is a list or tuple of items that pass ``ok``."""
-    return tuple(_check(name, values, lambda v: isinstance(v, (list, tuple)) and all(map(ok, v)),
-                        what))
-
-
-def _check_kind(name, value, kind, optional=False):
-    if not (isinstance(value, kind) or optional and value is None):
-        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def _stage_rows(rates):
@@ -153,7 +128,7 @@ def _stage_rows(rates):
     seq = (list, tuple)
     nested = isinstance(rates, seq) and rates and isinstance(rates[0], seq)
     rows = rates if nested else [rates]
-    if not (all(isinstance(r, seq) and r and all(map(_in, r)) for r in rows)
+    if not (all(isinstance(r, seq) and r and all(map(UNIT.__contains__, r)) for r in rows)
             and len(set(map(len, rows))) == 1):
         raise DomainError(f"stage_rates must be rates in [0, 1], one list or one per type, "
                           f"got {rates!r}")
@@ -220,6 +195,18 @@ class _Population:
         self.fixed_edge_mass = self.weight * mean_degree(self.dist)
 
 
+_SHARES = items_in(UNIT.__contains__, "shares in [0, 1]")
+_ROUTING = Domain(lambda v: isinstance(v, str) and v == "hazard" or v in _SHARES,
+                  "'hazard' or shares in [0, 1]")
+_WEIGHT = Interval(0, 1, lo_open=True)
+_POPULATIONS = items_in(lambda r: (
+    isinstance(r, (list, tuple)) and len(r) == 4 and isinstance(r[0], DegreeDistribution)
+    and r[1] in PARAM_INTERVALS["rho0_2"] and r[2] in _WEIGHT and isinstance(r[3], str)),
+    "rows (DegreeDistribution, rho0 in [0, 1), weight in (0, 1], name)")
+_RATES = items_in(lambda r: isinstance(r, (list, tuple)) and all(map(UNIT.__contains__, r)),
+                  "rows of transmissibilities in [0, 1]")
+
+
 class CompartmentModel:
     """Populations x infected types x stages, configured by data (module
     docstring): ``populations`` holds one record per population, ``d`` is the
@@ -229,21 +216,17 @@ class CompartmentModel:
 
     def __init__(self, populations, sources, rates, seed, routing, stage_rates=None, mu=0.0,
                  d=0.0, exit_rate=0.0, treatable=False, link_mode="active"):
-        _check("link_mode", link_mode, _LINK_MODES.__contains__, "'active' or 'fixed'")
+        check("link_mode", link_mode, LINK_MODES)
         for name, value in (("mu", mu), ("d", d), ("exit_rate", exit_rate)):
-            _check(name, value, _in, "in [0, 1]")
-        rows = _items("populations", populations, lambda r: (
-            isinstance(r, (list, tuple)) and len(r) == 4 and isinstance(r[0], DegreeDistribution)
-            and _in(r[1], "[0, 1)") and _in(r[2], "(0, 1]") and isinstance(r[3], str)),
-            "rows (DegreeDistribution, rho0 in [0, 1), weight in (0, 1], name)")
+            check(name, value, UNIT)
+        rows = tuple(check("populations", populations, _POPULATIONS))
         n = len(rows)
-        sources = _items("sources", sources, lambda i: isinstance(i, Integral) and 0 <= i < n,
-                         f"population indices in [0, {n})")
-        rates = _items("rates", rates, lambda r: isinstance(r, (list, tuple)) and all(map(_in, r)),
-                       "rows of transmissibilities in [0, 1]")
-        self.seed = _items("seed", seed, _in, "shares in [0, 1]")
-        self.routing = routing if isinstance(routing, str) and routing == "hazard" else _items(
-            "routing", routing, _in, "'hazard' or shares in [0, 1]")
+        sources = tuple(check("sources", sources, items_in(
+            lambda i: is_integer(i) and 0 <= i < n, f"population indices in [0, {n})")))
+        rates = tuple(check("rates", rates, _RATES))
+        self.seed = tuple(check("seed", seed, _SHARES))
+        check("routing", routing, _ROUTING)
+        self.routing = routing if isinstance(routing, str) else tuple(routing)
         types = len(self.seed)
         # one type takes every new infection: the RHS routes it unscaled
         if (not n or types not in (1, 2) or types == 1 and self.routing != (1.0,)
@@ -296,7 +279,7 @@ class CompartmentModel:
         1 - c : c.  It shares this model's populations."""
         if not self.treatable:
             raise DomainError("treatment coverage requires an HIV model")
-        c = float(_check("treatment coverage", coverage, _in, "in [0, 1]"))
+        c = float(check("treatment coverage", coverage, UNIT))
         model = copy.copy(self)
         model.seed = model.routing = (1.0 - c, c)
         model.shares = np.array(model.routing)[:, None]
@@ -500,6 +483,9 @@ class Trajectory:
         return float(1.0 - self.susceptible[-1])
 
 
+COVERAGES = items_in(UNIT.__contains__, "a list of coverages in [0, 1]")
+
+
 @dataclass(frozen=True)
 class TreatmentSchedule:
     """Piecewise-constant treatment coverage switching at epoch times."""
@@ -509,14 +495,13 @@ class TreatmentSchedule:
     initial_coverage: float = 0.0
 
     def __post_init__(self):
+        check("epochs", self.epochs, NUMBERS)
+        check("coverages", self.coverages, COVERAGES)
+        check("initial_coverage", self.initial_coverage, UNIT)
         if len(self.epochs) != len(self.coverages):
             raise DomainError("one coverage per epoch required")
-        if not all(_is_number(e) for e in self.epochs):
-            raise DomainError(f"treatment epochs must be finite numbers, got {self.epochs!r}")
         if any(b <= a for a, b in zip(self.epochs, self.epochs[1:])):
             raise DomainError("treatment epochs must be strictly increasing")
-        for c in (self.initial_coverage, *self.coverages):
-            _check("coverage", c, _in, "in [0, 1]")
 
     def coverage_at(self, t) -> float:
         """The coverage in force at time ``t``, set by the last epoch <= t."""
@@ -571,19 +556,11 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     repartition; a failure raises StabilityError naming the time of the
     first step that left the range.
     """
-    _check_kind("model", model, CompartmentModel)
-    _check_kind("schedule", schedule, TreatmentSchedule, optional=True)
-    try:
-        t0, t1 = t_span
-    except (TypeError, ValueError):
-        raise DomainError(f"t_span must be [t0, t1], got {t_span!r}") from None
-    if not (_is_number(t0) and _is_number(t1)):
-        raise DomainError(f"t_span must be two finite numbers, got {t_span!r}")
-    _check("dt", dt, lambda v: _is_number(v) and v > 0, "a finite positive number")
-    t0, t1 = float(t0), float(t1)
-    if t1 <= t0:
-        raise DomainError(f"t_span end {t1} must exceed start {t0}")
-    _check("method", method, ("euler", "rk4").__contains__, "'euler' or 'rk4'")
+    check_kind("model", model, CompartmentModel)
+    check_kind("schedule", schedule, TreatmentSchedule, optional=True)
+    t0, t1 = map(float, check("t_span", t_span, RANGE))
+    check("dt", dt, POSITIVE)
+    check("method", method, METHODS)
     _check_grid(t0, t1, dt)
 
     bounds, models = [t0, t1], [model]   # segment i runs models[i] from bounds[i]
@@ -681,8 +658,6 @@ def _stratified(params, dist, dist2):
 
 def _two_type(params, dist, dist2):
     """Group 1 gets new infections by its share of the hazard, or a fixed ``split``."""
-    if params.lam2 is None:
-        raise DomainError("two_type model requires lam2")
     split, rho0_type2 = params.split, params.rho0_type2
     routing = split if split == "hazard" else (float(split), 1.0 - float(split))
     return CompartmentModel([(dist, params.rho0, 1.0, "")], (0,), [(params.lam, params.lam2)],
@@ -692,8 +667,6 @@ def _two_type(params, dist, dist2):
 
 def _bipartite(params, dist, dist2):
     """Side 2 is infected from side 1 at lam, side 1 from side 2 at lam2."""
-    if params.lam2 is None:
-        raise DomainError("bipartite model requires lam2")
     w1, w2 = params.side_fraction, 1.0 - params.side_fraction
     rho0_2 = params.rho0 if params.rho0_2 is None else params.rho0_2
     rows = [(dist, params.rho0, w1, "s1"), (dist2, rho0_2, w2, "s2")]
@@ -725,18 +698,20 @@ def _hiv_hetero(params, dist, dist2):
 MODEL_BUILDERS = {"classic": _classic, "stratified": _stratified, "two_type": _two_type,
                   "bipartite": _bipartite, "hiv_msm": _hiv_msm, "hiv_hetero": _hiv_hetero}
 MODEL_NAMES = tuple(MODEL_BUILDERS)
+MODELS = one_of(*MODEL_NAMES)
 
 
 def build_model(name, params, dist=None, dist2=None):
     """Construct a named model from ``params``; dist2 defaults to dist for
     two-population models, and classic takes no distribution."""
-    if name not in MODEL_BUILDERS:
-        raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    _check_kind("params", params, EpidemicParams)
-    _check_kind("dist", dist, DegreeDistribution, optional=True)
-    _check_kind("dist2", dist2, DegreeDistribution, optional=True)
+    check("name", name, MODELS)
+    check_kind("params", params, EpidemicParams)
+    check_kind("dist", dist, DegreeDistribution, optional=True)
+    check_kind("dist2", dist2, DegreeDistribution, optional=True)
     if dist is None and name != "classic":
         raise DomainError(f"model {name!r} requires a degree distribution")
+    if params.lam2 is None and name in ("two_type", "bipartite"):
+        raise DomainError(f"model {name!r} requires lam2")
     if name.startswith("hiv") and params.mu != 0.0:
         raise DomainError("hiv models have no mu removal; use d and/or stage_rates")
     return MODEL_BUILDERS[name](params, dist, dist2 or dist)

@@ -1548,7 +1548,7 @@ class TestMalformedConfigs:
                "t_span": [0, 20], "method": "euler", "dt": 1.0,
                "fit": {"free": {"lambda": [0.05, 0.6]}, "initial": {"lambda": value},
                        "observed": [[4, 0.00502654], [8, 0.00984814]]}}
-        with pytest.raises(ConfigError, match="out of") as err:
+        with pytest.raises(ConfigError, match=r"must be a number in \[0.05, 0.6\]") as err:
             parse_config_data(cfg)
         assert field_of(err) == "fit.initial.lambda"
         for inside in (0.05, 0.2, 0.6):

@@ -1113,3 +1113,63 @@ class TestGridArguments:
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         with pytest.raises(DomainError, match="t_span .* at dt=1.0 .* too many to record"):
             integrate(model, (0, t1), 1.0, "euler")
+
+
+def _product_form_error(model, t1, dt, method):
+    """The largest |s_k(t) - s_k(0) z(t)^k| over k and t, z = s_1 / s_1(0)
+    (the first class is degree 1)."""
+    traj = integrate(model, (0, t1), dt, method)
+    s = model.blocks(traj.Y)[0][0]
+    z = s[:, 0] / s[0, 0]
+    return float(np.max(np.abs(s - s[0] * z[:, None] ** model.populations[0].k)))
+
+
+class TestClosedForms:
+    """Two exact consequences of the per-degree model that share no code with
+    the RHS: the product form of the susceptible classes and the growth
+    factor of the infected edge mass.  Volz, J. Math. Biol. 56, 293 (2008);
+    Pastor-Satorras & Vespignani, PRL 86, 3200 (2001)."""
+
+    # under euler dt = 1 at d = 0 one step is s_k <- s_k (1 - x_t)^k with one
+    # x_t for every class, so s_k(t) = s_k(0) z(t)^k.  The bound is absolute:
+    # 200 drawn configs (gamma 2.5) read at most 3.7e-16, while a relative
+    # bound fails where s_k is about 1e-17
+    @given(model=st.sampled_from(["stratified", "classic"]), lam=st.floats(0.01, 0.5),
+           mu=st.floats(0.0, 0.5), rho0=st.floats(0.001, 0.1), k_max=st.integers(5, 150),
+           gamma=st.floats(1.5, 3.5), link_mode=st.sampled_from(["active", "fixed"]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_product_form_at_euler_unit_steps(self, model, lam, mu, rho0, k_max, gamma,
+                                              link_mode):
+        params = EpidemicParams(lam=lam, mu=mu, rho0=rho0, link_mode=link_mode)
+        built = build_model(model, params, truncated_power_law(gamma, 1, k_max))
+        assert _product_form_error(built, 100, 1.0, "euler") <= 1e-14
+
+    # negative controls: each read at least 4e-4 (stratified, gamma 2.5, k
+    # 1..60, lambda 0.1, mu 0.05, rho0 0.005, t 0..100)
+    @pytest.mark.parametrize("link_mode", ["active", "fixed"])
+    @pytest.mark.parametrize("d, dt, method", [(0.0, 0.5, "euler"), (0.0, 0.1, "rk4"),
+                                               (0.05, 1.0, "euler")],
+                             ids=["euler_dt_0.5", "rk4", "d_0.05"])
+    def test_product_form_fails_elsewhere(self, link_mode, d, dt, method):
+        params = EpidemicParams(lam=0.1, mu=0.05, rho0=0.005, d=d, link_mode=link_mode)
+        model = build_model("stratified", params, truncated_power_law(2.5, 1, 60))
+        assert _product_form_error(model, 100, dt, method) > 1e-6
+
+    # in the linear regime Theta = sum_k k I_k grows per euler unit step by
+    # 1 - mu + lambda <k^2>/<k>, so lambda_c = mu <k>/<k^2> (0.00835 here).
+    # At rho0 1e-9 the step-40 factor read within 7.9e-7 of it at these
+    # ratios, under either link mode; the factors sit 0.005 or more from 1
+    @pytest.mark.parametrize("link_mode", ["active", "fixed"])
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1, 2.0])
+    def test_growth_factor_on_both_sides_of_the_threshold(self, link_mode, ratio):
+        dist, mu = truncated_power_law(2.5, 1, 60), 0.05
+        k = dist.degrees.astype(float)
+        k1, k2 = k @ dist.pmf, (k * k) @ dist.pmf
+        lam = ratio * mu * k1 / k2
+        model = build_model("stratified", EpidemicParams(lam=lam, mu=mu, rho0=1e-9,
+                                                         link_mode=link_mode), dist)
+        infected = model.blocks(integrate(model, (0, 41), 1.0, "euler").Y)[0][1]
+        theta = infected.sum(axis=(1, 2)) @ k
+        factor = theta[41] / theta[40]
+        assert abs(factor - (1.0 - mu + lam * k2 / k1)) <= 1e-6
+        assert (factor > 1.0) == (ratio > 1.0)
