@@ -28,7 +28,7 @@ from .degree import (
     truncated_power_law,
 )
 from .errors import ConfigError, DomainError, NetepiError, StabilityError
-from .mixing import LinkProbabilities, normal_approx_pmf
+from .mixing import LinkProbabilities
 from .ode import (
     CompartmentModel,
     EpidemicParams,

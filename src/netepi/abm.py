@@ -72,7 +72,7 @@ import numpy as np
 
 from .degree import DegreeDistribution, sample_degrees
 from .errors import FINITE, SEED, DomainError, check, check_kind, count
-from .ode import CompartmentModel, Trajectory, TreatmentSchedule, _check_grid
+from .ode import CompartmentModel, Trajectory, TreatmentSchedule, time_grid
 
 # the argument rules the config's abm rows and the CLI's options take too
 NODES = count(2)
@@ -269,18 +269,16 @@ def simulate_epidemic(
 
     Fractions of the initial population are reported in the model's layout,
     aligned point for point with ``integrate(model, (t0, t0 + steps), 1.0,
-    "euler", schedule)``: each epoch runs ``model.at_coverage`` at its
-    coverage, as there.  Every step, the first one included, starts by
-    pairing all live nodes, the ones demography added the step before too.
+    "euler", schedule)`` through the same ``time_grid`` segments, but an
+    epoch outside the run is ignored there.  Every step, the first one
+    included, starts by pairing all live nodes, the new ones too.
     """
     _check_model(model)
     check_kind("schedule", schedule, TreatmentSchedule, optional=True)
     check("n", n, NODES)
     check("steps", steps, _STEPS)
     check("t0", t0, FINITE)
-    for epoch in schedule.epochs if schedule is not None else ():
-        if t0 < epoch < t0 + steps:   # a switch falls on a step boundary
-            _check_grid(t0, epoch, 1.0, what="treatment epoch")
+    segments = time_grid((float(t0), float(t0) + steps), 1.0, schedule, ignore_outside=True)
     if n >= _MAX_DRAW:
         raise DomainError(f"n={n} is too many nodes: the seed draw takes fewer than {_MAX_DRAW}")
     rng = _generator(rng)
@@ -296,23 +294,16 @@ def simulate_epidemic(
     lam, lam2 = (*pop.lam, 0.0)[:2]
     fixed = model.link_mode == "fixed"
     leave = (pop.rates[:, 0] + model.exit_rate)[:, None]
-
-    def shares(m):
-        # a routed model's second-type seed and routing shares (0 for one type)
-        return (*m.seed, 0.0)[1], (*m.routing, 0.0)[1]
-
-    by_coverage = {None: shares(model)} if schedule is None else {
-        c: shares(model.at_coverage(c)) for c in (schedule.initial_coverage, *schedule.coverages)}
-
-    def shares_at(t):
-        return by_coverage[None if schedule is None else schedule.coverage_at(t)]
+    # per segment, the second-type seed and routing shares (0 for one type)
+    shares = [((*m.seed, 0.0)[1], (*m.routing, 0.0)[1]) for m in
+              (model if c is None else model.at_coverage(c) for _, _, c in segments)]
 
     # the chain's state, in the record's row layout: s, each type's infected, removed
     state = np.zeros((types + 2, k.size), dtype=np.int64)
     s, infected, removed = state[0], state[1:-1], state[-1]
     s[:] = rng.multinomial(n, pop.dist.pmf)
     seeds = rng.multivariate_hypergeometric(s, int(round(pop.rho0 * n)))
-    seed_share, share = shares_at(t0)
+    seed_share, share = shares[0]
     s -= seeds
     infected[0] = seeds
     if types == 2:
@@ -321,57 +312,57 @@ def simulate_epidemic(
     initial_s = s.copy()
     record[0] = state
 
-    for step in range(1, steps + 1):
-        prev_share = share
-        _, share = shares_at(t0 + step - 1)
-        if share != prev_share:
+    step = 0
+    for (_, seg_steps, _), (_, seg_share) in zip(segments, shares):
+        if seg_share != share:
             # epoch switch: re-draw the type of the standing infected
+            share = seg_share
             total = infected[0] + infected[1]
             infected[1] = rng.binomial(total, share)
             np.subtract(total, infected[1], out=infected[0])
+        for step in range(step + 1, step + seg_steps + 1):
+            # (1) pair the stubs, drawing only the susceptible end of each
+            # transmitting susceptible-infected pair: no other pair can infect.
+            # Under the fixed link denominator the removed keep their stubs in
+            # the pairing, inert (with d = 0, as chain_limit asks, every step
+            # then pairs the initial stubs).  One product gives every row's stubs
+            s_stubs, *i_stubs, r_stubs = (state @ k).tolist()
+            i_total, inert = sum(i_stubs), r_stubs if fixed else 0
+            if max((s_stubs + i_total + inert) // 2, i_total, inert) >= _MAX_DRAW:
+                raise DomainError(f"n={n} is too many nodes: step {step} pairs "
+                                  f"{s_stubs + i_total + inert} stubs, {i_total} infected and "
+                                  f"{inert} inert, past numpy's hypergeometric draws")
+            ends, _ = _cross_stubs(s_stubs, i_total, i_stubs[1] if types == 2 else 0,
+                                   lam, lam2, rng, inert=inert)
 
-        # (1) pair the stubs, drawing only the susceptible end of each
-        # transmitting susceptible-infected pair: no other pair can infect.
-        # Under the fixed link denominator the removed keep their stubs in
-        # the pairing, inert (with d = 0, as chain_limit asks, every step
-        # then pairs the initial stubs).  One product gives every row's stubs
-        s_stubs, *i_stubs, r_stubs = (state @ k).tolist()
-        i_total, inert = sum(i_stubs), r_stubs if fixed else 0
-        if max((s_stubs + i_total + inert) // 2, i_total, inert) >= _MAX_DRAW:
-            raise DomainError(f"n={n} is too many nodes: step {step} pairs "
-                              f"{s_stubs + i_total + inert} stubs, {i_total} infected and "
-                              f"{inert} inert, past numpy's hypergeometric draws")
-        ends, _ = _cross_stubs(s_stubs, i_total, i_stubs[1] if types == 2 else 0,
-                               lam, lam2, rng, inert=inert)
+            # (2) a node hit through several pairs is infected once: its ends
+            # lie side by side once sorted
+            new = _new_infections(k, s, ends)
 
-        # (2) a node hit through several pairs is infected once: its ends
-        # lie side by side once sorted
-        new = _new_infections(k, s, ends)
+            # (3) start-of-step infected leave at their type's rate; the new
+            # infections are routed at the step's shares.  A one-type model
+            # has no second row to draw for, and a share of 0 routes nothing
+            gone = rng.binomial(infected, leave)
+            infected -= gone
+            removed += gone[0] if types == 1 else gone[0] + gone[1]
+            infected[0] += new
+            if share:
+                second = rng.binomial(new, share)
+                infected[0] -= second
+                infected[1] += second
 
-        # (3) start-of-step infected leave at their type's rate; the new
-        # infections are routed at the step's shares.  A one-type model
-        # has no second row to draw for, and a share of 0 routes nothing
-        gone = rng.binomial(infected, leave)
-        infected -= gone
-        removed += gone[0] if types == 1 else gone[0] + gone[1]
-        infected[0] += new
-        if share:
-            second = rng.binomial(new, share)
-            infected[0] -= second
-            infected[1] += second
+            # (4) demographic replenishment toward initial susceptible counts, with
+            # the deficit taken at the start of the step like the euler dt=1 ODE
+            # (s never exceeds initial_s)
+            if model.d > 0:
+                deficit = initial_s - s
+                s -= new
+                s += rng.binomial(deficit, model.d)
+            else:
+                s -= new
 
-        # (4) demographic replenishment toward initial susceptible counts, with
-        # the deficit taken at the start of the step like the euler dt=1 ODE
-        # (s never exceeds initial_s)
-        if model.d > 0:
-            deficit = initial_s - s
-            s -= new
-            s += rng.binomial(deficit, model.d)
-        else:
-            s -= new
-
-        record[step] = state
-        new_total[step] = new.sum()
+            record[step] = state
+            new_total[step] = new.sum()
 
     return Trajectory(
         times=t0 + np.arange(steps + 1, dtype=float), Y=record.reshape(steps + 1, -1) / n,

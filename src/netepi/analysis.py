@@ -23,7 +23,7 @@ from .abm import EnsembleSummary
 from .degree import support
 from .errors import (NUMBERS, POSITIVE, RANGE, SEED, Domain, DomainError, Interval, check,
                      count, is_integer, one_of)
-from .ode import Trajectory
+from .ode import Trajectory, grid_index
 
 # relative variance below which an index is reported as undefined (NaN)
 _VAR_FLOOR = 1e-12
@@ -236,11 +236,12 @@ def fit_parameters(
 
     Derivative-free Nelder-Mead simplex descent with bound clipping from an
     initial guess inside the bounds; deterministic given that guess.
-    Observed times must land on the model output grid.  Never returns a
-    point worse than the initial guess.  A parameter within the simplex's
-    ``xatol`` of a bound is reported in ``at_bound``.  ``output`` is
-    "incidence" or "prevalence" and ``max_iterations`` an integer >= 1; a
-    bad argument is a DomainError naming it, raised before any model run.
+    Observed times must land on the runner's evenly spaced output grid
+    (``ode.grid_index``).  Never returns a point worse than the initial
+    guess.  A parameter within the simplex's ``xatol`` of a bound is
+    reported in ``at_bound``.  ``output`` is "incidence" or "prevalence" and
+    ``max_iterations`` an integer >= 1; a bad argument is a DomainError
+    naming it, raised before any model run.
     """
     check("output", output, OUTPUTS)
     check("max_iterations", max_iterations, _ITERATIONS)
@@ -258,15 +259,14 @@ def fit_parameters(
         if p not in free:
             raise DomainError(f"initial {p!r}: no matching free parameter")
 
-    grid_index = None
+    rows = None
 
     def residual(x):
-        nonlocal grid_index
+        nonlocal rows
         traj = runner(dict(zip(names, np.clip(x, lo, hi))))
-        series = getattr(traj, output)
-        if grid_index is None:
-            grid_index = _match_grid(traj.times, observed_times)
-        return float(np.sum((series[grid_index] - observed) ** 2))
+        if rows is None:   # the first run's output grid
+            rows = grid_index(observed_times, traj.times[0], traj.times[-1], len(traj.times) - 1)
+        return float(np.sum((getattr(traj, output)[rows] - observed) ** 2))
 
     from scipy.optimize import minimize  # the only scipy user; loaded on the first fit
 
@@ -288,16 +288,3 @@ def fit_parameters(
         at_bound=tuple(p for p, v, a, b in zip(names, best, lo, hi)
                        if min(v - a, b - v) <= _XATOL),
     )
-
-
-def _match_grid(model_times, observed_times):
-    idx = np.searchsorted(model_times, observed_times)
-    idx = np.clip(idx, 0, len(model_times) - 1)
-    left = np.clip(idx - 1, 0, len(model_times) - 1)
-    idx = np.where(
-        np.abs(model_times[left] - observed_times) < np.abs(model_times[idx] - observed_times),
-        left, idx,
-    )
-    if np.any(np.abs(model_times[idx] - observed_times) > 1e-9):
-        raise DomainError("observed times do not lie on the model output grid")
-    return idx

@@ -31,7 +31,7 @@ from .abm import JOBS, REPLICAS, chain_limit, run_ensemble
 from .analysis import compare_ode_abm, fit_parameters, phase_series, sobol_first_order
 from .config import SimulationSpec, build_spec_model, parse_config, run_trajectory
 from .errors import SEED, ConfigError, DomainError, NetepiError, StabilityError, check
-from .ode import _check_grid, integrate
+from .ode import grid_index, integrate, time_grid
 
 
 def _write_replacing(path: Path, fill, newline=None):
@@ -69,43 +69,25 @@ def _write_json(path: Path, obj):
     _write_replacing(path, fill)
 
 
-def _off_grid(spec: SimulationSpec, dt):
-    """(config path, message) for the first of t_span's end and the treatment
-    epochs that is not a whole number of ``dt`` steps from t_span's start,
-    else for the first epoch that is not a whole number of steps, at least
-    one, before the next epoch or t_span's end (an epoch within the grid
-    tolerance of that bound passes the first test); None when all are."""
-    t0, t1 = spec.t_span
-    epochs = spec.treatment.epochs if spec.treatment else ()
-    for path, end in [("t_span", t1), *(("treatment.epochs", e) for e in epochs)]:
-        try:
-            _check_grid(t0, end, dt, what="t_span" if path == "t_span" else "treatment epoch")
-        except DomainError as err:
-            return path, str(err)
-    for start, end in zip(epochs, (*epochs[1:], t1)):
-        try:
-            _check_grid(start, end, dt)
-        except DomainError:
-            return "treatment.epochs", (f"epoch {start!r} is not a whole number of dt={dt} "
-                                        f"steps, at least one, before {end!r}")
-    return None
+def _grid_steps(spec: SimulationSpec, dt, span, prefix=""):
+    """t_span's steps at ``dt``; a failed ``time_grid`` check is a ConfigError
+    naming the field ``span`` or treatment.epochs, its message after ``prefix``."""
+    try:
+        return sum(n for _, n, _ in time_grid(spec.t_span, dt, spec.treatment))
+    except DomainError as err:
+        raise ConfigError(span if err.field == "t_span" else err.field, prefix + str(err)) from None
 
 
-def _fit_observations(spec: SimulationSpec):
-    """The fit's (t, value) rows; a time off the model output grid
-    t0 + i dt (i = 0 .. steps), by the tolerance of
-    ``analysis.fit_parameters``, is a ConfigError naming its field."""
-    fit, (t0, t1), dt = spec.fit, spec.t_span, spec.dt
-    if "observed" in fit:
-        source, observed = "fit.observed", np.asarray(fit["observed"], dtype=float)
+def _fit_observations(spec: SimulationSpec, steps):
+    """The fit's (t, value) rows; a time off the output grid is a ConfigError."""
+    if "observed" in spec.fit:
+        source, observed = "fit.observed", np.asarray(spec.fit["observed"], dtype=float)
     else:
-        source, observed = "fit.observed_csv", _read_observed_csv(fit["observed_csv"])
-    times, steps = observed[:, 0], _check_grid(t0, t1, dt)
-    off = np.abs(t0 + np.clip(np.rint((times - t0) / dt), 0, steps) * dt - times) > 1e-9
-    if off.any():
-        t = float(times[off.argmax()])
-        raise ConfigError(source, f"observed time {t!r} does not lie on the model output grid "
-                                  f"{t0:g} + i * {dt:g}, i = 0..{steps}")
+        source, observed = "fit.observed_csv", _read_observed_csv(spec.fit["observed_csv"])
+    try:
+        grid_index(observed[:, 0], *spec.t_span, steps)
+    except DomainError as err:
+        raise ConfigError(source, str(err)) from None
     return observed
 
 
@@ -119,11 +101,7 @@ def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int
     if "n" not in spec.abm:
         raise ConfigError("abm.n", "required for agent-based runs")
     t0, t1 = spec.t_span
-    off = _off_grid(spec, 1.0)
-    if off is not None:
-        path, message = off
-        raise ConfigError(path, f"agent-based runs take unit steps from {t0:g}; {message}")
-    steps = round(t1 - t0)
+    steps = _grid_steps(spec, 1.0, "t_span", f"agent-based runs take unit steps from {t0:g}; ")
     try:
         return run_ensemble(
             model, spec.abm["n"], steps, replicas=replicas,
@@ -162,12 +140,8 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
     check("threads", threads, JOBS, config=True)
     if seed is not None:
         check("seed", seed, SEED, config=True)
-    if entry.steps_at_dt:
-        off = _off_grid(spec, spec.dt)
-        if off is not None:
-            path, message = off
-            raise ConfigError("dt" if path == "t_span" else path, message)
-    observed = _fit_observations(spec) if command == "fit" else None
+    steps = None if entry.replicas else _grid_steps(spec, spec.dt, "dt")
+    observed = _fit_observations(spec, steps) if command == "fit" else None
     n_replicas = spec.abm["replicas"] if replicas is None else replicas
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     made = [path for path in (out, *out.parents) if not path.exists()]   # deepest first
@@ -461,20 +435,18 @@ plt.savefig("phase.png", dpi=150)
 
 class _Command(NamedTuple):   # one per command, read by execute and by click
     help: str
-    replicas: bool = False       # takes --replicas
+    replicas: bool = False       # takes --replicas: agent-based, steps by 1, not dt
     section: bool = False        # needs the config section of its own name
     plot: tuple | None = None    # the --plot script: (CSV stem, template)
-    steps_at_dt: bool = True     # integrates at the config's dt; agent-based runs step by 1
 
 
 COMMANDS = {
     "run-ode": _Command("Integrate the configured ODE model and write the trajectory CSV.",
                         plot=("trajectory", _PLOT_TRAJECTORY)),
     "run-abm": _Command("Run the agent-based ensemble and write the summary CSV.",
-                        replicas=True, plot=("ensemble", _PLOT_ENSEMBLE), steps_at_dt=False),
+                        replicas=True, plot=("ensemble", _PLOT_ENSEMBLE)),
     "compare": _Command("Cross-validate the ODE against the agent-based ensemble.",
-                        replicas=True, plot=("comparison", _PLOT_COMPARISON),
-                        steps_at_dt=False),
+                        replicas=True, plot=("comparison", _PLOT_COMPARISON)),
     "sensitivity": _Command("Sobol first-order sensitivity indices per output time.",
                             section=True, plot=("sobol", _PLOT_SOBOL)),
     "phase": _Command("Extract a (state, state-derivative) phase series.",

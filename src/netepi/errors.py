@@ -38,19 +38,26 @@ class NetepiError(Exception):
 
 
 class DomainError(NetepiError, ValueError):
-    """A parameter is outside its mathematical domain."""
+    """A parameter is outside its mathematical domain; ``field``: its config field, if known."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class ConfigError(NetepiError, ValueError):
     """A configuration file is malformed or violates a field constraint.
 
-    ``field`` holds the dotted path of the offending entry, e.g.
-    ``"distribution.gamma"``.
+    ``field`` (an argument, as ``message``, so the error pickles) holds the
+    dotted path of the offending entry, e.g. ``"distribution.gamma"``.
     """
 
     def __init__(self, field, message):
-        self.field = field
-        super().__init__(f"{field}: {message}" if field else message)
+        super().__init__(field, message)
+        self.field, self.message = field, message
+
+    def __str__(self):
+        return f"{self.field}: {self.message}" if self.field else self.message
 
 
 class StabilityError(NetepiError, RuntimeError):

@@ -508,14 +508,50 @@ class TreatmentSchedule:
         return (self.initial_coverage, *self.coverages)[bisect_right(self.epochs, t)]
 
 
-def _check_grid(t0, t1, dt, what="t_span"):
-    steps = (t1 - t0) / dt
-    if not math.isfinite(steps):
-        raise DomainError(f"{what} [{t0}, {t1}] at dt={dt} is too many steps to count")
-    n = int(round(steps))
-    if n < 1 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1 - t0)):
-        raise DomainError(f"{what} [{t0}, {t1}] is not a whole number of dt={dt} steps")
-    return n
+def time_grid(t_span, dt, schedule=None, ignore_outside=False):
+    """``t_span`` at step ``dt`` cut at ``schedule``'s epochs into the
+    segments (start, steps, coverage) a run steps through (coverage None
+    without a schedule): t_span and each epoch a whole number of steps from
+    t_span's start, each segment at least one step.  An epoch outside the
+    open t_span is an error, or with ``ignore_outside`` never switches (one
+    at or before the start sets the first coverage).  A failure is a
+    DomainError whose ``field`` is t_span or treatment.epochs."""
+    t0, t1 = t_span
+
+    def steps_to(t, what, field="treatment.epochs"):
+        n = (t - t0) / dt
+        if not math.isfinite(n):
+            raise DomainError(f"{what} [{t0}, {t}] at dt={dt} is too many steps to count", field)
+        n = int(round(n))
+        if n < 1 or abs(t0 + n * dt - t) > 1e-9 * max(1.0, abs(t - t0)):
+            raise DomainError(f"{what} [{t0}, {t}] is not a whole number of dt={dt} steps", field)
+        return n
+
+    steps = steps_to(t1, "t_span", "t_span")
+    if schedule is None:
+        return [(t0, steps, None)]
+    epochs = [e for e in schedule.epochs if t0 < e < t1]
+    if len(epochs) < len(schedule.epochs) and not ignore_outside:
+        raise DomainError("treatment epochs must lie strictly inside t_span", "treatment.epochs")
+    marks = [0, *(steps_to(e, "treatment epoch") for e in epochs), steps]
+    bounds, counts = [t0, *epochs, t1], [b - a for a, b in zip(marks, marks[1:])]
+    if 0 in counts:   # an epoch within the slack of the next bound
+        start, end = bounds[counts.index(0):][:2]
+        raise DomainError(f"epoch {start!r} is not a whole number of dt={dt} steps, at least "
+                          f"one, before {end!r}", "treatment.epochs")
+    return [(start, n, schedule.coverage_at(start)) for start, n in zip(bounds, counts)]
+
+
+def grid_index(times, t0, t1, steps):
+    """The row of each of the float array ``times`` on the grid of ``steps``
+    even steps from t0 to t1; one off it by more than 1e-9 is a DomainError."""
+    dt = (t1 - t0) / steps if steps else 1.0
+    i = np.clip(np.rint((times - t0) / dt), 0, steps)
+    off = np.abs(t0 + i * dt - times) > 1e-9
+    if off.any():
+        raise DomainError(f"observed time {float(times[off.argmax()])!r} does not lie on the "
+                          f"model output grid {t0:g} + i * {dt:g}, i = 0..{steps}")
+    return i.astype(np.intp)
 
 
 # steps between two state range checks: a run that leaves the range stops
@@ -545,35 +581,24 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     """Fixed-step integration recording the state at every step.
 
     euler with dt=1 reproduces the discrete-time process of the agent-based
-    simulator step for step.  A schedule sets every segment's coverage: its
-    epochs split the run so the coverage discontinuity never falls inside an
-    rk4 step, segment i runs ``model.at_coverage`` at coverage i (the first
-    at ``initial_coverage``) and the standing infected mass is repartitioned
-    at each epoch boundary; ``model`` itself never changes.  Each step is
-    written in place into the recorded arrays; the three rk4 stage states
-    reuse one buffer allocated per run.  The state range is checked
-    over each segment's recorded rows, _CHECK_ROWS at a time and before any
-    repartition; a failure raises StabilityError naming the time of the
-    first step that left the range.
+    simulator step for step.  The run steps through ``time_grid``'s
+    segments, so a coverage switch never falls inside an rk4 step: each
+    segment of a schedule runs ``model.at_coverage`` at its coverage, and
+    the standing infected mass is repartitioned at each epoch boundary;
+    ``model`` itself never changes.  Each step is written in place into the
+    recorded arrays; the three rk4 stage states reuse one buffer allocated
+    per run.  The state range is checked over each segment's recorded rows,
+    _CHECK_ROWS at a time and before any repartition; a failure raises
+    StabilityError naming the time of the first step that left the range.
     """
     check_kind("model", model, CompartmentModel)
     check_kind("schedule", schedule, TreatmentSchedule, optional=True)
     t0, t1 = map(float, check("t_span", t_span, RANGE))
     check("dt", dt, POSITIVE)
     check("method", method, METHODS)
-    _check_grid(t0, t1, dt)
-
-    bounds, models = [t0, t1], [model]   # segment i runs models[i] from bounds[i]
-    if schedule is not None:
-        models = [model.at_coverage(c) for c in (schedule.initial_coverage, *schedule.coverages)]
-        if any(not t0 < e < t1 for e in schedule.epochs):
-            raise DomainError("treatment epochs must lie strictly inside t_span")
-        for e in schedule.epochs:
-            _check_grid(t0, e, dt, what="treatment epoch")
-        bounds = [t0, *schedule.epochs, t1]
-    counts = [_check_grid(start, end, dt) for start, end in zip(bounds, bounds[1:])]
-
-    rows = sum(counts) + 1
+    segments = time_grid((t0, t1), dt, schedule)
+    models = [model if c is None else model.at_coverage(c) for _, _, c in segments]
+    rows = sum([n for _, n, _ in segments]) + 1
     try:
         Y, dY, inflow = np.empty((rows, model.dim)), np.empty((rows, model.dim)), np.empty(rows)
     except (MemoryError, ValueError):
@@ -592,7 +617,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     # a run that leaves the range keeps stepping through inf and NaN to the
     # end of its chunk of _CHECK_ROWS steps; the chunk check reports it
     with np.errstate(all="ignore"):
-        for seg_model, seg_start, n in zip(models, bounds, counts):
+        for seg_model, (seg_start, n, _) in zip(models, segments):
             rhs = seg_model.rhs_full
             if seg_start > t0:
                 # switch epoch: repartition the infected stock, re-record the

@@ -210,6 +210,23 @@ class TestSimulateEpidemic:
         assert np.array_equal(simulate_epidemic(model, 300, 20, rng=0, schedule=late).Y,
                               simulate_epidemic(model, 300, 20, rng=0).Y)
 
+    def test_segment_walk_draws_only_where_the_share_changes(self):
+        # a repeated coverage is no switch: epochs (5, 10) at (0.7, 0.7) draw
+        # as (5,) at (0.7,); a run from t0 = 8 starts at the coverage the
+        # epoch at 5 set, as a run from 8 with that initial coverage
+        model = build_model("hiv_msm", EpidemicParams(lam=0.3, rho0=0.02, d=0.05), DIST30)
+
+        def run(epochs, coverages, t0=0.0, initial=0.0):
+            schedule = TreatmentSchedule(epochs, coverages, initial_coverage=initial)
+            traj = simulate_epidemic(model, 2000, 20, rng=replica_rng(14, 0), t0=t0,
+                                     schedule=schedule)
+            return np.concatenate([traj.Y.ravel(), traj.incidence])
+
+        assert np.array_equal(run((5.0, 10.0), (0.7, 0.7)), run((5.0,), (0.7,)))
+        assert not np.array_equal(run((5.0, 10.0), (0.7, 0.9)), run((5.0,), (0.7,)))
+        assert np.array_equal(run((5.0,), (0.7,), t0=8.0), run((), (), t0=8.0, initial=0.7))
+        assert np.array_equal(run((8.0,), (0.7,), t0=8.0), run((), (), t0=8.0, initial=0.7))
+
     def test_input_validation(self):
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.01)
         with pytest.raises(DomainError):

@@ -11,17 +11,13 @@ import time
 import numpy as np
 from scipy import stats
 
+from approximations import normal_approx_pmf
 from netepi.abm import run_ensemble
 from netepi.analysis import compare_ode_abm, fit_parameters, phase_series, sobol_first_order
 from netepi.cli import execute
 from netepi.config import parse_config_data
 from netepi.degree import truncated_power_law
-from netepi.mixing import (
-    LinkProbabilities,
-    hazard_profile,
-    hazard_profile_two,
-    normal_approx_pmf,
-)
+from netepi.mixing import LinkProbabilities, hazard_profile, hazard_profile_two
 from netepi.ode import EpidemicParams, TreatmentSchedule, build_model, integrate
 
 

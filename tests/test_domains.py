@@ -3,6 +3,7 @@ rejects, each with a DomainError naming the argument at fault, and the
 config rows check through the rules the library declares."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from netepi.abm import simulate_epidemic
 from netepi.analysis import fit_parameters, sobol_first_order
 from netepi.config import FIELDS, build_spec_model, parse_config_data, run_trajectory
 from netepi.degree import from_weights, truncated_power_law
-from netepi.errors import (POSITIVE, RANGE, SEED, UNIT, ConfigError, DomainError, Interval, check,
-                           one_of)
-from netepi.mixing import normal_approx_pmf
+from netepi.errors import (POSITIVE, RANGE, SEED, UNIT, ConfigError, DomainError, Interval,
+                           NetepiError, StabilityError, check, one_of)
 from netepi.ode import EpidemicParams, Trajectory, TreatmentSchedule, build_model, integrate
 
 SMALL = parse_config_data({
@@ -55,18 +55,38 @@ class TestEveryEntryPointNamesItsArgument:
         ("gamma", lambda: truncated_power_law("2.5", 1, 60)),
         ("weights", lambda: from_weights(1, ["1", "2"])),
         ("k_min", lambda: from_weights("1", [1, 2])),
-        ("n", lambda: normal_approx_pmf(2.5, 1, 0.5)),
-        ("n", lambda: normal_approx_pmf(True, 1, 0.5)),
-        ("p", lambda: normal_approx_pmf(10, 3, "0.5")),
     ], ids=["sobol_ranges", "fit_observed_times", "fit_observed", "fit_free", "fit_initial",
             "fit_initial_without_free",
             "override_lambda_string", "override_gamma_bool", "override_gamma_string",
             "overrides_string",
             "power_law_k_min_bool", "power_law_gamma_string", "weights_strings",
-            "weights_k_min_string", "pmf_n_fraction", "pmf_n_bool", "pmf_p_string"])
+            "weights_k_min_string"])
     def test_raises_domain_error_naming_the_argument(self, argument, call):
         with pytest.raises(DomainError, match=f"^{argument}(:| must be) "):
             call()
+
+
+class TestErrorsPickle:
+    """A replica process hands its error back pickled: each error keeps its
+    type, its message and its field.  ConfigError used to come back as a
+    TypeError, its constructor taking two arguments."""
+
+    @pytest.mark.parametrize("error", [
+        NetepiError("plain"), DomainError("n must be an integer >= 2, got 1"),
+        DomainError("treatment epoch [0.0, 4.5] is not a whole number of dt=1.0 steps",
+                    "treatment.epochs"),
+        ConfigError("abm.n", "bad"), ConfigError("", "top-level config must be a JSON object"),
+        StabilityError("state left the range at t=3")], ids=lambda e: type(e).__name__)
+    def test_round_trip(self, error):
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(back) == str(error)
+        assert getattr(back, "field", None) == getattr(error, "field", None)
+
+    def test_every_subclass_is_covered(self):
+        def subclasses(cls):
+            return {cls}.union(*(subclasses(c) for c in cls.__subclasses__()))
+        assert subclasses(NetepiError) == {NetepiError, DomainError, ConfigError, StabilityError}
 
 
 class TestOneDeclaration:

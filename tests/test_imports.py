@@ -135,7 +135,7 @@ PUBLIC = {
     "EnsembleSummary", "EpidemicParams", "FitResult", "LinkProbabilities", "NetepiError",
     "NetworkRealization", "SimulationSpec", "SobolResult", "StabilityError", "Trajectory",
     "TreatmentSchedule", "build_model", "compare_ode_abm", "fit_parameters", "from_weights",
-    "generate_network", "integrate", "mean_degree", "normal_approx_pmf", "parse_config",
+    "generate_network", "integrate", "mean_degree", "parse_config",
     "parse_config_data", "phase_series", "run_ensemble", "run_trajectory", "sample_degrees",
     "simulate_epidemic", "sobol_first_order", "summarize_trajectories", "truncated_power_law",
 }

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from approximations import normal_approx_pmf
 from netepi.errors import DomainError
-from netepi.mixing import (
-    LinkProbabilities,
-    hazard_profile,
-    hazard_profile_two,
-    normal_approx_pmf,
-)
+from netepi.mixing import LinkProbabilities, hazard_profile, hazard_profile_two
 
 # the kernels are closed forms; these explicit sums over link counts are the
 # independent oracles they are checked against

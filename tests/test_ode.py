@@ -1173,3 +1173,44 @@ class TestClosedForms:
         factor = theta[41] / theta[40]
         assert abs(factor - (1.0 - mu + lam * k2 / k1)) <= 1e-6
         assert (factor > 1.0) == (ratio > 1.0)
+
+
+def _reduced_incidence(dist, lam, mu, rho0, steps):
+    """Incidence of the one-stage model at euler dt = 1, d = 0, link_mode
+    active, from z and Theta = sum_k k I_k alone: s_k = s_k(0) z^k, p =
+    Theta / (sum_k k s_k + Theta), x = lam p, and each step z <- z (1 - x),
+    Theta <- (1 - mu) Theta + sum_k k s_k (1 - (1 - x)^k).  It shares no
+    code with the RHS; its row i is the inflow at state i - 1 (row 0 at 0),
+    as ``Trajectory.incidence``."""
+    k, s0 = dist.degrees.astype(float), (1.0 - rho0) * dist.pmf
+    z, theta, inflow = 1.0, rho0 * (k @ dist.pmf), []
+    for _ in range(steps):
+        s = s0 * z ** k
+        x = lam * theta / (k @ s + theta)
+        new = s * (1.0 - (1.0 - x) ** k)
+        inflow.append(new.sum())
+        z, theta = z * (1.0 - x), (1.0 - mu) * theta + k @ new
+    return np.array([inflow[0], *inflow])
+
+
+def _design_rows(n_base, seed, every):
+    """Every ``every``-th row of the A and B matrices of a Saltelli design over
+    gamma (2, 3), lambda (0.05, 0.15) and rho0 (0.001, 0.01), as
+    ``sobol_first_order`` draws them."""
+    lo, width = np.array([2.0, 0.05, 0.001]), np.array([1.0, 0.1, 0.009])
+    rng = np.random.default_rng(seed)
+    a, b = (lo + width * rng.random((n_base, 3)) for _ in range(2))
+    return np.concatenate([a, b])[::every]
+
+
+# c08's design (n_base 512, one row in 8) and sobol_sweep's (n_base 64): mu
+# 0.05, k 1..60, t 0..100.  On these 256 rows the largest relative
+# difference read 1.2e-13
+@pytest.mark.parametrize("n_base, every", [(512, 8), (64, 1)], ids=["c08", "sobol_sweep"])
+def test_reduced_oracle_matches_integrate(n_base, every):
+    for gamma, lam, rho0 in _design_rows(n_base, 2025, every):
+        dist = truncated_power_law(gamma, 1, 60)
+        model = build_model("stratified", EpidemicParams(lam=lam, mu=0.05, rho0=rho0), dist)
+        incidence = integrate(model, (0, 100), 1.0, "euler").incidence
+        np.testing.assert_allclose(incidence, _reduced_incidence(dist, lam, 0.05, rho0, 100),
+                                   rtol=1e-12, atol=0)
