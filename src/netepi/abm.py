@@ -437,18 +437,22 @@ def run_ensemble(
     them.
 
     Replicas are embarrassingly parallel; results are merged in replica
-    order so the summary is identical for any ``n_jobs``.
+    order so the summary is identical for any ``n_jobs``.  The pool has at
+    most one process per replica: under the fork start method it starts
+    all of its processes at the first task.
     """
     check("replicas", replicas, REPLICAS)
     check("n_jobs", n_jobs, JOBS)
     check("base_seed", base_seed, SEED)
     _check_model(model)
     jobs = [(model, n, steps, schedule, base_seed, r, t0) for r in range(replicas)]
-    if n_jobs > 1:
+    workers = min(n_jobs, replicas)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            trajectories = list(pool.map(_run_replica, jobs, chunksize=max(1, replicas // (4 * n_jobs))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            trajectories = list(pool.map(_run_replica, jobs,
+                                         chunksize=max(1, replicas // (4 * workers))))
     else:
         trajectories = [_run_replica(job) for job in jobs]
     return summarize_trajectories(trajectories)

@@ -201,9 +201,17 @@ def _section(obj, path, skip=()):
     return out
 
 
-def build_distribution(spec_dict) -> DegreeDistribution:
+def build_distribution(spec_dict, path="distribution") -> DegreeDistribution:
+    """The distribution of the config section at ``path``; a power law whose
+    support is too large to allocate is a ConfigError naming path.k_max."""
     if spec_dict["type"] == "power_law":
-        return truncated_power_law(spec_dict["gamma"], spec_dict["k_min"], spec_dict["k_max"])
+        try:
+            return truncated_power_law(spec_dict["gamma"], spec_dict["k_min"],
+                                       spec_dict["k_max"])
+        except DomainError as err:
+            if err.field != "k_max":
+                raise
+            raise ConfigError(f"{path}.k_max", str(err)) from None
     return from_weights(spec_dict["k_min"], spec_dict["weights"])
 
 
@@ -317,8 +325,8 @@ def parse_config_data(data) -> SimulationSpec:
         if population == 2 and "distribution2" not in MODEL_FIELDS[model]:
             raise ConfigError("phase.population", f"model {model!r} has one population")
         # a model without a distribution has the one degree 1
-        dist, dist2 = config.get("distribution"), config.get("distribution2")
-        chosen = build_distribution(dist if population == 1 else dist2 or dist) if dist else None
+        path = "distribution2" if population == 2 and "distribution2" in config else "distribution"
+        chosen = build_distribution(config[path], path) if "distribution" in config else None
         degrees = support(chosen.k_min, chosen.k_max) if chosen else support(1, 1)
         for key in ("m", "n"):
             check(f"phase.{key}", phase[key], degrees, config=True)
@@ -374,7 +382,7 @@ def build_spec_model(spec: SimulationSpec, overrides: dict | None = None):
         dist_dict = {**dist_dict, "gamma": overrides.pop("gamma")}
     params = replace(spec.params, **{_PARAM_NAMES[k]: float(v) for k, v in overrides.items()})
     dist = build_distribution(dist_dict) if dist_dict else None
-    dist2 = build_distribution(dist2_dict) if dist2_dict else None
+    dist2 = build_distribution(dist2_dict, "distribution2") if dist2_dict else None
     return build_model(config["model"], params, dist=dist, dist2=dist2)
 
 

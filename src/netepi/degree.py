@@ -76,13 +76,19 @@ def truncated_power_law(gamma: float, k_min: int = 1, k_max: int = 60) -> Degree
     """Truncated power-law distribution P(k) = k^-gamma / Z on [k_min, k_max].
 
     Z is the direct finite sum over the support, so normalization is exact
-    rather than a zeta-function approximation.
+    rather than a zeta-function approximation.  A support too large to
+    allocate is a DomainError whose ``field`` is k_max.
     """
     check("gamma", gamma, GAMMA)
     _check_support(k_min, k_max)
-    k = np.arange(k_min, k_max + 1, dtype=float)
-    weights = k ** (-gamma)
-    return DegreeDistribution(k_min, k_max, weights / weights.sum())
+    try:
+        k = np.arange(k_min, k_max + 1, dtype=float)
+        weights = k ** (-gamma)
+        pmf = weights / weights.sum()
+    except (MemoryError, ValueError):
+        raise DomainError(f"k_max={k_max} is {k_max - k_min + 1} degrees from k_min={k_min}, "
+                          f"too many to allocate", "k_max") from None
+    return DegreeDistribution(k_min, k_max, pmf)
 
 
 def from_weights(k_min: int, weights) -> DegreeDistribution:

@@ -168,13 +168,14 @@ class _Population:
     and the model's stage matrix ``rates``.  Its slices (``bounded``: the s
     and infected entries), infected ``shape`` and ``rows`` (a slice per
     infected (type, stage) row) are the only place the layout s(nk) |
-    I(types, stages, nk) | removed(nk) from ``offset`` is computed.  For the
-    RHS: ``type_rows``, the infected shape of one stage, ``flow_rates`` (None
-    without stage flow), the 0-d ``mu``, the rate of the first type's first
-    stage (the removal rate of a one-type, one-stage population), ``s0``,
-    ``fixed_edge_mass``."""
+    I(types, stages, nk) | removed(nk) from ``offset`` is computed, and
+    ``classes`` its degree classes' entries from ``first`` in the RHS's
+    per-class inflow.  For the RHS: ``type_rows``, the infected shape of one
+    stage, ``flow_rates`` (None without stage flow), the 0-d ``mu``, the rate
+    of the first type's first stage (the removal rate of a one-type,
+    one-stage population), ``s0``, ``fixed_edge_mass``."""
 
-    def __init__(self, row, source, lam, rates, offset):
+    def __init__(self, row, source, lam, rates, offset, first):
         self.dist, self.rho0, self.weight, self.name = row
         self.k = self.dist.degrees   # integer grid; ``degrees`` is its float copy
         self.k.flags.writeable = False
@@ -187,12 +188,23 @@ class _Population:
         a, b = offset + self.nk, offset + self.nk * (1 + rates.size)
         self.s, self.infected, self.removed = slice(offset, a), slice(a, b), slice(b, b + self.nk)
         self.bounded = slice(offset, b)
+        self.classes = slice(first, first + self.nk)
         self.rows = tuple(slice(i, i + self.nk) for i in range(a, b, self.nk))
         self.flow_rates = rates[:, :, None] if rates.any() else None
         # a 0-d view: numpy scales an array by it faster than by a float
         self.mu = rates[0, 0, ...]
         self.s0 = (1.0 - self.rho0) * (self.weight * self.dist.pmf)
         self.fixed_edge_mass = self.weight * mean_degree(self.dist)
+
+
+def _buffer(name, buf, shape):
+    """``buf``, a float64 array of ``shape`` to write into, or a new one
+    when it is None; anything else is a DomainError naming ``name``."""
+    if buf is None:
+        return np.empty(shape)
+    if isinstance(buf, np.ndarray) and buf.shape == shape and buf.dtype == _FLOAT:
+        return buf
+    raise DomainError(f"{name} must be a float64 array of shape ({shape[0]},)")
 
 
 _SHARES = items_in(UNIT.__contains__, "shares in [0, 1]")
@@ -211,8 +223,9 @@ class CompartmentModel:
     """Populations x infected types x stages, configured by data (module
     docstring): ``populations`` holds one record per population, ``d`` is the
     replenishment rate, ``bounded`` marks the s and infected entries (the ones
-    STATE_CEIL applies to), ``shares`` is the routing column (None for
-    "hazard").  Never written once built."""
+    STATE_CEIL applies to), ``classes`` counts the degree classes of all
+    populations (the length of the RHS's per-class inflow), ``shares`` is the
+    routing column (None for "hazard").  Never written once built."""
 
     def __init__(self, populations, sources, rates, seed, routing, stage_rates=None, mu=0.0,
                  d=0.0, exit_rate=0.0, treatable=False, link_mode="active"):
@@ -242,11 +255,12 @@ class CompartmentModel:
         # 0-d copies: numpy scales an array by them faster than by a float
         self._d, self._exit = np.array(d), np.array(exit_rate)
         self.treatable, self.link_mode = treatable, link_mode
-        self.populations, self.dim = [], 0
+        self.populations, self.dim, self.classes = [], 0, 0
         for row, source, lam in zip(rows, sources, rates):
-            self.populations.append(_Population(row, source, lam, stages, self.dim))
-            self.dim = self.populations[-1].removed.stop
-        self._shape = (self.dim,)
+            pop = _Population(row, source, lam, stages, self.dim, self.classes)
+            self.populations.append(pop)
+            self.dim, self.classes = pop.removed.stop, pop.classes.stop
+        self._shape, self._class_shape = (self.dim,), (self.classes,)
         self.bounded = np.zeros(self.dim, dtype=bool)
         for p in self.populations:
             self.bounded[p.bounded] = True
@@ -305,31 +319,32 @@ class CompartmentModel:
         w1 = np.divide(h1, total, out=np.full(len(h1), 0.5), where=total > 0)
         return np.stack([w1, 1.0 - w1])
 
-    def rhs_full(self, t, y, out=None):
-        """(dy/dt, aggregate new-infection inflow rate).  dy is written into
-        ``out`` (a float64 array of shape (dim,) that does not overlap ``y``)
-        when one is given, and returned.  Parts of dy are written before the
-        last reads of ``y`` (a one-type, one-stage population writes its
-        removal row, then reads it back), which is why the two must not
-        overlap."""
+    def rhs_full(self, t, y, out=None, inflow=None):
+        """(dy/dt, per-class new-infection inflow rate).  The inflow holds,
+        per population and in population order, s_k times the hazard of
+        each degree class: the rate at which that class is newly infected
+        (``classes`` entries; ``Trajectory.incidence`` is their sum).  dy is
+        written into ``out`` (a float64 array of shape (dim,)) and the
+        inflow into ``inflow`` (a float64 array of shape (classes,)) when
+        they are given, and both are returned.  Neither buffer may overlap
+        ``y`` or the other: parts of dy are written before the last reads of
+        ``y`` and of the inflow (a one-type, one-stage population writes its
+        removal row, then reads it back)."""
         if y.shape != self._shape:
             raise DomainError(f"state array has shape {y.shape}, expected ({self.dim},)")
-        if out is None:
-            dy = np.empty(self.dim)
-        elif isinstance(out, np.ndarray) and out.shape == self._shape and out.dtype == _FLOAT:
-            dy = out
-        else:
-            raise DomainError(f"out must be a float64 array of shape ({self.dim},)")
+        dy = _buffer("out", out, self._shape)
+        rates = _buffer("inflow", inflow, self._class_shape)
         if self._one_stage:
-            return dy, self._rhs_one_stage(y, dy)
-        return dy, self._rhs_typed(y, dy)
+            self._rhs_one_stage(y, dy, rates)
+        else:
+            self._rhs_typed(y, dy, rates)
+        return dy, rates
 
-    def _rhs_one_stage(self, y, dy):
+    def _rhs_one_stage(self, y, dy, rates):
         """``rhs_full`` of a model with one type in one stage and no exits:
         one infected mass and one link probability per source, the whole
-        inflow into the one infected row, removal = mu I.  Writes dy and
-        returns the aggregate inflow."""
-        total_inflow = 0.0
+        inflow into the one infected row, removal = mu I.  Writes dy and the
+        per-class inflow ``rates``."""
         fixed = self.link_mode == "fixed"
         pops = self.populations
         for pop in pops:
@@ -346,7 +361,7 @@ class CompartmentModel:
                 p = mass / denom
                 p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
             hazard = hazard_profile(pop.degrees, p, pop.lam[0])
-            inflow = np.multiply(s, hazard, hazard)
+            inflow = np.multiply(s, hazard, rates[pop.classes])
             ds, d_inf, removal = dy[pop.s], dy[pop.infected], dy[pop.removed]
             if self.d > 0:
                 np.subtract(pop.s0, s, ds)
@@ -356,13 +371,10 @@ class CompartmentModel:
                 np.negative(inflow, ds)
             np.multiply(infected, pop.mu, removal)
             np.subtract(inflow, removal, d_inf)
-            total_inflow += float(np.add.reduce(inflow))
-        return total_inflow
 
-    def _rhs_typed(self, y, dy):
+    def _rhs_typed(self, y, dy, rates):
         """``rhs_full`` of a model with two types, several stages or exits:
-        writes dy and returns the aggregate inflow."""
-        total_inflow = 0.0
+        writes dy and the per-class inflow ``rates``."""
         fixed = self.link_mode == "fixed"
         pops = self.populations
         for pop in pops:
@@ -378,7 +390,7 @@ class CompartmentModel:
                 hazard = hazard_profile(pop.degrees, p[0], lam[0])
             else:
                 hazard = hazard_profile_two(pop.degrees, LinkProbabilities(p[0], p[1]), *lam)
-            inflow = np.multiply(s, hazard, hazard)
+            inflow = np.multiply(s, hazard, rates[pop.classes])
             ds, d_inf, removal = dy[pop.s], dy[pop.infected], dy[pop.removed]
             if self.d > 0:
                 np.subtract(pop.s0, s, ds)
@@ -409,8 +421,6 @@ class CompartmentModel:
                 for row in pop.rows[1:]:
                     stock = stock + y[row]
                 removal += self._exit * stock
-            total_inflow += float(np.add.reduce(inflow))
-        return total_inflow
 
     def totals(self, Y):
         """(susceptible, prevalence, removed) per row of a (rows, dim) state
@@ -442,7 +452,10 @@ class Trajectory:
     ``Y[i]`` is the raw state vector at ``times[i]`` and ``dY[i]`` the
     right-hand side evaluated there (None for agent-based runs).
     ``incidence[i]`` is the new-infection inflow rate at the previous
-    recorded state, the per-step count of new infections when dt = 1.
+    recorded state, the per-step count of new infections when dt = 1; for
+    an integrated run it is the sum of the per-class inflow
+    ``model.rhs_full`` returned at that state, and ``incidence[0]`` repeats
+    ``incidence[1]``.
     ``susceptible``, ``prevalence`` and ``removed`` are totals over the
     states clamped at 0, computed from ``Y`` when one of them is first read
     (a Sobol sweep reads only ``incidence``).  ``model.blocks(Y)`` /
@@ -555,21 +568,25 @@ def grid_index(times, t0, t1, steps):
 
 
 # steps between two state range checks: a run that leaves the range stops
-# within this many steps, and the check costs one reduction per chunk
+# within this many steps, and the check and the incidence sum cost a few
+# reductions per chunk
 _CHECK_ROWS = 64
 
 
 def _first_unstable(Y, model):
     """Index of the first row of ``Y`` outside [STATE_FLOOR, STATE_CEIL] (the
-    ceiling on ``model``'s s and infected entries only), or None.  A
-    reduction over the whole array and one over each population's bounded
-    columns decide; the rows are searched only when they fail.  NaN fails
-    the first comparison (so the maxima compared after it hold none), -inf
-    the first, +inf in an s or infected entry the second.  A removed entry
-    takes only infected flows, so it turns +inf only through an infected
-    flow already out of range, which leaves its infected entry -inf or NaN."""
+    ceiling on ``model``'s s and infected entries only), or None.  The
+    minimum and maximum of the whole array decide; only a maximum past the
+    ceiling (a removed tally past 1, say) is looked up again over each
+    population's bounded columns, and the rows are searched only when these
+    fail.  NaN fails the first comparison (so the maxima compared after it
+    hold none), -inf the first, +inf in an s or infected entry the last.  A
+    removed entry takes only infected flows, so it turns +inf only through
+    an infected flow already out of range, which leaves its infected entry
+    -inf or NaN."""
     if (Y.min() >= STATE_FLOOR
-            and max(Y[:, p.bounded].max() for p in model.populations) <= STATE_CEIL):
+            and (Y.max() <= STATE_CEIL
+                 or max(Y[:, p.bounded].max() for p in model.populations) <= STATE_CEIL)):
         return None
     ok = (Y.min(axis=1) >= STATE_FLOOR) & (
         Y.max(axis=1, initial=-np.inf, where=model.bounded) <= STATE_CEIL)
@@ -586,8 +603,10 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     segment of a schedule runs ``model.at_coverage`` at its coverage, and
     the standing infected mass is repartitioned at each epoch boundary;
     ``model`` itself never changes.  Each step is written in place into the
-    recorded arrays; the three rk4 stage states reuse one buffer allocated
-    per run.  The state range is checked over each segment's recorded rows,
+    recorded arrays; the three rk4 stage states and their per-class inflows
+    reuse buffers allocated per run.  Each step's per-class inflow goes into
+    a buffer of _CHECK_ROWS rows, summed into ``incidence`` at the chunk's
+    end.  The state range is checked over each segment's recorded rows,
     _CHECK_ROWS at a time and before any repartition; a failure raises
     StabilityError naming the time of the first step that left the range.
     """
@@ -600,10 +619,13 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     models = [model if c is None else model.at_coverage(c) for _, _, c in segments]
     rows = sum([n for _, n, _ in segments]) + 1
     try:
-        Y, dY, inflow = np.empty((rows, model.dim)), np.empty((rows, model.dim)), np.empty(rows)
+        Y, dY, incidence = np.empty((rows, model.dim)), np.empty((rows, model.dim)), np.empty(rows)
     except (MemoryError, ValueError):
         raise DomainError(f"t_span [{t0}, {t1}] at dt={dt} is {rows - 1} steps, too many to "
                           f"record") from None
+    # the per-class inflow of each step of a chunk, as row views made once
+    rates = np.empty((min(rows - 1, _CHECK_ROWS), model.classes))
+    rate_rows = list(rates)
     Y[0] = models[0].initial_state()
     # the step's factors as 0-d arrays: numpy scales an array by them
     # faster than by a float
@@ -612,6 +634,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     unit = euler and dt == 1.0   # y + 1.0 k1 is y + k1: one add per step
     if not euler:
         stage, k2, k3, k4 = np.empty((4, model.dim))   # rk4 stage state and slopes
+        stage_rates = np.empty(model.classes)   # the stages' inflows, never read
         half, two, sixth = np.array(dt / 2), np.array(2.0), np.array(dt / 6)
     row = 0
     # a run that leaves the range keeps stepping through inf and NaN to the
@@ -625,11 +648,11 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                 Y[row] = seg_model.repartition(Y[row])
             y = Y[row]
             for chunk in range(0, n, _CHECK_ROWS):
-                first = row + 1
-                for i in range(chunk, min(chunk + _CHECK_ROWS, n)):
+                first = row
+                for i, rate in zip(range(chunk, min(chunk + _CHECK_ROWS, n)), rate_rows):
                     t = seg_start + i * dt
                     k1, nxt = dY[row], Y[row + 1]
-                    inflow[row] = rhs(t, y, k1)[1]
+                    rhs(t, y, k1, rate)
                     if unit:
                         np.add(y, k1, nxt)
                     elif euler:
@@ -643,7 +666,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                                                  (dt, step, k3, k4)):
                             np.multiply(k, scale, stage)
                             stage += y
-                            rhs(t + h, stage, out)
+                            rhs(t + h, stage, out, stage_rates)
                         k2 *= two
                         k2 += k1
                         k3 *= two
@@ -653,17 +676,23 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                         np.add(y, k2, nxt)
                     y = nxt
                     row += 1
-                bad = _first_unstable(Y[first:row + 1], model)
+                # each step's incidence is the inflow at the state it stepped
+                # from, one row on; numpy sums each row in a 1-d array's order
+                # and the populations add from 0.0: a per-call total's bits
+                totals = incidence[first + 1:row + 1]
+                totals.fill(0.0)
+                for p in model.populations:
+                    totals += np.add.reduce(rates[:row - first, p.classes], axis=1)
+                bad = _first_unstable(Y[first + 1:row + 1], model)
                 if bad is not None:
                     t = seg_start + (chunk + bad) * dt
                     raise StabilityError(f"state left [{STATE_FLOOR}, {STATE_CEIL}] at "
                                          f"t={t + dt:g}; try a smaller dt")
-    inflow[row] = models[-1].rhs_full(t1, Y[row], out=dY[row])[1]
-
-    return Trajectory(
-        times=t0 + np.arange(rows) * dt, Y=Y, dY=dY,
-        incidence=np.concatenate([inflow[:1], inflow[:-1]]), model=model,
-    )
+    # the final slope; the inflow at t1 starts no step, so it is not summed
+    models[-1].rhs_full(t1, Y[row], dY[row], rate_rows[0])
+    incidence[0] = incidence[1]
+    return Trajectory(times=t0 + np.arange(rows) * dt, Y=Y, dY=dY, incidence=incidence,
+                      model=model)
 
 
 # the six named models: builders over CompartmentModel

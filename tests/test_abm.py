@@ -159,7 +159,7 @@ class TestSimulateEpidemic:
         ode = integrate(model, (0, 1), 1.0, "euler")
         abm = simulate_epidemic(model, n, 1, rng=np.random.default_rng(8))
         # binomial bound: new infections + removals are sums of n Bernoullis
-        inflow = model.rhs_full(0, model.initial_state())[1]
+        inflow = model.rhs_full(0, model.initial_state())[1].sum()
         var = (inflow * (1 - inflow) + params.rho0 * params.mu * (1 - params.mu)) / n
         assert abs(abm.prevalence[1] - ode.prevalence[1]) <= 4 * np.sqrt(var)
 
@@ -329,6 +329,36 @@ class TestEnsemble:
         parallel = run_ensemble(stratified(params), 800, 15, replicas=6, base_seed=5, n_jobs=3)
         assert np.array_equal(serial.mean_prevalence, parallel.mean_prevalence)
         assert np.array_equal(serial.se_incidence, parallel.se_incidence)
+
+    @pytest.mark.parametrize("n_jobs, workers", [(2, 2), (4, 4), (1000, 4)])
+    def test_pool_capped_at_replicas(self, monkeypatch, n_jobs, workers):
+        # a stand-in pool that records its size and maps serially: the real
+        # one forks every worker at the first task, so none is started here
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        model = stratified(EpidemicParams(lam=0.05, mu=0.05, rho0=0.05))
+        serial = run_ensemble(model, 800, 15, replicas=4, base_seed=5, n_jobs=1)
+        assert sizes == []
+        pooled = run_ensemble(model, 800, 15, replicas=4, base_seed=5, n_jobs=n_jobs)
+        assert sizes == [workers]
+        for field in serial._fields:
+            assert np.array_equal(getattr(serial, field), getattr(pooled, field)), field
 
     def test_order_invariance(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)

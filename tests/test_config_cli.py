@@ -676,7 +676,28 @@ class TestCliProcess:
 
     # each fails after execute has made the output directory
     SHORT = {"t_span": [0, 10], "method": "euler", "dt": 1.0, "abm": {"n": 300, "replicas": 2}}
+    # a power-law support of 10**15 degrees fails to allocate at once (phase
+    # while the config is read, before a directory is made); each command
+    # used to end in numpy's _ArrayMemoryError traceback
+    HUGE_K = {**FIG1, **SHORT,
+              "distribution": {"type": "power_law", "gamma": 2.5, "k_min": 1, "k_max": 10 ** 15}}
+    HUGE_K2 = {**FIG1, **SHORT, "model": "bipartite", "lambda2": 0.1,
+               "distribution2": HUGE_K["distribution"]}
+    K_ERROR = "k_max: k_max=1000000000000000 is 1000000000000000 degrees from k_min=1"
     FAILED_RUNS = {
+        "k_max_run_ode": ("run-ode", HUGE_K, 1, f"error: distribution.{K_ERROR}"),
+        "k_max_compare": ("compare", HUGE_K, 1, f"error: distribution.{K_ERROR}"),
+        "k_max_sensitivity": ("sensitivity", {**HUGE_K, "sensitivity": {
+            "ranges": {"lambda": [0.02, 0.08]}, "n_base": 64}},
+            1, f"error: distribution.{K_ERROR}"),
+        "k_max_phase": ("phase", {**HUGE_K, "phase": {"m": 1, "n": 1}},
+                        1, f"error: distribution.{K_ERROR}"),
+        "k_max_fit": ("fit", {**HUGE_K, "fit": {
+            "free": {"lambda": [0.01, 0.1]}, "initial": {"lambda": 0.05},
+            "observed": [[4, 0.01], [8, 0.02]]}}, 1, f"error: distribution.{K_ERROR}"),
+        "k_max2_run_ode": ("run-ode", HUGE_K2, 1, f"error: distribution2.{K_ERROR}"),
+        "k_max2_phase": ("phase", {**HUGE_K2, "phase": {"m": 1, "n": 1, "population": 2}},
+                         1, f"error: distribution2.{K_ERROR}"),
         "bipartite": ("compare", {**FIG1, **SHORT, "model": "bipartite", "lambda2": 0.1},
                       1, "error: model: agent-based runs of 'bipartite' need one population"),
         "no_abm_n": ("run-abm", {**FIG1, **SHORT, "abm": {"replicas": 2}},

@@ -42,6 +42,14 @@ class TestTruncatedPowerLaw:
         with pytest.raises(DomainError):
             truncated_power_law(gamma, k_min, k_max)
 
+    @pytest.mark.parametrize("k_max", [10 ** 15, 10 ** 30])
+    def test_support_too_large_to_allocate(self, k_max):
+        # only sizes that fail at once: 10**15 float64 degrees is 8 PB, and
+        # 10**30 is past numpy's largest array
+        with pytest.raises(DomainError, match=f"k_max={k_max} is {k_max} degrees") as err:
+            truncated_power_law(2.5, 1, k_max)
+        assert err.value.field == "k_max"
+
 
 class TestFromWeights:
     def test_symmetric(self):

@@ -560,10 +560,11 @@ class TestIntegrate:
     def test_incidence_is_previous_state_inflow(self):
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         traj = integrate(model, (0, 10), 1.0, "euler")
-        # recompute the inflow at the recorded state preceding each step
+        # recompute the per-class inflow at the recorded state preceding each
+        # step and sum it
         for i in (1, 4, 10):
             y = traj.Y[i - 1]
-            assert traj.incidence[i] == pytest.approx(model.rhs_full(0, y)[1], rel=1e-12)
+            assert traj.incidence[i] == pytest.approx(model.rhs_full(0, y)[1].sum(), rel=1e-12)
 
     def test_euler_dt1_matches_manual_stepping(self):
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
@@ -1077,7 +1078,26 @@ class TestRhsOut:
         got, got_inflow = model.rhs_full(2.0, y, out=buf)
         assert got is buf
         assert buf.tobytes() == dy.tobytes()
-        assert got_inflow == inflow
+        assert got_inflow.tobytes() == inflow.tobytes()
+
+    @pytest.mark.parametrize("factory", [case[1] for case in _guard_cases()],
+                             ids=[case[0] for case in _guard_cases()])
+    def test_inflow_is_filled_and_returned(self, factory):
+        # per population, in order, s_k times its degree class's hazard: the
+        # new-infection term that leaves the susceptible row when d = 0
+        model = factory()
+        y = integrate(model, (0, 4), 0.5, "rk4").Y[-1]
+        dy, inflow = model.rhs_full(2.0, y)
+        assert inflow.shape == (model.classes,)
+        assert model.classes == sum(len(p.k) for p in model.populations)
+        buf = np.full(model.classes, np.nan)
+        got_dy, got = model.rhs_full(2.0, y, np.empty(model.dim), inflow=buf)
+        assert got is buf
+        assert buf.tobytes() == inflow.tobytes()
+        assert got_dy.tobytes() == dy.tobytes()
+        if model.d == 0:
+            ds = np.concatenate([s for s, _, _ in model.blocks(dy)])
+            assert (-inflow).tobytes() == ds.tobytes()
 
     @pytest.mark.parametrize("out", [np.empty(179), np.empty((1, 180)),
                                      np.empty(180, dtype=np.float32), [0.0] * 180])
@@ -1086,6 +1106,14 @@ class TestRhsOut:
         assert model.dim == 180
         with pytest.raises(DomainError, match="out"):
             model.rhs_full(0.0, model.initial_state(), out=out)
+
+    @pytest.mark.parametrize("inflow", [np.empty(59), np.empty(180), np.empty((1, 60)),
+                                        np.empty(60, dtype=np.float32), [0.0] * 60])
+    def test_bad_inflow_rejected(self, inflow):
+        model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
+        assert model.classes == 60
+        with pytest.raises(DomainError, match="inflow must be a float64 array of shape \\(60,\\)"):
+            model.rhs_full(0.0, model.initial_state(), inflow=inflow)
 
 
 class TestGridArguments:
