@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from contextlib import suppress
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,18 +47,77 @@ def _write_replacing(path: Path, fill, newline=None):
         tmp.unlink(missing_ok=True)
 
 
+@cache
+def _tables():
+    """Lookups built on the first write: the words "d.d.d.d." of 0..9999, then the
+    exponent words of E = -300..300; 10**k for k = -300..300; per E, the key
+    offset of its layout group (0..15: fixed form at E = -4..11; 16, 17: exponent
+    form, 2 or 3 digits); the trailing zeros of 0..9999; the bytes shown per key."""
+    e, digit = np.arange(-300, 301), np.arange(ord("0"), ord(":"), dtype=np.uint8)
+    words = np.stack(np.meshgrid(*[digit, np.uint8([ord(".")])] * 4, indexing="ij"), axis=-1)
+    exponent = ("e%+04d,\0\0" * e.size % tuple(e.tolist())).encode()
+    power = list(map(float, ("1e%d " * e.size % tuple(e.tolist())).split()))   # correctly rounded
+    group = np.where((e >= -4) & (e < 12), e + 4, 16 + (np.abs(e) >= 100))
+    neg, g, sig = np.meshgrid([0, 1], np.arange(18), np.arange(1, 13), indexing="ij")
+    after, j = np.where(g < 16, g - 4, 0), np.arange(12)   # the digit a "." may follow
+    show = np.zeros((*g.shape, 40), dtype=bool)   # key: sign, group, significant digits
+    show[..., 0], show[..., 32:37], show[..., 34], show[..., 37] = \
+        neg, (g >= 16)[..., None], g == 17, True
+    show[..., 1:6] = np.arange(5) < np.where(g < 4, 5 - g, 0)[..., None]   # "0.0..." below 1
+    show[..., 8:32:2] = j < np.where(g < 16, np.maximum(sig, g - 3), sig)[..., None]
+    show[..., 9:32:2] = (j == after[..., None]) & ((sig > after + 1) & (g >= 4))[..., None]
+    zeros = sum(np.tile(np.arange(10 ** k) == 0, 10 ** (4 - k)) for k in (1, 2, 3, 4))
+    return (np.frombuffer(words.tobytes() + exponent, dtype=np.uint64), np.array(power),
+            group * 12 - 1, zeros, (show * np.uint8(255)).reshape(-1, 40).view(np.uint64))
+
+
+@np.errstate(invalid="ignore")   # widening a signalling NaN is no error
+def _format_rows(columns, floats) -> str:
+    """The CSV text of the rows of ``columns``, each cell as '%d' % (integers,
+    bools) or '%.12g' % (the rest, floats widened to float64) writes it.  A
+    float's five words ("-0.000", pad | "d." x 12 | "e-ddd", separator, pad)
+    hold M = rint(q), q = |x| * 10**(11 - E) in [1e11, 1e12); hidden bytes are
+    zeroed, then deleted.  |q - q*| < 2.3e-4 (two roundings), so Python formats
+    a q within 1e-3 of a tie or a decade off, 0, inf, nan, |x| outside [1e-280,
+    1e280] and other columns."""
+    words, power, group, zeros, show = _tables()
+    v = np.array([c if f else np.ones(len(c)) for c, f in zip(columns, floats)], float).T.ravel()
+    a = np.abs(v)
+    slow = ~((a >= 1e-280) & (a <= 1e280))
+    a[slow] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    q = a * power[311 - e]
+    m = np.rint(q)
+    slow |= (np.abs(q - m) > 0.499) | (q < 1e11) | (m > 1e12)   # a tie, or E a decade off
+    carry = m == 1e12
+    m, e = np.where(carry | slow, 1e11, m).astype(np.intp), e + carry
+    hi, mid, lo = m // 10 ** 8, m // 10 ** 4 % 10 ** 4, m % 10 ** 4
+    sig = 12 - zeros[lo] - (lo == 0) * (zeros[mid] + (mid == 0) * zeros[hi])
+    frames = np.full((v.size, 5), np.frombuffer(b"-0.000\0\0", dtype=np.uint64))
+    for i, part in enumerate((hi, mid, lo, e + 10_300), 1):
+        frames[:, i] = words[part]
+    frames &= show[group[e + 300] + sig + 216 * (v < 0)]
+    cells = frames.view([("text", "S37"), ("sep", "u1"), ("pad", "u2")]).reshape(-1, len(columns))
+    cells["sep"][:, -1] = ord("\n")
+    where = np.flatnonzero(slow.reshape(cells.shape) & floats)
+    cells["text"].reshape(-1)[where] = ["%.12g" % f for f in v[where].tolist()]
+    for i in np.flatnonzero(~floats):
+        fmt = "%d" if columns[i].dtype.kind in "biu" else "%.12g"
+        cells["text"][:, i] = [fmt % value for value in columns[i].tolist()]
+    return frames.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _write_csv(path: Path, header, columns):
-    """One line per row of the equal-length 1-D ``columns``, through one
-    format string: %.12g for floats, plain digits for integers and bools.
-    Cells become Python numbers ~2**14 at a time, never a whole table."""
+    """One line per row of the equal-length 1-D ``columns``, formatted by
+    ``_format_rows`` ~2**12 cells at a time and written chunk by chunk."""
     columns = [np.asarray(c) for c in columns]
-    line = ",".join("%d" if c.dtype.kind in "biu" else "%.12g" for c in columns) + "\n"
-    step = max(1, 2 ** 14 // len(columns))
+    floats = np.array([c.dtype.kind == "f" for c in columns])
+    step = max(1, 2 ** 12 // len(columns))
 
     def fill(fh):
         csv.writer(fh, lineterminator="\n").writerow(header)
         for a in range(0, len(columns[0]), step):
-            fh.writelines(line % row for row in zip(*(c[a:a + step].tolist() for c in columns)))
+            fh.write(_format_rows([c[a:a + step] for c in columns], floats))
     _write_replacing(path, fill, newline="")
 
 

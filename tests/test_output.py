@@ -1,14 +1,16 @@
 """The array-native output path against the per-row code it replaced.
 
 Each oracle below is the old implementation, kept here verbatim in spirit:
-per-value formatting through ``old_fmt``, and one per-degree split of each
-recorded row (``row_view``) for the per-degree table and for phase series.
-The new path must reproduce them byte for byte.
+per-value formatting through ``old_fmt``, one format string per row
+(``percent_rows``) for the bulk CSV cell layout, and one per-degree split of
+each recorded row (``row_view``) for the per-degree table and for phase
+series.  The new path must reproduce them byte for byte.
 """
 
 import csv
 import io
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -224,3 +226,127 @@ class TestPhaseSeries:
             traj = Trajectory(np.arange(len(Y), dtype=float), Y, dY, np.zeros(len(Y)), model)
             for population in range(1, len(model.populations) + 1):
                 self.check(traj, population)
+
+
+def percent_rows(columns) -> str:
+    """The data rows as the per-row writer made them: one line per row
+    through one format string, '%d' for integer and bool columns and
+    '%.12g' for the rest, over each column's ``tolist()``."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%d" if c.dtype.kind in "biu" else "%.12g" for c in columns) + "\n"
+    return "".join(line % row for row in zip(*(c.tolist() for c in columns)))
+
+
+def check_bulk(*columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    assert written(list(columns), header) == ",".join(header) + "\n" + percent_rows(columns)
+
+
+def ulps(values, k):
+    """Each of ``values`` and its neighbours up to ``k`` float64 steps away."""
+    bits = np.asarray(values, dtype=float).view(np.int64)[:, None] + np.arange(-k, k + 1)
+    return bits.view(np.float64).ravel()
+
+
+def columns_of(values, width=3):
+    """``values`` dealt into ``width`` equal-length columns (the rest dropped)."""
+    rows = len(values) // width
+    return [np.ascontiguousarray(np.asarray(values)[j:rows * width:width]) for j in range(width)]
+
+
+SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestBulkFormat:
+    """The bulk %.12g layout of ``cli._write_csv`` against '%.12g' % per cell:
+    every float64 bit pattern class, the cells Python formats instead (ties,
+    zeros, non-finite values, |x| outside [1e-280, 1e280]) and the edges of
+    the decade, notation and exponent-width choices."""
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_bit_patterns(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        check_bulk(values, -values)
+
+    def test_random_bit_patterns_and_specials(self):
+        rng = np.random.default_rng(11)
+        values = rng.integers(0, 2 ** 64, size=60_000, dtype=np.uint64).view(np.float64)
+        values[::1000] = np.resize(SPECIALS, values[::1000].size)
+        check_bulk(*columns_of(values))
+
+    def test_wide_range_normals(self):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=60_000) * 10.0 ** rng.integers(-300, 301, size=60_000)
+        check_bulk(*columns_of(values))
+
+    def test_near_ties(self):
+        # (M + 0.5) * 10**(X - 11) for 12-digit M, and a few ulps either side
+        rng = np.random.default_rng(13)
+        mantissas = rng.integers(10 ** 11, 10 ** 12, size=3000)
+        exponents = rng.integers(-300, 300, size=3000)
+        ties = [float(f"{m}5e{x - 12}") for m, x in zip(mantissas.tolist(), exponents.tolist())]
+        values = ulps(ties, 3)
+        check_bulk(*columns_of(np.concatenate([values, -values])))
+
+    def test_decade_edges(self):
+        # 10**X (1 - k 2**-53), the last values below 10**X, and the
+        # 12-digit carry point 9.999999999995 * 10**X, all a few ulps wide
+        powers = [float(f"1e{x}") for x in range(-300, 301)]
+        below = np.multiply.outer(powers, 1 - np.arange(5) * 2.0 ** -53).ravel()
+        carries = [float(f"9.999999999995e{x}") for x in range(-300, 301)]
+        values = np.concatenate([below, ulps(powers, 4), ulps(carries, 4)])
+        check_bulk(*columns_of(np.concatenate([values, -values])))
+
+    def test_notation_and_exponent_width_switches(self):
+        edges = [1e-5, 9.99999999999e-5, 9.999999999995e-5, 1e-4, 0.000123456789012,
+                 99999999999.5, 999999999999.0, 999999999999.4, 999999999999.5, 1e12,
+                 123456789012.4, 1e99, 9.999999999995e99, 1e100, 1e-99, 9.9999999999995e-100,
+                 1e-100, 1e-280, 1e280, 1.00000000001e280, 9.99999999999e-281]
+        values = ulps(edges, 2)
+        check_bulk(*columns_of(np.concatenate([values, -values]), width=1))
+        text = written([np.array(edges)], ["x"])
+        for cell in ("1e-05", "9.99999999999e-05", "0.0001", "999999999999", "1e+12",
+                     "1e+100", "1e-100", "1e-280", "1e+280"):
+            assert f"\n{cell}\n" in text, cell
+
+    def test_tables_larger_than_a_chunk_mix_kinds(self):
+        rng = np.random.default_rng(14)
+        rows = 5000
+        floats = rng.normal(size=rows) * 10.0 ** rng.integers(-20, 20, size=rows)
+        sparse = np.where(rng.random(rows) < 0.3, 0.0, rng.random(rows))
+        ints = rng.integers(-(2 ** 63), 2 ** 63 - 1, size=rows, dtype=np.int64, endpoint=True)
+        ints[:3] = [-(2 ** 63), 2 ** 63 - 1, 0]
+        check_bulk(floats, ints, rng.random(rows) < 0.5, sparse, np.arange(rows, dtype=np.uint64))
+        # one row wider than a chunk
+        check_bulk(*rng.normal(size=(9000, 2)))
+
+    def test_log10_a_decade_off(self, monkeypatch):
+        # E comes from log10, then is checked: a log10 that lands a decade
+        # off sends the cell through Python instead of misplacing its digits
+        rng = np.random.default_rng(17)
+        values = rng.normal(size=30_000) * 10.0 ** rng.integers(-30, 30, size=30_000)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + rng.uniform(-0.9, 0.9, np.shape(a)))
+        check_bulk(*columns_of(values))
+
+    def test_float32_columns_widen_as_tolist_does(self):
+        rng = np.random.default_rng(15)
+        narrow = rng.integers(0, 2 ** 32, size=30_000, dtype=np.uint32).view(np.float32)
+        check_bulk(*columns_of(narrow), rng.normal(size=10_000).astype(np.float32))
+
+
+def test_write_memory_stays_at_chunk_size(tmp_path):
+    # 2**21 cells, 32 MB of text and 16 MB of float64: a chunked write peaks
+    # near 1 MB, any whole-table temporary passes the bound
+    rng = np.random.default_rng(16)
+    columns = list(rng.normal(size=(8, 2 ** 18)) * 10.0 ** rng.integers(-8, 8, size=(8, 2 ** 18)))
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "big.csv", [f"c{j}" for j in range(8)], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").stat().st_size > 2 ** 21 * 10
+    assert peak < 4 * 2 ** 20, peak
