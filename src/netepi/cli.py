@@ -52,36 +52,42 @@ def _tables():
     """Lookups built on the first write: the words "d.d.d.d." of 0..9999, then the
     exponent words of E = -300..300; 10**k for k = -300..300; per E, the key
     offset of its layout group (0..15: fixed form at E = -4..11; 16, 17: exponent
-    form, 2 or 3 digits); the trailing zeros of 0..9999; the bytes shown per key."""
-    e, digit = np.arange(-300, 301), np.arange(ord("0"), ord(":"), dtype=np.uint8)
-    words = np.stack(np.meshgrid(*[digit, np.uint8([ord(".")])] * 4, indexing="ij"), axis=-1)
-    exponent = ("e%+04d,\0\0" * e.size % tuple(e.tolist())).encode()
-    power = list(map(float, ("1e%d " * e.size % tuple(e.tolist())).split()))   # correctly rounded
+    form, 2 or 3 digits); the trailing zeros of 0..9999; the bytes shown per key.
+    A word is built as the little-endian number whose byte i is its character i."""
+    e, digit = np.arange(-300, 301), np.arange(10, dtype=np.uint64)
+    words = (int.from_bytes(b"0.0.0.0.", "little") + digit[:, None, None, None]
+             + (digit[:, None, None] << 16) + (digit[:, None] << 32) + (digit << 48)).ravel()
+    sign, a = np.where(e < 0, ord("-"), ord("+")).astype(np.uint64), np.abs(e).astype(np.uint64)
+    exponent = (int.from_bytes(b"e\x00000,\x00\x00", "little") + (sign << 8)
+                + (a // 100 << 16) + (a // 10 % 10 << 24) + (a % 10 << 32))
+    power = np.fromstring("1e%d " * e.size % tuple(e.tolist()), sep=" ")   # correctly rounded
     group = np.where((e >= -4) & (e < 12), e + 4, 16 + (np.abs(e) >= 100))
-    neg, g, sig = np.meshgrid([0, 1], np.arange(18), np.arange(1, 13), indexing="ij")
+    neg, g, sig = np.arange(2)[:, None, None], np.arange(18)[:, None], np.arange(1, 13)
     after, j = np.where(g < 16, g - 4, 0), np.arange(12)   # the digit a "." may follow
-    show = np.zeros((*g.shape, 40), dtype=bool)   # key: sign, group, significant digits
+    show = np.zeros((2, 18, 12, 40), dtype=bool)   # key: sign, group, significant digits
     show[..., 0], show[..., 32:37], show[..., 34], show[..., 37] = \
         neg, (g >= 16)[..., None], g == 17, True
     show[..., 1:6] = np.arange(5) < np.where(g < 4, 5 - g, 0)[..., None]   # "0.0..." below 1
     show[..., 8:32:2] = j < np.where(g < 16, np.maximum(sig, g - 3), sig)[..., None]
     show[..., 9:32:2] = (j == after[..., None]) & ((sig > after + 1) & (g >= 4))[..., None]
-    zeros = sum(np.tile(np.arange(10 ** k) == 0, 10 ** (4 - k)) for k in (1, 2, 3, 4))
-    return (np.frombuffer(words.tobytes() + exponent, dtype=np.uint64), np.array(power),
+    zeros = np.zeros(10 ** 4, dtype=int)   # 0 counts 4
+    for k in (10, 100, 1000, 10 ** 4):
+        zeros[::k] += 1
+    return (np.concatenate([words, exponent]).astype("<u8", copy=False).view(np.uint64), power,
             group * 12 - 1, zeros, (show * np.uint8(255)).reshape(-1, 40).view(np.uint64))
 
 
-@np.errstate(invalid="ignore")   # widening a signalling NaN is no error
-def _format_rows(columns, floats) -> str:
-    """The CSV text of the rows of ``columns``, each cell as '%d' % (integers,
-    bools) or '%.12g' % (the rest, floats widened to float64) writes it.  A
-    float's five words ("-0.000", pad | "d." x 12 | "e-ddd", separator, pad)
-    hold M = rint(q), q = |x| * 10**(11 - E) in [1e11, 1e12); hidden bytes are
-    zeroed, then deleted.  |q - q*| < 2.3e-4 (two roundings), so Python formats
-    a q within 1e-3 of a tie or a decade off, 0, inf, nan, |x| outside [1e-280,
-    1e280] and other columns."""
+def _format_rows(table, others) -> str:
+    """The CSV text of the rows of the float64 (rows, cols) ``table``, each
+    cell as '%.12g' % writes it, except the columns ``others`` gives as
+    (index, values) pairs: '%d' % for integers and bools, '%.12g' % for the
+    rest.  A float's five words ("-0.000", pad | "d." x 12 | "e-ddd",
+    separator, pad) hold M = rint(q), q = |x| * 10**(11 - E) in [1e11, 1e12);
+    hidden bytes are zeroed, then deleted.  |q - q*| < 2.3e-4 (two
+    roundings), so Python formats a q within 1e-3 of a tie or a decade off,
+    0, inf, nan and |x| outside [1e-280, 1e280]."""
     words, power, group, zeros, show = _tables()
-    v = np.array([c if f else np.ones(len(c)) for c, f in zip(columns, floats)], float).T.ravel()
+    v = table.ravel()
     a = np.abs(v)
     slow = ~((a >= 1e-280) & (a <= 1e280))
     a[slow] = 1.0
@@ -97,27 +103,39 @@ def _format_rows(columns, floats) -> str:
     for i, part in enumerate((hi, mid, lo, e + 10_300), 1):
         frames[:, i] = words[part]
     frames &= show[group[e + 300] + sig + 216 * (v < 0)]
-    cells = frames.view([("text", "S37"), ("sep", "u1"), ("pad", "u2")]).reshape(-1, len(columns))
+    cells = frames.view([("text", "S37"), ("sep", "u1"), ("pad", "u2")]).reshape(table.shape)
     cells["sep"][:, -1] = ord("\n")
-    where = np.flatnonzero(slow.reshape(cells.shape) & floats)
+    where = np.flatnonzero(slow)
     cells["text"].reshape(-1)[where] = ["%.12g" % f for f in v[where].tolist()]
-    for i in np.flatnonzero(~floats):
-        fmt = "%d" if columns[i].dtype.kind in "biu" else "%.12g"
-        cells["text"][:, i] = [fmt % value for value in columns[i].tolist()]
+    for i, values in others:
+        fmt = "%d" if values.dtype.kind in "biu" else "%.12g"
+        cells["text"][:, i] = [fmt % value for value in values.tolist()]
     return frames.tobytes().translate(None, b"\0").decode("ascii")
 
 
+@np.errstate(invalid="ignore")   # widening a signalling NaN is no error
 def _write_csv(path: Path, header, columns):
-    """One line per row of the equal-length 1-D ``columns``, formatted by
-    ``_format_rows`` ~2**12 cells at a time and written chunk by chunk."""
-    columns = [np.asarray(c) for c in columns]
-    floats = np.array([c.dtype.kind == "f" for c in columns])
-    step = max(1, 2 ** 12 // len(columns))
+    """One line per row of ``columns``, each entry one 1-D column or a 2-D
+    block of columns, all of one length.  Per chunk of <= 2**12 cells the
+    row slices of the blocks are joined into the float64 table that
+    ``_format_rows`` lays out, and written; a block that is not float stands
+    in the table as ones and is formatted by Python."""
+    parts, others, width = [], [], 0
+    for block in map(np.asarray, columns):
+        block = block[:, None] if block.ndim == 1 else block
+        if block.dtype.kind == "f":
+            parts.append(block)
+        else:
+            parts.append(np.broadcast_to(1.0, block.shape))
+            others += [(width + j, block[:, j]) for j in range(block.shape[1])]
+        width += block.shape[1]
+    step = max(1, 2 ** 12 // width)
 
     def fill(fh):
         csv.writer(fh, lineterminator="\n").writerow(header)
-        for a in range(0, len(columns[0]), step):
-            fh.write(_format_rows([c[a:a + step] for c in columns], floats))
+        for a in range(0, len(parts[0]), step):
+            table = np.concatenate([p[a:a + step] for p in parts], axis=1, dtype=float)
+            fh.write(_format_rows(table, [(i, c[a:a + step]) for i, c in others]))
     _write_replacing(path, fill, newline="")
 
 
@@ -225,7 +243,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                        traj.incidence]
             if spec.per_degree:
                 header += model.degree_labels()
-                columns += list(model.degree_columns(traj.Y).T)
+                columns.append(model.degree_columns(traj.Y))
             _write_csv(target("trajectory.csv"), header, columns)
             peak, peak_t = traj.peak()
             summary = (f"peak_prevalence={peak:.6g} peak_time={peak_t:g} "
@@ -271,7 +289,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                     raise ConfigError("sensitivity.n_base", str(err)) from None
                 raise
             _write_csv(target("sobol.csv"), ["t"] + [f"S_{p}" for p in result.parameters],
-                       [result.times, *result.indices])
+                       [result.times, result.indices.T])
             if np.isnan(result.indices).all():
                 # a valid config whose output never varies: no index is defined
                 summary = (f"max_index=none (no index is defined: the output does not vary) "
@@ -289,7 +307,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                                   variant=spec.phase["variant"],
                                   population=spec.phase["population"])
             prefix = "rho" if spec.phase["variant"] == "infected" else "healthy"
-            _write_csv(target("phase.csv"), [f"{prefix}_m", f"d{prefix}_n_dt"], series.T)
+            _write_csv(target("phase.csv"), [f"{prefix}_m", f"d{prefix}_n_dt"], [series])
             summary = (f"points={len(series)} m={spec.phase['m']} n={spec.phase['n']} "
                        f"variant={spec.phase['variant']}")
 

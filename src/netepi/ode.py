@@ -374,7 +374,10 @@ class CompartmentModel:
 
     def _rhs_typed(self, y, dy, rates):
         """``rhs_full`` of a model with two types, several stages or exits:
-        writes dy and the per-class inflow ``rates``."""
+        writes dy and the per-class inflow ``rates``.  Without stage flow a
+        population's removal row is written as its infected rows' sum, scaled
+        there by the exit rate: the bits of adding that product to a zeroed
+        row, unless the product is -0.0."""
         fixed = self.link_mode == "fixed"
         pops = self.populations
         for pop in pops:
@@ -402,25 +405,30 @@ class CompartmentModel:
             entry = d_inf[:, 0]
             np.multiply(self.shares if self.shares is not None
                         else self._hazard_shares(pop, p), inflow, entry)
-            if pop.flow_rates is None:
-                # no stage flow: nothing moves between stages or into removal
+            flow_free, exits = pop.flow_rates is None, self.exit_rate > 0
+            if flow_free:
+                # no stage flow: nothing moves between stages
                 if pop.n_stages > 1:
                     d_inf[:, 1:] = 0.0
-                removal.fill(0.0)
+                if not exits:
+                    removal.fill(0.0)
             else:
                 flow = pop.flow_rates * infected
                 entry -= flow[:, 0]
                 if pop.n_stages > 1:
                     np.subtract(flow[:, :-1], flow[:, 1:], d_inf[:, 1:])
                 np.add.reduce(flow[:, -1], axis=0, out=removal)
-            if self.exit_rate > 0:
+            if exits:
                 d_inf -= self._exit * infected
                 # the infected rows added left to right: the order, and so the
                 # bits, of numpy's reduction over the leading axes
                 stock = y[pop.rows[0]]
                 for row in pop.rows[1:]:
-                    stock = stock + y[row]
-                removal += self._exit * stock
+                    stock = np.add(stock, y[row], removal if flow_free else None)
+                if flow_free:
+                    np.multiply(stock, self._exit, removal)
+                else:
+                    removal += self._exit * stock
 
     def totals(self, Y):
         """(susceptible, prevalence, removed) per row of a (rows, dim) state

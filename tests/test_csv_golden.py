@@ -1,13 +1,15 @@
 """The bytes of the files the commands write, pinned.
 
 ``tests/data/csv_golden.json`` holds the sha256 and size of every artifact
-of five small runs: a per-degree ``run-ode`` (the CI ``per_degree.json``:
+of six runs: a per-degree ``run-ode`` (the CI ``per_degree.json``:
 hiv_hetero, k 1..30, a treatment epoch at t = 4), a ``phase`` series of its
-second population, a 4-replica ``run-abm`` and ``compare`` and a small
-``sensitivity``.  The CSV writer formats every cell as ``'%.12g' %`` (floats)
+second population, a 4-replica ``run-abm`` and ``compare``, a small
+``sensitivity`` and the benchmark's ``hiv_treatment`` run-ode (its config
+read from ``perfbench/workloads.py``: k 1..100, a 201 x 405 table written in
+21 chunks).  The CSV writer formats every cell as ``'%.12g' %`` (floats)
 or ``'%d' %`` (integers and bools) would; a writer that moves one digit, a
-sign or a separator of any cell fails here.  CI checks the per-degree
-``trajectory.csv`` against the same hash.
+sign or a separator of any cell fails here.  CI checks both per-degree
+``trajectory.csv`` files against the same hashes.
 
 Regenerate the golden file only when the output is meant to change:
 
@@ -16,6 +18,7 @@ Regenerate the golden file only when the output is meant to change:
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from netepi.cli import execute
 from netepi.config import parse_config_data
 
 GOLDEN = Path(__file__).parent / "data" / "csv_golden.json"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PER_DEGREE = {
     "model": "hiv_hetero", "lambda": 0.28, "rho0": 0.002, "d": 0.05,
@@ -48,12 +52,24 @@ SOBOL = {
                     "n_base": 64, "seed": 2025},
 }
 
+
+def benchmark_config(name):
+    """The pinned config of the benchmark workload ``name``."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return WORKLOADS[name].config
+
+
 RUNS = {   # name: (command, config)
     "run_ode_per_degree": ("run-ode", PER_DEGREE),
     "phase": ("phase", {**PER_DEGREE, "phase": {"m": 2, "n": 2, "population": 2}}),
     "run_abm": ("run-abm", ENSEMBLE),
     "compare": ("compare", ENSEMBLE),
     "sensitivity": ("sensitivity", SOBOL),
+    "hiv_treatment": ("run-ode", benchmark_config("hiv_treatment")),
 }
 
 

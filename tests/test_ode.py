@@ -889,6 +889,13 @@ def _guard_cases():
                         params = replace(params, rho0_type2=0.3)
                     return build_model(name, params, FIG1_DIST, _DIST2)
                 cases.append((f"{name}-{link_mode}-{method}", factory, span, dt, method, None))
+    # two types without stage flow: at d = 0 no exits, so the removal row stays
+    # 0; at rho0_2 = 0 one side starts with a zero infected stock
+    for tag, change in (("d0", {"d": 0.0}), ("rho0_2-zero", {"rho0_2": 0.0})):
+        for method, (span, dt) in runs.items():
+            cases.append((f"hiv_hetero-{tag}-{method}", lambda change=change: build_model(
+                "hiv_hetero", replace(_HIV_PARAMS, **change), FIG1_DIST, _DIST2).at_coverage(0.4),
+                span, dt, method, None))
     staged = EpidemicParams(lam=0.3, mu=0.0, rho0=0.05, d=0.02, lam2=0.15)
     cases += [
         ("stratified-stages", lambda: build_model(

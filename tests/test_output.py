@@ -60,13 +60,20 @@ FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnorma
 
 @st.composite
 def tables(draw):
+    """1-D float, int and bool columns and 2-D float64 and float32 blocks."""
     rows = draw(st.integers(0, 6))
-    kinds = draw(st.lists(st.sampled_from(["float", "int", "bool"]), min_size=1, max_size=6))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "bool", "block", "block32"]),
+                          min_size=1, max_size=6))
     columns = []
     for kind in kinds:
         if kind == "float":
             columns.append(np.array(draw(st.lists(FLOATS, min_size=rows, max_size=rows)),
                                     dtype=float))
+        elif kind.startswith("block"):
+            width, dtype = draw(st.integers(1, 4)), np.float32 if kind == "block32" else float
+            values = st.floats(width=32) if dtype is np.float32 else FLOATS
+            cells = draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+            columns.append(np.array(cells, dtype=dtype).reshape(rows, width))
         elif kind == "int":
             values = st.integers(-(2 ** 63), 2 ** 63 - 1)
             columns.append(np.array(draw(st.lists(values, min_size=rows, max_size=rows)),
@@ -81,8 +88,9 @@ class TestRowFormat:
     @given(tables())
     @settings(max_examples=200, deadline=None)
     def test_matches_per_value_formatting(self, columns):
-        header = [f"c{j}" for j in range(len(columns))]
-        rows = [[c[i] for c in columns] for i in range(len(columns[0]))]
+        flat = [c for block in columns for c in (block.T if block.ndim == 2 else [block])]
+        header = [f"c{j}" for j in range(len(flat))]
+        rows = [[c[i] for c in flat] for i in range(len(flat[0]))]
         assert written(columns, header) == old_csv(header, rows)
 
     def test_edge_values(self):
@@ -337,11 +345,14 @@ class TestBulkFormat:
         check_bulk(*columns_of(narrow), rng.normal(size=10_000).astype(np.float32))
 
 
-def test_write_memory_stays_at_chunk_size(tmp_path):
-    # 2**21 cells, 32 MB of text and 16 MB of float64: a chunked write peaks
-    # near 1 MB, any whole-table temporary passes the bound
+@pytest.mark.parametrize("layout", ["columns", "block"])
+def test_write_memory_stays_at_chunk_size(tmp_path, layout):
+    # 2**21 cells, 32 MB of text and 16 MB of float64, as 8 columns or one
+    # (2**18, 8) block: a chunked write peaks near 1 MB, any whole-table
+    # temporary passes the bound
     rng = np.random.default_rng(16)
-    columns = list(rng.normal(size=(8, 2 ** 18)) * 10.0 ** rng.integers(-8, 8, size=(8, 2 ** 18)))
+    table = rng.normal(size=(2 ** 18, 8)) * 10.0 ** rng.integers(-8, 8, size=(2 ** 18, 8))
+    columns = list(table.T) if layout == "columns" else [table]
     tracemalloc.start()
     try:
         cli._write_csv(tmp_path / "big.csv", [f"c{j}" for j in range(8)], columns)
@@ -350,3 +361,30 @@ def test_write_memory_stays_at_chunk_size(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "big.csv").stat().st_size > 2 ** 21 * 10
     assert peak < 4 * 2 ** 20, peak
+
+
+def straightforward_tables():
+    """The lookup tables as first built: meshgrids, '%' strings, Python float()."""
+    e, digit = np.arange(-300, 301), np.arange(ord("0"), ord(":"), dtype=np.uint8)
+    words = np.stack(np.meshgrid(*[digit, np.uint8([ord(".")])] * 4, indexing="ij"), axis=-1)
+    exponent = ("e%+04d,\0\0" * e.size % tuple(e.tolist())).encode()
+    power = list(map(float, ("1e%d " * e.size % tuple(e.tolist())).split()))
+    group = np.where((e >= -4) & (e < 12), e + 4, 16 + (np.abs(e) >= 100))
+    neg, g, sig = np.meshgrid([0, 1], np.arange(18), np.arange(1, 13), indexing="ij")
+    after, j = np.where(g < 16, g - 4, 0), np.arange(12)
+    show = np.zeros((*g.shape, 40), dtype=bool)
+    show[..., 0], show[..., 32:37], show[..., 34], show[..., 37] = \
+        neg, (g >= 16)[..., None], g == 17, True
+    show[..., 1:6] = np.arange(5) < np.where(g < 4, 5 - g, 0)[..., None]
+    show[..., 8:32:2] = j < np.where(g < 16, np.maximum(sig, g - 3), sig)[..., None]
+    show[..., 9:32:2] = (j == after[..., None]) & ((sig > after + 1) & (g >= 4))[..., None]
+    zeros = sum(np.tile(np.arange(10 ** k) == 0, 10 ** (4 - k)) for k in (1, 2, 3, 4))
+    return (np.frombuffer(words.tobytes() + exponent, dtype=np.uint64), np.array(power),
+            group * 12 - 1, zeros, (show * np.uint8(255)).reshape(-1, 40).view(np.uint64))
+
+
+def test_lookup_tables_match_straightforward_build():
+    # the powers correctly rounded, as Python's float() parses "1e<k>"
+    for new, old in zip(cli._tables(), straightforward_tables(), strict=True):
+        assert (new.dtype, new.shape) == (old.dtype, old.shape)
+        assert new.tobytes() == old.tobytes()
