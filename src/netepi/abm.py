@@ -280,7 +280,8 @@ def simulate_epidemic(
     check("t0", t0, FINITE)
     segments = time_grid((float(t0), float(t0) + steps), 1.0, schedule, ignore_outside=True)
     if n >= _MAX_DRAW:
-        raise DomainError(f"n={n} is too many nodes: the seed draw takes fewer than {_MAX_DRAW}")
+        raise DomainError(f"n={n} is too many nodes: the seed draw takes fewer than "
+                          f"{_MAX_DRAW}", "n")
     rng = _generator(rng)
     pop = model.populations[0]
     k, types = pop.k, pop.n_types
@@ -290,7 +291,7 @@ def simulate_epidemic(
         record = np.zeros((steps + 1, types + 2, k.size), dtype=np.int64)
         new_total = np.zeros(steps + 1, dtype=np.int64)
     except (MemoryError, ValueError):
-        raise DomainError(f"steps={steps} is too many to record") from None
+        raise DomainError(f"steps={steps} is too many to record", "steps") from None
     lam, lam2 = (*pop.lam, 0.0)[:2]
     fixed = model.link_mode == "fixed"
     leave = (pop.rates[:, 0] + model.exit_rate)[:, None]
@@ -331,7 +332,7 @@ def simulate_epidemic(
             if max((s_stubs + i_total + inert) // 2, i_total, inert) >= _MAX_DRAW:
                 raise DomainError(f"n={n} is too many nodes: step {step} pairs "
                                   f"{s_stubs + i_total + inert} stubs, {i_total} infected and "
-                                  f"{inert} inert, past numpy's hypergeometric draws")
+                                  f"{inert} inert, past numpy's hypergeometric draws", "n")
             ends, _ = _cross_stubs(s_stubs, i_total, i_stubs[1] if types == 2 else 0,
                                    lam, lam2, rng, inert=inert)
 

@@ -95,7 +95,7 @@ def sobol_first_order(
         b = lo + width * rng.random((n_base, d))
     except (MemoryError, ValueError):
         raise DomainError(f"n_base={n_base} needs two {n_base} x {d} design matrices, too "
-                          f"large to allocate") from None
+                          f"large to allocate", "n_base") from None
 
     f_a = _evaluate(runner, a, parameters, output)
     f_b = _evaluate(runner, b, parameters, output)

@@ -148,11 +148,12 @@ def _write_json(path: Path, obj):
 
 def _grid_steps(spec: SimulationSpec, dt, span, prefix=""):
     """t_span's steps at ``dt``; a failed ``time_grid`` check is a ConfigError
-    naming the field ``span`` or treatment.epochs, its message after ``prefix``."""
+    naming ``span`` (for t_span) or treatment.epochs (the schedule), after ``prefix``."""
     try:
         return sum(n for _, n, _ in time_grid(spec.t_span, dt, spec.treatment))
     except DomainError as err:
-        raise ConfigError(span if err.field == "t_span" else err.field, prefix + str(err)) from None
+        field = {"t_span": span, "schedule": "treatment.epochs"}[err.field]
+        raise ConfigError(field, prefix + str(err)) from None
 
 
 def _fit_observations(spec: SimulationSpec, steps):
@@ -186,12 +187,11 @@ def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int
             schedule=spec.treatment, n_jobs=threads, t0=t0,
         )
     except DomainError as err:
-        # the library names its argument; steps come from t_span here, and
-        # n, which sets how many stubs a step pairs, from abm.n
-        if str(err).startswith("steps="):
+        # steps come from t_span here, and n (the stubs a step pairs) from abm.n
+        if err.field == "steps":
             raise ConfigError("t_span", f"{steps} unit steps from {t0:g} to {t1:g} are too "
                               f"many to record") from None
-        if str(err).startswith("n="):
+        if err.field == "n":
             raise ConfigError("abm.n", str(err)) from None
         raise
 
@@ -284,8 +284,7 @@ def execute(spec: SimulationSpec, command: str, seed=None, threads: int = 1,
                                            seed=sen["seed"] if seed is None else seed,
                                            output=sen["output"])
             except DomainError as err:
-                # the library names its argument; n_base comes from the config
-                if str(err).startswith("n_base="):
+                if err.field == "n_base":
                     raise ConfigError("sensitivity.n_base", str(err)) from None
                 raise
             _write_csv(target("sobol.csv"), ["t"] + [f"S_{p}" for p in result.parameters],

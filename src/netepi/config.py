@@ -47,34 +47,35 @@ class Field(NamedTuple):
 
 # the keys of a distribution section of each type, besides "type"
 _DISTRIBUTIONS = {"power_law": ("gamma", "k_min", "k_max"), "weights": ("k_min", "weights")}
-# the EpidemicParams field of each config key that sets one
-_PARAM_NAMES = {**{f.name: f.name for f in fields(EpidemicParams)},
-                "lambda": "lam", "lambda2": "lam2"}
+# the EpidemicParams fields, and the field each config key sets
+_RECORD = {f.name: f for f in fields(EpidemicParams)}
+_PARAM_NAMES = {**{name: name for name in _RECORD}, "lambda": "lam", "lambda2": "lam2"}
 
 
-def _param(key, default):
-    """The row of the parameter ``key``, in the interval EpidemicParams declares."""
-    return Field(float, default, PARAM_INTERVALS[_PARAM_NAMES[key]])
+def _param(key, required=False):
+    """The row of ``key``'s EpidemicParams field: its interval, and its default or REQUIRED."""
+    name = _PARAM_NAMES[key]
+    return Field(float, REQUIRED if required else _RECORD[name].default, PARAM_INTERVALS[name])
 
 
 FIELDS = {
     "model": Field(str, REQUIRED, MODELS),
-    "lambda": _param("lambda", REQUIRED),
-    "mu": _param("mu", 0.0),
-    "rho0": _param("rho0", REQUIRED),
-    "d": _param("d", 0.0),
-    "treatment_efficacy": _param("treatment_efficacy", 0.4),
-    "lambda2": _param("lambda2", None),
-    "rho0_2": _param("rho0_2", None),
-    "split": Field(float, "hazard", SPLIT),
-    "rho0_type2": _param("rho0_type2", 0.0),
-    "asymmetry": _param("asymmetry", 0.5),
-    "side_fraction": _param("side_fraction", 0.5),
+    "lambda": _param("lambda", required=True),
+    "mu": _param("mu"),
+    "rho0": _param("rho0", required=True),
+    "d": _param("d"),
+    "treatment_efficacy": _param("treatment_efficacy"),
+    "lambda2": _param("lambda2"),
+    "rho0_2": _param("rho0_2"),
+    "split": Field(float, _RECORD["split"].default, SPLIT),
+    "rho0_type2": _param("rho0_type2"),
+    "asymmetry": _param("asymmetry"),
+    "side_fraction": _param("side_fraction"),
     "stage_rates": Field(list),
     "t_span": Field(list, REQUIRED, RANGE),
     "method": Field(str, "rk4", METHODS),
     "dt": Field(float, 0.1, POSITIVE),
-    "link_mode": Field(str, "active", LINK_MODES),
+    "link_mode": Field(str, _RECORD["link_mode"].default, LINK_MODES),
     "per_degree": Field(bool, False),
     "out_dir": Field(str, "."),
     # distribution2 is read by the distribution rows

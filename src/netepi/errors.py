@@ -38,7 +38,7 @@ class NetepiError(Exception):
 
 
 class DomainError(NetepiError, ValueError):
-    """A parameter is outside its mathematical domain; ``field``: its config field, if known."""
+    """A parameter is outside its domain; ``field``: the argument at fault, if named."""
 
     def __init__(self, message, field=None):
         super().__init__(message)

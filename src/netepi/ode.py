@@ -17,7 +17,7 @@ I(types, stages, nk) | removed(nk).  It is configured by data: one row
 population it is infected through and one transmissibility per type; the
 types' seed and routing shares, whose length is the type count (routing may
 be "hazard": in proportion to each type's own one-type hazard); the stage
-rates, one list or one per type (default one stage at mu); d, an exit rate
+rates, one list or one per type (default one stage at 0); d, an exit rate
 and whether a treatment coverage may set the shares, in a copy
 (``at_coverage``): a built model never changes.  The six named models are
 builders over it, each ``builder(params, dist, dist2)`` reading every
@@ -35,8 +35,8 @@ The demographic term d(s_k(0) - s_k(t)) replenishes susceptibles toward
 their initial level in every model; in the HIV models infected nodes also
 leave the network at rate d, into a cumulative removed tally that may pass
 1.  Disease progression through multiple infected stages is a per-type rate
-chain whose final stage feeds the removed compartment; the default is a
-single stage at rate mu (the HIV models have no mu removal).
+chain whose final stage feeds the removed compartment; a builder without
+``stage_rates`` passes one stage at rate mu (the HIV models' mu is 0).
 
 Integrators are fixed-step euler and rk4 only: determinism and the exact
 step-for-step match between euler dt=1 and the agent-based process outrank
@@ -79,8 +79,8 @@ def _or_none(interval):
 
 
 # what EpidemicParams accepts: lam2 and rho0_2 may be None, split "hazard"
-_PARAM_DOMAINS = {**PARAM_INTERVALS, "lam2": _or_none(UNIT),
-                  "rho0_2": _or_none(PARAM_INTERVALS["rho0_2"]), "split": SPLIT}
+_PARAM_DOMAINS = {**PARAM_INTERVALS, "lam2": _or_none(UNIT), "split": SPLIT,
+                  "rho0_2": _or_none(PARAM_INTERVALS["rho0_2"]), "link_mode": LINK_MODES}
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,6 @@ class EpidemicParams:
     def __post_init__(self):
         for name, domain in _PARAM_DOMAINS.items():
             check(name, getattr(self, name), domain)
-        check("link_mode", self.link_mode, LINK_MODES)
         if self.stage_rates is not None:
             if self.mu != 0.0:
                 raise DomainError("stage_rates replaces mu; set mu=0 when providing stages")
@@ -227,10 +226,10 @@ class CompartmentModel:
     populations (the length of the RHS's per-class inflow), ``shares`` is the
     routing column (None for "hazard").  Never written once built."""
 
-    def __init__(self, populations, sources, rates, seed, routing, stage_rates=None, mu=0.0,
-                 d=0.0, exit_rate=0.0, treatable=False, link_mode="active"):
+    def __init__(self, populations, sources, rates, seed, routing, stage_rates=(0.0,), d=0.0,
+                 exit_rate=0.0, treatable=False, link_mode="active"):
         check("link_mode", link_mode, LINK_MODES)
-        for name, value in (("mu", mu), ("d", d), ("exit_rate", exit_rate)):
+        for name, value in (("d", d), ("exit_rate", exit_rate)):
             check(name, value, UNIT)
         rows = tuple(check("populations", populations, _POPULATIONS))
         n = len(rows)
@@ -246,8 +245,7 @@ class CompartmentModel:
                 or (2 if self.routing == "hazard" else len(self.routing)) != types
                 or len(sources) != n or len(rates) != n or any(len(r) != types for r in rates)):
             raise DomainError("populations, sources, rates and shares do not fit together")
-        # the stage-rate rows, one per type: by default one stage at mu
-        stages = np.array([float(mu)] if stage_rates is None else _stage_rows(stage_rates))
+        stages = np.array(_stage_rows(stage_rates))   # one rate row, or one per type
         stages = np.tile(stages, (types, 1)) if stages.ndim == 1 else stages
         if len(stages) != types:
             raise DomainError(f"stage_rates must be one rate list or one per type ({types})")
@@ -319,17 +317,17 @@ class CompartmentModel:
         w1 = np.divide(h1, total, out=np.full(len(h1), 0.5), where=total > 0)
         return np.stack([w1, 1.0 - w1])
 
-    def rhs_full(self, t, y, out=None, inflow=None):
-        """(dy/dt, per-class new-infection inflow rate).  The inflow holds,
-        per population and in population order, s_k times the hazard of
-        each degree class: the rate at which that class is newly infected
-        (``classes`` entries; ``Trajectory.incidence`` is their sum).  dy is
-        written into ``out`` (a float64 array of shape (dim,)) and the
-        inflow into ``inflow`` (a float64 array of shape (classes,)) when
-        they are given, and both are returned.  Neither buffer may overlap
-        ``y`` or the other: parts of dy are written before the last reads of
-        ``y`` and of the inflow (a one-type, one-stage population writes its
-        removal row, then reads it back)."""
+    def rhs_full(self, y, out=None, inflow=None):
+        """(dy/dt, per-class new-infection inflow rate) at ``y``; no model reads
+        a time.  The inflow holds, per population and in population order, s_k
+        times the hazard of each degree class: the rate at which that class is
+        newly infected (``classes`` entries; ``Trajectory.incidence`` is their
+        sum).  dy is written into ``out`` (a float64 array of shape (dim,)) and
+        the inflow into ``inflow`` (a float64 array of shape (classes,)) when
+        they are given, and both are returned.  Neither buffer may overlap ``y``
+        or the other: parts of dy are written before the last reads of ``y`` and
+        of the inflow (a one-type, one-stage population writes its removal row,
+        then reads it back)."""
         if y.shape != self._shape:
             raise DomainError(f"state array has shape {y.shape}, expected ({self.dim},)")
         dy = _buffer("out", out, self._shape)
@@ -479,7 +477,7 @@ class Trajectory:
     model: CompartmentModel
 
     def __post_init__(self):
-        if (self.times[1:] <= self.times[:-1]).any():
+        if not (self.times[1:] > self.times[:-1]).all():
             raise DomainError("trajectory times must be strictly increasing")
         if self.Y.shape != (len(self.times), self.model.dim):
             raise DomainError("states and times must align 1:1")
@@ -536,10 +534,10 @@ def time_grid(t_span, dt, schedule=None, ignore_outside=False):
     t_span's start, each segment at least one step.  An epoch outside the
     open t_span is an error, or with ``ignore_outside`` never switches (one
     at or before the start sets the first coverage).  A failure is a
-    DomainError whose ``field`` is t_span or treatment.epochs."""
+    DomainError whose ``field`` is the argument at fault, t_span or schedule."""
     t0, t1 = t_span
 
-    def steps_to(t, what, field="treatment.epochs"):
+    def steps_to(t, what, field="schedule"):
         n = (t - t0) / dt
         if not math.isfinite(n):
             raise DomainError(f"{what} [{t0}, {t}] at dt={dt} is too many steps to count", field)
@@ -553,22 +551,22 @@ def time_grid(t_span, dt, schedule=None, ignore_outside=False):
         return [(t0, steps, None)]
     epochs = [e for e in schedule.epochs if t0 < e < t1]
     if len(epochs) < len(schedule.epochs) and not ignore_outside:
-        raise DomainError("treatment epochs must lie strictly inside t_span", "treatment.epochs")
+        raise DomainError("treatment epochs must lie strictly inside t_span", "schedule")
     marks = [0, *(steps_to(e, "treatment epoch") for e in epochs), steps]
     bounds, counts = [t0, *epochs, t1], [b - a for a, b in zip(marks, marks[1:])]
     if 0 in counts:   # an epoch within the slack of the next bound
         start, end = bounds[counts.index(0):][:2]
         raise DomainError(f"epoch {start!r} is not a whole number of dt={dt} steps, at least "
-                          f"one, before {end!r}", "treatment.epochs")
+                          f"one, before {end!r}", "schedule")
     return [(start, n, schedule.coverage_at(start)) for start, n in zip(bounds, counts)]
 
 
 def grid_index(times, t0, t1, steps):
     """The row of each of the float array ``times`` on the grid of ``steps``
-    even steps from t0 to t1; one off it by more than 1e-9 is a DomainError."""
+    even steps from t0 to t1; one off it by more than 1e-9 (or NaN) is a DomainError."""
     dt = (t1 - t0) / steps if steps else 1.0
     i = np.clip(np.rint((times - t0) / dt), 0, steps)
-    off = np.abs(t0 + i * dt - times) > 1e-9
+    off = ~(np.abs(t0 + i * dt - times) <= 1e-9)
     if off.any():
         raise DomainError(f"observed time {float(times[off.argmax()])!r} does not lie on the "
                           f"model output grid {t0:g} + i * {dt:g}, i = 0..{steps}")
@@ -610,13 +608,14 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     segments, so a coverage switch never falls inside an rk4 step: each
     segment of a schedule runs ``model.at_coverage`` at its coverage, and
     the standing infected mass is repartitioned at each epoch boundary;
-    ``model`` itself never changes.  Each step is written in place into the
-    recorded arrays; the three rk4 stage states and their per-class inflows
-    reuse buffers allocated per run.  Each step's per-class inflow goes into
-    a buffer of _CHECK_ROWS rows, summed into ``incidence`` at the chunk's
-    end.  The state range is checked over each segment's recorded rows,
-    _CHECK_ROWS at a time and before any repartition; a failure raises
-    StabilityError naming the time of the first step that left the range.
+    ``model`` itself never changes.  A step computes no time: it takes the
+    next row of a buffer of _CHECK_ROWS rows for its per-class inflow,
+    summed into ``incidence`` at the chunk's end.  Each step is written in
+    place into the recorded arrays; the three rk4 stage states and their
+    per-class inflows reuse buffers allocated per run.  The state range is
+    checked over each segment's recorded rows, _CHECK_ROWS at a time and
+    before any repartition; a failure raises StabilityError naming the
+    time of the first step that left the range.
     """
     check_kind("model", model, CompartmentModel)
     check_kind("schedule", schedule, TreatmentSchedule, optional=True)
@@ -657,10 +656,9 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
             y = Y[row]
             for chunk in range(0, n, _CHECK_ROWS):
                 first = row
-                for i, rate in zip(range(chunk, min(chunk + _CHECK_ROWS, n)), rate_rows):
-                    t = seg_start + i * dt
+                for rate in rate_rows[:n - chunk]:
                     k1, nxt = dY[row], Y[row + 1]
-                    rhs(t, y, k1, rate)
+                    rhs(y, k1, rate)
                     if unit:
                         np.add(y, k1, nxt)
                     elif euler:
@@ -670,11 +668,10 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                         # each stage state y + h k is built as h k + y in
                         # ``stage``, and the slopes are summed in place into
                         # k2: the same roundings as the written-out formula
-                        for h, scale, k, out in ((dt / 2, half, k1, k2), (dt / 2, half, k2, k3),
-                                                 (dt, step, k3, k4)):
+                        for scale, k, out in ((half, k1, k2), (half, k2, k3), (step, k3, k4)):
                             np.multiply(k, scale, stage)
                             stage += y
-                            rhs(t + h, stage, out, stage_rates)
+                            rhs(stage, out, stage_rates)
                         k2 *= two
                         k2 += k1
                         k3 *= two
@@ -697,7 +694,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
                     raise StabilityError(f"state left [{STATE_FLOOR}, {STATE_CEIL}] at "
                                          f"t={t + dt:g}; try a smaller dt")
     # the final slope; the inflow at t1 starts no step, so it is not summed
-    models[-1].rhs_full(t1, Y[row], dY[row], rate_rows[0])
+    models[-1].rhs_full(Y[row], dY[row], rate_rows[0])
     incidence[0] = incidence[1]
     return Trajectory(times=t0 + np.arange(rows) * dt, Y=Y, dY=dY, incidence=incidence,
                       model=model)
@@ -706,6 +703,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
 # the six named models: builders over CompartmentModel
 
 _SINGLE_DEGREE = DegreeDistribution(1, 1, np.array([1.0]))
+_UNTREATED = (1.0, 0.0)   # the seed and routing at coverage 0, where HIV models build
 
 
 def _classic(params, dist, dist2):
@@ -715,16 +713,17 @@ def _classic(params, dist, dist2):
 
 def _stratified(params, dist, dist2):
     return CompartmentModel([(dist, params.rho0, 1.0, "")], (0,), [(params.lam,)], (1.0,), (1.0,),
-                            params.stage_rates, params.mu, d=params.d, link_mode=params.link_mode)
+                            params.stage_rates or (params.mu,), d=params.d,
+                            link_mode=params.link_mode)
 
 
 def _two_type(params, dist, dist2):
     """Group 1 gets new infections by its share of the hazard, or a fixed ``split``."""
-    split, rho0_type2 = params.split, params.rho0_type2
+    split, seed2 = params.split, params.rho0_type2
     routing = split if split == "hazard" else (float(split), 1.0 - float(split))
     return CompartmentModel([(dist, params.rho0, 1.0, "")], (0,), [(params.lam, params.lam2)],
-                            (1.0 - rho0_type2, rho0_type2), routing, params.stage_rates,
-                            params.mu, d=params.d, link_mode=params.link_mode)
+                            (1.0 - seed2, seed2), routing, params.stage_rates or (params.mu,),
+                            d=params.d, link_mode=params.link_mode)
 
 
 def _bipartite(params, dist, dist2):
@@ -733,28 +732,28 @@ def _bipartite(params, dist, dist2):
     rho0_2 = params.rho0 if params.rho0_2 is None else params.rho0_2
     rows = [(dist, params.rho0, w1, "s1"), (dist2, rho0_2, w2, "s2")]
     return CompartmentModel(rows, (1, 0), [(params.lam2,), (params.lam,)], (1.0,), (1.0,),
-                            params.stage_rates, params.mu, d=params.d, link_mode=params.link_mode)
+                            params.stage_rates or (params.mu,), d=params.d,
+                            link_mode=params.link_mode)
 
 
 def _hiv_msm(params, dist, dist2):
-    shares = (1.0, 0.0)   # the seed and routing at coverage 0, where HIV models build
     rates = [(params.lam, params.treatment_efficacy * params.lam)]
-    return CompartmentModel([(dist, params.rho0, 1.0, "")], (0,), rates, shares, shares,
-                            params.stage_rates, d=params.d, exit_rate=params.d, treatable=True,
-                            link_mode=params.link_mode)
+    return CompartmentModel([(dist, params.rho0, 1.0, "")], (0,), rates, _UNTREATED, _UNTREATED,
+                            params.stage_rates or (params.mu,), d=params.d, exit_rate=params.d,
+                            treatable=True, link_mode=params.link_mode)
 
 
 def _hiv_hetero(params, dist, dist2):
     """Men are infected by women at asymmetry * i (default 0.5: male-to-female
     transmission is twice as likely), women by men at i."""
-    shares = (1.0, 0.0)
     w_men, w_women = params.side_fraction, 1.0 - params.side_fraction
     i, eff, asymmetry = params.lam, params.treatment_efficacy, params.asymmetry
     rho0_2 = params.rho0 if params.rho0_2 is None else params.rho0_2
     rows = [(dist, params.rho0, w_men, "m"), (dist2, rho0_2, w_women, "w")]
     rates = [(asymmetry * i, eff * (asymmetry * i)), (i, eff * i)]
-    return CompartmentModel(rows, (1, 0), rates, shares, shares, params.stage_rates, d=params.d,
-                            exit_rate=params.d, treatable=True, link_mode=params.link_mode)
+    return CompartmentModel(rows, (1, 0), rates, _UNTREATED, _UNTREATED,
+                            params.stage_rates or (params.mu,), d=params.d, exit_rate=params.d,
+                            treatable=True, link_mode=params.link_mode)
 
 
 MODEL_BUILDERS = {"classic": _classic, "stratified": _stratified, "two_type": _two_type,

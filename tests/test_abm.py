@@ -159,7 +159,7 @@ class TestSimulateEpidemic:
         ode = integrate(model, (0, 1), 1.0, "euler")
         abm = simulate_epidemic(model, n, 1, rng=np.random.default_rng(8))
         # binomial bound: new infections + removals are sums of n Bernoullis
-        inflow = model.rhs_full(0, model.initial_state())[1].sum()
+        inflow = model.rhs_full(model.initial_state())[1].sum()
         var = (inflow * (1 - inflow) + params.rho0 * params.mu * (1 - params.mu)) / n
         assert abs(abm.prevalence[1] - ode.prevalence[1]) <= 4 * np.sqrt(var)
 
@@ -258,10 +258,13 @@ class TestSimulateEpidemic:
         # limit (numpy's hypergeometric seed draw takes fewer than 1e9), and
         # numpy refuses a record of 10**15 steps before allocating it
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
-        with pytest.raises(DomainError, match="^n=1000000000000000 is too many nodes"):
+        with pytest.raises(DomainError, match="^n=1000000000000000 is too many nodes") as err:
             simulate_epidemic(stratified(params), 10 ** 15, 3, rng=0)
-        with pytest.raises(DomainError, match="^steps=1000000000000000 is too many to record"):
+        assert err.value.field == "n"
+        with pytest.raises(DomainError,
+                           match="^steps=1000000000000000 is too many to record") as err:
             simulate_epidemic(stratified(params), 100, 10 ** 15, rng=0)
+        assert err.value.field == "steps"
 
     def test_too_many_nodes_or_stubs_to_draw(self):
         # numpy's hypergeometric draws take fewer than 1e9: the seed draw
@@ -272,15 +275,18 @@ class TestSimulateEpidemic:
         # raw ValueError
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.01)
         wide = truncated_power_law(3, 20, 30)
-        with pytest.raises(DomainError, match="^n=1000000000 is too many nodes"):
+        with pytest.raises(DomainError, match="^n=1000000000 is too many nodes") as first:
             simulate_epidemic(stratified(params), 10 ** 9, 1, rng=0)
-        with pytest.raises(DomainError,
-                           match=r"^n=100000000 is too many nodes: step 1 pairs 2\d{9} stubs"):
+        pairs_at = r"^n=100000000 is too many nodes: step 1 pairs 2\d{9} stubs"
+        with pytest.raises(DomainError, match=pairs_at) as pairs:
             simulate_epidemic(stratified(params, wide), 10 ** 8, 1, rng=0)
-        with pytest.raises(DomainError, match=r"^n=50000000 is too many nodes: step 1 pairs "
-                                              r"1\d{9} stubs, 1\d{9} infected and 0 inert"):
+        infected_at = (r"^n=50000000 is too many nodes: step 1 pairs "
+                       r"1\d{9} stubs, 1\d{9} infected and 0 inert")
+        with pytest.raises(DomainError, match=infected_at) as infected:
             simulate_epidemic(stratified(EpidemicParams(lam=0.1, mu=0.1, rho0=0.9), wide),
                               5 * 10 ** 7, 1, rng=0)
+        # the library names its argument; the CLI maps it to abm.n
+        assert first.value.field == pairs.value.field == infected.value.field == "n"
 
     def test_integer_seed_is_a_generator_seed(self):
         params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
@@ -460,7 +466,7 @@ class TestModelAgreement:
 
 
 def leaving_model(mu, exit_rate):
-    return CompartmentModel([(DIST30, 0.05, 1.0, "")], (0,), [(0.1,)], (1.0,), (1.0,), mu=mu,
+    return CompartmentModel([(DIST30, 0.05, 1.0, "")], (0,), [(0.1,)], (1.0,), (1.0,), (mu,),
                             exit_rate=exit_rate)
 
 
@@ -544,7 +550,7 @@ class TestOneStepDrift:
         for r in range(runs):
             traj = simulate_epidemic(model, n, 2, rng=replica_rng(0, r))
             # d = 0: a susceptible count falls only by infection
-            inflow = -model.rhs_full(1.0, traj.Y[1])[0][:nk]
+            inflow = -model.rhs_full(traj.Y[1])[0][:nk]
             residuals.append(np.bincount(bins, (traj.Y[1, :nk] - traj.Y[2, :nk] - inflow) * n))
         residuals = np.array(residuals)
         z = residuals.mean(axis=0) / (residuals.std(axis=0, ddof=1) / np.sqrt(runs))

@@ -85,7 +85,7 @@ def treatable(params, dist):
     mu rather than exiting at d."""
     return CompartmentModel([(dist, params.rho0, 1.0, "")], (0,),
                             [(params.lam, params.treatment_efficacy * params.lam)],
-                            (1.0, 0.0), (1.0, 0.0), mu=params.mu, d=params.d, treatable=True)
+                            (1.0, 0.0), (1.0, 0.0), (params.mu,), d=params.d, treatable=True)
 
 
 def run_case(name):

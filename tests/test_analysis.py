@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from netepi.analysis import (
     compare_ode_abm,
@@ -30,7 +31,40 @@ def flat_output(y, times=2):
                            prevalence=np.full(times, y))
 
 
+class Record(NamedTuple):
+    """The two fields ``sobol_first_order`` reads of a run."""
+
+    times: np.ndarray
+    incidence: np.ndarray
+
+
+# Ishigami & Homma (1990): f = sin x1 + a sin^2 x2 + b x3^4 sin x1 on
+# [-pi, pi]^3, with a = 7, b = 0.1.  Its exact first-order indices are
+# V1 / V, V2 / V and 0, where V1 = (1 + b pi^4 / 5)^2 / 2, V2 = a^2 / 8 and
+# V = V1 + V2 + b^2 pi^8 (1/18 - 1/50): 0.3139, 0.4424 and 0
+_A, _B = 7.0, 0.1
+_V1, _V2 = (1 + _B * np.pi ** 4 / 5) ** 2 / 2, _A ** 2 / 8
+_ISHIGAMI = np.array([_V1, _V2, 0.0]) / (_V1 + _V2 + _B ** 2 * np.pi ** 8 * (1 / 18 - 1 / 50))
+
+
+def ishigami(p):
+    x1, x2, x3 = p["x1"], p["x2"], p["x3"]
+    f = np.sin(x1) + _A * np.sin(x2) ** 2 + _B * x3 ** 4 * np.sin(x1)
+    return Record(np.zeros(1), np.array([f]))
+
+
 class TestSobol:
+    def test_ishigami_oracle(self):
+        """The standard Sobol test function: every first-order index within
+        4 standard errors of the exact one, over four seeds."""
+        assert np.round(_ISHIGAMI, 4).tolist() == [0.3139, 0.4424, 0.0]
+        ranges = {name: (-np.pi, np.pi) for name in ("x1", "x2", "x3")}
+        for seed in range(4):
+            res = sobol_first_order(ishigami, ranges, n_base=4096, seed=seed)
+            assert res.indices.shape == (3, 1)
+            z = (res.indices[:, 0] - _ISHIGAMI) / res.standard_errors[:, 0]
+            assert np.all(np.abs(z) < 4), (seed, res.indices[:, 0], z)
+
     def test_additive_model_analytic_indices(self):
         # Y = 2 x1 + x2, x_i ~ U(0,1): S1 = 4/5, S2 = 1/5
         def runner(p):
@@ -116,9 +150,10 @@ class TestSobol:
             return flat_output(p["x1"])
 
         with pytest.raises(DomainError, match=r"^n_base=10000000000000 needs two "
-                                              r"10000000000000 x 2 design matrices"):
+                                              r"10000000000000 x 2 design matrices") as err:
             sobol_first_order(runner, {"x1": (0, 1), "x2": (0, 1)}, n_base=10 ** 13)
         assert calls == []
+        assert err.value.field == "n_base"
 
     @pytest.mark.parametrize("seed", [-1, 2.0, 1.5, "3", True, None])
     def test_rejects_bad_seed(self, seed):
@@ -153,7 +188,7 @@ class TestPhaseSeries:
     def test_starts_at_initial_state_and_rhs(self):
         model = stratified(FIG1_PARAMS)
         traj = integrate(model, (0, 20), 0.5, "rk4")
-        dy0 = model.rhs_full(0.0, model.initial_state())[0]
+        dy0 = model.rhs_full(model.initial_state())[0]
         [(_, d_infected, _)] = model.blocks(dy0)
         for m in (1, 10, 30):
             ser = phase_series(traj, m, m)

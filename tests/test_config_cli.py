@@ -1614,7 +1614,7 @@ class TestModelFieldTable:
         def built(cfg):
             model = build_spec_model(parse_config_data(cfg))
             y = np.linspace(0.01, 0.02, model.dim)
-            return model.initial_state(), model.rhs_full(0.0, y)[0]
+            return model.initial_state(), model.rhs_full(y)[0]
 
         names = [name for name in MODEL_FIELDS[model] if name != "treatment"]
         for name in names + (["link_mode"] if model != "classic" else []):

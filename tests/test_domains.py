@@ -4,6 +4,7 @@ config rows check through the rules the library declares."""
 
 import math
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from netepi import abm, analysis, degree, ode
 from netepi.abm import simulate_epidemic
 from netepi.analysis import fit_parameters, sobol_first_order
-from netepi.config import FIELDS, build_spec_model, parse_config_data, run_trajectory
+from netepi.config import FIELDS, REQUIRED, build_spec_model, parse_config_data, run_trajectory
 from netepi.degree import from_weights, truncated_power_law
 from netepi.errors import (POSITIVE, RANGE, SEED, UNIT, ConfigError, DomainError, Interval,
                            NetepiError, StabilityError, check, one_of)
@@ -74,7 +75,7 @@ class TestErrorsPickle:
     @pytest.mark.parametrize("error", [
         NetepiError("plain"), DomainError("n must be an integer >= 2, got 1"),
         DomainError("treatment epoch [0.0, 4.5] is not a whole number of dt=1.0 steps",
-                    "treatment.epochs"),
+                    "schedule"),
         ConfigError("abm.n", "bad"), ConfigError("", "top-level config must be a JSON object"),
         StabilityError("state left the range at t=3")], ids=lambda e: type(e).__name__)
     def test_round_trip(self, error):
@@ -97,6 +98,20 @@ class TestOneDeclaration:
         for name, interval in ode.PARAM_INTERVALS.items():
             assert FIELDS[keys.get(name, name)].domain is interval, name
         assert FIELDS["split"].domain is ode.SPLIT
+
+    def test_parameter_rows_take_the_record_defaults(self):
+        # every row that sets an EpidemicParams field holds the record's
+        # default, or REQUIRED where a config must give the value
+        keys = {"lam": "lambda", "lam2": "lambda2"}
+        required = []
+        for field in fields(EpidemicParams):
+            key = keys.get(field.name, field.name)
+            default = FIELDS[key].default
+            if default is REQUIRED:
+                required.append(key)
+            else:   # the type too: a 0 for 0.0 would change canonical_dict()
+                assert (type(default), default) == (type(field.default), field.default), key
+        assert required == ["lambda", "rho0"]
 
     def test_argument_rows_take_the_library_rules(self):
         assert FIELDS["distribution.gamma"].domain is degree.GAMMA

@@ -21,7 +21,9 @@ from netepi.ode import (
     TreatmentSchedule,
     _link_fractions,
     build_model,
+    grid_index,
     integrate,
+    time_grid,
 )
 
 FIG1_DIST = truncated_power_law(3, 1, 60)
@@ -37,7 +39,7 @@ _OPEN_ENDS = {"lam": (False, False), "mu": (False, False), "rho0": (True, True),
 def _model(**changes):
     """A one-population, one-type CompartmentModel with ``changes`` applied."""
     kwargs = {"populations": [(FIG1_DIST, 0.01, 1.0, "")], "sources": (0,), "rates": ((0.1,),),
-              "seed": (1.0,), "routing": (1.0,), "mu": 0.05, **changes}
+              "seed": (1.0,), "routing": (1.0,), "stage_rates": (0.05,), **changes}
     return CompartmentModel(**kwargs)
 
 
@@ -119,18 +121,18 @@ class TestClassicRhs:
     def test_hand_value(self):
         ds, drho, dr = classic_sir_rhs((0.99, 0.01, 0.0), FIG1_PARAMS)
         assert ds == pytest.approx(-4.95e-4, abs=1e-18)
-        dy = build_model("classic", FIG1_PARAMS).rhs_full(0.0, np.array([0.99, 0.01, 0.0]))[0]
+        dy = build_model("classic", FIG1_PARAMS).rhs_full(np.array([0.99, 0.01, 0.0]))[0]
         # 1 - (1 - lam rho) equals lam rho up to rounding
         np.testing.assert_allclose(dy, [ds, drho, dr], rtol=0, atol=1e-16)
 
     def test_no_transmission(self):
         model = build_model("classic", EpidemicParams(lam=0.0, mu=0.1))
-        assert model.rhs_full(0.0, np.array([0.3, 0.5, 0.2]))[0][0] == 0.0
+        assert model.rhs_full(np.array([0.3, 0.5, 0.2]))[0][0] == 0.0
         ds, _, _ = classic_sir_rhs((0.3, 0.5, 0.2), EpidemicParams(lam=0.0, mu=0.1))
         assert ds == 0.0
 
     def test_disease_free_fixed_point(self):
-        dy = build_model("classic", FIG1_PARAMS).rhs_full(0.0, np.array([1.0, 0.0, 0.0]))[0]
+        dy = build_model("classic", FIG1_PARAMS).rhs_full(np.array([1.0, 0.0, 0.0]))[0]
         assert dy.tolist() == [0.0, 0.0, 0.0]
         assert classic_sir_rhs((1.0, 0.0, 0.0), FIG1_PARAMS) == (0.0, 0.0, 0.0)
 
@@ -203,17 +205,17 @@ class TestStratified:
         # bilinear term
         model = build_model("stratified", replace(FIG1_PARAMS, link_mode="fixed"),
                             from_weights(1, [1.0]))
-        dy = model.rhs_full(0.0, model.initial_state())[0]
+        dy = model.rhs_full(model.initial_state())[0]
         ds, drho, dr = classic_sir_rhs((0.99, 0.01, 0.0), FIG1_PARAMS)
         np.testing.assert_allclose(dy, [ds, drho, dr], atol=1e-14)
         classic = build_model("classic", FIG1_PARAMS)
-        np.testing.assert_array_equal(classic.rhs_full(0.0, classic.initial_state())[0], dy)
+        np.testing.assert_array_equal(classic.rhs_full(classic.initial_state())[0], dy)
 
     def test_no_transmission_is_pure_decay(self):
         params = EpidemicParams(lam=0.0, mu=0.07, rho0=0.2)
         model = build_model("stratified", params, FIG1_DIST)
         y0 = model.initial_state()
-        dy = model.rhs_full(0.0, y0)[0]
+        dy = model.rhs_full(y0)[0]
         [(_, rho0, _)], [(ds, drho, _)] = per_degree(model, y0), per_degree(model, dy)
         np.testing.assert_allclose(ds, 0.0, atol=1e-18)
         np.testing.assert_allclose(drho, -0.07 * rho0, atol=1e-15)
@@ -222,7 +224,7 @@ class TestStratified:
         # k=1 classic with these rates is subcritical, but the power-law
         # network grows at t=0 (frozen from a closed-form hand evaluation)
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
-        dy, inflow = model.rhs_full(0.0, model.initial_state())
+        dy, inflow = model.rhs_full(model.initial_state())
         growth = per_degree(model, dy)[0][1].sum()
         assert growth == pytest.approx(1.7033073410991e-4, rel=1e-9)
         assert growth > 0
@@ -232,7 +234,7 @@ class TestStratified:
     def test_rhs_against_closed_form_oracle(self):
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         y = model.initial_state()
-        dy = model.rhs_full(0.0, y)[0]
+        dy = model.rhs_full(y)[0]
         [(s, rho, _)], [(ds, _, _)] = per_degree(model, y), per_degree(model, dy)
         [p] = active_link_fractions(FIG1_DIST.degrees, s, rho)
         for i, k in enumerate(FIG1_DIST.degrees):
@@ -242,7 +244,7 @@ class TestStratified:
     def test_rejects_wrong_state_size(self):
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         with pytest.raises(DomainError):
-            model.rhs_full(0.0, np.zeros(7))
+            model.rhs_full(np.zeros(7))
 
     def test_stage_chain_conserves_and_delays(self):
         params = EpidemicParams(lam=0.05, mu=0.0, rho0=0.05, stage_rates=[0.2, 0.2])
@@ -266,8 +268,8 @@ class TestTwoType:
         two = build_model("two_type", replace(params, rho0_type2=0.0), FIG1_DIST)
         one = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         y2, y1 = two.initial_state(), one.initial_state()
-        [(ds2, drho2, _)] = per_degree(two, two.rhs_full(0.0, y2)[0])
-        [(ds1, drho1, _)] = per_degree(one, one.rhs_full(0.0, y1)[0])
+        [(ds2, drho2, _)] = per_degree(two, two.rhs_full(y2)[0])
+        [(ds1, drho1, _)] = per_degree(one, one.rhs_full(y1)[0])
         np.testing.assert_allclose(ds2, ds1, atol=1e-12)
         np.testing.assert_allclose(drho2.sum(axis=0), drho1.sum(axis=0), atol=1e-12)
 
@@ -304,13 +306,13 @@ class TestTwoType:
         # kill all infected mass: p1 = p2 = 0
         [(_, infected, _)] = model.blocks(y)
         infected[:] = 0.0
-        [(ds, _, _)] = per_degree(model, model.rhs_full(0.0, y)[0])
+        [(ds, _, _)] = per_degree(model, model.rhs_full(y)[0])
         np.testing.assert_allclose(ds, 0.0, atol=1e-18)
 
     def test_fixed_split_fraction(self):
         params = EpidemicParams(lam=0.1, mu=0.0, rho0=0.01, lam2=0.1, split=0.25, rho0_type2=0.5)
         model = build_model("two_type", params, FIG1_DIST)
-        [(_, drho, _)] = per_degree(model, model.rhs_full(0.0, model.initial_state())[0])
+        [(_, drho, _)] = per_degree(model, model.rhs_full(model.initial_state())[0])
         inflow_1 = drho[0].sum()
         inflow_2 = drho[1].sum()
         assert inflow_1 == pytest.approx(inflow_2 / 3.0, rel=1e-10)
@@ -327,7 +329,7 @@ class TestBipartite:
     def test_uninfected_far_side_gives_zero_hazard(self):
         params = EpidemicParams(lam=0.3, mu=0.05, rho0=0.01, lam2=0.3, rho0_2=0.0)
         model = build_model("bipartite", params, FIG1_DIST, FIG1_DIST)
-        dy = model.rhs_full(0.0, model.initial_state())[0]
+        dy = model.rhs_full(model.initial_state())[0]
         (ds1, _, _), (_, drho2, _) = per_degree(model, dy)
         np.testing.assert_allclose(ds1, 0.0, atol=1e-18)   # side 1 sees no infection
         assert drho2.sum() > 0                             # side 2 does
@@ -337,7 +339,7 @@ class TestBipartite:
         single = from_weights(1, [1.0])
         params = EpidemicParams(lam=0.1, mu=0.0, rho0=0.01, lam2=0.2, rho0_2=0.0)
         model = build_model("bipartite", params, single, single)
-        _, (_, drho2, _) = per_degree(model, model.rhs_full(0.0, model.initial_state())[0])
+        _, (_, drho2, _) = per_degree(model, model.rhs_full(model.initial_state())[0])
         assert drho2[0, 0] == pytest.approx(0.5 * 0.1 * 0.01, rel=1e-12)
 
 
@@ -360,7 +362,7 @@ class TestHivMsm:
         model = build_model("hiv_msm", params, FIG1_DIST).at_coverage(1.0)
         y = model.initial_state()
         [(s, rho, _)] = per_degree(model, y)
-        [(ds, _, _)] = per_degree(model, model.rhs_full(0.0, y)[0])
+        [(ds, _, _)] = per_degree(model, model.rhs_full(y)[0])
         p1, p2 = active_link_fractions(FIG1_DIST.degrees, s, rho)
         assert p1 == 0.0
         for i, k in enumerate(FIG1_DIST.degrees):
@@ -564,14 +566,14 @@ class TestIntegrate:
         # step and sum it
         for i in (1, 4, 10):
             y = traj.Y[i - 1]
-            assert traj.incidence[i] == pytest.approx(model.rhs_full(0, y)[1].sum(), rel=1e-12)
+            assert traj.incidence[i] == pytest.approx(model.rhs_full(y)[1].sum(), rel=1e-12)
 
     def test_euler_dt1_matches_manual_stepping(self):
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         traj = integrate(model, (0, 5), 1.0, "euler")
         y = model.initial_state()
         for i in range(5):
-            y = y + model.rhs_full(0.0, y)[0]
+            y = y + model.rhs_full(y)[0]
         [(s5, _, _)] = model.blocks(traj.Y[5])
         np.testing.assert_allclose(np.maximum(s5, 0.0), np.maximum(y[:60], 0.0), atol=1e-15)
 
@@ -613,6 +615,13 @@ class TestIntegrate:
             Trajectory(
                 times=np.array([np.inf, np.inf]), Y=np.zeros((2, 3)), dY=None,
                 incidence=np.zeros(2), model=build_model("classic", FIG1_PARAMS))
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [np.nan] * 3], ids=["one", "all"])
+    def test_nan_times_are_not_increasing(self, times):
+        # every comparison with NaN is False, so "no step goes down" held
+        with pytest.raises(DomainError, match="strictly increasing"):
+            Trajectory(times=np.array(times), Y=np.zeros((3, 3)), dY=None,
+                       incidence=np.zeros(3), model=build_model("classic", FIG1_PARAMS))
 
     def test_per_degree_removed_sums_to_aggregate(self):
         traj = integrate(build_model("stratified", FIG1_PARAMS, FIG1_DIST), (0, 50), 0.5, "rk4")
@@ -717,7 +726,6 @@ class TestBuildModel:
         ("routing", lambda: _model(routing="x")),
         ("d", lambda: _model(d=-1)),
         ("exit_rate", lambda: _model(exit_rate=float("nan"))),
-        ("mu", lambda: _model(mu=2)),
         ("stage_rates", lambda: _model(stage_rates=[2])),
         ("stage_rates", lambda: _model(stage_rates=0.1)),
         ("link_mode", lambda: _model(link_mode="x")),
@@ -757,6 +765,42 @@ def _random_model(name, lam, lam2, mu, rho0, coverage, dist):
         "hiv_hetero": lambda: build_model("hiv_hetero", hiv_params, dist,
                                           dist).at_coverage(coverage),
     }[name]()
+
+
+class TestConvergenceOrder:
+    """The observed order of each integrator: the max prevalence error against
+    rk4 at dt 0.00625 over t in [0, 20], halving dt three times.  Measured:
+    on the benchmark's hiv_treatment run (its epoch at t = 4 included) rk4
+    3.795, 3.897, 3.949 and euler 0.988, 0.994, 0.997; on the sobol_sweep
+    model rk4 3.891, 3.945, 3.973 and euler 0.998, 0.999, 1.000."""
+
+    CASES = {
+        "hiv_treatment": lambda: (
+            build_model("hiv_hetero", EpidemicParams(lam=0.28, rho0=0.002, d=0.05),
+                        truncated_power_law(2.7, 1, 100)),
+            TreatmentSchedule((4.0,), (0.7,))),
+        "sobol_sweep": lambda: (
+            build_model("stratified", EpidemicParams(lam=0.1, mu=0.05, rho0=0.005),
+                        truncated_power_law(2.5, 1, 60)),
+            None),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_observed_order(self, name):
+        model, schedule = self.CASES[name]()
+        fine = 0.00625
+        reference = integrate(model, (0, 20), fine, "rk4", schedule=schedule).prevalence
+
+        def orders(method, dts):
+            errors = [np.max(np.abs(integrate(model, (0, 20), dt, method, schedule=schedule)
+                                    .prevalence - reference[::round(dt / fine)]))
+                      for dt in dts]
+            return np.log2(np.divide(errors[:-1], errors[1:]))
+
+        rk4 = orders("rk4", [0.4, 0.2, 0.1, 0.05])
+        euler = orders("euler", [0.1, 0.05, 0.025, 0.0125])
+        assert np.all((3.7 <= rk4) & (rk4 <= 4.3)), rk4
+        assert np.all((0.9 <= euler) & (euler <= 1.1)), euler
 
 
 class TestConservationProperty:
@@ -1080,9 +1124,9 @@ class TestRhsOut:
     def test_out_is_filled_and_returned(self, factory):
         model = factory()
         y = integrate(model, (0, 4), 0.5, "rk4").Y[-1]
-        dy, inflow = model.rhs_full(2.0, y)
+        dy, inflow = model.rhs_full(y)
         buf = np.full(model.dim, np.nan)
-        got, got_inflow = model.rhs_full(2.0, y, out=buf)
+        got, got_inflow = model.rhs_full(y, out=buf)
         assert got is buf
         assert buf.tobytes() == dy.tobytes()
         assert got_inflow.tobytes() == inflow.tobytes()
@@ -1094,11 +1138,11 @@ class TestRhsOut:
         # new-infection term that leaves the susceptible row when d = 0
         model = factory()
         y = integrate(model, (0, 4), 0.5, "rk4").Y[-1]
-        dy, inflow = model.rhs_full(2.0, y)
+        dy, inflow = model.rhs_full(y)
         assert inflow.shape == (model.classes,)
         assert model.classes == sum(len(p.k) for p in model.populations)
         buf = np.full(model.classes, np.nan)
-        got_dy, got = model.rhs_full(2.0, y, np.empty(model.dim), inflow=buf)
+        got_dy, got = model.rhs_full(y, np.empty(model.dim), inflow=buf)
         assert got is buf
         assert buf.tobytes() == inflow.tobytes()
         assert got_dy.tobytes() == dy.tobytes()
@@ -1112,7 +1156,7 @@ class TestRhsOut:
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         assert model.dim == 180
         with pytest.raises(DomainError, match="out"):
-            model.rhs_full(0.0, model.initial_state(), out=out)
+            model.rhs_full(model.initial_state(), out=out)
 
     @pytest.mark.parametrize("inflow", [np.empty(59), np.empty(180), np.empty((1, 60)),
                                         np.empty(60, dtype=np.float32), [0.0] * 60])
@@ -1120,7 +1164,7 @@ class TestRhsOut:
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         assert model.classes == 60
         with pytest.raises(DomainError, match="inflow must be a float64 array of shape \\(60,\\)"):
-            model.rhs_full(0.0, model.initial_state(), inflow=inflow)
+            model.rhs_full(model.initial_state(), inflow=inflow)
 
 
 class TestGridArguments:
@@ -1148,6 +1192,27 @@ class TestGridArguments:
         model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
         with pytest.raises(DomainError, match="t_span .* at dt=1.0 .* too many to record"):
             integrate(model, (0, t1), 1.0, "euler")
+
+    @pytest.mark.parametrize("t_span, dt, epochs, field", [
+        ((0, 10.5), 1.0, None, "t_span"),
+        ((0, 1e300), 1e-300, None, "t_span"),
+        ((0, 10), 1.0, (4.5,), "schedule"),
+        ((0, 10), 1.0, (12.0,), "schedule"),
+        ((0, 10), 1.0, (9.999999999999,), "schedule"),
+    ])
+    def test_time_grid_names_the_argument_at_fault(self, t_span, dt, epochs, field):
+        schedule = epochs and TreatmentSchedule(epochs, (0.5,) * len(epochs))
+        with pytest.raises(DomainError) as err:
+            time_grid(t_span, dt, schedule)
+        assert err.value.field == field
+
+    def test_grid_index_rejects_nan(self):
+        # the cast of a NaN row used to return -2**63, with only a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="observed time nan does not lie on"):
+                grid_index(np.array([1.0, np.nan]), 0.0, 10.0, 10)
+        assert grid_index(np.array([0.0, 10.0]), 0.0, 10.0, 10).tolist() == [0, 10]
 
 
 def _product_form_error(model, t1, dt, method):
