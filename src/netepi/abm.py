@@ -78,7 +78,7 @@ from .ode import CompartmentModel, Trajectory, TreatmentSchedule, time_grid
 NODES = count(2)
 REPLICAS = count(2)
 JOBS = count(1)
-_STEPS = count(1)
+STEPS = count(1)
 
 
 class NetworkRealization(NamedTuple):
@@ -276,7 +276,7 @@ def simulate_epidemic(
     _check_model(model)
     check_kind("schedule", schedule, TreatmentSchedule, optional=True)
     check("n", n, NODES)
-    check("steps", steps, _STEPS)
+    check("steps", steps, STEPS)
     check("t0", t0, FINITE)
     segments = time_grid((float(t0), float(t0) + steps), 1.0, schedule, ignore_outside=True)
     if n >= _MAX_DRAW:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .abm import JOBS, REPLICAS, chain_limit, run_ensemble
+from .abm import JOBS, REPLICAS, STEPS, chain_limit, run_ensemble
 from .analysis import compare_ode_abm, fit_parameters, phase_series, sobol_first_order
 from .config import SimulationSpec, build_spec_model, parse_config, run_trajectory
 from .errors import SEED, ConfigError, DomainError, NetepiError, StabilityError, check
@@ -77,15 +77,13 @@ def _tables():
             group * 12 - 1, zeros, (show * np.uint8(255)).reshape(-1, 40).view(np.uint64))
 
 
-def _format_rows(table, others) -> str:
+def _format_rows(table) -> str:
     """The CSV text of the rows of the float64 (rows, cols) ``table``, each
-    cell as '%.12g' % writes it, except the columns ``others`` gives as
-    (index, values) pairs: '%d' % for integers and bools, '%.12g' % for the
-    rest.  A float's five words ("-0.000", pad | "d." x 12 | "e-ddd",
-    separator, pad) hold M = rint(q), q = |x| * 10**(11 - E) in [1e11, 1e12);
-    hidden bytes are zeroed, then deleted.  |q - q*| < 2.3e-4 (two
-    roundings), so Python formats a q within 1e-3 of a tie or a decade off,
-    0, inf, nan and |x| outside [1e-280, 1e280]."""
+    cell as '%.12g' % writes it.  A cell's five words ("-0.000", pad |
+    "d." x 12 | "e-ddd", separator, pad) hold M = rint(q), q = |x| *
+    10**(11 - E) in [1e11, 1e12); hidden bytes are zeroed, then deleted.
+    |q - q*| < 2.3e-4 (two roundings), so Python formats a q within 1e-3 of
+    a tie or a decade off, 0, inf, nan and |x| outside [1e-280, 1e280]."""
     words, power, group, zeros, show = _tables()
     v = table.ravel()
     a = np.abs(v)
@@ -107,35 +105,24 @@ def _format_rows(table, others) -> str:
     cells["sep"][:, -1] = ord("\n")
     where = np.flatnonzero(slow)
     cells["text"].reshape(-1)[where] = ["%.12g" % f for f in v[where].tolist()]
-    for i, values in others:
-        fmt = "%d" if values.dtype.kind in "biu" else "%.12g"
-        cells["text"][:, i] = [fmt % value for value in values.tolist()]
     return frames.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @np.errstate(invalid="ignore")   # widening a signalling NaN is no error
 def _write_csv(path: Path, header, columns):
     """One line per row of ``columns``, each entry one 1-D column or a 2-D
-    block of columns, all of one length.  Per chunk of <= 2**12 cells the
-    row slices of the blocks are joined into the float64 table that
-    ``_format_rows`` lays out, and written; a block that is not float stands
-    in the table as ones and is formatted by Python."""
-    parts, others, width = [], [], 0
-    for block in map(np.asarray, columns):
-        block = block[:, None] if block.ndim == 1 else block
-        if block.dtype.kind == "f":
-            parts.append(block)
-        else:
-            parts.append(np.broadcast_to(1.0, block.shape))
-            others += [(width + j, block[:, j]) for j in range(block.shape[1])]
-        width += block.shape[1]
-    step = max(1, 2 ** 12 // width)
+    block of columns, all of one length, read as float64: an integer or bool
+    below 10**12 in magnitude prints as '%d' % would (10**12 as 1e+12).  Per
+    chunk of <= 2**12 cells the row slices of the blocks are joined into the
+    table ``_format_rows`` lays out, and written."""
+    parts = [np.asarray(column, dtype=float) for column in columns]
+    parts = [p[:, None] if p.ndim == 1 else p for p in parts]
+    step = max(1, 2 ** 12 // sum(p.shape[1] for p in parts))
 
     def fill(fh):
         csv.writer(fh, lineterminator="\n").writerow(header)
         for a in range(0, len(parts[0]), step):
-            table = np.concatenate([p[a:a + step] for p in parts], axis=1, dtype=float)
-            fh.write(_format_rows(table, [(i, c[a:a + step]) for i, c in others]))
+            fh.write(_format_rows(np.concatenate([p[a:a + step] for p in parts], axis=1)))
     _write_replacing(path, fill, newline="")
 
 
@@ -148,11 +135,11 @@ def _write_json(path: Path, obj):
 
 def _grid_steps(spec: SimulationSpec, dt, span, prefix=""):
     """t_span's steps at ``dt``; a failed ``time_grid`` check is a ConfigError
-    naming ``span`` (for t_span) or treatment.epochs (the schedule), after ``prefix``."""
+    naming dt, ``span`` (for t_span) or treatment.epochs (the schedule), after ``prefix``."""
     try:
         return sum(n for _, n, _ in time_grid(spec.t_span, dt, spec.treatment))
     except DomainError as err:
-        field = {"t_span": span, "schedule": "treatment.epochs"}[err.field]
+        field = {"dt": "dt", "t_span": span, "schedule": "treatment.epochs"}[err.field]
         raise ConfigError(field, prefix + str(err)) from None
 
 
@@ -187,8 +174,9 @@ def _abm_ensemble(spec: SimulationSpec, model, seed, replicas: int, threads: int
             schedule=spec.treatment, n_jobs=threads, t0=t0,
         )
     except DomainError as err:
-        # steps come from t_span here, and n (the stubs a step pairs) from abm.n
-        if err.field == "steps":
+        # steps come from t_span (in their domain, only the record's allocation
+        # fails on them), and n (the stubs a step pairs) from abm.n
+        if err.field == "steps" and steps in STEPS:
             raise ConfigError("t_span", f"{steps} unit steps from {t0:g} to {t1:g} are too "
                               f"many to record") from None
         if err.field == "n":

@@ -132,12 +132,12 @@ NUMBERS = items_in(is_number, "a sequence of finite numbers")
 
 def check(name, value, domain, config=False):
     """``value`` if it is in ``domain``.  Otherwise a DomainError naming the
-    argument ``name``, or with ``config`` a ConfigError naming the field
-    ``name``."""
+    argument ``name`` (its ``field``), or with ``config`` a ConfigError
+    naming the field ``name``."""
     if value in domain:
         return value
     reason = f"must be {domain.what}, got {value!r}"
-    raise ConfigError(name, reason) if config else DomainError(f"{name} {reason}")
+    raise ConfigError(name, reason) if config else DomainError(f"{name} {reason}", name)
 
 
 def check_kind(name, value, kind, optional=False):

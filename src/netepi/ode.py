@@ -534,7 +534,8 @@ def time_grid(t_span, dt, schedule=None, ignore_outside=False):
     t_span's start, each segment at least one step.  An epoch outside the
     open t_span is an error, or with ``ignore_outside`` never switches (one
     at or before the start sets the first coverage).  A failure is a
-    DomainError whose ``field`` is the argument at fault, t_span or schedule."""
+    DomainError whose ``field`` is the argument at fault: dt, t_span or schedule."""
+    check("dt", dt, POSITIVE)
     t0, t1 = t_span
 
     def steps_to(t, what, field="schedule"):
@@ -620,7 +621,6 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     check_kind("model", model, CompartmentModel)
     check_kind("schedule", schedule, TreatmentSchedule, optional=True)
     t0, t1 = map(float, check("t_span", t_span, RANGE))
-    check("dt", dt, POSITIVE)
     check("method", method, METHODS)
     segments = time_grid((t0, t1), dt, schedule)
     models = [model if c is None else model.at_coverage(c) for _, _, c in segments]

