@@ -274,7 +274,6 @@ def simulate_epidemic(
     included, starts by pairing all live nodes, the new ones too.
     """
     _check_model(model)
-    check_kind("schedule", schedule, TreatmentSchedule, optional=True)
     check("n", n, NODES)
     check("steps", steps, STEPS)
     check("t0", t0, FINITE)

@@ -141,7 +141,7 @@ def check(name, value, domain, config=False):
 
 
 def check_kind(name, value, kind, optional=False):
-    """A DomainError naming ``name`` unless ``value`` is a ``kind`` (or None
-    when ``optional``)."""
+    """A DomainError naming the argument ``name`` (its ``field``) unless
+    ``value`` is a ``kind`` (or None when ``optional``)."""
     if not (isinstance(value, kind) or optional and value is None):
-        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}", name)

@@ -169,12 +169,13 @@ class _Population:
     infected (type, stage) row) are the only place the layout s(nk) |
     I(types, stages, nk) | removed(nk) from ``offset`` is computed, and
     ``classes`` its degree classes' entries from ``first`` in the RHS's
-    per-class inflow.  For the RHS: ``type_rows``, the infected shape of one
-    stage, ``flow_rates`` (None without stage flow), the 0-d ``mu``, the rate
-    of the first type's first stage (the removal rate of a one-type,
-    one-stage population), ``s0``, ``fixed_edge_mass``."""
+    per-class inflow.  For the RHS: ``one_row`` (one type in one stage and
+    ``exit_rate`` 0), ``type_rows``, the infected shape of one stage,
+    ``flow_rates`` (None without stage flow), the 0-d ``mu``, the rate of the
+    first type's first stage (a one-row population's removal rate), ``s0``,
+    ``fixed_edge_mass``."""
 
-    def __init__(self, row, source, lam, rates, offset, first):
+    def __init__(self, row, source, lam, rates, offset, first, exit_rate):
         self.dist, self.rho0, self.weight, self.name = row
         self.k = self.dist.degrees   # integer grid; ``degrees`` is its float copy
         self.k.flags.writeable = False
@@ -182,6 +183,7 @@ class _Population:
         self.nk = len(self.degrees)
         self.source, self.lam, self.rates = source, tuple(lam), rates
         self.n_types, self.n_stages = rates.shape
+        self.one_row = rates.shape == (1, 1) and exit_rate == 0
         self.shape = (self.n_types, self.n_stages, self.nk)
         self.type_rows = (self.n_types, self.nk)
         a, b = offset + self.nk, offset + self.nk * (1 + rates.size)
@@ -255,7 +257,7 @@ class CompartmentModel:
         self.treatable, self.link_mode = treatable, link_mode
         self.populations, self.dim, self.classes = [], 0, 0
         for row, source, lam in zip(rows, sources, rates):
-            pop = _Population(row, source, lam, stages, self.dim, self.classes)
+            pop = _Population(row, source, lam, stages, self.dim, self.classes, exit_rate)
             self.populations.append(pop)
             self.dim, self.classes = pop.removed.stop, pop.classes.stop
         self._shape, self._class_shape = (self.dim,), (self.classes,)
@@ -263,9 +265,6 @@ class CompartmentModel:
         for p in self.populations:
             self.bounded[p.bounded] = True
         self.shares = None if self.routing == "hazard" else np.array(self.routing)[:, None]
-        # the RHS path: one type in one stage without exits has only the
-        # terms of ``_rhs_one_stage``
-        self._one_stage = stages.shape == (1, 1) and exit_rate == 0
 
     def blocks(self, y):
         """Per population the (s, infected, removed) views of a state vector
@@ -326,71 +325,44 @@ class CompartmentModel:
         the inflow into ``inflow`` (a float64 array of shape (classes,)) when
         they are given, and both are returned.  Neither buffer may overlap ``y``
         or the other: parts of dy are written before the last reads of ``y`` and
-        of the inflow (a one-type, one-stage population writes its removal row,
-        then reads it back)."""
+        of the inflow (a one-row population writes its removal row, then reads
+        it back).  A one-row population forms its one link probability inline
+        and its removal as mu I; every other takes ``_link_fractions``, and
+        without stage flow writes its removal row as its infected rows' sum,
+        scaled there by the exit rate: the bits of adding that product to a
+        zeroed row, unless the product is -0.0."""
         if y.shape != self._shape:
             raise DomainError(f"state array has shape {y.shape}, expected ({self.dim},)")
         dy = _buffer("out", out, self._shape)
         rates = _buffer("inflow", inflow, self._class_shape)
-        if self._one_stage:
-            self._rhs_one_stage(y, dy, rates)
-        else:
-            self._rhs_typed(y, dy, rates)
-        return dy, rates
-
-    def _rhs_one_stage(self, y, dy, rates):
-        """``rhs_full`` of a model with one type in one stage and no exits:
-        one infected mass and one link probability per source, the whole
-        inflow into the one infected row, removal = mu I.  Writes dy and the
-        per-class inflow ``rates``."""
-        fixed = self.link_mode == "fixed"
-        pops = self.populations
-        for pop in pops:
-            src = pops[pop.source]
-            s, infected = y[pop.s], y[pop.infected]
-            src_s, src_inf = (s, infected) if src is pop else (y[src.s], y[src.infected])
-            # the same dot products as _link_fractions' (numpy takes a (1, nk)
-            # row times a vector through the dot of two vectors)
-            mass = float(src_inf.dot(src.degrees))
-            denom = src.fixed_edge_mass if fixed else float(src.degrees.dot(src_s)) + mass
-            if denom <= 0.0:
-                p = 0.0
-            else:
-                p = mass / denom
-                p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
-            hazard = hazard_profile(pop.degrees, p, pop.lam[0])
-            inflow = np.multiply(s, hazard, rates[pop.classes])
-            ds, d_inf, removal = dy[pop.s], dy[pop.infected], dy[pop.removed]
-            if self.d > 0:
-                np.subtract(pop.s0, s, ds)
-                ds *= self._d
-                ds -= inflow
-            else:
-                np.negative(inflow, ds)
-            np.multiply(infected, pop.mu, removal)
-            np.subtract(inflow, removal, d_inf)
-
-    def _rhs_typed(self, y, dy, rates):
-        """``rhs_full`` of a model with two types, several stages or exits:
-        writes dy and the per-class inflow ``rates``.  Without stage flow a
-        population's removal row is written as its infected rows' sum, scaled
-        there by the exit rate: the bits of adding that product to a zeroed
-        row, unless the product is -0.0."""
         fixed = self.link_mode == "fixed"
         pops = self.populations
         for pop in pops:
             src, lam = pops[pop.source], pop.lam
             s, infected = y[pop.s], y[pop.infected]
             src_s, src_inf = (s, infected) if src is pop else (y[src.s], y[src.infected])
-            if src.n_stages == 1:
-                rho = src_inf.reshape(src.type_rows)
+            if pop.one_row:
+                # the same dot products as _link_fractions' (numpy takes a (1, nk)
+                # row times a vector through the dot of two vectors)
+                mass = float(src_inf.dot(src.degrees))
+                denom = src.fixed_edge_mass if fixed else float(src.degrees.dot(src_s)) + mass
+                if denom <= 0.0:
+                    p = 0.0
+                else:
+                    p = mass / denom
+                    p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+                hazard = hazard_profile(pop.degrees, p, lam[0])
             else:
-                rho = src_inf.reshape(src.shape).sum(axis=1)
-            p = _link_fractions(src.degrees, src_s, rho, src.fixed_edge_mass if fixed else None)
-            if len(lam) == 1:
-                hazard = hazard_profile(pop.degrees, p[0], lam[0])
-            else:
-                hazard = hazard_profile_two(pop.degrees, LinkProbabilities(p[0], p[1]), *lam)
+                if src.n_stages == 1:
+                    rho = src_inf.reshape(src.type_rows)
+                else:
+                    rho = src_inf.reshape(src.shape).sum(axis=1)
+                p = _link_fractions(src.degrees, src_s, rho,
+                                    src.fixed_edge_mass if fixed else None)
+                if len(lam) == 1:
+                    hazard = hazard_profile(pop.degrees, p[0], lam[0])
+                else:
+                    hazard = hazard_profile_two(pop.degrees, LinkProbabilities(p[0], p[1]), *lam)
             inflow = np.multiply(s, hazard, rates[pop.classes])
             ds, d_inf, removal = dy[pop.s], dy[pop.infected], dy[pop.removed]
             if self.d > 0:
@@ -399,6 +371,10 @@ class CompartmentModel:
                 ds -= inflow
             else:
                 np.negative(inflow, ds)
+            if pop.one_row:
+                np.multiply(infected, pop.mu, removal)
+                np.subtract(inflow, removal, d_inf)
+                continue
             infected, d_inf = infected.reshape(pop.shape), d_inf.reshape(pop.shape)
             entry = d_inf[:, 0]
             np.multiply(self.shares if self.shares is not None
@@ -427,6 +403,7 @@ class CompartmentModel:
                     np.multiply(stock, self._exit, removal)
                 else:
                     removal += self._exit * stock
+        return dy, rates
 
     def totals(self, Y):
         """(susceptible, prevalence, removed) per row of a (rows, dim) state
@@ -536,7 +513,8 @@ def time_grid(t_span, dt, schedule=None, ignore_outside=False):
     at or before the start sets the first coverage).  A failure is a
     DomainError whose ``field`` is the argument at fault: dt, t_span or schedule."""
     check("dt", dt, POSITIVE)
-    t0, t1 = t_span
+    t0, t1 = map(float, check("t_span", t_span, RANGE))
+    check_kind("schedule", schedule, TreatmentSchedule, optional=True)
 
     def steps_to(t, what, field="schedule"):
         n = (t - t0) / dt
@@ -619,10 +597,9 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     time of the first step that left the range.
     """
     check_kind("model", model, CompartmentModel)
-    check_kind("schedule", schedule, TreatmentSchedule, optional=True)
-    t0, t1 = map(float, check("t_span", t_span, RANGE))
     check("method", method, METHODS)
-    segments = time_grid((t0, t1), dt, schedule)
+    segments = time_grid(t_span, dt, schedule)
+    t0, t1 = map(float, t_span)
     models = [model if c is None else model.at_coverage(c) for _, _, c in segments]
     rows = sum([n for _, n, _ in segments]) + 1
     try:

@@ -1,15 +1,17 @@
 """The bytes of the files the commands write, pinned.
 
 ``tests/data/csv_golden.json`` holds the sha256 and size of every artifact
-of six runs: a per-degree ``run-ode`` (the CI ``per_degree.json``:
+of seven runs: a per-degree ``run-ode`` (the CI ``per_degree.json``:
 hiv_hetero, k 1..30, a treatment epoch at t = 4), a ``phase`` series of its
 second population, a 4-replica ``run-abm`` and ``compare``, a small
-``sensitivity`` and the benchmark's ``hiv_treatment`` run-ode (its config
-read from ``perfbench/workloads.py``: k 1..100, a 201 x 405 table written in
-21 chunks).  The CSV writer formats every cell as ``'%.12g' %`` (floats)
-or ``'%d' %`` (integers and bools) would; a writer that moves one digit, a
-sign or a separator of any cell fails here.  CI checks both per-degree
-``trajectory.csv`` files against the same hashes.
+``sensitivity``, and two benchmark runs with their configs read from
+``perfbench/workloads.py``: ``hiv_treatment``'s run-ode (k 1..100, a 201 x
+405 table written in 21 chunks) and ``sobol_sweep``'s sensitivity (321
+one-population runs, k 1..60, t 0..100).  The CSV writer formats every
+cell as ``'%.12g' %`` would; a writer that moves one digit, a sign or a
+separator of any cell fails here.  CI checks both per-degree
+``trajectory.csv`` files and the ``sobol_sweep`` ``sobol.csv`` against the
+same hashes.
 
 Regenerate the golden file only when the output is meant to change:
 
@@ -70,6 +72,7 @@ RUNS = {   # name: (command, config)
     "compare": ("compare", ENSEMBLE),
     "sensitivity": ("sensitivity", SOBOL),
     "hiv_treatment": ("run-ode", benchmark_config("hiv_treatment")),
+    "sobol_sweep": ("sensitivity", benchmark_config("sobol_sweep")),
 }
 
 

@@ -71,7 +71,11 @@ class TestEveryEntryPointNamesItsArgument:
     ("n", lambda: simulate_epidemic(build_spec_model(SMALL), 1, 3)),
     ("dt", lambda: integrate(build_spec_model(SMALL), (0, 10), -1.0, "euler")),
     ("replicas", lambda: abm.run_ensemble(build_spec_model(SMALL), 100, 3, 1)),
-], ids=["simulate_epidemic_n", "integrate_dt", "run_ensemble_replicas"])
+    ("model", lambda: integrate("x", (0, 1), 1.0)),
+    ("schedule", lambda: integrate(build_spec_model(SMALL), (0, 1), 1.0, schedule=5)),
+    ("schedule", lambda: simulate_epidemic(build_spec_model(SMALL), 100, 3, schedule=5)),
+], ids=["simulate_epidemic_n", "integrate_dt", "run_ensemble_replicas", "integrate_model",
+        "integrate_schedule", "simulate_epidemic_schedule"])
 def test_checked_argument_is_the_field(argument, call):
     # each of these used to carry field None, though its message named the argument
     with pytest.raises(DomainError, match=f"^{argument} must be ") as err:

@@ -945,6 +945,11 @@ def _guard_cases():
         ("stratified-stages", lambda: build_model(
             "stratified", replace(staged, stage_rates=[0.3, 0.2, 0.1]), FIG1_DIST),
          (0, 15), 0.5, "rk4", None),
+        # one type in two stages on two populations: each link mass summed over
+        # the other side's stages, then _link_fractions and one hazard_profile
+        ("bipartite-stages", lambda: build_model(
+            "bipartite", replace(staged, stage_rates=[0.3, 0.2]), FIG1_DIST, _DIST2),
+         (0, 15), 0.5, "rk4", None),
         ("two_type-hazard-stage-rows", lambda: build_model(
             "two_type", replace(staged, rho0_type2=0.3, stage_rates=[[0.3, 0.2], [0.1, 0.4]]),
             FIG1_DIST), (0, 30), 1.0, "euler", None),
@@ -1210,6 +1215,18 @@ class TestGridArguments:
         schedule = epochs and TreatmentSchedule(epochs, (0.5,) * len(epochs))
         with pytest.raises(DomainError) as err:
             time_grid(t_span, dt, schedule)
+        assert err.value.field == field
+
+    # each used to end in a raw error: a failed unpacking, a str minus a str,
+    # an attribute lookup on the schedule
+    @pytest.mark.parametrize("t_span, schedule, field", [
+        ((0,), None, "t_span"),
+        ("ab", None, "t_span"),
+        ((0, 10), "x", "schedule"),
+    ], ids=["short-t_span", "str-t_span", "str-schedule"])
+    def test_time_grid_rejects_a_malformed_argument(self, t_span, schedule, field):
+        with pytest.raises(DomainError, match=f"^{field} must be ") as err:
+            time_grid(t_span, 1.0, schedule)
         assert err.value.field == field
 
     def test_grid_index_rejects_nan(self):
