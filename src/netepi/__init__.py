@@ -8,7 +8,6 @@ from .abm import (
     generate_network,
     run_ensemble,
     simulate_epidemic,
-    summarize_trajectories,
 )
 from .analysis import (
     CoverageReport,

@@ -72,7 +72,7 @@ import numpy as np
 
 from .degree import DegreeDistribution, sample_degrees
 from .errors import FINITE, SEED, DomainError, check, check_kind, count
-from .ode import CompartmentModel, Trajectory, TreatmentSchedule, time_grid
+from .ode import CompartmentModel, Trajectory, TreatmentSchedule, grid_times, time_grid
 
 # the argument rules the config's abm rows and the CLI's options take too
 NODES = count(2)
@@ -211,7 +211,8 @@ def _generator(rng) -> np.random.Generator:
         return rng
     if rng is None or rng in SEED:
         return np.random.default_rng(rng)
-    raise DomainError(f"rng must be None, an integer seed >= 0 or a numpy Generator, got {rng!r}")
+    raise DomainError(f"rng must be None, an integer seed >= 0 or a numpy Generator, "
+                      f"got {rng!r}", "rng")
 
 
 def generate_network(dist: DegreeDistribution, n: int,
@@ -253,7 +254,7 @@ def _check_model(model):
     check_kind("model", model, CompartmentModel)
     limit = chain_limit(model)
     if limit is not None:
-        raise DomainError(f"the agent-based chain needs {limit[1]}")
+        raise DomainError(f"the agent-based chain needs {limit[1]}", "model")
 
 
 def simulate_epidemic(
@@ -277,7 +278,15 @@ def simulate_epidemic(
     check("n", n, NODES)
     check("steps", steps, STEPS)
     check("t0", t0, FINITE)
-    segments = time_grid((float(t0), float(t0) + steps), 1.0, schedule, ignore_outside=True)
+    try:
+        segments = time_grid((float(t0), float(t0) + steps), 1.0, schedule, ignore_outside=True)
+    except DomainError as err:
+        if err.field != "t_span":   # the span is t0 and steps, and steps is a count
+            raise
+        segments = []
+    if sum(n for _, n, _ in segments) != steps:   # or t0 + steps rounded onto another step
+        raise DomainError(f"t0 must keep the times t0 + i, i = 0..{steps}, distinct floats, "
+                          f"got {t0!r}", "t0")
     if n >= _MAX_DRAW:
         raise DomainError(f"n={n} is too many nodes: the seed draw takes fewer than "
                           f"{_MAX_DRAW}", "n")
@@ -365,48 +374,21 @@ def simulate_epidemic(
             new_total[step] = new.sum()
 
     return Trajectory(
-        times=t0 + np.arange(steps + 1, dtype=float), Y=record.reshape(steps + 1, -1) / n,
+        times=grid_times(t0, 1.0, steps), Y=record.reshape(steps + 1, -1) / n,
         dY=None, incidence=new_total / n, model=model,
     )
 
 
 class EnsembleSummary(NamedTuple):
-    """Per-time-point statistics over independent simulation replicas."""
+    """Per-time-point means and standard errors over independent replicas."""
 
     times: np.ndarray
     replicas: int
     mean_prevalence: np.ndarray
-    var_prevalence: np.ndarray
     se_prevalence: np.ndarray
     mean_incidence: np.ndarray
-    var_incidence: np.ndarray
     se_incidence: np.ndarray
     mean_susceptible: np.ndarray
-    var_susceptible: np.ndarray
-    se_susceptible: np.ndarray
-
-
-def summarize_trajectories(trajectories) -> EnsembleSummary:
-    """Mean/variance/standard-error bands across replica trajectories.
-
-    Order-invariant: the statistics do not depend on replica ordering.
-    """
-    if len(trajectories) < 2:
-        raise DomainError("ensemble statistics need at least 2 replicas")
-    times = trajectories[0].times
-    for traj in trajectories[1:]:
-        if traj.times.shape != times.shape or np.any(traj.times != times):
-            raise DomainError("replica time grids differ")
-    r = len(trajectories)
-    out = {"times": times.copy(), "replicas": r}
-    for name, attr in (("prevalence", "prevalence"), ("incidence", "incidence"),
-                       ("susceptible", "susceptible")):
-        stack = np.stack([getattr(t, attr) for t in trajectories])
-        var = stack.var(axis=0, ddof=1)
-        out[f"mean_{name}"] = stack.mean(axis=0)
-        out[f"var_{name}"] = var
-        out[f"se_{name}"] = np.sqrt(var / r)
-    return EnsembleSummary(**out)
 
 
 def replica_rng(base_seed: int, replica: int) -> np.random.Generator:
@@ -418,9 +400,11 @@ def replica_rng(base_seed: int, replica: int) -> np.random.Generator:
 
 
 def _run_replica(args):
+    """One replica's (3, steps + 1) rows: prevalence, incidence, susceptible."""
     model, n, steps, schedule, base_seed, replica, t0 = args
-    return simulate_epidemic(model, n, steps, rng=replica_rng(base_seed, replica),
+    traj = simulate_epidemic(model, n, steps, rng=replica_rng(base_seed, replica),
                              schedule=schedule, t0=t0)
+    return np.stack((traj.prevalence, traj.incidence, traj.susceptible))
 
 
 def run_ensemble(
@@ -433,13 +417,13 @@ def run_ensemble(
     n_jobs: int = 1,
     t0: float = 0.0,
 ) -> EnsembleSummary:
-    """Run ``replicas`` independent simulations of ``model`` and summarize
-    them.
+    """Run ``replicas`` independent simulations of ``model`` and summarize them.
 
-    Replicas are embarrassingly parallel; results are merged in replica
-    order so the summary is identical for any ``n_jobs``.  The pool has at
-    most one process per replica: under the fork start method it starts
-    all of its processes at the first task.
+    Replicas are embarrassingly parallel; each returns only the three totals
+    the summary reads, and they are merged in replica order so the summary
+    is identical for any ``n_jobs``.  The pool has at most one process per
+    replica: under the fork start method it starts all of its processes at
+    the first task.
     """
     check("replicas", replicas, REPLICAS)
     check("n_jobs", n_jobs, JOBS)
@@ -451,8 +435,10 @@ def run_ensemble(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(_run_replica, jobs,
-                                         chunksize=max(1, replicas // (4 * workers))))
+            rows = list(pool.map(_run_replica, jobs, chunksize=max(1, replicas // (4 * workers))))
     else:
-        trajectories = [_run_replica(job) for job in jobs]
-    return summarize_trajectories(trajectories)
+        rows = [_run_replica(job) for job in jobs]
+    stack = np.stack(rows)
+    mean, se = stack.mean(axis=0), np.sqrt(stack.var(axis=0, ddof=1) / replicas)
+    return EnsembleSummary(grid_times(t0, 1.0, steps), replicas,
+                           mean[0], se[0], mean[1], se[1], mean[2])

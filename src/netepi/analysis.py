@@ -141,7 +141,7 @@ def phase_series(
     model = traj.model
     index = population - 1
     if index >= len(model.populations):
-        raise DomainError("trajectory has no second population")
+        raise DomainError("trajectory has no second population", "population")
     dist = model.populations[index].dist
     degrees = support(dist.k_min, dist.k_max)
     i_m, i_n = (check(name, k, degrees) - dist.k_min for name, k in (("m", m), ("n", n)))
@@ -248,7 +248,7 @@ def fit_parameters(
     observed_times = np.array(check("observed_times", observed_times, _SERIES), dtype=float)
     observed = np.array(check("observed", observed, _SERIES), dtype=float)
     if observed_times.shape != observed.shape:
-        raise DomainError("observed times and values must align")
+        raise DomainError("observed times and values must align", "observed")
     check("free", free, PARAMETERS)
     check("initial", initial, _NAMES)
     names = tuple(free)
@@ -257,7 +257,7 @@ def fit_parameters(
                   dtype=float)
     for p in initial:   # as the config's fit.initial
         if p not in free:
-            raise DomainError(f"initial {p!r}: no matching free parameter")
+            raise DomainError(f"initial {p!r}: no matching free parameter", "initial")
 
     rows = None
 

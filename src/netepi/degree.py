@@ -31,7 +31,7 @@ def support(k_min, k_max) -> Domain:
 def _check_support(k_min, k_max):
     check("k_min", k_min, DEGREE)
     if not (is_integer(k_max) and k_max >= k_min):
-        raise DomainError(f"k_max must be an integer >= k_min ({k_min}), got {k_max!r}")
+        raise DomainError(f"k_max must be an integer >= k_min ({k_min}), got {k_max!r}", "k_max")
 
 
 @dataclass(frozen=True, eq=False)

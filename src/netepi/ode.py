@@ -504,13 +504,20 @@ class TreatmentSchedule:
         return (self.initial_coverage, *self.coverages)[bisect_right(self.epochs, t)]
 
 
+def grid_times(t0, dt, last, first=0):
+    """The times t0 + i * dt a run records, i = first..last."""
+    return t0 + np.arange(first, last + 1) * dt
+
+
 def time_grid(t_span, dt, schedule=None, ignore_outside=False):
     """``t_span`` at step ``dt`` cut at ``schedule``'s epochs into the
     segments (start, steps, coverage) a run steps through (coverage None
     without a schedule): t_span and each epoch a whole number of steps from
-    t_span's start, each segment at least one step.  An epoch outside the
-    open t_span is an error, or with ``ignore_outside`` never switches (one
-    at or before the start sets the first coverage).  A failure is a
+    t_span's start, each segment at least one step, and ``grid_times``
+    strictly increasing in float64 (past 2**24 steps within 4 ulps of its
+    resolution, over the first and last 2**23 steps only).  An epoch outside
+    the open t_span is an error, or with ``ignore_outside`` never switches
+    (one at or before the start sets the first coverage).  A failure is a
     DomainError whose ``field`` is the argument at fault: dt, t_span or schedule."""
     check("dt", dt, POSITIVE)
     t0, t1 = map(float, check("t_span", t_span, RANGE))
@@ -526,6 +533,13 @@ def time_grid(t_span, dt, schedule=None, ignore_outside=False):
         return n
 
     steps = steps_to(t1, "t_span", "t_span")
+    # more than 4 ulps of twice the larger end apart, the times are distinct;
+    # closer, the first and last 128 chunks of 2**16 steps are compared
+    if dt <= 4 * math.ulp(2 * max(abs(t0), abs(t1))):
+        for lo in {*range(0, steps, 2 ** 16)[:128], *range(0, steps, 2 ** 16)[-128:]}:
+            if not (np.diff(grid_times(t0, dt, min(lo + 2 ** 16, steps), lo)) > 0).all():
+                raise DomainError(f"t_span [{t0}, {t1}] at dt={dt} has points t0 + i * dt "
+                                  f"that float64 cannot tell apart", "t_span")
     if schedule is None:
         return [(t0, steps, None)]
     epochs = [e for e in schedule.epochs if t0 < e < t1]
@@ -606,7 +620,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
         Y, dY, incidence = np.empty((rows, model.dim)), np.empty((rows, model.dim)), np.empty(rows)
     except (MemoryError, ValueError):
         raise DomainError(f"t_span [{t0}, {t1}] at dt={dt} is {rows - 1} steps, too many to "
-                          f"record") from None
+                          f"record", "t_span") from None
     # the per-class inflow of each step of a chunk, as row views made once
     rates = np.empty((min(rows - 1, _CHECK_ROWS), model.classes))
     rate_rows = list(rates)
@@ -673,7 +687,7 @@ def integrate(model: CompartmentModel, t_span, dt: float, method: str = "rk4",
     # the final slope; the inflow at t1 starts no step, so it is not summed
     models[-1].rhs_full(Y[row], dY[row], rate_rows[0])
     incidence[0] = incidence[1]
-    return Trajectory(times=t0 + np.arange(rows) * dt, Y=Y, dY=dY, incidence=incidence,
+    return Trajectory(times=grid_times(t0, dt, rows - 1), Y=Y, dY=dY, incidence=incidence,
                       model=model)
 
 
@@ -747,9 +761,9 @@ def build_model(name, params, dist=None, dist2=None):
     check_kind("dist", dist, DegreeDistribution, optional=True)
     check_kind("dist2", dist2, DegreeDistribution, optional=True)
     if dist is None and name != "classic":
-        raise DomainError(f"model {name!r} requires a degree distribution")
+        raise DomainError(f"model {name!r} requires a degree distribution", "dist")
     if params.lam2 is None and name in ("two_type", "bipartite"):
-        raise DomainError(f"model {name!r} requires lam2")
+        raise DomainError(f"model {name!r} requires lam2", "lam2")
     if name.startswith("hiv") and params.mu != 0.0:
-        raise DomainError("hiv models have no mu removal; use d and/or stage_rates")
+        raise DomainError("hiv models have no mu removal; use d and/or stage_rates", "mu")
     return MODEL_BUILDERS[name](params, dist, dist2 or dist)

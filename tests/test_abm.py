@@ -3,12 +3,12 @@ import pytest
 from scipy import stats
 
 from netepi.abm import (
+    EnsembleSummary,
     _shuffled_stub_pairs,
     generate_network,
     replica_rng,
     run_ensemble,
     simulate_epidemic,
-    summarize_trajectories,
 )
 from netepi.analysis import compare_ode_abm
 from netepi.degree import from_weights, sample_degrees, truncated_power_law
@@ -253,6 +253,19 @@ class TestSimulateEpidemic:
         with pytest.raises(DomainError, match="^t0 "):
             simulate_epidemic(stratified(params), 100, 3, rng=0, t0=t0)
 
+    @pytest.mark.parametrize("t0, steps", [
+        (1e16, 3), (1e17, 3), (2.0 ** 53, 3), (1.7976931348623157e308, 3), (2.0 ** 53 - 1, 2)])
+    def test_t0_that_loses_steps_to_rounding(self, t0, steps):
+        # t0 + 3 rounds to t0 + 4 (1e16, 2**53), t0 (1e17) or inf: each used to
+        # step past the record (an IndexError) or to blame t_span; t0 + 2 rounds
+        # to 2**53 = t0 + 1, a grid of one step, which used to fail after its
+        # last step on "trajectory times must be strictly increasing"
+        params = EpidemicParams(lam=0.1, mu=0.1, rho0=0.05)
+        with pytest.raises(DomainError, match=f"^t0 must keep the times t0 \\+ i, "
+                                              f"i = 0..{steps}, distinct floats") as err:
+            simulate_epidemic(stratified(params), 100, steps, rng=0, t0=t0)
+        assert err.value.field == "t0"
+
     def test_too_many_nodes_or_steps_to_allocate(self):
         # neither allocates anything: 10**15 nodes is over the chain's own
         # limit (numpy's hypergeometric seed draw takes fewer than 1e9), and
@@ -296,18 +309,52 @@ class TestSimulateEpidemic:
 
 
 class TestEnsemble:
-    def test_identical_replicas_have_zero_variance(self):
-        params = EpidemicParams(lam=0.05, mu=0.1, rho0=0.05)
-        traj = simulate_epidemic(stratified(params), 1000, 20, rng=replica_rng(1, 1))
-        summary = summarize_trajectories([traj, traj])
-        assert summary.var_prevalence.max() == 0.0
-        assert summary.se_prevalence.max() == 0.0
+    @pytest.mark.parametrize("case", ["stratified", "treatable_with_epoch"])
+    def test_summary_recomputed_from_replicas(self, case):
+        # bit for bit: each replica run on its own stream, its totals stacked
+        # in replica order, then the mean and the SE over the replicas
+        params = EpidemicParams(lam=0.1, mu=0.05, rho0=0.05, d=0.05, treatment_efficacy=0.3)
+        schedule = None
+        if case == "stratified":
+            model = stratified(params)
+        else:
+            model = treatable(params, DIST30)
+            schedule = TreatmentSchedule((8.5,), (0.6,), initial_coverage=0.2)
+        run = dict(schedule=schedule, t0=2.5)
+        ens = run_ensemble(model, 500, 15, replicas=8, base_seed=3, **run)
+        trajs = [simulate_epidemic(model, 500, 15, rng=replica_rng(3, r), **run)
+                 for r in range(8)]
+        assert ens.replicas == 8
+        assert ens.times.tobytes() == trajs[0].times.tobytes()
+        for name in ("prevalence", "incidence", "susceptible"):
+            stack = np.stack([getattr(t, name) for t in trajs])
+            assert getattr(ens, f"mean_{name}").tobytes() == stack.mean(axis=0).tobytes(), name
+            if name != "susceptible":
+                se = np.sqrt(stack.var(axis=0, ddof=1) / 8)
+                assert getattr(ens, f"se_{name}").tobytes() == se.tobytes(), name
 
-    def test_se_definition(self):
-        params = EpidemicParams(lam=0.05, mu=0.1, rho0=0.05)
-        ens = run_ensemble(stratified(params), 500, 15, replicas=8, base_seed=3)
-        np.testing.assert_allclose(
-            ens.se_prevalence, np.sqrt(ens.var_prevalence / 8), atol=1e-15)
+    def test_summary_fields(self):
+        assert EnsembleSummary._fields == (
+            "times", "replicas", "mean_prevalence", "se_prevalence", "mean_incidence",
+            "se_incidence", "mean_susceptible")
+
+    def test_memory_holds_totals_not_trajectories(self):
+        # the ensemble keeps three totals per replica: at 32 replicas its peak
+        # stays near one replica's run, where whole trajectories took 32 records
+        import tracemalloc
+
+        model = stratified(EpidemicParams(lam=0.05, mu=0.1, rho0=0.05),
+                           truncated_power_law(2.5, 1, 500))
+        steps = 30
+        record = (steps + 1) * model.dim * 8   # one replica's int64 state record
+        run_ensemble(model, 300, steps, replicas=2)   # first-call allocations
+        tracemalloc.start()
+        try:
+            run_ensemble(model, 300, steps, replicas=32, base_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * record
 
     def test_se_shrinks_like_inverse_sqrt_replicas(self):
         params = EpidemicParams(lam=0.0, mu=0.1, rho0=0.2)
@@ -365,17 +412,6 @@ class TestEnsemble:
         assert sizes == [workers]
         for field in serial._fields:
             assert np.array_equal(getattr(serial, field), getattr(pooled, field)), field
-
-    def test_order_invariance(self):
-        params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
-        trajs = [
-            simulate_epidemic(stratified(params), 500, 10, rng=replica_rng(7, r))
-            for r in range(4)
-        ]
-        forward = summarize_trajectories(trajs)
-        backward = summarize_trajectories(trajs[::-1])
-        np.testing.assert_allclose(forward.mean_prevalence, backward.mean_prevalence, atol=1e-15)
-        np.testing.assert_allclose(forward.var_prevalence, backward.var_prevalence, atol=1e-15)
 
     def test_requires_two_replicas(self):
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)

@@ -11,7 +11,7 @@ from netepi.analysis import (
     phase_series,
     sobol_first_order,
 )
-from netepi.abm import run_ensemble, summarize_trajectories
+from netepi.abm import EnsembleSummary, run_ensemble
 from netepi.config import parse_config_data, run_trajectory
 from netepi.degree import truncated_power_law
 from netepi.errors import DomainError
@@ -23,6 +23,13 @@ FIG1_PARAMS = EpidemicParams(lam=0.05, mu=0.05, rho0=0.01)
 
 def stratified(params, dist=FIG1_DIST):
     return build_model("stratified", params, dist)
+
+
+def identical_replicas(traj):
+    """The ensemble summary of replicas that all equal ``traj``: its totals, SE 0."""
+    zero = np.zeros_like(traj.prevalence)
+    return EnsembleSummary(traj.times, 2, traj.prevalence, zero, traj.incidence, zero,
+                           traj.susceptible)
 
 
 def flat_output(y, times=2):
@@ -244,7 +251,7 @@ class TestPhaseSeries:
 class TestCompare:
     def test_self_comparison_has_full_coverage(self):
         ode = integrate(stratified(FIG1_PARAMS), (0, 30), 1.0, "euler")
-        ens = summarize_trajectories([ode, ode])
+        ens = identical_replicas(ode)
         report = compare_ode_abm(ode, ens)
         assert report.coverage == 1.0
         assert report.peak_relative_deviation == 0.0
@@ -259,20 +266,20 @@ class TestCompare:
         assert report.coverage >= 0.9
 
     def test_coverage_invariant_under_replica_reordering(self):
+        # one process merges the replicas as they run, two as the pool
+        # returns them: the report must not tell the two apart
         params = EpidemicParams(lam=0.05, mu=0.05, rho0=0.05)
-        from netepi.abm import replica_rng, simulate_epidemic
-
         model = stratified(params, truncated_power_law(3, 1, 30))
-        trajs = [simulate_epidemic(model, 1000, 20, rng=replica_rng(2, r)) for r in range(6)]
         ode = integrate(model, (0, 20), 1.0, "euler")
-        a = compare_ode_abm(ode, summarize_trajectories(trajs))
-        b = compare_ode_abm(ode, summarize_trajectories(trajs[::-1]))
+        a, b = (compare_ode_abm(ode, run_ensemble(model, 1000, 20, replicas=6, base_seed=2,
+                                                  n_jobs=jobs)) for jobs in (1, 2))
         assert a.coverage == b.coverage
+        assert np.array_equal(a.covered, b.covered)
 
     def test_rejects_misaligned_grids(self):
         ode = integrate(stratified(FIG1_PARAMS), (0, 30), 1.0, "euler")
         short = integrate(stratified(FIG1_PARAMS), (0, 20), 1.0, "euler")
-        ens = summarize_trajectories([short, short])
+        ens = identical_replicas(short)
         with pytest.raises(DomainError):
             compare_ode_abm(ode, ens)
 
@@ -281,7 +288,7 @@ class TestCompare:
     def test_rejects_band_sigmas_that_is_not_a_positive_number(self, band_sigmas):
         # compare.band_sigmas' rule; -1 used to read a coverage, NaN 0 and inf 1
         ode = integrate(stratified(FIG1_PARAMS), (0, 5), 1.0, "euler")
-        ens = summarize_trajectories([ode, ode])
+        ens = identical_replicas(ode)
         with pytest.raises(DomainError, match="^band_sigmas must"):
             compare_ode_abm(ode, ens, band_sigmas=band_sigmas)
 

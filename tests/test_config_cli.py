@@ -691,6 +691,22 @@ class TestCliProcess:
         result = CliRunner().invoke(main, ["run-abm", "--config", cfg, "--out", str(out)])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("command, field", [
+        ("run-ode", "dt"), ("run-abm", "t_span"), ("compare", "t_span")])
+    def test_t_span_whose_points_collide_exit_code(self, tmp_path, command, field):
+        # 1e16 + 1 rounds to 1e16: each command used to run to its end, every
+        # replica included, and exit 1 on "trajectory times must be strictly increasing"
+        cfg = self.write(tmp_path, {**FIG1, "t_span": [1e16, 10000000000000004],
+                                    "method": "euler", "dt": 1.0,
+                                    "abm": {"n": 300, "replicas": 2}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {field}: ")
+        assert "float64 cannot tell apart" in result.stderr
+        assert not out.exists()
+
     # each fails after execute has made the output directory
     SHORT = {"t_span": [0, 10], "method": "euler", "dt": 1.0, "abm": {"n": 300, "replicas": 2}}
     # a power-law support of 10**15 degrees fails to allocate at once (phase

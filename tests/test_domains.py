@@ -67,18 +67,46 @@ class TestEveryEntryPointNamesItsArgument:
             call()
 
 
-@pytest.mark.parametrize("argument, call", [
-    ("n", lambda: simulate_epidemic(build_spec_model(SMALL), 1, 3)),
-    ("dt", lambda: integrate(build_spec_model(SMALL), (0, 10), -1.0, "euler")),
-    ("replicas", lambda: abm.run_ensemble(build_spec_model(SMALL), 100, 3, 1)),
-    ("model", lambda: integrate("x", (0, 1), 1.0)),
-    ("schedule", lambda: integrate(build_spec_model(SMALL), (0, 1), 1.0, schedule=5)),
-    ("schedule", lambda: simulate_epidemic(build_spec_model(SMALL), 100, 3, schedule=5)),
+ONE_TYPE = dict(lam=0.1, mu=0.05, rho0=0.01)
+
+
+@pytest.mark.parametrize("argument, message, call", [
+    ("n", "n must be ", lambda: simulate_epidemic(build_spec_model(SMALL), 1, 3)),
+    ("dt", "dt must be ", lambda: integrate(build_spec_model(SMALL), (0, 10), -1.0, "euler")),
+    ("replicas", "replicas must be ",
+     lambda: abm.run_ensemble(build_spec_model(SMALL), 100, 3, 1)),
+    ("model", "model must be ", lambda: integrate("x", (0, 1), 1.0)),
+    ("schedule", "schedule must be ",
+     lambda: integrate(build_spec_model(SMALL), (0, 1), 1.0, schedule=5)),
+    ("schedule", "schedule must be ",
+     lambda: simulate_epidemic(build_spec_model(SMALL), 100, 3, schedule=5)),
+    ("k_max", "k_max must be ", lambda: truncated_power_law(2.5, 5, 3)),
+    ("rng", "rng must be ", lambda: simulate_epidemic(build_spec_model(SMALL), 100, 3, rng="7")),
+    ("model", "the agent-based chain needs one population", lambda: simulate_epidemic(
+        build_model("bipartite", EpidemicParams(**ONE_TYPE, lam2=0.1),
+                    truncated_power_law(2.5, 1, 10)), 100, 3)),
+    ("t_span", r"t_span \[0.0, 1000000000000.0\] at dt=1.0 is 1000000000000 steps, too many",
+     lambda: integrate(build_spec_model(SMALL), (0, 1e12), 1.0)),
+    ("dist", "model 'stratified' requires a degree distribution",
+     lambda: build_model("stratified", EpidemicParams(**ONE_TYPE))),
+    ("lam2", "model 'two_type' requires lam2", lambda: build_model(
+        "two_type", EpidemicParams(**ONE_TYPE), truncated_power_law(2.5, 1, 10))),
+    ("mu", "hiv models have no mu removal", lambda: build_model(
+        "hiv_msm", EpidemicParams(**ONE_TYPE), truncated_power_law(2.5, 1, 10))),
+    ("population", "trajectory has no second population",
+     lambda: analysis.phase_series(small_runner({}), 1, 2, population=2)),
+    ("initial", "initial 'mu': no matching free parameter", lambda: fit_parameters(
+        small_runner, **{**FIT, "initial": {"lambda": 0.1, "mu": 0.05}})),
+    ("observed", "observed times and values must align",
+     lambda: fit_parameters(small_runner, **{**FIT, "observed": [0.0]})),
 ], ids=["simulate_epidemic_n", "integrate_dt", "run_ensemble_replicas", "integrate_model",
-        "integrate_schedule", "simulate_epidemic_schedule"])
-def test_checked_argument_is_the_field(argument, call):
+        "integrate_schedule", "simulate_epidemic_schedule", "power_law_k_max",
+        "simulate_epidemic_rng", "simulate_epidemic_model", "integrate_too_many_to_record",
+        "build_model_dist", "build_model_lam2", "build_model_mu", "phase_series_population",
+        "fit_initial_without_free", "fit_observed_length"])
+def test_checked_argument_is_the_field(argument, message, call):
     # each of these used to carry field None, though its message named the argument
-    with pytest.raises(DomainError, match=f"^{argument} must be ") as err:
+    with pytest.raises(DomainError, match=f"^{message}") as err:
         call()
     assert err.value.field == argument
 

@@ -1192,11 +1192,34 @@ class TestGridArguments:
 
     # grids whose record cannot exist: 1.25 EiB is past any address space, so
     # the allocation fails at once, and past 8 EiB numpy refuses the shape
-    @pytest.mark.parametrize("t1", [1e15, 1e17])
-    def test_grid_too_large_to_record(self, t1):
-        model = build_model("stratified", FIG1_PARAMS, FIG1_DIST)
+    @pytest.mark.parametrize("t1, dist", [
+        (1e15, FIG1_DIST), (2.0 ** 52, truncated_power_law(2.5, 1, 300))],
+        ids=["1.25EiB", "past_8EiB"])
+    def test_grid_too_large_to_record(self, t1, dist):
+        model = build_model("stratified", FIG1_PARAMS, dist)
         with pytest.raises(DomainError, match="t_span .* at dt=1.0 .* too many to record"):
             integrate(model, (0, t1), 1.0, "euler")
+
+    # points t0 + i * dt that round to one float: a run used to fail only
+    # after its last step, on "trajectory times must be strictly increasing",
+    # or on the size of its record
+    @pytest.mark.parametrize("t_span, dt", [
+        ((1e16, 10000000000000004), 1.0), ((0, 1e17), 1.0), ((0, 1), 1e-16),
+        ((-1e16, -9999999999999996), 1.0),
+        # 2**22 steps whose points 2**19 and 2**19 + 1 both round to 2**52 + 2**19,
+        # far from either end of the grid
+        ((2.0 ** 52, 2.0 ** 52 + 4194300), 1 - 2.0 ** -20)])
+    def test_time_grid_rejects_points_that_collide(self, t_span, dt):
+        with pytest.raises(DomainError, match="float64 cannot tell apart") as err:
+            time_grid(t_span, dt)
+        assert err.value.field == "t_span"
+
+    # within 4 ulps of float64's resolution, but every point distinct
+    @pytest.mark.parametrize("t_span, dt, steps", [
+        ((1e16, 1e16 + 100), 4.0, 25), ((2.0 ** 52, 2.0 ** 52 + 10), 1.0, 10),
+        ((0, 1), 4e-16, 2500000000000000)])
+    def test_time_grid_keeps_distinct_points_near_resolution(self, t_span, dt, steps):
+        assert time_grid(t_span, dt) == [(float(t_span[0]), steps, None)]
 
     @pytest.mark.parametrize("t_span, dt, epochs, field", [
         ((0, 10.5), 1.0, None, "t_span"),
